@@ -14,11 +14,12 @@ path leaving the chart, ...).
 """
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ import jsonschema
 
 from . import __version__
 from .expr import ExprError, ExprDomainError, parse
-from .jets import JetDomainError
+from .jets import JetDomainError, point_arrays
 from .projective import ProjectiveSurface
 from .pairs import (ProjectivePair, BuildError, build_lax, lax_residual,
                     projective_pair_residual, twist_free_normal_form,
@@ -45,10 +46,22 @@ class SceneError(Exception):
 _DOCS = Path(__file__).resolve().parents[2] / "docs"
 
 
-def _schema(name):
-    path = _DOCS / name
-    with open(path) as fh:
-        return json.load(fh)
+@functools.lru_cache(maxsize=None)
+def _validator(name):
+    """The validator of a schema in docs/, read and checked once a process."""
+    with open(_DOCS / name) as fh:
+        schema = json.load(fh)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(instance, name):
+    """Raise the error `jsonschema.validate` would raise, if any."""
+    errors = _validator(name).iter_errors(instance)
+    error = jsonschema.exceptions.best_match(errors)
+    if error is not None:
+        raise error
 
 
 def load_scene(path):
@@ -58,7 +71,7 @@ def load_scene(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise SceneError(f"cannot read scene {path}: {exc}") from exc
     try:
-        jsonschema.validate(scene, _schema("scene.schema.json"))
+        _validate(scene, "scene.schema.json")
     except jsonschema.ValidationError as exc:
         raise SceneError(f"scene {path} invalid: {exc.message}") from exc
     scene["_digest"] = hashlib.sha256(raw).hexdigest()
@@ -101,7 +114,6 @@ class RunContext:
         self.count = args.samples if args.samples else samp.get("count", 32)
         self.seed = args.seed if args.seed is not None else samp.get("seed", 0)
         self.order = args.order
-        self.threads = max(1, args.threads)
         self.box = samp.get("box", {})
         self._exclusions = samp.get("exclusions", [])
         self._overrides = {}
@@ -139,11 +151,11 @@ class RunContext:
         return [(p["x"], p["y"]) for p in self.points(("x", "y"))]
 
 
-def _check(name, value, tolerance, verdict=None):
-    if verdict is None:
-        verdict = bool(value < tolerance)
-    return {"name": name, "value": float(value),
-            "tolerance": float(tolerance), "verdict": bool(verdict)}
+def _check(name, value, tolerance):
+    """A tolerance check; a NaN or infinite value never passes."""
+    value = float(value)
+    return {"name": name, "value": value, "tolerance": float(tolerance),
+            "verdict": math.isfinite(value) and value < tolerance}
 
 
 def _flag_check(name, ok):
@@ -203,20 +215,13 @@ def _metric_builder(scene):
 
 def _cmd_curvature(scene, ctx):
     builder = _metric_builder(scene)
-    pts = ctx.points(tuple(builder.coords))
-
-    def one(pt):
-        return curvature_report(builder.jets(pt, order=2), builder.coords,
-                                builder.orientation(pt))
-    if ctx.threads > 1:
-        with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-            reports = list(pool.map(one, pts))
-    else:
-        reports = [one(pt) for pt in pts]
-    worst = {k: max(r[k] for r in reports)
+    pt = point_arrays(ctx.points(tuple(builder.coords)))
+    rep = curvature_report(builder.jets(pt, order=2), builder.coords,
+                           builder.orientation(pt))
+    worst = {k: float(np.max(rep[k]))
              for k in ("riemann", "ricci", "ricci_tracefree", "scalar",
                        "weyl_plus", "weyl_minus", "star_defect")}
-    signature = all(r["signature_ok"] for r in reports)
+    signature = bool(np.all(rep["signature_ok"]))
     checks = [_check("star_defect", worst["star_defect"],
                      ctx.tol("curvature", 1e-10)),
               _flag_check("signature", signature)]
@@ -498,8 +503,6 @@ def main(argv=None):
                         help="override a named tolerance (repeatable)")
     parser.add_argument("--order", type=int, choices=(2, 3), default=3,
                         help="jet truncation order for consistency sweeps")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-point sweeps")
     args = parser.parse_args(argv)
 
     try:
@@ -518,7 +521,7 @@ def main(argv=None):
         return 3
 
     try:
-        jsonschema.validate(report, _schema("report.schema.json"))
+        _validate(report, "report.schema.json")
     except jsonschema.ValidationError as exc:  # defensive; a bug if it fires
         print(f"internal report error: {exc.message}", file=sys.stderr)
         return 3

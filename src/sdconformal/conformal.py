@@ -27,8 +27,8 @@ import itertools
 import numpy as np
 
 from .expr import Expression, evaluate, parse
-from .jets import Jet, JetSpace
-from .pairs import ProjectivePair, build_lax, lax_residual
+from .jets import Jet, JetSpace, point_arrays, stack
+from .pairs import ProjectivePair, _dot, build_lax, lax_residual
 
 # Which Weyl half the construction kills; calibrated on the null-Kaehler
 # family (see tests), stored once, never branched on.
@@ -56,40 +56,54 @@ def _as_expression(value, allowed):
 # -- jet linear algebra -------------------------------------------------------
 
 
+def _matrix(jet):
+    """The entries of a jet whose last two batch axes index a matrix, as a
+    list of lists of jets."""
+    rows, cols = jet.coeffs.shape[-3:-1]
+    return [[Jet(jet.space, jet.coeffs[..., i, j, :]) for j in range(cols)]
+            for i in range(rows)]
+
+
 def jet_gauss_solve(A, B):
-    """Solve A X = B for matrices of jets by Gaussian elimination with
-    pivoting on the magnitude of constant terms.  A is n x n, B is n x m
-    (lists of lists of Jets); returns X as a list of lists of Jets."""
-    n = len(A)
-    m = len(B[0])
-    A = [row[:] for row in A]
-    B = [row[:] for row in B]
+    """Solve A X = B for matrices of jets by Gaussian elimination, pivoting
+    at each point on the magnitude of constant terms.  A is n x n, B is
+    n x m (lists of lists of Jets, or jets whose last two batch axes are
+    the matrix); returns X as a list of lists of Jets."""
+    a, b = stack(A), stack(B)
+    space = a.space
+    batch = np.broadcast_shapes(a.coeffs.shape[:-3], b.coeffs.shape[:-3])
+    A = np.array(np.broadcast_to(a.coeffs, batch + a.coeffs.shape[-3:]))
+    B = np.array(np.broadcast_to(b.coeffs, batch + b.coeffs.shape[-3:]))
+    n = A.shape[-2]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(A[r][col].value))
-        if abs(A[piv][col].value) == 0.0:
+        mag = np.abs(A[..., col:, col, 0])
+        if np.any(np.max(mag, axis=-1) == 0.0):
             raise np.linalg.LinAlgError("singular jet matrix")
-        A[col], A[piv] = A[piv], A[col]
-        B[col], B[piv] = B[piv], B[col]
-        inv = A[col][col].reciprocal()
-        A[col] = [a * inv for a in A[col]]
-        B[col] = [b * inv for b in B[col]]
+        # swap rows col and piv at each point (piv: the first largest)
+        piv = col + np.argmax(mag, axis=-1)
+        perm = np.broadcast_to(np.arange(n), batch + (n,)).copy()
+        np.put_along_axis(perm, piv[..., None], col, axis=-1)
+        perm[..., col] = piv
+        A = np.take_along_axis(A, perm[..., :, None, None], axis=-3)
+        B = np.take_along_axis(B, perm[..., :, None, None], axis=-3)
+        inv = Jet(space, A[..., col, col, :]).reciprocal().coeffs[..., None, :]
+        A[..., col, :, :] = space.product(A[..., col, :, :], inv)
+        B[..., col, :, :] = space.product(B[..., col, :, :], inv)
         for r in range(n):
-            if r == col:
+            f = A[..., r, col, None, :].copy()
+            if r == col or not f.any():
                 continue
-            f = A[r][col]
-            if np.all(f.coeffs == 0.0):
-                continue
-            A[r] = [a - f * p for a, p in zip(A[r], A[col])]
-            B[r] = [b - f * p for b, p in zip(B[r], B[col])]
-    return B
+            A[..., r, :, :] -= space.product(f, A[..., col, :, :])
+            B[..., r, :, :] -= space.product(f, B[..., col, :, :])
+    return _matrix(Jet(space, B))
 
 
 def jet_matrix_inverse(A):
-    n = len(A)
-    space = A[0][0].space
-    eye = [[space.constant(1.0 if i == j else 0.0) for j in range(n)]
-           for i in range(n)]
-    return jet_gauss_solve(A, eye)
+    a = stack(A)
+    n = a.coeffs.shape[-2]
+    eye = np.zeros((n, n, len(a.space)))
+    eye[range(n), range(n), 0] = 1.0
+    return jet_gauss_solve(a, Jet(a.space, eye))
 
 
 # -- metric assembly ----------------------------------------------------------
@@ -102,7 +116,6 @@ def frame_from_pair(pair: ProjectivePair):
         raise ValueError("a 4-metric needs a 2-dimensional fiber")
     zero = Expression.const(0.0)
     one = Expression.const(1.0)
-    f = pair.fiber
     frame = [
         [zero, zero, pair.phi[0][0], pair.phi[0][1]],
         [zero, zero, pair.phi[1][0], pair.phi[1][1]],
@@ -138,82 +151,97 @@ class MetricBuilder:
         self.orient = float(orientation)
 
     def jets(self, point, order=2):
-        """4x4 symmetric matrix of metric jets at a point dict."""
+        """4x4 symmetric matrix of metric jets at a point dict, whose
+        values may be arrays over many points (see `point_arrays`)."""
         space = JetSpace(self.coords, order)
-        env = space.seed(dict(point))
+        env = space.seed(point)
         if self.components is not None:
-            g = [[evaluate(self.components[i][j], env, space=space)
-                  for j in range(4)] for i in range(4)]
+            g = stack([[evaluate(c, env, space=space) for c in row]
+                       for row in self.components])
         else:
             M = [[evaluate(c, env, space=space) for c in vec]
                  for vec in self.frame]
-            Minv = jet_matrix_inverse(M)
-            # coframe rows are columns of M^{-1}
-            th = [[Minv[i][a] for i in range(4)] for a in range(4)]
-            g = [[th[0][i] * th[3][j] + th[0][j] * th[3][i]
-                  - th[1][i] * th[2][j] - th[1][j] * th[2][i]
-                  for j in range(4)] for i in range(4)]
+            # coframe rows are columns of M^{-1}: theta^a_i = th[..., i, a]
+            th = stack(jet_matrix_inverse(M)).coeffs
+            t0, t1, t2, t3 = (th[..., :, a, :] for a in range(4))
+            mul = space.product
+            # g_ij = th0_i th3_j + th0_j th3_i - th1_i th2_j - th1_j th2_i
+            g = Jet(space, mul(t0[..., :, None, :], t3[..., None, :, :])
+                    + mul(t0[..., None, :, :], t3[..., :, None, :])
+                    - mul(t1[..., :, None, :], t2[..., None, :, :])
+                    - mul(t1[..., None, :, :], t2[..., :, None, :]))
         if self.factor is not None:
             f = evaluate(self.factor, env, space=space)
-            g = [[gij * f for gij in row] for row in g]
-        return g
+            g = Jet(space,
+                    space.product(g.coeffs, f.coeffs[..., None, None, :]))
+        return _matrix(g)
 
     def orientation(self, point):
         """Sign of the frame volume form against the coordinate one; the
         Hodge star must be taken in the frame orientation."""
         if self.frame is None:
             return self.orient
-        return float(np.sign(np.linalg.det(frame_values(self, point))))
+        return np.sign(np.linalg.det(frame_values(self, point)))
 
 
 def frame_values(builder: MetricBuilder, point):
     if builder.frame is None:
         raise ValueError("no frame on an explicit-component metric")
     space = JetSpace(builder.coords, 0)
-    env = space.seed(dict(point))
-    return np.array([[evaluate(c, env, space=space).value for c in vec]
-                     for vec in builder.frame])
+    env = space.seed(point)
+    return stack([[evaluate(c, env, space=space) for c in vec]
+                  for vec in builder.frame]).value
 
 
 # -- curvature pipeline -------------------------------------------------------
+#
+# Metric jets may carry leading point axes; every value array below then
+# has them in front of its tensor indices, and every norm is per point.
+# Value and gradient arrays are made contiguous before matmul and einsum,
+# so that these take the code path a single point's arrays take.
+
+_LO = np.minimum.outer(np.arange(4), np.arange(4))
+_HI = np.maximum.outer(np.arange(4), np.arange(4))
 
 
 def christoffel_jets_4d(g, coords):
-    """Order-1 jets of the Levi-Civita Christoffels from order-2 metric jets."""
-    ginv = jet_matrix_inverse(g)
-    ginv1 = [[x.truncate(1) for x in row] for row in ginv]
-    dg = [[[g[i][j].derivative(c) for c in coords] for j in range(4)]
-          for i in range(4)]
-    gam = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            for c in range(b, 4):
-                acc = None
-                for d in range(4):
-                    term = ginv1[a][d] * (dg[d][c][b] + dg[b][d][c]
-                                          - dg[b][c][d])
-                    acc = term if acc is None else acc + term
-                val = acc * 0.5
-                gam[a][b][c] = val
-                gam[a][c][b] = val
-    return gam, ginv
+    """Order-1 jets of the Levi-Civita Christoffels G^a_bc and order-2 jets
+    of the inverse metric, from order-2 metric jets; returned as jets
+    whose last batch axes are the indices (a, b, c) and (a, b)."""
+    g = stack(g)
+    ginv = stack(jet_matrix_inverse(g))
+    space1 = JetSpace(g.space.vars, 1)
+    # dg[..., i, j, k, :] = d_k g_ij
+    # t[..., d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
+    dg = np.stack([g.derivative(c).coeffs for c in coords], axis=-2)
+    t = dg.swapaxes(-3, -2) + dg.swapaxes(-4, -3) - np.moveaxis(dg, -2, -4)
+    ginv1 = ginv.truncate(1).coeffs
+
+    def term(d):  # ginv_ad t_dbc at indices (a, b, c)
+        return space1.product(ginv1[..., :, d, None, None, :],
+                              t[..., None, d, :, :, :])
+    acc = term(0)
+    for d in range(1, 4):
+        acc = acc + term(d)
+    # computed for c >= b and mirrored, as g need not be bitwise symmetric
+    gam = (acc * 0.5)[..., _LO, _HI, :]
+    return Jet(space1, gam), ginv
 
 
 def riemann_values(g, coords):
     """Pointwise Riemann tensor (first index up) from order-2 metric jets,
-    plus metric value matrices."""
+    plus metric value arrays."""
     gam, ginv = christoffel_jets_4d(g, coords)
-    gv = np.array([[g[i][j].value for j in range(4)] for i in range(4)])
-    giv = np.array([[ginv[i][j].value for j in range(4)] for i in range(4)])
-    gamv = np.array([[[gam[a][b][c].value for c in range(4)]
-                      for b in range(4)] for a in range(4)])
-    dgam = np.array([[[[gam[a][b][c].gradient()[d] for d in range(4)]
-                       for c in range(4)] for b in range(4)]
-                     for a in range(4)])
+    gv = np.ascontiguousarray(stack(g).value)
+    giv = np.ascontiguousarray(ginv.value)
+    gamv = np.ascontiguousarray(gam.value)
+    # dgam[..., a, b, c, d] = d_d G^a_bc
+    dgam = np.ascontiguousarray(gam.gradient())
     # R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb
-    R = (np.einsum("adbc->abcd", dgam) - np.einsum("acbd->abcd", dgam)
-         + np.einsum("ace,edb->abcd", gamv, gamv)
-         - np.einsum("ade,ecb->abcd", gamv, gamv))
+    R = (np.einsum("...adbc->...abcd", dgam)
+         - np.einsum("...acbd->...abcd", dgam)
+         + np.einsum("...ace,...edb->...abcd", gamv, gamv)
+         - np.einsum("...ade,...ecb->...abcd", gamv, gamv))
     return R, gv, giv, gamv
 
 
@@ -222,55 +250,65 @@ def hodge_star_operator(gv, giv, orientation=1.0):
     eps_abcd = sigma * orientation * sqrt|det g| [abcd], where
     `orientation` is the sign of the frame volume form in the chart."""
     det = np.linalg.det(gv)
-    eps = ORIENTATION_SIGMA * orientation * np.sqrt(abs(det)) * _EPS4
-    return 0.5 * np.einsum("abmn,mc,nd->abcd", eps, giv, giv)
+    scale = ORIENTATION_SIGMA * orientation * np.sqrt(np.abs(det))
+    eps = np.asarray(scale)[..., None, None, None, None] * _EPS4
+    return 0.5 * np.einsum("...abmn,...mc,...nd->...abcd", eps, giv, giv)
+
+
+def _maxabs(x, ndim):
+    """Max-abs component norm over the last `ndim` (tensor) axes."""
+    return np.abs(x).max(axis=tuple(range(-ndim, 0)))
 
 
 def curvature_report(g, coords, orientation=1.0):
-    """All curvature norms from order-2 metric jets at one point.
+    """All curvature norms from order-2 metric jets, at each point.
 
     Returns a dict with max-abs component norms of: Riemann (all down),
     Ricci, trace-free Ricci, scalar, Weyl+ and Weyl- (first index up, the
     conformally invariant arrangement), plus the star idempotency defect
-    and the signature of the metric value."""
+    and the signature of the metric value; each has the batch shape of
+    the jets."""
     Rup, gv, giv, _ = riemann_values(g, coords)
-    Rdown = np.einsum("ae,ebcd->abcd", gv, Rup)
-    ric = np.einsum("abad->bd", Rup)
-    scal = float(np.einsum("bd,bd->", giv, ric))
-    ric_tf = ric - 0.25 * scal * gv
+    Rdown = np.einsum("...ae,...ebcd->...abcd", gv, Rup)
+    ric = np.einsum("...abad->...bd", Rup)
+    scal = np.einsum("...bd,...bd->...", giv, ric)
+    ric_tf = ric - 0.25 * scal[..., None, None] * gv
     # Schouten and the Kulkarni-Nomizu split of Riemann
-    P = 0.5 * (ric - (scal / 6.0) * gv)
-    kn = (np.einsum("ac,bd->abcd", gv, P) + np.einsum("bd,ac->abcd", gv, P)
-          - np.einsum("ad,bc->abcd", gv, P) - np.einsum("bc,ad->abcd", gv, P))
+    P = 0.5 * (ric - (scal / 6.0)[..., None, None] * gv)
+    kn = (np.einsum("...ac,...bd->...abcd", gv, P)
+          + np.einsum("...bd,...ac->...abcd", gv, P)
+          - np.einsum("...ad,...bc->...abcd", gv, P)
+          - np.einsum("...bc,...ad->...abcd", gv, P))
     weyl = Rdown - kn
     star = hodge_star_operator(gv, giv, orientation)
     # ** = id on 2-forms in split signature; measure the defect against
     # the antisymmetrized identity
-    star_sq = np.einsum("abmn,mncd->abcd", star, star)
-    star_defect = float(np.abs(star_sq - _antisym_identity()).max())
-    weyl_star = np.einsum("cdef,abef->abcd", star, weyl)
+    star_sq = np.einsum("...abmn,...mncd->...abcd", star, star)
+    weyl_star = np.einsum("...cdef,...abef->...abcd", star, weyl)
     wplus = 0.5 * (weyl + weyl_star)
     wminus = 0.5 * (weyl - weyl_star)
-    wplus_up = np.einsum("ae,ebcd->abcd", giv, wplus)
-    wminus_up = np.einsum("ae,ebcd->abcd", giv, wminus)
-    eigs = np.linalg.eigvalsh(gv)
+    wplus_up = np.einsum("...ae,...ebcd->...abcd", giv, wplus)
+    wminus_up = np.einsum("...ae,...ebcd->...abcd", giv, wminus)
+    # eigvalsh need not converge on a non-finite matrix; such a point is
+    # given the zero matrix, which has no (2,2) signature
+    finite = np.isfinite(gv).all(axis=(-2, -1))
+    eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], gv, 0.0))
     return {
-        "riemann": float(np.abs(Rdown).max()),
-        "ricci": float(np.abs(ric).max()),
-        "ricci_tracefree": float(np.abs(ric_tf).max()),
-        "scalar": abs(scal),
-        "weyl_plus": float(np.abs(wplus_up).max()),
-        "weyl_minus": float(np.abs(wminus_up).max()),
-        "star_defect": star_defect,
-        "signature_ok": bool((eigs > 0).sum() == 2 and (eigs < 0).sum() == 2),
-        "det": float(np.linalg.det(gv)),
+        "riemann": _maxabs(Rdown, 4),
+        "ricci": _maxabs(ric, 2),
+        "ricci_tracefree": _maxabs(ric_tf, 2),
+        "scalar": np.abs(scal),
+        "weyl_plus": _maxabs(wplus_up, 4),
+        "weyl_minus": _maxabs(wminus_up, 4),
+        "star_defect": _maxabs(star_sq - _ANTISYM, 4),
+        "signature_ok": ((eigs > 0).sum(axis=-1) == 2)
+                        & ((eigs < 0).sum(axis=-1) == 2),
+        "det": np.linalg.det(gv),
     }
 
 
-def _antisym_identity():
-    eye = np.eye(4)
-    return 0.5 * (np.einsum("ac,bd->abcd", eye, eye)
-                  - np.einsum("ad,bc->abcd", eye, eye))
+_ANTISYM = 0.5 * (np.einsum("ac,bd->abcd", np.eye(4), np.eye(4))
+                  - np.einsum("ad,bc->abcd", np.eye(4), np.eye(4)))
 
 
 def certify_selfdual(P, pair: ProjectivePair, points, tol=1e-8,
@@ -280,15 +318,12 @@ def certify_selfdual(P, pair: ProjectivePair, points, tol=1e-8,
     lax = build_lax(P, pair)
     lres = lax_residual(lax, points)
     builder = MetricBuilder(pair=pair, factor=factor)
-    worst = {"weyl_minus": 0.0, "weyl_plus": 0.0, "ricci": 0.0,
-             "star_defect": 0.0}
-    signature_ok = True
-    for pt in points:
-        rep = curvature_report(builder.jets(pt, order=2), builder.coords,
-                               builder.orientation(pt))
-        for k in worst:
-            worst[k] = max(worst[k], rep[k])
-        signature_ok = signature_ok and rep["signature_ok"]
+    pt = point_arrays(points)
+    rep = curvature_report(builder.jets(pt, order=2), builder.coords,
+                           builder.orientation(pt))
+    worst = {k: float(np.max(rep[k]))
+             for k in ("weyl_minus", "weyl_plus", "ricci", "star_defect")}
+    signature_ok = bool(np.all(rep["signature_ok"]))
     return {
         "lax_residual": lres["residual"],
         "lax_cubic_max": lres["cubic_max"],
@@ -318,56 +353,57 @@ def killing_report(builder: MetricBuilder, K, points):
     """
     coords = builder.coords
     K = [_as_expression(c, coords) for c in K]
-    out = {"exact_killing": 0.0, "conformal_killing": 0.0, "null_defect": 0.0,
-           "twist": [], "geodesic": 0.0}
-    for pt in points:
-        g = builder.jets(pt, order=2)
-        space = JetSpace(coords, 2)
-        env = space.seed(dict(pt))
-        Kj = [evaluate(c, env, space=space) for c in K]
-        gv = np.array([[g[i][j].value for j in range(4)] for i in range(4)])
-        giv = np.linalg.inv(gv)
-        Kv = np.array([k.value for k in Kj])
-        dK = np.array([k.gradient() for k in Kj])  # dK[a][b] = d_b K^a
-        dg = np.array([[g[i][j].gradient() for j in range(4)]
-                       for i in range(4)])
-        lie = (np.einsum("c,abc->ab", Kv, dg)
-               + np.einsum("cb,ca->ab", gv, dK)
-               + np.einsum("ac,cb->ab", gv, dK))
-        out["exact_killing"] = max(out["exact_killing"],
-                                   float(np.abs(lie).max()))
-        trace = float(np.einsum("ab,ab->", giv, lie))
-        conf = lie - 0.25 * trace * gv
-        out["conformal_killing"] = max(out["conformal_killing"],
-                                       float(np.abs(conf).max()))
-        out["null_defect"] = max(out["null_defect"],
-                                 abs(float(Kv @ gv @ Kv)))
-        # twist: alpha = g(K, .) as order-1 jets
-        alpha = [None] * 4
-        for a_ in range(4):
-            acc = None
-            for b_ in range(4):
-                term = g[a_][b_].truncate(1) * Kj[b_].truncate(1)
-                acc = term if acc is None else acc + term
-            alpha[a_] = acc
-        av = np.array([a_.value for a_ in alpha])
-        da = np.array([a_.gradient() for a_ in alpha])  # da[a][b] = d_b alpha_a
-        curl = da.T - da  # (d alpha)_bc = d_b alpha_c - d_c alpha_b
-        T = (np.einsum("a,bc->abc", av, curl)
-             + np.einsum("b,ca->abc", av, curl)
-             + np.einsum("c,ab->abc", av, curl))
-        w = np.einsum("dabc,abc->d", _EPS4, T) / 6.0
-        out["twist"].append(float(w @ Kv) / float(Kv @ Kv))
-        # geodesic residual
-        gam, _ = christoffel_jets_4d(g, coords)
-        gamv = np.array([[[gam[a_][b_][c_].value for c_ in range(4)]
-                          for b_ in range(4)] for a_ in range(4)])
-        acc = np.einsum("b,ab->a", Kv, dK) + np.einsum("abc,b,c->a",
-                                                       gamv, Kv, Kv)
-        perp = acc - (acc @ Kv) / (Kv @ Kv) * Kv
-        out["geodesic"] = max(out["geodesic"], float(np.abs(perp).max()))
-    out["twist_max"] = max(abs(t) for t in out["twist"])
-    return out
+    pt = point_arrays(points)
+    space = JetSpace(coords, 2)
+    env = space.seed(pt)
+    # constant fields or metrics get the point axis too
+    batch = (len(points),)
+    g = stack(builder.jets(pt, order=2))
+    g = Jet(space, np.broadcast_to(g.coeffs, batch + g.coeffs.shape[-3:]))
+    Kj = stack([evaluate(c, env, space=space) for c in K])
+    Kj = Jet(space, np.broadcast_to(Kj.coeffs, batch + Kj.coeffs.shape[-2:]))
+    gv = np.ascontiguousarray(g.value)
+    giv = np.linalg.inv(gv)
+    Kv = np.ascontiguousarray(Kj.value)
+    dK = np.ascontiguousarray(Kj.gradient())  # dK[..., a, b] = d_b K^a
+    dg = np.ascontiguousarray(g.gradient())
+    lie = (np.einsum("...c,...abc->...ab", Kv, dg)
+           + np.einsum("...cb,...ca->...ab", gv, dK)
+           + np.einsum("...ac,...cb->...ab", gv, dK))
+    trace = np.einsum("...ab,...ab->...", giv, lie)
+    conf = lie - 0.25 * trace[..., None, None] * gv
+    null = np.abs(((Kv[..., None, :] @ gv) @ Kv[..., :, None])[..., 0, 0])
+    # twist: alpha = g(K, .) as order-1 jets
+    space1 = JetSpace(coords, 1)
+    terms = space1.product(g.truncate(1).coeffs,
+                           Kj.truncate(1).coeffs[..., None, :, :])
+    alpha = terms[..., 0, :]
+    for b in range(1, 4):
+        alpha = alpha + terms[..., b, :]
+    alpha = Jet(space1, alpha)
+    av = np.ascontiguousarray(alpha.value)
+    da = np.ascontiguousarray(alpha.gradient())  # da[..., a, b] = d_b alpha_a
+    curl = da.swapaxes(-1, -2) - da  # (d alpha)_bc = d_b alpha_c - d_c alpha_b
+    T = (np.einsum("...a,...bc->...abc", av, curl)
+         + np.einsum("...b,...ca->...abc", av, curl)
+         + np.einsum("...c,...ab->...abc", av, curl))
+    w = np.einsum("dabc,...abc->...d", _EPS4, T) / 6.0
+    norm2 = _dot(Kv, Kv)
+    if np.any(norm2 == 0.0):
+        raise ZeroDivisionError("the field vanishes at a sample point")
+    twist = _dot(w, Kv) / norm2
+    # geodesic residual
+    gam, _ = christoffel_jets_4d(g, coords)
+    gamv = np.ascontiguousarray(gam.value)
+    acc = (np.einsum("...b,...ab->...a", Kv, dK)
+           + np.einsum("...abc,...b,...c->...a", gamv, Kv, Kv))
+    perp = acc - (_dot(acc, Kv) / norm2)[..., None] * Kv
+    return {"exact_killing": float(np.max(_maxabs(lie, 2))),
+            "conformal_killing": float(np.max(_maxabs(conf, 2))),
+            "null_defect": float(np.max(null)),
+            "twist": twist.tolist(),
+            "geodesic": float(np.max(_maxabs(perp, 1))),
+            "twist_max": float(np.max(np.abs(twist)))}
 
 
 def frobenius_residual(fields, coords, points):
@@ -431,42 +467,31 @@ def build_null_kahler(a, c, f):
     omega[3][0] = -f
 
     def check(points):
-        rep = {"domega": 0.0, "compat": 0.0, "J_null": 0.0,
-               "g_JJ": 0.0, "killing": 0.0, "omega_antiselfdual": 0.0}
+        pt = point_arrays(points)
         space = JetSpace(coords, 1)
-        for pt in points:
-            env = space.seed(dict(pt))
-            J = np.array([[evaluate(J_expr[i][j], env, space=space).value
-                           for j in range(4)] for i in range(4)])
-            rep["J_null"] = max(rep["J_null"], float(np.abs(J @ J).max()))
-            om = [[evaluate(omega[i][j], env, space=space) for j in range(4)]
-                  for i in range(4)]
-            omv = np.array([[om[i][j].value for j in range(4)]
-                            for i in range(4)])
-            dom = np.array([[om[i][j].gradient() for j in range(4)]
-                            for i in range(4)])
-            for i in range(4):
-                for j in range(4):
-                    for k in range(4):
-                        d3 = dom[j][k][i] + dom[k][i][j] + dom[i][j][k]
-                        rep["domega"] = max(rep["domega"], abs(d3))
-            g = builder.jets(pt, order=2)
-            gv = np.array([[g[i][j].value for j in range(4)]
-                           for i in range(4)])
-            giv = np.linalg.inv(gv)
-            # omega(U, V) = g(JU, V):  omega_ab = J^c_a g_cb
-            compat = np.einsum("ca,cb->ab", J, gv) - omv
-            rep["compat"] = max(rep["compat"], float(np.abs(compat).max()))
-            gjj = np.einsum("ca,db,cd->ab", J, J, gv)
-            rep["g_JJ"] = max(rep["g_JJ"], float(np.abs(gjj).max()))
-            dg_t = np.array([[g[i][j].gradient()[2] for j in range(4)]
-                             for i in range(4)])
-            rep["killing"] = max(rep["killing"], float(np.abs(dg_t).max()))
-            star = hodge_star_operator(gv, giv, builder.orientation(pt))
-            starom = np.einsum("abcd,cd->ab", star, omv)
-            rep["omega_antiselfdual"] = max(rep["omega_antiselfdual"],
-                                            float(np.abs(starom + omv).max()))
-        return rep
+        env = space.seed(pt)
+        J = stack([[evaluate(J_expr[i][j], env, space=space)
+                    for j in range(4)] for i in range(4)])
+        J = np.ascontiguousarray(J.value)
+        om = stack([[evaluate(omega[i][j], env, space=space) for j in range(4)]
+                    for i in range(4)])
+        omv = np.ascontiguousarray(om.value)
+        dom = om.gradient()   # dom[..., i, j, k] = d_k omega_ij
+        d3 = (np.einsum("...jki->...ijk", dom)
+              + np.einsum("...kij->...ijk", dom) + dom)
+        g = stack(builder.jets(pt, order=2))
+        gv = np.ascontiguousarray(g.value)
+        giv = np.linalg.inv(gv)
+        # omega(U, V) = g(JU, V):  omega_ab = J^c_a g_cb
+        compat = np.einsum("...ca,...cb->...ab", J, gv) - omv
+        gjj = np.einsum("...ca,...db,...cd->...ab", J, J, gv)
+        star = hodge_star_operator(gv, giv, builder.orientation(pt))
+        starom = np.einsum("...abcd,...cd->...ab", star, omv)
+        norms = {"domega": _maxabs(d3, 3), "compat": _maxabs(compat, 2),
+                 "J_null": _maxabs(J @ J, 2), "g_JJ": _maxabs(gjj, 2),
+                 "killing": _maxabs(g.gradient()[..., 2], 2),
+                 "omega_antiselfdual": _maxabs(starom + omv, 2)}
+        return {k: float(np.max(v)) for k, v in norms.items()}
 
     return {"surface": P, "pair": pair, "metric": builder, "J": J_expr,
             "omega": omega, "check": check}

@@ -1,13 +1,16 @@
-"""Truncated multivariate Taylor (jet) arithmetic.
+"""Truncated multivariate Taylor (jet) arithmetic over batches of points.
 
-A jet stores the Taylor coefficients of an analytic function at a base
-point, up to a fixed total degree, in up to five variables.  Coefficient
-convention: ``coeffs[mu] = d^mu f / mu!``, so multiplication is a plain
-truncated convolution.
+A jet stores the Taylor coefficients of an analytic function at base
+points, up to a fixed total degree, in up to five variables.  Coefficient
+convention: ``coeffs[..., mu] = d^mu f / mu!``, so multiplication is a
+plain truncated convolution.  ``coeffs`` has shape ``(*batch,
+len(space))``: the leading axes index base points (a single point is
+batch shape ``()``), and every operation runs the same coefficient
+recurrence at all of them at once.  Batch shapes broadcast like numpy
+arrays, so a constant jet combines with a batched one.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -44,19 +47,37 @@ def _tables(nvars: int, order: int):
                 ii.append(i)
                 jj.append(j)
                 kk.append(k)
+    # The 0/1 scatter matrix of the product kernel, stored as a strided
+    # view: matmul then takes numpy's plain loop, which adds each output's
+    # terms in pair order for every batch shape.  (BLAS gemv and gemm
+    # group the terms differently, so a single point and a batch would
+    # differ in the last bit.)
+    wide = np.zeros((len(ii), 2 * len(mindex)))
+    wide[np.arange(len(ii)), 2 * np.asarray(kk)] = 1.0
+    scatter = wide[:, ::2]
+    # derivative tables: d/dvar maps slot i of the order-1 lower space
+    # (a prefix of this one) to slot src[i] of this space, times mult[i]
+    lower = sum(1 for mu in mindex if sum(mu) < order)
+    deriv = []
+    for pos in range(nvars):
+        ups = [mu[:pos] + (mu[pos] + 1,) + mu[pos + 1:] for mu in mindex[:lower]]
+        deriv.append((np.asarray([index[up] for up in ups], dtype=np.intp),
+                      np.asarray([mu[pos] + 1.0 for mu in mindex[:lower]])))
     return (
         tuple(mindex),
         index,
         np.asarray(ii, dtype=np.intp),
         np.asarray(jj, dtype=np.intp),
-        np.asarray(kk, dtype=np.intp),
+        scatter,
+        tuple(deriv),
     )
 
 
 class JetSpace:
     """Shared structure (variables, truncation order, index tables) for jets."""
 
-    __slots__ = ("vars", "order", "mindex", "index", "_ii", "_jj", "_kk")
+    __slots__ = ("vars", "order", "mindex", "index", "_ii", "_jj", "_scatter",
+                 "_deriv")
 
     _cache: dict[tuple, "JetSpace"] = {}
 
@@ -73,9 +94,8 @@ class JetSpace:
         self = object.__new__(cls)
         self.vars = variables
         self.order = int(order)
-        self.mindex, self.index, self._ii, self._jj, self._kk = _tables(
-            len(variables), int(order)
-        )
+        (self.mindex, self.index, self._ii, self._jj, self._scatter,
+         self._deriv) = _tables(len(variables), int(order))
         cls._cache[key] = self
         return self
 
@@ -85,27 +105,67 @@ class JetSpace:
     def __repr__(self):
         return f"JetSpace(vars={self.vars}, order={self.order})"
 
-    def constant(self, value: float) -> "Jet":
-        c = np.zeros(len(self.mindex))
-        c[0] = float(value)
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Coefficients of the product of two jets of this space, given by
+        their coefficient arrays (batch shapes broadcast)."""
+        return (a[..., self._ii] * b[..., self._jj]) @ self._scatter
+
+    def constant(self, value) -> "Jet":
+        """The constant jet `value` (a number, or an array of per-point values)."""
+        value = np.asarray(value, dtype=float)
+        c = np.zeros(value.shape + (len(self.mindex),))
+        c[..., 0] = value
         return Jet(self, c)
 
     def zero(self) -> "Jet":
         return Jet(self, np.zeros(len(self.mindex)))
 
-    def variable(self, name: str, value: float) -> "Jet":
-        """The jet of the coordinate function `name` at `value`."""
+    def variable(self, name: str, value) -> "Jet":
+        """The jet of the coordinate function `name` at `value` (a number,
+        or an array of per-point values)."""
         pos = self.vars.index(name)
-        c = np.zeros(len(self.mindex))
-        c[0] = float(value)
+        jet = self.constant(value)
         if self.order >= 1:
-            unit = tuple(1 if i == pos else 0 for i in range(len(self.vars)))
-            c[self.index[unit]] = 1.0
-        return Jet(self, c)
+            jet.coeffs[..., 1 + pos] = 1.0   # first-order slots are 1..n
+        return jet
 
-    def seed(self, point: dict[str, float]) -> dict[str, "Jet"]:
-        """Seed every space variable at the given base point."""
+    def seed(self, point) -> dict[str, "Jet"]:
+        """Seed every space variable at the given base point, a mapping of
+        variable names to numbers or to equal-shaped arrays of values."""
         return {v: self.variable(v, point[v]) for v in self.vars}
+
+
+def point_arrays(points) -> dict[str, np.ndarray]:
+    """A sequence of point dicts as one dict of value arrays whose leading
+    axis runs over the points, ready for `JetSpace.seed`."""
+    return {name: np.array([p[name] for p in points], dtype=float)
+            for name in points[0]}
+
+
+def stack(jets) -> "Jet":
+    """One jet from a nested list of jets of one space: the nesting
+    becomes trailing batch axes, after the broadcast batch axes of the
+    entries.  A jet is returned as it is."""
+    if isinstance(jets, Jet):
+        return jets
+    nest, flat = [], jets
+    while not isinstance(flat[0], Jet):
+        nest.append(len(flat))
+        flat = [j for row in flat for j in row]
+    nest.append(len(flat) // math.prod(nest))
+    space = flat[0].space
+    if any(j.space is not space for j in flat):
+        raise ValueError("jets from different spaces")
+    shape = np.broadcast_shapes(*(j.coeffs.shape for j in flat))
+    coeffs = np.stack([np.broadcast_to(j.coeffs, shape) for j in flat], axis=-2)
+    return Jet(space, coeffs.reshape(shape[:-1] + tuple(nest) + shape[-1:]))
+
+
+def _libm(fn, values):
+    """The math-module function `fn` at every point: the C library's
+    results, bit for bit the ones a single point gets."""
+    values = np.asarray(values)
+    return np.array([fn(v) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 class Jet:
@@ -117,11 +177,13 @@ class Jet:
 
     # -- basic accessors -------------------------------------------------
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        """The function values at the base points (batch-shaped; a numpy
+        scalar for a single point)."""
+        return self.coeffs[..., 0][()]
 
-    def extract(self, mu) -> float:
-        """The partial derivative d^mu f at the base point."""
+    def extract(self, mu):
+        """The partial derivative d^mu f at the base points."""
         if isinstance(mu, int):
             mu = (mu,)
         mu = tuple(mu)
@@ -132,33 +194,30 @@ class Jet:
         fact = 1.0
         for m in mu:
             fact *= math.factorial(m)
-        return float(self.coeffs[self.space.index[mu]]) * fact
+        return self.coeffs[..., self.space.index[mu]] * fact
 
     def gradient(self) -> np.ndarray:
-        """First partial derivatives, in variable order."""
-        n = len(self.space.vars)
-        out = np.empty(n)
-        for i in range(n):
-            unit = tuple(1 if j == i else 0 for j in range(n))
-            out[i] = self.coeffs[self.space.index[unit]]
-        return out
+        """First partial derivatives, in variable order, along a new last
+        axis.  In the lex order of the slots they are slots 1..n."""
+        if self.space.order == 0:
+            raise ValueError("an order-0 jet has no gradient")
+        return self.coeffs[..., 1:len(self.space.vars) + 1]
 
     def derivative(self, var: str) -> "Jet":
         """The jet of df/d(var), truncated one order lower."""
-        if self.space.order == 0:
+        sp = self.space
+        if sp.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
-        pos = self.space.vars.index(var)
-        lower = JetSpace(self.space.vars, self.space.order - 1)
-        c = np.zeros(len(lower.mindex))
-        for mu, i in lower.index.items():
-            up = tuple(m + 1 if j == pos else m for j, m in enumerate(mu))
-            c[i] = (mu[pos] + 1) * self.coeffs[self.space.index[up]]
-        return Jet(lower, c)
+        src, mult = sp._deriv[sp.vars.index(var)]
+        return Jet(JetSpace(sp.vars, sp.order - 1), self.coeffs[..., src] * mult)
 
     def truncate(self, order: int) -> "Jet":
+        if not 0 <= order <= self.space.order:
+            raise ValueError(f"cannot truncate an order-{self.space.order} "
+                             f"jet to order {order}")
         lower = JetSpace(self.space.vars, order)
-        c = np.array([self.coeffs[self.space.index[mu]] for mu in lower.mindex])
-        return Jet(lower, c)
+        # the slots of a lower order are a prefix of the slots
+        return Jet(lower, self.coeffs[..., :len(lower)])
 
     # -- ring operations -------------------------------------------------
     def _coerce(self, other):
@@ -199,10 +258,7 @@ class Jet:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        sp = self.space
-        out = np.zeros(len(sp.mindex))
-        np.add.at(out, sp._kk, self.coeffs[sp._ii] * other.coeffs[sp._jj])
-        return Jet(sp, out)
+        return Jet(self.space, self.space.product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -235,70 +291,75 @@ class Jet:
 
     # -- analytic functions ----------------------------------------------
     def compose(self, derivs) -> "Jet":
-        """Sum_k derivs[k]/k! * (self - value)^k; derivs[k] = f^(k)(value)."""
+        """Sum_k derivs[k]/k! * (self - value)^k; derivs[k] = f^(k)(value),
+        a number or an array of per-point values."""
         sp = self.space
-        bar = Jet(sp, self.coeffs.copy())
-        bar.coeffs[0] = 0.0
-        out = sp.constant(derivs[0])
-        power = sp.constant(1.0)
+        bar = self.coeffs.copy()
+        bar[..., 0] = 0.0
+        out = sp.constant(derivs[0]).coeffs
+        power = sp.constant(1.0).coeffs
         fact = 1.0
         for k in range(1, min(len(derivs), sp.order + 1)):
-            power = power * bar
+            power = sp.product(power, bar)
             fact *= k
-            out = out + power * (derivs[k] / fact)
-        return out
+            out = out + power * (np.asarray(derivs[k]) / fact)[..., None]
+        return Jet(sp, out)
 
     def reciprocal(self) -> "Jet":
         c = self.value
-        if c == 0.0:
+        if np.any(c == 0.0):
             raise JetDomainError("division by a jet with zero constant term")
         derivs = []
         s = 1.0 / c
         fact = 1.0
         for k in range(self.space.order + 1):
             derivs.append(fact * s)
-            s *= -1.0 / c
+            s = s * (-1.0 / c)
             fact *= k + 1
         return self.compose(derivs)
 
     def exp(self) -> "Jet":
-        e = math.exp(self.value)
+        try:
+            e = _libm(math.exp, self.value)
+        except OverflowError:
+            raise JetDomainError("exp overflows at a sample point") from None
         return self.compose([e] * (self.space.order + 1))
 
     def log(self) -> "Jet":
         c = self.value
-        if c <= 0.0:
+        if np.any(c <= 0.0):
             raise JetDomainError("log of a jet with nonpositive constant term")
-        derivs = [math.log(c)]
+        derivs = [_libm(math.log, c)]
         s = 1.0 / c
         fact = 1.0
         for k in range(1, self.space.order + 1):
             derivs.append(fact * s)
-            s *= -1.0 / c
+            s = s * (-1.0 / c)
             fact *= k
         return self.compose(derivs)
 
     def sqrt(self) -> "Jet":
         c = self.value
-        if c <= 0.0:
+        if np.any(c <= 0.0):
             raise JetDomainError("sqrt of a jet with nonpositive constant term")
-        derivs = [math.sqrt(c)]
+        root = np.sqrt(c)   # correctly rounded, like math.sqrt
+        derivs = [root]
         coef = 0.5
-        s = math.sqrt(c) / c
+        s = root / c
         for k in range(1, self.space.order + 1):
             derivs.append(coef * s)
             coef *= 0.5 - k
-            s /= c
+            s = s / c
         return self.compose(derivs)
 
     def sin(self) -> "Jet":
-        c = self.value
-        cycle = [math.sin(c), math.cos(c), -math.sin(c), -math.cos(c)]
+        s, c = _libm(math.sin, self.value), _libm(math.cos, self.value)
+        cycle = [s, c, -s, -c]
         return self.compose([cycle[k % 4] for k in range(self.space.order + 1)])
 
     def cos(self) -> "Jet":
-        c = self.value
-        cycle = [math.cos(c), -math.sin(c), -math.cos(c), math.sin(c)]
+        s, c = _libm(math.sin, self.value), _libm(math.cos, self.value)
+        cycle = [c, -s, -c, s]
         return self.compose([cycle[k % 4] for k in range(self.space.order + 1)])
 
     def __repr__(self):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Expression, evaluate, parse
-from .jets import JetSpace
+from .jets import JetSpace, point_arrays, stack
 
 BASE = ("x", "y")
 DEFAULT_LAMBDAS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
@@ -33,6 +33,12 @@ def _as_expression(value, allowed):
     if isinstance(value, str):
         return parse(value, allowed)
     return Expression.const(float(value))
+
+
+def _dot(u, v):
+    """Pointwise dot products of the vectors on the last axis, with the
+    BLAS dot a single pair of 1-D arrays gets."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 class BuildError(ValueError):
@@ -85,14 +91,21 @@ class LaxPair:
         return u, v
 
     def bracket_at(self, point):
-        """Values of [L0, L1] and of L0 at the point, as arrays."""
+        """Values of [L0, L1] and of L0 at the point, as arrays whose last
+        axis runs over the coordinates."""
         u, v = self.components_at(point)
+        u = stack([u[c] for c in self.coords])
+        v = stack([v[c] for c in self.coords])
         n = len(self.coords)
-        ug = np.array([u[c].gradient() for c in self.coords])  # ug[i] = grad u^i
-        vg = np.array([v[c].gradient() for c in self.coords])
-        uv = np.array([u[c].value for c in self.coords])
-        vv = np.array([v[c].value for c in self.coords])
-        bracket = vg @ uv - ug @ vv  # [U,V]^i = u^j d_j v^i - v^j d_j u^i
+        batch = np.broadcast_shapes(*(np.shape(x) for x in point.values()))
+        u, v = (np.broadcast_to(w.coeffs, batch + w.coeffs.shape[-2:])
+                for w in (u, v))
+        ug = np.ascontiguousarray(u[..., 1:n + 1])  # ug[..., i, j] = d_j u^i
+        vg = np.ascontiguousarray(v[..., 1:n + 1])
+        uv = np.ascontiguousarray(u[..., 0])
+        vv = np.ascontiguousarray(v[..., 0])
+        # [U,V]^i = u^j d_j v^i - v^j d_j u^i
+        bracket = (vg @ uv[..., None])[..., 0] - (ug @ vv[..., None])[..., 0]
         return bracket, uv
 
 
@@ -124,31 +137,27 @@ def lax_residual(lax: LaxPair, points, lambdas=DEFAULT_LAMBDAS):
     projection coefficients c(lam) are then fitted by least squares with
     a cubic in lam: the first three coefficients are the multiplier
     b0, b1, b2 and the cubic coefficient must vanish for a certified
-    pair (it plays the role of the obstruction c2).
+    pair (it plays the role of the obstruction c2).  All points and all
+    lam are evaluated at once.
 
     Returns a dict with the max orthogonal residual, the per-point
     multiplier fits, and the largest cubic coefficient.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     vander = np.vander(lambdas, 4, increasing=True)
-    worst = 0.0
-    fits = []
-    for pt in points:
-        cs = []
-        for lam in lambdas:
-            state = dict(pt)
-            state["lambda"] = float(lam)
-            bracket, l0 = lax.bracket_at(state)
-            norm2 = float(l0 @ l0)
-            if norm2 < 1e-24:
-                raise ValueError(f"degenerate L0 at {state}")
-            c = float(bracket @ l0) / norm2
-            perp = bracket - c * l0
-            worst = max(worst, float(np.sqrt(perp @ perp)))
-            cs.append(c)
-        coef, *_ = np.linalg.lstsq(vander, np.asarray(cs), rcond=None)
-        fits.append(coef)
-    fits = np.asarray(fits)
+    state = {k: v[:, None] for k, v in point_arrays(points).items()}
+    state["lambda"] = lambdas   # axes: (point, lam)
+    bracket, l0 = lax.bracket_at(state)
+    norm2 = _dot(l0, l0)
+    if np.any(norm2 < 1e-24):
+        n, k = np.argwhere(norm2 < 1e-24)[0]
+        where = {**points[n], "lambda": float(lambdas[k])}
+        raise ValueError(f"degenerate L0 at {where}")
+    c = _dot(bracket, l0) / norm2
+    perp = bracket - c[..., None] * l0
+    worst = float(np.max(np.sqrt(_dot(perp, perp))))
+    # one multi-RHS fit; row-major like a stack of single-point fits
+    fits = np.ascontiguousarray(np.linalg.lstsq(vander, c.T, rcond=None)[0].T)
     return {
         "residual": worst,
         "b_coeffs": fits[:, :3],

@@ -1,11 +1,13 @@
 """Command line front end: exit codes, report shape, determinism."""
 
 import json
+import math
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from sdconformal.cli import main
+from sdconformal.cli import _check, main
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -144,3 +146,58 @@ class TestDeterminismAndOverrides:
                            "--tol", "congruence=1e-300")
         assert code == 1
         assert not report["pass"]
+
+
+class TestSchemaValidation:
+    def test_error_message_matches_jsonschema_validate(self, capsys, tmp_path):
+        scene = json.loads((SCENES / "flat.json").read_text())
+        scene["sampling"]["count"] = 0
+        scene["unexpected_key"] = 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scene))
+        schema = json.loads((SCENES.parent / "docs" /
+                             "scene.schema.json").read_text())
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(scene, schema)
+        for _ in range(2):   # the second run uses the cached validator
+            code = main(["verify-lax", str(bad)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.strip().endswith(want.value.message)
+
+
+class TestNonFiniteValues:
+    """Overflow and NaN on the batched 4-D path never certify."""
+
+    def _scene(self, tmp_path, factor):
+        scene = json.loads((SCENES / "nullkahler_hk.json").read_text())
+        scene["factor"] = factor
+        path = tmp_path / "factor.json"
+        path.write_text(json.dumps(scene))
+        return str(path)
+
+    @pytest.mark.parametrize("command",
+                             ["certify-selfdual", "curvature", "killing"])
+    def test_exp_overflow_is_a_domain_error(self, capsys, tmp_path, command):
+        code, report = run(capsys, command,
+                           self._scene(tmp_path, "exp(800*z)"))
+        assert code == 3 and report is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command",
+                             ["certify-selfdual", "curvature", "killing"])
+    def test_nan_metric_fails_its_checks(self, capsys, tmp_path, command):
+        # (1e200*x)^2 overflows, so the factor is inf - inf + 1 = NaN
+        factor = "(1e200*x)^2 - (1e200*x)^2 + 1"
+        code, report = run(capsys, command, self._scene(tmp_path, factor))
+        assert code == 1
+        assert not report["pass"]
+        values = [c["value"] for c in report["checks"]]
+        assert not all(math.isfinite(v) for v in values)
+        for c in report["checks"]:
+            assert math.isfinite(c["value"]) or not c["verdict"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_check_fails_non_finite_values(self, value):
+        assert _check("x", value, 1.0)["verdict"] is False
+        assert _check("x", 0.5, 1.0)["verdict"] is True

@@ -78,6 +78,20 @@ class TestAnalytic:
         with pytest.raises(JetDomainError):
             space.constant(-1.0).log()
 
+    def test_exp_overflow(self):
+        space = JetSpace(("x",), 2)
+        with pytest.raises(JetDomainError):
+            space.variable("x", [1.0, 800.0]).exp()
+
+    def test_domain_checks_cover_every_point(self):
+        space = JetSpace(("x",), 2)
+        x = space.variable("x", [1.0, -1.0, 2.0])
+        for op in ("log", "sqrt"):
+            with pytest.raises(JetDomainError):
+                getattr(x, op)()
+        with pytest.raises(JetDomainError):
+            (x + 1.0).reciprocal()
+
     def test_sqrt_of_negative(self):
         space = JetSpace(("x",), 2)
         with pytest.raises(JetDomainError):
@@ -107,6 +121,19 @@ class TestDerivatives:
                  - f(x0 - h, y0 + h) + f(x0 - h, y0 - h)) / (4 * h * h)
         assert jet.extract((1, 0)) == pytest.approx(fd_x, abs=1e-6)
         assert jet.extract((1, 1)) == pytest.approx(fd_xy, abs=1e-5)
+
+    def test_gradient_reads_the_first_order_slots(self):
+        space = JetSpace(("x", "y", "z"), 2)
+        env = space.seed({"x": 0.5, "y": -1.5, "z": 2.0})
+        f = env["x"] * env["y"] * env["z"] + env["y"] ** 2
+        for i, mu in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+            assert f.gradient()[i] == f.extract(mu)
+        with pytest.raises(ValueError):
+            JetSpace(("x",), 0).constant(1.0).gradient()
+
+    def test_truncate_cannot_raise_the_order(self):
+        with pytest.raises(ValueError):
+            JetSpace(("x", "y"), 1).constant(1.0).truncate(2)
 
     def test_truncate_is_projection(self):
         space = JetSpace(("x", "y"), 3)
