@@ -36,7 +36,7 @@ from .conformal import (MetricBuilder, curvature_report, certify_selfdual,
                         killing_report, frobenius_residual, build_null_kahler)
 from .minitwistor import (WeightedCongruence, divisor_two_report,
                           ward_transport, projective_field_residual)
-from .sampling import halton_points
+from .sampling import SamplingError, halton_points
 
 
 class SceneError(Exception):
@@ -487,6 +487,13 @@ def run_command(command, scene, args):
     return _clean(report)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="sdconformal",
@@ -495,7 +502,7 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("scene", help="path to a JSON scene file")
     parser.add_argument("--out", help="write the report here (default stdout)")
-    parser.add_argument("--samples", type=int, default=None,
+    parser.add_argument("--samples", type=_positive_int, default=None,
                         help="override the scene's sample count")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scene's sampling seed")
@@ -512,7 +519,7 @@ def main(argv=None):
         return 2
     try:
         report = run_command(args.command, scene, args)
-    except SceneError as exc:
+    except (SceneError, SamplingError) as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return 2
     except (ExprDomainError, JetDomainError, ZeroDivisionError,

@@ -26,7 +26,7 @@ import itertools
 
 import numpy as np
 
-from .expr import Expression, evaluate, parse
+from .expr import Expression, as_expression, evaluate
 from .jets import Jet, JetSpace, point_arrays, stack
 from .pairs import ProjectivePair, _dot, build_lax, lax_residual
 
@@ -43,14 +43,6 @@ for _perm in itertools.permutations(range(4)):
             if _p[_i] > _p[_j]:
                 _sign = -_sign
     _EPS4[_perm] = _sign
-
-
-def _as_expression(value, allowed):
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, str):
-        return parse(value, allowed)
-    return Expression.const(float(value))
 
 
 # -- jet linear algebra -------------------------------------------------------
@@ -142,11 +134,11 @@ class MetricBuilder:
                 raise ValueError("explicit components need coords")
             self.coords = tuple(coords)
             self.frame = None
-            self.components = [[_as_expression(components[i][j], self.coords)
+            self.components = [[as_expression(components[i][j], self.coords)
                                 for j in range(4)] for i in range(4)]
         else:
             raise ValueError("need a pair or explicit components")
-        self.factor = (_as_expression(factor, self.coords)
+        self.factor = (as_expression(factor, self.coords)
                        if factor is not None else None)
         self.orient = float(orientation)
 
@@ -352,7 +344,7 @@ def killing_report(builder: MetricBuilder, K, points):
     is typically null.
     """
     coords = builder.coords
-    K = [_as_expression(c, coords) for c in K]
+    K = [as_expression(c, coords) for c in K]
     pt = point_arrays(points)
     space = JetSpace(coords, 2)
     env = space.seed(pt)
@@ -410,7 +402,7 @@ def frobenius_residual(fields, coords, points):
     """Max over field pairs and points of the component of [V_i, V_j]
     outside span{fields} (least squares)."""
     coords = tuple(coords)
-    fields = [[_as_expression(c, coords) for c in f] for f in fields]
+    fields = [[as_expression(c, coords) for c in f] for f in fields]
     space = JetSpace(coords, 1)
     n = len(coords)
     worst = 0.0
@@ -420,7 +412,7 @@ def frobenius_residual(fields, coords, points):
         vals = np.array([[c.value for c in f] for f in jets])
         grads = np.array([[c.gradient() for c in f] for f in jets])
         if np.linalg.matrix_rank(vals) < len(fields):
-            raise ValueError("dependent fields at sample point")
+            raise np.linalg.LinAlgError("dependent fields at sample point")
         for i in range(len(fields)):
             for j in range(i + 1, len(fields)):
                 br = grads[j] @ vals[i] - grads[i] @ vals[j]
@@ -443,10 +435,10 @@ def build_null_kahler(a, c, f):
     checker for the structure identities."""
     from .projective import ProjectiveSurface
 
-    a = _as_expression(a, ("x", "y"))
-    c = _as_expression(c, ("x", "y"))
+    a = as_expression(a, ("x", "y"))
+    c = as_expression(c, ("x", "y"))
     coords = ("x", "y", "t", "z")
-    f = _as_expression(f, coords)
+    f = as_expression(f, coords)
     P = ProjectiveSurface({(1, 0, 0): a})
     z = Expression.var("z")
     pair = ProjectivePair(("t", "z"),

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .jets import Jet, JetSpace
+from .jets import Jet, JetDomainError, JetSpace
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -336,6 +336,16 @@ def parse(source: str, allowed_vars) -> Expression:
     return Expression(_Parser(source, allowed_vars).parse())
 
 
+def as_expression(value, allowed_vars) -> Expression:
+    """An Expression as it is, source text parsed over the given
+    variables, or a number as a constant."""
+    if isinstance(value, Expression):
+        return value
+    if isinstance(value, str):
+        return parse(value, allowed_vars)
+    return Expression.const(float(value))
+
+
 # -- printing ---------------------------------------------------------------
 
 def _print(node: Node) -> str:
@@ -426,12 +436,8 @@ def evaluate(e: Expression, env: Mapping[str, Jet | float], space: JetSpace | No
         raise UnknownIdentifierError(f"unassigned variables: {sorted(missing)}")
     try:
         return _eval(e.node, env, space)
-    except (ZeroDivisionError, ValueError) as exc:
+    except (ZeroDivisionError, OverflowError, JetDomainError) as exc:
         raise ExprDomainError(str(exc)) from exc
-    except Exception as exc:  # JetDomainError and friends
-        if exc.__class__.__name__ == "JetDomainError":
-            raise ExprDomainError(str(exc)) from exc
-        raise
 
 
 def _as_value(x, space):
@@ -460,24 +466,17 @@ def _eval(node: Node, env, space):
             return lhs - rhs
         if node.op == "*":
             return lhs * rhs
-        if isinstance(rhs, float) and rhs == 0.0:
-            raise ExprDomainError("division by zero")
         return lhs / rhs
     if isinstance(node, Pow):
-        base = _eval(node.base, env, space)
-        if isinstance(base, float):
-            if node.exponent < 0 and base == 0.0:
-                raise ExprDomainError("zero raised to a negative power")
-            return base ** node.exponent
-        return base ** node.exponent
+        return _eval(node.base, env, space) ** node.exponent
     if isinstance(node, Call):
         arg = _eval(node.arg, env, space)
         if isinstance(arg, float):
-            if node.fn == "log" and arg <= 0.0:
-                raise ExprDomainError("log of a nonpositive value")
-            if node.fn == "sqrt" and arg < 0.0:
-                raise ExprDomainError("sqrt of a negative value")
-            return getattr(math, node.fn)(arg)
+            try:
+                return getattr(math, node.fn)(arg)
+            except ValueError:   # math's domain error, e.g. log(0.0)
+                raise ExprDomainError(f"{node.fn} outside its domain at "
+                                      f"{arg!r}") from None
         return getattr(arg, node.fn)()
     raise TypeError(node)
 

@@ -161,11 +161,24 @@ def stack(jets) -> "Jet":
     return Jet(space, coeffs.reshape(shape[:-1] + tuple(nest) + shape[-1:]))
 
 
+def max_abs(*values):
+    """The largest |v| over all entries of the given arrays (0.0 for
+    none): a residual's worst case over sample points.  A NaN anywhere
+    makes it NaN, so a non-finite residual is never reported as small."""
+    flat = [np.ravel(v) for v in values]
+    return float(np.max(np.abs(np.concatenate(flat + [np.zeros(1)]))))
+
+
 def _libm(fn, values):
     """The math-module function `fn` at every point: the C library's
     results, bit for bit the ones a single point gets."""
     values = np.asarray(values)
-    return np.array([fn(v) for v in values.ravel().tolist()]).reshape(values.shape)
+    try:
+        out = [fn(v) for v in values.ravel().tolist()]
+    except ValueError:   # math's domain error, e.g. sin(inf)
+        raise JetDomainError(f"{fn.__name__} outside its domain at a "
+                             "sample point") from None
+    return np.array(out).reshape(values.shape)
 
 
 class Jet:

@@ -19,9 +19,9 @@ of the algebraic bracket from the tangent bundle (where the trace is 3).
 
 import numpy as np
 
-from .expr import Expression, evaluate
-from .jets import JetSpace
-from .projective import COORDS, ProjectiveSurface, _as_expression
+from .expr import Expression, as_expression, evaluate
+from .jets import JetSpace, max_abs
+from .projective import COORDS, xy_arrays
 from .conformal import jet_gauss_solve
 
 
@@ -33,14 +33,14 @@ class WeightedCongruence:
     index with the area form."""
 
     def __init__(self, phi, rho=("0", "0")):
-        self.phi = tuple(_as_expression(c) for c in phi)
-        self.rho = tuple(_as_expression(c) for c in rho)
+        self.phi = tuple(as_expression(c, COORDS) for c in phi)
+        self.rho = tuple(as_expression(c, COORDS) for c in rho)
 
     @classmethod
     def from_slope(cls, beta):
         """The congruence of slope-beta geodesics, phi = (1, beta), with
         the canonical connection rho = (d beta/dy, 0) of the flat chart."""
-        beta = _as_expression(beta)
+        beta = as_expression(beta, COORDS)
         return cls((Expression.const(1.0), beta),
                    (beta.diff("y"), Expression.const(0.0)))
 
@@ -74,24 +74,16 @@ def _derivative_matrix_jets(P, phi, rho, point, order):
     return M, low
 
 
-def _sym_derivative_jets(P, phi, rho, point, order):
-    """The three independent components (S_00, S_01, S_11) of the
-    symmetric part of the lowered covariant derivative."""
-    M, low = _derivative_matrix_jets(P, phi, rho, point, order)
-    return (M[0][0], (M[0][1] + M[1][0]) * 0.5, M[1][1]), low
-
-
 def abelian_pair_residual(P, phi, rho, points):
     """Max norm over sample points of the symmetrized coupled derivative
     of the congruence field; zero iff (phi, rho) is a genuine weighted
     congruence of the projective structure."""
-    phi = tuple(_as_expression(c) for c in phi)
-    rho = tuple(_as_expression(c) for c in rho)
-    worst = 0.0
-    for pt in points:
-        (s00, s01, s11), _ = _sym_derivative_jets(P, phi, rho, pt, 0)
-        worst = max(worst, abs(s00.value), abs(s01.value), abs(s11.value))
-    return worst
+    phi = tuple(as_expression(c, COORDS) for c in phi)
+    rho = tuple(as_expression(c, COORDS) for c in rho)
+    M, _ = _derivative_matrix_jets(P, phi, rho, xy_arrays(points), 0)
+    # the symmetric part (S_00, S_01, S_11)
+    sym = (M[0][0], (M[0][1] + M[1][0]) * 0.5, M[1][1])
+    return max_abs(*(s.value for s in sym))
 
 
 def canonical_connection_from_congruence(P, phi, point):
@@ -108,7 +100,7 @@ def canonical_connection_from_congruence(P, phi, point):
     curvature term, so its r(phi, phi) must vanish whenever the residual
     does.
     """
-    phi = tuple(_as_expression(c) for c in phi)
+    phi = tuple(as_expression(c, COORDS) for c in phi)
     zero = (Expression.const(0.0), Expression.const(0.0))
     M0, low = _derivative_matrix_jets(P, phi, zero, point, 1)
     p = low  # lowered components as order-1 jets
@@ -137,19 +129,26 @@ def canonical_connection_from_congruence(P, phi, point):
     norm2 = (up[0] * up[0] + up[1] * up[1]).truncate(1)
     gam = [(-1.0 * m * up[B] * norm2.reciprocal()).truncate(1)
            for B in range(2)]
-    g = P.christoffel_jets(point, 0)
-    gv = np.array([gam[0].value, gam[1].value])
-    dgam = np.zeros((2, 2))
-    for Ai in range(2):
-        for B in range(2):
-            dgam[Ai][B] = gam[B].derivative(COORDS[Ai]).value
-            for E in range(2):
-                dgam[Ai][B] -= g[E][Ai][B].value * gv[E]
-    r = P.ricci_values(point) + dgam - np.outer(gv, gv)
+    r = _shifted_ricci(P, gam, point)
     pv = np.array([up[0].value, up[1].value])
     return {"rho": np.array([rho[0].value, rho[1].value]),
             "residual": resid,
             "r_phi_phi": float(pv @ r @ pv)}
+
+
+def _shifted_ricci(P, gam, point):
+    """r + D gamma - gamma (x) gamma: the Ricci form of the representative
+    connection shifted by the 1-form gamma (a pair of order-1 jets), as
+    values r[..., A, B] at `point`."""
+    g = P.christoffel_jets(point, 0)
+    gv = np.stack(np.broadcast_arrays(gam[0].value, gam[1].value), axis=-1)
+    dgam = np.zeros(gv.shape + (2,))
+    for A in range(2):
+        for B in range(2):
+            dgam[..., A, B] = gam[B].derivative(COORDS[A]).value
+            for E in range(2):
+                dgam[..., A, B] -= g[E][A][B].value * gv[..., E]
+    return P.ricci_values(point) + dgam - gv[..., :, None] * gv[..., None, :]
 
 
 def _weyl_gamma_jets(P, cong1, cong2, point):
@@ -191,15 +190,12 @@ def _weyl_gamma_jets(P, cong1, cong2, point):
     b2 = [[-Dc[0][1][1]], [-Dc[1][0][0]]]
     gam = jet_gauss_solve(A2, b2)
     gam = [gam[0][0], gam[1][0]]
-    consistency = 0.0
-    for B in range(2):
-        for A in range(2):
-            for C in range(A, 2):
-                eq = (Dc[B][A][C].value
-                      + 2.0 * gam[B].value * ct[A][C].value
-                      - gam[A].value * ct[B][C].value
-                      - gam[C].value * ct[A][B].value)
-                consistency = max(consistency, abs(eq))
+    consistency = max_abs(*(Dc[B][A][C].value
+                            + 2.0 * gam[B].value * ct[A][C].value
+                            - gam[A].value * ct[B][C].value
+                            - gam[C].value * ct[A][B].value
+                            for B in range(2) for A in range(2)
+                            for C in range(A, 2)))
     return gam, ct, consistency
 
 
@@ -217,33 +213,20 @@ def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
 
     Returns all norms, the per-pair verdicts, and whether the pairs agree.
     """
-    dc_res = 0.0
-    sym_norm = 0.0
-    skew_norm = 0.0
-    fsum = 0.0
-    fdiff = 0.0
+    point = xy_arrays(points)
+    gam, _, dc_res = _weyl_gamma_jets(P, cong1, cong2, point)
+    r = _shifted_ricci(P, gam, point)
+    rt = r.swapaxes(-1, -2)
+    sym_norm = max_abs(r + rt) * 0.5
+    skew_norm = max_abs(r - rt) * 0.5
     space = JetSpace(COORDS, 1)
-    for pt in points:
-        gam, _, consistency = _weyl_gamma_jets(P, cong1, cong2, pt)
-        dc_res = max(dc_res, consistency)
-        g = P.christoffel_jets(pt, 0)
-        gv = np.array([gam[0].value, gam[1].value])
-        dgam = np.zeros((2, 2))
-        for A in range(2):
-            for B in range(2):
-                dgam[A][B] = gam[B].derivative(COORDS[A]).value
-                for E in range(2):
-                    dgam[A][B] -= g[E][A][B].value * gv[E]
-        r = P.ricci_values(pt) + dgam - np.outer(gv, gv)
-        sym_norm = max(sym_norm, np.max(np.abs(r + r.T)) * 0.5)
-        skew_norm = max(skew_norm, np.max(np.abs(r - r.T)) * 0.5)
-        env = space.seed({"x": pt[0], "y": pt[1]})
-        F = []
-        for cong in (cong1, cong2):
-            rh = [evaluate(c, env, space=space) for c in cong.rho]
-            F.append(rh[1].derivative("x").value - rh[0].derivative("y").value)
-        fsum = max(fsum, abs(F[0] + F[1]))
-        fdiff = max(fdiff, abs(F[0] - F[1]))
+    env = space.seed({"x": point[0], "y": point[1]})
+    F = []
+    for cong in (cong1, cong2):
+        rh = [evaluate(c, env, space=space) for c in cong.rho]
+        F.append(rh[1].derivative("x").value - rh[0].derivative("y").value)
+    fsum = max_abs(F[0] + F[1])
+    fdiff = max_abs(F[0] - F[1])
     report = {
         "dc_residual": dc_res,
         "sym_r": sym_norm,
@@ -270,7 +253,7 @@ def ward_transport(P, rho, start, length, step):
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    rho = tuple(_as_expression(c) for c in rho)
+    rho = tuple(as_expression(c, COORDS) for c in rho)
     a_exprs = P.spray_coeffs()
     space = JetSpace(COORDS, 0)
 
@@ -326,29 +309,38 @@ def projective_field_residual(P, V, points, lambdas=(0.0, 0.5, -0.5, 1.0, -1.0, 
     component of the bracket orthogonal to the spray, maximized over
     sample points and slopes.
     """
-    V = tuple(_as_expression(c) for c in V)
+    V = tuple(as_expression(c, COORDS) for c in V)
     vars3 = COORDS + ("lambda",)
     lam = Expression.var("lambda")
     lamdot = (V[1].diff("x") + lam * (V[1].diff("y") - V[0].diff("x"))
               - lam * lam * V[0].diff("y"))
     lift = [V[0], V[1], lamdot]
     spray = [Expression.const(1.0), lam, P.spray_cubic()]
+    # axes (point, lam), as in pairs.lax_residual
+    x, y = xy_arrays(points)
     space = JetSpace(vars3, 1)
-    worst = 0.0
-    for pt in points:
-        for lv in lambdas:
-            env = space.seed({"x": pt[0], "y": pt[1], "lambda": lv})
-            lj = [evaluate(c, env, space=space) for c in lift]
-            sj = [evaluate(c, env, space=space) for c in spray]
-            bracket = np.zeros(3)
-            sval = np.array([c.value for c in sj])
-            for i in range(3):
-                acc = 0.0
-                for k, name in enumerate(vars3):
-                    acc += (lj[k].value * sj[i].derivative(name).value
-                            - sj[k].value * lj[i].derivative(name).value)
-                bracket[i] = acc
-            coef, _, _, _ = np.linalg.lstsq(sval.reshape(-1, 1), bracket,
-                                            rcond=None)
-            worst = max(worst, np.max(np.abs(bracket - coef[0] * sval)))
-    return worst
+    env = space.seed({"x": x[:, None], "y": y[:, None],
+                      "lambda": np.asarray(lambdas, dtype=float)})
+    batch = (len(x), len(lambdas))
+
+    def coeffs(exprs):
+        return [np.broadcast_to(evaluate(c, env, space=space).coeffs,
+                                batch + (len(space),)) for c in exprs]
+
+    lj, sj = coeffs(lift), coeffs(spray)
+    # [lift, spray]^i = sum over k of lift^k d_k spray^i - spray^k d_k lift^i
+    bracket = []
+    for i in range(3):
+        acc = 0.0
+        for k in range(3):
+            acc += (lj[k][..., 0] * sj[i][..., 1 + k]
+                    - sj[k][..., 0] * lj[i][..., 1 + k])
+        bracket.append(acc)
+    bracket = np.stack(bracket, axis=-1)
+    sval = np.stack([c[..., 0] for c in sj], axis=-1)
+    perp = np.empty_like(bracket)
+    for n in np.ndindex(batch):
+        coef, _, _, _ = np.linalg.lstsq(sval[n].reshape(-1, 1), bracket[n],
+                                        rcond=None)
+        perp[n] = bracket[n] - coef[0] * sval[n]
+    return max_abs(perp)

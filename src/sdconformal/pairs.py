@@ -20,19 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expression, evaluate, parse
-from .jets import JetSpace, point_arrays, stack
+from .expr import Expression, as_expression, evaluate
+from .jets import JetSpace, max_abs, point_arrays, stack
 
 BASE = ("x", "y")
 DEFAULT_LAMBDAS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
-
-
-def _as_expression(value, allowed):
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, str):
-        return parse(value, allowed)
-    return Expression.const(float(value))
 
 
 def _dot(u, v):
@@ -52,13 +44,13 @@ class ProjectivePair:
         self.fiber = tuple(fiber)
         allowed = BASE + self.fiber
         def vert(v):
-            comps = tuple(_as_expression(c, allowed) for c in v)
+            comps = tuple(as_expression(c, allowed) for c in v)
             if len(comps) != len(self.fiber):
                 raise ValueError("component count does not match fiber dimension")
             return comps
         self.alpha = (vert(alpha0), vert(alpha1))
         self.phi = (vert(phi0), vert(phi1))
-        self.c_gauge = (_as_expression(c0, BASE), _as_expression(c1, BASE))
+        self.c_gauge = (as_expression(c0, BASE), as_expression(c1, BASE))
 
     @property
     def coords(self):
@@ -124,7 +116,7 @@ def build_lax(P, pair: ProjectivePair) -> LaxPair:
 
 def add_multiple_of_l0(lax: LaxPair, q) -> LaxPair:
     """The residual trivialization freedom L1 -> L1 + q(x, y) L0."""
-    q = _as_expression(q, lax.coords)
+    q = as_expression(q, lax.coords)
     L1 = {c: lax.L1[c] + q * lax.L0[c] for c in lax.coords}
     return LaxPair(lax.coords, dict(lax.L0), L1)
 
@@ -152,7 +144,7 @@ def lax_residual(lax: LaxPair, points, lambdas=DEFAULT_LAMBDAS):
     if np.any(norm2 < 1e-24):
         n, k = np.argwhere(norm2 < 1e-24)[0]
         where = {**points[n], "lambda": float(lambdas[k])}
-        raise ValueError(f"degenerate L0 at {where}")
+        raise np.linalg.LinAlgError(f"degenerate L0 at {where}")
     c = _dot(bracket, l0) / norm2
     perp = bracket - c[..., None] * l0
     worst = float(np.max(np.sqrt(_dot(perp, perp))))
@@ -177,64 +169,58 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     where g0 = G^0_00 + G^1_01, g1 = G^0_10 + G^1_11 and the brackets are
     taken in the fiber variables only.
     """
-    coords = pair.coords
     nf = len(pair.fiber)
-    space = JetSpace(coords, 1)
+    pt = point_arrays(points)
+    batch = (len(points),)
+    space = JetSpace(pair.coords, 1)
     base_space = JetSpace(BASE, 0)
-    g = P.christoffel
+    env = space.seed(pt)
+    benv = base_space.seed({"x": pt["x"], "y": pt["y"]})
 
-    worst = 0.0
-    for pt in points:
-        env = space.seed(dict(pt))
-        benv = base_space.seed({"x": pt["x"], "y": pt["y"]})
-        gv = [[[evaluate(g(A, B, C), benv, space=base_space).value
-                for C in range(2)] for B in range(2)] for A in range(2)]
-        g0 = gv[0][0][0] + gv[1][0][1]
-        g1 = gv[0][1][0] + gv[1][1][1]
-        c0 = evaluate(pair.c_gauge[0], benv, space=base_space).value
-        c1 = evaluate(pair.c_gauge[1], benv, space=base_space).value
+    def base_value(e):
+        # per point, as a column against the component axis
+        value = evaluate(e, benv, space=base_space).value
+        return np.broadcast_to(value, batch)[:, None]
 
-        # jets of all vertical components
-        a = [[evaluate(comp, env, space=space) for comp in pair.alpha[k]]
-             for k in range(2)]
-        f = [[evaluate(comp, env, space=space) for comp in pair.phi[k]]
-             for k in range(2)]
+    def components(vec):
+        # values [n, i] and gradients [n, i, coordinate] of a vertical field
+        jets = stack([evaluate(c, env, space=space) for c in vec]).coeffs
+        jets = np.broadcast_to(jets, batch + jets.shape[-2:])
+        return jets[..., 0], jets[..., 1:len(pair.coords) + 1]
 
-        def fiber_grad(jet):
-            return jet.gradient()[2:2 + nf]
+    gv = [[[base_value(P.christoffel(A, B, C)) for C in range(2)]
+           for B in range(2)] for A in range(2)]
+    g0 = gv[0][0][0] + gv[1][0][1]
+    g1 = gv[0][1][0] + gv[1][1][1]
+    c0, c1 = (base_value(c) for c in pair.c_gauge)
+    a = [components(vec) for vec in pair.alpha]
+    f = [components(vec) for vec in pair.phi]
 
-        def vbracket(u, v):
-            # [u, v]^i = u^j d_wj v^i - v^j d_wj u^i, values only
-            out = np.zeros(nf)
-            for i in range(nf):
-                gv_i = fiber_grad(v[i])
-                gu_i = fiber_grad(u[i])
-                for j in range(nf):
-                    out[i] += u[j].value * gv_i[j] - v[j].value * gu_i[j]
-            return out
+    def vbracket(u, v):
+        # [u, v]^i = u^j d_wj v^i - v^j d_wj u^i, values only
+        out = 0.0
+        for j in range(nf):
+            out = out + (u[0][:, j, None] * v[1][..., 2 + j]
+                         - v[0][:, j, None] * u[1][..., 2 + j])
+        return out
 
-        def dbase(vec, which):
-            idx = 0 if which == "x" else 1
-            return np.array([comp.gradient()[idx] for comp in vec])
+    def dbase(vec, which):
+        return vec[1][..., 0 if which == "x" else 1]
 
-        def values(vec):
-            return np.array([comp.value for comp in vec])
-
-        phi0v, phi1v = values(f[0]), values(f[1])
-        eq1 = (dbase(f[0], "x") + vbracket(a[0], f[0])
-               + (c0 - 2.0 / 3.0 * g0) * phi0v
-               + gv[0][0][0] * phi0v + gv[1][0][0] * phi1v)
-        eq2 = (dbase(f[1], "x") + vbracket(a[0], f[1])
-               + (c0 - 2.0 / 3.0 * g0) * phi1v
-               + gv[0][0][1] * phi0v + gv[1][0][1] * phi1v
-               + dbase(f[0], "y") + vbracket(a[1], f[0])
-               + (c1 - 2.0 / 3.0 * g1) * phi0v
-               + gv[0][1][0] * phi0v + gv[1][1][0] * phi1v)
-        eq3 = (dbase(f[1], "y") + vbracket(a[1], f[1])
-               + (c1 - 2.0 / 3.0 * g1) * phi1v
-               + gv[0][1][1] * phi0v + gv[1][1][1] * phi1v)
-        worst = max(worst, float(np.abs(np.concatenate([eq1, eq2, eq3])).max()))
-    return worst
+    phi0v, phi1v = f[0][0], f[1][0]
+    eq1 = (dbase(f[0], "x") + vbracket(a[0], f[0])
+           + (c0 - 2.0 / 3.0 * g0) * phi0v
+           + gv[0][0][0] * phi0v + gv[1][0][0] * phi1v)
+    eq2 = (dbase(f[1], "x") + vbracket(a[0], f[1])
+           + (c0 - 2.0 / 3.0 * g0) * phi1v
+           + gv[0][0][1] * phi0v + gv[1][0][1] * phi1v
+           + dbase(f[0], "y") + vbracket(a[1], f[0])
+           + (c1 - 2.0 / 3.0 * g1) * phi0v
+           + gv[0][1][0] * phi0v + gv[1][1][0] * phi1v)
+    eq3 = (dbase(f[1], "y") + vbracket(a[1], f[1])
+           + (c1 - 2.0 / 3.0 * g1) * phi1v
+           + gv[0][1][1] * phi0v + gv[1][1][1] * phi1v)
+    return max_abs(eq1, eq2, eq3)
 
 
 # -- constructive builders ----------------------------------------------------
@@ -252,11 +238,11 @@ def twist_free_normal_form(P, beta, points=None, tol=1e-8, check=True):
     be z-independent; with the opposite sign the fitted b comes out as
     2 beta_y - a'(lam)/3, which is not a function of lam alone.)
     """
-    beta = _as_expression(beta, BASE)
+    beta = as_expression(beta, BASE)
     if check:
         pts = points if points is not None else [(0.5, 0.5)]
         res = P.congruence_residual(beta, pts)
-        if res > tol:
+        if not res <= tol:
             raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
     a0, a1, a2, a3 = P.spray_coeffs()
     da = a1 + 2 * a2 * beta + 3 * a3 * beta**2
@@ -300,9 +286,9 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8,
     under the bracket test.
     """
     allowed = BASE + ("t", "z")
-    gamma = _as_expression(gamma, BASE)
-    H = _as_expression(H, allowed)
-    G = _as_expression(G, allowed)
+    gamma = as_expression(gamma, BASE)
+    H = as_expression(H, allowed)
+    G = as_expression(G, allowed)
     z = Expression.var("z")
     beta = gamma + float(c_twist) * z
     a0, a1, a2, a3 = P.spray_coeffs()
@@ -314,23 +300,12 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8,
         pts = points if points is not None else [{"x": 0.5, "y": 0.5, "t": 0.0, "z": 0.3}]
         base_pts = [(p["x"], p["y"]) for p in pts]
         res = P.congruence_residual(gamma, base_pts)
-        if res > tol:
+        if not res <= tol:
             raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
-        space = JetSpace(allowed, 1)
-        gz_res = 0.0
-        tr_res = 0.0
-        for p in pts:
-            env = space.seed(dict(p))
-            Hj = evaluate(H, env, space=space)
-            Gj = evaluate(G, env, space=space)
-            gz_res = max(gz_res, abs(Gj.gradient()[3] - Hj.value))
-            Ev = evaluate(E, env, space=space).value
-            Fv = evaluate(F, env, space=space).value
-            hx, hy, _, hz = Hj.gradient()
-            tr_res = max(tr_res, abs(hx + Ev * hz), abs(hy + Fv * hz))
-        if gz_res > tol:
+        gz_res, tr_res = _quadrature_residuals(H, G, E, F, pts)
+        if not gz_res <= tol:
             raise BuildError(f"G_z - H residual {gz_res:.3e} exceeds {tol:.1e}")
-        if tr_res > tol:
+        if not tr_res <= tol:
             raise BuildError(f"H transport residual {tr_res:.3e} exceeds {tol:.1e}")
 
     zero = Expression.const(0.0)
@@ -343,6 +318,20 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8,
         c0=(1.0 / 3.0) * a1,
         c1=(2.0 / 3.0) * a2 + a3 * gamma,
     )
+
+
+def _quadrature_residuals(H, G, E, F, points):
+    """Max over the points (dicts over x, y, t, z) of |G_z - H|, and of
+    the transport residuals |H_x + E H_z| and |H_y + F H_z|."""
+    space = JetSpace(BASE + ("t", "z"), 1)
+    env = space.seed(point_arrays(points))
+    Hj = evaluate(H, env, space=space)
+    Gj = evaluate(G, env, space=space)
+    Ev = evaluate(E, env, space=space).value
+    Fv = evaluate(F, env, space=space).value
+    hx, hy, _, hz = np.moveaxis(Hj.gradient(), -1, 0)
+    return (max_abs(Gj.gradient()[..., 3] - Hj.value),
+            max_abs(hx + Ev * hz, hy + Fv * hz))
 
 
 # -- gauge diagnostics --------------------------------------------------------
@@ -364,54 +353,48 @@ def gauge_reduction_report(pair: ProjectivePair, points, tol=1e-10):
     """
     coords = pair.coords
     nf = len(pair.fiber)
-    order = 3
-    space = JetSpace(coords, order)
+    space = JetSpace(coords, 3)
+    env = space.seed(point_arrays(points))
     fields = list(pair.alpha) + list(pair.phi)
-
-    div_max = 0.0
-    div_fiber_dep = 0.0
-    phi_div_max = 0.0
-    t_dep = 0.0
-    z_curv = 0.0
-    phi_z_dep = 0.0
     zname = pair.fiber[-1]
-    for pt in points:
-        env = space.seed(dict(pt))
-        for fi, vec in enumerate(fields):
-            comps = [evaluate(c, env, space=space) for c in vec]
-            div = comps[0].derivative(pair.fiber[0])
-            for j in range(1, nf):
-                div = div + comps[j].derivative(pair.fiber[j])
-            div_max = max(div_max, abs(div.value))
-            if fi >= 2:
-                phi_div_max = max(phi_div_max, abs(div.value))
-            grad = div.gradient()
-            for j, w in enumerate(coords):
-                if w in pair.fiber:
-                    div_fiber_dep = max(div_fiber_dep, abs(grad[j]))
-            for c in comps:
-                if nf == 2:
-                    t_dep = max(t_dep, abs(c.derivative(pair.fiber[0]).value))
-                zc = c.derivative(zname).derivative(zname).value
-                if fi < 2:
-                    z_curv = max(z_curv, abs(zc))
-                else:
-                    phi_z_dep = max(phi_z_dep, abs(c.derivative(zname).value))
+    # per-point arrays whose largest magnitudes decide the flags
+    div, phi_div, div_fiber_dep, t_dep, z_curv, phi_z_dep = ([] for _ in range(6))
+    for fi, vec in enumerate(fields):
+        comps = [evaluate(c, env, space=space) for c in vec]
+        d = comps[0].derivative(pair.fiber[0])
+        for j in range(1, nf):
+            d = d + comps[j].derivative(pair.fiber[j])
+        div.append(d.value)
+        if fi >= 2:
+            phi_div.append(d.value)
+        grad = d.gradient()
+        div_fiber_dep += [grad[..., j] for j, w in enumerate(coords)
+                          if w in pair.fiber]
+        for c in comps:
+            if nf == 2:
+                t_dep.append(c.derivative(pair.fiber[0]).value)
+            if fi < 2:
+                z_curv.append(c.derivative(zname).derivative(zname).value)
+            else:
+                phi_z_dep.append(c.derivative(zname).value)
 
-    flags = {
-        "sdiff2": div_max < tol,
-        "hdiff2": div_fiber_dep < tol,
-        "phi_sdiff": phi_div_max < tol,
-        "o_times_diff1": t_dep < tol,
-        "aff1_translational": (t_dep < tol and z_curv < tol and phi_z_dep < tol),
-    }
     values = {
-        "div_max": div_max,
-        "div_fiber_dependence": div_fiber_dep,
-        "phi_div_max": phi_div_max,
-        "t_dependence": t_dep,
-        "alpha_z_curvature": z_curv,
-        "phi_z_dependence": phi_z_dep,
+        "div_max": max_abs(*div),
+        "div_fiber_dependence": max_abs(*div_fiber_dep),
+        "phi_div_max": max_abs(*phi_div),
+        "t_dependence": max_abs(*t_dep),
+        "alpha_z_curvature": max_abs(*z_curv),
+        "phi_z_dependence": max_abs(*phi_z_dep),
+    }
+    small = {k: v < tol for k, v in values.items()}
+    flags = {
+        "sdiff2": small["div_max"],
+        "hdiff2": small["div_fiber_dependence"],
+        "phi_sdiff": small["phi_div_max"],
+        "o_times_diff1": small["t_dependence"],
+        "aff1_translational": (small["t_dependence"]
+                               and small["alpha_z_curvature"]
+                               and small["phi_z_dependence"]),
     }
     return flags, values
 
@@ -433,30 +416,24 @@ def area_connection_curvature(pair: ProjectivePair, points):
     area form by a base function; rho = 0 (the sdiff2 flag) is the
     already-rescaled case.
     """
-    coords = pair.coords
     nf = len(pair.fiber)
-    space = JetSpace(coords, 2)
-    worst = 0.0
-    for pt in points:
-        env = space.seed(dict(pt))
-        a0 = [evaluate(c, env, space=space) for c in pair.alpha[0]]
-        a1 = [evaluate(c, env, space=space) for c in pair.alpha[1]]
+    space = JetSpace(pair.coords, 2)
+    env = space.seed(point_arrays(points))
+    a0 = [evaluate(c, env, space=space) for c in pair.alpha[0]]
+    a1 = [evaluate(c, env, space=space) for c in pair.alpha[1]]
 
-        def div1(vec):
-            # order-1 jet of the fiber divergence
-            out = vec[0].derivative(pair.fiber[0])
-            for j in range(1, nf):
-                out = out + vec[j].derivative(pair.fiber[j])
-            return out
+    def div1(vec):
+        # order-1 jet of the fiber divergence
+        out = vec[0].derivative(pair.fiber[0])
+        for j in range(1, nf):
+            out = out + vec[j].derivative(pair.fiber[j])
+        return out
 
-        rho0, rho1 = div1(a0), div1(a1)
-        # X(rho1) - Y(rho0): base derivative + vertical advection
-        xr = rho1.gradient()[0] + sum(
-            a0[j].value * rho1.gradient()[2 + j] for j in range(nf))
-        yr = rho0.gradient()[1] + sum(
-            a1[j].value * rho0.gradient()[2 + j] for j in range(nf))
-        worst = max(worst, abs(xr - yr))
-        for rho in (rho0, rho1):
-            for j in range(nf):
-                worst = max(worst, abs(rho.gradient()[2 + j]))
-    return worst
+    rho0, rho1 = div1(a0), div1(a1)
+    # X(rho1) - Y(rho0): base derivative + vertical advection
+    xr = rho1.gradient()[..., 0] + sum(
+        a0[j].value * rho1.gradient()[..., 2 + j] for j in range(nf))
+    yr = rho0.gradient()[..., 1] + sum(
+        a1[j].value * rho0.gradient()[..., 2 + j] for j in range(nf))
+    return max_abs(xr - yr, rho0.gradient()[..., 2:2 + nf],
+                   rho1.gradient()[..., 2:2 + nf])

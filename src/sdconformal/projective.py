@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expression, evaluate, parse
-from .jets import Jet, JetSpace
+from .expr import Expression, as_expression, evaluate
+from .jets import JetSpace, max_abs, stack
 
 COORDS = ("x", "y")
 
@@ -33,12 +33,10 @@ COORDS = ("x", "y")
 _SYM_KEYS = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)]
 
 
-def _as_expression(value, allowed=COORDS) -> Expression:
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, str):
-        return parse(value, allowed)
-    return Expression.const(float(value))
+def xy_arrays(points):
+    """A sequence of (x, y) points as the pair (x, y) of coordinate arrays
+    whose axis runs over the points."""
+    return tuple(np.asarray(points, dtype=float).T)
 
 
 class ProjectiveSurface:
@@ -49,7 +47,7 @@ class ProjectiveSurface:
         missing entries default to zero."""
         self.gamma = {}
         for key in _SYM_KEYS:
-            self.gamma[key] = _as_expression(gamma.get(key, 0.0))
+            self.gamma[key] = as_expression(gamma.get(key, 0.0), COORDS)
 
     @classmethod
     def flat(cls):
@@ -59,7 +57,7 @@ class ProjectiveSurface:
     def from_spray(cls, a0, a1, a2, a3):
         """The representative with G^1_00 = a0, G^0_00 = -a1, G^1_11 = a2,
         G^0_11 = -a3 and vanishing mixed symbols."""
-        a0, a1, a2, a3 = (_as_expression(a) for a in (a0, a1, a2, a3))
+        a0, a1, a2, a3 = (as_expression(a, COORDS) for a in (a0, a1, a2, a3))
         return cls({
             (1, 0, 0): a0,
             (0, 0, 0): -a1,
@@ -99,7 +97,7 @@ class ProjectiveSurface:
     def projective_change(self, gamma0, gamma1) -> "ProjectiveSurface":
         """Shift the representative by the 1-form (gamma0, gamma1):
         G^A_BC -> G^A_BC + gamma_B delta^A_C + gamma_C delta^A_B."""
-        gam = (_as_expression(gamma0), _as_expression(gamma1))
+        gam = (as_expression(gamma0, COORDS), as_expression(gamma1, COORDS))
         shifted = {}
         for (A, B, C), expr in self.gamma.items():
             delta = Expression.const(0.0)
@@ -113,6 +111,11 @@ class ProjectiveSurface:
         return out
 
     # -- curvature -----------------------------------------------------------
+
+    # `point` below is a pair (x, y) of numbers, or of equal-shaped arrays
+    # whose axes run over sample points; the jets and arrays returned then
+    # carry those point axes in front (a jet that is constant over the
+    # points may lack them).
 
     def christoffel_jets(self, point, order):
         """Nested list g[A][B][C] of jets of the Christoffels at `point`."""
@@ -153,8 +156,10 @@ class ProjectiveSurface:
         return r
 
     def ricci_values(self, point):
-        r = self.ricci(point, order=2)
-        return np.array([[r[A][B].value for B in range(2)] for A in range(2)])
+        """The values r[..., A, B] at `point`, point axes first."""
+        batch = np.broadcast_shapes(np.shape(point[0]), np.shape(point[1]))
+        r = stack(self.ricci(point, order=2)).value
+        return np.array(np.broadcast_to(r, batch + (2, 2)))
 
     def reconstruct_curvature(self, r_values):
         """B(r)^A_B from a 2x2 array of r values (inverse of the solve in
@@ -257,27 +262,26 @@ class ProjectiveSurface:
     # -- congruences ------------------------------------------------------------
 
     def congruence_residual(self, beta, points):
-        """Max over `points` of |beta_x + beta beta_y - a(beta)| for a slope
-        section beta(x, y).  `beta` may be an Expression or source text."""
-        beta = _as_expression(beta)
-        a_exprs = self.spray_coeffs()
+        """Max over `points` (a sequence of (x, y)) of
+        |beta_x + beta beta_y - a(beta)| for a slope section beta(x, y).
+        `beta` may be an Expression or source text."""
+        beta = as_expression(beta, COORDS)
+        x, y = xy_arrays(points)
         space = JetSpace(COORDS, 1)
-        worst = 0.0
-        for pt in points:
-            env = space.seed({"x": pt[0], "y": pt[1]})
-            b = evaluate(beta, env, space=space)
-            a = [evaluate(c, env, space=space).value for c in a_exprs]
-            bx, by = b.gradient()
-            bv = b.value
-            res = bx + bv * by - (a[0] + a[1]*bv + a[2]*bv**2 + a[3]*bv**3)
-            worst = max(worst, abs(res))
-        return worst
+        env = space.seed({"x": x, "y": y})
+        b = evaluate(beta, env, space=space)
+        a = [evaluate(c, env, space=space).value for c in self.spray_coeffs()]
+        bx, by = np.moveaxis(b.gradient(), -1, 0)
+        bv = b.value
+        res = bx + bv * by - (a[0] + a[1]*bv + a[2]*_pow(bv, 2)
+                              + a[3]*_pow(bv, 3))
+        return max_abs(res)
 
     def congruence_multiplier(self, beta, point, lam):
         """b(lam) = beta_y - (a(lam) - a(beta))/(lam - beta), the divided
         difference expanded exactly as a polynomial (no cancellation at
         lam = beta):  b = beta_y - a1 - a2(lam+beta) - a3(lam^2+lam beta+beta^2)."""
-        beta = _as_expression(beta)
+        beta = as_expression(beta, COORDS)
         space = JetSpace(COORDS, 1)
         env = space.seed({"x": point[0], "y": point[1]})
         b = evaluate(beta, env, space=space)
@@ -285,6 +289,14 @@ class ProjectiveSurface:
         bv = b.value
         by = b.gradient()[1]
         return by - a[1] - a[2] * (lam + bv) - a[3] * (lam**2 + lam*bv + bv**2)
+
+
+def _pow(values, n):
+    """values**n at every point, with the C library's pow that a single
+    point's numpy scalar gets (numpy's array power differs in the last
+    bit on a few percent of arguments)."""
+    values = np.asarray(values)
+    return np.array([v ** n for v in values.ravel()]).reshape(values.shape)
 
 
 def _rk4_step(rhs, state, h):

@@ -15,6 +15,10 @@ from .jets import JetSpace
 HALTON_BASES = (2, 3, 5, 7, 11)
 
 
+class SamplingError(ValueError):
+    """The box or its exclusion guards admit no sample set."""
+
+
 def radical_inverse(index, base):
     """The van der Corput radical inverse of a positive integer."""
     out = 0.0
@@ -36,18 +40,18 @@ def halton_points(names, box, count, seed=0, exclusions=()):
     """
     names = tuple(names)
     if len(names) > len(HALTON_BASES):
-        raise ValueError("at most %d sampled coordinates" % len(HALTON_BASES))
+        raise SamplingError("at most %d sampled coordinates" % len(HALTON_BASES))
     for nm in names:
         lo, hi = box[nm]
         if not lo < hi:
-            raise ValueError(f"empty box interval for {nm}")
+            raise SamplingError(f"empty box interval for {nm}")
     space = JetSpace(names, 0)
     points = []
     index = 1 + int(seed)
     budget = 1000 * (count + 10)  # guards should reject a small fraction
     while len(points) < count:
         if budget <= 0:
-            raise ValueError("exclusion guards reject almost all of the box")
+            raise SamplingError("exclusion guards reject almost all of the box")
         budget -= 1
         pt = {}
         for d, nm in enumerate(names):

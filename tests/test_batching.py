@@ -1,10 +1,10 @@
 """Batched evaluation over sample points agrees with single-point calls.
 
-The 4-D pipelines evaluate every expression once per sweep on jets with a
-leading point axis.  Each value they report must be the one a loop of
-single-point calls gives: to 1e-14 relative (1e-15 absolute near zero)
-for the curvature, Killing and Lax reports, and bit for bit for the jet
-kernel itself.
+The 4-D and surface pipelines evaluate every expression once per sweep on
+jets with a leading point axis.  Each value they report must be the one a
+loop of single-point calls gives: to 1e-14 relative (1e-15 absolute near
+zero) for the curvature, Killing and Lax reports, and bit for bit for the
+surface-side residuals and the jet kernel itself.
 """
 
 import json
@@ -18,10 +18,19 @@ from hypothesis import given, settings, strategies as st
 from sdconformal.conformal import (MetricBuilder, build_null_kahler,
                                    curvature_report, frame_values,
                                    killing_report)
-from sdconformal.jets import Jet, JetSpace, point_arrays
-from sdconformal.pairs import (ProjectivePair, build_lax, dw_quadrature_build,
-                               lax_residual)
-from sdconformal.projective import ProjectiveSurface
+from sdconformal.expr import evaluate, parse
+from sdconformal.jets import Jet, JetSpace, point_arrays, stack
+from sdconformal.minitwistor import (WeightedCongruence, _weyl_gamma_jets,
+                                     abelian_pair_residual,
+                                     divisor_two_report,
+                                     projective_field_residual)
+from sdconformal.pairs import (ProjectivePair, _quadrature_residuals,
+                               area_connection_curvature, build_lax,
+                               dw_quadrature_build, gauge_reduction_report,
+                               lax_residual, projective_pair_residual,
+                               twist_free_normal_form)
+from sdconformal.projective import (COORDS, ProjectiveSurface, _pow,
+                                    xy_arrays)
 from sdconformal.sampling import halton_points
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -148,6 +157,353 @@ def test_pivot_row_changes_across_the_box():
     # rows 0 and 1 are phi0 and phi1; column 2 is their w1 component
     larger = {abs(M[1][2]) > abs(M[0][2]) for M in frames}
     assert larger == {True, False}
+
+
+# -- the surface side --------------------------------------------------------
+#
+# Every residual below is a max over points of per-point values computed
+# by the same elementwise operations, so batched and single-point results
+# agree bit for bit.
+
+
+def _scene(name):
+    return json.loads((SCENES / f"{name}.json").read_text())
+
+
+def _scene_surface(name):
+    return ProjectiveSurface.from_spray(*_scene(name)["projective"]["spray"])
+
+
+def _random_surface(seed):
+    """A surface whose six Christoffels are seeded random quadratics."""
+    rng = random.Random(seed)
+    gamma = {}
+    for key in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1),
+                (1, 1, 1)):
+        c = [f"{rng.uniform(-1, 1):.5f}" for _ in range(4)]
+        gamma[key] = f"{c[0]} + {c[1]}*x + {c[2]}*y + {c[3]}*x*y"
+    return ProjectiveSurface(gamma)
+
+
+CURVED = _random_surface(5)
+# a quadratic field on a curved surface: its flow permutes no geodesics
+# and the residual is O(1), where a reordered sum would show
+NON_PROJECTIVE = (CURVED, ("0.7*x^2 - 0.3*y", "x*y + 0.4*y^2"))
+
+
+def _surface_points(scene, count=24):
+    """(x, y) points in the scene's box, or in [-1, 1]^2 for "curved"."""
+    box = ({"x": [-1, 1], "y": [-1, 1]} if scene == "curved"
+           else _scene(scene)["sampling"]["box"])
+    return [(p["x"], p["y"])
+            for p in halton_points(COORDS, box, count, seed=3)]
+
+
+# name -> (surface, slope, scene whose box the points fill)
+CONGRUENCES = {
+    "flat": (_scene_surface("flat"), "0", "flat"),
+    "burgers": (_scene_surface("burgers"), "y/x", "burgers"),
+    "twistfree": (_scene_surface("twistfree"), "y/x", "twistfree"),
+    "dw_twist": (_scene_surface("dw_twist"), "y/x", "dw_twist"),
+    "curved": (CURVED, "0.3*x - 0.2*y^2", "curved"),
+    # a(lam) = lam^3 on lines through the origin: the residual is the
+    # cube of the slope, whose rounding shows
+    "cubic": (ProjectiveSurface.from_spray("0", "0", "0", "1"), "y/x",
+              "burgers"),
+}
+
+FIELDS = {
+    "projective_field": [(_scene_surface("projective_field"), tuple(v))
+                         for v in _scene("projective_field")
+                         ["surface_fields"].values()],
+    "burgers": [(_scene_surface("burgers"), ("x", "y"))],
+    "curved": [NON_PROJECTIVE],
+}
+
+
+def _divisors():
+    out = {}
+    for name in ("divisor2_roots", "divisor2_trivial"):
+        entries = _scene(name)["divisor2"]
+        out[name] = (_scene_surface(name),
+                     [WeightedCongruence(e["phi"], e["rho"]) for e in entries],
+                     name)
+    # the root congruences on a projectively changed structure
+    out["divisor2_shifted"] = (
+        _scene_surface("divisor2_roots").projective_change("0.1*y", "0.2*x"),
+        out["divisor2_roots"][1], "divisor2_roots")
+    return out
+
+
+DIVISORS = _divisors()
+
+
+def _surface_pairs():
+    flat = _scene("flat")["pair"]
+    twistfree = _scene("twistfree")
+    dw = _scene("dw_twist")["build"]
+    P = _scene_surface("dw_twist")
+    return {
+        "flat": (_scene_surface("flat"),
+                 ProjectivePair(flat["fiber"], flat["alpha0"], flat["alpha1"],
+                                flat["phi0"], flat["phi1"]), "flat"),
+        "twistfree": (_scene_surface("twistfree"),
+                      twist_free_normal_form(_scene_surface("twistfree"),
+                                             twistfree["build"]["beta"],
+                                             check=False), "twistfree"),
+        "dw_twist": (P, dw_quadrature_build(P, dw["gamma"], dw["c"], dw["H"],
+                                            dw["G"], check=False),
+                     "dw_twist"),
+        # a pair that is not integrable over a curved surface
+        "curved": (CURVED, ProjectivePair(("t", "z"),
+                                          ["0.2*x*z", "z^2"], ["t", "0.1*y"],
+                                          ["1", "0.3*x*t"], ["0.2*z", "1"],
+                                          c0="0.1*x", c1="y"), "dw_twist"),
+    }
+
+
+SURFACE_PAIRS = _surface_pairs()
+
+
+def _pair_points(name, count=24):
+    _, pair, scene = SURFACE_PAIRS[name]
+    return halton_points(pair.coords, _scene(scene)["sampling"]["box"], count,
+                         seed=3)
+
+
+def _max_of_singles(fn, points):
+    return max(fn([p]) for p in points)
+
+
+# Per-point references: the loops the batched code replaced, in numpy
+# scalars.  A single point runs the batched code too, so these are what
+# pin a kernel that rounds differently from the scalar one (numpy's
+# array power, a matmul in place of the ordered bracket sum).
+
+
+def _congruence_reference(P, beta, pt):
+    space = JetSpace(COORDS, 1)
+    env = space.seed({"x": pt[0], "y": pt[1]})
+    b = evaluate(parse(beta, COORDS), env, space=space)
+    a = [evaluate(c, env, space=space).value for c in P.spray_coeffs()]
+    bx, by = b.gradient()
+    bv = b.value
+    return abs(bx + bv * by - (a[0] + a[1]*bv + a[2]*bv**2 + a[3]*bv**3))
+
+
+def _field_reference(P, V, pt, lambdas=(0.0, 0.5, -0.5, 1.0, -1.0, 2.0,
+                                        -2.0)):
+    vars3 = COORDS + ("lambda",)
+    V = [parse(c, COORDS) for c in V]
+    lam = parse("lambda", vars3)
+    lamdot = (V[1].diff("x") + lam * (V[1].diff("y") - V[0].diff("x"))
+              - lam * lam * V[0].diff("y"))
+    lift = [V[0], V[1], lamdot]
+    spray = [parse("1", vars3), lam, P.spray_cubic()]
+    space = JetSpace(vars3, 1)
+    worst = 0.0
+    for lv in lambdas:
+        env = space.seed({"x": pt[0], "y": pt[1], "lambda": lv})
+        lj = [evaluate(c, env, space=space) for c in lift]
+        sj = [evaluate(c, env, space=space) for c in spray]
+        bracket = np.zeros(3)
+        sval = np.array([c.value for c in sj])
+        for i in range(3):
+            acc = 0.0
+            for k, name in enumerate(vars3):
+                acc += (lj[k].value * sj[i].derivative(name).value
+                        - sj[k].value * lj[i].derivative(name).value)
+            bracket[i] = acc
+        coef = np.linalg.lstsq(sval.reshape(-1, 1), bracket, rcond=None)[0]
+        worst = max(worst, np.max(np.abs(bracket - coef[0] * sval)))
+    return worst
+
+
+def _pair_reference(P, pair, pt):
+    nf = len(pair.fiber)
+    space = JetSpace(pair.coords, 1)
+    base_space = JetSpace(COORDS, 0)
+    env = space.seed(dict(pt))
+    benv = base_space.seed({"x": pt["x"], "y": pt["y"]})
+    gv = [[[evaluate(P.christoffel(A, B, C), benv, space=base_space).value
+            for C in range(2)] for B in range(2)] for A in range(2)]
+    g0 = gv[0][0][0] + gv[1][0][1]
+    g1 = gv[0][1][0] + gv[1][1][1]
+    c0, c1 = (evaluate(c, benv, space=base_space).value
+              for c in pair.c_gauge)
+    a = [[evaluate(c, env, space=space) for c in v] for v in pair.alpha]
+    f = [[evaluate(c, env, space=space) for c in v] for v in pair.phi]
+
+    def vbracket(u, v):
+        out = np.zeros(nf)
+        for i in range(nf):
+            gv_i = v[i].gradient()[2:2 + nf]
+            gu_i = u[i].gradient()[2:2 + nf]
+            for j in range(nf):
+                out[i] += u[j].value * gv_i[j] - v[j].value * gu_i[j]
+        return out
+
+    def dbase(vec, idx):
+        return np.array([comp.gradient()[idx] for comp in vec])
+
+    def values(vec):
+        return np.array([comp.value for comp in vec])
+
+    phi0v, phi1v = values(f[0]), values(f[1])
+    eq1 = (dbase(f[0], 0) + vbracket(a[0], f[0])
+           + (c0 - 2.0 / 3.0 * g0) * phi0v
+           + gv[0][0][0] * phi0v + gv[1][0][0] * phi1v)
+    eq2 = (dbase(f[1], 0) + vbracket(a[0], f[1])
+           + (c0 - 2.0 / 3.0 * g0) * phi1v
+           + gv[0][0][1] * phi0v + gv[1][0][1] * phi1v
+           + dbase(f[0], 1) + vbracket(a[1], f[0])
+           + (c1 - 2.0 / 3.0 * g1) * phi0v
+           + gv[0][1][0] * phi0v + gv[1][1][0] * phi1v)
+    eq3 = (dbase(f[1], 1) + vbracket(a[1], f[1])
+           + (c1 - 2.0 / 3.0 * g1) * phi1v
+           + gv[0][1][1] * phi0v + gv[1][1][1] * phi1v)
+    return float(np.abs(np.concatenate([eq1, eq2, eq3])).max())
+
+
+@pytest.mark.parametrize("name", sorted(CONGRUENCES))
+def test_congruence_residual_matches_single_points(name):
+    P, beta, scene = CONGRUENCES[name]
+    points = _surface_points(scene, 64)
+    singles = [P.congruence_residual(beta, [p]) for p in points]
+    assert singles == [_congruence_reference(P, beta, p) for p in points]
+    assert P.congruence_residual(beta, points) == max(singles)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_projective_field_residual_matches_single_points(name):
+    points = _surface_points(name, 64)
+    for P, V in FIELDS[name]:
+        singles = [projective_field_residual(P, V, [p]) for p in points]
+        assert singles == [_field_reference(P, V, p) for p in points]
+        assert projective_field_residual(P, V, points) == max(singles)
+
+
+def test_non_projective_field_residual_is_order_one():
+    P, V = NON_PROJECTIVE
+    assert projective_field_residual(P, V, _surface_points("curved")) > 0.1
+
+
+@pytest.mark.parametrize("name", sorted(DIVISORS))
+def test_divisor_two_report_matches_single_points(name):
+    P, (c1, c2), scene = DIVISORS[name]
+    points = _surface_points(scene)
+    batched = divisor_two_report(P, c1, c2, points)
+    singles = [divisor_two_report(P, c1, c2, [p]) for p in points]
+    for key in ("dc_residual", "sym_r", "skew_r", "f_sum", "f_diff"):
+        assert batched[key] == max(s[key] for s in singles), key
+
+
+@pytest.mark.parametrize("name", sorted(DIVISORS))
+def test_weyl_gamma_jets_match_single_points(name):
+    P, (c1, c2), scene = DIVISORS[name]
+    points = _surface_points(scene)
+    gam, ct, consistency = _weyl_gamma_jets(P, c1, c2, xy_arrays(points))
+    singles = [_weyl_gamma_jets(P, c1, c2, p) for p in points]
+    assert consistency == max(s[2] for s in singles)
+    for batched, single in ((gam, [s[0] for s in singles]),
+                            (ct, [s[1] for s in singles])):
+        want = np.array([stack(s).coeffs for s in single])
+        assert np.array_equal(
+            np.broadcast_to(stack(batched).coeffs, want.shape), want)
+
+
+@pytest.mark.parametrize("name", sorted(DIVISORS))
+def test_abelian_pair_residual_matches_single_points(name):
+    P, congs, scene = DIVISORS[name]
+    points = _surface_points(scene)
+    for cong in congs:
+        batched = abelian_pair_residual(P, cong.phi, cong.rho, points)
+        assert batched == _max_of_singles(
+            lambda p: abelian_pair_residual(P, cong.phi, cong.rho, p), points)
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE_PAIRS))
+def test_projective_pair_residual_matches_single_points(name):
+    P, pair, _ = SURFACE_PAIRS[name]
+    points = _pair_points(name, 64)
+    singles = [projective_pair_residual(P, pair, [p]) for p in points]
+    assert singles == [_pair_reference(P, pair, p) for p in points]
+    batched = projective_pair_residual(P, pair, points)
+    assert batched == max(singles)
+    if name == "curved":
+        assert batched > 0.1
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE_PAIRS))
+def test_gauge_reduction_report_matches_single_points(name):
+    _, pair, _ = SURFACE_PAIRS[name]
+    points = _pair_points(name)
+    flags, values = gauge_reduction_report(pair, points)
+    singles = [gauge_reduction_report(pair, [p]) for p in points]
+    for key, value in values.items():
+        assert value == max(s[1][key] for s in singles), key
+    for key, flag in flags.items():
+        assert flag == all(s[0][key] for s in singles), key
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE_PAIRS))
+def test_area_connection_curvature_matches_single_points(name):
+    _, pair, _ = SURFACE_PAIRS[name]
+    points = _pair_points(name)
+    assert area_connection_curvature(pair, points) == _max_of_singles(
+        lambda p: area_connection_curvature(pair, p), points)
+
+
+@pytest.mark.parametrize("H,G", [("1", "z"),
+                                 ("1 + 0.3*x*z", "z + 0.1*y*z^2")])
+def test_quadrature_residuals_match_single_points(H, G):
+    allowed = ("x", "y", "t", "z")
+    H, G = parse(H, allowed), parse(G, allowed)
+    E = parse("0.2*x*z - y", allowed)
+    F = parse("z^2", allowed)
+    points = _pair_points("dw_twist")
+    batched = _quadrature_residuals(H, G, E, F, points)
+    singles = [_quadrature_residuals(H, G, E, F, [p]) for p in points]
+    assert batched == tuple(max(s[k] for s in singles) for k in range(2))
+
+
+@pytest.mark.parametrize("P", [ProjectiveSurface.flat(), CURVED],
+                         ids=["flat", "curved"])
+def test_surface_curvature_accepts_point_arrays(P):
+    points = _surface_points("curved")
+    xy = xy_arrays(points)
+    r = P.ricci_values(xy)
+    assert r.shape == (len(points), 2, 2)
+    assert np.array_equal(r, [P.ricci_values(p) for p in points])
+    g = P.christoffel_jets(xy, 2)
+    R = P.curvature_endomorphism(xy)
+    for n, p in enumerate(points):
+        single = P.christoffel_jets(p, 2)
+        for A, B, C in np.ndindex(2, 2, 2):
+            coeffs = np.broadcast_to(g[A][B][C].coeffs, (len(points), 6))
+            assert np.array_equal(coeffs[n], single[A][B][C].coeffs)
+        single = P.curvature_endomorphism(p)
+        for A, B in np.ndindex(2, 2):
+            coeffs = np.broadcast_to(R[A][B].coeffs, (len(points), 3))
+            assert np.array_equal(coeffs[n], single[A][B].coeffs)
+
+
+def test_pow_is_the_numpy_scalar_power():
+    # numpy's array power rounds x^2 and x^3 differently from the scalar
+    # power on a few percent of arguments
+    x = np.random.default_rng(7).standard_normal(20000) * 3.0
+    for n in (2, 3):
+        assert np.array_equal(_pow(x, n), [np.float64(v) ** n for v in x])
+    assert _pow(np.float64(1.5), 3) == np.float64(1.5) ** 3
+
+
+def test_single_point_calls_still_work():
+    p = _surface_points("curved")[0]
+    assert CURVED.ricci_values(p).shape == (2, 2)
+    assert CURVED.cotton(p).shape == (2,)
+    cong = WeightedCongruence.from_slope("y/x")
+    assert abelian_pair_residual(ProjectiveSurface.flat(), cong.phi,
+                                 cong.rho, [(0.8, 1.3)]) < 1e-13
 
 
 # -- the jet kernel ----------------------------------------------------------

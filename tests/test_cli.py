@@ -201,3 +201,79 @@ class TestNonFiniteValues:
     def test_check_fails_non_finite_values(self, value):
         assert _check("x", value, 1.0)["verdict"] is False
         assert _check("x", 0.5, 1.0)["verdict"] is True
+
+
+class TestSurfaceNonFinite:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_congruence_residual_fails(self, capsys, tmp_path):
+        # (1e200*x)^2 overflows, so a0 is inf - inf + 1 = NaN
+        scene = json.loads((SCENES / "burgers.json").read_text())
+        scene["projective"]["spray"] = ["(1e200*x)^2 - (1e200*x)^2 + 1",
+                                        "0", "0", "0"]
+        scene["congruences"] = {"zero": "0"}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(scene))
+        code, report = run(capsys, "congruence", str(path))
+        assert code == 1
+        [check] = report["checks"]
+        assert not math.isfinite(check["value"])
+        assert check["verdict"] is False
+
+
+class TestTypedExits:
+    """Failures other than a failed tolerance exit 2 or 3, not 1, with a
+    one-line message."""
+
+    def _run(self, capsys, tmp_path, command, name, edit):
+        scene = json.loads((SCENES / f"{name}.json").read_text())
+        edit(scene)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scene))
+        code = main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert not out
+        return code, err
+
+    def test_degenerate_lax_l0_is_a_domain_error(self, capsys, tmp_path):
+        def edit(scene):
+            scene["pair"]["phi0"] = ["0", "0"]
+            scene["pair"]["phi1"] = ["0", "0"]
+        code, err = self._run(capsys, tmp_path, "verify-lax", "flat", edit)
+        assert code == 3
+        assert err.startswith("domain error: degenerate L0")
+
+    def test_exclusion_budget_is_a_scene_error(self, capsys, tmp_path):
+        def edit(scene):
+            scene["sampling"]["exclusions"] = [{"expr": "1", "guard": 10}]
+        code, err = self._run(capsys, tmp_path, "congruence", "burgers", edit)
+        assert code == 2
+        assert err.startswith("scene error: exclusion guards reject")
+
+    def test_empty_box_interval_is_a_scene_error(self, capsys, tmp_path):
+        def edit(scene):
+            scene["sampling"]["box"]["x"] = [1.0, 1.0]
+        code, err = self._run(capsys, tmp_path, "congruence", "burgers", edit)
+        assert code == 2
+        assert err.startswith("scene error: empty box interval for x")
+
+    def test_dependent_fields_are_a_domain_error(self, capsys, tmp_path):
+        def edit(scene):
+            field = ["0", "0", "1", "0"]
+            scene["distributions"] = {"doubled": [field, field]}
+        code, err = self._run(capsys, tmp_path, "frobenius", "flat", edit)
+        assert code == 3
+        assert err.startswith("domain error: dependent fields")
+
+    @pytest.mark.parametrize("command,scene", [
+        ("divisor2", "divisor2_roots.json"),
+        ("congruence", "burgers.json"),
+        ("verify-lax", "flat.json"),
+        ("curvature", "flat.json"),
+    ])
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_sample_count_below_one_is_rejected(self, capsys, command, scene,
+                                                samples):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(SCENES / scene), "--samples", samples])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err

@@ -113,6 +113,26 @@ class TestDomainErrors:
         with pytest.raises(ExprDomainError):
             evaluate(e, space.seed({"x": 1.0, "y": 0.0}), space=space)
 
+    def test_sin_of_infinite_value(self):
+        e = parse("sin(x)", XY)
+        space = JetSpace(XY, 1)
+        with pytest.raises(ExprDomainError):
+            evaluate(e, space.seed({"x": math.inf, "y": 0.0}), space=space)
+
+    @pytest.mark.parametrize("src,x", [("log(x)", 0.0), ("sqrt(x)", -1.0),
+                                       ("1/x", 0.0), ("x^-2", 0.0),
+                                       ("exp(x)", 800.0)])
+    def test_float_evaluation_domain_errors(self, src, x):
+        with pytest.raises(ExprDomainError):
+            parse(src, XY)({"x": x, "y": 0.0})
+
+    def test_mixed_spaces_are_a_programming_error(self):
+        # not a domain error: jets of two spaces must not meet
+        e = parse("x + 1", XY)
+        env = JetSpace(XY, 1).seed({"x": 1.0, "y": 0.0})
+        with pytest.raises(ValueError, match="different spaces"):
+            evaluate(e, env, space=JetSpace(XY, 2))
+
 
 # -- randomized round-trip ------------------------------------------------
 
