@@ -113,7 +113,6 @@ class RunContext:
         samp = scene.get("sampling", {})
         self.count = args.samples if args.samples else samp.get("count", 32)
         self.seed = args.seed if args.seed is not None else samp.get("seed", 0)
-        self.order = args.order
         self.box = samp.get("box", {})
         self._exclusions = samp.get("exclusions", [])
         self._overrides = {}
@@ -277,48 +276,37 @@ def _cmd_congruence(scene, ctx):
     return checks, fitted
 
 
-def _build_points(ctx, fiber):
-    return ctx.points(("x", "y") + tuple(fiber))
-
-
-def _verify_built(scene, ctx, P, pair, pts, fitted):
+def _verify_built(ctx, P, pts, build):
+    """Run a builder, then certify the pair it returns with the Lax and
+    the first-order pair residuals; a `BuildError` fails the build check."""
+    try:
+        pair = build()
+    except BuildError as exc:
+        return [_flag_check("build", False)], {"error": str(exc)}
     lres = lax_residual(build_lax(P, pair), pts)
     pres = projective_pair_residual(P, pair, pts)
-    fitted["b_coeffs"] = np.asarray(lres["b_coeffs"]).mean(axis=0).tolist()
-    return [_check("lax_residual", lres["residual"], ctx.tol("lax", 1e-10)),
-            _check("pair_residual", pres, ctx.tol("pair", 1e-10))]
+    fitted = {"b_coeffs": np.asarray(lres["b_coeffs"]).mean(axis=0).tolist()}
+    return [_flag_check("build", True),
+            _check("lax_residual", lres["residual"], ctx.tol("lax", 1e-10)),
+            _check("pair_residual", pres, ctx.tol("pair", 1e-10))], fitted
 
 
 def _cmd_build_dw(scene, ctx):
     P = _surface(scene)
     spec = scene.get("build", {})
-    pts = _build_points(ctx, ("t", "z"))
-    fitted = {}
-    try:
-        pair = dw_quadrature_build(P, spec["gamma"], spec.get("c", 0.0),
-                                   spec["H"], spec["G"], points=pts,
-                                   tol=ctx.tol("build", 1e-8))
-    except BuildError as exc:
-        return [_flag_check("build", False)], {"error": str(exc)}
-    checks = [_flag_check("build", True)]
-    checks += _verify_built(scene, ctx, P, pair, pts, fitted)
-    return checks, fitted
+    pts = ctx.points(("x", "y", "t", "z"))
+    return _verify_built(ctx, P, pts, lambda: dw_quadrature_build(
+        P, spec["gamma"], spec.get("c", 0.0), spec["H"], spec["G"],
+        points=pts, tol=ctx.tol("build", 1e-8)))
 
 
 def _cmd_build_twistfree(scene, ctx):
     P = _surface(scene)
     spec = scene.get("build", {})
-    pts = _build_points(ctx, ("z",))
-    fitted = {}
-    try:
-        pair = twist_free_normal_form(P, spec["beta"],
-                                      points=[(p["x"], p["y"]) for p in pts],
-                                      tol=ctx.tol("build", 1e-8))
-    except BuildError as exc:
-        return [_flag_check("build", False)], {"error": str(exc)}
-    checks = [_flag_check("build", True)]
-    checks += _verify_built(scene, ctx, P, pair, pts, fitted)
-    return checks, fitted
+    pts = ctx.points(("x", "y", "z"))
+    return _verify_built(ctx, P, pts, lambda: twist_free_normal_form(
+        P, spec["beta"], points=[(p["x"], p["y"]) for p in pts],
+        tol=ctx.tol("build", 1e-8)))
 
 
 def _cmd_build_nullkahler(scene, ctx):
@@ -478,7 +466,6 @@ def run_command(command, scene, args):
         "version": __version__,
         "seed": int(ctx.seed),
         "samples": int(ctx.count),
-        "order": int(ctx.order),
         "checks": checks,
         "fitted": fitted,
         "pass": all(c["verdict"] for c in checks),
@@ -508,8 +495,6 @@ def main(argv=None):
                         help="override the scene's sampling seed")
     parser.add_argument("--tol", action="append", metavar="NAME=FLOAT",
                         help="override a named tolerance (repeatable)")
-    parser.add_argument("--order", type=int, choices=(2, 3), default=3,
-                        help="jet truncation order for consistency sweeps")
     args = parser.parse_args(argv)
 
     try:

@@ -27,8 +27,9 @@ import itertools
 import numpy as np
 
 from .expr import Expression, as_expression, evaluate
-from .jets import Jet, JetSpace, point_arrays, stack
-from .pairs import ProjectivePair, _dot, build_lax, lax_residual
+from .jets import Jet, JetSpace, max_abs, point_arrays, stack
+from .pairs import (ProjectivePair, _dot, build_lax, lax_residual,
+                    lie_bracket)
 
 # Which Weyl half the construction kills; calibrated on the null-Kaehler
 # family (see tests), stored once, never branched on.
@@ -404,22 +405,19 @@ def frobenius_residual(fields, coords, points):
     coords = tuple(coords)
     fields = [[as_expression(c, coords) for c in f] for f in fields]
     space = JetSpace(coords, 1)
-    n = len(coords)
-    worst = 0.0
-    for pt in points:
-        env = space.seed(dict(pt))
-        jets = [[evaluate(c, env, space=space) for c in f] for f in fields]
-        vals = np.array([[c.value for c in f] for f in jets])
-        grads = np.array([[c.gradient() for c in f] for f in jets])
-        if np.linalg.matrix_rank(vals) < len(fields):
-            raise np.linalg.LinAlgError("dependent fields at sample point")
-        for i in range(len(fields)):
-            for j in range(i + 1, len(fields)):
-                br = grads[j] @ vals[i] - grads[i] @ vals[j]
-                coef, *_ = np.linalg.lstsq(vals.T, br, rcond=None)
-                perp = br - vals.T @ coef
-                worst = max(worst, float(np.abs(perp).max()))
-    return worst
+    env = space.seed(point_arrays(points))
+    jets = stack([[evaluate(c, env, space=space) for c in f] for f in fields])
+    F = np.broadcast_to(jets.coeffs, (len(points),) + jets.coeffs.shape[-3:])
+    vals = np.ascontiguousarray(F[..., 0])   # vals[p, field, component]
+    if np.any(np.linalg.matrix_rank(vals) < len(fields)):
+        raise np.linalg.LinAlgError("dependent fields at sample point")
+    i, j = np.triu_indices(len(fields), 1)
+    bracket = lie_bracket(F[:, i], F[:, j])   # axes (point, field pair, .)
+    perp = np.empty_like(bracket)
+    for p, k in np.ndindex(bracket.shape[:2]):
+        coef, *_ = np.linalg.lstsq(vals[p].T, bracket[p, k], rcond=None)
+        perp[p, k] = bracket[p, k] - vals[p].T @ coef
+    return max_abs(perp)
 
 
 # -- null-Kaehler family ------------------------------------------------------

@@ -480,6 +480,3 @@ def _eval(node: Node, env, space):
         return getattr(arg, node.fn)()
     raise TypeError(node)
 
-
-ZERO = Expression.const(0.0)
-ONE = Expression.const(1.0)

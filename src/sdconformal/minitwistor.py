@@ -7,8 +7,9 @@ such data satisfy, solves for the canonical line-bundle connection,
 assembles the conformal metric attached to a pair of congruences (the
 degree-two case) with its Weyl connection, checks the symmetric/skew
 curvature dichotomy against the line-bundle curvatures, transports
-line-bundle sections along geodesics, and tests vector fields for
-preserving the geodesic foliation.
+line-bundle sections along geodesics (integrated as a fourth state
+component by `ProjectiveSurface.integrate_geodesic`), and tests vector
+fields for preserving the geodesic foliation.
 
 Everything is chart-local: line bundles are trivialized over the working
 coordinate patch, so their connections are plain 1-forms and weighted
@@ -246,57 +247,13 @@ def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
 def ward_transport(P, rho, start, length, step):
     """Parallel transport of a line-bundle section along a geodesic.
 
-    Integrates the scalar transport equation s' = -rho(gamma') s jointly
-    with the geodesic flow (RK4, same chart switching as
-    integrate_geodesic).  For rho = df the result is
-    exp(f(start) - f(end)).  Returns the final (x, y, lam, s) state.
+    The scalar transport equation s' = -rho(gamma') s, integrated jointly
+    with the geodesic flow by `ProjectiveSurface.integrate_geodesic`.  For
+    rho = df the result is exp(f(start) - f(end)).  Returns the transport
+    s and the final (x, y, lam) state.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    rho = tuple(as_expression(c, COORDS) for c in rho)
-    a_exprs = P.spray_coeffs()
-    space = JetSpace(COORDS, 0)
-
-    def fields(x, y):
-        env = space.seed({"x": x, "y": y})
-        a = [evaluate(c, env, space=space).value for c in a_exprs]
-        r = [evaluate(c, env, space=space).value for c in rho]
-        return a, r
-
-    def rhs1(state):
-        x, y, lam, s = state
-        a, r = fields(x, y)
-        return np.array([1.0, lam,
-                         a[0] + a[1]*lam + a[2]*lam**2 + a[3]*lam**3,
-                         -(r[0] + r[1]*lam) * s])
-
-    def rhs2(state):
-        x, y, mu, s = state
-        a, r = fields(x, y)
-        return np.array([mu, 1.0,
-                         -(a[0]*mu**3 + a[1]*mu**2 + a[2]*mu + a[3]),
-                         -(r[0]*mu + r[1]) * s])
-
-    x, y, lam = start
-    s = 1.0
-    n = int(round(length / step))
-    for _ in range(n):
-        if abs(lam) <= 1.0:
-            state = np.array([x, y, lam, s])
-            x, y, lam, s = _rk4(rhs1, state, step)
-        else:
-            state = np.array([x, y, 1.0 / lam, s])
-            x, y, mu, s = _rk4(rhs2, state, step)
-            lam = np.inf if mu == 0.0 else 1.0 / mu
-    return {"transport": s, "end": np.array([x, y, lam])}
-
-
-def _rk4(rhs, state, h):
-    k1 = rhs(state)
-    k2 = rhs(state + 0.5 * h * k1)
-    k3 = rhs(state + 0.5 * h * k2)
-    k4 = rhs(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    last = P.integrate_geodesic(start, length, step, rho=rho)[-1]
+    return {"transport": last[3], "end": last[:3]}
 
 
 def projective_field_residual(P, V, points, lambdas=(0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)):
@@ -328,7 +285,8 @@ def projective_field_residual(P, V, points, lambdas=(0.0, 0.5, -0.5, 1.0, -1.0, 
                                 batch + (len(space),)) for c in exprs]
 
     lj, sj = coeffs(lift), coeffs(spray)
-    # [lift, spray]^i = sum over k of lift^k d_k spray^i - spray^k d_k lift^i
+    # [lift, spray]^i = sum over k of lift^k d_k spray^i - spray^k d_k lift^i,
+    # summed in k order: pairs.lie_bracket's matmul changes the last bits
     bracket = []
     for i in range(3):
         acc = 0.0

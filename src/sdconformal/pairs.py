@@ -88,17 +88,21 @@ class LaxPair:
         u, v = self.components_at(point)
         u = stack([u[c] for c in self.coords])
         v = stack([v[c] for c in self.coords])
-        n = len(self.coords)
         batch = np.broadcast_shapes(*(np.shape(x) for x in point.values()))
         u, v = (np.broadcast_to(w.coeffs, batch + w.coeffs.shape[-2:])
                 for w in (u, v))
-        ug = np.ascontiguousarray(u[..., 1:n + 1])  # ug[..., i, j] = d_j u^i
-        vg = np.ascontiguousarray(v[..., 1:n + 1])
-        uv = np.ascontiguousarray(u[..., 0])
-        vv = np.ascontiguousarray(v[..., 0])
-        # [U,V]^i = u^j d_j v^i - v^j d_j u^i
-        bracket = (vg @ uv[..., None])[..., 0] - (ug @ vv[..., None])[..., 0]
-        return bracket, uv
+        return lie_bracket(u, v), np.ascontiguousarray(u[..., 0])
+
+
+def lie_bracket(u, v):
+    """Values of the bracket [U, V]^i = u^j d_j v^i - v^j d_j u^i, with
+    the coordinate index last, from the order-1 jet coefficients of the
+    components: u[..., i, 0] = u^i and u[..., i, 1 + j] = d_j u^i."""
+    ug = np.ascontiguousarray(u[..., 1:])
+    vg = np.ascontiguousarray(v[..., 1:])
+    uv = np.ascontiguousarray(u[..., 0])
+    vv = np.ascontiguousarray(v[..., 0])
+    return (vg @ uv[..., None])[..., 0] - (ug @ vv[..., None])[..., 0]
 
 
 def build_lax(P, pair: ProjectivePair) -> LaxPair:

@@ -17,8 +17,10 @@ slope bundle, with
 The module also provides the curvature of the representative connection
 (reduced to a 2x2 bilinear form r), the associated third-order invariant
 (the covariant curl of r), the homogeneity-weighted lift of the spray to
-the tangent bundle, geodesic integration in two slope charts, and
-residuals for geodesic congruences lam = beta(x, y).
+the tangent bundle, geodesic integration in two slope charts (the one
+RK4 integrator, which also transports the line-bundle sections of
+`minitwistor.ward_transport`), and residuals for geodesic congruences
+lam = beta(x, y).
 """
 from __future__ import annotations
 
@@ -214,49 +216,58 @@ class ProjectiveSurface:
             pidot.append(acc)
         return np.array([p0, p1, pidot[0], pidot[1]])
 
-    def integrate_geodesic(self, start, length, step):
+    def integrate_geodesic(self, start, length, step, rho=None):
         """RK4 integral curve of the spray from (x, y, lam).
 
         Chart 1 (|lam| <= 1) advances x; chart 2 uses mu = 1/lam and
         advances y.  Returns the path as an array of (x, y, lam) states;
-        `length` is the accumulated chart parameter.
+        `length` is the accumulated chart parameter, so a path that
+        crosses |lam| = 1 switches charts after a step-dependent stretch:
+        halving the step then changes the end point at O(h), not O(h^4).
+
+        With a 1-form `rho` = (rho_0, rho_1) the states carry a fourth
+        component s, the line-bundle section transported by
+        s' = -rho(gamma') s from s = 1, integrated in the same RK4 step.
         """
         if step <= 0:
             raise ValueError("step must be positive")
-        a_exprs = self.spray_coeffs()
+        exprs = self.spray_coeffs()
+        if rho is not None:
+            exprs += tuple(as_expression(c, COORDS) for c in rho)
         space = JetSpace(COORDS, 0)
 
-        def coeffs(x, y):
-            env = space.seed({"x": x, "y": y})
-            return [evaluate(c, env, space=space).value for c in a_exprs]
+        def coeffs(state):
+            env = space.seed({"x": state[0], "y": state[1]})
+            return [evaluate(c, env, space=space).value for c in exprs]
 
         def rhs1(state):
-            x, y, lam = state
-            a = coeffs(x, y)
-            return np.array([1.0, lam, a[0] + a[1]*lam + a[2]*lam**2 + a[3]*lam**3])
+            lam = state[2]
+            a = coeffs(state)
+            out = [1.0, lam, a[0] + a[1]*lam + a[2]*lam**2 + a[3]*lam**3]
+            if rho is not None:
+                out.append(-(a[4] + a[5]*lam) * state[3])
+            return np.array(out)
 
         def rhs2(state):
-            x, y, mu = state
-            a = coeffs(x, y)
-            return np.array([mu, 1.0, -(a[0]*mu**3 + a[1]*mu**2 + a[2]*mu + a[3])])
+            mu = state[2]
+            a = coeffs(state)
+            out = [mu, 1.0, -(a[0]*mu**3 + a[1]*mu**2 + a[2]*mu + a[3])]
+            if rho is not None:
+                out.append(-(a[4]*mu + a[5]) * state[3])
+            return np.array(out)
 
-        x, y, lam = start
-        path = [np.array([x, y, lam])]
-        n = int(round(length / step))
-        for _ in range(n):
-            if abs(lam) <= 1.0:
-                state = np.array([x, y, lam])
+        state = np.array(tuple(start) + (() if rho is None else (1.0,)),
+                         dtype=float)
+        path = [state]
+        for _ in range(int(round(length / step))):
+            if abs(state[2]) <= 1.0:
                 state = _rk4_step(rhs1, state, step)
-                x, y, lam = state
             else:
-                state = np.array([x, y, 1.0 / lam])
+                state = state.copy()
+                state[2] = 1.0 / state[2]
                 state = _rk4_step(rhs2, state, step)
-                x, y, mu = state
-                if mu == 0.0:
-                    lam = np.inf
-                else:
-                    lam = 1.0 / mu
-            path.append(np.array([x, y, lam]))
+                state[2] = np.inf if state[2] == 0.0 else 1.0 / state[2]
+            path.append(state)
         return np.array(path)
 
     # -- congruences ------------------------------------------------------------
@@ -304,4 +315,4 @@ def _rk4_step(rhs, state, h):
     k2 = rhs(state + 0.5 * h * k1)
     k3 = rhs(state + 0.5 * h * k2)
     k4 = rhs(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdconformal.conformal import (MetricBuilder, build_null_kahler,
                                    curvature_report, frame_values,
-                                   killing_report)
+                                   frobenius_residual, killing_report)
 from sdconformal.expr import evaluate, parse
 from sdconformal.jets import Jet, JetSpace, point_arrays, stack
 from sdconformal.minitwistor import (WeightedCongruence, _weyl_gamma_jets,
@@ -27,11 +27,13 @@ from sdconformal.minitwistor import (WeightedCongruence, _weyl_gamma_jets,
 from sdconformal.pairs import (ProjectivePair, _quadrature_residuals,
                                area_connection_curvature, build_lax,
                                dw_quadrature_build, gauge_reduction_report,
-                               lax_residual, projective_pair_residual,
+                               lax_residual, lie_bracket,
+                               projective_pair_residual,
                                twist_free_normal_form)
 from sdconformal.projective import (COORDS, ProjectiveSurface, _pow,
                                     xy_arrays)
 from sdconformal.sampling import halton_points
+from test_acceptance import _frobenius_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 FLAT = ProjectiveSurface.flat()
@@ -504,6 +506,90 @@ def test_single_point_calls_still_work():
     cong = WeightedCongruence.from_slope("y/x")
     assert abelian_pair_residual(ProjectiveSurface.flat(), cong.phi,
                                  cong.rho, [(0.8, 1.3)]) < 1e-13
+
+
+# -- distributions -----------------------------------------------------------
+
+
+def _frobenius_reference(fields, coords, points):
+    """The per-point loop `frobenius_residual` replaced."""
+    fields = [[parse(c, coords) for c in f] for f in fields]
+    space = JetSpace(coords, 1)
+    worst = 0.0
+    for pt in points:
+        env = space.seed(dict(pt))
+        jets = [[evaluate(c, env, space=space) for c in f] for f in fields]
+        vals = np.array([[c.value for c in f] for f in jets])
+        grads = np.array([[c.gradient() for c in f] for f in jets])
+        if np.linalg.matrix_rank(vals) < len(fields):
+            raise np.linalg.LinAlgError("dependent fields at sample point")
+        for i in range(len(fields)):
+            for j in range(i + 1, len(fields)):
+                br = grads[j] @ vals[i] - grads[i] @ vals[j]
+                coef, *_ = np.linalg.lstsq(vals.T, br, rcond=None)
+                perp = br - vals.T @ coef
+                worst = max(worst, float(np.abs(perp).max()))
+    return worst
+
+
+def _random_distribution(seed, count):
+    """`count` fields on (x, y, t, z) with seeded random quadratic
+    components."""
+    rng = random.Random(seed)
+
+    def component():
+        c = [f"{rng.uniform(-1, 1):.5f}" for _ in range(4)]
+        return f"{c[0]} + {c[1]}*x*t + {c[2]}*y^2 + {c[3]}*z"
+
+    return [[component() for _ in range(4)] for _ in range(count)]
+
+
+def _distributions():
+    flat = _scene("flat")
+    tilted = _frobenius_scene(1e-3)[0]
+    out = {"flat": (flat["distributions"]["beta_planes"], flat["coords"],
+                    flat["sampling"]["box"]),
+           "tilted": (tilted["distributions"]["tilted"], tilted["coords"],
+                      tilted["sampling"]["box"])}
+    for seed in range(3):
+        for count in (2, 3):
+            out[f"random{count}-{seed}"] = (_random_distribution(seed, count),
+                                            tilted["coords"],
+                                            tilted["sampling"]["box"])
+    return out
+
+
+DISTRIBUTIONS = _distributions()
+
+
+@pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+def test_frobenius_residual_matches_the_per_point_loop(name):
+    fields, coords, box = DISTRIBUTIONS[name]
+    points = halton_points(coords, box, 48, seed=3)
+    res = frobenius_residual(fields, coords, points)
+    assert res == _frobenius_reference(fields, coords, points)
+    if name.startswith("random"):
+        assert res > 0.01
+
+
+def test_frobenius_dependent_fields_at_a_later_point():
+    coords = ("x", "y", "t", "z")
+    fields = [["1", "0", "0", "0"], ["0", "x - 0.5", "0", "0"]]
+    points = [{"x": 0.25, "y": 0.0, "t": 0.0, "z": 0.0},
+              {"x": 0.5, "y": 0.5, "t": 0.5, "z": 0.5},
+              {"x": 0.75, "y": 0.0, "t": 0.0, "z": 0.0}]
+    assert frobenius_residual(fields, coords, points[:1]) == 0.0
+    for fn in (frobenius_residual, _frobenius_reference):
+        with pytest.raises(np.linalg.LinAlgError, match="^dependent fields"):
+            fn(fields, coords, points)
+
+
+def test_lie_bracket_of_coordinate_fields():
+    # U = x d/dy, V = d/dx: [U, V] = -d/dy, from jet slots (value, d/dx, d/dy)
+    u = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0]])   # at x = 2
+    v = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.array_equal(lie_bracket(u, v), [0.0, -1.0])
+    assert np.array_equal(lie_bracket(v, u), [0.0, 1.0])
 
 
 # -- the jet kernel ----------------------------------------------------------

@@ -92,11 +92,19 @@ class TestReportShape:
         code, report = run(capsys, "congruence", str(SCENES / "burgers.json"))
         assert code == 0
         for key in ("command", "scene", "scene_digest", "version", "seed",
-                    "samples", "order", "checks", "fitted", "pass",
-                    "wall_time"):
+                    "samples", "checks", "fitted", "pass", "wall_time"):
             assert key in report
         assert len(report["scene_digest"]) == 64
-        assert report["order"] == 3
+
+    def test_order_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["congruence", str(SCENES / "burgers.json"), "--order", "3"])
+        assert exc.value.code == 2
+        assert "--order" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--order" not in capsys.readouterr().out
 
     def test_out_flag_writes_the_report(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sdconformal.expr import parse
+from sdconformal.expr import evaluate, parse
+from sdconformal.jets import JetSpace
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.minitwistor import (WeightedCongruence,
                                      abelian_pair_residual,
@@ -146,6 +147,127 @@ class TestWardTransport:
         coarse = ward_transport(FLAT, rho, (0.0, 0.0, 0.5), 1.0, 0.02)
         fine = ward_transport(FLAT, rho, (0.0, 0.0, 0.5), 1.0, 0.01)
         assert abs(coarse["transport"] - fine["transport"]) < 1e-8
+
+
+# The two integrators that `integrate_geodesic(..., rho=...)` replaced,
+# kept as references: the geodesic loop and the joint geodesic and
+# section transport loop, each with its own RK4 step.
+
+def _reference_rk4(rhs, state, h):
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * h * k1)
+    k3 = rhs(state + 0.5 * h * k2)
+    k4 = rhs(state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_values(exprs, x, y):
+    space = JetSpace(XY, 0)
+    env = space.seed({"x": x, "y": y})
+    return [evaluate(c, env, space=space).value for c in exprs]
+
+
+def _reference_geodesic(P, start, length, step):
+    a_exprs = P.spray_coeffs()
+
+    def rhs1(state):
+        x, y, lam = state
+        a = _reference_values(a_exprs, x, y)
+        return np.array([1.0, lam,
+                         a[0] + a[1]*lam + a[2]*lam**2 + a[3]*lam**3])
+
+    def rhs2(state):
+        x, y, mu = state
+        a = _reference_values(a_exprs, x, y)
+        return np.array([mu, 1.0,
+                         -(a[0]*mu**3 + a[1]*mu**2 + a[2]*mu + a[3])])
+
+    x, y, lam = start
+    path = [np.array([x, y, lam])]
+    for _ in range(int(round(length / step))):
+        if abs(lam) <= 1.0:
+            x, y, lam = _reference_rk4(rhs1, np.array([x, y, lam]), step)
+        else:
+            x, y, mu = _reference_rk4(rhs2, np.array([x, y, 1.0 / lam]),
+                                      step)
+            lam = np.inf if mu == 0.0 else 1.0 / mu
+        path.append(np.array([x, y, lam]))
+    return np.array(path)
+
+
+def _reference_ward(P, rho, start, length, step):
+    a_exprs = P.spray_coeffs()
+    rho = [parse(c, XY) for c in rho]
+
+    def rhs1(state):
+        x, y, lam, s = state
+        a = _reference_values(a_exprs, x, y)
+        r = _reference_values(rho, x, y)
+        return np.array([1.0, lam,
+                         a[0] + a[1]*lam + a[2]*lam**2 + a[3]*lam**3,
+                         -(r[0] + r[1]*lam) * s])
+
+    def rhs2(state):
+        x, y, mu, s = state
+        a = _reference_values(a_exprs, x, y)
+        r = _reference_values(rho, x, y)
+        return np.array([mu, 1.0,
+                         -(a[0]*mu**3 + a[1]*mu**2 + a[2]*mu + a[3]),
+                         -(r[0]*mu + r[1]) * s])
+
+    x, y, lam = start
+    s = 1.0
+    for _ in range(int(round(length / step))):
+        if abs(lam) <= 1.0:
+            x, y, lam, s = _reference_rk4(rhs1, np.array([x, y, lam, s]),
+                                          step)
+        else:
+            x, y, mu, s = _reference_rk4(
+                rhs2, np.array([x, y, 1.0 / lam, s]), step)
+            lam = np.inf if mu == 0.0 else 1.0 / mu
+    return s, np.array([x, y, lam])
+
+
+CURVED = ProjectiveSurface.from_spray("0.6 + 0.3*x*y", "0.2*y - 0.1*x",
+                                      "0.4 + 0.1*x", "0.25*y - 0.3")
+CURVED_RHO = ("0.3*y + x^2", "x*y - 0.2")
+
+
+class TestOneIntegrator:
+    # (start, length): from chart 2 at lam = 2, and from chart 1 across
+    # |lam| = 1 (the spray's lam' = a(lam) > 0 drives the slope up)
+    CASES = [((0.1, -0.2, 2.0), 0.6), ((0.0, 0.1, 0.7), 1.2)]
+
+    @pytest.mark.parametrize("start,length", CASES)
+    @pytest.mark.parametrize("step", [0.01, 0.005])
+    def test_geodesic_matches_the_replaced_loop(self, start, length, step):
+        path = CURVED.integrate_geodesic(start, length, step)
+        assert np.array_equal(
+            path, _reference_geodesic(CURVED, start, length, step))
+        lam = np.abs(path[:, 2])
+        assert np.any(lam > 1.0)
+        if start[2] < 1.0:
+            assert np.any(lam <= 1.0) and lam[-1] > 1.0
+
+    @pytest.mark.parametrize("start,length", CASES)
+    @pytest.mark.parametrize("step", [0.01, 0.005])
+    def test_ward_matches_the_replaced_loop(self, start, length, step):
+        out = ward_transport(CURVED, CURVED_RHO, start, length, step)
+        s, end = _reference_ward(CURVED, CURVED_RHO, start, length, step)
+        assert out["transport"] == s
+        assert np.array_equal(out["end"], end)
+        assert s != 1.0
+
+    @pytest.mark.parametrize("start,length", CASES)
+    def test_transport_leaves_the_geodesic_unchanged(self, start, length):
+        path = CURVED.integrate_geodesic(start, length, 0.01, rho=CURVED_RHO)
+        assert path.shape[1] == 4 and path[0, 3] == 1.0
+        assert np.array_equal(path[:, :3],
+                              CURVED.integrate_geodesic(start, length, 0.01))
+
+    def test_step_must_be_positive(self):
+        with pytest.raises(ValueError, match="step must be positive"):
+            ward_transport(FLAT, ("0", "0"), (0.0, 0.0, 0.5), 1.0, 0.0)
 
 
 class TestProjectiveFields:
