@@ -27,12 +27,12 @@ import jsonschema
 
 from . import __version__
 from .expr import ExprError, ExprDomainError, parse
-from .jets import JetDomainError, point_arrays
+from .jets import JetDomainError
 from .projective import ProjectiveSurface
 from .pairs import (ProjectivePair, BuildError, build_lax, lax_residual,
                     projective_pair_residual, twist_free_normal_form,
                     dw_quadrature_build, gauge_reduction_report)
-from .conformal import (MetricBuilder, curvature_report, certify_selfdual,
+from .conformal import (MetricBuilder, curvature_maxima, certify_selfdual,
                         killing_report, frobenius_residual, build_null_kahler)
 from .minitwistor import (WeightedCongruence, divisor_two_report,
                           ward_transport, projective_field_residual)
@@ -138,10 +138,9 @@ class RunContext:
             excl = []
             for entry in self._exclusions:
                 # only apply guards whose variables are all being sampled
-                candidate = parse(str(entry["expr"]), tuple(self.box))
-                if candidate.free_vars <= set(names):
-                    excl.append((parse(str(entry["expr"]), names),
-                                 float(entry["guard"])))
+                expr = parse(str(entry["expr"]), tuple(self.box))
+                if expr.free_vars <= set(names):
+                    excl.append((expr, float(entry["guard"])))
             self._cache[names] = halton_points(
                 names, self.box, self.count, seed=self.seed, exclusions=excl)
         return self._cache[names]
@@ -214,13 +213,8 @@ def _metric_builder(scene):
 
 def _cmd_curvature(scene, ctx):
     builder = _metric_builder(scene)
-    pt = point_arrays(ctx.points(tuple(builder.coords)))
-    rep = curvature_report(builder.jets(pt, order=2), builder.coords,
-                           builder.orientation(pt))
-    worst = {k: float(np.max(rep[k]))
-             for k in ("riemann", "ricci", "ricci_tracefree", "scalar",
-                       "weyl_plus", "weyl_minus", "star_defect")}
-    signature = bool(np.all(rep["signature_ok"]))
+    worst, signature = curvature_maxima(builder,
+                                        ctx.points(tuple(builder.coords)))
     checks = [_check("star_defect", worst["star_defect"],
                      ctx.tol("curvature", 1e-10)),
               _flag_check("signature", signature)]

@@ -26,8 +26,8 @@ import itertools
 
 import numpy as np
 
-from .expr import Expression, as_expression, evaluate
-from .jets import Jet, JetSpace, max_abs, point_arrays, stack
+from .expr import Expression, as_expression, jets_at
+from .jets import Jet, JetSpace, max_abs, point_arrays, stack, unstack
 from .pairs import (ProjectivePair, _dot, build_lax, lax_residual,
                     lie_bracket)
 
@@ -47,14 +47,6 @@ for _perm in itertools.permutations(range(4)):
 
 
 # -- jet linear algebra -------------------------------------------------------
-
-
-def _matrix(jet):
-    """The entries of a jet whose last two batch axes index a matrix, as a
-    list of lists of jets."""
-    rows, cols = jet.coeffs.shape[-3:-1]
-    return [[Jet(jet.space, jet.coeffs[..., i, j, :]) for j in range(cols)]
-            for i in range(rows)]
 
 
 def jet_gauss_solve(A, B):
@@ -88,7 +80,7 @@ def jet_gauss_solve(A, B):
                 continue
             A[..., r, :, :] -= space.product(f, A[..., col, :, :])
             B[..., r, :, :] -= space.product(f, B[..., col, :, :])
-    return _matrix(Jet(space, B))
+    return unstack(Jet(space, B), 2)
 
 
 def jet_matrix_inverse(A):
@@ -144,16 +136,14 @@ class MetricBuilder:
         self.orient = float(orientation)
 
     def jets(self, point, order=2):
-        """4x4 symmetric matrix of metric jets at a point dict, whose
-        values may be arrays over many points (see `point_arrays`)."""
+        """The metric jets at a point dict, whose values may be arrays over
+        many points (see `point_arrays`): one jet whose batch axes are the
+        point axes and the two indices of the symmetric 4x4 matrix."""
         space = JetSpace(self.coords, order)
-        env = space.seed(point)
         if self.components is not None:
-            g = stack([[evaluate(c, env, space=space) for c in row]
-                       for row in self.components])
+            g = jets_at(self.components, space, point)
         else:
-            M = [[evaluate(c, env, space=space) for c in vec]
-                 for vec in self.frame]
+            M = jets_at(self.frame, space, point)
             # coframe rows are columns of M^{-1}: theta^a_i = th[..., i, a]
             th = stack(jet_matrix_inverse(M)).coeffs
             t0, t1, t2, t3 = (th[..., :, a, :] for a in range(4))
@@ -164,10 +154,10 @@ class MetricBuilder:
                     - mul(t1[..., :, None, :], t2[..., None, :, :])
                     - mul(t1[..., None, :, :], t2[..., :, None, :]))
         if self.factor is not None:
-            f = evaluate(self.factor, env, space=space)
+            f = jets_at(self.factor, space, point)
             g = Jet(space,
                     space.product(g.coeffs, f.coeffs[..., None, None, :]))
-        return _matrix(g)
+        return g
 
     def orientation(self, point):
         """Sign of the frame volume form against the coordinate one; the
@@ -180,10 +170,7 @@ class MetricBuilder:
 def frame_values(builder: MetricBuilder, point):
     if builder.frame is None:
         raise ValueError("no frame on an explicit-component metric")
-    space = JetSpace(builder.coords, 0)
-    env = space.seed(point)
-    return stack([[evaluate(c, env, space=space) for c in vec]
-                  for vec in builder.frame]).value
+    return jets_at(builder.frame, JetSpace(builder.coords, 0), point).value
 
 
 # -- curvature pipeline -------------------------------------------------------
@@ -304,19 +291,29 @@ _ANTISYM = 0.5 * (np.einsum("ac,bd->abcd", np.eye(4), np.eye(4))
                   - np.einsum("ad,bc->abcd", np.eye(4), np.eye(4)))
 
 
+CURVATURE_NORMS = ("riemann", "ricci", "ricci_tracefree", "scalar",
+                   "weyl_plus", "weyl_minus", "star_defect")
+
+
+def curvature_maxima(builder: MetricBuilder, points):
+    """The largest value over the sample points of each norm in
+    CURVATURE_NORMS, and whether the metric has signature (2, 2) at
+    every point."""
+    pt = point_arrays(points)
+    rep = curvature_report(builder.jets(pt, order=2), builder.coords,
+                           builder.orientation(pt))
+    worst = {k: float(np.max(rep[k])) for k in CURVATURE_NORMS}
+    return worst, bool(np.all(rep["signature_ok"]))
+
+
 def certify_selfdual(P, pair: ProjectivePair, points, tol=1e-8,
                      factor=None, lax_tol=1e-10):
     """The core gate: check Lax integrability, then the vanishing of the
     antiselfdual Weyl half at every sample point."""
     lax = build_lax(P, pair)
     lres = lax_residual(lax, points)
-    builder = MetricBuilder(pair=pair, factor=factor)
-    pt = point_arrays(points)
-    rep = curvature_report(builder.jets(pt, order=2), builder.coords,
-                           builder.orientation(pt))
-    worst = {k: float(np.max(rep[k]))
-             for k in ("weyl_minus", "weyl_plus", "ricci", "star_defect")}
-    signature_ok = bool(np.all(rep["signature_ok"]))
+    worst, signature_ok = curvature_maxima(
+        MetricBuilder(pair=pair, factor=factor), points)
     return {
         "lax_residual": lres["residual"],
         "lax_cubic_max": lres["cubic_max"],
@@ -347,14 +344,8 @@ def killing_report(builder: MetricBuilder, K, points):
     coords = builder.coords
     K = [as_expression(c, coords) for c in K]
     pt = point_arrays(points)
-    space = JetSpace(coords, 2)
-    env = space.seed(pt)
-    # constant fields or metrics get the point axis too
-    batch = (len(points),)
-    g = stack(builder.jets(pt, order=2))
-    g = Jet(space, np.broadcast_to(g.coeffs, batch + g.coeffs.shape[-3:]))
-    Kj = stack([evaluate(c, env, space=space) for c in K])
-    Kj = Jet(space, np.broadcast_to(Kj.coeffs, batch + Kj.coeffs.shape[-2:]))
+    g = builder.jets(pt, order=2)
+    Kj = jets_at(K, JetSpace(coords, 2), pt)
     gv = np.ascontiguousarray(g.value)
     giv = np.linalg.inv(gv)
     Kv = np.ascontiguousarray(Kj.value)
@@ -404,10 +395,7 @@ def frobenius_residual(fields, coords, points):
     outside span{fields} (least squares)."""
     coords = tuple(coords)
     fields = [[as_expression(c, coords) for c in f] for f in fields]
-    space = JetSpace(coords, 1)
-    env = space.seed(point_arrays(points))
-    jets = stack([[evaluate(c, env, space=space) for c in f] for f in fields])
-    F = np.broadcast_to(jets.coeffs, (len(points),) + jets.coeffs.shape[-3:])
+    F = jets_at(fields, JetSpace(coords, 1), point_arrays(points)).coeffs
     vals = np.ascontiguousarray(F[..., 0])   # vals[p, field, component]
     if np.any(np.linalg.matrix_rank(vals) < len(fields)):
         raise np.linalg.LinAlgError("dependent fields at sample point")
@@ -459,17 +447,13 @@ def build_null_kahler(a, c, f):
     def check(points):
         pt = point_arrays(points)
         space = JetSpace(coords, 1)
-        env = space.seed(pt)
-        J = stack([[evaluate(J_expr[i][j], env, space=space)
-                    for j in range(4)] for i in range(4)])
-        J = np.ascontiguousarray(J.value)
-        om = stack([[evaluate(omega[i][j], env, space=space) for j in range(4)]
-                    for i in range(4)])
+        J = np.ascontiguousarray(jets_at(J_expr, space, pt).value)
+        om = jets_at(omega, space, pt)
         omv = np.ascontiguousarray(om.value)
         dom = om.gradient()   # dom[..., i, j, k] = d_k omega_ij
         d3 = (np.einsum("...jki->...ijk", dom)
               + np.einsum("...kij->...ijk", dom) + dom)
-        g = stack(builder.jets(pt, order=2))
+        g = builder.jets(pt, order=2)
         gv = np.ascontiguousarray(g.value)
         giv = np.linalg.inv(gv)
         # omega(U, V) = g(JU, V):  omega_ab = J^c_a g_cb

@@ -17,7 +17,9 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .jets import Jet, JetDomainError, JetSpace
+import numpy as np
+
+from .jets import Jet, JetDomainError, JetSpace, stack
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -309,12 +311,9 @@ class Expression:
     def diff(self, var: str) -> "Expression":
         return Expression(_diff(self.node, var))
 
-    def __call__(self, env: Mapping[str, Jet | float]):
-        return evaluate(self, env)
-
     def eval_jet(self, space: JetSpace, point: Mapping[str, float]) -> Jet:
         """Evaluate with all space variables seeded at `point`."""
-        return evaluate(self, space.seed(dict(point)), space=space)
+        return jets_at(self, space, point)
 
 
 def _free_vars(node: Node):
@@ -422,35 +421,46 @@ def _diff(node: Node, var: str) -> Node:
 
 # -- evaluation ---------------------------------------------------------------
 
-def evaluate(e: Expression, env: Mapping[str, Jet | float], space: JetSpace | None = None):
-    """Evaluate `e` at a jet point.  All jet values in `env` must share a
-    space; plain floats are lifted to constants.  Returns a Jet when a
-    space is available, otherwise a float."""
-    if space is None:
-        for v in env.values():
-            if isinstance(v, Jet):
-                space = v.space
-                break
+def evaluate(e: Expression, env: Mapping[str, Jet | float], space: JetSpace):
+    """Evaluate `e` over jets of `space` at the point `env`, which maps
+    its variables to jets of that space; plain numbers are lifted to
+    constants."""
     missing = e.free_vars - set(env)
     if missing:
         raise UnknownIdentifierError(f"unassigned variables: {sorted(missing)}")
     try:
         return _eval(e.node, env, space)
-    except (ZeroDivisionError, OverflowError, JetDomainError) as exc:
+    except JetDomainError as exc:
         raise ExprDomainError(str(exc)) from exc
 
 
+def jets_at(exprs, space: JetSpace, point):
+    """Jets of `space` of an Expression, or of a nested list of them, at
+    `point`: a mapping of the space variables to numbers or to
+    equal-shaped arrays of values (see `jets.point_arrays`).
+
+    An Expression gives its jet as evaluated (constant over the points if
+    it is).  A nested list gives one jet whose batch axes are the point
+    axes, which constant entries are broadcast to, followed by the
+    nesting axes, as `jets.stack` lays them out."""
+    env = space.seed(point)
+    if isinstance(exprs, Expression):
+        return evaluate(exprs, env, space)
+
+    def jets(item):
+        if isinstance(item, Expression):
+            return evaluate(item, env, space)
+        return [jets(x) for x in item]
+
+    batch = np.broadcast_shapes(*(j.coeffs.shape[:-1] for j in env.values()))
+    return stack(jets(exprs), batch)
+
+
 def _as_value(x, space):
-    if isinstance(x, Jet):
-        return x
-    if space is not None:
-        return space.constant(float(x))
-    return float(x)
+    return x if isinstance(x, Jet) else space.constant(float(x))
 
 
 def _eval(node: Node, env, space):
-    import math
-
     if isinstance(node, Const):
         return _as_value(node.value, space)
     if isinstance(node, Var):
@@ -470,13 +480,5 @@ def _eval(node: Node, env, space):
     if isinstance(node, Pow):
         return _eval(node.base, env, space) ** node.exponent
     if isinstance(node, Call):
-        arg = _eval(node.arg, env, space)
-        if isinstance(arg, float):
-            try:
-                return getattr(math, node.fn)(arg)
-            except ValueError:   # math's domain error, e.g. log(0.0)
-                raise ExprDomainError(f"{node.fn} outside its domain at "
-                                      f"{arg!r}") from None
-        return getattr(arg, node.fn)()
+        return getattr(_eval(node.arg, env, space), node.fn)()
     raise TypeError(node)
-

@@ -142,23 +142,36 @@ def point_arrays(points) -> dict[str, np.ndarray]:
             for name in points[0]}
 
 
-def stack(jets) -> "Jet":
+def stack(jets, batch=()) -> "Jet":
     """One jet from a nested list of jets of one space: the nesting
-    becomes trailing batch axes, after the broadcast batch axes of the
-    entries.  A jet is returned as it is."""
+    becomes trailing batch axes, after the batch axes of the entries
+    broadcast together and with `batch`.  A jet is returned as it is."""
     if isinstance(jets, Jet):
         return jets
-    nest, flat = [], jets
+    nest, flat = [len(jets)], jets
     while not isinstance(flat[0], Jet):
-        nest.append(len(flat))
+        nest.append(len(flat[0]))
         flat = [j for row in flat for j in row]
-    nest.append(len(flat) // math.prod(nest))
     space = flat[0].space
     if any(j.space is not space for j in flat):
         raise ValueError("jets from different spaces")
-    shape = np.broadcast_shapes(*(j.coeffs.shape for j in flat))
-    coeffs = np.stack([np.broadcast_to(j.coeffs, shape) for j in flat], axis=-2)
+    shape = np.broadcast_shapes(batch + (len(space),),
+                                *(j.coeffs.shape for j in flat))
+    coeffs = np.empty(shape[:-1] + (len(flat),) + shape[-1:])
+    for k, j in enumerate(flat):
+        coeffs[..., k, :] = j.coeffs
     return Jet(space, coeffs.reshape(shape[:-1] + tuple(nest) + shape[-1:]))
+
+
+def unstack(jet, depth):
+    """The nested list of jets, `depth` levels deep, that `stack` makes
+    `jet` from: its last `depth` batch axes are the nesting.  The entries
+    are views of `jet`."""
+    if depth == 0:
+        return jet
+    rest = (slice(None),) * depth
+    return [unstack(Jet(jet.space, jet.coeffs[(..., i) + rest]), depth - 1)
+            for i in range(jet.coeffs.shape[-1 - depth])]
 
 
 def max_abs(*values):

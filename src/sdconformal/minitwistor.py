@@ -20,8 +20,8 @@ of the algebraic bracket from the tangent bundle (where the trace is 3).
 
 import numpy as np
 
-from .expr import Expression, as_expression, evaluate
-from .jets import JetSpace, max_abs
+from .expr import Expression, as_expression, jets_at
+from .jets import JetSpace, max_abs, unstack
 from .projective import COORDS, xy_arrays
 from .conformal import jet_gauss_solve
 
@@ -52,10 +52,9 @@ def _derivative_matrix_jets(P, phi, rho, point, order):
     lowered field (phi_0, phi_1) = (-phi^1, phi^0).  Lowering uses the
     chart area form eps_{01} = 1, which commutes with the weighted
     derivative."""
-    space = JetSpace(COORDS, order + 1)
-    env = space.seed({"x": point[0], "y": point[1]})
-    ph = [evaluate(c, env, space=space) for c in phi]
-    rh = [evaluate(c, env, space=space).truncate(order) for c in rho]
+    ph, rh = unstack(jets_at([phi, rho], JetSpace(COORDS, order + 1),
+                             {"x": point[0], "y": point[1]}), 2)
+    rh = [r.truncate(order) for r in rh]
     g = P.christoffel_jets(point, order)
     tr = [g[0][B][0] + g[1][B][1] for B in range(2)]
     low = [-ph[1].truncate(order), ph[0].truncate(order)]
@@ -158,19 +157,16 @@ def _weyl_gamma_jets(P, cong1, cong2, point):
     c = phi1 . phi2, together with the order-1 jets of c and the full
     six-equation consistency residual of (D + [gamma]) c = 0."""
     order = 1
-    space = JetSpace(COORDS, order + 1)
-    env = space.seed({"x": point[0], "y": point[1]})
-    low = []
-    for cong in (cong1, cong2):
-        ph = [evaluate(c, env, space=space) for c in cong.phi]
-        low.append([-ph[1], ph[0]])
+    phi1, phi2, rho1, rho2 = unstack(jets_at(
+        [cong1.phi, cong2.phi, cong1.rho, cong2.rho],
+        JetSpace(COORDS, order + 1), {"x": point[0], "y": point[1]}), 2)
+    low = [[-ph[1], ph[0]] for ph in (phi1, phi2)]
     # weight-4 symmetric form c_{AC} = (phi1_A phi2_C + phi1_C phi2_A)/2
     c = [[(low[0][A] * low[1][C] + low[0][C] * low[1][A]) * 0.5
           for C in range(2)] for A in range(2)]
     g = P.christoffel_jets(point, order)
     tr = [g[0][B][0] + g[1][B][1] for B in range(2)]
-    rho = [evaluate(cong1.rho[B], env, space=space).truncate(order)
-           + evaluate(cong2.rho[B], env, space=space).truncate(order)
+    rho = [rho1[B].truncate(order) + rho2[B].truncate(order)
            for B in range(2)]
     ct = [[c[A][C].truncate(order) for C in range(2)] for A in range(2)]
     Dc = [[[None, None], [None, None]], [[None, None], [None, None]]]
@@ -220,14 +216,12 @@ def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
     rt = r.swapaxes(-1, -2)
     sym_norm = max_abs(r + rt) * 0.5
     skew_norm = max_abs(r - rt) * 0.5
-    space = JetSpace(COORDS, 1)
-    env = space.seed({"x": point[0], "y": point[1]})
-    F = []
-    for cong in (cong1, cong2):
-        rh = [evaluate(c, env, space=space) for c in cong.rho]
-        F.append(rh[1].derivative("x").value - rh[0].derivative("y").value)
-    fsum = max_abs(F[0] + F[1])
-    fdiff = max_abs(F[0] - F[1])
+    # F[..., i] = d rho_i, the curvature of the i-th line bundle
+    rho = jets_at([cong1.rho, cong2.rho], JetSpace(COORDS, 1),
+                  {"x": point[0], "y": point[1]})
+    F = rho.derivative("x").value[..., 1] - rho.derivative("y").value[..., 0]
+    fsum = max_abs(F[..., 0] + F[..., 1])
+    fdiff = max_abs(F[..., 0] - F[..., 1])
     report = {
         "dc_residual": dc_res,
         "sym_r": sym_norm,
@@ -273,31 +267,26 @@ def projective_field_residual(P, V, points, lambdas=(0.0, 0.5, -0.5, 1.0, -1.0, 
               - lam * lam * V[0].diff("y"))
     lift = [V[0], V[1], lamdot]
     spray = [Expression.const(1.0), lam, P.spray_cubic()]
-    # axes (point, lam), as in pairs.lax_residual
+    # axes (point, lam), as in pairs.lax_residual; then lift or spray,
+    # component, coefficient
     x, y = xy_arrays(points)
-    space = JetSpace(vars3, 1)
-    env = space.seed({"x": x[:, None], "y": y[:, None],
-                      "lambda": np.asarray(lambdas, dtype=float)})
-    batch = (len(x), len(lambdas))
-
-    def coeffs(exprs):
-        return [np.broadcast_to(evaluate(c, env, space=space).coeffs,
-                                batch + (len(space),)) for c in exprs]
-
-    lj, sj = coeffs(lift), coeffs(spray)
+    jets = jets_at([lift, spray], JetSpace(vars3, 1), {
+        "x": x[:, None], "y": y[:, None],
+        "lambda": np.asarray(lambdas, dtype=float)}).coeffs
+    lj, sj = jets[..., 0, :, :], jets[..., 1, :, :]
     # [lift, spray]^i = sum over k of lift^k d_k spray^i - spray^k d_k lift^i,
     # summed in k order: pairs.lie_bracket's matmul changes the last bits
     bracket = []
     for i in range(3):
         acc = 0.0
         for k in range(3):
-            acc += (lj[k][..., 0] * sj[i][..., 1 + k]
-                    - sj[k][..., 0] * lj[i][..., 1 + k])
+            acc += (lj[..., k, 0] * sj[..., i, 1 + k]
+                    - sj[..., k, 0] * lj[..., i, 1 + k])
         bracket.append(acc)
     bracket = np.stack(bracket, axis=-1)
-    sval = np.stack([c[..., 0] for c in sj], axis=-1)
+    sval = np.ascontiguousarray(sj[..., 0])
     perp = np.empty_like(bracket)
-    for n in np.ndindex(batch):
+    for n in np.ndindex(bracket.shape[:-1]):
         coef, _, _, _ = np.linalg.lstsq(sval[n].reshape(-1, 1), bracket[n],
                                         rcond=None)
         perp[n] = bracket[n] - coef[0] * sval[n]

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expression, as_expression, evaluate
-from .jets import JetSpace, max_abs, point_arrays, stack
+from .expr import Expression, as_expression, jets_at
+from .jets import Jet, JetSpace, max_abs, point_arrays
 
 BASE = ("x", "y")
 DEFAULT_LAMBDAS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
@@ -74,23 +74,13 @@ class LaxPair:
         self.L0 = {c: L0.get(c, Expression.const(0.0)) for c in self.coords}
         self.L1 = {c: L1.get(c, Expression.const(0.0)) for c in self.coords}
 
-    def components_at(self, point):
-        """Order-1 jets of all components at a point dict (incl. lambda)."""
-        space = JetSpace(self.coords, 1)
-        env = space.seed(point)
-        u = {c: evaluate(self.L0[c], env, space=space) for c in self.coords}
-        v = {c: evaluate(self.L1[c], env, space=space) for c in self.coords}
-        return u, v
-
     def bracket_at(self, point):
-        """Values of [L0, L1] and of L0 at the point, as arrays whose last
-        axis runs over the coordinates."""
-        u, v = self.components_at(point)
-        u = stack([u[c] for c in self.coords])
-        v = stack([v[c] for c in self.coords])
-        batch = np.broadcast_shapes(*(np.shape(x) for x in point.values()))
-        u, v = (np.broadcast_to(w.coeffs, batch + w.coeffs.shape[-2:])
-                for w in (u, v))
+        """Values of [L0, L1] and of L0 at a point dict over the
+        coordinates (incl. lambda), whose values may be arrays, as arrays
+        whose last axis runs over the coordinates."""
+        uv = jets_at([[L[c] for c in self.coords] for L in (self.L0, self.L1)],
+                     JetSpace(self.coords, 1), point).coeffs
+        u, v = uv[..., 0, :, :], uv[..., 1, :, :]
         return lie_bracket(u, v), np.ascontiguousarray(u[..., 0])
 
 
@@ -175,30 +165,24 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     """
     nf = len(pair.fiber)
     pt = point_arrays(points)
-    batch = (len(points),)
-    space = JetSpace(pair.coords, 1)
     base_space = JetSpace(BASE, 0)
-    env = space.seed(pt)
-    benv = base_space.seed({"x": pt["x"], "y": pt["y"]})
+    base = {"x": pt["x"], "y": pt["y"]}
 
-    def base_value(e):
-        # per point, as a column against the component axis
-        value = evaluate(e, benv, space=base_space).value
-        return np.broadcast_to(value, batch)[:, None]
+    def base_values(exprs):
+        # indexed like `exprs`, each entry a column of per-point values
+        values = jets_at(exprs, base_space, base).value
+        return np.moveaxis(values, 0, -1)[..., None]
 
-    def components(vec):
-        # values [n, i] and gradients [n, i, coordinate] of a vertical field
-        jets = stack([evaluate(c, env, space=space) for c in vec]).coeffs
-        jets = np.broadcast_to(jets, batch + jets.shape[-2:])
-        return jets[..., 0], jets[..., 1:len(pair.coords) + 1]
-
-    gv = [[[base_value(P.christoffel(A, B, C)) for C in range(2)]
-           for B in range(2)] for A in range(2)]
+    gv = base_values([[[P.christoffel(A, B, C) for C in range(2)]
+                       for B in range(2)] for A in range(2)])
     g0 = gv[0][0][0] + gv[1][0][1]
     g1 = gv[0][1][0] + gv[1][1][1]
-    c0, c1 = (base_value(c) for c in pair.c_gauge)
-    a = [components(vec) for vec in pair.alpha]
-    f = [components(vec) for vec in pair.phi]
+    c0, c1 = base_values(pair.c_gauge)
+    # values [n, i] and gradients [n, i, coordinate] of the vertical fields
+    F = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 1), pt).coeffs
+    vals, grads = F[..., 0], F[..., 1:len(pair.coords) + 1]
+    a = [(vals[:, k], grads[:, k]) for k in (0, 1)]
+    f = [(vals[:, k], grads[:, k]) for k in (2, 3)]
 
     def vbracket(u, v):
         # [u, v]^i = u^j d_wj v^i - v^j d_wj u^i, values only
@@ -327,15 +311,12 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8,
 def _quadrature_residuals(H, G, E, F, points):
     """Max over the points (dicts over x, y, t, z) of |G_z - H|, and of
     the transport residuals |H_x + E H_z| and |H_y + F H_z|."""
-    space = JetSpace(BASE + ("t", "z"), 1)
-    env = space.seed(point_arrays(points))
-    Hj = evaluate(H, env, space=space)
-    Gj = evaluate(G, env, space=space)
-    Ev = evaluate(E, env, space=space).value
-    Fv = evaluate(F, env, space=space).value
-    hx, hy, _, hz = np.moveaxis(Hj.gradient(), -1, 0)
-    return (max_abs(Gj.gradient()[..., 3] - Hj.value),
-            max_abs(hx + Ev * hz, hy + Fv * hz))
+    jets = jets_at([H, G, E, F], JetSpace(BASE + ("t", "z"), 1),
+                   point_arrays(points))
+    hv, _, ev, fv = np.moveaxis(jets.value, -1, 0)
+    hx, hy, _, hz = np.moveaxis(jets.gradient()[..., 0, :], -1, 0)
+    return (max_abs(jets.gradient()[..., 1, 3] - hv),
+            max_abs(hx + ev * hz, hy + fv * hz))
 
 
 # -- gauge diagnostics --------------------------------------------------------
@@ -355,40 +336,20 @@ def gauge_reduction_report(pair: ProjectivePair, points, tol=1e-10):
       aff1_translational — o_times_diff1 holds, gauge fields are affine
                         in z, and phi is z-independent (translational).
     """
-    coords = pair.coords
-    nf = len(pair.fiber)
-    space = JetSpace(coords, 3)
-    env = space.seed(point_arrays(points))
-    fields = list(pair.alpha) + list(pair.phi)
-    zname = pair.fiber[-1]
-    # per-point arrays whose largest magnitudes decide the flags
-    div, phi_div, div_fiber_dep, t_dep, z_curv, phi_z_dep = ([] for _ in range(6))
-    for fi, vec in enumerate(fields):
-        comps = [evaluate(c, env, space=space) for c in vec]
-        d = comps[0].derivative(pair.fiber[0])
-        for j in range(1, nf):
-            d = d + comps[j].derivative(pair.fiber[j])
-        div.append(d.value)
-        if fi >= 2:
-            phi_div.append(d.value)
-        grad = d.gradient()
-        div_fiber_dep += [grad[..., j] for j, w in enumerate(coords)
-                          if w in pair.fiber]
-        for c in comps:
-            if nf == 2:
-                t_dep.append(c.derivative(pair.fiber[0]).value)
-            if fi < 2:
-                z_curv.append(c.derivative(zname).derivative(zname).value)
-            else:
-                phi_z_dep.append(c.derivative(zname).value)
-
+    # fields[n, k, i]: component i of alpha0, alpha1, phi0, phi1 (k)
+    fields = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 3),
+                     point_arrays(points))
+    div = _fiber_divergence(fields, pair.fiber)
+    dz = fields.derivative(pair.fiber[-1])
     values = {
-        "div_max": max_abs(*div),
-        "div_fiber_dependence": max_abs(*div_fiber_dep),
-        "phi_div_max": max_abs(*phi_div),
-        "t_dependence": max_abs(*t_dep),
-        "alpha_z_curvature": max_abs(*z_curv),
-        "phi_z_dependence": max_abs(*phi_z_dep),
+        "div_max": max_abs(div.value),
+        "div_fiber_dependence": max_abs(div.gradient()[..., len(BASE):]),
+        "phi_div_max": max_abs(div.value[:, 2:]),
+        "t_dependence": (max_abs(fields.derivative(pair.fiber[0]).value)
+                         if len(pair.fiber) == 2 else 0.0),
+        "alpha_z_curvature": max_abs(
+            dz.derivative(pair.fiber[-1]).value[:, :2]),
+        "phi_z_dependence": max_abs(dz.value[:, 2:]),
     }
     small = {k: v < tol for k, v in values.items()}
     flags = {
@@ -421,23 +382,22 @@ def area_connection_curvature(pair: ProjectivePair, points):
     already-rescaled case.
     """
     nf = len(pair.fiber)
-    space = JetSpace(pair.coords, 2)
-    env = space.seed(point_arrays(points))
-    a0 = [evaluate(c, env, space=space) for c in pair.alpha[0]]
-    a1 = [evaluate(c, env, space=space) for c in pair.alpha[1]]
-
-    def div1(vec):
-        # order-1 jet of the fiber divergence
-        out = vec[0].derivative(pair.fiber[0])
-        for j in range(1, nf):
-            out = out + vec[j].derivative(pair.fiber[j])
-        return out
-
-    rho0, rho1 = div1(a0), div1(a1)
+    alpha = jets_at(pair.alpha, JetSpace(pair.coords, 2), point_arrays(points))
+    a = alpha.value    # a[n, k, j]: component j of alpha_k
+    # d[n, k, :]: gradient of rho_k, the fiber divergence of alpha_k
+    d = _fiber_divergence(alpha, pair.fiber).gradient()
     # X(rho1) - Y(rho0): base derivative + vertical advection
-    xr = rho1.gradient()[..., 0] + sum(
-        a0[j].value * rho1.gradient()[..., 2 + j] for j in range(nf))
-    yr = rho0.gradient()[..., 1] + sum(
-        a1[j].value * rho0.gradient()[..., 2 + j] for j in range(nf))
-    return max_abs(xr - yr, rho0.gradient()[..., 2:2 + nf],
-                   rho1.gradient()[..., 2:2 + nf])
+    xr = d[:, 1, 0] + sum(a[:, 0, j] * d[:, 1, 2 + j] for j in range(nf))
+    yr = d[:, 0, 1] + sum(a[:, 1, j] * d[:, 0, 2 + j] for j in range(nf))
+    return max_abs(xr - yr, d[..., 2:2 + nf])
+
+
+def _fiber_divergence(fields, fiber):
+    """The jet, one order lower, of the fiber divergence sum_j d_wj V^j of
+    each vertical field V: the last batch axis of `fields` runs over the
+    components V^j, and the sum is taken in component order."""
+    d = [fields.derivative(w) for w in fiber]
+    out = d[0].coeffs[..., 0, :]
+    for j in range(1, len(fiber)):
+        out = out + d[j].coeffs[..., j, :]
+    return Jet(d[0].space, out)

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expression, as_expression, evaluate
-from .jets import JetSpace, max_abs, stack
+from .expr import Expression, as_expression, evaluate, jets_at
+from .jets import JetSpace, max_abs, stack, unstack
 
 COORDS = ("x", "y")
 
@@ -90,9 +90,10 @@ class ProjectiveSurface:
         return a0 + a1 * lam + a2 * lam**2 + a3 * lam**3
 
     def spray_value(self, x, y, lam):
-        a = [c.eval_jet(JetSpace(COORDS, 0), {"x": x, "y": y}).value
-             for c in self.spray_coeffs()]
-        return a[0] + a[1] * lam + a[2] * lam**2 + a[3] * lam**3
+        a0, a1, a2, a3 = np.moveaxis(jets_at(
+            self.spray_coeffs(), JetSpace(COORDS, 0), {"x": x, "y": y}).value,
+            -1, 0)
+        return a0 + a1 * lam + a2 * lam**2 + a3 * lam**3
 
     # -- projective change ---------------------------------------------------
 
@@ -116,15 +117,14 @@ class ProjectiveSurface:
 
     # `point` below is a pair (x, y) of numbers, or of equal-shaped arrays
     # whose axes run over sample points; the jets and arrays returned then
-    # carry those point axes in front (a jet that is constant over the
-    # points may lack them).
+    # carry those point axes in front.
 
     def christoffel_jets(self, point, order):
         """Nested list g[A][B][C] of jets of the Christoffels at `point`."""
-        space = JetSpace(COORDS, order)
-        env = space.seed({"x": point[0], "y": point[1]})
-        return [[[evaluate(self.christoffel(A, B, C), env, space=space)
-                  for C in range(2)] for B in range(2)] for A in range(2)]
+        g = jets_at([[[self.christoffel(A, B, C) for C in range(2)]
+                      for B in range(2)] for A in range(2)],
+                    JetSpace(COORDS, order), {"x": point[0], "y": point[1]})
+        return unstack(g, 3)
 
     def curvature_endomorphism(self, point, order=2):
         """The dx^dy component of the curvature of the representative
@@ -159,9 +159,7 @@ class ProjectiveSurface:
 
     def ricci_values(self, point):
         """The values r[..., A, B] at `point`, point axes first."""
-        batch = np.broadcast_shapes(np.shape(point[0]), np.shape(point[1]))
-        r = stack(self.ricci(point, order=2)).value
-        return np.array(np.broadcast_to(r, batch + (2, 2)))
+        return np.ascontiguousarray(stack(self.ricci(point, order=2)).value)
 
     def reconstruct_curvature(self, r_values):
         """B(r)^A_B from a 2x2 array of r values (inverse of the solve in
@@ -220,10 +218,13 @@ class ProjectiveSurface:
         """RK4 integral curve of the spray from (x, y, lam).
 
         Chart 1 (|lam| <= 1) advances x; chart 2 uses mu = 1/lam and
-        advances y.  Returns the path as an array of (x, y, lam) states;
-        `length` is the accumulated chart parameter, so a path that
-        crosses |lam| = 1 switches charts after a step-dependent stretch:
-        halving the step then changes the end point at O(h), not O(h^4).
+        advances y.  Returns the path as an array of (x, y, lam) states.
+        The steps have size `step` and add up to `length`: if `length` is
+        not a whole number of steps (to a relative 1e-9), one last shorter
+        step ends the path there.  `length` is the accumulated chart
+        parameter, so a path that crosses |lam| = 1 switches charts after
+        a step-dependent stretch: halving the step then changes the end
+        point at O(h), not O(h^4).
 
         With a 1-form `rho` = (rho_0, rho_1) the states carry a fourth
         component s, the line-bundle section transported by
@@ -259,13 +260,13 @@ class ProjectiveSurface:
         state = np.array(tuple(start) + (() if rho is None else (1.0,)),
                          dtype=float)
         path = [state]
-        for _ in range(int(round(length / step))):
+        for h in _steps(length, step):
             if abs(state[2]) <= 1.0:
-                state = _rk4_step(rhs1, state, step)
+                state = _rk4_step(rhs1, state, h)
             else:
                 state = state.copy()
                 state[2] = 1.0 / state[2]
-                state = _rk4_step(rhs2, state, step)
+                state = _rk4_step(rhs2, state, h)
                 state[2] = np.inf if state[2] == 0.0 else 1.0 / state[2]
             path.append(state)
         return np.array(path)
@@ -276,14 +277,8 @@ class ProjectiveSurface:
         """Max over `points` (a sequence of (x, y)) of
         |beta_x + beta beta_y - a(beta)| for a slope section beta(x, y).
         `beta` may be an Expression or source text."""
-        beta = as_expression(beta, COORDS)
         x, y = xy_arrays(points)
-        space = JetSpace(COORDS, 1)
-        env = space.seed({"x": x, "y": y})
-        b = evaluate(beta, env, space=space)
-        a = [evaluate(c, env, space=space).value for c in self.spray_coeffs()]
-        bx, by = np.moveaxis(b.gradient(), -1, 0)
-        bv = b.value
+        bv, a, bx, by = self._slope_jets(beta, {"x": x, "y": y})
         res = bx + bv * by - (a[0] + a[1]*bv + a[2]*_pow(bv, 2)
                               + a[3]*_pow(bv, 3))
         return max_abs(res)
@@ -292,14 +287,18 @@ class ProjectiveSurface:
         """b(lam) = beta_y - (a(lam) - a(beta))/(lam - beta), the divided
         difference expanded exactly as a polynomial (no cancellation at
         lam = beta):  b = beta_y - a1 - a2(lam+beta) - a3(lam^2+lam beta+beta^2)."""
-        beta = as_expression(beta, COORDS)
-        space = JetSpace(COORDS, 1)
-        env = space.seed({"x": point[0], "y": point[1]})
-        b = evaluate(beta, env, space=space)
-        a = [evaluate(c, env, space=space).value for c in self.spray_coeffs()]
-        bv = b.value
-        by = b.gradient()[1]
+        bv, a, _, by = self._slope_jets(beta, {"x": point[0], "y": point[1]})
         return by - a[1] - a[2] * (lam + bv) - a[3] * (lam**2 + lam*bv + bv**2)
+
+    def _slope_jets(self, beta, point):
+        """The value of the slope section `beta` at `point`, the list of
+        spray coefficients a0..a3 there and the two first derivatives of
+        `beta`, each an array over the point axes."""
+        jets = jets_at([as_expression(beta, COORDS), *self.spray_coeffs()],
+                       JetSpace(COORDS, 1), point)
+        bv, *a = np.moveaxis(jets.value, -1, 0)
+        bx, by = np.moveaxis(jets.gradient()[..., 0, :], -1, 0)
+        return bv, a, bx, by
 
 
 def _pow(values, n):
@@ -308,6 +307,16 @@ def _pow(values, n):
     bit on a few percent of arguments)."""
     values = np.asarray(values)
     return np.array([v ** n for v in values.ravel()]).reshape(values.shape)
+
+
+def _steps(length, step):
+    """The step sizes of a path of the given length: whole steps of size
+    `step`, then the remainder as one shorter step, unless the length is
+    a whole number of steps to a relative 1e-9."""
+    n = max(length / step, 0.0)
+    if abs(n - round(n)) <= 1e-9 * n:
+        return [step] * round(n)
+    return [step] * int(n) + [length - int(n) * step]
 
 
 def _rk4_step(rhs, state, h):

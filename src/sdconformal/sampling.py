@@ -7,9 +7,7 @@ seed the first n accepted points are always a prefix of the first m > n
 — residual maxima are monotone in the sample count by construction.
 """
 
-import numpy as np
-
-from .expr import evaluate
+from .expr import jets_at
 from .jets import JetSpace
 
 HALTON_BASES = (2, 3, 5, 7, 11)
@@ -58,8 +56,7 @@ def halton_points(names, box, count, seed=0, exclusions=()):
             lo, hi = box[nm]
             pt[nm] = lo + (hi - lo) * radical_inverse(index, HALTON_BASES[d])
         index += 1
-        env = space.seed(pt)
-        if all(abs(evaluate(e, env, space=space).value) > guard
+        if all(abs(jets_at(e, space, pt).value) > guard
                for e, guard in exclusions):
             points.append(pt)
     return points

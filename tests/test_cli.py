@@ -285,3 +285,18 @@ class TestTypedExits:
             main([command, str(SCENES / scene), "--samples", samples])
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", [0.555, 0.57])
+def test_ward_integrates_the_same_length_at_both_steps(capsys, tmp_path,
+                                                       length):
+    # 0.555 is not a whole number of 0.01 steps: both runs must still end
+    # at length 0.555 (a last half step at h, whole steps at h/2)
+    scene = json.loads((SCENES / "ward.json").read_text())
+    scene["ward"].update(start=[0.0, 0.0, 0.5], length=length)
+    path = tmp_path / "ward.json"
+    path.write_text(json.dumps(scene))
+    code, report = run(capsys, "ward", str(path))
+    assert code == 0
+    assert report["checks"][0]["value"] < 1e-9
+    assert report["fitted"]["end"][0] == pytest.approx(length, abs=1e-14)

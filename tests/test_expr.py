@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdconformal.expr import (Expression, parse, to_source, evaluate,
-                              ExprError, ExprSyntaxError, ExprDomainError,
-                              UnknownIdentifierError)
-from sdconformal.jets import JetSpace
+                              jets_at, ExprError, ExprSyntaxError,
+                              ExprDomainError, UnknownIdentifierError)
+from sdconformal.jets import JetSpace, unstack
 
 XY = ("x", "y")
 
@@ -123,8 +124,9 @@ class TestDomainErrors:
                                        ("1/x", 0.0), ("x^-2", 0.0),
                                        ("exp(x)", 800.0)])
     def test_float_evaluation_domain_errors(self, src, x):
+        # evaluation at a plain point is evaluation over order-0 jets
         with pytest.raises(ExprDomainError):
-            parse(src, XY)({"x": x, "y": 0.0})
+            jets_at(parse(src, XY), JetSpace(XY, 0), {"x": x, "y": 0.0})
 
     def test_mixed_spaces_are_a_programming_error(self):
         # not a domain error: jets of two spaces must not meet
@@ -132,6 +134,66 @@ class TestDomainErrors:
         env = JetSpace(XY, 1).seed({"x": 1.0, "y": 0.0})
         with pytest.raises(ValueError, match="different spaces"):
             evaluate(e, env, space=JetSpace(XY, 2))
+
+
+class TestJetsAt:
+    SOURCES = [["x*y + sin(x)", "2.5"], ["exp(y)/x", "y^3 - x"]]
+
+    def test_scalar_point_matches_seed_and_evaluate(self):
+        space = JetSpace(XY, 3)
+        point = {"x": 0.7, "y": -0.4}
+        env = space.seed(point)
+        got = jets_at([[parse(s, XY) for s in row] for row in self.SOURCES],
+                      space, point)
+        assert got.coeffs.shape == (2, 2, len(space))
+        for i, row in enumerate(self.SOURCES):
+            for j, src in enumerate(row):
+                want = evaluate(parse(src, XY), env, space=space)
+                assert np.array_equal(got.coeffs[i, j], want.coeffs)
+
+    def test_nested_list_over_array_point(self):
+        space = JetSpace(XY, 2)
+        xs = np.linspace(0.5, 1.5, 5)
+        point = {"x": xs, "y": xs[::-1] - 1.0}
+        got = jets_at([[parse(s, XY) for s in row] for row in self.SOURCES],
+                      space, point)
+        assert got.coeffs.shape == (5, 2, 2, len(space))
+        # the constant entry carries the point axis, with its value everywhere
+        assert np.array_equal(got.coeffs[:, 0, 1],
+                              np.tile(space.constant(2.5).coeffs, (5, 1)))
+        for n in range(5):
+            single = jets_at([[parse(s, XY) for s in row]
+                              for row in self.SOURCES], space,
+                             {"x": point["x"][n], "y": point["y"][n]})
+            assert np.array_equal(got.coeffs[n], single.coeffs)
+
+    def test_three_nesting_levels_round_trip(self):
+        space = JetSpace(XY, 1)
+        exprs = [[[parse(f"{a}*x + {b}*y + {c}", XY) for c in range(3)]
+                  for b in range(2)] for a in range(2)]
+        point = {"x": np.array([0.1, 0.2, 0.3, 0.4]), "y": 0.5}
+        got = jets_at(exprs, space, point)
+        assert got.coeffs.shape == (4, 2, 2, 3, len(space))
+        entries = unstack(got, 3)
+        for a, b, c in np.ndindex(2, 2, 3):
+            want = jets_at(exprs[a][b][c], space, point)
+            assert np.array_equal(entries[a][b][c].coeffs, want.coeffs)
+
+    def test_single_expression_is_returned_as_evaluated(self):
+        space = JetSpace(XY, 2)
+        point = {"x": np.array([0.5, 1.0, 2.0]), "y": np.zeros(3)}
+        const = jets_at(parse("2.5", XY), space, point)
+        assert const.coeffs.shape == (len(space),)   # not broadcast
+        e = parse("x*exp(y)", XY)
+        want = evaluate(e, space.seed(point), space=space)
+        assert np.array_equal(jets_at(e, space, point).coeffs, want.coeffs)
+        assert np.array_equal(e.eval_jet(space, point).coeffs, want.coeffs)
+
+    def test_float_mode_is_gone(self):
+        e = parse("x + y", XY)
+        assert not callable(e)
+        with pytest.raises(TypeError):
+            evaluate(e, {"x": 1.0, "y": 2.0})
 
 
 # -- randomized round-trip ------------------------------------------------

@@ -142,6 +142,17 @@ class TestWardTransport:
         assert whole["transport"] == pytest.approx(
             first["transport"] * second["transport"], rel=1e-10)
 
+    def test_length_that_is_not_a_whole_number_of_steps(self):
+        # rho = dx on the flat structure: s = exp(-x advance) exactly
+        for step, states in ((0.01, 57), (0.005, 112)):
+            path = FLAT.integrate_geodesic((0.0, 0.0, 0.5), 0.555, step,
+                                           rho=("1", "0"))
+            assert len(path) == states
+            assert path[-1, 0] == pytest.approx(0.555, abs=1e-15)
+            assert path[-1, 3] == pytest.approx(math.exp(-0.555), abs=1e-9)
+        assert len(FLAT.integrate_geodesic((0.0, 0.0, 0.5), 0.004, 0.01)) == 2
+        assert len(FLAT.integrate_geodesic((0.0, 0.0, 0.5), -0.5, 0.01)) == 1
+
     def test_step_halving_converges(self):
         rho = ("y", "x")
         coarse = ward_transport(FLAT, rho, (0.0, 0.0, 0.5), 1.0, 0.02)
