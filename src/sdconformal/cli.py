@@ -18,12 +18,13 @@ import functools
 import hashlib
 import json
 import math
+import numbers
+import re
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .expr import ExprError, ExprDomainError, parse
@@ -43,25 +44,104 @@ class SceneError(Exception):
     """Scene failed to load or validate."""
 
 
-_DOCS = Path(__file__).resolve().parents[2] / "docs"
+_SCHEMAS = Path(__file__).resolve().parent / "schemas"
 
 
 @functools.lru_cache(maxsize=None)
-def _validator(name):
-    """The validator of a schema in docs/, read and checked once a process."""
-    with open(_DOCS / name) as fh:
-        schema = json.load(fh)
+def _schema(name):
+    """A packaged JSON schema, read once a process."""
+    with open(_SCHEMAS / name) as fh:
+        return json.load(fh)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: (isinstance(v, numbers.Number)
+                         and not isinstance(v, bool)),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _json_equal(a, b):
+    """JSON equality of scalars, as jsonschema's `enum` sees it: True is
+    not 1, and 1.0 is 1.  Containers compare unequal (jsonschema decides)."""
+    if isinstance(a, (bool, list, dict)) or isinstance(b, (bool, list, dict)):
+        return a is b
+    return a == b
+
+
+def _extra_keys(inst, schema):
+    """The keys of `inst` that neither `properties` nor
+    `patternProperties` of `schema` covers."""
+    named = schema.get("properties", {})
+    patterns = schema.get("patternProperties", {})
+    return [k for k in inst
+            if k not in named and not any(re.search(p, k) for p in patterns)]
+
+
+def _holds(types, check):
+    """A keyword check that holds vacuously on instances of other types."""
+    return lambda v, arg, schema, root: (not isinstance(v, types)
+                                         or check(v, arg, schema, root))
+
+
+_DEFS = "#/$defs/"
+
+# keyword -> check(instance, keyword argument, schema, root schema)
+_KEYWORDS = {
+    "$schema": lambda *_: True,
+    "$defs": lambda *_: True,
+    "title": lambda *_: True,
+    "description": lambda *_: True,
+    "type": lambda v, a, s, r: any(
+        t in _TYPES and _TYPES[t](v) for t in ([a] if isinstance(a, str) else a)),
+    "enum": lambda v, a, s, r: any(_json_equal(v, e) for e in a),
+    "$ref": lambda v, a, s, r: (a.startswith(_DEFS) and _is_valid(
+        v, r["$defs"][a[len(_DEFS):]], r)),
+    "minimum": lambda v, a, s, r: not _TYPES["number"](v) or not v < a,
+    "pattern": _holds(str, lambda v, a, s, r: re.search(a, v) is not None),
+    "minItems": _holds(list, lambda v, a, s, r: len(v) >= a),
+    "maxItems": _holds(list, lambda v, a, s, r: len(v) <= a),
+    "items": _holds(list, lambda v, a, s, r: all(_is_valid(x, a, r)
+                                                 for x in v)),
+    "required": _holds(dict, lambda v, a, s, r: all(k in v for k in a)),
+    "properties": _holds(dict, lambda v, a, s, r: all(
+        _is_valid(v[k], sub, r) for k, sub in a.items() if k in v)),
+    "patternProperties": _holds(dict, lambda v, a, s, r: all(
+        _is_valid(x, sub, r) for p, sub in a.items()
+        for k, x in v.items() if re.search(p, k))),
+    "additionalProperties": _holds(dict, lambda v, a, s, r: all(
+        _is_valid(v[k], a, r) for k in _extra_keys(v, s))),
+}
+
+
+def _is_valid(inst, schema, root):
+    """Whether `inst` satisfies `schema`, a subschema of `root`.  Only the
+    keywords of the packaged schemas are known; any other keyword answers
+    False, which hands the instance to jsonschema.  So True is exact, and
+    False is confirmed or overruled by jsonschema."""
+    if isinstance(schema, bool):
+        return schema
+    return all(key in _KEYWORDS and _KEYWORDS[key](inst, arg, schema, root)
+               for key, arg in schema.items())
+
+
+def _schema_error(instance, name):
+    """The message of the error `jsonschema.validate` would raise against
+    the packaged schema `name`, or None if `instance` is valid.  jsonschema
+    is imported only to word the error of an invalid instance."""
+    schema = _schema(name)
+    if _is_valid(instance, schema, schema):
+        return None
+    import jsonschema
     cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def _validate(instance, name):
-    """Raise the error `jsonschema.validate` would raise, if any."""
-    errors = _validator(name).iter_errors(instance)
-    error = jsonschema.exceptions.best_match(errors)
-    if error is not None:
-        raise error
+    error = jsonschema.exceptions.best_match(cls(schema).iter_errors(instance))
+    return None if error is None else error.message
 
 
 def load_scene(path):
@@ -70,10 +150,9 @@ def load_scene(path):
         scene = json.loads(raw)
     except (OSError, json.JSONDecodeError) as exc:
         raise SceneError(f"cannot read scene {path}: {exc}") from exc
-    try:
-        _validate(scene, "scene.schema.json")
-    except jsonschema.ValidationError as exc:
-        raise SceneError(f"scene {path} invalid: {exc.message}") from exc
+    message = _schema_error(scene, "scene.schema.json")
+    if message is not None:
+        raise SceneError(f"scene {path} invalid: {message}")
     scene["_digest"] = hashlib.sha256(raw).hexdigest()
     scene["_path"] = str(path)
     return scene
@@ -506,10 +585,9 @@ def main(argv=None):
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
 
-    try:
-        _validate(report, "report.schema.json")
-    except jsonschema.ValidationError as exc:  # defensive; a bug if it fires
-        print(f"internal report error: {exc.message}", file=sys.stderr)
+    message = _schema_error(report, "report.schema.json")
+    if message is not None:  # defensive; a bug if it fires
+        print(f"internal report error: {message}", file=sys.stderr)
         return 3
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -14,6 +14,7 @@ Exponents are integer literals only; general powers go through exp/log.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -311,10 +312,6 @@ class Expression:
     def diff(self, var: str) -> "Expression":
         return Expression(_diff(self.node, var))
 
-    def eval_jet(self, space: JetSpace, point: Mapping[str, float]) -> Jet:
-        """Evaluate with all space variables seeded at `point`."""
-        return jets_at(self, space, point)
-
 
 def _free_vars(node: Node):
     if isinstance(node, Var):
@@ -375,10 +372,6 @@ def _print(node: Node) -> str:
             rhs = f"({rhs})"
         return f"{lhs} {node.op} {rhs}"
     raise TypeError(node)
-
-
-def to_source(e: Expression) -> str:
-    return _print(e.node)
 
 
 # -- symbolic differentiation ------------------------------------------------
@@ -460,9 +453,23 @@ def _as_value(x, space):
     return x if isinstance(x, Jet) else space.constant(float(x))
 
 
+_CONSTANTS: dict[tuple, Jet] = {}
+
+
+def _constant(space, value):
+    """The constant jet `value` of `space`, built once per space and
+    float bits (0.0 and -0.0 stay apart) and shared, so read-only."""
+    key = (space, struct.pack("d", value))
+    jet = _CONSTANTS.get(key)
+    if jet is None:
+        jet = _CONSTANTS[key] = space.constant(value)
+        jet.coeffs.flags.writeable = False
+    return jet
+
+
 def _eval(node: Node, env, space):
     if isinstance(node, Const):
-        return _as_value(node.value, space)
+        return _constant(space, node.value)
     if isinstance(node, Var):
         return _as_value(env[node.name], space)
     if isinstance(node, Neg):

@@ -208,20 +208,6 @@ class Jet:
         scalar for a single point)."""
         return self.coeffs[..., 0][()]
 
-    def extract(self, mu):
-        """The partial derivative d^mu f at the base points."""
-        if isinstance(mu, int):
-            mu = (mu,)
-        mu = tuple(mu)
-        if len(mu) != len(self.space.vars):
-            raise IndexError("multi-index length does not match variables")
-        if mu not in self.space.index:
-            raise IndexError(f"multi-index {mu} exceeds jet order")
-        fact = 1.0
-        for m in mu:
-            fact *= math.factorial(m)
-        return self.coeffs[..., self.space.index[mu]] * fact
-
     def gradient(self) -> np.ndarray:
         """First partial derivatives, in variable order, along a new last
         axis.  In the lex order of the slots they are slots 1..n."""

@@ -2,14 +2,13 @@
 
 A geodesic congruence on the surface, together with a connection on an
 auxiliary line bundle, plays the role of a degree-one divisor in the
-space of geodesics.  This module certifies the first-order equations
-such data satisfy, solves for the canonical line-bundle connection,
-assembles the conformal metric attached to a pair of congruences (the
-degree-two case) with its Weyl connection, checks the symmetric/skew
-curvature dichotomy against the line-bundle curvatures, transports
-line-bundle sections along geodesics (integrated as a fourth state
-component by `ProjectiveSurface.integrate_geodesic`), and tests vector
-fields for preserving the geodesic foliation.
+space of geodesics.  This module assembles the conformal metric
+attached to a pair of congruences (the degree-two case) with its Weyl
+connection, checks the symmetric/skew curvature dichotomy against the
+line-bundle curvatures, transports line-bundle sections along geodesics
+(integrated as a fourth state component by
+`ProjectiveSurface.integrate_geodesic`), and tests vector fields for
+preserving the geodesic foliation.
 
 Everything is chart-local: line bundles are trivialized over the working
 coordinate patch, so their connections are plain 1-forms and weighted
@@ -36,14 +35,6 @@ class WeightedCongruence:
     def __init__(self, phi, rho=("0", "0")):
         self.phi = tuple(as_expression(c, COORDS) for c in phi)
         self.rho = tuple(as_expression(c, COORDS) for c in rho)
-
-    @classmethod
-    def from_slope(cls, beta):
-        """The congruence of slope-beta geodesics, phi = (1, beta), with
-        the canonical connection rho = (d beta/dy, 0) of the flat chart."""
-        beta = as_expression(beta, COORDS)
-        return cls((Expression.const(1.0), beta),
-                   (beta.diff("y"), Expression.const(0.0)))
 
 
 def _derivative_matrix_jets(P, phi, rho, point, order):
@@ -72,68 +63,6 @@ def _derivative_matrix_jets(P, phi, rho, point, order):
         for C in range(2):
             M[B][C] = cov[0] * (C == 1) - cov[1] * (C == 0)
     return M, low
-
-
-def abelian_pair_residual(P, phi, rho, points):
-    """Max norm over sample points of the symmetrized coupled derivative
-    of the congruence field; zero iff (phi, rho) is a genuine weighted
-    congruence of the projective structure."""
-    phi = tuple(as_expression(c, COORDS) for c in phi)
-    rho = tuple(as_expression(c, COORDS) for c in rho)
-    M, _ = _derivative_matrix_jets(P, phi, rho, xy_arrays(points), 0)
-    # the symmetric part (S_00, S_01, S_11)
-    sym = (M[0][0], (M[0][1] + M[1][0]) * 0.5, M[1][1])
-    return max_abs(*(s.value for s in sym))
-
-
-def canonical_connection_from_congruence(P, phi, point):
-    """Solve the three symmetrized-derivative equations for the two
-    components of rho at a point (least squares at jet level).  The
-    leftover residual vanishes exactly when phi is tangent to a geodesic
-    congruence.
-
-    Also reports r(phi, phi) for the representative connection adapted
-    to the congruence.  With the solved rho the covariant derivative of
-    phi is skew, and a further trace shift gamma with gamma(phi) equal
-    to minus the skew part makes it vanish outright; the curvature of
-    the shifted connection then annihilates phi up to a line-bundle
-    curvature term, so its r(phi, phi) must vanish whenever the residual
-    does.
-    """
-    phi = tuple(as_expression(c, COORDS) for c in phi)
-    zero = (Expression.const(0.0), Expression.const(0.0))
-    M0, low = _derivative_matrix_jets(P, phi, zero, point, 1)
-    p = low  # lowered components as order-1 jets
-    if p[0].value == 0.0 and p[1].value == 0.0:
-        raise np.linalg.LinAlgError("congruence field vanishes at the point")
-    # sym(M0 + rho phi): rows (00, 01, 11), columns (rho_0, rho_1)
-    A = [[p[0], p[0].space.constant(0.0)],
-         [p[1] * 0.5, p[0] * 0.5],
-         [p[0].space.constant(0.0), p[1]]]
-    b = [-M0[0][0], -(M0[0][1] + M0[1][0]) * 0.5, -M0[1][1]]
-    # least squares via normal equations, solved at jet level
-    N = [[sum((A[i][j] * A[i][k] for i in range(3)),
-              p[0].space.constant(0.0)) for k in range(2)] for j in range(2)]
-    rhs = [[sum((A[i][j] * b[i] for i in range(3)), p[0].space.constant(0.0))]
-           for j in range(2)]
-    rho = [row[0].truncate(1) for row in jet_gauss_solve(N, rhs)]
-    resid = max(abs((A[i][0] * rho[0] + A[i][1] * rho[1] - b[i]).value)
-                for i in range(3))
-    # full derivative matrix with the solved rho; its skew part m
-    M = [[(M0[B][C] + rho[B] * p[C]).truncate(1) for C in range(2)]
-         for B in range(2)]
-    m = (M[0][1] - M[1][0]) * 0.5
-    # trace shift killing the skew part: gamma(phi) = -m, smooth choice
-    # gamma_B = -m phi^B / |phi|^2 (Euclidean dual in the chart)
-    up = [p[1], -p[0] * 1.0]  # raise back: phi^0 = phi_1, phi^1 = -phi_0
-    norm2 = (up[0] * up[0] + up[1] * up[1]).truncate(1)
-    gam = [(-1.0 * m * up[B] * norm2.reciprocal()).truncate(1)
-           for B in range(2)]
-    r = _shifted_ricci(P, gam, point)
-    pv = np.array([up[0].value, up[1].value])
-    return {"rho": np.array([rho[0].value, rho[1].value]),
-            "residual": resid,
-            "r_phi_phi": float(pv @ r @ pv)}
 
 
 def _shifted_ricci(P, gam, point):

@@ -56,15 +56,6 @@ class ProjectivePair:
     def coords(self):
         return BASE + self.fiber
 
-    @classmethod
-    def trivial(cls, fiber=("w1", "w2")):
-        """phi = coordinate fields, alpha = 0."""
-        n = len(fiber)
-        zero = [0.0] * n
-        phi0 = [1.0 if i == 0 else 0.0 for i in range(n)]
-        phi1 = [1.0 if i == min(1, n - 1) else 0.0 for i in range(n)]
-        return cls(fiber, zero, zero, phi0, phi1)
-
 
 class LaxPair:
     """Two lam-dependent vector fields on base + fiber + lam."""
@@ -106,13 +97,6 @@ def build_lax(P, pair: ProjectivePair) -> LaxPair:
         L0[w] = pair.phi[0][i] + lam * pair.phi[1][i]
         L1[w] = pair.alpha[0][i] + lam * pair.alpha[1][i]
     return LaxPair(coords, L0, L1)
-
-
-def add_multiple_of_l0(lax: LaxPair, q) -> LaxPair:
-    """The residual trivialization freedom L1 -> L1 + q(x, y) L0."""
-    q = as_expression(q, lax.coords)
-    L1 = {c: lax.L1[c] + q * lax.L0[c] for c in lax.coords}
-    return LaxPair(lax.coords, dict(lax.L0), L1)
 
 
 def lax_residual(lax: LaxPair, points, lambdas=DEFAULT_LAMBDAS):
@@ -362,34 +346,6 @@ def gauge_reduction_report(pair: ProjectivePair, points, tol=1e-10):
                                and small["phi_z_dependence"]),
     }
     return flags, values
-
-
-def area_connection_curvature(pair: ProjectivePair, points):
-    """Curvature of the connection induced on the fiber-area line bundle.
-
-    In the coordinate trivialization by dw1 ^ dw2 the connection form is
-    theta = rho0 dx + rho1 dy with rho_i = div_w(alpha_i), vanishing on
-    vertical vectors.  Its curvature has the horizontal component
-
-        F(X, Y) = X(rho1) - Y(rho0)
-
-    (X = dx + alpha0, Y = dy + alpha1; the commutator [X, Y] is vertical,
-    so theta kills it) together with the mixed components F(X, d_wj) =
-    -d_wj rho0 and F(Y, d_wj) = -d_wj rho1.  Returns the max of all
-    components over the points.  Flatness means the divergences are
-    fiber-independent and curl-free, i.e. removable by rescaling the
-    area form by a base function; rho = 0 (the sdiff2 flag) is the
-    already-rescaled case.
-    """
-    nf = len(pair.fiber)
-    alpha = jets_at(pair.alpha, JetSpace(pair.coords, 2), point_arrays(points))
-    a = alpha.value    # a[n, k, j]: component j of alpha_k
-    # d[n, k, :]: gradient of rho_k, the fiber divergence of alpha_k
-    d = _fiber_divergence(alpha, pair.fiber).gradient()
-    # X(rho1) - Y(rho0): base derivative + vertical advection
-    xr = d[:, 1, 0] + sum(a[:, 0, j] * d[:, 1, 2 + j] for j in range(nf))
-    yr = d[:, 0, 1] + sum(a[:, 1, j] * d[:, 0, 2 + j] for j in range(nf))
-    return max_abs(xr - yr, d[..., 2:2 + nf])
 
 
 def _fiber_divergence(fields, fiber):

@@ -15,12 +15,10 @@ slope bundle, with
     a2 = -2 G^0_01 + G^1_11, a3 = -G^0_11.
 
 The module also provides the curvature of the representative connection
-(reduced to a 2x2 bilinear form r), the associated third-order invariant
-(the covariant curl of r), the homogeneity-weighted lift of the spray to
-the tangent bundle, geodesic integration in two slope charts (the one
-RK4 integrator, which also transports the line-bundle sections of
-`minitwistor.ward_transport`), and residuals for geodesic congruences
-lam = beta(x, y).
+(reduced to a 2x2 bilinear form r), geodesic integration in two slope
+charts (the one RK4 integrator, which also transports the line-bundle
+sections of `minitwistor.ward_transport`), and residuals for geodesic
+congruences lam = beta(x, y).
 """
 from __future__ import annotations
 
@@ -89,30 +87,6 @@ class ProjectiveSurface:
         a0, a1, a2, a3 = self.spray_coeffs()
         return a0 + a1 * lam + a2 * lam**2 + a3 * lam**3
 
-    def spray_value(self, x, y, lam):
-        a0, a1, a2, a3 = np.moveaxis(jets_at(
-            self.spray_coeffs(), JetSpace(COORDS, 0), {"x": x, "y": y}).value,
-            -1, 0)
-        return a0 + a1 * lam + a2 * lam**2 + a3 * lam**3
-
-    # -- projective change ---------------------------------------------------
-
-    def projective_change(self, gamma0, gamma1) -> "ProjectiveSurface":
-        """Shift the representative by the 1-form (gamma0, gamma1):
-        G^A_BC -> G^A_BC + gamma_B delta^A_C + gamma_C delta^A_B."""
-        gam = (as_expression(gamma0, COORDS), as_expression(gamma1, COORDS))
-        shifted = {}
-        for (A, B, C), expr in self.gamma.items():
-            delta = Expression.const(0.0)
-            if A == C:
-                delta = delta + gam[B]
-            if A == B:
-                delta = delta + gam[C]
-            shifted[(A, B, C)] = expr + delta
-        out = ProjectiveSurface({})
-        out.gamma = shifted
-        return out
-
     # -- curvature -----------------------------------------------------------
 
     # `point` below is a pair (x, y) of numbers, or of equal-shaped arrays
@@ -161,58 +135,7 @@ class ProjectiveSurface:
         """The values r[..., A, B] at `point`, point axes first."""
         return np.ascontiguousarray(stack(self.ricci(point, order=2)).value)
 
-    def reconstruct_curvature(self, r_values):
-        """B(r)^A_B from a 2x2 array of r values (inverse of the solve in
-        `ricci`); used as a self-consistency oracle."""
-        r = np.asarray(r_values, dtype=float)
-        R = np.zeros((2, 2))
-        for A in range(2):
-            for B in range(2):
-                R[A][B] = (r[0][B] * (A == 1) - r[1][B] * (A == 0)
-                           + (r[0][1] - r[1][0]) * (A == B))
-        return R
-
-    def cotton(self, point):
-        """The two components (C_0, C_1) of the covariant curl of r:
-        C_C = D_0 r_1C - D_1 r_0C with the connection acting on both slots.
-        Projectively invariant; needs third derivatives of the metric data,
-        i.e. order-3 jets of the Christoffels."""
-        g = self.christoffel_jets(point, 1)
-        r = self.ricci(point, order=3)  # order-2 jets
-
-        def Dr(B, A, C):
-            out = r[A][C].derivative(COORDS[B]).value
-            for E in range(2):
-                out -= g[E][B][A].value * r[E][C].value
-                out -= g[E][B][C].value * r[A][E].value
-            return out
-
-        return np.array([Dr(0, 1, 0) - Dr(1, 0, 0),
-                         Dr(0, 1, 1) - Dr(1, 0, 1)])
-
-    # -- spray lift and geodesics ---------------------------------------------
-
-    def lifted_spray_velocity(self, state):
-        """Velocity of (x, y, pi0, pi1) under the homogeneity-0 lift of the
-        spray to TN: xdot^A = pi^A, pidot^A = pi^B pi^C Ghat^A_BC with
-        Ghat^A_BC = G^A_BC - (2/3) delta^A_C G^E_BE."""
-        x, y, p0, p1 = state
-        if p0 == 0.0 and p1 == 0.0:
-            raise ValueError("zero fiber vector")
-        g = self.christoffel_jets((x, y), 0)
-        gv = [[[g[A][B][C].value for C in range(2)] for B in range(2)]
-              for A in range(2)]
-        trace = [gv[0][B][0] + gv[1][B][1] for B in range(2)]
-        pi = (p0, p1)
-        pidot = []
-        for A in range(2):
-            acc = 0.0
-            for B in range(2):
-                for C in range(2):
-                    ghat = gv[A][B][C] - (2.0 / 3.0) * (A == C) * trace[B]
-                    acc += pi[B] * pi[C] * ghat
-            pidot.append(acc)
-        return np.array([p0, p1, pidot[0], pidot[1]])
+    # -- geodesics ------------------------------------------------------------
 
     def integrate_geodesic(self, start, length, step, rho=None):
         """RK4 integral curve of the spray from (x, y, lam).

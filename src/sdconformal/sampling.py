@@ -2,12 +2,13 @@
 
 Sample points come from a Halton sequence (one prime base per
 coordinate), offset by the seed, and mapped affinely onto the declared
-box.  Points violating an exclusion guard are skipped, so for a fixed
-seed the first n accepted points are always a prefix of the first m > n
-— residual maxima are monotone in the sample count by construction.
+box.  Points violating an exclusion guard, or at which a guard is
+singular, are skipped, so for a fixed seed the first n accepted points
+are always a prefix of the first m > n — residual maxima are monotone
+in the sample count by construction.
 """
 
-from .expr import jets_at
+from .expr import ExprDomainError, jets_at
 from .jets import JetSpace
 
 HALTON_BASES = (2, 3, 5, 7, 11)
@@ -34,7 +35,8 @@ def halton_points(names, box, count, seed=0, exclusions=()):
 
     `box` maps each name to (lo, hi); `exclusions` is a sequence of
     (expression, guard) pairs and a candidate is rejected unless
-    |expression| > guard at the candidate.
+    |expression| > guard at the candidate.  A guard that hits a domain
+    error (log(0), 1/0, ...) at a candidate rejects it.
     """
     names = tuple(names)
     if len(names) > len(HALTON_BASES):
@@ -56,7 +58,14 @@ def halton_points(names, box, count, seed=0, exclusions=()):
             lo, hi = box[nm]
             pt[nm] = lo + (hi - lo) * radical_inverse(index, HALTON_BASES[d])
         index += 1
-        if all(abs(jets_at(e, space, pt).value) > guard
-               for e, guard in exclusions):
+        if all(_clear(e, guard, space, pt) for e, guard in exclusions):
             points.append(pt)
     return points
+
+
+def _clear(expr, guard, space, point):
+    """Whether |expr| > guard at the point; False where expr is singular."""
+    try:
+        return abs(jets_at(expr, space, point).value) > guard
+    except ExprDomainError:
+        return False

@@ -1,0 +1,244 @@
+"""Reference computations the tests check the package against.
+
+None of these serves a command: they are independent routes to the same
+quantities (a derivative read off a jet, the curvature rebuilt from r,
+the canonical line-bundle connection solved at one point, ...), or
+constructors of test data (projective changes, trivial pairs, slope
+congruences).  Those that read a package object (a jet, a surface, a
+Lax pair) take it as their first argument.
+"""
+import math
+
+import numpy as np
+
+from sdconformal.conformal import jet_gauss_solve
+from sdconformal.expr import Expression, _print, as_expression, jets_at
+from sdconformal.jets import JetSpace, max_abs, point_arrays
+from sdconformal.minitwistor import (WeightedCongruence,
+                                     _derivative_matrix_jets, _shifted_ricci)
+from sdconformal.pairs import LaxPair, ProjectivePair, _fiber_divergence
+from sdconformal.projective import COORDS, ProjectiveSurface, xy_arrays
+
+
+# -- expressions and jets -------------------------------------------------------
+
+def to_source(e):
+    return _print(e.node)
+
+
+def eval_jet(e, space, point):
+    """Evaluate with all space variables seeded at `point`."""
+    return jets_at(e, space, point)
+
+
+def extract(jet, mu):
+    """The partial derivative d^mu f of `jet` at its base points."""
+    if isinstance(mu, int):
+        mu = (mu,)
+    mu = tuple(mu)
+    if len(mu) != len(jet.space.vars):
+        raise IndexError("multi-index length does not match variables")
+    if mu not in jet.space.index:
+        raise IndexError(f"multi-index {mu} exceeds jet order")
+    fact = 1.0
+    for m in mu:
+        fact *= math.factorial(m)
+    return jet.coeffs[..., jet.space.index[mu]] * fact
+
+
+# -- projective surfaces --------------------------------------------------------
+
+def spray_value(P, x, y, lam):
+    a0, a1, a2, a3 = np.moveaxis(jets_at(
+        P.spray_coeffs(), JetSpace(COORDS, 0), {"x": x, "y": y}).value,
+        -1, 0)
+    return a0 + a1 * lam + a2 * lam**2 + a3 * lam**3
+
+
+def projective_change(P, gamma0, gamma1):
+    """Shift the representative of P by the 1-form (gamma0, gamma1):
+    G^A_BC -> G^A_BC + gamma_B delta^A_C + gamma_C delta^A_B."""
+    gam = (as_expression(gamma0, COORDS), as_expression(gamma1, COORDS))
+    shifted = {}
+    for (A, B, C), expr in P.gamma.items():
+        delta = Expression.const(0.0)
+        if A == C:
+            delta = delta + gam[B]
+        if A == B:
+            delta = delta + gam[C]
+        shifted[(A, B, C)] = expr + delta
+    out = ProjectiveSurface({})
+    out.gamma = shifted
+    return out
+
+
+def reconstruct_curvature(r_values):
+    """B(r)^A_B from a 2x2 array of r values (inverse of the solve in
+    `ProjectiveSurface.ricci`)."""
+    r = np.asarray(r_values, dtype=float)
+    R = np.zeros((2, 2))
+    for A in range(2):
+        for B in range(2):
+            R[A][B] = (r[0][B] * (A == 1) - r[1][B] * (A == 0)
+                       + (r[0][1] - r[1][0]) * (A == B))
+    return R
+
+
+def cotton(P, point):
+    """The two components (C_0, C_1) of the covariant curl of r:
+    C_C = D_0 r_1C - D_1 r_0C with the connection acting on both slots.
+    Projectively invariant; needs third derivatives of the metric data,
+    i.e. order-3 jets of the Christoffels."""
+    g = P.christoffel_jets(point, 1)
+    r = P.ricci(point, order=3)  # order-2 jets
+
+    def Dr(B, A, C):
+        out = r[A][C].derivative(COORDS[B]).value
+        for E in range(2):
+            out -= g[E][B][A].value * r[E][C].value
+            out -= g[E][B][C].value * r[A][E].value
+        return out
+
+    return np.array([Dr(0, 1, 0) - Dr(1, 0, 0),
+                     Dr(0, 1, 1) - Dr(1, 0, 1)])
+
+
+def lifted_spray_velocity(P, state):
+    """Velocity of (x, y, pi0, pi1) under the homogeneity-0 lift of the
+    spray to TN: xdot^A = pi^A, pidot^A = pi^B pi^C Ghat^A_BC with
+    Ghat^A_BC = G^A_BC - (2/3) delta^A_C G^E_BE."""
+    x, y, p0, p1 = state
+    if p0 == 0.0 and p1 == 0.0:
+        raise ValueError("zero fiber vector")
+    g = P.christoffel_jets((x, y), 0)
+    gv = [[[g[A][B][C].value for C in range(2)] for B in range(2)]
+          for A in range(2)]
+    trace = [gv[0][B][0] + gv[1][B][1] for B in range(2)]
+    pi = (p0, p1)
+    pidot = []
+    for A in range(2):
+        acc = 0.0
+        for B in range(2):
+            for C in range(2):
+                ghat = gv[A][B][C] - (2.0 / 3.0) * (A == C) * trace[B]
+                acc += pi[B] * pi[C] * ghat
+        pidot.append(acc)
+    return np.array([p0, p1, pidot[0], pidot[1]])
+
+
+# -- pairs ----------------------------------------------------------------------
+
+def trivial_pair(fiber=("w1", "w2")):
+    """phi = coordinate fields, alpha = 0."""
+    n = len(fiber)
+    zero = [0.0] * n
+    phi0 = [1.0 if i == 0 else 0.0 for i in range(n)]
+    phi1 = [1.0 if i == min(1, n - 1) else 0.0 for i in range(n)]
+    return ProjectivePair(fiber, zero, zero, phi0, phi1)
+
+
+def add_multiple_of_l0(lax, q):
+    """The residual trivialization freedom L1 -> L1 + q(x, y) L0."""
+    q = as_expression(q, lax.coords)
+    L1 = {c: lax.L1[c] + q * lax.L0[c] for c in lax.coords}
+    return LaxPair(lax.coords, dict(lax.L0), L1)
+
+
+def area_connection_curvature(pair, points):
+    """Curvature of the connection induced on the fiber-area line bundle.
+
+    In the coordinate trivialization by dw1 ^ dw2 the connection form is
+    theta = rho0 dx + rho1 dy with rho_i = div_w(alpha_i), vanishing on
+    vertical vectors.  Its curvature has the horizontal component
+
+        F(X, Y) = X(rho1) - Y(rho0)
+
+    (X = dx + alpha0, Y = dy + alpha1; the commutator [X, Y] is vertical,
+    so theta kills it) together with the mixed components F(X, d_wj) =
+    -d_wj rho0 and F(Y, d_wj) = -d_wj rho1.  Returns the max of all
+    components over the points.  Flatness means the divergences are
+    fiber-independent and curl-free, i.e. removable by rescaling the
+    area form by a base function; rho = 0 (the sdiff2 flag) is the
+    already-rescaled case.
+    """
+    nf = len(pair.fiber)
+    alpha = jets_at(pair.alpha, JetSpace(pair.coords, 2), point_arrays(points))
+    a = alpha.value    # a[n, k, j]: component j of alpha_k
+    # d[n, k, :]: gradient of rho_k, the fiber divergence of alpha_k
+    d = _fiber_divergence(alpha, pair.fiber).gradient()
+    # X(rho1) - Y(rho0): base derivative + vertical advection
+    xr = d[:, 1, 0] + sum(a[:, 0, j] * d[:, 1, 2 + j] for j in range(nf))
+    yr = d[:, 0, 1] + sum(a[:, 1, j] * d[:, 0, 2 + j] for j in range(nf))
+    return max_abs(xr - yr, d[..., 2:2 + nf])
+
+
+# -- weighted congruences -------------------------------------------------------
+
+def congruence_from_slope(beta):
+    """The congruence of slope-beta geodesics, phi = (1, beta), with
+    the canonical connection rho = (d beta/dy, 0) of the flat chart."""
+    beta = as_expression(beta, COORDS)
+    return WeightedCongruence((Expression.const(1.0), beta),
+                              (beta.diff("y"), Expression.const(0.0)))
+
+
+def abelian_pair_residual(P, phi, rho, points):
+    """Max norm over sample points of the symmetrized coupled derivative
+    of the congruence field; zero iff (phi, rho) is a genuine weighted
+    congruence of the projective structure."""
+    phi = tuple(as_expression(c, COORDS) for c in phi)
+    rho = tuple(as_expression(c, COORDS) for c in rho)
+    M, _ = _derivative_matrix_jets(P, phi, rho, xy_arrays(points), 0)
+    # the symmetric part (S_00, S_01, S_11)
+    sym = (M[0][0], (M[0][1] + M[1][0]) * 0.5, M[1][1])
+    return max_abs(*(s.value for s in sym))
+
+
+def canonical_connection_from_congruence(P, phi, point):
+    """Solve the three symmetrized-derivative equations for the two
+    components of rho at a point (least squares at jet level).  The
+    leftover residual vanishes exactly when phi is tangent to a geodesic
+    congruence.
+
+    Also reports r(phi, phi) for the representative connection adapted
+    to the congruence.  With the solved rho the covariant derivative of
+    phi is skew, and a further trace shift gamma with gamma(phi) equal
+    to minus the skew part makes it vanish outright; the curvature of
+    the shifted connection then annihilates phi up to a line-bundle
+    curvature term, so its r(phi, phi) must vanish whenever the residual
+    does.
+    """
+    phi = tuple(as_expression(c, COORDS) for c in phi)
+    zero = (Expression.const(0.0), Expression.const(0.0))
+    M0, low = _derivative_matrix_jets(P, phi, zero, point, 1)
+    p = low  # lowered components as order-1 jets
+    if p[0].value == 0.0 and p[1].value == 0.0:
+        raise np.linalg.LinAlgError("congruence field vanishes at the point")
+    # sym(M0 + rho phi): rows (00, 01, 11), columns (rho_0, rho_1)
+    A = [[p[0], p[0].space.constant(0.0)],
+         [p[1] * 0.5, p[0] * 0.5],
+         [p[0].space.constant(0.0), p[1]]]
+    b = [-M0[0][0], -(M0[0][1] + M0[1][0]) * 0.5, -M0[1][1]]
+    # least squares via normal equations, solved at jet level
+    N = [[sum((A[i][j] * A[i][k] for i in range(3)),
+              p[0].space.constant(0.0)) for k in range(2)] for j in range(2)]
+    rhs = [[sum((A[i][j] * b[i] for i in range(3)), p[0].space.constant(0.0))]
+           for j in range(2)]
+    rho = [row[0].truncate(1) for row in jet_gauss_solve(N, rhs)]
+    resid = max(abs((A[i][0] * rho[0] + A[i][1] * rho[1] - b[i]).value)
+                for i in range(3))
+    # full derivative matrix with the solved rho; its skew part m
+    M = [[(M0[B][C] + rho[B] * p[C]).truncate(1) for C in range(2)]
+         for B in range(2)]
+    m = (M[0][1] - M[1][0]) * 0.5
+    # trace shift killing the skew part: gamma(phi) = -m, smooth choice
+    # gamma_B = -m phi^B / |phi|^2 (Euclidean dual in the chart)
+    up = [p[1], -p[0] * 1.0]  # raise back: phi^0 = phi_1, phi^1 = -phi_0
+    norm2 = (up[0] * up[0] + up[1] * up[1]).truncate(1)
+    gam = [(-1.0 * m * up[B] * norm2.reciprocal()).truncate(1)
+           for B in range(2)]
+    r = _shifted_ricci(P, gam, point)
+    pv = np.array([up[0].value, up[1].value])
+    return {"rho": np.array([rho[0].value, rho[1].value]),
+            "residual": resid,
+            "r_phi_phi": float(pv @ r @ pv)}

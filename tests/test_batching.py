@@ -21,11 +21,10 @@ from sdconformal.conformal import (MetricBuilder, build_null_kahler,
 from sdconformal.expr import evaluate, parse
 from sdconformal.jets import Jet, JetSpace, point_arrays, stack
 from sdconformal.minitwistor import (WeightedCongruence, _weyl_gamma_jets,
-                                     abelian_pair_residual,
                                      divisor_two_report,
                                      projective_field_residual)
 from sdconformal.pairs import (ProjectivePair, _quadrature_residuals,
-                               area_connection_curvature, build_lax,
+                               build_lax,
                                dw_quadrature_build, gauge_reduction_report,
                                lax_residual, lie_bracket,
                                projective_pair_residual,
@@ -34,6 +33,9 @@ from sdconformal.projective import (COORDS, ProjectiveSurface, _pow,
                                     xy_arrays)
 from sdconformal.sampling import halton_points
 from test_acceptance import _frobenius_scene
+from oracles import (abelian_pair_residual, area_connection_curvature,
+                     congruence_from_slope, cotton, projective_change,
+                     trivial_pair)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 FLAT = ProjectiveSurface.flat()
@@ -66,7 +68,7 @@ def _cases():
                                 alpha1=["0", "0.2*w1"], phi0=["1", "0.3"],
                                 phi1=["y", "1"])
     return {
-        "flat": (FLAT, ProjectivePair.trivial(), None, _box("flat"), None),
+        "flat": (FLAT, trivial_pair(), None, _box("flat"), None),
         "nullkahler_hk": (ProjectiveSurface({(1, 0, 0): "0.4*x"}), hk_pair,
                           "1/z^2", _box("nullkahler_hk"), None),
         "nullkahler_random": _null_kahler("0.3*x + 0.1*y", "0.2*x - 0.4*y",
@@ -232,7 +234,7 @@ def _divisors():
                      name)
     # the root congruences on a projectively changed structure
     out["divisor2_shifted"] = (
-        _scene_surface("divisor2_roots").projective_change("0.1*y", "0.2*x"),
+        projective_change(_scene_surface("divisor2_roots"), "0.1*y", "0.2*x"),
         out["divisor2_roots"][1], "divisor2_roots")
     return out
 
@@ -502,8 +504,8 @@ def test_pow_is_the_numpy_scalar_power():
 def test_single_point_calls_still_work():
     p = _surface_points("curved")[0]
     assert CURVED.ricci_values(p).shape == (2, 2)
-    assert CURVED.cotton(p).shape == (2,)
-    cong = WeightedCongruence.from_slope("y/x")
+    assert cotton(CURVED, p).shape == (2,)
+    cong = congruence_from_slope("y/x")
     assert abelian_pair_residual(ProjectiveSurface.flat(), cong.phi,
                                  cong.rho, [(0.8, 1.3)]) < 1e-13
 

@@ -8,6 +8,8 @@ import jsonschema
 import pytest
 
 from sdconformal.cli import _check, main
+from sdconformal.expr import parse
+from sdconformal.sampling import halton_points
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -256,6 +258,22 @@ class TestTypedExits:
         code, err = self._run(capsys, tmp_path, "congruence", "burgers", edit)
         assert code == 2
         assert err.startswith("scene error: exclusion guards reject")
+
+    def test_singular_guard_rejects_the_candidate(self, capsys, tmp_path):
+        # log(x) is singular on half the box: those candidates are
+        # rejected like ones inside the guard, not a domain error
+        scene = json.loads((SCENES / "burgers.json").read_text())
+        scene["sampling"]["box"]["x"] = [-1.0, 1.0]
+        scene["sampling"]["exclusions"] = [{"expr": "log(x)", "guard": 0.1}]
+        path = tmp_path / "burgers.json"
+        path.write_text(json.dumps(scene))
+        code, report = run(capsys, "congruence", str(path))
+        assert code == 0
+        assert report["samples"] == 32
+        points = halton_points(("x", "y"), scene["sampling"]["box"], 32,
+                               exclusions=[(parse("log(x)", ("x", "y")), 0.1)])
+        assert len(points) == 32
+        assert all(p["x"] > 0 and abs(math.log(p["x"])) > 0.1 for p in points)
 
     def test_empty_box_interval_is_a_scene_error(self, capsys, tmp_path):
         def edit(scene):

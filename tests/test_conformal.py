@@ -5,11 +5,12 @@ import pytest
 
 from sdconformal.jets import JetSpace
 from sdconformal.projective import ProjectiveSurface
-from sdconformal.pairs import ProjectivePair, dw_quadrature_build
+from sdconformal.pairs import dw_quadrature_build
 from sdconformal.conformal import (MetricBuilder, curvature_report,
                                    certify_selfdual, killing_report,
                                    frobenius_residual, build_null_kahler,
                                    jet_matrix_inverse, frame_values)
+from oracles import trivial_pair
 
 FLAT = ProjectiveSurface.flat()
 
@@ -46,7 +47,7 @@ class TestJetLinearAlgebra:
 
 class TestFlatMetric:
     def test_trivial_pair_gives_flat_split_metric(self):
-        builder = MetricBuilder(pair=ProjectivePair.trivial())
+        builder = MetricBuilder(pair=trivial_pair())
         for pt in _points4(("x", "y", "w1", "w2"), 4):
             rep = curvature_report(builder.jets(pt), builder.coords,
                                    builder.orientation(pt))
@@ -55,7 +56,7 @@ class TestFlatMetric:
             assert rep["signature_ok"]
 
     def test_certifier_passes_the_trivial_scene(self):
-        out = certify_selfdual(FLAT, ProjectivePair.trivial(),
+        out = certify_selfdual(FLAT, trivial_pair(),
                                _points4(("x", "y", "w1", "w2"), 4))
         assert out["pass"]
         assert out["weyl_minus"] < 1e-12

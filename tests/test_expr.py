@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdconformal.expr import (Expression, parse, to_source, evaluate,
+from sdconformal.expr import (Expression, _constant, parse, evaluate,
                               jets_at, ExprError, ExprSyntaxError,
                               ExprDomainError, UnknownIdentifierError)
 from sdconformal.jets import JetSpace, unstack
+from oracles import eval_jet, to_source
 
 XY = ("x", "y")
 
@@ -187,13 +188,46 @@ class TestJetsAt:
         e = parse("x*exp(y)", XY)
         want = evaluate(e, space.seed(point), space=space)
         assert np.array_equal(jets_at(e, space, point).coeffs, want.coeffs)
-        assert np.array_equal(e.eval_jet(space, point).coeffs, want.coeffs)
+        assert np.array_equal(eval_jet(e, space, point).coeffs, want.coeffs)
 
     def test_float_mode_is_gone(self):
         e = parse("x + y", XY)
         assert not callable(e)
         with pytest.raises(TypeError):
             evaluate(e, {"x": 1.0, "y": 2.0})
+
+
+class TestConstantCache:
+    """Each constant jet is built once per (space, float bits) and shared."""
+
+    def test_constant_jets_are_shared_and_read_only(self):
+        space = JetSpace(XY, 2)
+        e = parse("2.5", XY)
+        first = evaluate(e, space.seed({"x": 1.0, "y": 2.0}), space)
+        again = evaluate(e, space.seed({"x": -1.0, "y": 0.0}), space)
+        assert first is again
+        assert np.array_equal(first.coeffs, space.constant(2.5).coeffs)
+        with pytest.raises(ValueError):
+            first.coeffs[0] = 1.0
+        # the arithmetic on a shared constant leaves it alone
+        evaluate(parse("2.5*x + 2.5", XY), space.seed({"x": 3.0, "y": 1.0}),
+                 space)
+        assert np.array_equal(first.coeffs, space.constant(2.5).coeffs)
+
+    def test_signed_zeros_and_spaces_stay_apart(self):
+        space = JetSpace(XY, 1)
+        plus, minus = _constant(space, 0.0), _constant(space, -0.0)
+        assert plus is not minus
+        assert not np.signbit(plus.coeffs[0]) and np.signbit(minus.coeffs[0])
+        other = _constant(JetSpace(XY, 2), 0.0)
+        assert other.space is JetSpace(XY, 2) and len(other.coeffs) == 6
+
+    def test_variables_are_still_fresh_arrays(self):
+        space = JetSpace(XY, 1)
+        _constant(space, 1.0)
+        x = space.variable("x", 1.0)
+        assert x.coeffs.flags.writeable
+        assert np.array_equal(x.coeffs, [1.0, 1.0, 0.0])
 
 
 # -- randomized round-trip ------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdconformal.jets import Jet, JetSpace, JetDomainError
+from oracles import extract
 
 
 def _poly(space, x, y):
@@ -28,8 +29,8 @@ class TestBasics:
         env = space.seed({"x": 1.5, "y": -0.5})
         f = _poly(space, env["x"], env["y"])
         # d^3 f / dx^2 dy = 2 everywhere
-        assert f.extract((2, 1)) == 2.0
-        assert f.extract((0, 3)) == -18.0
+        assert extract(f, (2, 1)) == 2.0
+        assert extract(f, (0, 3)) == -18.0
         assert f.value == 2.0 + 1.5 ** 2 * (-0.5) - 3.0 * (-0.5) ** 3
 
     def test_value_and_gradient(self):
@@ -119,15 +120,15 @@ class TestDerivatives:
         fd_x = (f(x0 + h, y0) - f(x0 - h, y0)) / (2 * h)
         fd_xy = (f(x0 + h, y0 + h) - f(x0 + h, y0 - h)
                  - f(x0 - h, y0 + h) + f(x0 - h, y0 - h)) / (4 * h * h)
-        assert jet.extract((1, 0)) == pytest.approx(fd_x, abs=1e-6)
-        assert jet.extract((1, 1)) == pytest.approx(fd_xy, abs=1e-5)
+        assert extract(jet, (1, 0)) == pytest.approx(fd_x, abs=1e-6)
+        assert extract(jet, (1, 1)) == pytest.approx(fd_xy, abs=1e-5)
 
     def test_gradient_reads_the_first_order_slots(self):
         space = JetSpace(("x", "y", "z"), 2)
         env = space.seed({"x": 0.5, "y": -1.5, "z": 2.0})
         f = env["x"] * env["y"] * env["z"] + env["y"] ** 2
         for i, mu in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
-            assert f.gradient()[i] == f.extract(mu)
+            assert f.gradient()[i] == extract(f, mu)
         with pytest.raises(ValueError):
             JetSpace(("x",), 0).constant(1.0).gradient()
 
