@@ -454,6 +454,10 @@ def _cmd_ward(scene, ctx):
     start = tuple(spec["start"])
     length = float(spec["length"])
     step = float(spec.get("step", 0.01))
+    for name, value in (("step", step), ("length", length)):
+        if not 0.0 < value < math.inf:   # also rejects NaN
+            raise SceneError(f"ward: {name} must be positive and finite, "
+                             f"got {value!r}")
     coarse = ward_transport(P, spec["rho"], start, length, step)
     fine = ward_transport(P, spec["rho"], start, length, step / 2.0)
     delta = abs(coarse["transport"] - fine["transport"])

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .expr import Expression, as_expression, jets_at
 from .jets import Jet, JetSpace, max_abs, point_arrays, stack, unstack
@@ -390,6 +391,24 @@ def killing_report(builder: MetricBuilder, K, points):
             "twist_max": float(np.max(np.abs(twist)))}
 
 
+def _lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def lstsq(a, b):
+    """Least-squares solutions x[...] of a[...] x = b[...] for stacks of
+    systems a (..., M, N) and right-hand sides b (..., M, K), in one call
+    of the gufunc behind `np.linalg.lstsq`, with its default rcond and
+    error handling: each x is that function's solution to the last bit,
+    and SVD non-convergence (NaN input) raises its LinAlgError."""
+    m, n = a.shape[-2:]
+    with np.errstate(call=_lstsq_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x, _, _, _ = _umath_linalg.lstsq(a, b, np.finfo(float).eps * max(m, n),
+                                         signature="ddd->ddid")
+    return x
+
+
 def frobenius_residual(fields, coords, points):
     """Max over field pairs and points of the component of [V_i, V_j]
     outside span{fields} (least squares)."""
@@ -401,11 +420,9 @@ def frobenius_residual(fields, coords, points):
         raise np.linalg.LinAlgError("dependent fields at sample point")
     i, j = np.triu_indices(len(fields), 1)
     bracket = lie_bracket(F[:, i], F[:, j])   # axes (point, field pair, .)
-    perp = np.empty_like(bracket)
-    for p, k in np.ndindex(bracket.shape[:2]):
-        coef, *_ = np.linalg.lstsq(vals[p].T, bracket[p, k], rcond=None)
-        perp[p, k] = bracket[p, k] - vals[p].T @ coef
-    return max_abs(perp)
+    span = vals.swapaxes(-1, -2)[:, None]   # (point, 1, component, field)
+    coef = lstsq(span, bracket[..., None])
+    return max_abs(bracket - (span @ coef)[..., 0])
 
 
 # -- null-Kaehler family ------------------------------------------------------

@@ -10,13 +10,24 @@ Grammar (whitespace insignificant, function application requires parens):
 
 Precedence: ^ > unary- > * / > + -, with + - * / left associative.
 Exponents are integer literals only; general powers go through exp/log.
+
+Expressions are evaluated over jets (`jets_at`, `evaluate`) by first
+compiling them (`compile`) into a `Plan`: a flat tape of the jet
+operations that walking their trees would perform, in the walk's order,
+with each node object run once and each subtree without free variables
+folded into a read-only jet.  A plan gives the walk's results to the
+last bit and raises the walk's first error.  `evaluate` keeps the plan
+of an Expression for each jet space it met; a caller that evaluates
+several expressions at many points (`ProjectiveSurface.integrate_geodesic`)
+compiles them into one plan and runs it at each.
 """
 from __future__ import annotations
 
+import operator
 import re
 import struct
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -237,11 +248,12 @@ class Expression:
     """Immutable parsed expression; supports arithmetic, printing, symbolic
     differentiation and evaluation over jets."""
 
-    __slots__ = ("node", "free_vars")
+    __slots__ = ("node", "free_vars", "_plans")
 
     def __init__(self, node: Node):
         self.node = node
         self.free_vars = frozenset(_free_vars(node))
+        self._plans = {}   # JetSpace -> the Plan that `evaluate` runs
 
     # construction helpers
     @staticmethod
@@ -414,17 +426,109 @@ def _diff(node: Node, var: str) -> Node:
 
 # -- evaluation ---------------------------------------------------------------
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+_CALLS = {fn: operator.methodcaller(fn) for fn in FUNCTIONS}
+
+
+class Plan(NamedTuple):
+    """Expressions compiled over one jet space (see `compile`)."""
+
+    names: tuple      # the variables read, whose jets `run` takes in order
+    inputs: tuple     # the register of each of them
+    registers: list   # constants and exponents; None where run writes
+    tape: tuple       # (function, argument, argument or -1, result), as
+                      # registers
+    outputs: list     # the register of each expression's jet
+
+    def run(self, jets) -> list:
+        """The jets of the expressions, given the jets of `names`."""
+        regs = self.registers.copy()
+        for i, jet in zip(self.inputs, jets):
+            regs[i] = jet
+        try:
+            for fn, a, b, out in self.tape:
+                regs[out] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
+        except JetDomainError as exc:
+            raise ExprDomainError(str(exc)) from exc
+        return [regs[i] for i in self.outputs]
+
+
+def compile(exprs, space: JetSpace) -> Plan:
+    """Compile a sequence of Expressions over `space` into a Plan.
+
+    The trees are walked once.  The plan's tape holds the jet operations
+    that walking them at every evaluation would perform, in the same
+    order, less two kinds: a node object reached again (``diff`` shares
+    subtrees by reference) reuses its first result, and a subtree without
+    free variables is evaluated here, once, into a read-only jet.  A
+    subtree whose folding raises stays on the tape, so it raises where
+    the walk would.  Results are the walk's to the last bit."""
+    registers, tape, memo, names = [], [], {}, {}
+    put = registers.append
+
+    def emit(node):
+        out = memo.get(id(node))
+        if out is not None:
+            return out
+        kind = type(node)
+        if kind is Const:
+            put(_constant(space, node.value))
+        elif kind is Var:
+            if node.name in names:
+                return names[node.name]
+            put(None)
+            names[node.name] = len(registers) - 1
+        else:
+            if kind is BinOp:
+                fn, a, b = _BINARY[node.op], emit(node.lhs), emit(node.rhs)
+            elif kind is Pow:
+                fn, a, b = operator.pow, emit(node.base), len(registers)
+                put(node.exponent)
+            elif kind is Neg:
+                fn, a, b = operator.neg, emit(node.arg), -1
+            elif kind is Call:
+                fn, a, b = _CALLS[node.fn], emit(node.arg), -1
+            else:
+                raise TypeError(node)
+            args = (registers[a],) if b < 0 else (registers[a], registers[b])
+            value = None if None in args else _fold(fn, args)
+            put(value)
+            if value is None:
+                tape.append((fn, a, b, len(registers) - 1))
+        out = memo[id(node)] = len(registers) - 1
+        return out
+
+    outputs = [emit(e.node) for e in exprs]
+    emit = None   # frees the recursive closure without waiting for the GC
+    return Plan(tuple(names), tuple(names.values()), registers, tuple(tape),
+                outputs)
+
+
+def _fold(fn, args):
+    """fn(*args) as a read-only jet, or None if it raises: the plan then
+    raises it where the walk would."""
+    try:
+        jet = fn(*args)
+    except Exception:
+        return None
+    jet.coeffs.flags.writeable = False
+    return jet
+
+
 def evaluate(e: Expression, env: Mapping[str, Jet | float], space: JetSpace):
     """Evaluate `e` over jets of `space` at the point `env`, which maps
     its variables to jets of that space; plain numbers are lifted to
-    constants."""
+    constants.  `e` is compiled once per space, and its plan run."""
+    if type(e.node) is Const:   # its plan would only return this jet
+        return _constant(space, e.node.value)
     missing = e.free_vars - set(env)
     if missing:
         raise UnknownIdentifierError(f"unassigned variables: {sorted(missing)}")
-    try:
-        return _eval(e.node, env, space)
-    except JetDomainError as exc:
-        raise ExprDomainError(str(exc)) from exc
+    plan = e._plans.get(space)
+    if plan is None:
+        plan = e._plans[space] = compile([e], space)
+    return plan.run([_as_value(env[name], space) for name in plan.names])[0]
 
 
 def jets_at(exprs, space: JetSpace, point):
@@ -465,27 +569,3 @@ def _constant(space, value):
         jet = _CONSTANTS[key] = space.constant(value)
         jet.coeffs.flags.writeable = False
     return jet
-
-
-def _eval(node: Node, env, space):
-    if isinstance(node, Const):
-        return _constant(space, node.value)
-    if isinstance(node, Var):
-        return _as_value(env[node.name], space)
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env, space)
-    if isinstance(node, BinOp):
-        lhs = _eval(node.lhs, env, space)
-        rhs = _eval(node.rhs, env, space)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        return lhs / rhs
-    if isinstance(node, Pow):
-        return _eval(node.base, env, space) ** node.exponent
-    if isinstance(node, Call):
-        return getattr(_eval(node.arg, env, space), node.fn)()
-    raise TypeError(node)

@@ -22,7 +22,7 @@ import numpy as np
 from .expr import Expression, as_expression, jets_at
 from .jets import JetSpace, max_abs, unstack
 from .projective import COORDS, xy_arrays
-from .conformal import jet_gauss_solve
+from .conformal import jet_gauss_solve, lstsq
 
 
 class WeightedCongruence:
@@ -213,10 +213,6 @@ def projective_field_residual(P, V, points, lambdas=(0.0, 0.5, -0.5, 1.0, -1.0, 
                     - sj[..., k, 0] * lj[..., i, 1 + k])
         bracket.append(acc)
     bracket = np.stack(bracket, axis=-1)
-    sval = np.ascontiguousarray(sj[..., 0])
-    perp = np.empty_like(bracket)
-    for n in np.ndindex(bracket.shape[:-1]):
-        coef, _, _, _ = np.linalg.lstsq(sval[n].reshape(-1, 1), bracket[n],
-                                        rcond=None)
-        perp[n] = bracket[n] - coef[0] * sval[n]
-    return max_abs(perp)
+    sval = sj[..., 0]
+    coef = lstsq(sval[..., None], bracket[..., None])[..., 0]
+    return max_abs(bracket - coef * sval)

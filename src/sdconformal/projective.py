@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expression, as_expression, evaluate, jets_at
+from .expr import Expression, as_expression, compile, jets_at
 from .jets import JetSpace, max_abs, stack, unstack
 
 COORDS = ("x", "y")
@@ -152,6 +152,10 @@ class ProjectiveSurface:
         With a 1-form `rho` = (rho_0, rho_1) the states carry a fourth
         component s, the line-bundle section transported by
         s' = -rho(gamma') s from s = 1, integrated in the same RK4 step.
+
+        The spray coefficients and rho are compiled into one expression
+        plan over order-0 jets; each RK4 stage writes x and y into the
+        plan's two input jets and runs it.
         """
         if step <= 0:
             raise ValueError("step must be positive")
@@ -159,10 +163,14 @@ class ProjectiveSurface:
         if rho is not None:
             exprs += tuple(as_expression(c, COORDS) for c in rho)
         space = JetSpace(COORDS, 0)
+        plan = compile(exprs, space)
+        env = space.seed({"x": 0.0, "y": 0.0})
+        inputs = [env[name] for name in plan.names]
+        x, y = env["x"].coeffs, env["y"].coeffs
 
         def coeffs(state):
-            env = space.seed({"x": state[0], "y": state[1]})
-            return [evaluate(c, env, space=space).value for c in exprs]
+            x[0], y[0] = state[0], state[1]
+            return [jet.value for jet in plan.run(inputs)]
 
         def rhs1(state):
             lam = state[2]

@@ -12,8 +12,10 @@ import math
 import numpy as np
 
 from sdconformal.conformal import jet_gauss_solve
-from sdconformal.expr import Expression, _print, as_expression, jets_at
-from sdconformal.jets import JetSpace, max_abs, point_arrays
+from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
+                              Neg, Pow, UnknownIdentifierError, Var,
+                              _constant, _print, as_expression, jets_at)
+from sdconformal.jets import Jet, JetDomainError, JetSpace, max_abs, point_arrays
 from sdconformal.minitwistor import (WeightedCongruence,
                                      _derivative_matrix_jets, _shifted_ricci)
 from sdconformal.pairs import LaxPair, ProjectivePair, _fiber_divergence
@@ -24,6 +26,43 @@ from sdconformal.projective import COORDS, ProjectiveSurface, xy_arrays
 
 def to_source(e):
     return _print(e.node)
+
+
+def reference_eval(e, env, space):
+    """`expr.evaluate` as a recursive walk of the tree, every node at
+    every visit: what compiled plans replaced, kept to check them."""
+    missing = e.free_vars - set(env)
+    if missing:
+        raise UnknownIdentifierError(f"unassigned variables: {sorted(missing)}")
+    try:
+        return _walk(e.node, env, space)
+    except JetDomainError as exc:
+        raise ExprDomainError(str(exc)) from exc
+
+
+def _walk(node, env, space):
+    if isinstance(node, Const):
+        return _constant(space, node.value)
+    if isinstance(node, Var):
+        x = env[node.name]
+        return x if isinstance(x, Jet) else space.constant(float(x))
+    if isinstance(node, Neg):
+        return -_walk(node.arg, env, space)
+    if isinstance(node, BinOp):
+        lhs = _walk(node.lhs, env, space)
+        rhs = _walk(node.rhs, env, space)
+        if node.op == "+":
+            return lhs + rhs
+        if node.op == "-":
+            return lhs - rhs
+        if node.op == "*":
+            return lhs * rhs
+        return lhs / rhs
+    if isinstance(node, Pow):
+        return _walk(node.base, env, space) ** node.exponent
+    if isinstance(node, Call):
+        return getattr(_walk(node.arg, env, space), node.fn)()
+    raise TypeError(node)
 
 
 def eval_jet(e, space, point):

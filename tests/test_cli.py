@@ -318,3 +318,19 @@ def test_ward_integrates_the_same_length_at_both_steps(capsys, tmp_path,
     assert code == 0
     assert report["checks"][0]["value"] < 1e-9
     assert report["fitted"]["end"][0] == pytest.approx(length, abs=1e-14)
+
+
+@pytest.mark.parametrize("key,value", [("step", 0), ("step", -0.01),
+                                       ("length", 0), ("length", -1)])
+def test_ward_step_and_length_must_be_positive(capsys, tmp_path, key, value):
+    # a step <= 0 used to end in a ValueError traceback (exit 1), and a
+    # length <= 0 integrated nothing and passed with exit 0
+    scene = json.loads((SCENES / "ward.json").read_text())
+    scene["ward"][key] = value
+    path = tmp_path / "ward.json"
+    path.write_text(json.dumps(scene))
+    code = main(["ward", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"scene error: ward: {key} must be positive and finite, " \
+                  f"got {float(value)!r}\n"

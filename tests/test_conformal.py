@@ -9,7 +9,7 @@ from sdconformal.pairs import dw_quadrature_build
 from sdconformal.conformal import (MetricBuilder, curvature_report,
                                    certify_selfdual, killing_report,
                                    frobenius_residual, build_null_kahler,
-                                   jet_matrix_inverse, frame_values)
+                                   jet_matrix_inverse, frame_values, lstsq)
 from oracles import trivial_pair
 
 FLAT = ProjectiveSurface.flat()
@@ -182,3 +182,37 @@ class TestFrobenius:
         fields = [["1", "0", "0", "0"], ["0", "1", "x", "0"]]
         res = frobenius_residual(fields, self.COORDS, _points4(n=4))
         assert res > 0.1
+
+
+class TestStackedLstsq:
+    """`lstsq` runs numpy's least-squares gufunc on a stack in one call.
+    It must give `np.linalg.lstsq`'s bits and errors: a numpy upgrade
+    that changes either fails here."""
+
+    # (batch, M, N, K); 64 x 7 systems of 3 x 1 as projective-field solves
+    @pytest.mark.parametrize("batch,m,n,k", [((64, 7), 3, 1, 1),
+                                             ((16, 3), 4, 2, 1),
+                                             ((5, 6), 4, 3, 2),
+                                             ((9, 2), 2, 3, 1)])
+    def test_matches_numpy_lstsq_bit_for_bit(self, batch, m, n, k):
+        rng = np.random.default_rng(m * 10 + n)
+        a = rng.standard_normal(batch + (m, n))
+        a *= 10.0 ** rng.integers(-3, 4, batch + (1, 1))
+        a[0, 0, :, -1] = a[0, 0, :, 0]   # a rank-deficient system
+        a[1, 0, :, -1] *= 1e-13          # rank decided by rcond
+        b = rng.standard_normal(batch + (m, k))
+        x = lstsq(a, b)
+        assert x.shape == batch + (n, k)
+        for idx in np.ndindex(batch):
+            want, _, _, _ = np.linalg.lstsq(a[idx], b[idx], rcond=None)
+            assert x[idx].tobytes() == want.tobytes()
+
+    def test_nan_raises_what_numpy_raises(self):
+        a = np.ones((4, 3, 1))
+        b = np.ones((4, 3, 1))
+        a[2, 1, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.lstsq(a[2], b[2], rcond=None)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            lstsq(a, b)
+        assert str(got.value) == str(want.value)

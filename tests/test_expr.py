@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdconformal.expr import (Expression, _constant, parse, evaluate,
-                              jets_at, ExprError, ExprSyntaxError,
+from sdconformal.expr import (FUNCTIONS, BinOp, Call, Const, Expression,
+                              Neg, Pow, Var, _constant, compile, parse,
+                              evaluate, jets_at, ExprError, ExprSyntaxError,
                               ExprDomainError, UnknownIdentifierError)
-from sdconformal.jets import JetSpace, unstack
-from oracles import eval_jet, to_source
+from sdconformal import expr as expr_module
+from sdconformal.jets import Jet, JetSpace, stack, unstack
+from oracles import eval_jet, reference_eval, to_source
 
 XY = ("x", "y")
 
@@ -260,3 +262,145 @@ def _expr_strategy():
 @given(_expr_strategy())
 def test_print_parse_roundtrip(e):
     assert parse(to_source(e), XY) == e
+
+
+# -- compiled plans against the tree walk ---------------------------------
+
+
+class TestPlans:
+    def test_a_node_reached_twice_runs_once(self):
+        e = parse("sin(x*y)", XY)
+        plan = compile([e * e, e], JetSpace(XY, 1))
+        assert len(plan.tape) == 3   # x*y, sin, the product; no repeats
+        assert plan.names == ("x", "y")
+
+    def test_constant_subtrees_are_folded_read_only(self):
+        space = JetSpace(XY, 2)
+        plan = compile([parse("2*3 - exp(0.5)^2 + x", XY)], space)
+        assert len(plan.tape) == 1   # only the "+ x" is left to run
+        folded = [r for r in plan.registers if isinstance(r, Jet)]
+        assert folded and all(not r.coeffs.flags.writeable for r in folded)
+        want = reference_eval(parse("2*3 - exp(0.5)^2", XY), {}, space)
+        assert want.coeffs.tobytes() in {r.coeffs.tobytes() for r in folded}
+        const = jets_at(parse("-2.5", XY), space, {"x": 1.0, "y": 0.0})
+        with pytest.raises(ValueError):
+            const.coeffs[0] = 1.0
+
+    def test_evaluate_compiles_once_per_space(self, monkeypatch):
+        compiled = []
+
+        def counting(exprs, space):
+            compiled.append(space)
+            return compile(exprs, space)
+
+        monkeypatch.setattr(expr_module, "compile", counting)
+        e = parse("x*y + 1", XY)
+        for order in (0, 1, 0, 1):
+            space = JetSpace(XY, order)
+            got = evaluate(e, space.seed({"x": 2.0, "y": 3.0}), space)
+            assert got.value == 7.0
+        assert compiled == [JetSpace(XY, 0), JetSpace(XY, 1)]
+        evaluate(parse("2.5", XY), {}, space)   # a lone constant: no plan
+        assert len(compiled) == 2
+
+    def test_outputs_may_be_the_input_jets(self):
+        space = JetSpace(XY, 0)
+        env = space.seed({"x": 0.25, "y": -1.5})
+        plan = compile([parse("y", XY), parse("x", XY)], space)
+        assert plan.names == ("y", "x") and plan.tape == ()
+        y, x = plan.run([env["y"], env["x"]])
+        assert y is env["y"] and x is env["x"]
+
+    def test_the_first_error_of_the_walk_is_raised(self):
+        # the folded-looking log(0) is not folded away: it raises when run,
+        # after the division the walk meets first
+        space = JetSpace(XY, 1)
+        env = space.seed({"x": 1.0, "y": 2.0})
+        e = parse("1/(x - x) + log(0)", XY)
+        plan = compile([e], space)        # compiling raises nothing
+        with pytest.raises(ExprDomainError, match="^division by a jet"):
+            plan.run([env[name] for name in plan.names])
+        with pytest.raises(ExprDomainError, match="^log of a jet"):
+            evaluate(parse("log(0) + 1/(x - x)", XY), env, space)
+        with pytest.raises(ExprDomainError, match="^log of a jet"):
+            evaluate(parse("x + log(2 - 3)", XY), env, space)
+
+    def test_unassigned_variables(self):
+        space = JetSpace(XY, 0)
+        with pytest.raises(UnknownIdentifierError, match=r"\['y'\]"):
+            evaluate(parse("x*y + 1", XY), {"x": 1.0}, space)
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([Var("x"), Var("y")]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]).map(Const),
+    st.floats(-3, 3, allow_nan=False).map(Const),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(Neg),
+        st.tuples(st.sampled_from(FUNCTIONS), children)
+            .map(lambda t: Call(*t)),
+        st.tuples(st.sampled_from("+-*/"), children, children)
+            .map(lambda t: BinOp(*t)),
+        st.tuples(children, st.integers(-3, 4)).map(lambda t: Pow(*t)),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=10).map(Expression)
+_COORD = st.one_of(st.sampled_from([0.0, 1.0, -0.5]),
+                   st.floats(-2, 2, allow_nan=False))
+
+
+def _outcome(fn):
+    """("ok", bytes and shape of the jet) or ("raised", type, message)."""
+    try:
+        jet = fn()
+    except Exception as exc:   # noqa: BLE001 - compared, not handled
+        return ("raised", type(exc), str(exc))
+    return ("ok", jet.coeffs.shape, jet.coeffs.tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREES, st.integers(0, 2), st.booleans(),
+       st.lists(_COORD, min_size=6, max_size=6))
+def test_plans_match_the_tree_walk_bit_for_bit(e, order, batched, coords):
+    # e*e reaches one node twice; the derivatives share e's subtrees
+    exprs = [e, e.diff("x"), e * e, e.diff("x").diff("y")]
+    space = JetSpace(XY, order)
+    if batched:
+        point = {"x": np.array(coords[:3]), "y": np.array(coords[3:])}
+    else:
+        point = {"x": coords[0], "y": coords[1]}
+    env = space.seed(point)
+    batch = np.broadcast_shapes(*(j.coeffs.shape[:-1] for j in env.values()))
+    with np.errstate(all="ignore"):
+        for f in exprs:
+            assert (_outcome(lambda: evaluate(f, env, space))
+                    == _outcome(lambda: reference_eval(f, env, space)))
+        assert (_outcome(lambda: jets_at(exprs, space, point))
+                == _outcome(lambda: stack(
+                    [reference_eval(f, env, space) for f in exprs], batch)))
+
+
+# each raises at every point, four of them with their own message; the
+# constant one is folded at compile time unless it raises
+_POISON = st.sampled_from(["1/(x - x)", "log(0 - 1)", "sqrt(y - y)",
+                           "exp(1000*(x*x + 1))", "(y - y)^-2"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TREES, _TREES, _POISON, _POISON, st.sampled_from("+-*/"),
+       st.integers(0, 2), st.lists(_COORD, min_size=2, max_size=2))
+def test_plans_raise_the_first_error_of_the_walk(e, f, p, q, op, order,
+                                                 coords):
+    g = Expression(BinOp(op, (e + parse(p, XY)).node,
+                         (f + parse(q, XY)).node))
+    space = JetSpace(XY, order)
+    env = space.seed({"x": coords[0], "y": coords[1]})
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: evaluate(g, env, space))
+        assert got[0] == "raised"
+        assert got == _outcome(lambda: reference_eval(g, env, space))

@@ -6,15 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from sdconformal.expr import evaluate, parse
-from sdconformal.jets import JetSpace
+from sdconformal import projective
+from sdconformal.expr import parse
+from sdconformal.jets import Jet, JetSpace
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.minitwistor import (WeightedCongruence,
                                      divisor_two_report, ward_transport,
                                      projective_field_residual)
 from oracles import (abelian_pair_residual,
                      canonical_connection_from_congruence,
-                     congruence_from_slope, projective_change)
+                     congruence_from_slope, projective_change,
+                     reference_eval)
 
 FLAT = ProjectiveSurface.flat()
 XY = ("x", "y")
@@ -163,7 +165,8 @@ class TestWardTransport:
 
 # The two integrators that `integrate_geodesic(..., rho=...)` replaced,
 # kept as references: the geodesic loop and the joint geodesic and
-# section transport loop, each with its own RK4 step.
+# section transport loop, each with its own RK4 step, evaluating the
+# coefficients by walking their trees at every stage.
 
 def _reference_rk4(rhs, state, h):
     k1 = rhs(state)
@@ -176,7 +179,7 @@ def _reference_rk4(rhs, state, h):
 def _reference_values(exprs, x, y):
     space = JetSpace(XY, 0)
     env = space.seed({"x": x, "y": y})
-    return [evaluate(c, env, space=space).value for c in exprs]
+    return [reference_eval(c, env, space).value for c in exprs]
 
 
 def _reference_geodesic(P, start, length, step):
@@ -243,6 +246,11 @@ def _reference_ward(P, rho, start, length, step):
 CURVED = ProjectiveSurface.from_spray("0.6 + 0.3*x*y", "0.2*y - 0.1*x",
                                       "0.4 + 0.1*x", "0.25*y - 0.3")
 CURVED_RHO = ("0.3*y + x^2", "x*y - 0.2")
+# every coefficient has free variables; between them they divide, take
+# negative powers, exp and sin
+WILD = ProjectiveSurface.from_spray(
+    "0.5*exp(0.2*x)/(2 + y^2) + 0.3", "0.3*sin(x - y) + (1.5 + x*x)^-2",
+    "0.2*y/(1 + x^2) + 0.1*exp(-y)", "0.1*sin(y)^2 - 0.3*(2 + x)^-2")
 
 
 class TestOneIntegrator:
@@ -270,6 +278,24 @@ class TestOneIntegrator:
         assert np.array_equal(out["end"], end)
         assert s != 1.0
 
+    # with rho = (y, x) the compiled plan returns its own input jets
+    @pytest.mark.parametrize("rho", [CURVED_RHO, ("y", "x")])
+    @pytest.mark.parametrize("start,length", CASES)
+    @pytest.mark.parametrize("step", [0.01, 0.005])
+    def test_wild_spray_matches_the_replaced_loops(self, rho, start, length,
+                                                   step):
+        path = WILD.integrate_geodesic(start, length, step)
+        assert np.array_equal(path,
+                              _reference_geodesic(WILD, start, length, step))
+        lam = np.abs(path[:, 2])
+        assert np.all(np.isfinite(path)) and np.any(lam > 1.0)
+        if start[2] < 1.0:
+            assert np.any(lam <= 1.0) and lam[-1] > 1.0
+        out = ward_transport(WILD, rho, start, length, step)
+        s, end = _reference_ward(WILD, rho, start, length, step)
+        assert out["transport"] == s and s != 1.0
+        assert np.array_equal(out["end"], end)
+
     @pytest.mark.parametrize("start,length", CASES)
     def test_transport_leaves_the_geodesic_unchanged(self, start, length):
         path = CURVED.integrate_geodesic(start, length, 0.01, rho=CURVED_RHO)
@@ -280,6 +306,27 @@ class TestOneIntegrator:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="step must be positive"):
             ward_transport(FLAT, ("0", "0"), (0.0, 0.0, 0.5), 1.0, 0.0)
+
+    def test_nothing_writes_into_the_folded_constants(self, monkeypatch):
+        compiled = projective.compile
+        folded = []
+
+        def spy(exprs, space):
+            plan = compiled(exprs, space)
+            folded.extend((r, r.coeffs.tobytes()) for r in plan.registers
+                          if isinstance(r, Jet))
+            return plan
+
+        monkeypatch.setattr(projective, "compile", spy)
+        # the whole spray and "2*0.3" fold; the rest reads x and y
+        P = ProjectiveSurface.from_spray("0.1*2", "0.3", "0", "0.5 - 1")
+        out = ward_transport(P, ("0.3*y + x*(2*0.3)", "0.3*x"),
+                             (0.0, 0.1, 0.7), 0.5, 0.01)
+        assert out["transport"] != 1.0
+        assert len(folded) >= 5
+        for jet, before in folded:
+            assert not jet.coeffs.flags.writeable
+            assert jet.coeffs.tobytes() == before
 
 
 class TestProjectiveFields:
