@@ -183,8 +183,19 @@ def _pair(scene):
         raise SceneError(f"bad pair data: {exc}") from exc
 
 
+# The named tolerances, as a scene's "tolerances" or --tol NAME=FLOAT
+# sets them, and their defaults.
+TOLERANCES = {
+    "lax": 1e-10, "pair": 1e-10, "weyl_minus": 1e-8, "ricci": 1e-9,
+    "curvature": 1e-10, "killing": 1e-12, "frobenius": 1e-9,
+    "congruence": 1e-12, "build": 1e-8, "domega": 1e-12, "exact": 1e-15,
+    "compat": 1e-10, "gauge": 1e-10, "divisor2": 1e-8, "ward": 1e-9,
+    "projective_field": 1e-10,
+}
+
+
 class RunContext:
-    """Sampling, tolerance lookup and flag state for one command run."""
+    """Sampling, tolerances and flag state for one command run."""
 
     def __init__(self, scene, args):
         self.scene = scene
@@ -194,35 +205,22 @@ class RunContext:
         self.seed = args.seed if args.seed is not None else samp.get("seed", 0)
         self.box = samp.get("box", {})
         self._exclusions = samp.get("exclusions", [])
-        self._overrides = {}
-        for item in args.tol or []:
-            name, _, value = item.partition("=")
-            if not value:
-                raise SceneError(f"bad --tol override {item!r}")
-            self._overrides[name] = float(value)
-        self._cache = {}
-
-    def tol(self, name, default):
-        if name in self._overrides:
-            return self._overrides[name]
-        return float(self.scene.get("tolerances", {}).get(name, default))
+        tolerances = {**TOLERANCES, **scene.get("tolerances", {}),
+                      **dict(args.tol or [])}
+        self.tol = {name: float(v) for name, v in tolerances.items()}
 
     def points(self, names):
         """Halton sample dicts over the named coordinates."""
         names = tuple(names)
-        if names not in self._cache:
-            for nm in names:
-                if nm not in self.box:
-                    raise SceneError(f"sampling box lacks {nm}")
-            excl = []
-            for entry in self._exclusions:
-                # only apply guards whose variables are all being sampled
-                expr = parse(str(entry["expr"]), tuple(self.box))
-                if expr.free_vars <= set(names):
-                    excl.append((expr, float(entry["guard"])))
-            self._cache[names] = halton_points(
-                names, self.box, self.count, seed=self.seed, exclusions=excl)
-        return self._cache[names]
+        for nm in names:
+            if nm not in self.box:
+                raise SceneError(f"sampling box lacks {nm}")
+        guards = [(parse(str(entry["expr"]), tuple(self.box)),
+                   float(entry["guard"])) for entry in self._exclusions]
+        # only apply guards whose variables are all being sampled
+        excl = [(e, guard) for e, guard in guards if e.free_vars <= set(names)]
+        return halton_points(names, self.box, self.count, seed=self.seed,
+                             exclusions=excl)
 
     def surface_points(self):
         return [(p["x"], p["y"]) for p in self.points(("x", "y"))]
@@ -248,8 +246,8 @@ def _cmd_verify_lax(scene, ctx):
     pair = _pair(scene)
     pts = ctx.points(("x", "y") + pair.fiber)
     res = lax_residual(build_lax(P, pair), pts)
-    checks = [_check("lax_residual", res["residual"], ctx.tol("lax", 1e-10)),
-              _check("lax_cubic", res["cubic_max"], ctx.tol("lax", 1e-10))]
+    checks = [_check("lax_residual", res["residual"], ctx.tol["lax"]),
+              _check("lax_cubic", res["cubic_max"], ctx.tol["lax"])]
     fitted = {"b_coeffs": np.asarray(res["b_coeffs"]).mean(axis=0).tolist()}
     return checks, fitted
 
@@ -259,23 +257,22 @@ def _cmd_verify_pair(scene, ctx):
     pair = _pair(scene)
     pts = ctx.points(("x", "y") + pair.fiber)
     res = projective_pair_residual(P, pair, pts)
-    return [_check("pair_residual", res, ctx.tol("pair", 1e-10))], {}
+    return [_check("pair_residual", res, ctx.tol["pair"])], {}
 
 
 def _cmd_certify_selfdual(scene, ctx):
     P = _surface(scene)
     pair = _pair(scene)
     pts = ctx.points(("x", "y") + pair.fiber)
-    rep = certify_selfdual(P, pair, pts, tol=ctx.tol("weyl_minus", 1e-8),
-                           factor=scene.get("factor"),
-                           lax_tol=ctx.tol("lax", 1e-10))
+    rep = certify_selfdual(P, pair, pts, tol=ctx.tol["weyl_minus"],
+                           factor=scene.get("factor"), lax_tol=ctx.tol["lax"])
     checks = [
-        _check("lax_residual", rep["lax_residual"], ctx.tol("lax", 1e-10)),
-        _check("weyl_minus", rep["weyl_minus"], ctx.tol("weyl_minus", 1e-8)),
+        _check("lax_residual", rep["lax_residual"], ctx.tol["lax"]),
+        _check("weyl_minus", rep["weyl_minus"], ctx.tol["weyl_minus"]),
         _flag_check("signature", rep["signature_ok"]),
     ]
     if "ricci" in scene.get("tolerances", {}):
-        checks.append(_check("ricci", rep["ricci"], ctx.tol("ricci", 1e-9)))
+        checks.append(_check("ricci", rep["ricci"], ctx.tol["ricci"]))
     fitted = {k: rep[k] for k in ("weyl_plus", "ricci", "star_defect",
                                   "lax_cubic_max")}
     return checks, fitted
@@ -294,9 +291,9 @@ def _cmd_curvature(scene, ctx):
     builder = _metric_builder(scene)
     worst, signature = curvature_maxima(builder,
                                         ctx.points(tuple(builder.coords)))
-    checks = [_check("star_defect", worst["star_defect"],
-                     ctx.tol("curvature", 1e-10)),
-              _flag_check("signature", signature)]
+    checks = [
+        _check("star_defect", worst["star_defect"], ctx.tol["curvature"]),
+        _flag_check("signature", signature)]
     return checks, worst
 
 
@@ -307,8 +304,7 @@ def _cmd_killing(scene, ctx):
     for name, comps in scene.get("fields", {}).items():
         rep = killing_report(builder, comps, pts)
         checks.append(_check(f"conformal_killing[{name}]",
-                             rep["conformal_killing"],
-                             ctx.tol("killing", 1e-12)))
+                             rep["conformal_killing"], ctx.tol["killing"]))
         fitted[name] = {k: rep[k] for k in ("exact_killing", "null_defect",
                                             "geodesic", "twist_max")}
         fitted[name]["twist"] = rep["twist"]
@@ -323,8 +319,7 @@ def _cmd_frobenius(scene, ctx):
     checks = []
     for name, fields in scene.get("distributions", {}).items():
         res = frobenius_residual(fields, coords, pts)
-        checks.append(_check(f"frobenius[{name}]", res,
-                             ctx.tol("frobenius", 1e-9)))
+        checks.append(_check(f"frobenius[{name}]", res, ctx.tol["frobenius"]))
     if not checks:
         raise SceneError("frobenius: scene declares no distributions")
     return checks, {}
@@ -338,7 +333,7 @@ def _cmd_congruence(scene, ctx):
     for name, beta in scene.get("congruences", {}).items():
         res = P.congruence_residual(beta, pts)
         checks.append(_check(f"congruence[{name}]", res,
-                             ctx.tol("congruence", 1e-12)))
+                             ctx.tol["congruence"]))
         fitted[name] = {
             "probe": list(probe),
             "multiplier": [P.congruence_multiplier(beta, probe, lam)
@@ -360,58 +355,66 @@ def _verify_built(ctx, P, pts, build):
     pres = projective_pair_residual(P, pair, pts)
     fitted = {"b_coeffs": np.asarray(lres["b_coeffs"]).mean(axis=0).tolist()}
     return [_flag_check("build", True),
-            _check("lax_residual", lres["residual"], ctx.tol("lax", 1e-10)),
-            _check("pair_residual", pres, ctx.tol("pair", 1e-10))], fitted
+            _check("lax_residual", lres["residual"], ctx.tol["lax"]),
+            _check("pair_residual", pres, ctx.tol["pair"])], fitted
+
+
+def _build_spec(scene, command, *keys):
+    """The scene's build section, which must hold `keys`."""
+    spec = scene.get("build", {})
+    missing = [key for key in keys if key not in spec]
+    if missing:
+        raise SceneError(f"{command}: build section lacks {missing}")
+    return spec
 
 
 def _cmd_build_dw(scene, ctx):
     P = _surface(scene)
-    spec = scene.get("build", {})
+    spec = _build_spec(scene, "build-dw", "gamma", "H", "G")
     pts = ctx.points(("x", "y", "t", "z"))
     return _verify_built(ctx, P, pts, lambda: dw_quadrature_build(
         P, spec["gamma"], spec.get("c", 0.0), spec["H"], spec["G"],
-        points=pts, tol=ctx.tol("build", 1e-8)))
+        points=pts, tol=ctx.tol["build"]))
 
 
 def _cmd_build_twistfree(scene, ctx):
     P = _surface(scene)
-    spec = scene.get("build", {})
+    spec = _build_spec(scene, "build-twistfree", "beta")
     pts = ctx.points(("x", "y", "z"))
     return _verify_built(ctx, P, pts, lambda: twist_free_normal_form(
         P, spec["beta"], points=[(p["x"], p["y"]) for p in pts],
-        tol=ctx.tol("build", 1e-8)))
+        tol=ctx.tol["build"]))
 
 
 def _cmd_build_nullkahler(scene, ctx):
-    spec = scene.get("build", {})
+    spec = _build_spec(scene, "build-nullkahler", "a", "c", "f")
     built = build_null_kahler(spec["a"], spec["c"], spec["f"])
     pts = ctx.points(("x", "y", "t", "z"))
     rep = built["check"](pts)
     checks = [
-        _check("domega", rep["domega"], ctx.tol("domega", 1e-12)),
-        _check("J_squared", rep["J_null"], ctx.tol("exact", 1e-15)),
-        _check("compatibility", rep["compat"], ctx.tol("compat", 1e-10)),
-        _check("g_JJ", rep["g_JJ"], ctx.tol("compat", 1e-10)),
-        _check("killing", rep["killing"], ctx.tol("killing", 1e-12)),
+        _check("domega", rep["domega"], ctx.tol["domega"]),
+        _check("J_squared", rep["J_null"], ctx.tol["exact"]),
+        _check("compatibility", rep["compat"], ctx.tol["compat"]),
+        _check("g_JJ", rep["g_JJ"], ctx.tol["compat"]),
+        _check("killing", rep["killing"], ctx.tol["killing"]),
         _check("omega_antiselfdual", rep["omega_antiselfdual"],
-               ctx.tol("compat", 1e-10)),
+               ctx.tol["compat"]),
     ]
     cert = certify_selfdual(built["surface"], built["pair"], pts,
-                            tol=ctx.tol("weyl_minus", 1e-8),
-                            factor=spec["f"], lax_tol=ctx.tol("lax", 1e-10))
+                            tol=ctx.tol["weyl_minus"], factor=spec["f"],
+                            lax_tol=ctx.tol["lax"])
     checks.append(_check("weyl_minus", cert["weyl_minus"],
-                         ctx.tol("weyl_minus", 1e-8)))
+                         ctx.tol["weyl_minus"]))
     fitted = {"weyl_plus": cert["weyl_plus"], "ricci": cert["ricci"]}
     if "ricci" in scene.get("tolerances", {}):
-        checks.append(_check("ricci", cert["ricci"], ctx.tol("ricci", 1e-9)))
+        checks.append(_check("ricci", cert["ricci"], ctx.tol["ricci"]))
     return checks, fitted
 
 
 def _cmd_gauge_report(scene, ctx):
     pair = _pair(scene)
     pts = ctx.points(("x", "y") + pair.fiber)
-    flags, values = gauge_reduction_report(pair, pts,
-                                           tol=ctx.tol("gauge", 1e-10))
+    flags, values = gauge_reduction_report(pair, pts, tol=ctx.tol["gauge"])
     expected = scene.get("expected_flags")
     checks = []
     for name, val in sorted(flags.items()):
@@ -432,7 +435,7 @@ def _cmd_divisor2(scene, ctx):
     congs = [WeightedCongruence(e["phi"], e.get("rho", ("0", "0")))
              for e in entries]
     pts = ctx.surface_points()
-    tol = ctx.tol("divisor2", 1e-8)
+    tol = ctx.tol["divisor2"]
     rep = divisor_two_report(P, congs[0], congs[1], pts, tol=tol)
     checks = [
         _check("weyl_connection_consistency", rep["dc_residual"], tol),
@@ -461,7 +464,7 @@ def _cmd_ward(scene, ctx):
     coarse = ward_transport(P, spec["rho"], start, length, step)
     fine = ward_transport(P, spec["rho"], start, length, step / 2.0)
     delta = abs(coarse["transport"] - fine["transport"])
-    checks = [_check("transport_convergence", delta, ctx.tol("ward", 1e-9))]
+    checks = [_check("transport_convergence", delta, ctx.tol["ward"])]
     fitted = {"transport": fine["transport"],
               "end": [float(v) for v in fine["end"]]}
     return checks, fitted
@@ -474,7 +477,7 @@ def _cmd_projective_field(scene, ctx):
     for name, comps in scene.get("surface_fields", {}).items():
         res = projective_field_residual(P, comps, pts)
         checks.append(_check(f"projective_field[{name}]", res,
-                             ctx.tol("projective_field", 1e-10)))
+                             ctx.tol["projective_field"]))
     if not checks:
         raise SceneError("projective-field: scene declares no surface_fields")
     return checks, {}
@@ -551,6 +554,19 @@ def run_command(command, scene, args):
     return _clean(report)
 
 
+def _tolerance(text):
+    """A --tol override NAME=FLOAT, as (name, value)."""
+    name, _, value = text.partition("=")
+    if name not in TOLERANCES:
+        raise argparse.ArgumentTypeError(
+            f"unknown tolerance {name!r}; known: {', '.join(TOLERANCES)}")
+    try:
+        return name, float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"tolerance {name} needs a number, not {value!r}") from None
+
+
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -570,18 +586,14 @@ def main(argv=None):
                         help="override the scene's sample count")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scene's sampling seed")
-    parser.add_argument("--tol", action="append", metavar="NAME=FLOAT",
+    parser.add_argument("--tol", action="append", type=_tolerance,
+                        metavar="NAME=FLOAT",
                         help="override a named tolerance (repeatable)")
     args = parser.parse_args(argv)
 
     try:
-        scene = load_scene(args.scene)
-    except SceneError as exc:
-        print(f"scene error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run_command(args.command, scene, args)
-    except (SceneError, SamplingError) as exc:
+        report = run_command(args.command, load_scene(args.scene), args)
+    except (SceneError, SamplingError, ExprError) as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return 2
     except (ExprDomainError, JetDomainError, ZeroDivisionError,

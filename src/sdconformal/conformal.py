@@ -25,12 +25,11 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .expr import Expression, as_expression, jets_at
 from .jets import Jet, JetSpace, max_abs, point_arrays, stack, unstack
 from .pairs import (ProjectivePair, _dot, build_lax, lax_residual,
-                    lie_bracket)
+                    lie_bracket, lstsq)
 
 # Which Weyl half the construction kills; calibrated on the null-Kaehler
 # family (see tests), stored once, never branched on.
@@ -389,24 +388,6 @@ def killing_report(builder: MetricBuilder, K, points):
             "twist": twist.tolist(),
             "geodesic": float(np.max(_maxabs(perp, 1))),
             "twist_max": float(np.max(np.abs(twist)))}
-
-
-def _lstsq_error(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def lstsq(a, b):
-    """Least-squares solutions x[...] of a[...] x = b[...] for stacks of
-    systems a (..., M, N) and right-hand sides b (..., M, K), in one call
-    of the gufunc behind `np.linalg.lstsq`, with its default rcond and
-    error handling: each x is that function's solution to the last bit,
-    and SVD non-convergence (NaN input) raises its LinAlgError."""
-    m, n = a.shape[-2:]
-    with np.errstate(call=_lstsq_error, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        x, _, _, _ = _umath_linalg.lstsq(a, b, np.finfo(float).eps * max(m, n),
-                                         signature="ddd->ddid")
-    return x
 
 
 def frobenius_residual(fields, coords, points):

@@ -16,16 +16,17 @@ compiling them (`compile`) into a `Plan`: a flat tape of the jet
 operations that walking their trees would perform, in the walk's order,
 with each node object run once and each subtree without free variables
 folded into a read-only jet.  A plan gives the walk's results to the
-last bit and raises the walk's first error.  `evaluate` keeps the plan
-of an Expression for each jet space it met; a caller that evaluates
-several expressions at many points (`ProjectiveSurface.integrate_geodesic`)
-compiles them into one plan and runs it at each.
+last bit and raises the walk's first error.  Nothing is kept between
+calls: `jets_at` compiles all the expressions it is given into one plan
+and runs it once, and a caller that evaluates several expressions at
+many points (`ProjectiveSurface.integrate_geodesic`,
+`sampling.halton_points`) compiles them into one plan and runs it at
+each.
 """
 from __future__ import annotations
 
 import operator
 import re
-import struct
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Union
 
@@ -244,16 +245,32 @@ class _Parser:
 
 # -- expression value type -------------------------------------------------
 
+def _operator(op, reflected=False):
+    """The Expression method of the binary operator `op`.  A number is
+    lifted to a constant; any other operand gives NotImplemented, so
+    Python raises its TypeError."""
+    def method(self, other):
+        if isinstance(other, (int, float)):
+            other = Expression.const(other)
+        elif not isinstance(other, Expression):
+            return NotImplemented
+        lhs, rhs = (other, self) if reflected else (self, other)
+        return Expression(BinOp(op, lhs.node, rhs.node))
+    return method
+
+
 class Expression:
     """Immutable parsed expression; supports arithmetic, printing, symbolic
     differentiation and evaluation over jets."""
 
-    __slots__ = ("node", "free_vars", "_plans")
+    __slots__ = ("node",)
 
     def __init__(self, node: Node):
         self.node = node
-        self.free_vars = frozenset(_free_vars(node))
-        self._plans = {}   # JetSpace -> the Plan that `evaluate` runs
+
+    @property
+    def free_vars(self) -> frozenset:
+        return frozenset(_free_vars(self.node))
 
     # construction helpers
     @staticmethod
@@ -270,44 +287,11 @@ class Expression:
     def __hash__(self):
         return hash(self.node)
 
-    def _lift(self, other) -> "Expression":
-        if isinstance(other, Expression):
-            return other
-        if isinstance(other, (int, float)):
-            return Expression.const(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return Expression(BinOp("+", self.node, other.node))
-
-    def __radd__(self, other):
-        other = self._lift(other)
-        return Expression(BinOp("+", other.node, self.node))
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return Expression(BinOp("-", self.node, other.node))
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        return Expression(BinOp("-", other.node, self.node))
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return Expression(BinOp("*", self.node, other.node))
-
-    def __rmul__(self, other):
-        other = self._lift(other)
-        return Expression(BinOp("*", other.node, self.node))
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return Expression(BinOp("/", self.node, other.node))
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        return Expression(BinOp("/", other.node, self.node))
+    __add__, __radd__ = _operator("+"), _operator("+", reflected=True)
+    __sub__, __rsub__ = _operator("-"), _operator("-", reflected=True)
+    __mul__, __rmul__ = _operator("*"), _operator("*", reflected=True)
+    __truediv__ = _operator("/")
+    __rtruediv__ = _operator("/", reflected=True)
 
     def __neg__(self):
         return Expression(Neg(self.node))
@@ -453,6 +437,13 @@ class Plan(NamedTuple):
             raise ExprDomainError(str(exc)) from exc
         return [regs[i] for i in self.outputs]
 
+    def bind(self, env: Mapping) -> list:
+        """The values of `names` in `env`, in order."""
+        missing = sorted(set(self.names) - set(env))
+        if missing:
+            raise UnknownIdentifierError(f"unassigned variables: {missing}")
+        return [env[name] for name in self.names]
+
 
 def compile(exprs, space: JetSpace) -> Plan:
     """Compile a sequence of Expressions over `space` into a Plan.
@@ -461,9 +452,10 @@ def compile(exprs, space: JetSpace) -> Plan:
     that walking them at every evaluation would perform, in the same
     order, less two kinds: a node object reached again (``diff`` shares
     subtrees by reference) reuses its first result, and a subtree without
-    free variables is evaluated here, once, into a read-only jet.  A
-    subtree whose folding raises stays on the tape, so it raises where
-    the walk would.  Results are the walk's to the last bit."""
+    free variables is evaluated here, once, into a read-only jet that
+    only this plan holds.  A subtree whose folding raises stays on the
+    tape, so it raises where the walk would.  Results are the walk's to
+    the last bit."""
     registers, tape, memo, names = [], [], {}, {}
     put = registers.append
 
@@ -473,7 +465,7 @@ def compile(exprs, space: JetSpace) -> Plan:
             return out
         kind = type(node)
         if kind is Const:
-            put(_constant(space, node.value))
+            put(_fold(space.constant, (node.value,)))
         elif kind is Var:
             if node.name in names:
                 return names[node.name]
@@ -519,16 +511,10 @@ def _fold(fn, args):
 def evaluate(e: Expression, env: Mapping[str, Jet | float], space: JetSpace):
     """Evaluate `e` over jets of `space` at the point `env`, which maps
     its variables to jets of that space; plain numbers are lifted to
-    constants.  `e` is compiled once per space, and its plan run."""
-    if type(e.node) is Const:   # its plan would only return this jet
-        return _constant(space, e.node.value)
-    missing = e.free_vars - set(env)
-    if missing:
-        raise UnknownIdentifierError(f"unassigned variables: {sorted(missing)}")
-    plan = e._plans.get(space)
-    if plan is None:
-        plan = e._plans[space] = compile([e], space)
-    return plan.run([_as_value(env[name], space) for name in plan.names])[0]
+    constants.  `e` is compiled, and its plan run."""
+    plan = compile([e], space)
+    return plan.run([x if isinstance(x, Jet) else space.constant(float(x))
+                     for x in plan.bind(env)])[0]
 
 
 def jets_at(exprs, space: JetSpace, point):
@@ -536,36 +522,22 @@ def jets_at(exprs, space: JetSpace, point):
     `point`: a mapping of the space variables to numbers or to
     equal-shaped arrays of values (see `jets.point_arrays`).
 
-    An Expression gives its jet as evaluated (constant over the points if
-    it is).  A nested list gives one jet whose batch axes are the point
-    axes, which constant entries are broadcast to, followed by the
-    nesting axes, as `jets.stack` lays them out."""
+    All the expressions are compiled into one plan and run once, so a
+    node they share runs once.  An Expression gives its jet as evaluated
+    (constant over the points if it is).  A nested list gives one jet
+    whose batch axes are the point axes, which constant entries are
+    broadcast to, followed by the nesting axes, as `jets.stack` lays
+    them out."""
     env = space.seed(point)
-    if isinstance(exprs, Expression):
-        return evaluate(exprs, env, space)
 
-    def jets(item):
+    def each(item, fn):   # `item` with fn applied to its Expressions
         if isinstance(item, Expression):
-            return evaluate(item, env, space)
-        return [jets(x) for x in item]
+            return fn(item)
+        return [each(x, fn) for x in item]
 
+    leaves = []
+    each(exprs, leaves.append)
+    plan = compile(leaves, space)
+    jets = iter(plan.run(plan.bind(env)))
     batch = np.broadcast_shapes(*(j.coeffs.shape[:-1] for j in env.values()))
-    return stack(jets(exprs), batch)
-
-
-def _as_value(x, space):
-    return x if isinstance(x, Jet) else space.constant(float(x))
-
-
-_CONSTANTS: dict[tuple, Jet] = {}
-
-
-def _constant(space, value):
-    """The constant jet `value` of `space`, built once per space and
-    float bits (0.0 and -0.0 stay apart) and shared, so read-only."""
-    key = (space, struct.pack("d", value))
-    jet = _CONSTANTS.get(key)
-    if jet is None:
-        jet = _CONSTANTS[key] = space.constant(value)
-        jet.coeffs.flags.writeable = False
-    return jet
+    return stack(each(exprs, lambda e: next(jets)), batch)

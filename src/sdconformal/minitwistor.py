@@ -22,7 +22,8 @@ import numpy as np
 from .expr import Expression, as_expression, jets_at
 from .jets import JetSpace, max_abs, unstack
 from .projective import COORDS, xy_arrays
-from .conformal import jet_gauss_solve, lstsq
+from .conformal import jet_gauss_solve
+from .pairs import DEFAULT_LAMBDAS, lstsq
 
 
 class WeightedCongruence:
@@ -179,7 +180,7 @@ def ward_transport(P, rho, start, length, step):
     return {"transport": last[3], "end": last[:3]}
 
 
-def projective_field_residual(P, V, points, lambdas=(0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)):
+def projective_field_residual(P, V, points, lambdas=DEFAULT_LAMBDAS):
     """How far the flow of the vector field V is from permuting geodesics.
 
     V = (V^0, V^1) lifts to the projectivized tangent bundle with

@@ -19,6 +19,7 @@ two-fiber (t, z) family built by quadratures from a congruence.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .expr import Expression, as_expression, jets_at
 from .jets import Jet, JetSpace, max_abs, point_arrays
@@ -86,6 +87,24 @@ def lie_bracket(u, v):
     return (vg @ uv[..., None])[..., 0] - (ug @ vv[..., None])[..., 0]
 
 
+def _lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def lstsq(a, b):
+    """Least-squares solutions x[...] of a[...] x = b[...] for stacks of
+    systems a (..., M, N) and right-hand sides b (..., M, K), in one call
+    of the gufunc behind `np.linalg.lstsq`, with its default rcond and
+    error handling: each x is that function's solution to the last bit,
+    and SVD non-convergence (NaN input) raises its LinAlgError."""
+    m, n = a.shape[-2:]
+    with np.errstate(call=_lstsq_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x, _, _, _ = _umath_linalg.lstsq(a, b, np.finfo(float).eps * max(m, n),
+                                         signature="ddd->ddid")
+    return x
+
+
 def build_lax(P, pair: ProjectivePair) -> LaxPair:
     """Assemble L0 = phi0 + lam phi1 and L1 = dx + alpha0 + lam(dy + alpha1)
     + a(lam) dlam from the pair and the spray of P."""
@@ -127,7 +146,7 @@ def lax_residual(lax: LaxPair, points, lambdas=DEFAULT_LAMBDAS):
     perp = bracket - c[..., None] * l0
     worst = float(np.max(np.sqrt(_dot(perp, perp))))
     # one multi-RHS fit; row-major like a stack of single-point fits
-    fits = np.ascontiguousarray(np.linalg.lstsq(vander, c.T, rcond=None)[0].T)
+    fits = np.ascontiguousarray(lstsq(vander, c.T).T)
     return {
         "residual": worst,
         "b_coeffs": fits[:, :3],

@@ -165,7 +165,7 @@ class ProjectiveSurface:
         space = JetSpace(COORDS, 0)
         plan = compile(exprs, space)
         env = space.seed({"x": 0.0, "y": 0.0})
-        inputs = [env[name] for name in plan.names]
+        inputs = plan.bind(env)
         x, y = env["x"].coeffs, env["y"].coeffs
 
         def coeffs(state):

@@ -8,7 +8,7 @@ are always a prefix of the first m > n — residual maxima are monotone
 in the sample count by construction.
 """
 
-from .expr import ExprDomainError, jets_at
+from .expr import ExprDomainError, compile
 from .jets import JetSpace
 
 HALTON_BASES = (2, 3, 5, 7, 11)
@@ -45,7 +45,7 @@ def halton_points(names, box, count, seed=0, exclusions=()):
         lo, hi = box[nm]
         if not lo < hi:
             raise SamplingError(f"empty box interval for {nm}")
-    space = JetSpace(names, 0)
+    clear = _clearance(names, exclusions) if exclusions else None
     points = []
     index = 1 + int(seed)
     budget = 1000 * (count + 10)  # guards should reject a small fraction
@@ -58,14 +58,28 @@ def halton_points(names, box, count, seed=0, exclusions=()):
             lo, hi = box[nm]
             pt[nm] = lo + (hi - lo) * radical_inverse(index, HALTON_BASES[d])
         index += 1
-        if all(_clear(e, guard, space, pt) for e, guard in exclusions):
+        if clear is None or clear(pt):
             points.append(pt)
     return points
 
 
-def _clear(expr, guard, space, point):
-    """Whether |expr| > guard at the point; False where expr is singular."""
-    try:
-        return abs(jets_at(expr, space, point).value) > guard
-    except ExprDomainError:
-        return False
+def _clearance(names, exclusions):
+    """The test of a candidate point against the exclusions: whether
+    |expression| > guard for each, and False where any is singular.  The
+    expressions are compiled into one plan over order-0 jets, seeded
+    once; each candidate is written into its input jets and run."""
+    space = JetSpace(names, 0)
+    plan = compile([e for e, _ in exclusions], space)
+    env = space.seed(dict.fromkeys(names, 0.0))
+    inputs = plan.bind(env)
+
+    def clear(point):
+        for nm, jet in env.items():
+            jet.coeffs[0] = point[nm]
+        try:
+            values = plan.run(inputs)
+        except ExprDomainError:
+            return False
+        return all(abs(v.value) > guard
+                   for v, (_, guard) in zip(values, exclusions))
+    return clear

@@ -14,7 +14,7 @@ import numpy as np
 from sdconformal.conformal import jet_gauss_solve
 from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
                               Neg, Pow, UnknownIdentifierError, Var,
-                              _constant, _print, as_expression, jets_at)
+                              _print, as_expression, jets_at)
 from sdconformal.jets import Jet, JetDomainError, JetSpace, max_abs, point_arrays
 from sdconformal.minitwistor import (WeightedCongruence,
                                      _derivative_matrix_jets, _shifted_ricci)
@@ -42,7 +42,7 @@ def reference_eval(e, env, space):
 
 def _walk(node, env, space):
     if isinstance(node, Const):
-        return _constant(space, node.value)
+        return space.constant(node.value)
     if isinstance(node, Var):
         x = env[node.name]
         return x if isinstance(x, Jet) else space.constant(float(x))

@@ -334,3 +334,110 @@ def test_ward_step_and_length_must_be_positive(capsys, tmp_path, key, value):
     assert code == 2 and out == ""
     assert err == f"scene error: ward: {key} must be positive and finite, " \
                   f"got {float(value)!r}\n"
+
+
+def _put(*keys):
+    """An edit that writes the bad expression at scene[keys[0]][keys[1]]..."""
+    def edit(scene, bad):
+        *path, last = keys
+        for key in path:
+            scene = scene[key]
+        scene[last] = bad
+    return edit
+
+
+def _metric(scene, bad):
+    scene["metric"] = {"components": [[bad, "0", "0", "1"],
+                                      ["0", "0", "-1", "0"],
+                                      ["0", "-1", "0", "0"],
+                                      ["1", "0", "0", "0"]]}
+
+
+# every place a scene holds an expression that no other handler wraps:
+# (command, scene, edit writing the expression there)
+EXPRESSION_SITES = {
+    "sampling.exclusions": ("congruence", "burgers",
+                            _put("sampling", "exclusions", 0, "expr")),
+    "congruences": ("congruence", "burgers", _put("congruences", "radial")),
+    "fields": ("killing", "flat", _put("fields", "K", 2)),
+    "distributions": ("frobenius", "flat",
+                      _put("distributions", "beta_planes", 0, 2)),
+    "surface_fields": ("projective-field", "projective_field",
+                       _put("surface_fields", "dilation", 0)),
+    "ward.rho": ("ward", "ward", _put("ward", "rho", 0)),
+    "divisor2": ("divisor2", "divisor2_trivial", _put("divisor2", 0, "phi", 1)),
+    "build.gamma": ("build-dw", "dw_twist", _put("build", "gamma")),
+    "build.H": ("build-dw", "dw_twist", _put("build", "H")),
+    "build.beta": ("build-twistfree", "twistfree", _put("build", "beta")),
+    "build.a": ("build-nullkahler", "nullkahler_random", _put("build", "a")),
+    "build.f": ("build-nullkahler", "nullkahler_random", _put("build", "f")),
+    "factor": ("certify-selfdual", "nullkahler_hk", _put("factor")),
+    "metric.components": ("curvature", "flat", _metric),
+}
+
+
+def _run_edited(capsys, tmp_path, command, name, edit):
+    scene = json.loads((SCENES / f"{name}.json").read_text())
+    edit(scene)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(scene))
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("site", sorted(EXPRESSION_SITES))
+@pytest.mark.parametrize("bad", ["x +", "q"])
+def test_bad_expressions_are_scene_errors(capsys, tmp_path, site, bad):
+    # a malformed or unknown-variable expression used to end in a
+    # traceback with exit 1 everywhere but the projective and pair data
+    command, name, edit = EXPRESSION_SITES[site]
+    code, out, err = _run_edited(capsys, tmp_path, command, name,
+                                 lambda scene: edit(scene, bad))
+    assert code == 2 and out == ""
+    assert err.startswith("scene error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,name,missing", [
+    ("build-dw", "nullkahler_random", "['gamma', 'H', 'G']"),
+    ("build-twistfree", "nullkahler_random", "['beta']"),
+    ("build-nullkahler", "twistfree", "['a', 'c', 'f']"),
+])
+def test_missing_build_keys_are_scene_errors(capsys, tmp_path, command, name,
+                                             missing):
+    code, out, err = _run_edited(capsys, tmp_path, command, name,
+                                 lambda scene: None)
+    assert code == 2 and out == ""
+    assert err == f"scene error: {command}: build section lacks {missing}\n"
+
+
+class TestToleranceOverrides:
+    def _exit(self, capsys, *tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["divisor2", str(SCENES / "divisor2_roots.json"),
+                  *(arg for t in tol for arg in ("--tol", t))])
+        return exc.value.code, capsys.readouterr().err
+
+    def test_unknown_name_is_rejected(self, capsys):
+        code, err = self._exit(capsys, "divisor2=1e-9", "nosuch=1e-9")
+        assert code == 2 and "unknown tolerance 'nosuch'" in err
+
+    def test_value_must_be_a_number(self, capsys):
+        for text in ("ward=abc", "ward", "ward="):
+            code, err = self._exit(capsys, text)
+            assert code == 2 and "tolerance ward needs a number" in err
+
+    def test_old_readme_example_names_no_tolerance(self, capsys):
+        # dc_residual is the report's value, not a tolerance: the override
+        # used to be accepted and change nothing
+        code, err = self._exit(capsys, "dc_residual=1e-9")
+        assert code == 2 and "unknown tolerance 'dc_residual'" in err
+
+    def test_divisor2_override_reaches_its_check(self, capsys):
+        code, report = run(capsys, "divisor2",
+                           str(SCENES / "divisor2_roots.json"),
+                           "--tol", "divisor2=1e-300")
+        assert code == 1
+        [check] = [c for c in report["checks"]
+                   if c["name"] == "weyl_connection_consistency"]
+        assert check["tolerance"] == 1e-300 and not check["verdict"]

@@ -1,13 +1,14 @@
 """Expression language: parsing, printing, differentiation, evaluation."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdconformal.expr import (FUNCTIONS, BinOp, Call, Const, Expression,
-                              Neg, Pow, Var, _constant, compile, parse,
+                              Neg, Pow, Var, compile, parse,
                               evaluate, jets_at, ExprError, ExprSyntaxError,
                               ExprDomainError, UnknownIdentifierError)
 from sdconformal import expr as expr_module
@@ -199,37 +200,65 @@ class TestJetsAt:
             evaluate(e, {"x": 1.0, "y": 2.0})
 
 
-class TestConstantCache:
-    """Each constant jet is built once per (space, float bits) and shared."""
+class TestConstants:
+    """Each constant is folded into its plan as a fresh read-only jet;
+    nothing is shared between plans or kept between calls."""
 
-    def test_constant_jets_are_shared_and_read_only(self):
+    def test_constant_jets_are_fresh_and_read_only(self):
         space = JetSpace(XY, 2)
         e = parse("2.5", XY)
         first = evaluate(e, space.seed({"x": 1.0, "y": 2.0}), space)
         again = evaluate(e, space.seed({"x": -1.0, "y": 0.0}), space)
-        assert first is again
-        assert np.array_equal(first.coeffs, space.constant(2.5).coeffs)
-        with pytest.raises(ValueError):
-            first.coeffs[0] = 1.0
-        # the arithmetic on a shared constant leaves it alone
-        evaluate(parse("2.5*x + 2.5", XY), space.seed({"x": 3.0, "y": 1.0}),
-                 space)
-        assert np.array_equal(first.coeffs, space.constant(2.5).coeffs)
+        assert first is not again
+        for jet in (first, again):
+            assert np.array_equal(jet.coeffs, space.constant(2.5).coeffs)
+            with pytest.raises(ValueError):
+                jet.coeffs[0] = 1.0
+        # the arithmetic on a folded constant leaves it alone
+        plan = compile([parse("2.5*x + 2.5", XY)], space)
+        folded = [r for r in plan.registers if isinstance(r, Jet)]
+        plan.run(plan.bind(space.seed({"x": 3.0, "y": 1.0})))
+        assert len(folded) == 2 and folded[0] is not folded[1]
+        for jet in folded:
+            assert not jet.coeffs.flags.writeable
+            assert np.array_equal(jet.coeffs, space.constant(2.5).coeffs)
 
     def test_signed_zeros_and_spaces_stay_apart(self):
         space = JetSpace(XY, 1)
-        plus, minus = _constant(space, 0.0), _constant(space, -0.0)
+        plan = compile([Expression.const(0.0), Expression.const(-0.0)], space)
+        plus, minus = plan.run([])
         assert plus is not minus
         assert not np.signbit(plus.coeffs[0]) and np.signbit(minus.coeffs[0])
-        other = _constant(JetSpace(XY, 2), 0.0)
+        assert not plus.coeffs.flags.writeable
+        assert not minus.coeffs.flags.writeable
+        [other] = compile([Expression.const(0.0)], JetSpace(XY, 2)).run([])
         assert other.space is JetSpace(XY, 2) and len(other.coeffs) == 6
 
     def test_variables_are_still_fresh_arrays(self):
         space = JetSpace(XY, 1)
-        _constant(space, 1.0)
+        compile([Expression.const(1.0)], space).run([])
         x = space.variable("x", 1.0)
         assert x.coeffs.flags.writeable
         assert np.array_equal(x.coeffs, [1.0, 1.0, 0.0])
+        seeded = jets_at(parse("x", XY), space, {"x": 1.0, "y": 0.0})
+        assert seeded.coeffs.flags.writeable
+
+
+class TestOperators:
+    @pytest.mark.parametrize("other", ["y", None, [1.0], {"x": 1}])
+    def test_unliftable_operands_raise_type_error(self, other):
+        e = parse("x", XY)
+        for fn in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            with pytest.raises(TypeError):
+                fn(e, other)
+            with pytest.raises(TypeError):
+                fn(other, e)
+
+    def test_numbers_are_lifted_on_either_side(self):
+        e = parse("x", XY)
+        assert str(2 - e) == "2.0 - x" and str(e / 4) == "x / 4.0"
+        assert 1.5 * e == parse("1.5*x", XY) and e + True == parse("x + 1", XY)
 
 
 # -- randomized round-trip ------------------------------------------------
@@ -286,7 +315,7 @@ class TestPlans:
         with pytest.raises(ValueError):
             const.coeffs[0] = 1.0
 
-    def test_evaluate_compiles_once_per_space(self, monkeypatch):
+    def test_evaluate_compiles_at_every_call(self, monkeypatch):
         compiled = []
 
         def counting(exprs, space):
@@ -299,9 +328,65 @@ class TestPlans:
             space = JetSpace(XY, order)
             got = evaluate(e, space.seed({"x": 2.0, "y": 3.0}), space)
             assert got.value == 7.0
-        assert compiled == [JetSpace(XY, 0), JetSpace(XY, 1)]
-        evaluate(parse("2.5", XY), {}, space)   # a lone constant: no plan
-        assert len(compiled) == 2
+        assert compiled == [JetSpace(XY, 0), JetSpace(XY, 1)] * 2
+        evaluate(parse("2.5", XY), {}, space)   # a lone constant too
+        assert len(compiled) == 5
+
+    SOURCES = [["x*y", "sin(x) + 1"], ["2.5", "y^2"], ["x", "exp(x*y)"]]
+
+    def test_jets_at_compiles_once_per_call(self, monkeypatch):
+        compiled = []
+
+        def counting(exprs, space):
+            compiled.append(len(exprs))
+            return compile(exprs, space)
+
+        monkeypatch.setattr(expr_module, "compile", counting)
+        space = JetSpace(XY, 1)
+        exprs = [[parse(s, XY) for s in row] for row in self.SOURCES]
+        jets_at(exprs, space, {"x": 0.5, "y": 0.25})
+        jets_at(exprs[0][0], space, {"x": 0.5, "y": 0.25})
+        assert compiled == [6, 1]
+
+    def test_jets_at_runs_a_node_shared_by_two_leaves_once(self, monkeypatch):
+        calls = []
+        sin = Jet.sin
+
+        def counting(jet):
+            calls.append(jet)
+            return sin(jet)
+
+        monkeypatch.setattr(Jet, "sin", counting)
+        e = parse("sin(x*y)", XY)
+        d = e.diff("x")   # cos(x*y) * (1*y + x*0): shares x*y, not sin
+        space = JetSpace(XY, 1)
+        point = {"x": np.array([0.5, -1.0]), "y": np.array([2.0, 0.25])}
+        got = jets_at([e, e * 2.0, d, e], space, point)
+        assert len(calls) == 1
+        env = space.seed(point)
+        want = stack([reference_eval(f, env, space) for f in
+                      (e, e * 2.0, d, e)], (2,))
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_no_state_is_kept(self):
+        e = parse("x*y + 1", XY)
+        assert Expression.__slots__ == ("node",)
+        for name in ("_plans", "_CONSTANTS", "_constant", "_as_value"):
+            assert not hasattr(e, name) and not hasattr(expr_module, name)
+        assert e.free_vars == frozenset(XY)
+
+        def containers():
+            return {k: len(v) for k, v in vars(expr_module).items()
+                    if isinstance(v, (dict, list, set))}
+
+        before = containers()
+        for order in range(3):
+            space = JetSpace(XY + ("z",), order)
+            jets_at([e, parse("3.25*x - 0.5", XY)], space,
+                    {"x": 1.0, "y": 2.0, "z": 0.0})
+            evaluate(parse("7.5 + y", XY), space.seed({"x": 0.0, "y": 1.0,
+                                                       "z": 0.0}), space)
+        assert containers() == before
 
     def test_outputs_may_be_the_input_jets(self):
         space = JetSpace(XY, 0)
