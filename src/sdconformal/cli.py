@@ -205,8 +205,12 @@ class RunContext:
         self.seed = args.seed if args.seed is not None else samp.get("seed", 0)
         self.box = samp.get("box", {})
         self._exclusions = samp.get("exclusions", [])
-        tolerances = {**TOLERANCES, **scene.get("tolerances", {}),
-                      **dict(args.tol or [])}
+        given = scene.get("tolerances", {})
+        for name in given:
+            if name not in TOLERANCES:
+                raise SceneError(f"unknown tolerance {name!r}; known: "
+                                 f"{', '.join(TOLERANCES)}")
+        tolerances = {**TOLERANCES, **given, **dict(args.tol or [])}
         self.tol = {name: float(v) for name, v in tolerances.items()}
 
     def points(self, names):

@@ -53,34 +53,39 @@ def jet_gauss_solve(A, B):
     """Solve A X = B for matrices of jets by Gaussian elimination, pivoting
     at each point on the magnitude of constant terms.  A is n x n, B is
     n x m (lists of lists of Jets, or jets whose last two batch axes are
-    the matrix); returns X as a list of lists of Jets."""
+    the matrix); returns X as a list of lists of Jets.
+
+    The elimination runs on the augmented matrix [A | B] with the points
+    on one axis.  At each column the pivot row is swapped in only at the
+    points where it moves.  Then the pivot row is scaled, and every row
+    whose entry in the column is nonzero at some point is eliminated;
+    both touch only the columns right of the pivot, since the pivot
+    column and those left of it are never read again.  The result is bit
+    for bit that of eliminating all of A and B at every column."""
     a, b = stack(A), stack(B)
     space = a.space
     batch = np.broadcast_shapes(a.coeffs.shape[:-3], b.coeffs.shape[:-3])
-    A = np.array(np.broadcast_to(a.coeffs, batch + a.coeffs.shape[-3:]))
-    B = np.array(np.broadcast_to(b.coeffs, batch + b.coeffs.shape[-3:]))
-    n = A.shape[-2]
+    n, m, size = b.coeffs.shape[-3], b.coeffs.shape[-2], len(space)
+    M = np.concatenate([np.broadcast_to(a.coeffs, batch + (n, n, size)),
+                        np.broadcast_to(b.coeffs, batch + (n, m, size))],
+                       axis=-2).reshape(-1, n, n + m, size)
     for col in range(n):
-        mag = np.abs(A[..., col:, col, 0])
+        mag = np.abs(M[:, col:, col, 0])
         if np.any(np.max(mag, axis=-1) == 0.0):
             raise np.linalg.LinAlgError("singular jet matrix")
-        # swap rows col and piv at each point (piv: the first largest)
+        # swap rows col and piv (the first largest) where they differ
         piv = col + np.argmax(mag, axis=-1)
-        perm = np.broadcast_to(np.arange(n), batch + (n,)).copy()
-        np.put_along_axis(perm, piv[..., None], col, axis=-1)
-        perm[..., col] = piv
-        A = np.take_along_axis(A, perm[..., :, None, None], axis=-3)
-        B = np.take_along_axis(B, perm[..., :, None, None], axis=-3)
-        inv = Jet(space, A[..., col, col, :]).reciprocal().coeffs[..., None, :]
-        A[..., col, :, :] = space.product(A[..., col, :, :], inv)
-        B[..., col, :, :] = space.product(B[..., col, :, :], inv)
+        at = np.flatnonzero(piv != col)
+        if at.size:
+            M[at, col], M[at, piv[at]] = M[at, piv[at]], M[at, col]
+        inv = Jet(space, M[:, col, col]).reciprocal().coeffs[:, None, :]
+        M[:, col, col + 1:] = space.product(M[:, col, col + 1:], inv)
         for r in range(n):
-            f = A[..., r, col, None, :].copy()
-            if r == col or not f.any():
-                continue
-            A[..., r, :, :] -= space.product(f, A[..., col, :, :])
-            B[..., r, :, :] -= space.product(f, B[..., col, :, :])
-    return unstack(Jet(space, B), 2)
+            f = M[:, r, col, None, :]
+            if r != col and f.any():
+                M[:, r, col + 1:] -= space.product(f, M[:, col, col + 1:])
+    X = M[:, :, n:].reshape(batch + (n, m, size))
+    return unstack(Jet(space, X), 2)
 
 
 def jet_matrix_inverse(A):
@@ -451,7 +456,7 @@ def build_null_kahler(a, c, f):
         dom = om.gradient()   # dom[..., i, j, k] = d_k omega_ij
         d3 = (np.einsum("...jki->...ijk", dom)
               + np.einsum("...kij->...ijk", dom) + dom)
-        g = builder.jets(pt, order=2)
+        g = builder.jets(pt, order=1)
         gv = np.ascontiguousarray(g.value)
         giv = np.linalg.inv(gv)
         # omega(U, V) = g(JU, V):  omega_ab = J^c_a g_cb

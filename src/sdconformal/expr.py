@@ -11,17 +11,16 @@ Grammar (whitespace insignificant, function application requires parens):
 Precedence: ^ > unary- > * / > + -, with + - * / left associative.
 Exponents are integer literals only; general powers go through exp/log.
 
-Expressions are evaluated over jets (`jets_at`, `evaluate`) by first
-compiling them (`compile`) into a `Plan`: a flat tape of the jet
-operations that walking their trees would perform, in the walk's order,
-with each node object run once and each subtree without free variables
-folded into a read-only jet.  A plan gives the walk's results to the
-last bit and raises the walk's first error.  Nothing is kept between
-calls: `jets_at` compiles all the expressions it is given into one plan
-and runs it once, and a caller that evaluates several expressions at
-many points (`ProjectiveSurface.integrate_geodesic`,
-`sampling.halton_points`) compiles them into one plan and runs it at
-each.
+Expressions are evaluated over jets (`jets_at`) by first compiling them
+(`compile`) into a `Plan`: a flat tape of the jet operations that
+walking their trees would perform, in the walk's order, with each node
+object run once and each subtree without free variables folded into a
+read-only jet.  A plan gives the walk's results to the last bit and
+raises the walk's first error.  Nothing is kept between calls: `jets_at`
+compiles all the expressions it is given into one plan and runs it once,
+and a caller that evaluates several expressions at many points
+(`ProjectiveSurface.integrate_geodesic`, `sampling.halton_points`)
+compiles them into one plan and runs it at each.
 """
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ from typing import Mapping, NamedTuple, Union
 
 import numpy as np
 
-from .jets import Jet, JetDomainError, JetSpace, stack
+from .jets import JetDomainError, JetSpace, stack
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -506,15 +505,6 @@ def _fold(fn, args):
         return None
     jet.coeffs.flags.writeable = False
     return jet
-
-
-def evaluate(e: Expression, env: Mapping[str, Jet | float], space: JetSpace):
-    """Evaluate `e` over jets of `space` at the point `env`, which maps
-    its variables to jets of that space; plain numbers are lifted to
-    constants.  `e` is compiled, and its plan run."""
-    plan = compile([e], space)
-    return plan.run([x if isinstance(x, Jet) else space.constant(float(x))
-                     for x in plan.bind(env)])[0]
 
 
 def jets_at(exprs, space: JetSpace, point):

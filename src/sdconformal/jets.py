@@ -48,10 +48,12 @@ def _tables(nvars: int, order: int):
                 jj.append(j)
                 kk.append(k)
     # The 0/1 scatter matrix of the product kernel, stored as a strided
-    # view: matmul then takes numpy's plain loop, which adds each output's
-    # terms in pair order for every batch shape.  (BLAS gemv and gemm
-    # group the terms differently, so a single point and a batch would
-    # differ in the last bit.)
+    # view: matmul then takes numpy's plain loop instead of BLAS (gemv and
+    # gemm group the terms differently, so a single point and a batch
+    # would differ in the last bit).  That loop adds each output's terms
+    # in pair order, starting from 0.0, because the gathered pair array
+    # a[..., ii] * b[..., jj] comes out F-ordered; a C-contiguous copy of
+    # it changes the order, and the last bit, on some spaces and batches.
     wide = np.zeros((len(ii), 2 * len(mindex)))
     wide[np.arange(len(ii)), 2 * np.asarray(kk)] = 1.0
     scatter = wide[:, ::2]
@@ -108,6 +110,8 @@ class JetSpace:
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coefficients of the product of two jets of this space, given by
         their coefficient arrays (batch shapes broadcast)."""
+        if not self.order:   # one pair; + 0.0 is the matmul's zero start
+            return a * b + 0.0
         return (a[..., self._ii] * b[..., self._jj]) @ self._scatter
 
     def constant(self, value) -> "Jet":

@@ -38,34 +38,6 @@ class WeightedCongruence:
         self.rho = tuple(as_expression(c, COORDS) for c in rho)
 
 
-def _derivative_matrix_jets(P, phi, rho, point, order):
-    """The lowered covariant derivative M_{BC} = eps_{AC} D_B phi^A of a
-    weight -1 congruence, as order-`order` jets, together with the
-    lowered field (phi_0, phi_1) = (-phi^1, phi^0).  Lowering uses the
-    chart area form eps_{01} = 1, which commutes with the weighted
-    derivative."""
-    ph, rh = unstack(jets_at([phi, rho], JetSpace(COORDS, order + 1),
-                             {"x": point[0], "y": point[1]}), 2)
-    rh = [r.truncate(order) for r in rh]
-    g = P.christoffel_jets(point, order)
-    tr = [g[0][B][0] + g[1][B][1] for B in range(2)]
-    low = [-ph[1].truncate(order), ph[0].truncate(order)]
-    M = [[None, None], [None, None]]
-    for B in range(2):
-        d = [ph[A].derivative(COORDS[B]) for A in range(2)]
-        cov = []
-        for A in range(2):
-            val = d[A]
-            for E in range(2):
-                val = val + g[A][B][E] * ph[E].truncate(order)
-            val = val - tr[B] * ph[A].truncate(order) * (1.0 / 3.0)
-            val = val + rh[B] * ph[A].truncate(order)
-            cov.append(val.truncate(order))
-        for C in range(2):
-            M[B][C] = cov[0] * (C == 1) - cov[1] * (C == 0)
-    return M, low
-
-
 def _shifted_ricci(P, gam, point):
     """r + D gamma - gamma (x) gamma: the Ricci form of the representative
     connection shifted by the 1-form gamma (a pair of order-1 jets), as

@@ -11,13 +11,14 @@ import math
 
 import numpy as np
 
+from sdconformal import expr as expr_module
 from sdconformal.conformal import jet_gauss_solve
 from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
                               Neg, Pow, UnknownIdentifierError, Var,
                               _print, as_expression, jets_at)
-from sdconformal.jets import Jet, JetDomainError, JetSpace, max_abs, point_arrays
-from sdconformal.minitwistor import (WeightedCongruence,
-                                     _derivative_matrix_jets, _shifted_ricci)
+from sdconformal.jets import (Jet, JetDomainError, JetSpace, max_abs,
+                              point_arrays, stack, unstack)
+from sdconformal.minitwistor import WeightedCongruence, _shifted_ricci
 from sdconformal.pairs import LaxPair, ProjectivePair, _fiber_divergence
 from sdconformal.projective import COORDS, ProjectiveSurface, xy_arrays
 
@@ -26,6 +27,15 @@ from sdconformal.projective import COORDS, ProjectiveSurface, xy_arrays
 
 def to_source(e):
     return _print(e.node)
+
+
+def evaluate(e, env, space):
+    """Evaluate `e` over jets of `space` at the point `env`, which maps
+    its variables to jets of that space; plain numbers are lifted to
+    constants.  `e` is compiled, and its plan run."""
+    plan = expr_module.compile([e], space)
+    return plan.run([x if isinstance(x, Jet) else space.constant(float(x))
+                     for x in plan.bind(env)])[0]
 
 
 def reference_eval(e, env, space):
@@ -83,6 +93,63 @@ def extract(jet, mu):
     for m in mu:
         fact *= math.factorial(m)
     return jet.coeffs[..., jet.space.index[mu]] * fact
+
+
+def product_sums(space, a, b):
+    """`space.product(a, b)` summed in plain Python: each slot k is
+    0.0 + p_1 + p_2 + ... over the pairs (i, j) with mindex i + j = k, in
+    the order of the pair tables (i, then j), p = a[i] * b[j]."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    pairs = [[] for _ in space.mindex]
+    for i, mi in enumerate(space.mindex):
+        for j, mj in enumerate(space.mindex):
+            k = space.index.get(tuple(x + y for x, y in zip(mi, mj)))
+            if k is not None:
+                pairs[k].append((i, j))
+    out = np.empty(a.shape)
+    for at in np.ndindex(*a.shape[:-1]):
+        ai, bi = a[at].tolist(), b[at].tolist()
+        for k, terms in enumerate(pairs):
+            total = 0.0
+            for i, j in terms:
+                total = total + ai[i] * bi[j]
+            out[at + (k,)] = total
+    return out
+
+
+def reference_gauss_solve(A, B):
+    """`conformal.jet_gauss_solve` as it was before it eliminated on the
+    live columns of [A | B]: every column of A and B is permuted at each
+    pivot (`take_along_axis`), scaled and eliminated.  Kept to check the
+    solver against, bit for bit."""
+    a, b = stack(A), stack(B)
+    space = a.space
+    batch = np.broadcast_shapes(a.coeffs.shape[:-3], b.coeffs.shape[:-3])
+    A = np.array(np.broadcast_to(a.coeffs, batch + a.coeffs.shape[-3:]))
+    B = np.array(np.broadcast_to(b.coeffs, batch + b.coeffs.shape[-3:]))
+    n = A.shape[-2]
+    for col in range(n):
+        mag = np.abs(A[..., col:, col, 0])
+        if np.any(np.max(mag, axis=-1) == 0.0):
+            raise np.linalg.LinAlgError("singular jet matrix")
+        # swap rows col and piv at each point (piv: the first largest)
+        piv = col + np.argmax(mag, axis=-1)
+        perm = np.broadcast_to(np.arange(n), batch + (n,)).copy()
+        np.put_along_axis(perm, piv[..., None], col, axis=-1)
+        perm[..., col] = piv
+        A = np.take_along_axis(A, perm[..., :, None, None], axis=-3)
+        B = np.take_along_axis(B, perm[..., :, None, None], axis=-3)
+        inv = Jet(space, A[..., col, col, :]).reciprocal().coeffs[..., None, :]
+        A[..., col, :, :] = space.product(A[..., col, :, :], inv)
+        B[..., col, :, :] = space.product(B[..., col, :, :], inv)
+        for r in range(n):
+            f = A[..., r, col, None, :].copy()
+            if r == col or not f.any():
+                continue
+            A[..., r, :, :] -= space.product(f, A[..., col, :, :])
+            B[..., r, :, :] -= space.product(f, B[..., col, :, :])
+    return unstack(Jet(space, B), 2)
 
 
 # -- projective surfaces --------------------------------------------------------
@@ -221,13 +288,41 @@ def congruence_from_slope(beta):
                               (beta.diff("y"), Expression.const(0.0)))
 
 
+def derivative_matrix_jets(P, phi, rho, point, order):
+    """The lowered covariant derivative M_{BC} = eps_{AC} D_B phi^A of a
+    weight -1 congruence, as order-`order` jets, together with the
+    lowered field (phi_0, phi_1) = (-phi^1, phi^0).  Lowering uses the
+    chart area form eps_{01} = 1, which commutes with the weighted
+    derivative."""
+    ph, rh = unstack(jets_at([phi, rho], JetSpace(COORDS, order + 1),
+                             {"x": point[0], "y": point[1]}), 2)
+    rh = [r.truncate(order) for r in rh]
+    g = P.christoffel_jets(point, order)
+    tr = [g[0][B][0] + g[1][B][1] for B in range(2)]
+    low = [-ph[1].truncate(order), ph[0].truncate(order)]
+    M = [[None, None], [None, None]]
+    for B in range(2):
+        d = [ph[A].derivative(COORDS[B]) for A in range(2)]
+        cov = []
+        for A in range(2):
+            val = d[A]
+            for E in range(2):
+                val = val + g[A][B][E] * ph[E].truncate(order)
+            val = val - tr[B] * ph[A].truncate(order) * (1.0 / 3.0)
+            val = val + rh[B] * ph[A].truncate(order)
+            cov.append(val.truncate(order))
+        for C in range(2):
+            M[B][C] = cov[0] * (C == 1) - cov[1] * (C == 0)
+    return M, low
+
+
 def abelian_pair_residual(P, phi, rho, points):
     """Max norm over sample points of the symmetrized coupled derivative
     of the congruence field; zero iff (phi, rho) is a genuine weighted
     congruence of the projective structure."""
     phi = tuple(as_expression(c, COORDS) for c in phi)
     rho = tuple(as_expression(c, COORDS) for c in rho)
-    M, _ = _derivative_matrix_jets(P, phi, rho, xy_arrays(points), 0)
+    M, _ = derivative_matrix_jets(P, phi, rho, xy_arrays(points), 0)
     # the symmetric part (S_00, S_01, S_11)
     sym = (M[0][0], (M[0][1] + M[1][0]) * 0.5, M[1][1])
     return max_abs(*(s.value for s in sym))
@@ -249,7 +344,7 @@ def canonical_connection_from_congruence(P, phi, point):
     """
     phi = tuple(as_expression(c, COORDS) for c in phi)
     zero = (Expression.const(0.0), Expression.const(0.0))
-    M0, low = _derivative_matrix_jets(P, phi, zero, point, 1)
+    M0, low = derivative_matrix_jets(P, phi, zero, point, 1)
     p = low  # lowered components as order-1 jets
     if p[0].value == 0.0 and p[1].value == 0.0:
         raise np.linalg.LinAlgError("congruence field vanishes at the point")

@@ -144,7 +144,7 @@ class TestSprayInvariance:
 
 class TestCurvatureTransformation:
     def test_ricci_shift_and_cotton_invariance(self):
-        from sdconformal.expr import evaluate
+        from oracles import evaluate
         rng = np.random.default_rng(103)
         for _ in range(20):
             P = _random_surface(rng)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from sdconformal.conformal import (MetricBuilder, build_null_kahler,
                                    curvature_report, frame_values,
                                    frobenius_residual, killing_report)
-from sdconformal.expr import evaluate, parse
+from sdconformal.expr import parse
 from sdconformal.jets import Jet, JetSpace, point_arrays, stack
 from sdconformal.minitwistor import (WeightedCongruence, _weyl_gamma_jets,
                                      divisor_two_report,
@@ -34,8 +34,8 @@ from sdconformal.projective import (COORDS, ProjectiveSurface, _pow,
 from sdconformal.sampling import halton_points
 from test_acceptance import _frobenius_scene
 from oracles import (abelian_pair_residual, area_connection_curvature,
-                     congruence_from_slope, cotton, projective_change,
-                     trivial_pair)
+                     congruence_from_slope, cotton, evaluate,
+                     projective_change, trivial_pair)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 FLAT = ProjectiveSurface.flat()

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sdconformal.cli import _check, main
+from sdconformal.cli import TOLERANCES, _check, main
 from sdconformal.expr import parse
 from sdconformal.sampling import halton_points
 
@@ -441,3 +441,14 @@ class TestToleranceOverrides:
         [check] = [c for c in report["checks"]
                    if c["name"] == "weyl_connection_consistency"]
         assert check["tolerance"] == 1e-300 and not check["verdict"]
+
+    def test_unknown_scene_tolerance_is_a_scene_error(self, capsys, tmp_path):
+        # a scene's unknown tolerance name used to be ignored: this scene
+        # ran with the default divisor2 tolerance and exited 0
+        code, out, err = _run_edited(
+            capsys, tmp_path, "divisor2", "divisor2_roots",
+            lambda scene: scene.setdefault("tolerances", {}).update(
+                dc_residual=1e-300))
+        assert code == 2 and out == ""
+        assert err == ("scene error: unknown tolerance 'dc_residual'; "
+                       f"known: {', '.join(TOLERANCES)}\n")

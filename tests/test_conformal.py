@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from sdconformal.jets import JetSpace
+from sdconformal.jets import Jet, JetSpace, stack
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.pairs import dw_quadrature_build
 from sdconformal.conformal import (MetricBuilder, curvature_report,
                                    certify_selfdual, killing_report,
                                    frobenius_residual, build_null_kahler,
-                                   jet_matrix_inverse, frame_values, lstsq)
-from oracles import trivial_pair
+                                   jet_gauss_solve, jet_matrix_inverse,
+                                   frame_values, lstsq)
+from oracles import reference_gauss_solve, trivial_pair
 
 FLAT = ProjectiveSurface.flat()
 
@@ -43,6 +44,80 @@ class TestJetLinearAlgebra:
                 want = 1.0 if i == j else 0.0
                 assert abs(prod.value - want) < 1e-13
                 assert np.abs(prod.coeffs[1:]).max() < 1e-12
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _system(rng, space, batch, n, m, kind):
+    """Random jet matrices A (batch + n x n) and B (batch + n x m).
+    "forced": the diagonal's constant terms vanish at some points, so the
+    pivot row moves there; "sparse": some entries are the zero jet at
+    every point, so their rows are skipped at that column."""
+    A = rng.standard_normal(batch + (n, n, len(space)))
+    B = rng.standard_normal(batch + (n, m, len(space)))
+    if kind == "forced":
+        A[..., range(n), range(n), 0] *= rng.random(batch + (n,)) < 0.5
+    elif kind == "sparse":
+        A *= ((rng.random((n, n)) < 0.5) | np.eye(n, dtype=bool))[..., None]
+        A[..., range(n), range(n), 0] += 3.0
+    return Jet(space, A), Jet(space, B)
+
+
+class TestGaussSolveMatchesReference:
+    """`jet_gauss_solve` eliminates on the live columns of [A | B] and
+    swaps only moved rows; `oracles.reference_gauss_solve` permutes and
+    eliminates all of A and B.  They agree bit for bit."""
+
+    @pytest.mark.parametrize("n,m", [(4, 4), (2, 1), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("batch", [(), (1,), (5,), (32,), (3, 4)])
+    @pytest.mark.parametrize("kind", ["random", "forced", "sparse"])
+    def test_bitwise(self, n, m, batch, kind):
+        rng = np.random.default_rng([n, m, len(batch), sum(batch),
+                                     len(kind)])
+        for nvars in range(2, 6):
+            for order in range(4):
+                space = JetSpace(tuple("abcde"[:nvars]), order)
+                A, B = _system(rng, space, batch, n, m, kind)
+                got = stack(jet_gauss_solve(A, B)).coeffs
+                want = stack(reference_gauss_solve(A, B)).coeffs
+                assert got.shape == want.shape == batch + (n, m, len(space))
+                assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+    def test_unbatched_right_hand_sides(self, batch):
+        # jet_matrix_inverse solves against one identity for all points;
+        # a batched B against one A broadcasts the same way
+        rng = np.random.default_rng(len(batch))
+        for order in range(4):
+            space = JetSpace(("x", "y", "t", "z"), order)
+            A, B = _system(rng, space, batch, 4, 4, "forced")
+            eye = np.zeros((4, 4, len(space)))
+            eye[range(4), range(4), 0] = 1.0
+            got = stack(jet_matrix_inverse(A)).coeffs
+            want = stack(reference_gauss_solve(A, Jet(space, eye))).coeffs
+            assert np.array_equal(_bits(got), _bits(want))
+            one = Jet(space, A.coeffs[(0,) * len(batch)])
+            got = stack(jet_gauss_solve(one, B)).coeffs
+            want = stack(reference_gauss_solve(one, B)).coeffs
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_singular_matrix_raises_what_the_reference_raises(self, column):
+        # a matrix whose constant part is singular at one point: the
+        # column of pivot candidates is all zero there at `column`
+        rng = np.random.default_rng(column)
+        space = JetSpace(("x", "y"), 2)
+        A, B = _system(rng, space, (5,), 3, 2, "random")
+        if column == 0:
+            A.coeffs[3, :, 0, 0] = 0.0
+        else:   # third row a combination of the first two at point 3
+            A.coeffs[3, 2, :, 0] = A.coeffs[3, 0, :, 0] + A.coeffs[3, 1, :, 0]
+        for solve in (jet_gauss_solve, reference_gauss_solve):
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="^singular jet matrix$"):
+                solve(A, B)
 
 
 class TestFlatMetric:

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from sdconformal.expr import (FUNCTIONS, BinOp, Call, Const, Expression,
                               Neg, Pow, Var, compile, parse,
-                              evaluate, jets_at, ExprError, ExprSyntaxError,
+                              jets_at, ExprError, ExprSyntaxError,
                               ExprDomainError, UnknownIdentifierError)
 from sdconformal import expr as expr_module
 from sdconformal.jets import Jet, JetSpace, stack, unstack
-from oracles import eval_jet, reference_eval, to_source
+from oracles import eval_jet, evaluate, reference_eval, to_source
 
 XY = ("x", "y")
 

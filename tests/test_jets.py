@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from sdconformal.jets import Jet, JetSpace, JetDomainError
-from oracles import extract
+from oracles import extract, product_sums
 
 
 def _poly(space, x, y):
@@ -176,3 +177,82 @@ def test_integer_powers_match_repeated_products(x0, n):
     for _ in range(n):
         by_mul = by_mul * f
     assert np.allclose(by_pow.coeffs, by_mul.coeffs, rtol=1e-12)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _coeffs(rng, shape):
+    """Random coefficients with exact zeros and negative zeros mixed in."""
+    c = rng.standard_normal(shape)
+    c[rng.random(shape) < 0.1] = 0.0
+    c[rng.random(shape) < 0.1] = -0.0
+    return c
+
+
+class TestProductSums:
+    """`JetSpace.product` adds each slot's terms in pair order from 0.0,
+    the sum `oracles.product_sums` forms in plain Python."""
+
+    SPACES = [(nvars, order) for nvars in (1, 2, 3, 5) for order in range(4)]
+
+    @pytest.mark.parametrize("nvars,order", SPACES)
+    @pytest.mark.parametrize("batch", [(), (7,), (2, 3), (2, 1, 3)])
+    def test_batches(self, nvars, order, batch):
+        space = JetSpace(tuple("abcde"[:nvars]), order)
+        rng = np.random.default_rng([nvars, order, len(batch)])
+        a, b = (_coeffs(rng, batch + (len(space),)) for _ in range(2))
+        got = space.product(a, b)
+        assert got.shape == batch + (len(space),)
+        assert np.array_equal(_bits(got), _bits(product_sums(space, a, b)))
+
+    @pytest.mark.parametrize("nvars,order", SPACES)
+    @pytest.mark.parametrize("shapes", [((4,), ()), ((), (3,)),
+                                        ((2, 1), (1, 3)), ((5, 1, 2), (2,))])
+    def test_broadcast_operands(self, nvars, order, shapes):
+        space = JetSpace(tuple("abcde"[:nvars]), order)
+        rng = np.random.default_rng([nvars, order, *map(len, shapes)])
+        a, b = (_coeffs(rng, s + (len(space),)) for s in shapes)
+        got = space.product(a, b)
+        assert np.array_equal(_bits(got), _bits(product_sums(space, a, b)))
+
+    @pytest.mark.parametrize("nvars,order", SPACES)
+    def test_views_of_an_augmented_matrix(self, nvars, order):
+        # the operands jet_gauss_solve passes: slices of one (points, n,
+        # n + m, len) array, a column taken with a new axis, and a
+        # reciprocal broadcast along the row
+        space = JetSpace(tuple("abcde"[:nvars]), order)
+        rng = np.random.default_rng([nvars, order])
+        M = _coeffs(rng, (6, 3, 5, len(space)))
+        inv = _coeffs(rng, (6, len(space)))[:, None, :]
+        for col in range(3):
+            row = M[:, col, col + 1:]
+            assert np.array_equal(_bits(space.product(row, inv)),
+                                  _bits(product_sums(space, row, inv)))
+            for r in range(3):
+                f = M[:, r, col, None, :]
+                assert np.array_equal(
+                    _bits(space.product(f, row)),
+                    _bits(product_sums(space, f, row)))
+
+
+def _scatter_product(space, a, b):
+    """The gather-and-scatter kernel, which order-0 spaces skip."""
+    return (a[..., space._ii] * b[..., space._jj]) @ space._scatter
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=5),
+       mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4),
+       st.data())
+def test_order0_product_is_the_scatter_matmul(nvars, shapes, data):
+    # every float64, +-0, +-inf, NaN and subnormals included
+    space = JetSpace(tuple("abcde"[:nvars]), 0)
+    a, b = (data.draw(arrays(np.float64, s + (1,), elements=st.floats()))
+            for s in shapes.input_shapes)
+    with np.errstate(all="ignore"):   # inf * 0, overflow
+        got = space.product(a, b)
+        want = _scatter_product(space, a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))

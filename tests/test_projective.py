@@ -73,7 +73,7 @@ class TestSpray:
 
 def _value(expr, pt):
     from sdconformal.jets import JetSpace
-    from sdconformal.expr import evaluate
+    from oracles import evaluate
     space = JetSpace(COORDS, 0)
     return evaluate(expr, space.seed({"x": pt[0], "y": pt[1]}),
                     space=space).value
@@ -102,7 +102,7 @@ class TestCurvature:
     def test_ricci_transformation_law(self):
         # r' = r + Dgamma - gamma (x) gamma, pointwise
         from sdconformal.jets import JetSpace
-        from sdconformal.expr import evaluate
+        from oracles import evaluate
         rng = np.random.default_rng(11)
         for _ in range(20):
             P = _random_surface(rng)
