@@ -28,8 +28,7 @@ import numpy as np
 
 from .expr import Expression, as_expression, jets_at
 from .jets import Jet, JetSpace, max_abs, point_arrays, stack, unstack
-from .pairs import (ProjectivePair, _dot, build_lax, lax_residual,
-                    lie_bracket, lstsq)
+from .pairs import ProjectivePair, _dot, lie_bracket, lstsq
 
 # Which Weyl half the construction kills; calibrated on the null-Kaehler
 # family (see tests), stored once, never branched on.
@@ -288,7 +287,6 @@ def curvature_report(g, coords, orientation=1.0):
         "star_defect": _maxabs(star_sq - _ANTISYM, 4),
         "signature_ok": ((eigs > 0).sum(axis=-1) == 2)
                         & ((eigs < 0).sum(axis=-1) == 2),
-        "det": np.linalg.det(gv),
     }
 
 
@@ -309,27 +307,6 @@ def curvature_maxima(builder: MetricBuilder, points):
                            builder.orientation(pt))
     worst = {k: float(np.max(rep[k])) for k in CURVATURE_NORMS}
     return worst, bool(np.all(rep["signature_ok"]))
-
-
-def certify_selfdual(P, pair: ProjectivePair, points, tol=1e-8,
-                     factor=None, lax_tol=1e-10):
-    """The core gate: check Lax integrability, then the vanishing of the
-    antiselfdual Weyl half at every sample point."""
-    lax = build_lax(P, pair)
-    lres = lax_residual(lax, points)
-    worst, signature_ok = curvature_maxima(
-        MetricBuilder(pair=pair, factor=factor), points)
-    return {
-        "lax_residual": lres["residual"],
-        "lax_cubic_max": lres["cubic_max"],
-        "weyl_minus": worst["weyl_minus"],
-        "weyl_plus": worst["weyl_plus"],
-        "ricci": worst["ricci"],
-        "star_defect": worst["star_defect"],
-        "signature_ok": signature_ok,
-        "pass": (lres["residual"] < lax_tol and worst["weyl_minus"] < tol
-                 and signature_ok),
-    }
 
 
 # -- Killing / twist / distributions ------------------------------------------

@@ -16,11 +16,13 @@ Expressions are evaluated over jets (`jets_at`) by first compiling them
 walking their trees would perform, in the walk's order, with each node
 object run once and each subtree without free variables folded into a
 read-only jet.  A plan gives the walk's results to the last bit and
-raises the walk's first error.  Nothing is kept between calls: `jets_at`
-compiles all the expressions it is given into one plan and runs it once,
-and a caller that evaluates several expressions at many points
-(`ProjectiveSurface.integrate_geodesic`, `sampling.halton_points`)
-compiles them into one plan and runs it at each.
+raises the walk's first error, the `jets.JetDomainError` of a jet
+operation at a singularity (`ExprDomainError` is another name for it).
+Nothing is kept between calls: `jets_at` compiles all the expressions it
+is given into one plan and runs it once.  `values_at` compiles
+expressions once over order-0 jets for a caller that evaluates them at
+one point after another (`ProjectiveSurface.integrate_geodesic` at every
+RK4 stage, `sampling.halton_points` at every candidate).
 """
 from __future__ import annotations
 
@@ -50,8 +52,8 @@ class UnknownIdentifierError(ExprError):
     pass
 
 
-class ExprDomainError(ArithmeticError):
-    """Evaluation hit an analytic singularity."""
+# Another name for the error a plan's jet operations raise at a singularity.
+ExprDomainError = JetDomainError
 
 
 # -- AST ------------------------------------------------------------------
@@ -429,11 +431,8 @@ class Plan(NamedTuple):
         regs = self.registers.copy()
         for i, jet in zip(self.inputs, jets):
             regs[i] = jet
-        try:
-            for fn, a, b, out in self.tape:
-                regs[out] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
-        except JetDomainError as exc:
-            raise ExprDomainError(str(exc)) from exc
+        for fn, a, b, out in self.tape:
+            regs[out] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
         return [regs[i] for i in self.outputs]
 
     def bind(self, env: Mapping) -> list:
@@ -505,6 +504,25 @@ def _fold(fn, args):
         return None
     jet.coeffs.flags.writeable = False
     return jet
+
+
+def values_at(exprs, names):
+    """A function that evaluates the expressions at one point at a time:
+    given the values of the variables `names`, in that order, it returns
+    the expressions' values there.  They are compiled once into a plan
+    over order-0 jets whose input jets are seeded once; each call writes
+    the values into those jets and runs the plan."""
+    space = JetSpace(names, 0)
+    plan = compile(exprs, space)
+    env = space.seed(dict.fromkeys(space.vars, 0.0))
+    inputs = plan.bind(env)
+    slots = [env[name].coeffs for name in space.vars]
+
+    def at(values):
+        for slot, value in zip(slots, values):
+            slot[0] = value
+        return [jet.value for jet in plan.run(inputs)]
+    return at
 
 
 def jets_at(exprs, space: JetSpace, point):

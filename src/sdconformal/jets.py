@@ -121,9 +121,6 @@ class JetSpace:
         c[..., 0] = value
         return Jet(self, c)
 
-    def zero(self) -> "Jet":
-        return Jet(self, np.zeros(len(self.mindex)))
-
     def variable(self, name: str, value) -> "Jet":
         """The jet of the coordinate function `name` at `value` (a number,
         or an array of per-point values)."""

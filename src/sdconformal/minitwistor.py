@@ -23,7 +23,7 @@ from .expr import Expression, as_expression, jets_at
 from .jets import JetSpace, max_abs, unstack
 from .projective import COORDS, xy_arrays
 from .conformal import jet_gauss_solve
-from .pairs import DEFAULT_LAMBDAS, lstsq
+from .pairs import DEFAULT_LAMBDAS, lstsq, ordered_bracket
 
 
 class WeightedCongruence:
@@ -176,16 +176,7 @@ def projective_field_residual(P, V, points, lambdas=DEFAULT_LAMBDAS):
         "x": x[:, None], "y": y[:, None],
         "lambda": np.asarray(lambdas, dtype=float)}).coeffs
     lj, sj = jets[..., 0, :, :], jets[..., 1, :, :]
-    # [lift, spray]^i = sum over k of lift^k d_k spray^i - spray^k d_k lift^i,
-    # summed in k order: pairs.lie_bracket's matmul changes the last bits
-    bracket = []
-    for i in range(3):
-        acc = 0.0
-        for k in range(3):
-            acc += (lj[..., k, 0] * sj[..., i, 1 + k]
-                    - sj[..., k, 0] * lj[..., i, 1 + k])
-        bracket.append(acc)
-    bracket = np.stack(bracket, axis=-1)
+    bracket = ordered_bracket(lj, sj)
     sval = sj[..., 0]
     coef = lstsq(sval[..., None], bracket[..., None])[..., 0]
     return max_abs(bracket - coef * sval)

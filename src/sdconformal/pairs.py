@@ -76,6 +76,12 @@ class LaxPair:
         return lie_bracket(u, v), np.ascontiguousarray(u[..., 0])
 
 
+# Two bracket kernels, grouped differently and so different in the last
+# bits: `lie_bracket` subtracts the matmul sums sum_j u^j d_j v^i and
+# sum_j v^j d_j u^i (lax_residual, frobenius_residual); `ordered_bracket`
+# adds the differences term by term in coordinate order (the pair and
+# projective-field residuals).  Each keeps its callers' single-point bits.
+
 def lie_bracket(u, v):
     """Values of the bracket [U, V]^i = u^j d_j v^i - v^j d_j u^i, with
     the coordinate index last, from the order-1 jet coefficients of the
@@ -85,6 +91,19 @@ def lie_bracket(u, v):
     uv = np.ascontiguousarray(u[..., 0])
     vv = np.ascontiguousarray(v[..., 0])
     return (vg @ uv[..., None])[..., 0] - (ug @ vv[..., None])[..., 0]
+
+
+def ordered_bracket(u, v, first=0):
+    """Values of the bracket of U and V, given as for `lie_bracket`, with
+    d_k the derivative in coordinate `first` + k: the sum over k, in k
+    order from 0.0, of u^k d_k v^i - v^k d_k u^i, each term formed for
+    all i at once."""
+    out = 0.0
+    for k in range(u.shape[-2]):
+        d = 1 + first + k
+        out = out + (u[..., k, None, 0] * v[..., d]
+                     - v[..., k, None, 0] * u[..., d])
+    return out
 
 
 def _lstsq_error(err, flag):
@@ -166,7 +185,6 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     where g0 = G^0_00 + G^1_01, g1 = G^0_10 + G^1_11 and the brackets are
     taken in the fiber variables only.
     """
-    nf = len(pair.fiber)
     pt = point_arrays(points)
     base_space = JetSpace(BASE, 0)
     base = {"x": pt["x"], "y": pt["y"]}
@@ -181,34 +199,21 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     g0 = gv[0][0][0] + gv[1][0][1]
     g1 = gv[0][1][0] + gv[1][1][1]
     c0, c1 = base_values(pair.c_gauge)
-    # values [n, i] and gradients [n, i, coordinate] of the vertical fields
+    # order-1 coefficients [n, i, slot] of alpha0, alpha1, phi0, phi1:
+    # slots 1, 2 are d_x, d_y, and the fiber coordinates follow x and y
     F = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 1), pt).coeffs
-    vals, grads = F[..., 0], F[..., 1:len(pair.coords) + 1]
-    a = [(vals[:, k], grads[:, k]) for k in (0, 1)]
-    f = [(vals[:, k], grads[:, k]) for k in (2, 3)]
-
-    def vbracket(u, v):
-        # [u, v]^i = u^j d_wj v^i - v^j d_wj u^i, values only
-        out = 0.0
-        for j in range(nf):
-            out = out + (u[0][:, j, None] * v[1][..., 2 + j]
-                         - v[0][:, j, None] * u[1][..., 2 + j])
-        return out
-
-    def dbase(vec, which):
-        return vec[1][..., 0 if which == "x" else 1]
-
-    phi0v, phi1v = f[0][0], f[1][0]
-    eq1 = (dbase(f[0], "x") + vbracket(a[0], f[0])
+    a0, a1, f0, f1 = (F[:, k] for k in range(4))
+    phi0v, phi1v = f0[..., 0], f1[..., 0]
+    eq1 = (f0[..., 1] + ordered_bracket(a0, f0, 2)
            + (c0 - 2.0 / 3.0 * g0) * phi0v
            + gv[0][0][0] * phi0v + gv[1][0][0] * phi1v)
-    eq2 = (dbase(f[1], "x") + vbracket(a[0], f[1])
+    eq2 = (f1[..., 1] + ordered_bracket(a0, f1, 2)
            + (c0 - 2.0 / 3.0 * g0) * phi1v
            + gv[0][0][1] * phi0v + gv[1][0][1] * phi1v
-           + dbase(f[0], "y") + vbracket(a[1], f[0])
+           + f0[..., 2] + ordered_bracket(a1, f0, 2)
            + (c1 - 2.0 / 3.0 * g1) * phi0v
            + gv[0][1][0] * phi0v + gv[1][1][0] * phi1v)
-    eq3 = (dbase(f[1], "y") + vbracket(a[1], f[1])
+    eq3 = (f1[..., 2] + ordered_bracket(a1, f1, 2)
            + (c1 - 2.0 / 3.0 * g1) * phi1v
            + gv[0][1][1] * phi0v + gv[1][1][1] * phi1v)
     return max_abs(eq1, eq2, eq3)

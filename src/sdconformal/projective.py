@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expression, as_expression, compile, jets_at
+from .expr import Expression, as_expression, jets_at, values_at
 from .jets import JetSpace, max_abs, stack, unstack
 
 COORDS = ("x", "y")
@@ -153,28 +153,19 @@ class ProjectiveSurface:
         component s, the line-bundle section transported by
         s' = -rho(gamma') s from s = 1, integrated in the same RK4 step.
 
-        The spray coefficients and rho are compiled into one expression
-        plan over order-0 jets; each RK4 stage writes x and y into the
-        plan's two input jets and runs it.
+        The spray coefficients and rho are compiled once per path
+        (`expr.values_at`) and evaluated at every RK4 stage.
         """
         if step <= 0:
             raise ValueError("step must be positive")
         exprs = self.spray_coeffs()
         if rho is not None:
             exprs += tuple(as_expression(c, COORDS) for c in rho)
-        space = JetSpace(COORDS, 0)
-        plan = compile(exprs, space)
-        env = space.seed({"x": 0.0, "y": 0.0})
-        inputs = plan.bind(env)
-        x, y = env["x"].coeffs, env["y"].coeffs
-
-        def coeffs(state):
-            x[0], y[0] = state[0], state[1]
-            return [jet.value for jet in plan.run(inputs)]
+        coeffs = values_at(exprs, COORDS)
 
         def rhs1(state):
             lam = state[2]
-            a = coeffs(state)
+            a = coeffs(state[:2])
             out = [1.0, lam, a[0] + a[1]*lam + a[2]*lam**2 + a[3]*lam**3]
             if rho is not None:
                 out.append(-(a[4] + a[5]*lam) * state[3])
@@ -182,7 +173,7 @@ class ProjectiveSurface:
 
         def rhs2(state):
             mu = state[2]
-            a = coeffs(state)
+            a = coeffs(state[:2])
             out = [mu, 1.0, -(a[0]*mu**3 + a[1]*mu**2 + a[2]*mu + a[3])]
             if rho is not None:
                 out.append(-(a[4]*mu + a[5]) * state[3])

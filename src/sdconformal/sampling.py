@@ -8,8 +8,8 @@ are always a prefix of the first m > n — residual maxima are monotone
 in the sample count by construction.
 """
 
-from .expr import ExprDomainError, compile
-from .jets import JetSpace
+from .expr import values_at
+from .jets import JetDomainError
 
 HALTON_BASES = (2, 3, 5, 7, 11)
 
@@ -66,20 +66,14 @@ def halton_points(names, box, count, seed=0, exclusions=()):
 def _clearance(names, exclusions):
     """The test of a candidate point against the exclusions: whether
     |expression| > guard for each, and False where any is singular.  The
-    expressions are compiled into one plan over order-0 jets, seeded
-    once; each candidate is written into its input jets and run."""
-    space = JetSpace(names, 0)
-    plan = compile([e for e, _ in exclusions], space)
-    env = space.seed(dict.fromkeys(names, 0.0))
-    inputs = plan.bind(env)
+    expressions are compiled once (`expr.values_at`) and evaluated at
+    each candidate."""
+    values = values_at([e for e, _ in exclusions], names)
 
     def clear(point):
-        for nm, jet in env.items():
-            jet.coeffs[0] = point[nm]
         try:
-            values = plan.run(inputs)
-        except ExprDomainError:
+            got = values([point[nm] for nm in names])
+        except JetDomainError:
             return False
-        return all(abs(v.value) > guard
-                   for v, (_, guard) in zip(values, exclusions))
+        return all(abs(v) > guard for v, (_, guard) in zip(got, exclusions))
     return clear

@@ -12,14 +12,16 @@ import math
 import numpy as np
 
 from sdconformal import expr as expr_module
-from sdconformal.conformal import jet_gauss_solve
+from sdconformal.conformal import (MetricBuilder, curvature_maxima,
+                                   jet_gauss_solve)
 from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
                               Neg, Pow, UnknownIdentifierError, Var,
                               _print, as_expression, jets_at)
 from sdconformal.jets import (Jet, JetDomainError, JetSpace, max_abs,
                               point_arrays, stack, unstack)
 from sdconformal.minitwistor import WeightedCongruence, _shifted_ricci
-from sdconformal.pairs import LaxPair, ProjectivePair, _fiber_divergence
+from sdconformal.pairs import (LaxPair, ProjectivePair, _fiber_divergence,
+                               build_lax, lax_residual)
 from sdconformal.projective import COORDS, ProjectiveSurface, xy_arrays
 
 
@@ -241,6 +243,55 @@ def trivial_pair(fiber=("w1", "w2")):
     phi0 = [1.0 if i == 0 else 0.0 for i in range(n)]
     phi1 = [1.0 if i == min(1, n - 1) else 0.0 for i in range(n)]
     return ProjectivePair(fiber, zero, zero, phi0, phi1)
+
+
+def certify_selfdual(P, pair, points, tol=1e-8, factor=None, lax_tol=1e-10):
+    """Lax integrability of the pair, then the vanishing of the
+    antiselfdual Weyl half of its metric at every sample point: what
+    `certify-selfdual` checks, as the dict the package's former
+    `conformal.certify_selfdual` returned."""
+    lres = lax_residual(build_lax(P, pair), points)
+    worst, signature_ok = curvature_maxima(
+        MetricBuilder(pair=pair, factor=factor), points)
+    return {
+        "lax_residual": lres["residual"],
+        "lax_cubic_max": lres["cubic_max"],
+        "weyl_minus": worst["weyl_minus"],
+        "weyl_plus": worst["weyl_plus"],
+        "ricci": worst["ricci"],
+        "star_defect": worst["star_defect"],
+        "signature_ok": signature_ok,
+        "pass": (lres["residual"] < lax_tol and worst["weyl_minus"] < tol
+                 and signature_ok),
+    }
+
+
+def fiber_bracket_loop(u, v, first):
+    """The fiber bracket `pairs.projective_pair_residual` formed before
+    `pairs.ordered_bracket` (its local `vbracket` on (values, gradients)
+    pairs), on `ordered_bracket`'s arguments; kept to check it against,
+    bit for bit."""
+    u = (u[..., 0], u[..., 1:])
+    v = (v[..., 0], v[..., 1:])
+    out = 0.0
+    for j in range(u[0].shape[-1]):
+        out = out + (u[0][..., j, None] * v[1][..., first + j]
+                     - v[0][..., j, None] * u[1][..., first + j])
+    return out
+
+
+def field_bracket_loop(lj, sj):
+    """The bracket `minitwistor.projective_field_residual` formed before
+    `pairs.ordered_bracket`: one component i at a time, the terms added in
+    k order, then stacked; kept to check it against, bit for bit."""
+    bracket = []
+    for i in range(lj.shape[-2]):
+        acc = 0.0
+        for k in range(lj.shape[-2]):
+            acc += (lj[..., k, 0] * sj[..., i, 1 + k]
+                    - sj[..., k, 0] * lj[..., i, 1 + k])
+        bracket.append(acc)
+    return np.stack(bracket, axis=-1)
 
 
 def add_multiple_of_l0(lax, q):

@@ -23,14 +23,14 @@ from sdconformal.pairs import (ProjectivePair, build_lax, lax_residual,
                                twist_free_normal_form, dw_quadrature_build,
                                gauge_reduction_report)
 from sdconformal.conformal import (MetricBuilder, curvature_report,
-                                   certify_selfdual, killing_report,
+                                   killing_report,
                                    frobenius_residual, build_null_kahler)
 from sdconformal.minitwistor import WeightedCongruence, divisor_two_report
 from sdconformal.sampling import halton_points
 from sdconformal.cli import main as cli_main
-from oracles import (area_connection_curvature, congruence_from_slope,
-                     cotton, eval_jet, extract, projective_change,
-                     trivial_pair)
+from oracles import (area_connection_curvature, certify_selfdual,
+                     congruence_from_slope, cotton, eval_jet, extract,
+                     projective_change, trivial_pair)
 
 FLAT = ProjectiveSurface.flat()
 SCENES = Path(__file__).resolve().parents[1] / "scenes"

@@ -7,8 +7,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from sdconformal import cli
 from sdconformal.cli import TOLERANCES, _check, main
 from sdconformal.expr import parse
+from sdconformal.pairs import LaxPair, lax_residual
 from sdconformal.sampling import halton_points
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -452,3 +454,81 @@ class TestToleranceOverrides:
         assert code == 2 and out == ""
         assert err == ("scene error: unknown tolerance 'dc_residual'; "
                        f"known: {', '.join(TOLERANCES)}\n")
+
+
+def _one_fiber(scene):
+    """flat.json with the trivial pair over a 1-dimensional fiber z."""
+    scene["coords"] = ["x", "y", "z"]
+    scene["pair"] = {"fiber": ["z"], "alpha0": ["0"], "alpha1": ["0"],
+                     "phi0": ["1"], "phi1": ["0"]}
+    scene["fields"] = {"K": ["0", "0", "1"]}
+    box = scene["sampling"]["box"]
+    scene["sampling"]["box"] = {"x": box["x"], "y": box["y"], "z": [-1, 1]}
+
+
+@pytest.mark.parametrize("command", ["curvature", "killing",
+                                     "certify-selfdual"])
+def test_a_one_dimensional_fiber_is_a_scene_error(capsys, tmp_path, command):
+    # used to end in a "4-metric needs a 2-dimensional fiber" ValueError
+    # traceback with exit 1
+    code, out, err = _run_edited(capsys, tmp_path, command, "flat",
+                                 _one_fiber)
+    assert code == 2 and out == ""
+    assert err == ("scene error: a 4-metric needs a 2-dimensional fiber, "
+                   "not ['z']\n")
+
+
+@pytest.mark.parametrize("comps", [["0", "0", "1"],
+                                   ["0", "0", "1", "0", "0"]])
+def test_a_killing_field_needs_one_component_per_coordinate(
+        capsys, tmp_path, comps):
+    # used to end in a ValueError traceback from einsum with exit 1
+    code, out, err = _run_edited(capsys, tmp_path, "killing", "nullkahler_hk",
+                                 lambda scene: scene["fields"].update(K=comps))
+    assert code == 2 and out == ""
+    assert err == (f"scene error: killing: field K has {len(comps)} "
+                   "components, not one per coordinate "
+                   "['x', 'y', 't', 'z']\n")
+
+
+@pytest.mark.parametrize("fields,count", [
+    ([["0", "0", "1"], ["0", "1", "0"]], 3),
+    ([["0", "0", "1", "0"], ["0", "0", "1"]], 3),
+    ([["0", "0", "1", "0"], ["0", "0", "0", "1", "0"]], 5),
+])
+def test_a_distribution_field_needs_one_component_per_coordinate(
+        capsys, tmp_path, fields, count):
+    # 3-component and ragged fields used to end in a ValueError traceback
+    # with exit 1
+    code, out, err = _run_edited(
+        capsys, tmp_path, "frobenius", "flat",
+        lambda scene: scene["distributions"].update(beta_planes=fields))
+    assert code == 2 and out == ""
+    assert err == (f"scene error: frobenius: a field of beta_planes has "
+                   f"{count} components, not one per coordinate "
+                   "['x', 'y', 'w1', 'w2']\n")
+
+
+def test_build_nullkahler_computes_no_lax_residual(capsys, monkeypatch):
+    # its report has no Lax check, so the residual was work thrown away
+    calls, brackets = [], []
+    bracket_at = LaxPair.bracket_at
+
+    def spy(*args):
+        calls.append(args)
+        return lax_residual(*args)
+
+    def counting(self, point):
+        brackets.append(point)
+        return bracket_at(self, point)
+
+    monkeypatch.setattr(cli, "lax_residual", spy)
+    monkeypatch.setattr(LaxPair, "bracket_at", counting)
+    code, report = run(capsys, "build-nullkahler",
+                       str(SCENES / "nullkahler_random.json"))
+    assert code == 0 and report["pass"]
+    assert calls == [] and brackets == []
+    # certify-selfdual reports it, through the same binding
+    code, report = run(capsys, "certify-selfdual",
+                       str(SCENES / "nullkahler_hk.json"))
+    assert code == 0 and len(calls) == 1 and len(brackets) == 1

@@ -7,11 +7,11 @@ from sdconformal.jets import Jet, JetSpace, stack
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.pairs import dw_quadrature_build
 from sdconformal.conformal import (MetricBuilder, curvature_report,
-                                   certify_selfdual, killing_report,
+                                   killing_report,
                                    frobenius_residual, build_null_kahler,
                                    jet_gauss_solve, jet_matrix_inverse,
                                    frame_values, lstsq)
-from oracles import reference_gauss_solve, trivial_pair
+from oracles import certify_selfdual, reference_gauss_solve, trivial_pair
 
 FLAT = ProjectiveSurface.flat()
 

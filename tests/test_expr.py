@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from sdconformal.expr import (FUNCTIONS, BinOp, Call, Const, Expression,
                               Neg, Pow, Var, compile, parse,
-                              jets_at, ExprError, ExprSyntaxError,
+                              jets_at, values_at, ExprError, ExprSyntaxError,
                               ExprDomainError, UnknownIdentifierError)
 from sdconformal import expr as expr_module
-from sdconformal.jets import Jet, JetSpace, stack, unstack
+from sdconformal.jets import Jet, JetDomainError, JetSpace, stack, unstack
 from oracles import eval_jet, evaluate, reference_eval, to_source
 
 XY = ("x", "y")
@@ -489,3 +489,62 @@ def test_plans_raise_the_first_error_of_the_walk(e, f, p, q, op, order,
         got = _outcome(lambda: evaluate(g, env, space))
         assert got[0] == "raised"
         assert got == _outcome(lambda: reference_eval(g, env, space))
+
+
+# -- one domain error -------------------------------------------------------
+
+
+class TestOneDomainError:
+    def test_the_expression_name_is_the_jet_error(self):
+        assert ExprDomainError is JetDomainError
+
+    @pytest.mark.parametrize("src,message", [
+        ("1/(x - x)", "division by a jet with zero constant term"),
+        ("log(y - y)", "log of a jet with nonpositive constant term"),
+        ("sqrt(0 - x*x)", "sqrt of a jet with nonpositive constant term"),
+        ("exp(1000*(x*x + 1))", "exp overflows at a sample point"),
+    ])
+    def test_a_plan_raises_the_jet_error_with_its_message(self, src,
+                                                          message):
+        space = JetSpace(XY, 1)
+        env = space.seed({"x": 1.0, "y": 2.0})
+        plan = compile([parse(src, XY)], space)
+        with pytest.raises(JetDomainError) as exc:
+            plan.run([env[name] for name in plan.names])
+        assert type(exc.value) is JetDomainError
+        assert str(exc.value) == message
+        assert exc.value.__cause__ is None
+
+
+# -- values_at --------------------------------------------------------------
+
+
+class TestValuesAt:
+    EXPRS = ["x*y - 2.5", "y", "sin(x) + 2*3", "1/(1 + x*x)", "7"]
+
+    def test_values_equal_jets_at_each_point(self):
+        exprs = [parse(src, XY) for src in self.EXPRS]
+        values = values_at(exprs, XY)
+        for x, y in [(0.25, -1.5), (-0.0, 3.0), (1e-300, 0.75), (2.0, 2.0)]:
+            got = values([x, y])
+            want = jets_at(exprs, JetSpace(XY, 0), {"x": x, "y": y}).value
+            assert np.array(got).tobytes() == want.tobytes()
+
+    def test_compiles_once_and_raises_the_jet_error(self, monkeypatch):
+        compiled = []
+
+        def counting(exprs, space):
+            compiled.append(space)
+            return compile(exprs, space)
+
+        monkeypatch.setattr(expr_module, "compile", counting)
+        values = values_at([parse("log(x)", XY)], XY)
+        assert values([1.0, 0.0]) == [0.0]
+        with pytest.raises(JetDomainError, match="^log of a jet"):
+            values([-1.0, 0.0])
+        assert values([math.e, 5.0]) == [1.0]
+        assert compiled == [JetSpace(XY, 0)]
+
+    def test_unassigned_variables_raise_at_once(self):
+        with pytest.raises(UnknownIdentifierError, match=r"\['z'\]"):
+            values_at([parse("x + z", ("x", "z"))], XY)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sdconformal import projective
+from sdconformal import expr
 from sdconformal.expr import parse
 from sdconformal.jets import Jet, JetSpace
 from sdconformal.projective import ProjectiveSurface
@@ -308,7 +308,7 @@ class TestOneIntegrator:
             ward_transport(FLAT, ("0", "0"), (0.0, 0.0, 0.5), 1.0, 0.0)
 
     def test_nothing_writes_into_the_folded_constants(self, monkeypatch):
-        compiled = projective.compile
+        compiled = expr.compile
         folded = []
 
         def spy(exprs, space):
@@ -317,7 +317,7 @@ class TestOneIntegrator:
                           if isinstance(r, Jet))
             return plan
 
-        monkeypatch.setattr(projective, "compile", spy)
+        monkeypatch.setattr(expr, "compile", spy)
         # the whole spray and "2*0.3" fold; the rest reads x and y
         P = ProjectiveSurface.from_spray("0.1*2", "0.3", "0", "0.5 - 1")
         out = ward_transport(P, ("0.3*y + x*(2*0.3)", "0.3*x"),
@@ -327,6 +327,21 @@ class TestOneIntegrator:
         for jet, before in folded:
             assert not jet.coeffs.flags.writeable
             assert jet.coeffs.tobytes() == before
+
+
+    def test_one_plan_per_path(self, monkeypatch):
+        compile_plan = expr.compile
+        compiled = []
+
+        def counting(exprs, space):
+            compiled.append((len(exprs), space))
+            return compile_plan(exprs, space)
+
+        monkeypatch.setattr(expr, "compile", counting)
+        start, length = self.CASES[1]
+        CURVED.integrate_geodesic(start, length, 0.01)
+        ward_transport(CURVED, CURVED_RHO, start, length, 0.01)
+        assert compiled == [(4, JetSpace(XY, 0)), (6, JetSpace(XY, 0))]
 
 
 class TestProjectiveFields:

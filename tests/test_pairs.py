@@ -5,12 +5,12 @@ import pytest
 
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.pairs import (ProjectivePair, BuildError, build_lax,
-                               lax_residual,
+                               lax_residual, ordered_bracket,
                                projective_pair_residual,
                                twist_free_normal_form, dw_quadrature_build,
                                gauge_reduction_report)
 from oracles import (add_multiple_of_l0, area_connection_curvature,
-                     trivial_pair)
+                     field_bracket_loop, fiber_bracket_loop, trivial_pair)
 
 FLAT = ProjectiveSurface.flat()
 
@@ -236,3 +236,68 @@ class TestAreaConnection:
                               ["1", "0"], ["0", "1"])
         pts = _grid({"w1": 0.3, "w2": -0.4})
         assert area_connection_curvature(pair, pts) < 1e-14
+
+
+# -- the ordered bracket against the loops it replaced ----------------------
+
+
+def _coefficients(rng, shape):
+    """Random coefficients with some +0, -0, NaN and inf entries."""
+    a = rng.standard_normal(shape)
+    kind = rng.random(shape)
+    a[kind < 0.05] = 0.0
+    a[(kind >= 0.05) & (kind < 0.1)] = -0.0
+    a[(kind >= 0.1) & (kind < 0.12)] = np.nan
+    a[(kind >= 0.12) & (kind < 0.13)] = np.inf
+    a[(kind >= 0.13) & (kind < 0.14)] = -np.inf
+    return a
+
+
+def _operands(rng, n, first, batches):
+    """(u, v) in `lie_bracket`'s layout with n components and a spare
+    derivative slot: separate arrays with the two batch shapes, or, for
+    one batch shape, two views into one array (as the residuals pass)."""
+    slots = 2 + first + n
+    if len(batches) == 1:
+        both = _coefficients(rng, batches[0] + (2, n, slots))
+        return both[..., 0, :, :], both[..., 1, :, :]
+    return tuple(_coefficients(rng, b + (n, slots)) for b in batches)
+
+
+BATCHES = [((),), ((16,),), ((4, 3),), ((), ()), ((9,), (9,)),
+           ((5, 1), (1, 3)), ((1,), (6,)), ((2, 3), (3,)), ((4,), ())]
+
+
+def _same_bits(got, want):
+    """Equal shapes, NaN at the same entries and the same bits at every
+    other one (+-0 apart).  A NaN's sign and payload are not compared:
+    when two NaNs meet, which one numpy's add passes on depends on the
+    loop it takes for the array's length."""
+    nan = np.isnan(got)
+    return (got.shape == want.shape and np.array_equal(nan, np.isnan(want))
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("batches", BATCHES)
+def test_ordered_bracket_is_the_pair_residual_loop(n, batches):
+    rng = np.random.default_rng([n, len(batches), len(batches[0])])
+    for first in (0, 1, 2):
+        for _ in range(4):
+            u, v = _operands(rng, n, first, batches)
+            with np.errstate(all="ignore"):
+                got = ordered_bracket(u, v, first)
+                want = fiber_bracket_loop(u, v, first)
+            assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("batches", BATCHES)
+def test_ordered_bracket_is_the_projective_field_loop(n, batches):
+    rng = np.random.default_rng([n, len(batches), len(batches[-1])])
+    for _ in range(4):
+        u, v = _operands(rng, n, 0, batches)
+        with np.errstate(all="ignore"):
+            got = ordered_bracket(u, v)
+            want = field_bracket_loop(u, v)
+        assert _same_bits(got, want)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sdconformal import sampling
+from sdconformal import expr
 from sdconformal.expr import (ExprDomainError, UnknownIdentifierError,
                               compile, jets_at, parse)
 from sdconformal.jets import JetSpace
@@ -58,7 +58,7 @@ def test_guards_are_compiled_once_per_call(monkeypatch):
         compiled.append(len(exprs))
         return compile(exprs, space)
 
-    monkeypatch.setattr(sampling, "compile", counting)
+    monkeypatch.setattr(expr, "compile", counting)
     halton_points(XY, BOX, 40, exclusions=_exclusions())
     halton_points(XY, BOX, 8, seed=3, exclusions=_exclusions())
     assert compiled == [len(GUARDS), len(GUARDS)]
@@ -68,7 +68,7 @@ def test_no_guards_seeds_nothing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("no guard to evaluate")
 
-    monkeypatch.setattr(sampling, "compile", forbidden)
+    monkeypatch.setattr(expr, "compile", forbidden)
     monkeypatch.setattr(JetSpace, "seed", forbidden)
     got = halton_points(XY, BOX, 16, seed=2)
     assert got == _reference(XY, BOX, 16, 2, [])
