@@ -214,7 +214,8 @@ class RunContext:
         self.tol = {name: float(v) for name, v in tolerances.items()}
 
     def points(self, names):
-        """Halton sample dicts over the named coordinates."""
+        """The Halton sample set over the named coordinates: a dict of
+        1-D value arrays (`halton_points`), passed to residuals as it is."""
         names = tuple(names)
         for nm in names:
             if nm not in self.box:
@@ -225,9 +226,6 @@ class RunContext:
         excl = [(e, guard) for e, guard in guards if e.free_vars <= set(names)]
         return halton_points(names, self.box, self.count, seed=self.seed,
                              exclusions=excl)
-
-    def surface_points(self):
-        return [(p["x"], p["y"]) for p in self.points(("x", "y"))]
 
 
 def _check(name, value, tolerance):
@@ -294,6 +292,9 @@ def _pair_metric(scene, pair):
 def _metric_builder(scene):
     metric = scene.get("metric")
     if metric is not None:
+        if len(scene["coords"]) != 4:
+            raise SceneError("a 4-metric needs 4 coordinates, not "
+                             f"{scene['coords']}")
         return MetricBuilder(components=metric["components"],
                              coords=scene["coords"],
                              orientation=metric.get("orientation", 1.0))
@@ -350,9 +351,9 @@ def _cmd_frobenius(scene, ctx):
 
 def _cmd_congruence(scene, ctx):
     P = _surface(scene)
-    pts = ctx.surface_points()
+    pts = ctx.points(("x", "y"))
     checks, fitted = [], {}
-    probe = tuple(scene.get("probe", pts[0]))
+    probe = tuple(scene.get("probe", (pts["x"][0], pts["y"][0])))
     for name, beta in scene.get("congruences", {}).items():
         res = P.congruence_residual(beta, pts)
         checks.append(_check(f"congruence[{name}]", res,
@@ -405,8 +406,7 @@ def _cmd_build_twistfree(scene, ctx):
     spec = _build_spec(scene, "build-twistfree", "beta")
     pts = ctx.points(("x", "y", "z"))
     return _verify_built(ctx, P, pts, lambda: twist_free_normal_form(
-        P, spec["beta"], points=[(p["x"], p["y"]) for p in pts],
-        tol=ctx.tol["build"]))
+        P, spec["beta"], points=pts, tol=ctx.tol["build"]))
 
 
 def _cmd_build_nullkahler(scene, ctx):
@@ -455,7 +455,7 @@ def _cmd_divisor2(scene, ctx):
         raise SceneError("divisor2: scene must declare exactly two entries")
     congs = [WeightedCongruence(e["phi"], e.get("rho", ("0", "0")))
              for e in entries]
-    pts = ctx.surface_points()
+    pts = ctx.points(("x", "y"))
     tol = ctx.tol["divisor2"]
     rep = divisor_two_report(P, congs[0], congs[1], pts, tol=tol)
     checks = [
@@ -470,6 +470,10 @@ def _cmd_divisor2(scene, ctx):
     return checks, fitted
 
 
+# A cap on the RK4 steps of ward's run at step/2, which lists every step.
+WARD_MAX_STEPS = 10**6
+
+
 def _cmd_ward(scene, ctx):
     P = _surface(scene)
     spec = scene.get("ward")
@@ -482,6 +486,10 @@ def _cmd_ward(scene, ctx):
         if not 0.0 < value < math.inf:   # also rejects NaN
             raise SceneError(f"ward: {name} must be positive and finite, "
                              f"got {value!r}")
+    fine_steps = 2.0 * length / step
+    if fine_steps > WARD_MAX_STEPS:
+        raise SceneError(f"ward: the run at step/2 would take {fine_steps:.6g}"
+                         f" steps, more than {WARD_MAX_STEPS}")
     coarse = ward_transport(P, spec["rho"], start, length, step)
     fine = ward_transport(P, spec["rho"], start, length, step / 2.0)
     delta = abs(coarse["transport"] - fine["transport"])
@@ -493,7 +501,7 @@ def _cmd_ward(scene, ctx):
 
 def _cmd_projective_field(scene, ctx):
     P = _surface(scene)
-    pts = ctx.surface_points()
+    pts = ctx.points(("x", "y"))
     checks = []
     for name, comps in scene.get("surface_fields", {}).items():
         res = projective_field_residual(P, comps, pts)

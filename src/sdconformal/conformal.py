@@ -305,7 +305,7 @@ def curvature_maxima(builder: MetricBuilder, points):
     pt = point_arrays(points)
     rep = curvature_report(builder.jets(pt, order=2), builder.coords,
                            builder.orientation(pt))
-    worst = {k: float(np.max(rep[k])) for k in CURVATURE_NORMS}
+    worst = {k: max_abs(rep[k]) for k in CURVATURE_NORMS}
     return worst, bool(np.all(rep["signature_ok"]))
 
 
@@ -338,7 +338,7 @@ def killing_report(builder: MetricBuilder, K, points):
            + np.einsum("...ac,...cb->...ab", gv, dK))
     trace = np.einsum("...ab,...ab->...", giv, lie)
     conf = lie - 0.25 * trace[..., None, None] * gv
-    null = np.abs(((Kv[..., None, :] @ gv) @ Kv[..., :, None])[..., 0, 0])
+    null = ((Kv[..., None, :] @ gv) @ Kv[..., :, None])[..., 0, 0]
     # twist: alpha = g(K, .) as order-1 jets
     space1 = JetSpace(coords, 1)
     terms = space1.product(g.truncate(1).coeffs,
@@ -364,12 +364,12 @@ def killing_report(builder: MetricBuilder, K, points):
     acc = (np.einsum("...b,...ab->...a", Kv, dK)
            + np.einsum("...abc,...b,...c->...a", gamv, Kv, Kv))
     perp = acc - (_dot(acc, Kv) / norm2)[..., None] * Kv
-    return {"exact_killing": float(np.max(_maxabs(lie, 2))),
-            "conformal_killing": float(np.max(_maxabs(conf, 2))),
-            "null_defect": float(np.max(null)),
+    return {"exact_killing": max_abs(_maxabs(lie, 2)),
+            "conformal_killing": max_abs(_maxabs(conf, 2)),
+            "null_defect": max_abs(null),
             "twist": twist.tolist(),
-            "geodesic": float(np.max(_maxabs(perp, 1))),
-            "twist_max": float(np.max(np.abs(twist)))}
+            "geodesic": max_abs(_maxabs(perp, 1)),
+            "twist_max": max_abs(twist)}
 
 
 def frobenius_residual(fields, coords, points):
@@ -445,7 +445,7 @@ def build_null_kahler(a, c, f):
                  "J_null": _maxabs(J @ J, 2), "g_JJ": _maxabs(gjj, 2),
                  "killing": _maxabs(g.gradient()[..., 2], 2),
                  "omega_antiselfdual": _maxabs(starom + omv, 2)}
-        return {k: float(np.max(v)) for k, v in norms.items()}
+        return {k: max_abs(v) for k, v in norms.items()}
 
     return {"surface": P, "pair": pair, "metric": builder, "J": J_expr,
             "omega": omega, "check": check}

@@ -137,8 +137,13 @@ class JetSpace:
 
 
 def point_arrays(points) -> dict[str, np.ndarray]:
-    """A sequence of point dicts as one dict of value arrays whose leading
-    axis runs over the points, ready for `JetSpace.seed`."""
+    """A sample set as the mapping `JetSpace.seed` reads, of coordinate
+    names to arrays over the points.  A dict (`halton_points`) is returned
+    as it is; a sequence of point dicts, or of (x, y) pairs, is converted."""
+    if isinstance(points, dict):
+        return points
+    if not isinstance(points[0], dict):
+        points = [{"x": x, "y": y} for x, y in points]
     return {name: np.array([p[name] for p in points], dtype=float)
             for name in points[0]}
 

@@ -153,23 +153,25 @@ def lax_residual(lax: LaxPair, points, lambdas=DEFAULT_LAMBDAS):
     """
     lambdas = np.asarray(lambdas, dtype=float)
     vander = np.vander(lambdas, 4, increasing=True)
-    state = {k: v[:, None] for k, v in point_arrays(points).items()}
+    pt = point_arrays(points)
+    state = {k: v[:, None] for k, v in pt.items()}
     state["lambda"] = lambdas   # axes: (point, lam)
     bracket, l0 = lax.bracket_at(state)
     norm2 = _dot(l0, l0)
     if np.any(norm2 < 1e-24):
         n, k = np.argwhere(norm2 < 1e-24)[0]
-        where = {**points[n], "lambda": float(lambdas[k])}
+        where = {name: float(v[n]) for name, v in pt.items()}
+        where["lambda"] = float(lambdas[k])
         raise np.linalg.LinAlgError(f"degenerate L0 at {where}")
     c = _dot(bracket, l0) / norm2
     perp = bracket - c[..., None] * l0
-    worst = float(np.max(np.sqrt(_dot(perp, perp))))
+    worst = max_abs(np.sqrt(_dot(perp, perp)))
     # one multi-RHS fit; row-major like a stack of single-point fits
     fits = np.ascontiguousarray(lstsq(vander, c.T).T)
     return {
         "residual": worst,
         "b_coeffs": fits[:, :3],
-        "cubic_max": float(np.abs(fits[:, 3]).max()),
+        "cubic_max": max_abs(fits[:, 3]),
     }
 
 
@@ -187,11 +189,10 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     """
     pt = point_arrays(points)
     base_space = JetSpace(BASE, 0)
-    base = {"x": pt["x"], "y": pt["y"]}
 
     def base_values(exprs):
         # indexed like `exprs`, each entry a column of per-point values
-        values = jets_at(exprs, base_space, base).value
+        values = jets_at(exprs, base_space, pt).value
         return np.moveaxis(values, 0, -1)[..., None]
 
     gv = base_values([[[P.christoffel(A, B, C) for C in range(2)]
@@ -294,8 +295,7 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8,
 
     if check:
         pts = points if points is not None else [{"x": 0.5, "y": 0.5, "t": 0.0, "z": 0.3}]
-        base_pts = [(p["x"], p["y"]) for p in pts]
-        res = P.congruence_residual(gamma, base_pts)
+        res = P.congruence_residual(gamma, pts)
         if not res <= tol:
             raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
         gz_res, tr_res = _quadrature_residuals(H, G, E, F, pts)

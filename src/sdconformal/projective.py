@@ -25,18 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at, values_at
-from .jets import JetSpace, max_abs, stack, unstack
+from .jets import JetSpace, max_abs, point_arrays, stack, unstack
 
 COORDS = ("x", "y")
 
 # index pairs (B, C) with B <= C for the six stored symbols
 _SYM_KEYS = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)]
-
-
-def xy_arrays(points):
-    """A sequence of (x, y) points as the pair (x, y) of coordinate arrays
-    whose axis runs over the points."""
-    return tuple(np.asarray(points, dtype=float).T)
 
 
 class ProjectiveSurface:
@@ -196,11 +190,10 @@ class ProjectiveSurface:
     # -- congruences ------------------------------------------------------------
 
     def congruence_residual(self, beta, points):
-        """Max over `points` (a sequence of (x, y)) of
-        |beta_x + beta beta_y - a(beta)| for a slope section beta(x, y).
-        `beta` may be an Expression or source text."""
-        x, y = xy_arrays(points)
-        bv, a, bx, by = self._slope_jets(beta, {"x": x, "y": y})
+        """Max over the sample set `points` (see `jets.point_arrays`; only
+        x and y are read) of |beta_x + beta beta_y - a(beta)| for a slope
+        section beta(x, y).  `beta` may be an Expression or source text."""
+        bv, a, bx, by = self._slope_jets(beta, point_arrays(points))
         res = bx + bv * by - (a[0] + a[1]*bv + a[2]*_pow(bv, 2)
                               + a[3]*_pow(bv, 3))
         return max_abs(res)

@@ -8,6 +8,8 @@ are always a prefix of the first m > n — residual maxima are monotone
 in the sample count by construction.
 """
 
+import numpy as np
+
 from .expr import values_at
 from .jets import JetDomainError
 
@@ -30,8 +32,10 @@ def radical_inverse(index, base):
 
 
 def halton_points(names, box, count, seed=0, exclusions=()):
-    """`count` points as dicts over `names`, drawn from the Halton
-    sequence starting at index 1 + seed and scaled into the box.
+    """A sample set of `count` points over `names`: each name mapped to a
+    1-D array of its values, the form every residual takes as it is (see
+    `jets.point_arrays`).  The points are drawn from the Halton sequence
+    starting at index 1 + seed and scaled into the box.
 
     `box` maps each name to (lo, hi); `exclusions` is a sequence of
     (expression, guard) pairs and a candidate is rejected unless
@@ -41,38 +45,37 @@ def halton_points(names, box, count, seed=0, exclusions=()):
     names = tuple(names)
     if len(names) > len(HALTON_BASES):
         raise SamplingError("at most %d sampled coordinates" % len(HALTON_BASES))
-    for nm in names:
-        lo, hi = box[nm]
+    bounds = [box[nm] for nm in names]
+    for nm, (lo, hi) in zip(names, bounds):
         if not lo < hi:
             raise SamplingError(f"empty box interval for {nm}")
     clear = _clearance(names, exclusions) if exclusions else None
-    points = []
+    rows = []
     index = 1 + int(seed)
     budget = 1000 * (count + 10)  # guards should reject a small fraction
-    while len(points) < count:
+    while len(rows) < count:
         if budget <= 0:
             raise SamplingError("exclusion guards reject almost all of the box")
         budget -= 1
-        pt = {}
-        for d, nm in enumerate(names):
-            lo, hi = box[nm]
-            pt[nm] = lo + (hi - lo) * radical_inverse(index, HALTON_BASES[d])
+        row = [lo + (hi - lo) * radical_inverse(index, base)
+               for (lo, hi), base in zip(bounds, HALTON_BASES)]
         index += 1
-        if clear is None or clear(pt):
-            points.append(pt)
-    return points
+        if clear is None or clear(row):
+            rows.append(row)
+    return {nm: np.array([row[d] for row in rows], dtype=float)
+            for d, nm in enumerate(names)}
 
 
 def _clearance(names, exclusions):
-    """The test of a candidate point against the exclusions: whether
-    |expression| > guard for each, and False where any is singular.  The
-    expressions are compiled once (`expr.values_at`) and evaluated at
-    each candidate."""
+    """The test of a candidate point, given as its row of values in the
+    order of `names`, against the exclusions: whether |expression| > guard
+    for each, and False where any is singular.  The expressions are
+    compiled once (`expr.values_at`) and evaluated at each candidate."""
     values = values_at([e for e, _ in exclusions], names)
 
-    def clear(point):
+    def clear(row):
         try:
-            got = values([point[nm] for nm in names])
+            got = values(row)
         except JetDomainError:
             return False
         return all(abs(v) > guard for v, (_, guard) in zip(got, exclusions))

@@ -22,7 +22,22 @@ from sdconformal.jets import (Jet, JetDomainError, JetSpace, max_abs,
 from sdconformal.minitwistor import WeightedCongruence, _shifted_ricci
 from sdconformal.pairs import (LaxPair, ProjectivePair, _fiber_divergence,
                                build_lax, lax_residual)
-from sdconformal.projective import COORDS, ProjectiveSurface, xy_arrays
+from sdconformal.projective import COORDS, ProjectiveSurface
+
+
+# -- sample sets -----------------------------------------------------------------
+
+def point_rows(points):
+    """A sample set (a dict of coordinate arrays) as the list of its
+    points, each a dict of floats, in sample order."""
+    return [dict(zip(points, map(float, row)))
+            for row in zip(*points.values())]
+
+
+def xy_arrays(points):
+    """The x and y arrays of a sample set, a surface point argument."""
+    pt = point_arrays(points)
+    return pt["x"], pt["y"]
 
 
 # -- expressions and jets -------------------------------------------------------

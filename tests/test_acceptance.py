@@ -30,7 +30,7 @@ from sdconformal.sampling import halton_points
 from sdconformal.cli import main as cli_main
 from oracles import (area_connection_curvature, certify_selfdual,
                      congruence_from_slope, cotton, eval_jet, extract,
-                     projective_change, trivial_pair)
+                     point_rows, projective_change, trivial_pair)
 
 FLAT = ProjectiveSurface.flat()
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -39,12 +39,13 @@ BOX4 = {"x": [0.5, 1.5], "y": [1.1, 2.9], "t": [0.0, 1.0], "z": [0.4, 1.4]}
 
 
 def _pts4(count=32, seed=0):
-    return halton_points(("x", "y", "t", "z"), BOX4, count, seed=seed)
+    return point_rows(halton_points(("x", "y", "t", "z"), BOX4, count,
+                                    seed=seed))
 
 
 def _surface_pts(count=32, seed=0, box=None):
     box = box or {"x": [0.5, 1.5], "y": [1.1, 2.9]}
-    pts = halton_points(("x", "y"), box, count, seed=seed)
+    pts = point_rows(halton_points(("x", "y"), box, count, seed=seed))
     return [(p["x"], p["y"]) for p in pts]
 
 
@@ -105,9 +106,9 @@ def _random_surface(rng):
 class TestFlatBaseline:
     def test_trivial_pair_has_zero_bracket_and_flat_metric(self):
         pair = trivial_pair()
-        pts = halton_points(("x", "y", "w1", "w2"),
-                            {"x": [-1, 1], "y": [-1, 1],
-                             "w1": [-1, 1], "w2": [-1, 1]}, 32)
+        pts = point_rows(halton_points(("x", "y", "w1", "w2"),
+                                       {"x": [-1, 1], "y": [-1, 1],
+                                        "w1": [-1, 1], "w2": [-1, 1]}, 32))
         res = lax_residual(build_lax(FLAT, pair), pts)
         assert res["residual"] == 0.0
         assert res["cubic_max"] == 0.0

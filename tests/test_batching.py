@@ -29,13 +29,12 @@ from sdconformal.pairs import (ProjectivePair, _quadrature_residuals,
                                lax_residual, lie_bracket,
                                projective_pair_residual,
                                twist_free_normal_form)
-from sdconformal.projective import (COORDS, ProjectiveSurface, _pow,
-                                    xy_arrays)
+from sdconformal.projective import COORDS, ProjectiveSurface, _pow
 from sdconformal.sampling import halton_points
 from test_acceptance import _frobenius_scene
 from oracles import (abelian_pair_residual, area_connection_curvature,
-                     congruence_from_slope, cotton, evaluate,
-                     projective_change, trivial_pair)
+                     congruence_from_slope, cotton, evaluate, point_rows,
+                     projective_change, trivial_pair, xy_arrays)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 FLAT = ProjectiveSurface.flat()
@@ -89,7 +88,7 @@ CASES = _cases()
 
 def _points(name, count=24):
     _, pair, _, box, _ = CASES[name]
-    return halton_points(pair.coords, box, count, seed=3)
+    return point_rows(halton_points(pair.coords, box, count, seed=3))
 
 
 def _assert_close(batched, single):
@@ -200,7 +199,7 @@ def _surface_points(scene, count=24):
     box = ({"x": [-1, 1], "y": [-1, 1]} if scene == "curved"
            else _scene(scene)["sampling"]["box"])
     return [(p["x"], p["y"])
-            for p in halton_points(COORDS, box, count, seed=3)]
+            for p in point_rows(halton_points(COORDS, box, count, seed=3))]
 
 
 # name -> (surface, slope, scene whose box the points fill)
@@ -271,8 +270,8 @@ SURFACE_PAIRS = _surface_pairs()
 
 def _pair_points(name, count=24):
     _, pair, scene = SURFACE_PAIRS[name]
-    return halton_points(pair.coords, _scene(scene)["sampling"]["box"], count,
-                         seed=3)
+    return point_rows(halton_points(
+        pair.coords, _scene(scene)["sampling"]["box"], count, seed=3))
 
 
 def _max_of_singles(fn, points):
@@ -567,7 +566,7 @@ DISTRIBUTIONS = _distributions()
 @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
 def test_frobenius_residual_matches_the_per_point_loop(name):
     fields, coords, box = DISTRIBUTIONS[name]
-    points = halton_points(coords, box, 48, seed=3)
+    points = point_rows(halton_points(coords, box, 48, seed=3))
     res = frobenius_residual(fields, coords, points)
     assert res == _frobenius_reference(fields, coords, points)
     if name.startswith("random"):

@@ -209,6 +209,23 @@ class TestNonFiniteValues:
         for c in report["checks"]:
             assert math.isfinite(c["value"]) or not c["verdict"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_null_kahler_structure_fails_its_checks(self, capsys,
+                                                        tmp_path):
+        # the NaN factor reaches the structure identities through the
+        # null-Kaehler check's own reduction, not only through Weyl
+        scene = json.loads((SCENES / "nullkahler_random.json").read_text())
+        scene["build"]["f"] = "(1e200*x)^2 - (1e200*x)^2 + 1"
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(scene))
+        code, report = run(capsys, "build-nullkahler", str(path))
+        assert code == 1 and not report["pass"]
+        nan = {c["name"] for c in report["checks"] if math.isnan(c["value"])}
+        assert nan == {"domega", "compatibility", "g_JJ", "killing",
+                       "omega_antiselfdual", "weyl_minus"}
+        for c in report["checks"]:
+            assert c["verdict"] is (c["name"] not in nan)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_check_fails_non_finite_values(self, value):
         assert _check("x", value, 1.0)["verdict"] is False
@@ -274,8 +291,8 @@ class TestTypedExits:
         assert report["samples"] == 32
         points = halton_points(("x", "y"), scene["sampling"]["box"], 32,
                                exclusions=[(parse("log(x)", ("x", "y")), 0.1)])
-        assert len(points) == 32
-        assert all(p["x"] > 0 and abs(math.log(p["x"])) > 0.1 for p in points)
+        assert len(points["x"]) == 32
+        assert all(x > 0 and abs(math.log(x)) > 0.1 for x in points["x"])
 
     def test_empty_box_interval_is_a_scene_error(self, capsys, tmp_path):
         def edit(scene):
@@ -336,6 +353,78 @@ def test_ward_step_and_length_must_be_positive(capsys, tmp_path, key, value):
     assert code == 2 and out == ""
     assert err == f"scene error: ward: {key} must be positive and finite, " \
                   f"got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize("length", [1e300, 5000.01])
+def test_ward_work_is_bounded(capsys, tmp_path, length):
+    # 1e300 used to end in an OverflowError traceback with exit 1, and a
+    # long finite length built a list of length/step step sizes; 5000.01
+    # at step 0.01 is 1,000,002 steps at step/2, just over the cap, and
+    # is refused before any path is integrated
+    code, out, err = _run_edited(
+        capsys, tmp_path, "ward", "ward",
+        lambda scene: scene["ward"].update(length=length, step=0.01))
+    assert code == 2 and out == ""
+    assert err == (f"scene error: ward: the run at step/2 would take "
+                   f"{2.0 * length / 0.01:.6g} steps, more than "
+                   f"{cli.WARD_MAX_STEPS}\n")
+
+
+def _row3_metric(scene):
+    scene["metric"] = {"components": [["0", "0", "1"],
+                                      ["0", "0", "-1", "0"],
+                                      ["0", "-1", "0", "0"],
+                                      ["1", "0", "0", "0"]]}
+
+
+def _set_divisor(key, value):
+    return lambda scene: scene["divisor2"][0].update({key: value})
+
+
+# scenes whose lists have the wrong length for their place: each used to
+# end in a 17-26-line traceback with exit 1
+BAD_SHAPES = {
+    "metric_row_of_3": ("curvature", "flat", _row3_metric,
+                        "['0', '0', '1'] is too short"),
+    "empty_distribution": ("frobenius", "flat",
+                           lambda scene: scene.update(
+                               distributions={"empty": []}),
+                           "[] should be non-empty"),
+    "divisor2_phi_of_3": ("divisor2", "divisor2_roots",
+                          _set_divisor("phi", ["1", "0", "0"]),
+                          "['1', '0', '0'] is too long"),
+    "divisor2_rho_of_3": ("divisor2", "divisor2_roots",
+                          _set_divisor("rho", ["1", "0", "0"]),
+                          "['1', '0', '0'] is too long"),
+    "surface_field_of_1": ("projective-field", "projective_field",
+                           lambda scene: scene.update(
+                               surface_fields={"V": ["x"]}),
+                           "['x'] is too short"),
+    "ward_rho_of_1": ("ward", "ward",
+                      lambda scene: scene["ward"].update(rho=["x"]),
+                      "['x'] is too short"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_list_lengths_are_scene_errors(capsys, tmp_path, case):
+    command, name, edit, message = BAD_SHAPES[case]
+    code, out, err = _run_edited(capsys, tmp_path, command, name, edit)
+    assert code == 2 and out == ""
+    assert err.startswith("scene error: ") and err.count("\n") == 1
+    assert err.endswith(f"invalid: {message}\n")
+
+
+def test_an_explicit_metric_needs_four_coordinates(capsys, tmp_path):
+    # a 4x4 metric over 3 coordinates used to end in a numpy broadcast
+    # ValueError traceback with exit 1
+    def edit(scene):
+        scene["coords"] = ["x", "y", "w1"]
+        _metric(scene, "0")
+    code, out, err = _run_edited(capsys, tmp_path, "curvature", "flat", edit)
+    assert code == 2 and out == ""
+    assert err == ("scene error: a 4-metric needs 4 coordinates, not "
+                   "['x', 'y', 'w1']\n")
 
 
 def _put(*keys):

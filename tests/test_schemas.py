@@ -8,6 +8,7 @@ that the package runs without the repository around it.
 """
 
 import copy
+import importlib.util
 import json
 import math
 import os
@@ -138,6 +139,32 @@ def test_an_unknown_keyword_is_found_and_never_ignored(keyword, arg):
     # instance to jsonschema instead of passing it unchecked
     scene = json.loads((ROOT / "scenes" / "burgers.json").read_text())
     assert not _fast(scene, schema)
+
+
+# -- the benchmark's scenes ----------------------------------------------------------
+
+def _bench_scenes():
+    """The benchmark's scene generator, `bench/scenes.py`, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_scenes", ROOT / "bench" / "scenes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_SCENES = _bench_scenes()
+
+
+@pytest.mark.parametrize("workload", BENCH_SCENES.WORKLOADS)
+@pytest.mark.parametrize("seed", range(4))
+def test_every_bench_scene_validates(tmp_path, workload, seed):
+    # the benchmark validates each scene it writes before it runs any, and
+    # stops at the first one the schema rejects
+    jobs = BENCH_SCENES.jobs_for(workload, seed, tmp_path, ROOT / "scenes")
+    paths = sorted({job.scene for job in jobs})
+    assert paths
+    for path in paths:
+        cli.load_scene(path)
 
 
 # -- agreement with jsonschema ------------------------------------------------------
