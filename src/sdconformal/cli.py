@@ -353,13 +353,14 @@ def _cmd_congruence(scene, ctx):
     P = _surface(scene)
     pts = ctx.points(("x", "y"))
     checks, fitted = [], {}
-    probe = tuple(scene.get("probe", (pts["x"][0], pts["y"][0])))
+    x0, y0 = scene.get("probe", (pts["x"][0], pts["y"][0]))
+    probe = {"x": x0, "y": y0}
     for name, beta in scene.get("congruences", {}).items():
         res = P.congruence_residual(beta, pts)
         checks.append(_check(f"congruence[{name}]", res,
                              ctx.tol["congruence"]))
         fitted[name] = {
-            "probe": list(probe),
+            "probe": [x0, y0],
             "multiplier": [P.congruence_multiplier(beta, probe, lam)
                            for lam in (0.0, 1.0, 2.0)],
         }
@@ -516,6 +517,11 @@ def _cmd_batch(scene, ctx):
     jobs = scene.get("batch")
     if not jobs:
         raise SceneError("batch: scene has no batch list")
+    for job in jobs:
+        if job["command"] == "batch":
+            raise SceneError("batch: batches do not nest")
+        if job["command"] not in COMMANDS:
+            raise SceneError(f"batch: unknown command {job['command']!r}")
     base = Path(scene["_path"]).parent
     reports = []
     ok = True

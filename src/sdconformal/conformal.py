@@ -27,7 +27,7 @@ import itertools
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at
-from .jets import Jet, JetSpace, max_abs, point_arrays, stack, unstack
+from .jets import Jet, JetSpace, max_abs, stack, unstack
 from .pairs import ProjectivePair, _dot, lie_bracket, lstsq
 
 # Which Weyl half the construction kills; calibrated on the null-Kaehler
@@ -140,8 +140,8 @@ class MetricBuilder:
         self.orient = float(orientation)
 
     def jets(self, point, order=2):
-        """The metric jets at a point dict, whose values may be arrays over
-        many points (see `point_arrays`): one jet whose batch axes are the
+        """The metric jets at `point` (a mapping of the coordinates to
+        numbers or to equal-shaped arrays): one jet whose batch axes are the
         point axes and the two indices of the symmetric 4x4 matrix."""
         space = JetSpace(self.coords, order)
         if self.components is not None:
@@ -302,9 +302,8 @@ def curvature_maxima(builder: MetricBuilder, points):
     """The largest value over the sample points of each norm in
     CURVATURE_NORMS, and whether the metric has signature (2, 2) at
     every point."""
-    pt = point_arrays(points)
-    rep = curvature_report(builder.jets(pt, order=2), builder.coords,
-                           builder.orientation(pt))
+    rep = curvature_report(builder.jets(points, order=2), builder.coords,
+                           builder.orientation(points))
     worst = {k: max_abs(rep[k]) for k in CURVATURE_NORMS}
     return worst, bool(np.all(rep["signature_ok"]))
 
@@ -325,9 +324,8 @@ def killing_report(builder: MetricBuilder, K, points):
     """
     coords = builder.coords
     K = [as_expression(c, coords) for c in K]
-    pt = point_arrays(points)
-    g = builder.jets(pt, order=2)
-    Kj = jets_at(K, JetSpace(coords, 2), pt)
+    g = builder.jets(points, order=2)
+    Kj = jets_at(K, JetSpace(coords, 2), points)
     gv = np.ascontiguousarray(g.value)
     giv = np.linalg.inv(gv)
     Kv = np.ascontiguousarray(Kj.value)
@@ -377,7 +375,7 @@ def frobenius_residual(fields, coords, points):
     outside span{fields} (least squares)."""
     coords = tuple(coords)
     fields = [[as_expression(c, coords) for c in f] for f in fields]
-    F = jets_at(fields, JetSpace(coords, 1), point_arrays(points)).coeffs
+    F = jets_at(fields, JetSpace(coords, 1), points).coeffs
     vals = np.ascontiguousarray(F[..., 0])   # vals[p, field, component]
     if np.any(np.linalg.matrix_rank(vals) < len(fields)):
         raise np.linalg.LinAlgError("dependent fields at sample point")
@@ -425,21 +423,20 @@ def build_null_kahler(a, c, f):
     omega[3][0] = -f
 
     def check(points):
-        pt = point_arrays(points)
         space = JetSpace(coords, 1)
-        J = np.ascontiguousarray(jets_at(J_expr, space, pt).value)
-        om = jets_at(omega, space, pt)
+        J = np.ascontiguousarray(jets_at(J_expr, space, points).value)
+        om = jets_at(omega, space, points)
         omv = np.ascontiguousarray(om.value)
         dom = om.gradient()   # dom[..., i, j, k] = d_k omega_ij
         d3 = (np.einsum("...jki->...ijk", dom)
               + np.einsum("...kij->...ijk", dom) + dom)
-        g = builder.jets(pt, order=1)
+        g = builder.jets(points, order=1)
         gv = np.ascontiguousarray(g.value)
         giv = np.linalg.inv(gv)
         # omega(U, V) = g(JU, V):  omega_ab = J^c_a g_cb
         compat = np.einsum("...ca,...cb->...ab", J, gv) - omv
         gjj = np.einsum("...ca,...db,...cd->...ab", J, J, gv)
-        star = hodge_star_operator(gv, giv, builder.orientation(pt))
+        star = hodge_star_operator(gv, giv, builder.orientation(points))
         starom = np.einsum("...abcd,...cd->...ab", star, omv)
         norms = {"domega": _maxabs(d3, 3), "compat": _maxabs(compat, 2),
                  "J_null": _maxabs(J @ J, 2), "g_JJ": _maxabs(gjj, 2),

@@ -528,7 +528,7 @@ def values_at(exprs, names):
 def jets_at(exprs, space: JetSpace, point):
     """Jets of `space` of an Expression, or of a nested list of them, at
     `point`: a mapping of the space variables to numbers or to
-    equal-shaped arrays of values (see `jets.point_arrays`).
+    equal-shaped arrays of values, such as a `halton_points` sample set.
 
     All the expressions are compiled into one plan and run once, so a
     node they share runs once.  An Expression gives its jet as evaluated

@@ -136,18 +136,6 @@ class JetSpace:
         return {v: self.variable(v, point[v]) for v in self.vars}
 
 
-def point_arrays(points) -> dict[str, np.ndarray]:
-    """A sample set as the mapping `JetSpace.seed` reads, of coordinate
-    names to arrays over the points.  A dict (`halton_points`) is returned
-    as it is; a sequence of point dicts, or of (x, y) pairs, is converted."""
-    if isinstance(points, dict):
-        return points
-    if not isinstance(points[0], dict):
-        points = [{"x": x, "y": y} for x, y in points]
-    return {name: np.array([p[name] for p in points], dtype=float)
-            for name in points[0]}
-
-
 def stack(jets, batch=()) -> "Jet":
     """One jet from a nested list of jets of one space: the nesting
     becomes trailing batch axes, after the batch axes of the entries

@@ -20,7 +20,7 @@ of the algebraic bracket from the tangent bundle (where the trace is 3).
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at
-from .jets import JetSpace, max_abs, point_arrays, unstack
+from .jets import JetSpace, max_abs, unstack
 from .projective import COORDS
 from .conformal import jet_gauss_solve
 from .pairs import DEFAULT_LAMBDAS, lstsq, ordered_bracket
@@ -61,7 +61,7 @@ def _weyl_gamma_jets(P, cong1, cong2, point):
     order = 1
     phi1, phi2, rho1, rho2 = unstack(jets_at(
         [cong1.phi, cong2.phi, cong1.rho, cong2.rho],
-        JetSpace(COORDS, order + 1), {"x": point[0], "y": point[1]}), 2)
+        JetSpace(COORDS, order + 1), point), 2)
     low = [[-ph[1], ph[0]] for ph in (phi1, phi2)]
     # weight-4 symmetric form c_{AC} = (phi1_A phi2_C + phi1_C phi2_A)/2
     c = [[(low[0][A] * low[1][C] + low[0][C] * low[1][A]) * 0.5
@@ -112,15 +112,13 @@ def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
 
     Returns all norms, the per-pair verdicts, and whether the pairs agree.
     """
-    pt = point_arrays(points)
-    point = (pt["x"], pt["y"])
-    gam, _, dc_res = _weyl_gamma_jets(P, cong1, cong2, point)
-    r = _shifted_ricci(P, gam, point)
+    gam, _, dc_res = _weyl_gamma_jets(P, cong1, cong2, points)
+    r = _shifted_ricci(P, gam, points)
     rt = r.swapaxes(-1, -2)
     sym_norm = max_abs(r + rt) * 0.5
     skew_norm = max_abs(r - rt) * 0.5
     # F[..., i] = d rho_i, the curvature of the i-th line bundle
-    rho = jets_at([cong1.rho, cong2.rho], JetSpace(COORDS, 1), pt)
+    rho = jets_at([cong1.rho, cong2.rho], JetSpace(COORDS, 1), points)
     F = rho.derivative("x").value[..., 1] - rho.derivative("y").value[..., 0]
     fsum = max_abs(F[..., 0] + F[..., 1])
     fdiff = max_abs(F[..., 0] - F[..., 1])
@@ -171,9 +169,8 @@ def projective_field_residual(P, V, points, lambdas=DEFAULT_LAMBDAS):
     spray = [Expression.const(1.0), lam, P.spray_cubic()]
     # axes (point, lam), as in pairs.lax_residual; then lift or spray,
     # component, coefficient
-    pt = point_arrays(points)
     jets = jets_at([lift, spray], JetSpace(vars3, 1), {
-        "x": pt["x"][:, None], "y": pt["y"][:, None],
+        "x": points["x"][:, None], "y": points["y"][:, None],
         "lambda": np.asarray(lambdas, dtype=float)}).coeffs
     lj, sj = jets[..., 0, :, :], jets[..., 1, :, :]
     bracket = ordered_bracket(lj, sj)

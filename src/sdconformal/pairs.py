@@ -22,7 +22,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .expr import Expression, as_expression, jets_at
-from .jets import Jet, JetSpace, max_abs, point_arrays
+from .jets import Jet, JetSpace, max_abs
 
 BASE = ("x", "y")
 DEFAULT_LAMBDAS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
@@ -106,7 +106,7 @@ def ordered_bracket(u, v, first=0):
     return out
 
 
-def _lstsq_error(err, flag):
+def _lstsq_error(*_):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
@@ -115,7 +115,11 @@ def lstsq(a, b):
     systems a (..., M, N) and right-hand sides b (..., M, K), in one call
     of the gufunc behind `np.linalg.lstsq`, with its default rcond and
     error handling: each x is that function's solution to the last bit,
-    and SVD non-convergence (NaN input) raises its LinAlgError."""
+    and SVD non-convergence (NaN input) raises its LinAlgError.  A
+    non-finite `a` raises that error without calling LAPACK, which would
+    first print DLASCL complaints to stdout."""
+    if not np.all(np.isfinite(a)):
+        _lstsq_error()
     m, n = a.shape[-2:]
     with np.errstate(call=_lstsq_error, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
@@ -153,14 +157,13 @@ def lax_residual(lax: LaxPair, points, lambdas=DEFAULT_LAMBDAS):
     """
     lambdas = np.asarray(lambdas, dtype=float)
     vander = np.vander(lambdas, 4, increasing=True)
-    pt = point_arrays(points)
-    state = {k: v[:, None] for k, v in pt.items()}
+    state = {k: v[:, None] for k, v in points.items()}
     state["lambda"] = lambdas   # axes: (point, lam)
     bracket, l0 = lax.bracket_at(state)
     norm2 = _dot(l0, l0)
     if np.any(norm2 < 1e-24):
         n, k = np.argwhere(norm2 < 1e-24)[0]
-        where = {name: float(v[n]) for name, v in pt.items()}
+        where = {name: float(v[n]) for name, v in points.items()}
         where["lambda"] = float(lambdas[k])
         raise np.linalg.LinAlgError(f"degenerate L0 at {where}")
     c = _dot(bracket, l0) / norm2
@@ -187,12 +190,11 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     where g0 = G^0_00 + G^1_01, g1 = G^0_10 + G^1_11 and the brackets are
     taken in the fiber variables only.
     """
-    pt = point_arrays(points)
     base_space = JetSpace(BASE, 0)
 
     def base_values(exprs):
         # indexed like `exprs`, each entry a column of per-point values
-        values = jets_at(exprs, base_space, pt).value
+        values = jets_at(exprs, base_space, points).value
         return np.moveaxis(values, 0, -1)[..., None]
 
     gv = base_values([[[P.christoffel(A, B, C) for C in range(2)]
@@ -202,7 +204,7 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     c0, c1 = base_values(pair.c_gauge)
     # order-1 coefficients [n, i, slot] of alpha0, alpha1, phi0, phi1:
     # slots 1, 2 are d_x, d_y, and the fiber coordinates follow x and y
-    F = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 1), pt).coeffs
+    F = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 1), points).coeffs
     a0, a1, f0, f1 = (F[:, k] for k in range(4))
     phi0v, phi1v = f0[..., 0], f1[..., 0]
     eq1 = (f0[..., 1] + ordered_bracket(a0, f0, 2)
@@ -223,7 +225,7 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
 # -- constructive builders ----------------------------------------------------
 
 
-def twist_free_normal_form(P, beta, points=None, tol=1e-8, check=True):
+def twist_free_normal_form(P, beta, points=None, tol=1e-8):
     """The z-linear pair attached to a geodesic congruence lam = beta(x, y):
 
         L0 = (lam - beta) dz,
@@ -236,11 +238,10 @@ def twist_free_normal_form(P, beta, points=None, tol=1e-8, check=True):
     2 beta_y - a'(lam)/3, which is not a function of lam alone.)
     """
     beta = as_expression(beta, BASE)
-    if check:
-        pts = points if points is not None else [(0.5, 0.5)]
-        res = P.congruence_residual(beta, pts)
-        if not res <= tol:
-            raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
+    pts = points if points is not None else {"x": 0.5, "y": 0.5}
+    res = P.congruence_residual(beta, pts)
+    if not res <= tol:
+        raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
     a0, a1, a2, a3 = P.spray_coeffs()
     da = a1 + 2 * a2 * beta + 3 * a3 * beta**2
     dda = 2 * a2 + 6 * a3 * beta
@@ -252,8 +253,7 @@ def twist_free_normal_form(P, beta, points=None, tol=1e-8, check=True):
     return ProjectivePair(("z",), [q0], [q1], [-beta], [1.0])
 
 
-def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8,
-                        check=True):
+def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8):
     """Two-fiber (t, z) pair built from a congruence by quadratures.
 
     Inputs: gamma(x, y) a geodesic congruence of P, a constant c (the
@@ -293,16 +293,16 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8,
     F = a3 * z * beta + (a2 + gamma * a3) * z
     D = -a3 * G
 
-    if check:
-        pts = points if points is not None else [{"x": 0.5, "y": 0.5, "t": 0.0, "z": 0.3}]
-        res = P.congruence_residual(gamma, pts)
-        if not res <= tol:
-            raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
-        gz_res, tr_res = _quadrature_residuals(H, G, E, F, pts)
-        if not gz_res <= tol:
-            raise BuildError(f"G_z - H residual {gz_res:.3e} exceeds {tol:.1e}")
-        if not tr_res <= tol:
-            raise BuildError(f"H transport residual {tr_res:.3e} exceeds {tol:.1e}")
+    pts = (points if points is not None
+           else {"x": 0.5, "y": 0.5, "t": 0.0, "z": 0.3})
+    res = P.congruence_residual(gamma, pts)
+    if not res <= tol:
+        raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
+    gz_res, tr_res = _quadrature_residuals(H, G, E, F, pts)
+    if not gz_res <= tol:
+        raise BuildError(f"G_z - H residual {gz_res:.3e} exceeds {tol:.1e}")
+    if not tr_res <= tol:
+        raise BuildError(f"H transport residual {tr_res:.3e} exceeds {tol:.1e}")
 
     zero = Expression.const(0.0)
     return ProjectivePair(
@@ -317,10 +317,9 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8,
 
 
 def _quadrature_residuals(H, G, E, F, points):
-    """Max over the points (dicts over x, y, t, z) of |G_z - H|, and of
+    """Max over the sample set `points` (over x, y, t, z) of |G_z - H|, and of
     the transport residuals |H_x + E H_z| and |H_y + F H_z|."""
-    jets = jets_at([H, G, E, F], JetSpace(BASE + ("t", "z"), 1),
-                   point_arrays(points))
+    jets = jets_at([H, G, E, F], JetSpace(BASE + ("t", "z"), 1), points)
     hv, _, ev, fv = np.moveaxis(jets.value, -1, 0)
     hx, hy, _, hz = np.moveaxis(jets.gradient()[..., 0, :], -1, 0)
     return (max_abs(jets.gradient()[..., 1, 3] - hv),
@@ -345,8 +344,7 @@ def gauge_reduction_report(pair: ProjectivePair, points, tol=1e-10):
                         in z, and phi is z-independent (translational).
     """
     # fields[n, k, i]: component i of alpha0, alpha1, phi0, phi1 (k)
-    fields = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 3),
-                     point_arrays(points))
+    fields = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 3), points)
     div = _fiber_divergence(fields, pair.fiber)
     dz = fields.derivative(pair.fiber[-1])
     values = {

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at, values_at
-from .jets import JetSpace, max_abs, point_arrays, stack, unstack
+from .jets import JetSpace, max_abs, stack, unstack
 
 COORDS = ("x", "y")
 
@@ -83,15 +83,15 @@ class ProjectiveSurface:
 
     # -- curvature -----------------------------------------------------------
 
-    # `point` below is a pair (x, y) of numbers, or of equal-shaped arrays
-    # whose axes run over sample points; the jets and arrays returned then
-    # carry those point axes in front.
+    # `point` below maps x and y to numbers, or to equal-shaped arrays
+    # whose axes run over sample points (a sample set); the jets and arrays
+    # returned then carry those point axes in front.
 
     def christoffel_jets(self, point, order):
         """Nested list g[A][B][C] of jets of the Christoffels at `point`."""
         g = jets_at([[[self.christoffel(A, B, C) for C in range(2)]
                       for B in range(2)] for A in range(2)],
-                    JetSpace(COORDS, order), {"x": point[0], "y": point[1]})
+                    JetSpace(COORDS, order), point)
         return unstack(g, 3)
 
     def curvature_endomorphism(self, point, order=2):
@@ -190,10 +190,10 @@ class ProjectiveSurface:
     # -- congruences ------------------------------------------------------------
 
     def congruence_residual(self, beta, points):
-        """Max over the sample set `points` (see `jets.point_arrays`; only
-        x and y are read) of |beta_x + beta beta_y - a(beta)| for a slope
-        section beta(x, y).  `beta` may be an Expression or source text."""
-        bv, a, bx, by = self._slope_jets(beta, point_arrays(points))
+        """Max over the sample set `points` (only x and y are read) of
+        |beta_x + beta beta_y - a(beta)| for a slope section beta(x, y).
+        `beta` may be an Expression or source text."""
+        bv, a, bx, by = self._slope_jets(beta, points)
         res = bx + bv * by - (a[0] + a[1]*bv + a[2]*_pow(bv, 2)
                               + a[3]*_pow(bv, 3))
         return max_abs(res)
@@ -202,7 +202,7 @@ class ProjectiveSurface:
         """b(lam) = beta_y - (a(lam) - a(beta))/(lam - beta), the divided
         difference expanded exactly as a polynomial (no cancellation at
         lam = beta):  b = beta_y - a1 - a2(lam+beta) - a3(lam^2+lam beta+beta^2)."""
-        bv, a, _, by = self._slope_jets(beta, {"x": point[0], "y": point[1]})
+        bv, a, _, by = self._slope_jets(beta, point)
         return by - a[1] - a[2] * (lam + bv) - a[3] * (lam**2 + lam*bv + bv**2)
 
     def _slope_jets(self, beta, point):

@@ -33,8 +33,8 @@ def radical_inverse(index, base):
 
 def halton_points(names, box, count, seed=0, exclusions=()):
     """A sample set of `count` points over `names`: each name mapped to a
-    1-D array of its values, the form every residual takes as it is (see
-    `jets.point_arrays`).  The points are drawn from the Halton sequence
+    1-D array of its values, the one point form every residual and
+    `expr.jets_at` take.  The points are drawn from the Halton sequence
     starting at index 1 + seed and scaled into the box.
 
     `box` maps each name to (lo, hi); `exclusions` is a sequence of

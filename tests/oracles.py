@@ -18,7 +18,7 @@ from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
                               Neg, Pow, UnknownIdentifierError, Var,
                               _print, as_expression, jets_at)
 from sdconformal.jets import (Jet, JetDomainError, JetSpace, max_abs,
-                              point_arrays, stack, unstack)
+                              stack, unstack)
 from sdconformal.minitwistor import WeightedCongruence, _shifted_ricci
 from sdconformal.pairs import (LaxPair, ProjectivePair, _fiber_divergence,
                                build_lax, lax_residual)
@@ -34,10 +34,21 @@ def point_rows(points):
             for row in zip(*points.values())]
 
 
-def xy_arrays(points):
-    """The x and y arrays of a sample set, a surface point argument."""
-    pt = point_arrays(points)
-    return pt["x"], pt["y"]
+def point_slices(points):
+    """Each point of a sample set as a sample set of one point, the slice
+    {name: values[n:n + 1]}, in sample order."""
+    count = len(next(iter(points.values())))
+    return [{name: v[n:n + 1] for name, v in points.items()}
+            for n in range(count)]
+
+
+def sample_set(points):
+    """The sample set (a dict of coordinate arrays) of a list of points,
+    each a dict over the coordinates or an (x, y) pair."""
+    if not isinstance(points[0], dict):
+        points = [{"x": x, "y": y} for x, y in points]
+    return {name: np.array([p[name] for p in points], dtype=float)
+            for name in points[0]}
 
 
 # -- expressions and jets -------------------------------------------------------
@@ -233,7 +244,7 @@ def lifted_spray_velocity(P, state):
     x, y, p0, p1 = state
     if p0 == 0.0 and p1 == 0.0:
         raise ValueError("zero fiber vector")
-    g = P.christoffel_jets((x, y), 0)
+    g = P.christoffel_jets({"x": x, "y": y}, 0)
     gv = [[[g[A][B][C].value for C in range(2)] for B in range(2)]
           for A in range(2)]
     trace = [gv[0][B][0] + gv[1][B][1] for B in range(2)]
@@ -334,7 +345,7 @@ def area_connection_curvature(pair, points):
     already-rescaled case.
     """
     nf = len(pair.fiber)
-    alpha = jets_at(pair.alpha, JetSpace(pair.coords, 2), point_arrays(points))
+    alpha = jets_at(pair.alpha, JetSpace(pair.coords, 2), points)
     a = alpha.value    # a[n, k, j]: component j of alpha_k
     # d[n, k, :]: gradient of rho_k, the fiber divergence of alpha_k
     d = _fiber_divergence(alpha, pair.fiber).gradient()
@@ -360,8 +371,8 @@ def derivative_matrix_jets(P, phi, rho, point, order):
     lowered field (phi_0, phi_1) = (-phi^1, phi^0).  Lowering uses the
     chart area form eps_{01} = 1, which commutes with the weighted
     derivative."""
-    ph, rh = unstack(jets_at([phi, rho], JetSpace(COORDS, order + 1),
-                             {"x": point[0], "y": point[1]}), 2)
+    ph, rh = unstack(jets_at([phi, rho], JetSpace(COORDS, order + 1), point),
+                     2)
     rh = [r.truncate(order) for r in rh]
     g = P.christoffel_jets(point, order)
     tr = [g[0][B][0] + g[1][B][1] for B in range(2)]
@@ -388,7 +399,7 @@ def abelian_pair_residual(P, phi, rho, points):
     congruence of the projective structure."""
     phi = tuple(as_expression(c, COORDS) for c in phi)
     rho = tuple(as_expression(c, COORDS) for c in rho)
-    M, _ = derivative_matrix_jets(P, phi, rho, xy_arrays(points), 0)
+    M, _ = derivative_matrix_jets(P, phi, rho, points, 0)
     # the symmetric part (S_00, S_01, S_11)
     sym = (M[0][0], (M[0][1] + M[1][0]) * 0.5, M[1][1])
     return max_abs(*(s.value for s in sym))

@@ -8,6 +8,7 @@ pairs, gauge classification, and negative controls with linear residual
 scaling.
 """
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -23,14 +24,17 @@ from sdconformal.pairs import (ProjectivePair, build_lax, lax_residual,
                                twist_free_normal_form, dw_quadrature_build,
                                gauge_reduction_report)
 from sdconformal.conformal import (MetricBuilder, curvature_report,
+                                   frame_values, hodge_star_operator,
                                    killing_report,
                                    frobenius_residual, build_null_kahler)
 from sdconformal.minitwistor import WeightedCongruence, divisor_two_report
 from sdconformal.sampling import halton_points
-from sdconformal.cli import main as cli_main
+from sdconformal.cli import RunContext, load_scene, main as cli_main
+from sdconformal.cli import _pair as cli_pair, _surface as cli_surface
 from oracles import (area_connection_curvature, certify_selfdual,
                      congruence_from_slope, cotton, eval_jet, extract,
-                     point_rows, projective_change, trivial_pair)
+                     point_rows, projective_change, sample_set,
+                     trivial_pair)
 
 FLAT = ProjectiveSurface.flat()
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -39,14 +43,12 @@ BOX4 = {"x": [0.5, 1.5], "y": [1.1, 2.9], "t": [0.0, 1.0], "z": [0.4, 1.4]}
 
 
 def _pts4(count=32, seed=0):
-    return point_rows(halton_points(("x", "y", "t", "z"), BOX4, count,
-                                    seed=seed))
+    return halton_points(("x", "y", "t", "z"), BOX4, count, seed=seed)
 
 
 def _surface_pts(count=32, seed=0, box=None):
     box = box or {"x": [0.5, 1.5], "y": [1.1, 2.9]}
-    pts = point_rows(halton_points(("x", "y"), box, count, seed=seed))
-    return [(p["x"], p["y"]) for p in pts]
+    return halton_points(("x", "y"), box, count, seed=seed)
 
 
 def _run_cli(capsys, *argv):
@@ -106,14 +108,14 @@ def _random_surface(rng):
 class TestFlatBaseline:
     def test_trivial_pair_has_zero_bracket_and_flat_metric(self):
         pair = trivial_pair()
-        pts = point_rows(halton_points(("x", "y", "w1", "w2"),
-                                       {"x": [-1, 1], "y": [-1, 1],
-                                        "w1": [-1, 1], "w2": [-1, 1]}, 32))
+        pts = halton_points(("x", "y", "w1", "w2"),
+                            {"x": [-1, 1], "y": [-1, 1],
+                             "w1": [-1, 1], "w2": [-1, 1]}, 32)
         res = lax_residual(build_lax(FLAT, pair), pts)
         assert res["residual"] == 0.0
         assert res["cubic_max"] == 0.0
         builder = MetricBuilder(pair=pair)
-        for pt in pts:
+        for pt in point_rows(pts):
             rep = curvature_report(builder.jets(pt), builder.coords,
                                    builder.orientation(pt))
             for key in ("riemann", "ricci", "weyl_plus", "weyl_minus",
@@ -152,9 +154,9 @@ class TestCurvatureTransformation:
             g0 = _random_polynomial(rng)
             g1 = _random_polynomial(rng)
             Q = projective_change(P, g0, g1)
-            pt = tuple(rng.uniform(-0.8, 0.8, size=2))
+            pt = dict(zip(COORDS, rng.uniform(-0.8, 0.8, size=2)))
             space = JetSpace(COORDS, 1)
-            env = space.seed({"x": pt[0], "y": pt[1]})
+            env = space.seed(pt)
             gj = [evaluate(g0, env, space=space),
                   evaluate(g1, env, space=space)]
             gv = np.array([j.value for j in gj])
@@ -302,8 +304,9 @@ class TestTwistDichotomy:
         pts = _pts4(16)
         rep = killing_report(MetricBuilder(pair=pair),
                              ("0", "0", "1", "0"), pts)
-        preds = np.array([_twist_prediction(pair, pt) for pt in pts])
-        zdep = max(_slope_ratio_z_dependence(pair, pt) for pt in pts)
+        rows = point_rows(pts)
+        preds = np.array([_twist_prediction(pair, pt) for pt in rows])
+        zdep = max(_slope_ratio_z_dependence(pair, pt) for pt in rows)
         if np.abs(preds).min() > 1e-10:
             ratios = np.array(rep["twist"]) / preds
             assert np.abs(ratios - ratios[0]).max() < 1e-8
@@ -488,15 +491,15 @@ class TestGaugeClassification:
     @pytest.mark.parametrize("factory,fibers,expected", PAIRS)
     def test_flags_match_ground_truth(self, factory, fibers, expected):
         pair = factory()
-        pts = [dict({"x": x, "y": y}, **fibers)
-               for x in (0.8, 1.2) for y in (1.3, 2.9)]
+        pts = sample_set([dict({"x": x, "y": y}, **fibers)
+                          for x in (0.8, 1.2) for y in (1.3, 2.9)])
         flags, _ = gauge_reduction_report(pair, pts)
         for name, want in expected.items():
             assert flags[name] == want, name
 
     def test_area_flag_matches_direct_connection_curvature(self):
-        pts = [dict({"x": x, "y": y}, w1=0.3, w2=-0.4)
-               for x in (0.8, 1.2) for y in (1.3, 2.9)]
+        pts = sample_set([dict({"x": x, "y": y}, w1=0.3, w2=-0.4)
+                          for x in (0.8, 1.2) for y in (1.3, 2.9)])
         # divergence-free fields: flag set and the connection is flat
         good = ProjectivePair(("w1", "w2"), ["w2^2", "0"], ["0", "w1^2"],
                               ["1", "0"], ["0", "1"])
@@ -656,3 +659,60 @@ class TestInfrastructure:
                      if "wall_time" not in ln]
             outs.append("\n".join(lines))
         assert outs[0] == outs[1]
+
+
+# -- 13. the foliation by selfdual null surfaces ------------------------------
+#
+# The 4-manifolds of the construction are foliated by selfdual null
+# surfaces: the fibres {x, y const}, spanned by X_00' = phi0 and
+# X_01' = phi1.  So g(X_0a', X_0b') = 0, and the lowered bivector
+# X_00' ^ X_01' is a +1 eigenvector of the Hodge star in the builder's
+# orientation; this pins ORIENTATION_SIGMA to the geometry.
+
+
+def _foliation_cases():
+    """name -> (scene, metric builder): every checked-in scene whose pair
+    has a 2-D fibre, and the pairs build-nullkahler and build-dw make."""
+    out = {}
+    for path in sorted(SCENES.glob("*.json")):
+        scene = load_scene(path)
+        if len(scene.get("pair", {}).get("fiber", ())) == 2:
+            out[path.stem] = (scene, MetricBuilder(pair=cli_pair(scene),
+                                                   factor=scene.get("factor")))
+    scene = load_scene(SCENES / "nullkahler_random.json")
+    spec = scene["build"]
+    out["build-nullkahler"] = (scene, build_null_kahler(
+        spec["a"], spec["c"], spec["f"])["metric"])
+    scene = load_scene(SCENES / "dw_twist.json")
+    spec = scene["build"]
+    pair = dw_quadrature_build(cli_surface(scene), spec["gamma"], spec["c"],
+                               spec["H"], spec["G"])
+    out["build-dw"] = (scene, MetricBuilder(pair=pair))
+    return out
+
+
+FOLIATION_CASES = _foliation_cases()
+
+
+@pytest.mark.parametrize("name", sorted(FOLIATION_CASES))
+def test_fibres_are_selfdual_null_surfaces(name):
+    scene, builder = FOLIATION_CASES[name]
+    args = argparse.Namespace(samples=16, seed=None, tol=None)
+    points = RunContext(scene, args).points(builder.coords)
+    gv = np.ascontiguousarray(builder.jets(points, order=0).value)
+    X = frame_values(builder, points)[..., :2, :]   # rows phi0, phi1
+    assert X.shape == (16, 2, 4)
+    # g(X_0a', X_0b') = 0, relative to |g| |X|^2 at each point
+    null = X @ gv @ X.swapaxes(-1, -2)
+    scale = np.abs(gv).max(axis=(-1, -2)) * np.abs(X).max(axis=(-1, -2)) ** 2
+    assert np.all(np.abs(null).max(axis=(-1, -2)) <= 1e-14 * scale)
+    low = X @ gv
+    F = (low[:, 0, :, None] * low[:, 1, None, :]
+         - low[:, 1, :, None] * low[:, 0, None, :])
+    star = hodge_star_operator(gv, np.linalg.inv(gv),
+                               builder.orientation(points))
+    starF = np.einsum("...abcd,...cd->...ab", star, F)
+    size = np.abs(F).max(axis=(-1, -2))
+    assert np.all(size > 0.0)
+    assert np.all(np.abs(starF - F).max(axis=(-1, -2)) <= 1e-12 * size)
+    assert np.all(np.abs(starF + F).max(axis=(-1, -2)) > size)

@@ -19,7 +19,7 @@ from sdconformal.conformal import (MetricBuilder, build_null_kahler,
                                    curvature_report, frame_values,
                                    frobenius_residual, killing_report)
 from sdconformal.expr import parse
-from sdconformal.jets import Jet, JetSpace, point_arrays, stack
+from sdconformal.jets import Jet, JetSpace, stack
 from sdconformal.minitwistor import (WeightedCongruence, _weyl_gamma_jets,
                                      divisor_two_report,
                                      projective_field_residual)
@@ -34,7 +34,8 @@ from sdconformal.sampling import halton_points
 from test_acceptance import _frobenius_scene
 from oracles import (abelian_pair_residual, area_connection_curvature,
                      congruence_from_slope, cotton, evaluate, point_rows,
-                     projective_change, trivial_pair, xy_arrays)
+                     point_slices, projective_change, sample_set,
+                     trivial_pair)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 FLAT = ProjectiveSurface.flat()
@@ -73,8 +74,7 @@ def _cases():
         "nullkahler_random": _null_kahler("0.3*x + 0.1*y", "0.2*x - 0.4*y",
                                           "1 + 0.25*x*z",
                                           _box("nullkahler_random")),
-        "dw_twist": (FLAT, dw_quadrature_build(FLAT, "y/x", 0.7, "1", "z",
-                                               check=False),
+        "dw_twist": (FLAT, dw_quadrature_build(FLAT, "y/x", 0.7, "1", "z"),
                      None, _box("dw_twist"), None),
         "nullkahler_seeded": _seeded_null_kahler(),
         "pivot_change": (FLAT, pivot_pair, "1 + 0.1*x*w2",
@@ -88,7 +88,7 @@ CASES = _cases()
 
 def _points(name, count=24):
     _, pair, _, box, _ = CASES[name]
-    return point_rows(halton_points(pair.coords, box, count, seed=3))
+    return halton_points(pair.coords, box, count, seed=3)
 
 
 def _assert_close(batched, single):
@@ -104,13 +104,13 @@ def test_curvature_report_matches_single_points(name):
     _, pair, factor, _, _ = CASES[name]
     builder = MetricBuilder(pair=pair, factor=factor)
     points = _points(name)
-    pt = point_arrays(points)
-    batched = curvature_report(builder.jets(pt), builder.coords,
-                               builder.orientation(pt))
+    batched = curvature_report(builder.jets(points), builder.coords,
+                               builder.orientation(points))
     singles = [curvature_report(builder.jets(p), builder.coords,
-                                builder.orientation(p)) for p in points]
+                                builder.orientation(p))
+               for p in point_rows(points)]
     for key, values in batched.items():
-        values = np.broadcast_to(values, (len(points),))
+        values = np.broadcast_to(values, (len(singles),))
         want = [s[key] for s in singles]
         if key == "signature_ok":
             assert values.tolist() == want
@@ -124,7 +124,8 @@ def test_killing_report_matches_single_points(name):
     builder = MetricBuilder(pair=pair, factor=factor)
     points = _points(name)
     batched = killing_report(builder, T_TRANSLATION, points)
-    singles = [killing_report(builder, T_TRANSLATION, [p]) for p in points]
+    singles = [killing_report(builder, T_TRANSLATION, p)
+               for p in point_slices(points)]
     _assert_close(batched["twist"], [s["twist"][0] for s in singles])
     for key in ("exact_killing", "conformal_killing", "null_defect",
                 "geodesic", "twist_max"):
@@ -137,7 +138,7 @@ def test_lax_residual_matches_single_points(name):
     lax = build_lax(P, pair)
     points = _points(name)
     batched = lax_residual(lax, points)
-    singles = [lax_residual(lax, [p]) for p in points]
+    singles = [lax_residual(lax, p) for p in point_slices(points)]
     _assert_close(batched["b_coeffs"], [s["b_coeffs"][0] for s in singles])
     for key in ("residual", "cubic_max"):
         _assert_close(batched[key], max(s[key] for s in singles))
@@ -148,7 +149,7 @@ def test_null_kahler_check_matches_single_points(name):
     check = CASES[name][4]
     points = _points(name)
     batched = check(points)
-    singles = [check([p]) for p in points]
+    singles = [check(p) for p in point_slices(points)]
     for key, value in batched.items():
         _assert_close(value, max(s[key] for s in singles))
 
@@ -156,7 +157,8 @@ def test_null_kahler_check_matches_single_points(name):
 def test_pivot_row_changes_across_the_box():
     _, pair, _, _, _ = CASES["pivot_change"]
     builder = MetricBuilder(pair=pair)
-    frames = [frame_values(builder, p) for p in _points("pivot_change")]
+    frames = [frame_values(builder, p)
+              for p in point_rows(_points("pivot_change"))]
     # rows 0 and 1 are phi0 and phi1; column 2 is their w1 component
     larger = {abs(M[1][2]) > abs(M[0][2]) for M in frames}
     assert larger == {True, False}
@@ -195,11 +197,11 @@ NON_PROJECTIVE = (CURVED, ("0.7*x^2 - 0.3*y", "x*y + 0.4*y^2"))
 
 
 def _surface_points(scene, count=24):
-    """(x, y) points in the scene's box, or in [-1, 1]^2 for "curved"."""
+    """A sample set over (x, y) in the scene's box, or in [-1, 1]^2 for
+    "curved"."""
     box = ({"x": [-1, 1], "y": [-1, 1]} if scene == "curved"
            else _scene(scene)["sampling"]["box"])
-    return [(p["x"], p["y"])
-            for p in point_rows(halton_points(COORDS, box, count, seed=3))]
+    return halton_points(COORDS, box, count, seed=3)
 
 
 # name -> (surface, slope, scene whose box the points fill)
@@ -252,10 +254,10 @@ def _surface_pairs():
                                 flat["phi0"], flat["phi1"]), "flat"),
         "twistfree": (_scene_surface("twistfree"),
                       twist_free_normal_form(_scene_surface("twistfree"),
-                                             twistfree["build"]["beta"],
-                                             check=False), "twistfree"),
+                                             twistfree["build"]["beta"]),
+                      "twistfree"),
         "dw_twist": (P, dw_quadrature_build(P, dw["gamma"], dw["c"], dw["H"],
-                                            dw["G"], check=False),
+                                            dw["G"]),
                      "dw_twist"),
         # a pair that is not integrable over a curved surface
         "curved": (CURVED, ProjectivePair(("t", "z"),
@@ -270,12 +272,12 @@ SURFACE_PAIRS = _surface_pairs()
 
 def _pair_points(name, count=24):
     _, pair, scene = SURFACE_PAIRS[name]
-    return point_rows(halton_points(
-        pair.coords, _scene(scene)["sampling"]["box"], count, seed=3))
+    return halton_points(pair.coords, _scene(scene)["sampling"]["box"],
+                         count, seed=3)
 
 
 def _max_of_singles(fn, points):
-    return max(fn([p]) for p in points)
+    return max(fn(p) for p in point_slices(points))
 
 
 # Per-point references: the loops the batched code replaced, in numpy
@@ -286,7 +288,7 @@ def _max_of_singles(fn, points):
 
 def _congruence_reference(P, beta, pt):
     space = JetSpace(COORDS, 1)
-    env = space.seed({"x": pt[0], "y": pt[1]})
+    env = space.seed(pt)
     b = evaluate(parse(beta, COORDS), env, space=space)
     a = [evaluate(c, env, space=space).value for c in P.spray_coeffs()]
     bx, by = b.gradient()
@@ -306,7 +308,7 @@ def _field_reference(P, V, pt, lambdas=(0.0, 0.5, -0.5, 1.0, -1.0, 2.0,
     space = JetSpace(vars3, 1)
     worst = 0.0
     for lv in lambdas:
-        env = space.seed({"x": pt[0], "y": pt[1], "lambda": lv})
+        env = space.seed({**pt, "lambda": lv})
         lj = [evaluate(c, env, space=space) for c in lift]
         sj = [evaluate(c, env, space=space) for c in spray]
         bracket = np.zeros(3)
@@ -372,8 +374,9 @@ def _pair_reference(P, pair, pt):
 def test_congruence_residual_matches_single_points(name):
     P, beta, scene = CONGRUENCES[name]
     points = _surface_points(scene, 64)
-    singles = [P.congruence_residual(beta, [p]) for p in points]
-    assert singles == [_congruence_reference(P, beta, p) for p in points]
+    singles = [P.congruence_residual(beta, p) for p in point_slices(points)]
+    assert singles == [_congruence_reference(P, beta, p)
+                       for p in point_rows(points)]
     assert P.congruence_residual(beta, points) == max(singles)
 
 
@@ -381,8 +384,10 @@ def test_congruence_residual_matches_single_points(name):
 def test_projective_field_residual_matches_single_points(name):
     points = _surface_points(name, 64)
     for P, V in FIELDS[name]:
-        singles = [projective_field_residual(P, V, [p]) for p in points]
-        assert singles == [_field_reference(P, V, p) for p in points]
+        singles = [projective_field_residual(P, V, p)
+                   for p in point_slices(points)]
+        assert singles == [_field_reference(P, V, p)
+                           for p in point_rows(points)]
         assert projective_field_residual(P, V, points) == max(singles)
 
 
@@ -396,7 +401,7 @@ def test_divisor_two_report_matches_single_points(name):
     P, (c1, c2), scene = DIVISORS[name]
     points = _surface_points(scene)
     batched = divisor_two_report(P, c1, c2, points)
-    singles = [divisor_two_report(P, c1, c2, [p]) for p in points]
+    singles = [divisor_two_report(P, c1, c2, p) for p in point_slices(points)]
     for key in ("dc_residual", "sym_r", "skew_r", "f_sum", "f_diff"):
         assert batched[key] == max(s[key] for s in singles), key
 
@@ -405,8 +410,8 @@ def test_divisor_two_report_matches_single_points(name):
 def test_weyl_gamma_jets_match_single_points(name):
     P, (c1, c2), scene = DIVISORS[name]
     points = _surface_points(scene)
-    gam, ct, consistency = _weyl_gamma_jets(P, c1, c2, xy_arrays(points))
-    singles = [_weyl_gamma_jets(P, c1, c2, p) for p in points]
+    gam, ct, consistency = _weyl_gamma_jets(P, c1, c2, points)
+    singles = [_weyl_gamma_jets(P, c1, c2, p) for p in point_rows(points)]
     assert consistency == max(s[2] for s in singles)
     for batched, single in ((gam, [s[0] for s in singles]),
                             (ct, [s[1] for s in singles])):
@@ -429,8 +434,9 @@ def test_abelian_pair_residual_matches_single_points(name):
 def test_projective_pair_residual_matches_single_points(name):
     P, pair, _ = SURFACE_PAIRS[name]
     points = _pair_points(name, 64)
-    singles = [projective_pair_residual(P, pair, [p]) for p in points]
-    assert singles == [_pair_reference(P, pair, p) for p in points]
+    singles = [projective_pair_residual(P, pair, p)
+               for p in point_slices(points)]
+    assert singles == [_pair_reference(P, pair, p) for p in point_rows(points)]
     batched = projective_pair_residual(P, pair, points)
     assert batched == max(singles)
     if name == "curved":
@@ -442,7 +448,7 @@ def test_gauge_reduction_report_matches_single_points(name):
     _, pair, _ = SURFACE_PAIRS[name]
     points = _pair_points(name)
     flags, values = gauge_reduction_report(pair, points)
-    singles = [gauge_reduction_report(pair, [p]) for p in points]
+    singles = [gauge_reduction_report(pair, p) for p in point_slices(points)]
     for key, value in values.items():
         assert value == max(s[1][key] for s in singles), key
     for key, flag in flags.items():
@@ -466,7 +472,8 @@ def test_quadrature_residuals_match_single_points(H, G):
     F = parse("z^2", allowed)
     points = _pair_points("dw_twist")
     batched = _quadrature_residuals(H, G, E, F, points)
-    singles = [_quadrature_residuals(H, G, E, F, [p]) for p in points]
+    singles = [_quadrature_residuals(H, G, E, F, p)
+               for p in point_slices(points)]
     assert batched == tuple(max(s[k] for s in singles) for k in range(2))
 
 
@@ -474,20 +481,20 @@ def test_quadrature_residuals_match_single_points(H, G):
                          ids=["flat", "curved"])
 def test_surface_curvature_accepts_point_arrays(P):
     points = _surface_points("curved")
-    xy = xy_arrays(points)
-    r = P.ricci_values(xy)
-    assert r.shape == (len(points), 2, 2)
-    assert np.array_equal(r, [P.ricci_values(p) for p in points])
-    g = P.christoffel_jets(xy, 2)
-    R = P.curvature_endomorphism(xy)
-    for n, p in enumerate(points):
+    rows = point_rows(points)
+    r = P.ricci_values(points)
+    assert r.shape == (len(rows), 2, 2)
+    assert np.array_equal(r, [P.ricci_values(p) for p in rows])
+    g = P.christoffel_jets(points, 2)
+    R = P.curvature_endomorphism(points)
+    for n, p in enumerate(rows):
         single = P.christoffel_jets(p, 2)
         for A, B, C in np.ndindex(2, 2, 2):
-            coeffs = np.broadcast_to(g[A][B][C].coeffs, (len(points), 6))
+            coeffs = np.broadcast_to(g[A][B][C].coeffs, (len(rows), 6))
             assert np.array_equal(coeffs[n], single[A][B][C].coeffs)
         single = P.curvature_endomorphism(p)
         for A, B in np.ndindex(2, 2):
-            coeffs = np.broadcast_to(R[A][B].coeffs, (len(points), 3))
+            coeffs = np.broadcast_to(R[A][B].coeffs, (len(rows), 3))
             assert np.array_equal(coeffs[n], single[A][B].coeffs)
 
 
@@ -501,12 +508,12 @@ def test_pow_is_the_numpy_scalar_power():
 
 
 def test_single_point_calls_still_work():
-    p = _surface_points("curved")[0]
+    p = point_rows(_surface_points("curved"))[0]
     assert CURVED.ricci_values(p).shape == (2, 2)
     assert cotton(CURVED, p).shape == (2,)
     cong = congruence_from_slope("y/x")
     assert abelian_pair_residual(ProjectiveSurface.flat(), cong.phi,
-                                 cong.rho, [(0.8, 1.3)]) < 1e-13
+                                 cong.rho, {"x": 0.8, "y": 1.3}) < 1e-13
 
 
 # -- distributions -----------------------------------------------------------
@@ -517,8 +524,8 @@ def _frobenius_reference(fields, coords, points):
     fields = [[parse(c, coords) for c in f] for f in fields]
     space = JetSpace(coords, 1)
     worst = 0.0
-    for pt in points:
-        env = space.seed(dict(pt))
+    for pt in point_rows(points):
+        env = space.seed(pt)
         jets = [[evaluate(c, env, space=space) for c in f] for f in fields]
         vals = np.array([[c.value for c in f] for f in jets])
         grads = np.array([[c.gradient() for c in f] for f in jets])
@@ -566,7 +573,7 @@ DISTRIBUTIONS = _distributions()
 @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
 def test_frobenius_residual_matches_the_per_point_loop(name):
     fields, coords, box = DISTRIBUTIONS[name]
-    points = point_rows(halton_points(coords, box, 48, seed=3))
+    points = halton_points(coords, box, 48, seed=3)
     res = frobenius_residual(fields, coords, points)
     assert res == _frobenius_reference(fields, coords, points)
     if name.startswith("random"):
@@ -576,10 +583,11 @@ def test_frobenius_residual_matches_the_per_point_loop(name):
 def test_frobenius_dependent_fields_at_a_later_point():
     coords = ("x", "y", "t", "z")
     fields = [["1", "0", "0", "0"], ["0", "x - 0.5", "0", "0"]]
-    points = [{"x": 0.25, "y": 0.0, "t": 0.0, "z": 0.0},
-              {"x": 0.5, "y": 0.5, "t": 0.5, "z": 0.5},
-              {"x": 0.75, "y": 0.0, "t": 0.0, "z": 0.0}]
-    assert frobenius_residual(fields, coords, points[:1]) == 0.0
+    rows = [{"x": 0.25, "y": 0.0, "t": 0.0, "z": 0.0},
+            {"x": 0.5, "y": 0.5, "t": 0.5, "z": 0.5},
+            {"x": 0.75, "y": 0.0, "t": 0.0, "z": 0.0}]
+    points = sample_set(rows)
+    assert frobenius_residual(fields, coords, sample_set(rows[:1])) == 0.0
     for fn in (frobenius_residual, _frobenius_reference):
         with pytest.raises(np.linalg.LinAlgError, match="^dependent fields"):
             fn(fields, coords, points)

@@ -477,6 +477,20 @@ def _run_edited(capsys, tmp_path, command, name, edit):
     return code, out, err
 
 
+@pytest.mark.parametrize("job,message", [
+    ({"command": "nope", "scene": "flat.json"}, "unknown command 'nope'"),
+    ({"command": "batch", "scene": "batch.json"}, "batches do not nest"),
+])
+def test_batch_jobs_are_known_non_batch_commands(capsys, tmp_path, job,
+                                                 message):
+    # an unknown command used to end in a KeyError traceback, and a batch
+    # that lists itself in a RecursionError, both with exit 1
+    code, out, err = _run_edited(capsys, tmp_path, "batch", "batch",
+                                 lambda scene: scene["batch"].insert(0, job))
+    assert code == 2 and out == ""
+    assert err == f"scene error: batch: {message}\n"
+
+
 @pytest.mark.parametrize("site", sorted(EXPRESSION_SITES))
 @pytest.mark.parametrize("bad", ["x +", "q"])
 def test_bad_expressions_are_scene_errors(capsys, tmp_path, site, bad):

@@ -11,7 +11,8 @@ from sdconformal.conformal import (MetricBuilder, curvature_report,
                                    frobenius_residual, build_null_kahler,
                                    jet_gauss_solve, jet_matrix_inverse,
                                    frame_values, lstsq)
-from oracles import certify_selfdual, reference_gauss_solve, trivial_pair
+from oracles import (certify_selfdual, point_rows, reference_gauss_solve,
+                     sample_set, trivial_pair)
 
 FLAT = ProjectiveSurface.flat()
 
@@ -22,7 +23,7 @@ def _points4(names=("x", "y", "t", "z"), n=6, seed=5):
     for _ in range(n):
         v = rng.uniform(0.6, 1.4, size=4)
         pts.append(dict(zip(names, v)))
-    return pts
+    return sample_set(pts)
 
 
 class TestJetLinearAlgebra:
@@ -123,7 +124,7 @@ class TestGaussSolveMatchesReference:
 class TestFlatMetric:
     def test_trivial_pair_gives_flat_split_metric(self):
         builder = MetricBuilder(pair=trivial_pair())
-        for pt in _points4(("x", "y", "w1", "w2"), 4):
+        for pt in point_rows(_points4(("x", "y", "w1", "w2"), 4)):
             rep = curvature_report(builder.jets(pt), builder.coords,
                                    builder.orientation(pt))
             assert rep["riemann"] < 1e-12
@@ -291,3 +292,26 @@ class TestStackedLstsq:
         with pytest.raises(np.linalg.LinAlgError) as got:
             lstsq(a, b)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_a_raises_before_lapack(self, capfd, bad):
+        # LAPACK's DLASCL used to write "illegal value" lines straight to
+        # fd 1 before the error came
+        a = np.ones((4, 3, 1))
+        b = np.ones((4, 3, 1))
+        a[2, 1, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.lstsq(a[2], b[2], rcond=None)
+        capfd.readouterr()
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            lstsq(a, b)
+        assert str(got.value) == str(want.value)
+        assert capfd.readouterr() == ("", "")
+
+    def test_non_finite_b_gives_nan_silently(self, capfd):
+        a = np.ones((4, 3, 1))
+        b = np.ones((4, 3, 1))
+        b[2, 1, 0] = np.inf
+        x = lstsq(a, b)
+        assert np.isnan(x[2]).all() and np.isfinite(np.delete(x, 2, 0)).all()
+        assert capfd.readouterr() == ("", "")

@@ -16,12 +16,12 @@ from sdconformal.minitwistor import (WeightedCongruence,
 from oracles import (abelian_pair_residual,
                      canonical_connection_from_congruence,
                      congruence_from_slope, projective_change,
-                     reference_eval)
+                     reference_eval, sample_set)
 
 FLAT = ProjectiveSurface.flat()
 XY = ("x", "y")
 
-PTS = [(0.8, 1.3), (1.2, 2.9), (0.6, -0.4), (1.5, 0.9)]
+PTS = sample_set([(0.8, 1.3), (1.2, 2.9), (0.6, -0.4), (1.5, 0.9)])
 
 
 class TestWeightedCongruences:
@@ -53,31 +53,31 @@ class TestWeightedCongruences:
 class TestCanonicalConnection:
     def test_recovers_the_slope_connection(self):
         out = canonical_connection_from_congruence(FLAT, ("1", "y/x"),
-                                                   (1.0, 2.0))
+                                                   {"x": 1.0, "y": 2.0})
         assert out["residual"] < 1e-13
         assert out["rho"] == pytest.approx((1.0, 0.0), abs=1e-12)
         assert abs(out["r_phi_phi"]) < 1e-12
 
     def test_constant_field_has_zero_connection(self):
         out = canonical_connection_from_congruence(FLAT, ("1", "0.5"),
-                                                   (0.8, 1.3))
+                                                   {"x": 0.8, "y": 1.3})
         assert out["residual"] < 1e-14
         assert np.abs(out["rho"]).max() < 1e-14
 
     def test_curved_surface_congruence(self):
         Q = projective_change(FLAT, "0.1*y", "0.2*x")
         out = canonical_connection_from_congruence(Q, ("1", "y/x"),
-                                                   (1.0, 2.0))
+                                                   {"x": 1.0, "y": 2.0})
         assert out["residual"] < 1e-12
         assert abs(out["r_phi_phi"]) < 1e-12
 
     def test_non_congruence_leaves_a_residual(self):
         out = canonical_connection_from_congruence(FLAT, ("1", "x"),
-                                                   (1.0, 2.0))
+                                                   {"x": 1.0, "y": 2.0})
         assert out["residual"] > 0.1
 
 
-ROOT_PTS = [(-1.2, 0.4), (-0.7, -0.6), (-1.4, 0.9), (-0.6, 0.1)]
+ROOT_PTS = sample_set([(-1.2, 0.4), (-0.7, -0.6), (-1.4, 0.9), (-0.6, 0.1)])
 
 
 def _quadratic_root_congruences():

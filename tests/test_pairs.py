@@ -10,14 +10,15 @@ from sdconformal.pairs import (ProjectivePair, BuildError, build_lax,
                                twist_free_normal_form, dw_quadrature_build,
                                gauge_reduction_report)
 from oracles import (add_multiple_of_l0, area_connection_curvature,
-                     field_bracket_loop, fiber_bracket_loop, trivial_pair)
+                     field_bracket_loop, fiber_bracket_loop, point_rows,
+                     sample_set, trivial_pair)
 
 FLAT = ProjectiveSurface.flat()
 
 
 def _grid(fiber_values, xs=(0.8, 1.2), ys=(1.3, 2.9)):
-    return [dict({"x": x, "y": y}, **fiber_values)
-            for x in xs for y in ys]
+    return sample_set([dict({"x": x, "y": y}, **fiber_values)
+                       for x in xs for y in ys])
 
 
 class TestTrivialPair:
@@ -39,7 +40,8 @@ class TestTrivialPair:
 class TestTwistFree:
     def test_flat_congruence_certifies(self):
         pair = twist_free_normal_form(FLAT, "y/x",
-                                      points=[(0.8, 1.3), (1.2, 2.9)])
+                                      points=sample_set([(0.8, 1.3),
+                                                         (1.2, 2.9)]))
         lax = build_lax(FLAT, pair)
         out = lax_residual(lax, _grid({"z": 0.7}))
         assert out["residual"] < 1e-13
@@ -57,20 +59,20 @@ class TestTwistFree:
     def test_multiplier_is_minus_third_spray_derivative(self, spray, want_b):
         P = ProjectiveSurface.from_spray(*spray)
         # beta = 0 solves the congruence equation whenever a0 = 0
-        pair = twist_free_normal_form(P, "0", points=[(0.8, 1.3)])
+        pair = twist_free_normal_form(P, "0", points=sample_set([(0.8, 1.3)]))
         pts = _grid({"z": 0.7})
         # lam = 0 sits on the congruence (L0 degenerates there); sample off it
         out = lax_residual(build_lax(P, pair), pts,
                            lambdas=(0.25, 0.75, -0.75, 1.5, -1.5, 2.5))
         assert out["residual"] < 1e-12
         assert out["cubic_max"] < 1e-12
-        for pt, fit in zip(pts, out["b_coeffs"]):
+        for pt, fit in zip(point_rows(pts), out["b_coeffs"]):
             assert fit == pytest.approx(want_b(pt["x"], pt["y"]), abs=1e-11)
         assert projective_pair_residual(P, pair, pts) < 1e-12
 
     def test_rejects_non_congruence(self):
         with pytest.raises(BuildError):
-            twist_free_normal_form(FLAT, "y", points=[(0.3, 0.8)])
+            twist_free_normal_form(FLAT, "y", points=sample_set([(0.3, 0.8)]))
 
 
 class TestQuadratureBuild:
@@ -104,7 +106,7 @@ class TestQuadratureBuild:
         # so only the bracket test certifies here
         out = self._certify(P, pair, first_order=False)
         # b(lam) = -a3 lam (lam - beta) with beta = 0.7 z
-        for pt, fit in zip(self.PTS, out["b_coeffs"]):
+        for pt, fit in zip(point_rows(self.PTS), out["b_coeffs"]):
             beta = 0.7 * pt["z"]
             assert fit == pytest.approx((0.0, 0.5 * beta, -0.5), abs=1e-11)
 

@@ -6,7 +6,7 @@ import pytest
 from sdconformal.expr import parse
 from sdconformal.projective import ProjectiveSurface, COORDS
 from oracles import (cotton, lifted_spray_velocity, projective_change,
-                     reconstruct_curvature, spray_value)
+                     reconstruct_curvature, sample_set, spray_value)
 
 RNG = np.random.default_rng(20240811)
 
@@ -32,7 +32,8 @@ def _random_surface(rng):
 
 
 def _points(rng, n=6):
-    return [tuple(p) for p in rng.uniform(-0.8, 0.8, size=(n, 2))]
+    """`n` random single points, each a mapping of x and y to numbers."""
+    return [{"x": x, "y": y} for x, y in rng.uniform(-0.8, 0.8, size=(n, 2))]
 
 
 class TestSpray:
@@ -45,7 +46,7 @@ class TestSpray:
         # a0 reads off the (1,0,0) Christoffel directly
         P = ProjectiveSurface({(1, 0, 0): "x*y"})
         a = P.spray_coeffs()
-        pt = (0.5, 2.0)
+        pt = {"x": 0.5, "y": 2.0}
         assert _value(a[0], pt) == pytest.approx(0.5 * 2.0)
         assert all(_is_zero(c, pt) for c in a[1:])
 
@@ -75,8 +76,7 @@ def _value(expr, pt):
     from sdconformal.jets import JetSpace
     from oracles import evaluate
     space = JetSpace(COORDS, 0)
-    return evaluate(expr, space.seed({"x": pt[0], "y": pt[1]}),
-                    space=space).value
+    return evaluate(expr, space.seed(pt), space=space).value
 
 
 def _is_zero(expr, pt):
@@ -86,7 +86,7 @@ def _is_zero(expr, pt):
 class TestCurvature:
     def test_flat_ricci_vanishes(self):
         P = ProjectiveSurface.flat()
-        assert np.abs(P.ricci_values((0.2, 0.4))).max() == 0.0
+        assert np.abs(P.ricci_values({"x": 0.2, "y": 0.4})).max() == 0.0
 
     def test_curvature_reconstruction_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -110,7 +110,7 @@ class TestCurvature:
             Q = projective_change(P, g0, g1)
             pt = _points(rng, 1)[0]
             space = JetSpace(COORDS, 1)
-            env = space.seed({"x": pt[0], "y": pt[1]})
+            env = space.seed(pt)
             gj = [evaluate(g0, env, space=space),
                   evaluate(g1, env, space=space)]
             gv = np.array([j.value for j in gj])
@@ -179,16 +179,17 @@ class TestGeodesics:
 class TestCongruences:
     def test_burgers_slope_is_a_congruence(self):
         P = ProjectiveSurface.flat()
-        pts = [(x, y) for x in (0.5, 1.0, 1.5) for y in (1.0, 2.0)]
+        pts = sample_set([(x, y) for x in (0.5, 1.0, 1.5) for y in (1.0, 2.0)])
         assert P.congruence_residual("y/x", pts) < 1e-14
 
     def test_multiplier_matches_slope_derivative(self):
         # flat case: b(lam) = d(beta)/dy, independent of lam
         P = ProjectiveSurface.flat()
         for lam in (0.0, 1.0, -2.0):
-            b = P.congruence_multiplier("y/x", (1.0, 2.0), lam)
+            b = P.congruence_multiplier("y/x", {"x": 1.0, "y": 2.0}, lam)
             assert b == pytest.approx(1.0, rel=1e-12)
 
     def test_non_congruence_is_detected(self):
         P = ProjectiveSurface.flat()
-        assert P.congruence_residual("y", [(0.3, 0.8)]) == pytest.approx(0.8)
+        assert P.congruence_residual("y", sample_set([(0.3, 0.8)])) == \
+            pytest.approx(0.8)

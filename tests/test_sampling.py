@@ -11,7 +11,7 @@ from sdconformal import expr
 from sdconformal.cli import RunContext
 from sdconformal.expr import (ExprDomainError, UnknownIdentifierError,
                               compile, jets_at, parse)
-from sdconformal.jets import JetSpace, point_arrays
+from sdconformal.jets import JetSpace
 from sdconformal.sampling import HALTON_BASES, halton_points, radical_inverse
 from oracles import point_rows
 
@@ -114,8 +114,3 @@ def test_scene_sample_sets_are_the_reference_points(name, seed, count):
         for nm in names:
             column = np.array([p[nm] for p in want], dtype=float)
             assert got[nm].tobytes() == column.tobytes()
-
-
-def test_a_sample_set_is_its_own_point_arrays():
-    points = halton_points(XY, BOX, 8, exclusions=_exclusions())
-    assert point_arrays(points) is points
