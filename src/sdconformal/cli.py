@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .expr import ExprError, parse
+from .expr import ExprError, as_expression, parse
 from .jets import JetDomainError
 from .projective import ProjectiveSurface
 from .pairs import (ProjectivePair, BuildError, build_lax, lax_residual,
@@ -268,7 +268,8 @@ def _cmd_certify_selfdual(scene, ctx):
     builder = _pair_metric(scene, pair)
     pts = ctx.points(("x", "y") + pair.fiber)
     lax = lax_residual(build_lax(P, pair), pts)
-    worst, signature_ok = curvature_maxima(builder, pts)
+    g, orientation = builder.jets(pts)
+    worst, signature_ok = curvature_maxima(g, builder.coords, orientation)
     checks = [
         _check("lax_residual", lax["residual"], ctx.tol["lax"]),
         _check("weyl_minus", worst["weyl_minus"], ctx.tol["weyl_minus"]),
@@ -303,8 +304,8 @@ def _metric_builder(scene):
 
 def _cmd_curvature(scene, ctx):
     builder = _metric_builder(scene)
-    worst, signature = curvature_maxima(builder,
-                                        ctx.points(tuple(builder.coords)))
+    g, orientation = builder.jets(ctx.points(tuple(builder.coords)))
+    worst, signature = curvature_maxima(g, builder.coords, orientation)
     checks = [
         _check("star_defect", worst["star_defect"], ctx.tol["curvature"]),
         _flag_check("signature", signature)]
@@ -314,17 +315,22 @@ def _cmd_curvature(scene, ctx):
 def _cmd_killing(scene, ctx):
     builder = _metric_builder(scene)
     pts = ctx.points(tuple(builder.coords))
-    checks, fitted = [], {}
+    fields = {}
     for name, comps in scene.get("fields", {}).items():
         _require_components(f"killing: field {name}", comps, builder.coords)
-        rep = killing_report(builder, comps, pts)
+        fields[name] = [as_expression(c, builder.coords) for c in comps]
+    if not fields:
+        raise SceneError("killing: scene declares no fields")
+    # the residuals read the metric's value and first derivatives only
+    g, _ = builder.jets(pts, order=1)
+    checks, fitted = [], {}
+    for name, K in fields.items():
+        rep = killing_report(g, K, pts)
         checks.append(_check(f"conformal_killing[{name}]",
                              rep["conformal_killing"], ctx.tol["killing"]))
         fitted[name] = {k: rep[k] for k in ("exact_killing", "null_defect",
                                             "geodesic", "twist_max")}
         fitted[name]["twist"] = rep["twist"]
-    if not checks:
-        raise SceneError("killing: scene declares no fields")
     return checks, fitted
 
 
@@ -414,7 +420,8 @@ def _cmd_build_nullkahler(scene, ctx):
     spec = _build_spec(scene, "build-nullkahler", "a", "c", "f")
     built = build_null_kahler(spec["a"], spec["c"], spec["f"])
     pts = ctx.points(("x", "y", "t", "z"))
-    rep = built["check"](pts)
+    g, orientation = built["metric"].jets(pts)
+    rep = built["check"](pts, g, orientation)
     checks = [
         _check("domega", rep["domega"], ctx.tol["domega"]),
         _check("J_squared", rep["J_null"], ctx.tol["exact"]),
@@ -424,7 +431,7 @@ def _cmd_build_nullkahler(scene, ctx):
         _check("omega_antiselfdual", rep["omega_antiselfdual"],
                ctx.tol["compat"]),
     ]
-    worst, _ = curvature_maxima(built["metric"], pts)
+    worst, _ = curvature_maxima(g, built["metric"].coords, orientation)
     checks.append(_check("weyl_minus", worst["weyl_minus"],
                          ctx.tol["weyl_minus"]))
     fitted = {"weyl_plus": worst["weyl_plus"], "ricci": worst["ricci"]}

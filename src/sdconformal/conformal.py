@@ -11,9 +11,12 @@ determines the conformal metric through the dual coframe:
 with "." the symmetric product without a 1/2 (so that the null-Kaehler
 family reproduces g = f(dz dy - (dt - az dx - c dy) dx) on the nose).
 The metric has split signature (2,2).  Curvature runs entirely on jets:
-metric jets of order 2 give Christoffels of order 1 and pointwise
+metric jets of order 2 (the frame inverted at order 2) give Christoffels
+of order 1 (the metric inverted at order 1) and pointwise
 Riemann/Ricci/Weyl values; the Weyl tensor is split into selfdual and
 antiselfdual halves by the Hodge star acting on its second index pair.
+The Killing residuals need metric jets of order 1 only (the frame
+inverted at order 1, the metric at order 0).
 
 The orientation sign ORIENTATION_SIGMA fixes which half is which: it is
 calibrated once so that the antiselfdual half is the one that vanishes
@@ -142,12 +145,16 @@ class MetricBuilder:
     def jets(self, point, order=2):
         """The metric jets at `point` (a mapping of the coordinates to
         numbers or to equal-shaped arrays): one jet whose batch axes are the
-        point axes and the two indices of the symmetric 4x4 matrix."""
+        point axes and the two indices of the symmetric 4x4 matrix.  Also
+        the orientation the Hodge star must be taken in: the sign of the
+        frame volume form against the coordinate one, at each point."""
         space = JetSpace(self.coords, order)
         if self.components is not None:
             g = jets_at(self.components, space, point)
+            orientation = self.orient
         else:
             M = jets_at(self.frame, space, point)
+            orientation = np.sign(np.linalg.det(M.value))
             # coframe rows are columns of M^{-1}: theta^a_i = th[..., i, a]
             th = stack(jet_matrix_inverse(M)).coeffs
             t0, t1, t2, t3 = (th[..., :, a, :] for a in range(4))
@@ -161,14 +168,7 @@ class MetricBuilder:
             f = jets_at(self.factor, space, point)
             g = Jet(space,
                     space.product(g.coeffs, f.coeffs[..., None, None, :]))
-        return g
-
-    def orientation(self, point):
-        """Sign of the frame volume form against the coordinate one; the
-        Hodge star must be taken in the frame orientation."""
-        if self.frame is None:
-            return self.orient
-        return np.sign(np.linalg.det(frame_values(self, point)))
+        return g, orientation
 
 
 def frame_values(builder: MetricBuilder, point):
@@ -189,27 +189,26 @@ _HI = np.maximum.outer(np.arange(4), np.arange(4))
 
 
 def christoffel_jets_4d(g, coords):
-    """Order-1 jets of the Levi-Civita Christoffels G^a_bc and order-2 jets
-    of the inverse metric, from order-2 metric jets; returned as jets
+    """Order-(k-1) jets of the Levi-Civita Christoffels G^a_bc and of the
+    inverse metric, from order-k metric jets (k >= 1); returned as jets
     whose last batch axes are the indices (a, b, c) and (a, b)."""
     g = stack(g)
-    ginv = stack(jet_matrix_inverse(g))
-    space1 = JetSpace(g.space.vars, 1)
+    low = g.truncate(g.space.order - 1)
+    ginv = stack(jet_matrix_inverse(low))
     # dg[..., i, j, k, :] = d_k g_ij
     # t[..., d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
     dg = np.stack([g.derivative(c).coeffs for c in coords], axis=-2)
     t = dg.swapaxes(-3, -2) + dg.swapaxes(-4, -3) - np.moveaxis(dg, -2, -4)
-    ginv1 = ginv.truncate(1).coeffs
 
     def term(d):  # ginv_ad t_dbc at indices (a, b, c)
-        return space1.product(ginv1[..., :, d, None, None, :],
-                              t[..., None, d, :, :, :])
+        return low.space.product(ginv.coeffs[..., :, d, None, None, :],
+                                 t[..., None, d, :, :, :])
     acc = term(0)
     for d in range(1, 4):
         acc = acc + term(d)
     # computed for c >= b and mirrored, as g need not be bitwise symmetric
     gam = (acc * 0.5)[..., _LO, _HI, :]
-    return Jet(space1, gam), ginv
+    return Jet(low.space, gam), ginv
 
 
 def riemann_values(g, coords):
@@ -298,12 +297,11 @@ CURVATURE_NORMS = ("riemann", "ricci", "ricci_tracefree", "scalar",
                    "weyl_plus", "weyl_minus", "star_defect")
 
 
-def curvature_maxima(builder: MetricBuilder, points):
+def curvature_maxima(g, coords, orientation):
     """The largest value over the sample points of each norm in
-    CURVATURE_NORMS, and whether the metric has signature (2, 2) at
-    every point."""
-    rep = curvature_report(builder.jets(points, order=2), builder.coords,
-                           builder.orientation(points))
+    CURVATURE_NORMS, from order-2 metric jets, and whether the metric has
+    signature (2, 2) at every point."""
+    rep = curvature_report(g, coords, orientation)
     worst = {k: max_abs(rep[k]) for k in CURVATURE_NORMS}
     return worst, bool(np.all(rep["signature_ok"]))
 
@@ -311,8 +309,9 @@ def curvature_maxima(builder: MetricBuilder, points):
 # -- Killing / twist / distributions ------------------------------------------
 
 
-def killing_report(builder: MetricBuilder, K, points):
-    """Residuals for a vector field K: exact and conformal Killing defect,
+def killing_report(g, K, points):
+    """Residuals for a vector field K, from metric jets of order 1 (or
+    more) at the sample points: exact and conformal Killing defect,
     nullness g(K,K), twist density, and the defect of K-geodesy.
 
     The twist is the permutation-symbol dual of alpha ^ d alpha with
@@ -322,10 +321,9 @@ def killing_report(builder: MetricBuilder, K, points):
     proportional to K, measured with the Euclidean inner product since K
     is typically null.
     """
-    coords = builder.coords
+    coords = g.space.vars
     K = [as_expression(c, coords) for c in K]
-    g = builder.jets(points, order=2)
-    Kj = jets_at(K, JetSpace(coords, 2), points)
+    Kj = jets_at(K, g.space, points)
     gv = np.ascontiguousarray(g.value)
     giv = np.linalg.inv(gv)
     Kv = np.ascontiguousarray(Kj.value)
@@ -337,14 +335,12 @@ def killing_report(builder: MetricBuilder, K, points):
     trace = np.einsum("...ab,...ab->...", giv, lie)
     conf = lie - 0.25 * trace[..., None, None] * gv
     null = ((Kv[..., None, :] @ gv) @ Kv[..., :, None])[..., 0, 0]
-    # twist: alpha = g(K, .) as order-1 jets
-    space1 = JetSpace(coords, 1)
-    terms = space1.product(g.truncate(1).coeffs,
-                           Kj.truncate(1).coeffs[..., None, :, :])
+    # twist: alpha = g(K, .) as jets
+    terms = g.space.product(g.coeffs, Kj.coeffs[..., None, :, :])
     alpha = terms[..., 0, :]
     for b in range(1, 4):
         alpha = alpha + terms[..., b, :]
-    alpha = Jet(space1, alpha)
+    alpha = Jet(g.space, alpha)
     av = np.ascontiguousarray(alpha.value)
     da = np.ascontiguousarray(alpha.gradient())  # da[..., a, b] = d_b alpha_a
     curl = da.swapaxes(-1, -2) - da  # (d alpha)_bc = d_b alpha_c - d_c alpha_b
@@ -380,8 +376,9 @@ def frobenius_residual(fields, coords, points):
     if np.any(np.linalg.matrix_rank(vals) < len(fields)):
         raise np.linalg.LinAlgError("dependent fields at sample point")
     i, j = np.triu_indices(len(fields), 1)
-    bracket = lie_bracket(F[:, i], F[:, j])   # axes (point, field pair, .)
-    span = vals.swapaxes(-1, -2)[:, None]   # (point, 1, component, field)
+    # axes (point, field pair, .) and (point, 1, component, field)
+    bracket = lie_bracket(F[..., i, :, :], F[..., j, :, :])
+    span = vals.swapaxes(-1, -2)[..., None, :, :]
     coef = lstsq(span, bracket[..., None])
     return max_abs(bracket - (span @ coef)[..., 0])
 
@@ -422,7 +419,9 @@ def build_null_kahler(a, c, f):
     omega[0][3] = f
     omega[3][0] = -f
 
-    def check(points):
+    def check(points, g, orientation):
+        """The structure identities at the points, given the metric jets
+        (order 1 or more) and orientation there."""
         space = JetSpace(coords, 1)
         J = np.ascontiguousarray(jets_at(J_expr, space, points).value)
         om = jets_at(omega, space, points)
@@ -430,13 +429,12 @@ def build_null_kahler(a, c, f):
         dom = om.gradient()   # dom[..., i, j, k] = d_k omega_ij
         d3 = (np.einsum("...jki->...ijk", dom)
               + np.einsum("...kij->...ijk", dom) + dom)
-        g = builder.jets(points, order=1)
         gv = np.ascontiguousarray(g.value)
         giv = np.linalg.inv(gv)
         # omega(U, V) = g(JU, V):  omega_ab = J^c_a g_cb
         compat = np.einsum("...ca,...cb->...ab", J, gv) - omv
         gjj = np.einsum("...ca,...db,...cd->...ab", J, J, gv)
-        star = hodge_star_operator(gv, giv, builder.orientation(points))
+        star = hodge_star_operator(gv, giv, orientation)
         starom = np.einsum("...abcd,...cd->...ab", star, omv)
         norms = {"domega": _maxabs(d3, 3), "compat": _maxabs(compat, 2),
                  "J_null": _maxabs(J @ J, 2), "g_JJ": _maxabs(gjj, 2),

@@ -170,7 +170,8 @@ def projective_field_residual(P, V, points, lambdas=DEFAULT_LAMBDAS):
     # axes (point, lam), as in pairs.lax_residual; then lift or spray,
     # component, coefficient
     jets = jets_at([lift, spray], JetSpace(vars3, 1), {
-        "x": points["x"][:, None], "y": points["y"][:, None],
+        "x": np.asarray(points["x"])[..., None],
+        "y": np.asarray(points["y"])[..., None],
         "lambda": np.asarray(lambdas, dtype=float)}).coeffs
     lj, sj = jets[..., 0, :, :], jets[..., 1, :, :]
     bracket = ordered_bracket(lj, sj)

@@ -157,24 +157,26 @@ def lax_residual(lax: LaxPair, points, lambdas=DEFAULT_LAMBDAS):
     """
     lambdas = np.asarray(lambdas, dtype=float)
     vander = np.vander(lambdas, 4, increasing=True)
-    state = {k: v[:, None] for k, v in points.items()}
+    state = {k: np.asarray(v)[..., None] for k, v in points.items()}
     state["lambda"] = lambdas   # axes: (point, lam)
     bracket, l0 = lax.bracket_at(state)
     norm2 = _dot(l0, l0)
     if np.any(norm2 < 1e-24):
-        n, k = np.argwhere(norm2 < 1e-24)[0]
-        where = {name: float(v[n]) for name, v in points.items()}
+        *n, k = np.argwhere(norm2 < 1e-24)[0]
+        where = {name: float(np.asarray(v)[tuple(n)])
+                 for name, v in points.items()}
         where["lambda"] = float(lambdas[k])
         raise np.linalg.LinAlgError(f"degenerate L0 at {where}")
     c = _dot(bracket, l0) / norm2
     perp = bracket - c[..., None] * l0
     worst = max_abs(np.sqrt(_dot(perp, perp)))
     # one multi-RHS fit; row-major like a stack of single-point fits
-    fits = np.ascontiguousarray(lstsq(vander, c.T).T)
+    fits = lstsq(vander, c.reshape(-1, len(lambdas)).T).T
+    fits = np.ascontiguousarray(fits).reshape(c.shape[:-1] + (4,))
     return {
         "residual": worst,
-        "b_coeffs": fits[:, :3],
-        "cubic_max": max_abs(fits[:, 3]),
+        "b_coeffs": fits[..., :3],
+        "cubic_max": max_abs(fits[..., 3]),
     }
 
 
@@ -191,11 +193,12 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     taken in the fiber variables only.
     """
     base_space = JetSpace(BASE, 0)
+    nb = np.ndim(points["x"])   # the number of point axes
 
     def base_values(exprs):
         # indexed like `exprs`, each entry a column of per-point values
         values = jets_at(exprs, base_space, points).value
-        return np.moveaxis(values, 0, -1)[..., None]
+        return np.moveaxis(values, range(nb), range(-nb, 0))[..., None]
 
     gv = base_values([[[P.christoffel(A, B, C) for C in range(2)]
                        for B in range(2)] for A in range(2)])
@@ -205,7 +208,7 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     # order-1 coefficients [n, i, slot] of alpha0, alpha1, phi0, phi1:
     # slots 1, 2 are d_x, d_y, and the fiber coordinates follow x and y
     F = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 1), points).coeffs
-    a0, a1, f0, f1 = (F[:, k] for k in range(4))
+    a0, a1, f0, f1 = (F[..., k, :, :] for k in range(4))
     phi0v, phi1v = f0[..., 0], f1[..., 0]
     eq1 = (f0[..., 1] + ordered_bracket(a0, f0, 2)
            + (c0 - 2.0 / 3.0 * g0) * phi0v
@@ -350,12 +353,12 @@ def gauge_reduction_report(pair: ProjectivePair, points, tol=1e-10):
     values = {
         "div_max": max_abs(div.value),
         "div_fiber_dependence": max_abs(div.gradient()[..., len(BASE):]),
-        "phi_div_max": max_abs(div.value[:, 2:]),
+        "phi_div_max": max_abs(div.value[..., 2:]),
         "t_dependence": (max_abs(fields.derivative(pair.fiber[0]).value)
                          if len(pair.fiber) == 2 else 0.0),
         "alpha_z_curvature": max_abs(
-            dz.derivative(pair.fiber[-1]).value[:, :2]),
-        "phi_z_dependence": max_abs(dz.value[:, 2:]),
+            dz.derivative(pair.fiber[-1]).value[..., :2, :]),
+        "phi_z_dependence": max_abs(dz.value[..., 2:, :]),
     }
     small = {k: v < tol for k, v in values.items()}
     flags = {

@@ -277,8 +277,8 @@ def certify_selfdual(P, pair, points, tol=1e-8, factor=None, lax_tol=1e-10):
     `certify-selfdual` checks, as the dict the package's former
     `conformal.certify_selfdual` returned."""
     lres = lax_residual(build_lax(P, pair), points)
-    worst, signature_ok = curvature_maxima(
-        MetricBuilder(pair=pair, factor=factor), points)
+    g, orientation = MetricBuilder(pair=pair, factor=factor).jets(points)
+    worst, signature_ok = curvature_maxima(g, pair.coords, orientation)
     return {
         "lax_residual": lres["residual"],
         "lax_cubic_max": lres["cubic_max"],

@@ -116,8 +116,8 @@ class TestFlatBaseline:
         assert res["cubic_max"] == 0.0
         builder = MetricBuilder(pair=pair)
         for pt in point_rows(pts):
-            rep = curvature_report(builder.jets(pt), builder.coords,
-                                   builder.orientation(pt))
+            g, orientation = builder.jets(pt)
+            rep = curvature_report(g, builder.coords, orientation)
             for key in ("riemann", "ricci", "weyl_plus", "weyl_minus",
                         "scalar", "star_defect"):
                 assert rep[key] < 1e-12
@@ -241,7 +241,7 @@ class TestStructureFamily:
             c = f"{r[2]:.4f}*x + {r[3]:.4f}*y"
             f = f"1 + {r[4]:.4f}*x*z"
             nk = build_null_kahler(a, c, f)
-            rep = nk["check"](pts)
+            rep = nk["check"](pts, *nk["metric"].jets(pts))
             assert rep["domega"] < 1e-12
             assert rep["J_null"] == 0.0
             assert rep["compat"] < 1e-10
@@ -302,8 +302,8 @@ class TestTwistDichotomy:
         P = ProjectiveSurface.from_spray(*spray)
         pair = dw_quadrature_build(P, gamma, c, H, G)
         pts = _pts4(16)
-        rep = killing_report(MetricBuilder(pair=pair),
-                             ("0", "0", "1", "0"), pts)
+        g, _ = MetricBuilder(pair=pair).jets(pts, order=1)
+        rep = killing_report(g, ("0", "0", "1", "0"), pts)
         rows = point_rows(pts)
         preds = np.array([_twist_prediction(pair, pt) for pt in rows])
         zdep = max(_slope_ratio_z_dependence(pair, pt) for pt in rows)
@@ -334,8 +334,8 @@ class TestNullSymmetryGeometry:
         P = ProjectiveSurface.from_spray(*spray)
         pair = dw_quadrature_build(P, gamma, c, "1", "z")
         pts = _pts4(16)
-        rep = killing_report(MetricBuilder(pair=pair),
-                             ("0", "0", "1", "0"), pts)
+        g, _ = MetricBuilder(pair=pair).jets(pts, order=1)
+        rep = killing_report(g, ("0", "0", "1", "0"), pts)
         assert rep["null_defect"] < 1e-10
         assert rep["geodesic"] < 1e-9
         coords = ("x", "y", "t", "z")
@@ -699,7 +699,8 @@ def test_fibres_are_selfdual_null_surfaces(name):
     scene, builder = FOLIATION_CASES[name]
     args = argparse.Namespace(samples=16, seed=None, tol=None)
     points = RunContext(scene, args).points(builder.coords)
-    gv = np.ascontiguousarray(builder.jets(points, order=0).value)
+    g, orientation = builder.jets(points, order=0)
+    gv = np.ascontiguousarray(g.value)
     X = frame_values(builder, points)[..., :2, :]   # rows phi0, phi1
     assert X.shape == (16, 2, 4)
     # g(X_0a', X_0b') = 0, relative to |g| |X|^2 at each point
@@ -709,8 +710,7 @@ def test_fibres_are_selfdual_null_surfaces(name):
     low = X @ gv
     F = (low[:, 0, :, None] * low[:, 1, None, :]
          - low[:, 1, :, None] * low[:, 0, None, :])
-    star = hodge_star_operator(gv, np.linalg.inv(gv),
-                               builder.orientation(points))
+    star = hodge_star_operator(gv, np.linalg.inv(gv), orientation)
     starF = np.einsum("...abcd,...cd->...ab", star, F)
     size = np.abs(F).max(axis=(-1, -2))
     assert np.all(size > 0.0)

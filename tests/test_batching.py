@@ -104,11 +104,12 @@ def test_curvature_report_matches_single_points(name):
     _, pair, factor, _, _ = CASES[name]
     builder = MetricBuilder(pair=pair, factor=factor)
     points = _points(name)
-    batched = curvature_report(builder.jets(points), builder.coords,
-                               builder.orientation(points))
-    singles = [curvature_report(builder.jets(p), builder.coords,
-                                builder.orientation(p))
-               for p in point_rows(points)]
+    g, orientation = builder.jets(points)
+    batched = curvature_report(g, builder.coords, orientation)
+    singles = []
+    for p in point_rows(points):
+        g, orientation = builder.jets(p)
+        singles.append(curvature_report(g, builder.coords, orientation))
     for key, values in batched.items():
         values = np.broadcast_to(values, (len(singles),))
         want = [s[key] for s in singles]
@@ -123,8 +124,9 @@ def test_killing_report_matches_single_points(name):
     _, pair, factor, _, _ = CASES[name]
     builder = MetricBuilder(pair=pair, factor=factor)
     points = _points(name)
-    batched = killing_report(builder, T_TRANSLATION, points)
-    singles = [killing_report(builder, T_TRANSLATION, p)
+    batched = killing_report(builder.jets(points, order=1)[0], T_TRANSLATION,
+                             points)
+    singles = [killing_report(builder.jets(p, order=1)[0], T_TRANSLATION, p)
                for p in point_slices(points)]
     _assert_close(batched["twist"], [s["twist"][0] for s in singles])
     for key in ("exact_killing", "conformal_killing", "null_defect",
@@ -146,10 +148,11 @@ def test_lax_residual_matches_single_points(name):
 
 @pytest.mark.parametrize("name", ["nullkahler_random", "nullkahler_seeded"])
 def test_null_kahler_check_matches_single_points(name):
-    check = CASES[name][4]
+    _, pair, factor, _, check = CASES[name]
+    builder = MetricBuilder(pair=pair, factor=factor)
     points = _points(name)
-    batched = check(points)
-    singles = [check(p) for p in point_slices(points)]
+    batched = check(points, *builder.jets(points))
+    singles = [check(p, *builder.jets(p)) for p in point_slices(points)]
     for key, value in batched.items():
         _assert_close(value, max(s[key] for s in singles))
 
@@ -636,3 +639,70 @@ def test_batched_jet_ops_equal_single_points_bitwise(operands):
         single = _apply(op, Jet(space, a[n]), Jet(space, b[n])).coeffs
         assert single.shape == (len(space),)
         assert np.array_equal(batched[n], single)
+
+
+# -- a mapping of plain numbers is one point ---------------------------------
+#
+# A residual given a point of batch shape () reports what it reports for
+# the one-point sample set {name: values[n:n + 1]} of the same point.
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def _scalar_and_slice(points, n):
+    return ({name: float(v[n]) for name, v in points.items()},
+            {name: v[n:n + 1] for name, v in points.items()})
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE_PAIRS))
+def test_lax_residual_takes_plain_numbers(name):
+    P, pair, _ = SURFACE_PAIRS[name]
+    lax = build_lax(P, pair)
+    points = _pair_points(name, 4)
+    for n in range(4):
+        scalar, one = _scalar_and_slice(points, n)
+        got, want = lax_residual(lax, scalar), lax_residual(lax, one)
+        assert got["b_coeffs"].shape == (3,)
+        assert _bits(got["b_coeffs"]) == _bits(want["b_coeffs"][0])
+        for key in ("residual", "cubic_max"):
+            assert _bits(got[key]) == _bits(want[key])
+    if name == "curved":
+        assert want["residual"] > 0.01
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE_PAIRS))
+def test_pair_residuals_take_plain_numbers(name):
+    P, pair, _ = SURFACE_PAIRS[name]
+    points = _pair_points(name, 4)
+    for n in range(4):
+        scalar, one = _scalar_and_slice(points, n)
+        assert (_bits(projective_pair_residual(P, pair, scalar))
+                == _bits(projective_pair_residual(P, pair, one)))
+        (flags, values), (want_flags, want) = (
+            gauge_reduction_report(pair, scalar),
+            gauge_reduction_report(pair, one))
+        assert flags == want_flags
+        assert {k: _bits(v) for k, v in values.items()} == {
+            k: _bits(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+def test_frobenius_residual_takes_plain_numbers(name):
+    fields, coords, box = DISTRIBUTIONS[name]
+    points = halton_points(coords, box, 4, seed=3)
+    for n in range(4):
+        scalar, one = _scalar_and_slice(points, n)
+        assert (_bits(frobenius_residual(fields, coords, scalar))
+                == _bits(frobenius_residual(fields, coords, one)))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_projective_field_residual_takes_plain_numbers(name):
+    points = _surface_points(name, 4)
+    for P, V in FIELDS[name]:
+        for n in range(4):
+            scalar, one = _scalar_and_slice(points, n)
+            assert (_bits(projective_field_residual(P, V, scalar))
+                    == _bits(projective_field_residual(P, V, one)))

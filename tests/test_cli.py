@@ -7,9 +7,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sdconformal import cli
+from sdconformal import cli, conformal
 from sdconformal.cli import TOLERANCES, _check, main
 from sdconformal.expr import parse
+from sdconformal.jets import stack
 from sdconformal.pairs import LaxPair, lax_residual
 from sdconformal.sampling import halton_points
 
@@ -594,6 +595,23 @@ def test_a_killing_field_needs_one_component_per_coordinate(
                    "['x', 'y', 't', 'z']\n")
 
 
+def test_a_killing_field_is_read_before_the_metric_is_evaluated(
+        capsys, tmp_path):
+    # one metric serves every field, and the fields are parsed first, so
+    # a field that does not parse is a scene error even on a frame that
+    # is singular at every point
+    def edit(scene):
+        scene["pair"]["phi0"] = ["0", "0"]
+        scene["fields"]["K"] = ["0", "0", "1", "x +"]
+    code, out, err = _run_edited(capsys, tmp_path, "killing", "flat", edit)
+    assert code == 2 and out == "" and err.startswith("scene error:")
+    code, out, err = _run_edited(
+        capsys, tmp_path, "killing", "flat",
+        lambda scene: scene["pair"].update(phi0=["0", "0"]))
+    assert code == 3 and out == ""
+    assert err == "domain error: singular jet matrix\n"
+
+
 @pytest.mark.parametrize("fields,count", [
     ([["0", "0", "1"], ["0", "1", "0"]], 3),
     ([["0", "0", "1", "0"], ["0", "0", "1"]], 3),
@@ -635,3 +653,35 @@ def test_build_nullkahler_computes_no_lax_residual(capsys, monkeypatch):
     code, report = run(capsys, "certify-selfdual",
                        str(SCENES / "nullkahler_hk.json"))
     assert code == 0 and len(calls) == 1 and len(brackets) == 1
+
+
+@pytest.mark.parametrize("command,scene,orders", [
+    ("certify-selfdual", "flat", [2, 1]),
+    ("certify-selfdual", "nullkahler_hk", [2, 1]),
+    ("curvature", "flat", [2, 1]),
+    ("curvature", "nullkahler_hk", [2, 1]),
+    ("killing", "flat", [1, 0]),
+    ("killing", "nullkahler_hk", [1, 0]),
+    ("build-nullkahler", "nullkahler_random", [2, 1]),
+])
+def test_each_4d_command_solves_at_the_orders_it_reads(
+        capsys, monkeypatch, command, scene, orders):
+    # one frame solve at the metric's order and one metric solve an order
+    # lower, the Christoffels reading the inverse metric to first order;
+    # the orientation comes from the same frame evaluation
+    solves = []
+    solve = conformal.jet_gauss_solve
+
+    def spy(A, B):
+        a = stack(A)
+        solves.append((a.space.order, a.coeffs.shape[-3:-1]))
+        return solve(A, B)
+
+    def frame_values(*args):
+        raise AssertionError("the frame was evaluated a second time")
+
+    monkeypatch.setattr(conformal, "jet_gauss_solve", spy)
+    monkeypatch.setattr(conformal, "frame_values", frame_values)
+    code, _ = run(capsys, command, str(SCENES / f"{scene}.json"))
+    assert code == 0
+    assert solves == [(k, (4, 4)) for k in orders]

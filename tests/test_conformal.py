@@ -1,13 +1,18 @@
 """4-metric assembly, curvature splitting, and the structure checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sdconformal import cli
+from sdconformal.expr import jets_at
 from sdconformal.jets import Jet, JetSpace, stack
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.pairs import dw_quadrature_build
+from sdconformal.sampling import halton_points
 from sdconformal.conformal import (MetricBuilder, curvature_report,
-                                   killing_report,
+                                   killing_report, christoffel_jets_4d,
                                    frobenius_residual, build_null_kahler,
                                    jet_gauss_solve, jet_matrix_inverse,
                                    frame_values, lstsq)
@@ -125,8 +130,8 @@ class TestFlatMetric:
     def test_trivial_pair_gives_flat_split_metric(self):
         builder = MetricBuilder(pair=trivial_pair())
         for pt in point_rows(_points4(("x", "y", "w1", "w2"), 4)):
-            rep = curvature_report(builder.jets(pt), builder.coords,
-                                   builder.orientation(pt))
+            g, orientation = builder.jets(pt)
+            rep = curvature_report(g, builder.coords, orientation)
             assert rep["riemann"] < 1e-12
             assert rep["star_defect"] < 1e-12
             assert rep["signature_ok"]
@@ -149,7 +154,7 @@ class TestNullKahlerFamily:
     def test_structure_identities(self, a, c, f):
         nk = build_null_kahler(a, c, f)
         pts = _points4(n=5)
-        rep = nk["check"](pts)
+        rep = nk["check"](pts, *nk["metric"].jets(pts))
         assert rep["J_null"] == 0.0
         assert rep["domega"] < 1e-12
         assert rep["compat"] < 1e-10
@@ -200,9 +205,9 @@ class TestOrientation:
     def test_frame_orientation_signs(self):
         nk = build_null_kahler("0.3*x", "0.2*y", "1")
         pt = {"x": 1.0, "y": 1.1, "t": 0.9, "z": 1.2}
-        assert nk["metric"].orientation(pt) == -1.0
+        assert nk["metric"].jets(pt, order=0)[1] == -1.0
         dw = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z")
-        assert MetricBuilder(pair=dw).orientation(pt) == 1.0
+        assert MetricBuilder(pair=dw).jets(pt, order=0)[1] == 1.0
 
     def test_frame_values_shape(self):
         dw = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z")
@@ -217,7 +222,9 @@ class TestKillingField:
         P = ProjectiveSurface.from_spray("0", "0", "0", "0.5")
         pair = dw_quadrature_build(P, "0", 0.7, "1", "z")
         builder = MetricBuilder(pair=pair)
-        rep = killing_report(builder, ("0", "0", "1", "0"), _points4(n=5))
+        pts = _points4(n=5)
+        g, _ = builder.jets(pts, order=1)
+        rep = killing_report(g, ("0", "0", "1", "0"), pts)
         assert rep["exact_killing"] < 1e-12
         assert rep["null_defect"] < 1e-12
         assert rep["geodesic"] < 1e-10
@@ -226,8 +233,8 @@ class TestKillingField:
         P = ProjectiveSurface.from_spray("0", "0", "0", "0.5")
         pts = _points4(n=5)
         twisted = dw_quadrature_build(P, "0", 0.7, "1", "z")
-        rep = killing_report(MetricBuilder(pair=twisted),
-                             ("0", "0", "1", "0"), pts)
+        g, _ = MetricBuilder(pair=twisted).jets(pts, order=1)
+        rep = killing_report(g, ("0", "0", "1", "0"), pts)
         assert rep["twist_max"] > 1e-3
         # the density is point-to-point proportional to a constant here
         ratios = np.array(rep["twist"])
@@ -235,8 +242,9 @@ class TestKillingField:
 
     def test_twist_vanishes_without_twisting(self):
         straight = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z")
-        rep = killing_report(MetricBuilder(pair=straight),
-                             ("0", "0", "1", "0"), _points4(n=5))
+        pts = _points4(n=5)
+        g, _ = MetricBuilder(pair=straight).jets(pts, order=1)
+        rep = killing_report(g, ("0", "0", "1", "0"), pts)
         assert rep["twist_max"] < 1e-12
 
 
@@ -315,3 +323,64 @@ class TestStackedLstsq:
         x = lstsq(a, b)
         assert np.isnan(x[2]).all() and np.isfinite(np.delete(x, 2, 0)).all()
         assert capfd.readouterr() == ("", "")
+
+
+# -- the low slots of a jet do not depend on its order ------------------------
+#
+# A product's slot of degree <= k sums the same nonzero pairs in the same
+# order at every truncation order; the extra pairs add exact zeros to a sum
+# that starts at 0.0.  So a command may evaluate each jet only to the order
+# it reads.
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
+
+
+def _scene_metric(name):
+    """The metric a 4-D command evaluates on a checked-in scene, and 32
+    Halton points of the scene's box."""
+    scene = cli.load_scene(SCENES / f"{name}.json")
+    if "build" in scene:
+        spec = scene["build"]
+        builder = build_null_kahler(spec["a"], spec["c"], spec["f"])["metric"]
+    else:
+        builder = cli._metric_builder(scene)
+    box = scene["sampling"]["box"]
+    return builder, halton_points(builder.coords, box, 32)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["flat", "nullkahler_hk",
+                                  "nullkahler_random"])
+class TestTruncationOrder:
+    def test_metric_jets(self, name):
+        builder, pts = _scene_metric(name)
+        g2, orientation2 = builder.jets(pts, order=2)
+        g1, orientation1 = builder.jets(pts, order=1)
+        assert _same_bits(g1.coeffs, g2.truncate(1).coeffs)
+        assert _same_bits(orientation1, orientation2)
+        assert np.all(np.abs(orientation2) == 1.0)
+
+    def test_solves(self, name):
+        builder, pts = _scene_metric(name)
+        frame = jets_at(builder.frame, JetSpace(builder.coords, 2), pts)
+        g, _ = builder.jets(pts, order=2)
+        for A, B in ((frame, frame.space.constant(np.eye(4))), (frame, g),
+                     (g, frame)):
+            full = stack(jet_gauss_solve(A, B))
+            for k in (0, 1):
+                low = stack(jet_gauss_solve(A.truncate(k), B.truncate(k)))
+                assert _same_bits(low.coeffs, full.truncate(k).coeffs)
+
+    def test_christoffel_values(self, name):
+        builder, pts = _scene_metric(name)
+        coords = builder.coords
+        gam2, ginv2 = christoffel_jets_4d(builder.jets(pts)[0], coords)
+        gam1, ginv1 = christoffel_jets_4d(builder.jets(pts, order=1)[0],
+                                          coords)
+        assert gam2.space.order == 1 and gam1.space.order == 0
+        assert _same_bits(gam1.coeffs, gam2.truncate(0).coeffs)
+        assert _same_bits(ginv1.coeffs, ginv2.truncate(0).coeffs)
