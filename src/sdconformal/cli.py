@@ -324,8 +324,7 @@ def _cmd_killing(scene, ctx):
     # the residuals read the metric's value and first derivatives only
     g, _ = builder.jets(pts, order=1)
     checks, fitted = [], {}
-    for name, K in fields.items():
-        rep = killing_report(g, K, pts)
+    for name, rep in killing_report(g, fields, pts).items():
         checks.append(_check(f"conformal_killing[{name}]",
                              rep["conformal_killing"], ctx.tol["killing"]))
         fitted[name] = {k: rep[k] for k in ("exact_killing", "null_defect",

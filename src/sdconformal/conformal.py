@@ -46,6 +46,10 @@ for _perm in itertools.permutations(range(4)):
             if _p[_i] > _p[_j]:
                 _sign = -_sign
     _EPS4[_perm] = _sign
+# its 24 nonzero entries in C order: the two of each (a, b) with a != b,
+# at (m, n) and (n, m), are adjacent
+_EPS_A, _EPS_B, _EPS_M, _EPS_N = np.nonzero(_EPS4)
+_EPS_SIGN = _EPS4[_EPS_A, _EPS_B, _EPS_M, _EPS_N]
 
 
 # -- jet linear algebra -------------------------------------------------------
@@ -158,23 +162,16 @@ class MetricBuilder:
             # coframe rows are columns of M^{-1}: theta^a_i = th[..., i, a]
             th = stack(jet_matrix_inverse(M)).coeffs
             t0, t1, t2, t3 = (th[..., :, a, :] for a in range(4))
-            mul = space.product
-            # g_ij = th0_i th3_j + th0_j th3_i - th1_i th2_j - th1_j th2_i
-            g = Jet(space, mul(t0[..., :, None, :], t3[..., None, :, :])
-                    + mul(t0[..., None, :, :], t3[..., :, None, :])
-                    - mul(t1[..., :, None, :], t2[..., None, :, :])
-                    - mul(t1[..., None, :, :], t2[..., :, None, :]))
+            # g_ij = th0_i th3_j + th0_j th3_i - th1_i th2_j - th1_j th2_i;
+            # the product of th0_j and th3_i is P transposed, bit for bit
+            P = space.product(t0[..., :, None, :], t3[..., None, :, :])
+            Q = space.product(t1[..., :, None, :], t2[..., None, :, :])
+            g = Jet(space, P + P.swapaxes(-3, -2) - Q - Q.swapaxes(-3, -2))
         if self.factor is not None:
             f = jets_at(self.factor, space, point)
             g = Jet(space,
                     space.product(g.coeffs, f.coeffs[..., None, None, :]))
         return g, orientation
-
-
-def frame_values(builder: MetricBuilder, point):
-    if builder.frame is None:
-        raise ValueError("no frame on an explicit-component metric")
-    return jets_at(builder.frame, JetSpace(builder.coords, 0), point).value
 
 
 # -- curvature pipeline -------------------------------------------------------
@@ -184,8 +181,10 @@ def frame_values(builder: MetricBuilder, point):
 # Value and gradient arrays are made contiguous before matmul and einsum,
 # so that these take the code path a single point's arrays take.
 
-_LO = np.minimum.outer(np.arange(4), np.arange(4))
-_HI = np.maximum.outer(np.arange(4), np.arange(4))
+# the pairs (b, c) with c >= b, and the pair index of every (b, c)
+_B10, _C10 = np.triu_indices(4)
+_PAIR = np.zeros((4, 4), dtype=np.intp)
+_PAIR[_B10, _C10] = _PAIR[_C10, _B10] = np.arange(10)
 
 
 def christoffel_jets_4d(g, coords):
@@ -199,16 +198,13 @@ def christoffel_jets_4d(g, coords):
     # t[..., d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
     dg = np.stack([g.derivative(c).coeffs for c in coords], axis=-2)
     t = dg.swapaxes(-3, -2) + dg.swapaxes(-4, -3) - np.moveaxis(dg, -2, -4)
-
-    def term(d):  # ginv_ad t_dbc at indices (a, b, c)
-        return low.space.product(ginv.coeffs[..., :, d, None, None, :],
-                                 t[..., None, d, :, :, :])
-    acc = term(0)
-    for d in range(1, 4):
-        acc = acc + term(d)
-    # computed for c >= b and mirrored, as g need not be bitwise symmetric
-    gam = (acc * 0.5)[..., _LO, _HI, :]
-    return Jet(low.space, gam), ginv
+    # ginv_ad t_dbc at (a, d, pair), added in d order; computed for c >= b
+    # and mirrored, as g need not be bitwise symmetric
+    terms = low.space.product(ginv.coeffs[..., :, :, None, :],
+                              t[..., None, :, _B10, _C10, :])
+    acc = (terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :]
+           + terms[..., 3, :, :])
+    return Jet(low.space, (acc * 0.5)[..., :, _PAIR, :]), ginv
 
 
 def riemann_values(g, coords):
@@ -231,11 +227,23 @@ def riemann_values(g, coords):
 def hodge_star_operator(gv, giv, orientation=1.0):
     """The star on 2-forms: (*F)_ab = 1/2 eps_ab^{cd} F_cd with
     eps_abcd = sigma * orientation * sqrt|det g| [abcd], where
-    `orientation` is the sign of the frame volume form in the chart."""
+    `orientation` is the sign of the frame volume form in the chart.
+
+    Only the 24 nonzero entries (a, b, m, n) of [abmn] are summed: each
+    term is (e * giv[m, c]) * giv[n, d] with e = scale * [abmn], and the
+    two terms of each (a, b) are added and halved.  That is the dense
+    einsum over all (m, n) to the bit, since its other terms add +-0 and
+    a sum of two terms does not depend on their order; only the sign of
+    a zero entry may differ.  On non-finite g it differs more: the dense
+    sum has 0 * inf = NaN terms that this one never forms."""
     det = np.linalg.det(gv)
     scale = ORIENTATION_SIGMA * orientation * np.sqrt(np.abs(det))
-    eps = np.asarray(scale)[..., None, None, None, None] * _EPS4
-    return 0.5 * np.einsum("...abmn,...mc,...nd->...abcd", eps, giv, giv)
+    e = np.asarray(scale)[..., None, None, None] * _EPS_SIGN[:, None, None]
+    terms = (e * giv[..., _EPS_M, :, None]) * giv[..., _EPS_N, None, :]
+    star = np.zeros(terms.shape[:-3] + (4, 4, 4, 4))
+    star[..., _EPS_A[::2], _EPS_B[::2], :, :] = 0.5 * (
+        terms[..., 0::2, :, :] + terms[..., 1::2, :, :])
+    return star
 
 
 def _maxabs(x, ndim):
@@ -309,10 +317,13 @@ def curvature_maxima(g, coords, orientation):
 # -- Killing / twist / distributions ------------------------------------------
 
 
-def killing_report(g, K, points):
-    """Residuals for a vector field K, from metric jets of order 1 (or
-    more) at the sample points: exact and conformal Killing defect,
-    nullness g(K,K), twist density, and the defect of K-geodesy.
+def killing_report(g, fields, points):
+    """Residuals for each vector field of `fields` (a mapping of names to
+    components), from metric jets of order 1 (or more) at the sample
+    points: exact and conformal Killing defect, nullness g(K,K), twist
+    density, and the defect of K-geodesy.  Returns a mapping of the same
+    names to the residuals; the fields share the metric's inverse and
+    Christoffels.
 
     The twist is the permutation-symbol dual of alpha ^ d alpha with
     alpha = g(K, .), contracted back onto K with the Euclidean inner
@@ -322,48 +333,53 @@ def killing_report(g, K, points):
     is typically null.
     """
     coords = g.space.vars
-    K = [as_expression(c, coords) for c in K]
-    Kj = jets_at(K, g.space, points)
     gv = np.ascontiguousarray(g.value)
     giv = np.linalg.inv(gv)
-    Kv = np.ascontiguousarray(Kj.value)
-    dK = np.ascontiguousarray(Kj.gradient())  # dK[..., a, b] = d_b K^a
     dg = np.ascontiguousarray(g.gradient())
-    lie = (np.einsum("...c,...abc->...ab", Kv, dg)
-           + np.einsum("...cb,...ca->...ab", gv, dK)
-           + np.einsum("...ac,...cb->...ab", gv, dK))
-    trace = np.einsum("...ab,...ab->...", giv, lie)
-    conf = lie - 0.25 * trace[..., None, None] * gv
-    null = ((Kv[..., None, :] @ gv) @ Kv[..., :, None])[..., 0, 0]
-    # twist: alpha = g(K, .) as jets
-    terms = g.space.product(g.coeffs, Kj.coeffs[..., None, :, :])
-    alpha = terms[..., 0, :]
-    for b in range(1, 4):
-        alpha = alpha + terms[..., b, :]
-    alpha = Jet(g.space, alpha)
-    av = np.ascontiguousarray(alpha.value)
-    da = np.ascontiguousarray(alpha.gradient())  # da[..., a, b] = d_b alpha_a
-    curl = da.swapaxes(-1, -2) - da  # (d alpha)_bc = d_b alpha_c - d_c alpha_b
-    T = (np.einsum("...a,...bc->...abc", av, curl)
-         + np.einsum("...b,...ca->...abc", av, curl)
-         + np.einsum("...c,...ab->...abc", av, curl))
-    w = np.einsum("dabc,...abc->...d", _EPS4, T) / 6.0
-    norm2 = _dot(Kv, Kv)
-    if np.any(norm2 == 0.0):
-        raise ZeroDivisionError("the field vanishes at a sample point")
-    twist = _dot(w, Kv) / norm2
-    # geodesic residual
     gam, _ = christoffel_jets_4d(g, coords)
     gamv = np.ascontiguousarray(gam.value)
-    acc = (np.einsum("...b,...ab->...a", Kv, dK)
-           + np.einsum("...abc,...b,...c->...a", gamv, Kv, Kv))
-    perp = acc - (_dot(acc, Kv) / norm2)[..., None] * Kv
-    return {"exact_killing": max_abs(_maxabs(lie, 2)),
-            "conformal_killing": max_abs(_maxabs(conf, 2)),
-            "null_defect": max_abs(null),
-            "twist": twist.tolist(),
-            "geodesic": max_abs(_maxabs(perp, 1)),
-            "twist_max": max_abs(twist)}
+    reports = {}
+    for name, K in fields.items():
+        K = [as_expression(c, coords) for c in K]
+        Kj = jets_at(K, g.space, points)
+        Kv = np.ascontiguousarray(Kj.value)
+        dK = np.ascontiguousarray(Kj.gradient())  # dK[..., a, b] = d_b K^a
+        lie = (np.einsum("...c,...abc->...ab", Kv, dg)
+               + np.einsum("...cb,...ca->...ab", gv, dK)
+               + np.einsum("...ac,...cb->...ab", gv, dK))
+        trace = np.einsum("...ab,...ab->...", giv, lie)
+        conf = lie - 0.25 * trace[..., None, None] * gv
+        null = ((Kv[..., None, :] @ gv) @ Kv[..., :, None])[..., 0, 0]
+        # twist: alpha = g(K, .) as jets
+        terms = g.space.product(g.coeffs, Kj.coeffs[..., None, :, :])
+        alpha = terms[..., 0, :]
+        for b in range(1, 4):
+            alpha = alpha + terms[..., b, :]
+        alpha = Jet(g.space, alpha)
+        av = np.ascontiguousarray(alpha.value)
+        # da[..., a, b] = d_b alpha_a
+        da = np.ascontiguousarray(alpha.gradient())
+        # (d alpha)_bc = d_b alpha_c - d_c alpha_b
+        curl = da.swapaxes(-1, -2) - da
+        T = (np.einsum("...a,...bc->...abc", av, curl)
+             + np.einsum("...b,...ca->...abc", av, curl)
+             + np.einsum("...c,...ab->...abc", av, curl))
+        w = np.einsum("dabc,...abc->...d", _EPS4, T) / 6.0
+        norm2 = _dot(Kv, Kv)
+        if np.any(norm2 == 0.0):
+            raise ZeroDivisionError("the field vanishes at a sample point")
+        twist = _dot(w, Kv) / norm2
+        # geodesic residual
+        acc = (np.einsum("...b,...ab->...a", Kv, dK)
+               + np.einsum("...abc,...b,...c->...a", gamv, Kv, Kv))
+        perp = acc - (_dot(acc, Kv) / norm2)[..., None] * Kv
+        reports[name] = {"exact_killing": max_abs(_maxabs(lie, 2)),
+                         "conformal_killing": max_abs(_maxabs(conf, 2)),
+                         "null_defect": max_abs(null),
+                         "twist": twist.tolist(),
+                         "geodesic": max_abs(_maxabs(perp, 1)),
+                         "twist_max": max_abs(twist)}
+    return reports
 
 
 def frobenius_residual(fields, coords, points):

@@ -12,8 +12,9 @@ import math
 import numpy as np
 
 from sdconformal import expr as expr_module
-from sdconformal.conformal import (MetricBuilder, curvature_maxima,
-                                   jet_gauss_solve)
+from sdconformal.conformal import (_EPS4, ORIENTATION_SIGMA, MetricBuilder,
+                                   curvature_maxima, jet_gauss_solve,
+                                   jet_matrix_inverse)
 from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
                               Neg, Pow, UnknownIdentifierError, Var,
                               _print, as_expression, jets_at)
@@ -353,6 +354,67 @@ def area_connection_curvature(pair, points):
     xr = d[:, 1, 0] + sum(a[:, 0, j] * d[:, 1, 2 + j] for j in range(nf))
     yr = d[:, 0, 1] + sum(a[:, 1, j] * d[:, 0, 2 + j] for j in range(nf))
     return max_abs(xr - yr, d[..., 2:2 + nf])
+
+
+# -- 4-metrics and their curvature ---------------------------------------------
+
+def frame_values(builder, point):
+    """The values of the frame fields of a pair's `MetricBuilder` at the
+    sample set `point`, rows in frame order, columns in coords order."""
+    if builder.frame is None:
+        raise ValueError("no frame on an explicit-component metric")
+    return jets_at(builder.frame, JetSpace(builder.coords, 0), point).value
+
+
+def four_product_metric(builder, point, order=2):
+    """`MetricBuilder.jets`' frame route as it was before it formed g from
+    two jet products and their transposes: four products, summed
+    P + P' - Q - Q' in that order.  Kept to check it against, bit for
+    bit."""
+    space = JetSpace(builder.coords, order)
+    th = stack(jet_matrix_inverse(jets_at(builder.frame, space, point))).coeffs
+    t0, t1, t2, t3 = (th[..., :, a, :] for a in range(4))
+    mul = space.product
+    g = (mul(t0[..., :, None, :], t3[..., None, :, :])
+         + mul(t0[..., None, :, :], t3[..., :, None, :])
+         - mul(t1[..., :, None, :], t2[..., None, :, :])
+         - mul(t1[..., None, :, :], t2[..., :, None, :]))
+    if builder.factor is not None:
+        f = jets_at(builder.factor, space, point)
+        g = space.product(g, f.coeffs[..., None, None, :])
+    return Jet(space, g)
+
+
+def christoffel_sum16(g, coords):
+    """`conformal.christoffel_jets_4d` as it was before it formed only the
+    pairs c >= b: one product per d over all 16 (b, c), added in d order,
+    halved, and read at (min(b, c), max(b, c)).  Kept to check it
+    against, bit for bit."""
+    g = stack(g)
+    low = g.truncate(g.space.order - 1)
+    ginv = stack(jet_matrix_inverse(low))
+    dg = np.stack([g.derivative(c).coeffs for c in coords], axis=-2)
+    t = dg.swapaxes(-3, -2) + dg.swapaxes(-4, -3) - np.moveaxis(dg, -2, -4)
+
+    def term(d):  # ginv_ad t_dbc at indices (a, b, c)
+        return low.space.product(ginv.coeffs[..., :, d, None, None, :],
+                                 t[..., None, d, :, :, :])
+    acc = term(0)
+    for d in range(1, 4):
+        acc = acc + term(d)
+    lo = np.minimum.outer(np.arange(4), np.arange(4))
+    hi = np.maximum.outer(np.arange(4), np.arange(4))
+    return Jet(low.space, (acc * 0.5)[..., lo, hi, :]), ginv
+
+
+def dense_hodge_star(gv, giv, orientation=1.0):
+    """`conformal.hodge_star_operator` as a dense einsum over all 256
+    (m, n) of eps_abmn, which it was before it summed only the 24 nonzero
+    entries; kept to check it against."""
+    det = np.linalg.det(gv)
+    scale = ORIENTATION_SIGMA * orientation * np.sqrt(np.abs(det))
+    eps = np.asarray(scale)[..., None, None, None, None] * _EPS4
+    return 0.5 * np.einsum("...abmn,...mc,...nd->...abcd", eps, giv, giv)
 
 
 # -- weighted congruences -------------------------------------------------------

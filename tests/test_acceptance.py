@@ -24,8 +24,7 @@ from sdconformal.pairs import (ProjectivePair, build_lax, lax_residual,
                                twist_free_normal_form, dw_quadrature_build,
                                gauge_reduction_report)
 from sdconformal.conformal import (MetricBuilder, curvature_report,
-                                   frame_values, hodge_star_operator,
-                                   killing_report,
+                                   hodge_star_operator, killing_report,
                                    frobenius_residual, build_null_kahler)
 from sdconformal.minitwistor import WeightedCongruence, divisor_two_report
 from sdconformal.sampling import halton_points
@@ -33,8 +32,8 @@ from sdconformal.cli import RunContext, load_scene, main as cli_main
 from sdconformal.cli import _pair as cli_pair, _surface as cli_surface
 from oracles import (area_connection_curvature, certify_selfdual,
                      congruence_from_slope, cotton, eval_jet, extract,
-                     point_rows, projective_change, sample_set,
-                     trivial_pair)
+                     frame_values, point_rows, projective_change,
+                     sample_set, trivial_pair)
 
 FLAT = ProjectiveSurface.flat()
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -303,7 +302,7 @@ class TestTwistDichotomy:
         pair = dw_quadrature_build(P, gamma, c, H, G)
         pts = _pts4(16)
         g, _ = MetricBuilder(pair=pair).jets(pts, order=1)
-        rep = killing_report(g, ("0", "0", "1", "0"), pts)
+        rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
         rows = point_rows(pts)
         preds = np.array([_twist_prediction(pair, pt) for pt in rows])
         zdep = max(_slope_ratio_z_dependence(pair, pt) for pt in rows)
@@ -335,7 +334,7 @@ class TestNullSymmetryGeometry:
         pair = dw_quadrature_build(P, gamma, c, "1", "z")
         pts = _pts4(16)
         g, _ = MetricBuilder(pair=pair).jets(pts, order=1)
-        rep = killing_report(g, ("0", "0", "1", "0"), pts)
+        rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
         assert rep["null_defect"] < 1e-10
         assert rep["geodesic"] < 1e-9
         coords = ("x", "y", "t", "z")

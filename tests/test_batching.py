@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdconformal.conformal import (MetricBuilder, build_null_kahler,
-                                   curvature_report, frame_values,
-                                   frobenius_residual, killing_report)
+                                   curvature_report, frobenius_residual,
+                                   killing_report)
 from sdconformal.expr import parse
 from sdconformal.jets import Jet, JetSpace, stack
 from sdconformal.minitwistor import (WeightedCongruence, _weyl_gamma_jets,
@@ -33,9 +33,9 @@ from sdconformal.projective import COORDS, ProjectiveSurface, _pow
 from sdconformal.sampling import halton_points
 from test_acceptance import _frobenius_scene
 from oracles import (abelian_pair_residual, area_connection_curvature,
-                     congruence_from_slope, cotton, evaluate, point_rows,
-                     point_slices, projective_change, sample_set,
-                     trivial_pair)
+                     congruence_from_slope, cotton, evaluate, frame_values,
+                     point_rows, point_slices, projective_change,
+                     sample_set, trivial_pair)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 FLAT = ProjectiveSurface.flat()
@@ -124,9 +124,10 @@ def test_killing_report_matches_single_points(name):
     _, pair, factor, _, _ = CASES[name]
     builder = MetricBuilder(pair=pair, factor=factor)
     points = _points(name)
-    batched = killing_report(builder.jets(points, order=1)[0], T_TRANSLATION,
-                             points)
-    singles = [killing_report(builder.jets(p, order=1)[0], T_TRANSLATION, p)
+    fields = {"T": T_TRANSLATION}
+    batched = killing_report(builder.jets(points, order=1)[0], fields,
+                             points)["T"]
+    singles = [killing_report(builder.jets(p, order=1)[0], fields, p)["T"]
                for p in point_slices(points)]
     _assert_close(batched["twist"], [s["twist"][0] for s in singles])
     for key in ("exact_killing", "conformal_killing", "null_defect",

@@ -227,6 +227,46 @@ class TestNonFiniteValues:
         for c in report["checks"]:
             assert c["verdict"] is (c["name"] not in nan)
 
+    OVERFLOWS = {
+        "flat": ("pair", "alpha0", ["1e308*x*x", "0"]),
+        "nullkahler_hk": (None, "factor", "1e308*z*z*z"),
+        "nullkahler_random": ("build", "f", "1e308*z*z*z"),
+    }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scene,command,code,nan", [
+        ("flat", "certify-selfdual", 1, {"weyl_minus"}),
+        ("flat", "curvature", 1, {"star_defect"}),
+        ("flat", "killing", 3, None),
+        ("nullkahler_hk", "certify-selfdual", 1, {"weyl_minus", "ricci"}),
+        ("nullkahler_hk", "curvature", 1, {"star_defect"}),
+        ("nullkahler_hk", "killing", 1, {"conformal_killing[K]"}),
+        ("nullkahler_random", "build-nullkahler", 1,
+         {"domega", "compatibility", "g_JJ", "killing",
+          "omega_antiselfdual", "weyl_minus"}),
+    ])
+    def test_overflowing_scenes_never_pass(self, capsys, tmp_path, scene,
+                                           command, code, nan):
+        # 1e308 times a square or cube overflows at some sample points;
+        # the curvature then meets inf - inf, which must read NaN and fail
+        data = json.loads((SCENES / f"{scene}.json").read_text())
+        section, key, value = self.OVERFLOWS[scene]
+        (data[section] if section else data)[key] = value
+        path = tmp_path / f"{scene}.json"
+        path.write_text(json.dumps(data))
+        got, report = run(capsys, command, str(path), "--samples", "4")
+        assert got == code
+        if nan is None:
+            assert report is None
+            return
+        assert not report["pass"]
+        values = {c["name"]: c["value"] for c in report["checks"]}
+        assert {k for k, v in values.items() if math.isnan(v)} == nan
+        assert all(math.isfinite(v) for k, v in values.items()
+                   if k not in nan)
+        assert all(c["verdict"] is False for c in report["checks"]
+                   if c["name"] in nan)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_check_fails_non_finite_values(self, value):
         assert _check("x", value, 1.0)["verdict"] is False
@@ -655,6 +695,35 @@ def test_build_nullkahler_computes_no_lax_residual(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1 and len(brackets) == 1
 
 
+def _run_spied(capsys, monkeypatch, command, path):
+    """Run a command, recording the order and shape of each
+    `jet_gauss_solve` and how often the frame's jets were evaluated."""
+    solves, frames, evaluated = [], [], []
+    solve, framing = conformal.jet_gauss_solve, conformal.frame_from_pair
+    evaluate = conformal.jets_at
+
+    def spy(A, B):
+        a = stack(A)
+        solves.append((a.space.order, a.coeffs.shape[-3:-1]))
+        return solve(A, B)
+
+    def frame_spy(pair):
+        frames.append(framing(pair))
+        return frames[-1]
+
+    def jets_spy(exprs, space, point):
+        evaluated.append(exprs)
+        return evaluate(exprs, space, point)
+
+    monkeypatch.setattr(conformal, "jet_gauss_solve", spy)
+    monkeypatch.setattr(conformal, "frame_from_pair", frame_spy)
+    monkeypatch.setattr(conformal, "jets_at", jets_spy)
+    code, report = run(capsys, command, str(path))
+    assert len(frames) == 1
+    frame_evaluations = sum(e is frames[0] for e in evaluated)
+    return code, report, solves, frame_evaluations
+
+
 @pytest.mark.parametrize("command,scene,orders", [
     ("certify-selfdual", "flat", [2, 1]),
     ("certify-selfdual", "nullkahler_hk", [2, 1]),
@@ -669,19 +738,25 @@ def test_each_4d_command_solves_at_the_orders_it_reads(
     # one frame solve at the metric's order and one metric solve an order
     # lower, the Christoffels reading the inverse metric to first order;
     # the orientation comes from the same frame evaluation
-    solves = []
-    solve = conformal.jet_gauss_solve
-
-    def spy(A, B):
-        a = stack(A)
-        solves.append((a.space.order, a.coeffs.shape[-3:-1]))
-        return solve(A, B)
-
-    def frame_values(*args):
-        raise AssertionError("the frame was evaluated a second time")
-
-    monkeypatch.setattr(conformal, "jet_gauss_solve", spy)
-    monkeypatch.setattr(conformal, "frame_values", frame_values)
-    code, _ = run(capsys, command, str(SCENES / f"{scene}.json"))
+    code, _, solves, frame_evaluations = _run_spied(
+        capsys, monkeypatch, command, SCENES / f"{scene}.json")
     assert code == 0
     assert solves == [(k, (4, 4)) for k in orders]
+    assert frame_evaluations == 1
+
+
+def test_killing_fields_share_the_christoffels(capsys, monkeypatch,
+                                               tmp_path):
+    # a second field adds no solve: the Christoffels, and the order-0
+    # metric solve behind them, are computed once per command
+    scene = json.loads((SCENES / "nullkahler_hk.json").read_text())
+    scene["fields"]["L"] = ["0", "0", "0", "1"]
+    path = tmp_path / "two_fields.json"
+    path.write_text(json.dumps(scene))
+    code, report, solves, frame_evaluations = _run_spied(
+        capsys, monkeypatch, "killing", path)
+    assert solves == [(1, (4, 4)), (0, (4, 4))]
+    assert frame_evaluations == 1
+    assert [(c["name"], c["verdict"]) for c in report["checks"]] == [
+        ("conformal_killing[K]", True), ("conformal_killing[L]", False)]
+    assert code == 1

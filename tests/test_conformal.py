@@ -5,19 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdconformal import cli
-from sdconformal.expr import jets_at
+from sdconformal import cli, conformal
+from sdconformal.expr import as_expression, jets_at
 from sdconformal.jets import Jet, JetSpace, stack
 from sdconformal.projective import ProjectiveSurface
-from sdconformal.pairs import dw_quadrature_build
+from sdconformal.pairs import ProjectivePair, dw_quadrature_build
 from sdconformal.sampling import halton_points
 from sdconformal.conformal import (MetricBuilder, curvature_report,
                                    killing_report, christoffel_jets_4d,
                                    frobenius_residual, build_null_kahler,
-                                   jet_gauss_solve, jet_matrix_inverse,
-                                   frame_values, lstsq)
-from oracles import (certify_selfdual, point_rows, reference_gauss_solve,
-                     sample_set, trivial_pair)
+                                   hodge_star_operator, jet_gauss_solve,
+                                   jet_matrix_inverse, lstsq)
+from oracles import (certify_selfdual, christoffel_sum16, dense_hodge_star,
+                     four_product_metric, frame_values, point_rows,
+                     reference_gauss_solve, sample_set, trivial_pair)
 
 FLAT = ProjectiveSurface.flat()
 
@@ -224,7 +225,7 @@ class TestKillingField:
         builder = MetricBuilder(pair=pair)
         pts = _points4(n=5)
         g, _ = builder.jets(pts, order=1)
-        rep = killing_report(g, ("0", "0", "1", "0"), pts)
+        rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
         assert rep["exact_killing"] < 1e-12
         assert rep["null_defect"] < 1e-12
         assert rep["geodesic"] < 1e-10
@@ -234,7 +235,7 @@ class TestKillingField:
         pts = _points4(n=5)
         twisted = dw_quadrature_build(P, "0", 0.7, "1", "z")
         g, _ = MetricBuilder(pair=twisted).jets(pts, order=1)
-        rep = killing_report(g, ("0", "0", "1", "0"), pts)
+        rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
         assert rep["twist_max"] > 1e-3
         # the density is point-to-point proportional to a constant here
         ratios = np.array(rep["twist"])
@@ -244,7 +245,7 @@ class TestKillingField:
         straight = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z")
         pts = _points4(n=5)
         g, _ = MetricBuilder(pair=straight).jets(pts, order=1)
-        rep = killing_report(g, ("0", "0", "1", "0"), pts)
+        rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
         assert rep["twist_max"] < 1e-12
 
 
@@ -384,3 +385,159 @@ class TestTruncationOrder:
         assert gam2.space.order == 1 and gam1.space.order == 0
         assert _same_bits(gam1.coeffs, gam2.truncate(0).coeffs)
         assert _same_bits(ginv1.coeffs, ginv2.truncate(0).coeffs)
+
+
+# -- the 4-D kernels against the dense forms they replaced --------------------
+#
+# `MetricBuilder.jets` forms g from two jet products and their transposes,
+# `christoffel_jets_4d` only the pairs c >= b, and `hodge_star_operator`
+# only the 24 nonzero entries of eps; `tests/oracles.py` keeps the four
+# products, the 16-pair sum and the dense einsum.  Metric and
+# Christoffels agree bit for bit; the star agrees bit for bit up to the
+# sign of a zero.
+
+BATCHES = [(), (7,), (3, 5)]
+COORDS4 = ("x", "y", "t", "z")
+
+
+def _split_metric_values(rng, batch):
+    """Random bitwise-symmetric metric values of signature (2, 2)."""
+    A = rng.standard_normal(batch + (4, 4))
+    v = A.swapaxes(-1, -2) @ np.diag([1.0, 1.0, -1.0, -1.0]) @ A
+    return 0.5 * (v + v.swapaxes(-1, -2))
+
+
+def _symmetric_metric_jets(rng, batch, order):
+    """Order-`order` jets of a random symmetric metric of signature (2, 2)
+    at the points of `batch`."""
+    space = JetSpace(COORDS4, order)
+    c = rng.standard_normal(batch + (4, 4, len(space)))
+    c = 0.5 * (c + c.swapaxes(-3, -2))
+    c[..., 0] = _split_metric_values(rng, batch)
+    return Jet(space, c)
+
+
+def _poly(rng, const, size):
+    """A random polynomial on (x, y, w1, w2): `const` plus four monomials
+    with coefficients in [-size, size]."""
+    terms = [f"{c:.3f}*{m}" for c, m in zip(
+        rng.uniform(-size, size, 4), ("x", "y*w1", "w2*w2", "x*w1*y"))]
+    return " + ".join([f"{const:.3f}"] + terms)
+
+
+def _random_builder(rng, kind, factor):
+    """The metric of a pair with polynomial phi and alpha, its phi block
+    invertible on the unit box; or, "dense", of a frame with no zero
+    entry, near the identity, which no pair gives: the coframe of a pair
+    has zero blocks, so at most two of the four products meet there."""
+    pair = ProjectivePair(
+        ("w1", "w2"),
+        alpha0=[_poly(rng, rng.uniform(-1, 1), 0.2) for _ in "ab"],
+        alpha1=[_poly(rng, rng.uniform(-1, 1), 0.2) for _ in "ab"],
+        phi0=[_poly(rng, 1.0, 0.2), _poly(rng, 0.0, 0.2)],
+        phi1=[_poly(rng, 0.0, 0.2), _poly(rng, 1.0, 0.2)])
+    builder = MetricBuilder(pair=pair, factor=factor)
+    if kind == "dense":
+        builder.frame = [[as_expression(_poly(rng, (i == j) + 0.1, 0.03),
+                                        builder.coords)
+                          for j in range(4)] for i in range(4)]
+    return builder
+
+
+def _box_points(rng, names, batch):
+    return {name: rng.uniform(-1.0, 1.0, batch) for name in names}
+
+
+def _same_abs_bits(a, b):
+    return _same_bits(np.abs(a), np.abs(b))
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+class TestKernelsMatchTheirReferences:
+    @pytest.mark.parametrize("kind", ["pair", "dense"])
+    @pytest.mark.parametrize("factor", [None, "1 + 0.25*x*w2"])
+    def test_metric_assembly(self, batch, kind, factor):
+        rng = np.random.default_rng([len(batch), sum(batch), len(kind)])
+        for _ in range(3):
+            builder = _random_builder(rng, kind, factor)
+            pts = _box_points(rng, builder.coords, batch)
+            for order in (1, 2):
+                g, _ = builder.jets(pts, order=order)
+                want = four_product_metric(builder, pts, order)
+                assert g.coeffs.shape == batch + (4, 4, len(g.space))
+                assert _same_bits(g.coeffs, want.coeffs)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_christoffels(self, batch, order):
+        rng = np.random.default_rng([len(batch), sum(batch), order])
+        for _ in range(3):
+            g = _symmetric_metric_jets(rng, batch, order)
+            gam, ginv = christoffel_jets_4d(g, COORDS4)
+            want_gam, want_ginv = christoffel_sum16(g, COORDS4)
+            assert gam.coeffs.shape == batch + (4, 4, 4, len(gam.space))
+            assert _same_bits(gam.coeffs, want_gam.coeffs)
+            assert _same_bits(ginv.coeffs, want_ginv.coeffs)
+
+    def test_christoffels_of_an_asymmetric_array(self, batch):
+        # a metric that is not bitwise symmetric is read at c >= b only,
+        # as the 16-pair sum reads it
+        rng = np.random.default_rng([len(batch), sum(batch), 9])
+        g = _symmetric_metric_jets(rng, batch, 2)
+        g.coeffs[..., 0, 1, :] *= 1.0 + 1e-12
+        gam, _ = christoffel_jets_4d(g, COORDS4)
+        assert _same_bits(gam.coeffs, christoffel_sum16(g, COORDS4)[0].coeffs)
+
+    @pytest.mark.parametrize("orientation", [1.0, -1.0, "mixed"])
+    def test_star(self, batch, orientation):
+        rng = np.random.default_rng([len(batch), sum(batch), 2])
+        if orientation == "mixed":
+            orientation = np.where(rng.random(batch) < 0.5, -1.0, 1.0)
+        for _ in range(3):
+            gv = _split_metric_values(rng, batch)
+            giv = np.linalg.inv(gv)
+            star = hodge_star_operator(gv, giv, orientation)
+            want = dense_hodge_star(gv, giv, orientation)
+            assert star.shape == batch + (4, 4, 4, 4)
+            assert _same_abs_bits(star, want)
+
+    def test_star_squares_to_the_identity_on_two_forms(self, batch):
+        rng = np.random.default_rng([len(batch), sum(batch), 3])
+        gv = _split_metric_values(rng, batch)
+        star = hodge_star_operator(gv, np.linalg.inv(gv), 1.0)
+        star_sq = np.einsum("...abmn,...mncd->...abcd", star, star)
+        eye = np.eye(4)
+        antisym = 0.5 * (np.einsum("ac,bd->abcd", eye, eye)
+                         - np.einsum("ad,bc->abcd", eye, eye))
+        size = np.abs(star).max(axis=(-4, -3, -2, -1)) ** 2
+        defect = np.abs(star_sq - antisym).max(axis=(-4, -3, -2, -1))
+        assert np.all(defect <= 1e-12 * np.maximum(size, 1.0))
+
+
+@pytest.mark.parametrize("name", ["flat", "nullkahler_hk",
+                                  "nullkahler_random"])
+class TestSceneKernelsMatchTheirReferences:
+    def test_metric_assembly(self, name):
+        builder, pts = _scene_metric(name)
+        for order in (0, 1, 2):
+            g, _ = builder.jets(pts, order=order)
+            want = four_product_metric(builder, pts, order)
+            assert _same_bits(g.coeffs, want.coeffs)
+
+    def test_christoffels(self, name):
+        builder, pts = _scene_metric(name)
+        for order in (1, 2):
+            g, _ = builder.jets(pts, order=order)
+            gam, ginv = christoffel_jets_4d(g, builder.coords)
+            want_gam, want_ginv = christoffel_sum16(g, builder.coords)
+            assert _same_bits(gam.coeffs, want_gam.coeffs)
+            assert _same_bits(ginv.coeffs, want_ginv.coeffs)
+
+    def test_star(self, name):
+        builder, pts = _scene_metric(name)
+        g, orientation = builder.jets(pts, order=0)
+        gv = np.ascontiguousarray(g.value)
+        giv = np.linalg.inv(gv)
+        star = hodge_star_operator(gv, giv, orientation)
+        assert _same_abs_bits(star, dense_hodge_star(gv, giv, orientation))
+        star_sq = np.einsum("...abmn,...mncd->...abcd", star, star)
+        assert np.all(np.abs(star_sq - conformal._ANTISYM) <= 1e-12)
