@@ -28,13 +28,14 @@ import numpy as np
 
 from . import __version__
 from .expr import ExprError, as_expression, parse
-from .jets import JetDomainError
+from .jets import JetDomainError, max_abs
 from .projective import ProjectiveSurface
 from .pairs import (ProjectivePair, BuildError, build_lax, lax_residual,
                     projective_pair_residual, twist_free_normal_form,
                     dw_quadrature_build, gauge_reduction_report)
-from .conformal import (MetricBuilder, curvature_maxima, killing_report,
-                        frobenius_residual, build_null_kahler)
+from .conformal import (CURVATURE_NORMS, MetricBuilder, curvature_maxima,
+                        curvature_report, killing_report, frobenius_residual,
+                        build_null_kahler)
 from .minitwistor import (WeightedCongruence, divisor_two_report,
                           ward_transport, projective_field_residual)
 from .sampling import SamplingError, halton_points
@@ -420,7 +421,8 @@ def _cmd_build_nullkahler(scene, ctx):
     built = build_null_kahler(spec["a"], spec["c"], spec["f"])
     pts = ctx.points(("x", "y", "t", "z"))
     g, orientation = built["metric"].jets(pts)
-    rep = built["check"](pts, g, orientation)
+    curvature = curvature_report(g, built["metric"].coords, orientation)
+    rep = built["check"](pts, g, curvature["star"])
     checks = [
         _check("domega", rep["domega"], ctx.tol["domega"]),
         _check("J_squared", rep["J_null"], ctx.tol["exact"]),
@@ -430,7 +432,7 @@ def _cmd_build_nullkahler(scene, ctx):
         _check("omega_antiselfdual", rep["omega_antiselfdual"],
                ctx.tol["compat"]),
     ]
-    worst, _ = curvature_maxima(g, built["metric"].coords, orientation)
+    worst = {k: max_abs(curvature[k]) for k in CURVATURE_NORMS}
     checks.append(_check("weyl_minus", worst["weyl_minus"],
                          ctx.tol["weyl_minus"]))
     fitted = {"weyl_plus": worst["weyl_plus"], "ricci": worst["ricci"]}

@@ -59,15 +59,7 @@ def jet_gauss_solve(A, B):
     """Solve A X = B for matrices of jets by Gaussian elimination, pivoting
     at each point on the magnitude of constant terms.  A is n x n, B is
     n x m (lists of lists of Jets, or jets whose last two batch axes are
-    the matrix); returns X as a list of lists of Jets.
-
-    The elimination runs on the augmented matrix [A | B] with the points
-    on one axis.  At each column the pivot row is swapped in only at the
-    points where it moves.  Then the pivot row is scaled, and every row
-    whose entry in the column is nonzero at some point is eliminated;
-    both touch only the columns right of the pivot, since the pivot
-    column and those left of it are never read again.  The result is bit
-    for bit that of eliminating all of A and B at every column."""
+    the matrix); returns X as a list of lists of Jets."""
     a, b = stack(A), stack(B)
     space = a.space
     batch = np.broadcast_shapes(a.coeffs.shape[:-3], b.coeffs.shape[:-3])
@@ -75,23 +67,40 @@ def jet_gauss_solve(A, B):
     M = np.concatenate([np.broadcast_to(a.coeffs, batch + (n, n, size)),
                         np.broadcast_to(b.coeffs, batch + (n, m, size))],
                        axis=-2).reshape(-1, n, n + m, size)
-    for col in range(n):
-        mag = np.abs(M[:, col:, col, 0])
+    X = _eliminate(M, space)[:, :, n:].reshape(batch + (n, m, size))
+    return unstack(Jet(space, X), 2)
+
+
+def _eliminate(M, space, start=0):
+    """Eliminate in place, and return, the augmented jet matrices M[point,
+    row, column, coefficient]: column j pivots at each point on the
+    largest constant term among rows start + j and below, so that rows
+    above `start` are eliminated but never pivot.
+
+    At each column the pivot row is swapped in only at the points where
+    it moves.  Then the pivot row is scaled, and every row whose entry in
+    the column is nonzero at some point is eliminated; both touch only
+    the columns right of the pivot, since the pivot column and those left
+    of it are never read again.  The result is bit for bit that of
+    eliminating all of the columns at every column."""
+    n = M.shape[1]
+    for col in range(n - start):
+        row = start + col
+        mag = np.abs(M[:, row:, col, 0])
         if np.any(np.max(mag, axis=-1) == 0.0):
             raise np.linalg.LinAlgError("singular jet matrix")
-        # swap rows col and piv (the first largest) where they differ
-        piv = col + np.argmax(mag, axis=-1)
-        at = np.flatnonzero(piv != col)
+        # swap rows row and piv (the first largest) where they differ
+        piv = row + np.argmax(mag, axis=-1)
+        at = np.flatnonzero(piv != row)
         if at.size:
-            M[at, col], M[at, piv[at]] = M[at, piv[at]], M[at, col]
-        inv = Jet(space, M[:, col, col]).reciprocal().coeffs[:, None, :]
-        M[:, col, col + 1:] = space.product(M[:, col, col + 1:], inv)
+            M[at, row], M[at, piv[at]] = M[at, piv[at]], M[at, row]
+        inv = Jet(space, M[:, row, col]).reciprocal().coeffs[:, None, :]
+        M[:, row, col + 1:] = space.product(M[:, row, col + 1:], inv)
         for r in range(n):
             f = M[:, r, col, None, :]
-            if r != col and f.any():
-                M[:, r, col + 1:] -= space.product(f, M[:, col, col + 1:])
-    X = M[:, :, n:].reshape(batch + (n, m, size))
-    return unstack(Jet(space, X), 2)
+            if r != row and f.any():
+                M[:, r, col + 1:] -= space.product(f, M[:, row, col + 1:])
+    return M
 
 
 def jet_matrix_inverse(A):
@@ -159,13 +168,17 @@ class MetricBuilder:
         else:
             M = jets_at(self.frame, space, point)
             orientation = np.sign(np.linalg.det(M.value))
-            # coframe rows are columns of M^{-1}: theta^a_i = th[..., i, a]
-            th = stack(jet_matrix_inverse(M)).coeffs
-            t0, t1, t2, t3 = (th[..., :, a, :] for a in range(4))
-            # g_ij = th0_i th3_j + th0_j th3_i - th1_i th2_j - th1_j th2_i;
-            # the product of th0_j and th3_i is P transposed, bit for bit
-            P = space.product(t0[..., :, None, :], t3[..., None, :, :])
-            Q = space.product(t1[..., :, None, :], t2[..., None, :, :])
+            # M = [[0, Phi], [I, A]] has theta^2 = dx and theta^3 = dy: a full
+            # solve eliminates nothing at x, y; at w1, w2 it does this (in
+            # place) on [A | 0] over [Phi | I], leaving theta^0, theta^1 right
+            block = np.zeros(M.coeffs.shape)
+            block[..., :2, :] = M.coeffs[..., [2, 3, 0, 1], 2:, :]
+            block[..., [2, 3], [2, 3], 0] = 1.0
+            _eliminate(block.reshape((-1,) + block.shape[-3:]), space, 2)
+            # g_ij = th0_i th3_j + th0_j th3_i - th1_i th2_j - th1_j th2_i
+            P, Q = np.zeros_like(block), np.zeros_like(block)
+            P[..., :, 1, :] = block[..., :, 2, :]
+            Q[..., :, 0, :] = block[..., :, 3, :]
             g = Jet(space, P + P.swapaxes(-3, -2) - Q - Q.swapaxes(-3, -2))
         if self.factor is not None:
             f = jets_at(self.factor, space, point)
@@ -257,8 +270,8 @@ def curvature_report(g, coords, orientation=1.0):
     Returns a dict with max-abs component norms of: Riemann (all down),
     Ricci, trace-free Ricci, scalar, Weyl+ and Weyl- (first index up, the
     conformally invariant arrangement), plus the star idempotency defect
-    and the signature of the metric value; each has the batch shape of
-    the jets."""
+    and the signature of the metric value, each of the batch shape of the
+    jets; and the Hodge star operator ("star")."""
     Rup, gv, giv, _ = riemann_values(g, coords)
     Rdown = np.einsum("...ae,...ebcd->...abcd", gv, Rup)
     ric = np.einsum("...abad->...bd", Rup)
@@ -294,6 +307,7 @@ def curvature_report(g, coords, orientation=1.0):
         "star_defect": _maxabs(star_sq - _ANTISYM, 4),
         "signature_ok": ((eigs > 0).sum(axis=-1) == 2)
                         & ((eigs < 0).sum(axis=-1) == 2),
+        "star": star,
     }
 
 
@@ -435,9 +449,10 @@ def build_null_kahler(a, c, f):
     omega[0][3] = f
     omega[3][0] = -f
 
-    def check(points, g, orientation):
+    def check(points, g, star):
         """The structure identities at the points, given the metric jets
-        (order 1 or more) and orientation there."""
+        (order 1 or more) and the Hodge star that `curvature_report`
+        forms from them."""
         space = JetSpace(coords, 1)
         J = np.ascontiguousarray(jets_at(J_expr, space, points).value)
         om = jets_at(omega, space, points)
@@ -446,11 +461,9 @@ def build_null_kahler(a, c, f):
         d3 = (np.einsum("...jki->...ijk", dom)
               + np.einsum("...kij->...ijk", dom) + dom)
         gv = np.ascontiguousarray(g.value)
-        giv = np.linalg.inv(gv)
         # omega(U, V) = g(JU, V):  omega_ab = J^c_a g_cb
         compat = np.einsum("...ca,...cb->...ab", J, gv) - omv
         gjj = np.einsum("...ca,...db,...cd->...ab", J, J, gv)
-        star = hodge_star_operator(gv, giv, orientation)
         starom = np.einsum("...abcd,...cd->...ab", star, omv)
         norms = {"domega": _maxabs(d3, 3), "compat": _maxabs(compat, 2),
                  "J_null": _maxabs(J @ J, 2), "g_JJ": _maxabs(gjj, 2),

@@ -13,8 +13,8 @@ import numpy as np
 
 from sdconformal import expr as expr_module
 from sdconformal.conformal import (_EPS4, ORIENTATION_SIGMA, MetricBuilder,
-                                   curvature_maxima, jet_gauss_solve,
-                                   jet_matrix_inverse)
+                                   curvature_maxima, curvature_report,
+                                   jet_gauss_solve, jet_matrix_inverse)
 from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
                               Neg, Pow, UnknownIdentifierError, Var,
                               _print, as_expression, jets_at)
@@ -379,6 +379,33 @@ def four_product_metric(builder, point, order=2):
          + mul(t0[..., None, :, :], t3[..., :, None, :])
          - mul(t1[..., :, None, :], t2[..., None, :, :])
          - mul(t1[..., None, :, :], t2[..., :, None, :]))
+    if builder.factor is not None:
+        f = jets_at(builder.factor, space, point)
+        g = space.product(g, f.coeffs[..., None, None, :])
+    return Jet(space, g)
+
+
+def null_kahler_check(check, builder, points):
+    """The structure identities of a `build_null_kahler` member at the
+    points, from its metric jets and the Hodge star of their curvature
+    report, as `build-nullkahler` computes them."""
+    g, orientation = builder.jets(points)
+    star = curvature_report(g, builder.coords, orientation)["star"]
+    return check(points, g, star)
+
+
+def full_solve_metric(builder, point, order=2):
+    """`MetricBuilder.jets`' frame route as it was before it eliminated
+    only the fibre block of the frame: the full 4x4 jet inverse, and g
+    from two jet products and their transposes, P + P' - Q - Q'.  It
+    takes any frame, not only a pair's.  Kept to check it against, bit
+    for bit."""
+    space = JetSpace(builder.coords, order)
+    th = stack(jet_matrix_inverse(jets_at(builder.frame, space, point))).coeffs
+    t0, t1, t2, t3 = (th[..., :, a, :] for a in range(4))
+    P = space.product(t0[..., :, None, :], t3[..., None, :, :])
+    Q = space.product(t1[..., :, None, :], t2[..., None, :, :])
+    g = P + P.swapaxes(-3, -2) - Q - Q.swapaxes(-3, -2)
     if builder.factor is not None:
         f = jets_at(builder.factor, space, point)
         g = space.product(g, f.coeffs[..., None, None, :])

@@ -32,8 +32,8 @@ from sdconformal.cli import RunContext, load_scene, main as cli_main
 from sdconformal.cli import _pair as cli_pair, _surface as cli_surface
 from oracles import (area_connection_curvature, certify_selfdual,
                      congruence_from_slope, cotton, eval_jet, extract,
-                     frame_values, point_rows, projective_change,
-                     sample_set, trivial_pair)
+                     frame_values, null_kahler_check, point_rows,
+                     projective_change, sample_set, trivial_pair)
 
 FLAT = ProjectiveSurface.flat()
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -240,7 +240,7 @@ class TestStructureFamily:
             c = f"{r[2]:.4f}*x + {r[3]:.4f}*y"
             f = f"1 + {r[4]:.4f}*x*z"
             nk = build_null_kahler(a, c, f)
-            rep = nk["check"](pts, *nk["metric"].jets(pts))
+            rep = null_kahler_check(nk["check"], nk["metric"], pts)
             assert rep["domega"] < 1e-12
             assert rep["J_null"] == 0.0
             assert rep["compat"] < 1e-10

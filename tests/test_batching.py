@@ -34,8 +34,8 @@ from sdconformal.sampling import halton_points
 from test_acceptance import _frobenius_scene
 from oracles import (abelian_pair_residual, area_connection_curvature,
                      congruence_from_slope, cotton, evaluate, frame_values,
-                     point_rows, point_slices, projective_change,
-                     sample_set, trivial_pair)
+                     null_kahler_check, point_rows, point_slices,
+                     projective_change, sample_set, trivial_pair)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 FLAT = ProjectiveSurface.flat()
@@ -111,8 +111,8 @@ def test_curvature_report_matches_single_points(name):
         g, orientation = builder.jets(p)
         singles.append(curvature_report(g, builder.coords, orientation))
     for key, values in batched.items():
-        values = np.broadcast_to(values, (len(singles),))
         want = [s[key] for s in singles]
+        values = np.broadcast_to(values, np.shape(want))
         if key == "signature_ok":
             assert values.tolist() == want
         else:
@@ -152,8 +152,9 @@ def test_null_kahler_check_matches_single_points(name):
     _, pair, factor, _, check = CASES[name]
     builder = MetricBuilder(pair=pair, factor=factor)
     points = _points(name)
-    batched = check(points, *builder.jets(points))
-    singles = [check(p, *builder.jets(p)) for p in point_slices(points)]
+    batched = null_kahler_check(check, builder, points)
+    singles = [null_kahler_check(check, builder, p)
+               for p in point_slices(points)]
     for key, value in batched.items():
         _assert_close(value, max(s[key] for s in singles))
 

@@ -725,19 +725,20 @@ def _run_spied(capsys, monkeypatch, command, path):
 
 
 @pytest.mark.parametrize("command,scene,orders", [
-    ("certify-selfdual", "flat", [2, 1]),
-    ("certify-selfdual", "nullkahler_hk", [2, 1]),
-    ("curvature", "flat", [2, 1]),
-    ("curvature", "nullkahler_hk", [2, 1]),
-    ("killing", "flat", [1, 0]),
-    ("killing", "nullkahler_hk", [1, 0]),
-    ("build-nullkahler", "nullkahler_random", [2, 1]),
+    ("certify-selfdual", "flat", [1]),
+    ("certify-selfdual", "nullkahler_hk", [1]),
+    ("curvature", "flat", [1]),
+    ("curvature", "nullkahler_hk", [1]),
+    ("killing", "flat", [0]),
+    ("killing", "nullkahler_hk", [0]),
+    ("build-nullkahler", "nullkahler_random", [1]),
 ])
 def test_each_4d_command_solves_at_the_orders_it_reads(
         capsys, monkeypatch, command, scene, orders):
-    # one frame solve at the metric's order and one metric solve an order
-    # lower, the Christoffels reading the inverse metric to first order;
-    # the orientation comes from the same frame evaluation
+    # one metric solve an order below the metric's, the Christoffels
+    # reading the inverse metric to first order; the frame is not solved
+    # in full, only its fibre block eliminated; the orientation comes from
+    # the same frame evaluation
     code, _, solves, frame_evaluations = _run_spied(
         capsys, monkeypatch, command, SCENES / f"{scene}.json")
     assert code == 0
@@ -755,7 +756,7 @@ def test_killing_fields_share_the_christoffels(capsys, monkeypatch,
     path.write_text(json.dumps(scene))
     code, report, solves, frame_evaluations = _run_spied(
         capsys, monkeypatch, "killing", path)
-    assert solves == [(1, (4, 4)), (0, (4, 4))]
+    assert solves == [(0, (4, 4))]
     assert frame_evaluations == 1
     assert [(c["name"], c["verdict"]) for c in report["checks"]] == [
         ("conformal_killing[K]", True), ("conformal_killing[L]", False)]

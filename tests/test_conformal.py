@@ -17,8 +17,9 @@ from sdconformal.conformal import (MetricBuilder, curvature_report,
                                    hodge_star_operator, jet_gauss_solve,
                                    jet_matrix_inverse, lstsq)
 from oracles import (certify_selfdual, christoffel_sum16, dense_hodge_star,
-                     four_product_metric, frame_values, point_rows,
-                     reference_gauss_solve, sample_set, trivial_pair)
+                     four_product_metric, frame_values, full_solve_metric,
+                     null_kahler_check, point_rows, reference_gauss_solve,
+                     sample_set, trivial_pair)
 
 FLAT = ProjectiveSurface.flat()
 
@@ -155,7 +156,7 @@ class TestNullKahlerFamily:
     def test_structure_identities(self, a, c, f):
         nk = build_null_kahler(a, c, f)
         pts = _points4(n=5)
-        rep = nk["check"](pts, *nk["metric"].jets(pts))
+        rep = null_kahler_check(nk["check"], nk["metric"], pts)
         assert rep["J_null"] == 0.0
         assert rep["domega"] < 1e-12
         assert rep["compat"] < 1e-10
@@ -462,9 +463,26 @@ class TestKernelsMatchTheirReferences:
             builder = _random_builder(rng, kind, factor)
             pts = _box_points(rng, builder.coords, batch)
             for order in (1, 2):
-                g, _ = builder.jets(pts, order=order)
+                if kind == "pair":
+                    g, _ = builder.jets(pts, order=order)
+                else:   # only the full solve takes a frame no pair gives
+                    g = full_solve_metric(builder, pts, order)
                 want = four_product_metric(builder, pts, order)
                 assert g.coeffs.shape == batch + (4, 4, len(g.space))
+                assert _same_bits(g.coeffs, want.coeffs)
+
+    @pytest.mark.parametrize("factor", [None, "1 + 0.25*x*w2"])
+    def test_fibre_block_elimination(self, batch, factor):
+        # the elimination of the fibre block alone is the full frame solve
+        # to the bit: the full solve's pivots on the unit rows change no
+        # entry that reaches theta^0, theta^1 or g
+        rng = np.random.default_rng([len(batch), sum(batch), 5])
+        for _ in range(3):
+            builder = _random_builder(rng, "pair", factor)
+            pts = _box_points(rng, builder.coords, batch)
+            for order in (0, 1, 2, 3):
+                g, _ = builder.jets(pts, order=order)
+                want = full_solve_metric(builder, pts, order)
                 assert _same_bits(g.coeffs, want.coeffs)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
