@@ -33,9 +33,8 @@ from .projective import ProjectiveSurface
 from .pairs import (ProjectivePair, BuildError, build_lax, lax_residual,
                     projective_pair_residual, twist_free_normal_form,
                     dw_quadrature_build, gauge_reduction_report)
-from .conformal import (CURVATURE_NORMS, MetricBuilder, curvature_maxima,
-                        curvature_report, killing_report, frobenius_residual,
-                        build_null_kahler)
+from .conformal import (MetricBuilder, curvature_maxima, curvature_report,
+                        killing_report, frobenius_residual, build_null_kahler)
 from .minitwistor import (WeightedCongruence, divisor_two_report,
                           ward_transport, projective_field_residual)
 from .sampling import SamplingError, halton_points
@@ -421,8 +420,8 @@ def _cmd_build_nullkahler(scene, ctx):
     built = build_null_kahler(spec["a"], spec["c"], spec["f"])
     pts = ctx.points(("x", "y", "t", "z"))
     g, orientation = built["metric"].jets(pts)
-    curvature = curvature_report(g, built["metric"].coords, orientation)
-    rep = built["check"](pts, g, curvature["star"])
+    curv = curvature_report(g, built["metric"].coords, orientation)
+    rep = built["check"](pts, g, curv["star"])
     checks = [
         _check("domega", rep["domega"], ctx.tol["domega"]),
         _check("J_squared", rep["J_null"], ctx.tol["exact"]),
@@ -432,7 +431,7 @@ def _cmd_build_nullkahler(scene, ctx):
         _check("omega_antiselfdual", rep["omega_antiselfdual"],
                ctx.tol["compat"]),
     ]
-    worst = {k: max_abs(curvature[k]) for k in CURVATURE_NORMS}
+    worst = {k: max_abs(curv[k]) for k in ("weyl_minus", "weyl_plus", "ricci")}
     checks.append(_check("weyl_minus", worst["weyl_minus"],
                          ctx.tol["weyl_minus"]))
     fitted = {"weyl_plus": worst["weyl_plus"], "ricci": worst["ricci"]}

@@ -11,12 +11,13 @@ determines the conformal metric through the dual coframe:
 with "." the symmetric product without a 1/2 (so that the null-Kaehler
 family reproduces g = f(dz dy - (dt - az dx - c dy) dx) on the nose).
 The metric has split signature (2,2).  Curvature runs entirely on jets:
-metric jets of order 2 (the frame inverted at order 2) give Christoffels
-of order 1 (the metric inverted at order 1) and pointwise
-Riemann/Ricci/Weyl values; the Weyl tensor is split into selfdual and
-antiselfdual halves by the Hodge star acting on its second index pair.
-The Killing residuals need metric jets of order 1 only (the frame
-inverted at order 1, the metric at order 0).
+metric jets of order 2 (the frame inverted at order 2, on its fibre block:
+theta^10' = dx and theta^11' = dy are exact) give Christoffels of order 1
+(the metric inverted at order 1) and pointwise Riemann/Ricci/Weyl values;
+the Weyl tensor is split into selfdual and antiselfdual halves by the Hodge
+star acting on its second index pair.  The Killing residuals need metric
+jets of order 1 only (the fibre block inverted at order 1, the metric at
+order 0).
 
 The orientation sign ORIENTATION_SIGMA fixes which half is which: it is
 calibrated once so that the antiselfdual half is the one that vanishes

@@ -428,15 +428,18 @@ def _poly(rng, const, size):
 
 def _random_builder(rng, kind, factor):
     """The metric of a pair with polynomial phi and alpha, its phi block
-    invertible on the unit box; or, "dense", of a frame with no zero
+    invertible on the unit box; or, "pivoting", of such a pair whose phi
+    entries all vanish at the origin, so that which row is the largest in
+    a column varies over the box; or, "dense", of a frame with no zero
     entry, near the identity, which no pair gives: the coframe of a pair
     has zero blocks, so at most two of the four products meet there."""
+    diag, size = (0.0, 1.0) if kind == "pivoting" else (1.0, 0.2)
     pair = ProjectivePair(
         ("w1", "w2"),
         alpha0=[_poly(rng, rng.uniform(-1, 1), 0.2) for _ in "ab"],
         alpha1=[_poly(rng, rng.uniform(-1, 1), 0.2) for _ in "ab"],
-        phi0=[_poly(rng, 1.0, 0.2), _poly(rng, 0.0, 0.2)],
-        phi1=[_poly(rng, 0.0, 0.2), _poly(rng, 1.0, 0.2)])
+        phi0=[_poly(rng, diag, size), _poly(rng, 0.0, size)],
+        phi1=[_poly(rng, 0.0, size), _poly(rng, diag, size)])
     builder = MetricBuilder(pair=pair, factor=factor)
     if kind == "dense":
         builder.frame = [[as_expression(_poly(rng, (i == j) + 0.1, 0.03),
@@ -471,14 +474,15 @@ class TestKernelsMatchTheirReferences:
                 assert g.coeffs.shape == batch + (4, 4, len(g.space))
                 assert _same_bits(g.coeffs, want.coeffs)
 
+    @pytest.mark.parametrize("kind", ["pair", "pivoting"])
     @pytest.mark.parametrize("factor", [None, "1 + 0.25*x*w2"])
-    def test_fibre_block_elimination(self, batch, factor):
+    def test_fibre_block_elimination(self, batch, kind, factor):
         # the elimination of the fibre block alone is the full frame solve
         # to the bit: the full solve's pivots on the unit rows change no
         # entry that reaches theta^0, theta^1 or g
-        rng = np.random.default_rng([len(batch), sum(batch), 5])
+        rng = np.random.default_rng([len(batch), sum(batch), len(kind)])
         for _ in range(3):
-            builder = _random_builder(rng, "pair", factor)
+            builder = _random_builder(rng, kind, factor)
             pts = _box_points(rng, builder.coords, batch)
             for order in (0, 1, 2, 3):
                 g, _ = builder.jets(pts, order=order)
