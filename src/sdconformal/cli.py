@@ -609,11 +609,15 @@ def _tolerance(text):
             f"tolerance {name} needs a number, not {value!r}") from None
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
+def _int_at_least(low):
+    """The argparse type of an int no less than `low`."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, not {value}")
+        return value
+    return integer
 
 
 def main(argv=None):
@@ -624,9 +628,9 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("scene", help="path to a JSON scene file")
     parser.add_argument("--out", help="write the report here (default stdout)")
-    parser.add_argument("--samples", type=_positive_int, default=None,
+    parser.add_argument("--samples", type=_int_at_least(1), default=None,
                         help="override the scene's sample count")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="override the scene's sampling seed")
     parser.add_argument("--tol", action="append", type=_tolerance,
                         metavar="NAME=FLOAT",

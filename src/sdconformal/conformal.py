@@ -10,14 +10,16 @@ determines the conformal metric through the dual coframe:
 
 with "." the symmetric product without a 1/2 (so that the null-Kaehler
 family reproduces g = f(dz dy - (dt - az dx - c dy) dx) on the nose).
-The metric has split signature (2,2).  Curvature runs entirely on jets:
-metric jets of order 2 (the frame inverted at order 2, on its fibre block:
-theta^10' = dx and theta^11' = dy are exact) give Christoffels of order 1
-(the metric inverted at order 1) and pointwise Riemann/Ricci/Weyl values;
-the Weyl tensor is split into selfdual and antiselfdual halves by the Hodge
-star acting on its second index pair.  The Killing residuals need metric
-jets of order 1 only (the fibre block inverted at order 1, the metric at
-order 0).
+The metric has split signature (2,2).  The last two fields lift the base
+coordinate fields, so theta^10' = dx and theta^11' = dy exactly: only the
+pair's alpha and phi are evaluated, theta^00' and theta^01' come from
+eliminating the fibre block [A | 0] over [Phi | I], and the frame volume
+is det Phi.  Curvature runs entirely on jets: metric jets of order 2 give
+Christoffels of order 1 (the metric inverted at order 1) and pointwise
+Riemann/Ricci/Weyl values; the Weyl tensor is split into selfdual and
+antiselfdual halves by the Hodge star acting on its second index pair.
+The Killing residuals need metric jets of order 1 only (the metric
+inverted at order 0).
 
 The orientation sign ORIENTATION_SIGMA fixes which half is which: it is
 calibrated once so that the antiselfdual half is the one that vanishes
@@ -31,7 +33,7 @@ import itertools
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at
-from .jets import Jet, JetSpace, max_abs, stack, unstack
+from .jets import Jet, JetSpace, max_abs, stack
 from .pairs import ProjectivePair, _dot, lie_bracket, lstsq
 
 # Which Weyl half the construction kills; calibrated on the null-Kaehler
@@ -59,8 +61,8 @@ _EPS_SIGN = _EPS4[_EPS_A, _EPS_B, _EPS_M, _EPS_N]
 def jet_gauss_solve(A, B):
     """Solve A X = B for matrices of jets by Gaussian elimination, pivoting
     at each point on the magnitude of constant terms.  A is n x n, B is
-    n x m (lists of lists of Jets, or jets whose last two batch axes are
-    the matrix); returns X as a list of lists of Jets."""
+    n x m: lists of lists of Jets, or jets whose last two batch axes are
+    the matrix, as those of the returned X are."""
     a, b = stack(A), stack(B)
     space = a.space
     batch = np.broadcast_shapes(a.coeffs.shape[:-3], b.coeffs.shape[:-3])
@@ -69,7 +71,7 @@ def jet_gauss_solve(A, B):
                         np.broadcast_to(b.coeffs, batch + (n, m, size))],
                        axis=-2).reshape(-1, n, n + m, size)
     X = _eliminate(M, space)[:, :, n:].reshape(batch + (n, m, size))
-    return unstack(Jet(space, X), 2)
+    return Jet(space, X)
 
 
 def _eliminate(M, space, start=0):
@@ -106,48 +108,30 @@ def _eliminate(M, space, start=0):
 
 def jet_matrix_inverse(A):
     a = stack(A)
-    n = a.coeffs.shape[-2]
-    eye = np.zeros((n, n, len(a.space)))
-    eye[range(n), range(n), 0] = 1.0
-    return jet_gauss_solve(a, Jet(a.space, eye))
+    return jet_gauss_solve(a, a.space.constant(np.eye(a.coeffs.shape[-2])))
 
 
 # -- metric assembly ----------------------------------------------------------
 
 
-def frame_from_pair(pair: ProjectivePair):
-    """The four frame fields as component Expressions in coords order
-    (x, y, w1, w2): [phi0, phi1, dx + alpha0, dy + alpha1]."""
-    if len(pair.fiber) != 2:
-        raise ValueError("a 4-metric needs a 2-dimensional fiber")
-    zero = Expression.const(0.0)
-    one = Expression.const(1.0)
-    frame = [
-        [zero, zero, pair.phi[0][0], pair.phi[0][1]],
-        [zero, zero, pair.phi[1][0], pair.phi[1][1]],
-        [one, zero, pair.alpha[0][0], pair.alpha[0][1]],
-        [zero, one, pair.alpha[1][0], pair.alpha[1][1]],
-    ]
-    return frame
-
-
 class MetricBuilder:
     """Produces order-k jets of the 4x4 metric at sample points.
 
-    Construct either from a pair (frame route, optionally scaled by a
-    conformal factor) or from explicit component Expressions."""
+    Construct either from a pair (its alpha and phi fields, optionally
+    scaled by a conformal factor) or from explicit component Expressions."""
 
     def __init__(self, pair=None, factor=None, components=None, coords=None,
                  orientation=1.0):
+        self.pair = pair
         if pair is not None:
+            if len(pair.fiber) != 2:
+                raise ValueError("a 4-metric needs a 2-dimensional fiber")
             self.coords = pair.coords
-            self.frame = frame_from_pair(pair)
             self.components = None
         elif components is not None:
             if coords is None:
                 raise ValueError("explicit components need coords")
             self.coords = tuple(coords)
-            self.frame = None
             self.components = [[as_expression(components[i][j], self.coords)
                                 for j in range(4)] for i in range(4)]
         else:
@@ -167,13 +151,14 @@ class MetricBuilder:
             g = jets_at(self.components, space, point)
             orientation = self.orient
         else:
-            M = jets_at(self.frame, space, point)
-            orientation = np.sign(np.linalg.det(M.value))
-            # M = [[0, Phi], [I, A]] has theta^2 = dx and theta^3 = dy: a full
-            # solve eliminates nothing at x, y; at w1, w2 it does this (in
-            # place) on [A | 0] over [Phi | I], leaving theta^0, theta^1 right
-            block = np.zeros(M.coeffs.shape)
-            block[..., :2, :] = M.coeffs[..., [2, 3, 0, 1], 2:, :]
+            # rows phi0, phi1, alpha0, alpha1 of the frame [[0, Phi], [I, A]]
+            # at w1, w2; its determinant is det Phi, and eliminating [A | 0]
+            # over [Phi | I] (in place) leaves theta^0, theta^1 right
+            F = jets_at(self.pair.phi + self.pair.alpha, space, point).coeffs
+            orientation = np.sign(np.linalg.det(F[..., :2, :, 0]))
+            block = np.zeros(F.shape[:-2] + (4, len(space)))
+            block[..., :2, :2, :] = F[..., 2:, :, :]
+            block[..., 2:, :2, :] = F[..., :2, :, :]
             block[..., [2, 3], [2, 3], 0] = 1.0
             _eliminate(block.reshape((-1,) + block.shape[-3:]), space, 2)
             # g_ij = th0_i th3_j + th0_j th3_i - th1_i th2_j - th1_j th2_i
@@ -207,7 +192,7 @@ def christoffel_jets_4d(g, coords):
     whose last batch axes are the indices (a, b, c) and (a, b)."""
     g = stack(g)
     low = g.truncate(g.space.order - 1)
-    ginv = stack(jet_matrix_inverse(low))
+    ginv = jet_matrix_inverse(low)
     # dg[..., i, j, k, :] = d_k g_ij
     # t[..., d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
     dg = np.stack([g.derivative(c).coeffs for c in coords], axis=-2)

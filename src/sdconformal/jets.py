@@ -188,6 +188,15 @@ def _libm(fn, values):
     return np.array(out).reshape(values.shape)
 
 
+def _reciprocal_derivs(c, count):
+    """The derivatives 0..count-1 of 1/t at t = c: k! / c (-1/c)^k."""
+    derivs, s, fact = [], 1.0 / c, 1.0
+    for k in range(count):
+        derivs.append(fact * s)
+        s, fact = s * (-1.0 / c), fact * (k + 1)
+    return derivs
+
+
 class Jet:
     __slots__ = ("space", "coeffs")
 
@@ -315,14 +324,7 @@ class Jet:
         c = self.value
         if np.any(c == 0.0):
             raise JetDomainError("division by a jet with zero constant term")
-        derivs = []
-        s = 1.0 / c
-        fact = 1.0
-        for k in range(self.space.order + 1):
-            derivs.append(fact * s)
-            s = s * (-1.0 / c)
-            fact *= k + 1
-        return self.compose(derivs)
+        return self.compose(_reciprocal_derivs(c, self.space.order + 1))
 
     def exp(self) -> "Jet":
         try:
@@ -335,14 +337,9 @@ class Jet:
         c = self.value
         if np.any(c <= 0.0):
             raise JetDomainError("log of a jet with nonpositive constant term")
-        derivs = [_libm(math.log, c)]
-        s = 1.0 / c
-        fact = 1.0
-        for k in range(1, self.space.order + 1):
-            derivs.append(fact * s)
-            s = s * (-1.0 / c)
-            fact *= k
-        return self.compose(derivs)
+        # d^k log / dt^k = d^(k-1) (1/t) / dt^(k-1)
+        return self.compose([_libm(math.log, c)]
+                            + _reciprocal_derivs(c, self.space.order))
 
     def sqrt(self) -> "Jet":
         c = self.value
@@ -359,14 +356,16 @@ class Jet:
         return self.compose(derivs)
 
     def sin(self) -> "Jet":
-        s, c = _libm(math.sin, self.value), _libm(math.cos, self.value)
-        cycle = [s, c, -s, -c]
-        return self.compose([cycle[k % 4] for k in range(self.space.order + 1)])
+        return self._sine_cycle(0)
 
     def cos(self) -> "Jet":
+        return self._sine_cycle(1)
+
+    def _sine_cycle(self, shift):
+        # the derivatives of sin and cos both run through sin, cos, -sin, -cos
         s, c = _libm(math.sin, self.value), _libm(math.cos, self.value)
-        cycle = [c, -s, -c, s]
-        return self.compose([cycle[k % 4] for k in range(self.space.order + 1)])
+        cycle, n = [s, c, -s, -c], self.space.order + 1
+        return self.compose([cycle[(k + shift) % 4] for k in range(n)])
 
     def __repr__(self):
         return f"Jet({self.space.vars}, order={self.space.order}, value={self.value})"

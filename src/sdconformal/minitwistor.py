@@ -87,8 +87,7 @@ def _weyl_gamma_jets(P, cong1, cong2, point):
     A2 = [[2.0 * ct[1][1], (-2.0) * ct[0][1]],
           [(-2.0) * ct[0][1], 2.0 * ct[0][0]]]
     b2 = [[-Dc[0][1][1]], [-Dc[1][0][0]]]
-    gam = jet_gauss_solve(A2, b2)
-    gam = [gam[0][0], gam[1][0]]
+    gam = [row[0] for row in unstack(jet_gauss_solve(A2, b2), 2)]
     consistency = max_abs(*(Dc[B][A][C].value
                             + 2.0 * gam[B].value * ct[A][C].value
                             - gam[A].value * ct[B][C].value

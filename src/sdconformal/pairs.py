@@ -290,7 +290,7 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8):
     H = as_expression(H, allowed)
     G = as_expression(G, allowed)
     z = Expression.var("z")
-    beta = gamma + float(c_twist) * z
+    beta = gamma + as_expression(c_twist, ()) * z
     a0, a1, a2, a3 = P.spray_coeffs()
     E = (a1 + gamma * a2 + gamma**2 * a3 - gamma.diff("y")) * z
     F = a3 * z * beta + (a2 + gamma * a3) * z

@@ -35,7 +35,7 @@ def halton_points(names, box, count, seed=0, exclusions=()):
     """A sample set of `count` points over `names`: each name mapped to a
     1-D array of its values, the one point form every residual and
     `expr.jets_at` take.  The points are drawn from the Halton sequence
-    starting at index 1 + seed and scaled into the box.
+    starting at index 1 + seed (seed >= 0) and scaled into the box.
 
     `box` maps each name to (lo, hi); `exclusions` is a sequence of
     (expression, guard) pairs and a candidate is rejected unless
@@ -49,6 +49,8 @@ def halton_points(names, box, count, seed=0, exclusions=()):
     for nm, (lo, hi) in zip(names, bounds):
         if not lo < hi:
             raise SamplingError(f"empty box interval for {nm}")
+    if seed < 0:
+        raise SamplingError(f"the seed must be at least 0, not {seed}")
     clear = _clearance(names, exclusions) if exclusions else None
     rows = []
     index = 1 + int(seed)

@@ -358,12 +358,33 @@ def area_connection_curvature(pair, points):
 
 # -- 4-metrics and their curvature ---------------------------------------------
 
+def frame_from_pair(pair):
+    """The four frame fields of a pair as component Expressions in coords
+    order (x, y, w1, w2): [phi0, phi1, dx + alpha0, dy + alpha1].
+    `MetricBuilder` reads only the phi and alpha entries; this is the
+    whole frame M = [[0, Phi], [I, A]], kept to check it against."""
+    zero = Expression.const(0.0)
+    one = Expression.const(1.0)
+    return [[zero, zero, *pair.phi[0]], [zero, zero, *pair.phi[1]],
+            [one, zero, *pair.alpha[0]], [zero, one, *pair.alpha[1]]]
+
+
+def builder_frame(builder):
+    """The frame of a pair's `MetricBuilder`: the one a test gave it as
+    `builder.frame`, which it never reads, or else its pair's."""
+    frame = getattr(builder, "frame", None)
+    if frame is not None:
+        return frame
+    if builder.pair is None:
+        raise ValueError("no frame on an explicit-component metric")
+    return frame_from_pair(builder.pair)
+
+
 def frame_values(builder, point):
     """The values of the frame fields of a pair's `MetricBuilder` at the
     sample set `point`, rows in frame order, columns in coords order."""
-    if builder.frame is None:
-        raise ValueError("no frame on an explicit-component metric")
-    return jets_at(builder.frame, JetSpace(builder.coords, 0), point).value
+    return jets_at(builder_frame(builder), JetSpace(builder.coords, 0),
+                   point).value
 
 
 def four_product_metric(builder, point, order=2):
@@ -372,7 +393,8 @@ def four_product_metric(builder, point, order=2):
     P + P' - Q - Q' in that order.  Kept to check it against, bit for
     bit."""
     space = JetSpace(builder.coords, order)
-    th = stack(jet_matrix_inverse(jets_at(builder.frame, space, point))).coeffs
+    frame = jets_at(builder_frame(builder), space, point)
+    th = jet_matrix_inverse(frame).coeffs
     t0, t1, t2, t3 = (th[..., :, a, :] for a in range(4))
     mul = space.product
     g = (mul(t0[..., :, None, :], t3[..., None, :, :])
@@ -401,7 +423,8 @@ def full_solve_metric(builder, point, order=2):
     takes any frame, not only a pair's.  Kept to check it against, bit
     for bit."""
     space = JetSpace(builder.coords, order)
-    th = stack(jet_matrix_inverse(jets_at(builder.frame, space, point))).coeffs
+    frame = jets_at(builder_frame(builder), space, point)
+    th = jet_matrix_inverse(frame).coeffs
     t0, t1, t2, t3 = (th[..., :, a, :] for a in range(4))
     P = space.product(t0[..., :, None, :], t3[..., None, :, :])
     Q = space.product(t1[..., :, None, :], t2[..., None, :, :])
@@ -419,7 +442,7 @@ def christoffel_sum16(g, coords):
     against, bit for bit."""
     g = stack(g)
     low = g.truncate(g.space.order - 1)
-    ginv = stack(jet_matrix_inverse(low))
+    ginv = jet_matrix_inverse(low)
     dg = np.stack([g.derivative(c).coeffs for c in coords], axis=-2)
     t = dg.swapaxes(-3, -2) + dg.swapaxes(-4, -3) - np.moveaxis(dg, -2, -4)
 
@@ -524,7 +547,8 @@ def canonical_connection_from_congruence(P, phi, point):
               p[0].space.constant(0.0)) for k in range(2)] for j in range(2)]
     rhs = [[sum((A[i][j] * b[i] for i in range(3)), p[0].space.constant(0.0))]
            for j in range(2)]
-    rho = [row[0].truncate(1) for row in jet_gauss_solve(N, rhs)]
+    rho = [row[0].truncate(1)
+           for row in unstack(jet_gauss_solve(N, rhs), 2)]
     resid = max(abs((A[i][0] * rho[0] + A[i][1] * rho[1] - b[i]).value)
                 for i in range(3))
     # full derivative matrix with the solved rho; its skew part m

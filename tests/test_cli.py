@@ -9,7 +9,7 @@ import pytest
 
 from sdconformal import cli, conformal
 from sdconformal.cli import TOLERANCES, _check, main
-from sdconformal.expr import parse
+from sdconformal.expr import Expression, parse
 from sdconformal.jets import stack
 from sdconformal.pairs import LaxPair, lax_residual
 from sdconformal.sampling import halton_points
@@ -149,10 +149,11 @@ class TestDeterminismAndOverrides:
         for name in small:
             assert small[name] <= large[name] + 1e-15
 
-    def test_seed_override_is_recorded(self, capsys):
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_seed_override_is_recorded(self, capsys, seed):
         _, report = run(capsys, "verify-lax", str(SCENES / "flat.json"),
-                        "--seed", "7")
-        assert report["seed"] == 7
+                        "--seed", str(seed))
+        assert report["seed"] == seed
 
     def test_tol_override_can_fail_a_check(self, capsys):
         code, report = run(capsys, "congruence", str(SCENES / "burgers.json"),
@@ -342,6 +343,21 @@ class TestTypedExits:
         assert code == 2
         assert err.startswith("scene error: empty box interval for x")
 
+    @pytest.mark.parametrize("twist,code,start", [
+        ("1/(x - x)", 2, "scene error: variable 'x' not among allowed"),
+        ("x +", 2, "scene error: variable 'x' not among allowed"),
+        ("1/(1 - 1)", 3, "domain error: division by a jet"),
+    ])
+    def test_a_non_constant_dw_twist_ends_in_one_line(self, capsys, tmp_path,
+                                                       twist, code, start):
+        # build-dw's twist c is a constant: it used to be read with
+        # float(), so text that is no number ended in a ValueError
+        def edit(scene):
+            scene["build"]["c"] = twist
+        got, err = self._run(capsys, tmp_path, "build-dw", "dw_twist", edit)
+        assert got == code
+        assert err.startswith(start) and len(err.splitlines()) == 1
+
     def test_dependent_fields_are_a_domain_error(self, capsys, tmp_path):
         def edit(scene):
             field = ["0", "0", "1", "0"]
@@ -363,6 +379,17 @@ class TestTypedExits:
             main([command, str(SCENES / scene), "--samples", samples])
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-5", "-1"])
+    def test_negative_seed_is_rejected(self, capsys, seed):
+        # a negative seed used to start the Halton sequence at an index
+        # <= 0, putting the first points all on the box's lower corner
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-lax", str(SCENES / "flat.json"), "--samples", "3",
+                  "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and f"must be at least 0, not {seed}" in err
 
 
 @pytest.mark.parametrize("length", [0.555, 0.57])
@@ -697,31 +724,29 @@ def test_build_nullkahler_computes_no_lax_residual(capsys, monkeypatch):
 
 def _run_spied(capsys, monkeypatch, command, path):
     """Run a command, recording the order and shape of each
-    `jet_gauss_solve` and how often the frame's jets were evaluated."""
-    solves, frames, evaluated = [], [], []
-    solve, framing = conformal.jet_gauss_solve, conformal.frame_from_pair
-    evaluate = conformal.jets_at
+    `jet_gauss_solve` and how often the pair's fields were evaluated:
+    the calls of `conformal.jets_at` on a 4 x 2 nested list, the rows
+    phi0, phi1, alpha0, alpha1 at w1, w2."""
+    solves, nestings = [], []
+    solve, evaluate = conformal.jet_gauss_solve, conformal.jets_at
 
     def spy(A, B):
         a = stack(A)
         solves.append((a.space.order, a.coeffs.shape[-3:-1]))
         return solve(A, B)
 
-    def frame_spy(pair):
-        frames.append(framing(pair))
-        return frames[-1]
-
     def jets_spy(exprs, space, point):
-        evaluated.append(exprs)
+        nest, item = [], exprs
+        while not isinstance(item, Expression):
+            nest.append(len(item))
+            item = item[0]
+        nestings.append(tuple(nest))
         return evaluate(exprs, space, point)
 
     monkeypatch.setattr(conformal, "jet_gauss_solve", spy)
-    monkeypatch.setattr(conformal, "frame_from_pair", frame_spy)
     monkeypatch.setattr(conformal, "jets_at", jets_spy)
     code, report = run(capsys, command, str(path))
-    assert len(frames) == 1
-    frame_evaluations = sum(e is frames[0] for e in evaluated)
-    return code, report, solves, frame_evaluations
+    return code, report, solves, nestings.count((4, 2))
 
 
 @pytest.mark.parametrize("command,scene,orders", [
@@ -736,14 +761,14 @@ def _run_spied(capsys, monkeypatch, command, path):
 def test_each_4d_command_solves_at_the_orders_it_reads(
         capsys, monkeypatch, command, scene, orders):
     # one metric solve an order below the metric's, the Christoffels
-    # reading the inverse metric to first order; the frame is not solved
-    # in full, only its fibre block eliminated; the orientation comes from
-    # the same frame evaluation
-    code, _, solves, frame_evaluations = _run_spied(
+    # reading the inverse metric to first order; no frame is solved, only
+    # the fibre block eliminated; the metric and the orientation come
+    # from one evaluation of the pair's eight fields
+    code, _, solves, field_evaluations = _run_spied(
         capsys, monkeypatch, command, SCENES / f"{scene}.json")
     assert code == 0
     assert solves == [(k, (4, 4)) for k in orders]
-    assert frame_evaluations == 1
+    assert field_evaluations == 1
 
 
 def test_killing_fields_share_the_christoffels(capsys, monkeypatch,
@@ -754,10 +779,10 @@ def test_killing_fields_share_the_christoffels(capsys, monkeypatch,
     scene["fields"]["L"] = ["0", "0", "0", "1"]
     path = tmp_path / "two_fields.json"
     path.write_text(json.dumps(scene))
-    code, report, solves, frame_evaluations = _run_spied(
+    code, report, solves, field_evaluations = _run_spied(
         capsys, monkeypatch, "killing", path)
     assert solves == [(0, (4, 4))]
-    assert frame_evaluations == 1
+    assert field_evaluations == 1
     assert [(c["name"], c["verdict"]) for c in report["checks"]] == [
         ("conformal_killing[K]", True), ("conformal_killing[L]", False)]
     assert code == 1

@@ -7,7 +7,7 @@ import pytest
 
 from sdconformal import cli, conformal
 from sdconformal.expr import as_expression, jets_at
-from sdconformal.jets import Jet, JetSpace, stack
+from sdconformal.jets import Jet, JetSpace, stack, unstack
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.pairs import ProjectivePair, dw_quadrature_build
 from sdconformal.sampling import halton_points
@@ -16,10 +16,10 @@ from sdconformal.conformal import (MetricBuilder, curvature_report,
                                    frobenius_residual, build_null_kahler,
                                    hodge_star_operator, jet_gauss_solve,
                                    jet_matrix_inverse, lstsq)
-from oracles import (certify_selfdual, christoffel_sum16, dense_hodge_star,
-                     four_product_metric, frame_values, full_solve_metric,
-                     null_kahler_check, point_rows, reference_gauss_solve,
-                     sample_set, trivial_pair)
+from oracles import (builder_frame, certify_selfdual, christoffel_sum16,
+                     dense_hodge_star, four_product_metric, frame_values,
+                     full_solve_metric, null_kahler_check, point_rows,
+                     reference_gauss_solve, sample_set, trivial_pair)
 
 FLAT = ProjectiveSurface.flat()
 
@@ -44,7 +44,7 @@ class TestJetLinearAlgebra:
              [y, one, zero, zero],
              [zero, zero, one, x * x],
              [x, zero, zero, one + y]]
-        Ainv = jet_matrix_inverse(A)
+        Ainv = unstack(jet_matrix_inverse(A), 2)
         for i in range(4):
             for j in range(4):
                 prod = sum((A[i][k] * Ainv[k][j]).truncate(2)
@@ -368,7 +368,8 @@ class TestTruncationOrder:
 
     def test_solves(self, name):
         builder, pts = _scene_metric(name)
-        frame = jets_at(builder.frame, JetSpace(builder.coords, 2), pts)
+        frame = jets_at(builder_frame(builder), JetSpace(builder.coords, 2),
+                        pts)
         g, _ = builder.jets(pts, order=2)
         for A, B in ((frame, frame.space.constant(np.eye(4))), (frame, g),
                      (g, frame)):
@@ -488,6 +489,27 @@ class TestKernelsMatchTheirReferences:
                 g, _ = builder.jets(pts, order=order)
                 want = full_solve_metric(builder, pts, order)
                 assert _same_bits(g.coeffs, want.coeffs)
+
+    @pytest.mark.parametrize("kind", ["pair", "pivoting"])
+    def test_orientation_is_the_sign_of_the_frame_determinant(self, batch,
+                                                              kind):
+        # det [[0, Phi], [I, A]] = det Phi, and LAPACK's LU of the 4x4
+        # frame pivots on the two unit rows first, then factors Phi as it
+        # factors Phi alone: the signs agree to the bit
+        rng = np.random.default_rng([len(batch), sum(batch), len(kind), 4])
+        signs = set()
+        for _ in range(3):
+            builder = _random_builder(rng, kind, None)
+            pts = _box_points(rng, builder.coords, batch)
+            for order in (0, 2):
+                _, orientation = builder.jets(pts, order=order)
+                want = np.sign(np.linalg.det(frame_values(builder, pts)))
+                assert np.shape(orientation) == batch
+                assert _same_bits(np.asarray(orientation), np.asarray(want))
+                signs.update(np.ravel(orientation).tolist())
+        assert signs <= {-1.0, 1.0}
+        if kind == "pivoting" and batch:
+            assert signs == {-1.0, 1.0}
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_christoffels(self, batch, order):

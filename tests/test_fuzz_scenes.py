@@ -1,4 +1,5 @@
-"""Every single mutation of a checked-in scene ends cleanly.
+"""Every single mutation of a checked-in scene, and every pair of them
+that edits a pair entry or the conformal factor, ends cleanly.
 
 A derandomised hypothesis search edits one thing in a checked-in scene
 (all but `batch.json`) and runs one of the scene's natural commands on
@@ -13,7 +14,8 @@ overflowing expression or a non-finite number: that is the frame and
 metric path of the 4-D commands.  The rest drop a key, empty a
 container, shorten or lengthen a list, or swap a value anywhere in the
 scene, except the ward `length` and `step`, whose ratio sets the number
-of integration steps.
+of integration steps.  The double mutations edit a pair entry or the
+factor first, then a second one or anything anywhere.
 """
 
 import contextlib
@@ -120,17 +122,9 @@ def _run(command, path):
     return code, out.getvalue(), err.getvalue(), caught
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_single_mutations_end_in_one_line(workdir, data):
-    if data.draw(st.booleans()):
-        name = data.draw(st.sampled_from(PAIR_SCENES))
-        scene = copy.deepcopy(SCENE_DATA[name])
-        _mutate_pair(scene, data)
-    else:
-        name = data.draw(st.sampled_from(sorted(SCENE_DATA)))
-        scene = copy.deepcopy(SCENE_DATA[name])
-        _mutate_anywhere(scene, data)
+def _run_ends_in_one_line(workdir, data, name, scene):
+    """Run one of the natural commands of scene `name` on the mutated
+    `scene` and check the contract of the module docstring."""
     command = data.draw(st.sampled_from(COMMANDS[name]))
     path = workdir / "mutated.json"
     path.write_text(json.dumps(scene))
@@ -150,3 +144,33 @@ def test_single_mutations_end_in_one_line(workdir, data):
             assert not all(verdicts)
     else:
         assert out == "" and len(err.splitlines()) == 1
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_single_mutations_end_in_one_line(workdir, data):
+    if data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(PAIR_SCENES))
+        scene = copy.deepcopy(SCENE_DATA[name])
+        _mutate_pair(scene, data)
+    else:
+        name = data.draw(st.sampled_from(sorted(SCENE_DATA)))
+        scene = copy.deepcopy(SCENE_DATA[name])
+        _mutate_anywhere(scene, data)
+    _run_ends_in_one_line(workdir, data, name, scene)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_double_mutations_end_in_one_line(workdir, data):
+    # a pair entry or the factor, and then a second pair entry, the
+    # factor, or any edit anywhere: two singular fields, or a singular
+    # field in a structurally broken scene, still name one error
+    name = data.draw(st.sampled_from(PAIR_SCENES))
+    scene = copy.deepcopy(SCENE_DATA[name])
+    _mutate_pair(scene, data)
+    if data.draw(st.booleans()):
+        _mutate_pair(scene, data)
+    else:
+        _mutate_anywhere(scene, data)
+    _run_ends_in_one_line(workdir, data, name, scene)

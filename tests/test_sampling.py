@@ -12,7 +12,8 @@ from sdconformal.cli import RunContext
 from sdconformal.expr import (ExprDomainError, UnknownIdentifierError,
                               compile, jets_at, parse)
 from sdconformal.jets import JetSpace
-from sdconformal.sampling import HALTON_BASES, halton_points, radical_inverse
+from sdconformal.sampling import (HALTON_BASES, SamplingError,
+                                 halton_points, radical_inverse)
 from oracles import point_rows
 
 XY = ("x", "y")
@@ -85,6 +86,15 @@ def test_a_guard_over_an_unsampled_variable_is_unassigned():
     with pytest.raises(UnknownIdentifierError, match=r"\['z'\]"):
         halton_points(XY, BOX, 4,
                       exclusions=[(parse("z", XY + ("z",)), 0.1)])
+
+
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_a_negative_seed_is_a_sampling_error(seed):
+    # Halton index 1 + seed <= 0 has radical inverse 0 in every base: the
+    # points would all sit on the box's lower corner
+    with pytest.raises(SamplingError, match=f"^the seed must be at least "
+                                            f"0, not {seed}$"):
+        halton_points(XY, BOX, 3, seed=seed)
 
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
