@@ -438,6 +438,41 @@ def test_ward_work_is_bounded(capsys, tmp_path, length):
                    f"{cli.WARD_MAX_STEPS}\n")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_ward_spray_fails_without_a_traceback(capsys,
+                                                            tmp_path):
+    # a0 = 1e200 sends lam past every float within a few steps; lam^2 and
+    # lam^3 must then read inf (so the state goes NaN), not raise the
+    # OverflowError a Python float's ** raises
+    code, out, err = _run_edited(
+        capsys, tmp_path, "ward", "ward",
+        lambda scene: scene["projective"].update(
+            spray=["1e200", "0", "0", "0"]))
+    assert code == 1
+    report = json.loads(out)
+    assert not report["pass"]
+    [check] = report["checks"]
+    assert check["name"] == "transport_convergence"
+    assert math.isnan(check["value"]) and check["verdict"] is False
+    assert math.isnan(report["fitted"]["transport"])
+    assert all(math.isnan(v) for v in report["fitted"]["end"])
+    assert "Error" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_metric_never_passes_killing(capsys, tmp_path):
+    # 1e308*x*x overflows at some of the 4 points.  The command fails
+    # today because the metric's numpy inverse raises; whatever inverse it
+    # uses, it must not exit 0 or report a pass
+    scene = json.loads((SCENES / "flat.json").read_text())
+    scene["pair"]["alpha0"] = ["1e308*x*x", "0"]
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(scene))
+    code, report = run(capsys, "killing", str(path), "--samples", "4")
+    assert code != 0
+    assert report is None or report["pass"] is False
+
+
 def _row3_metric(scene):
     scene["metric"] = {"components": [["0", "0", "1"],
                                       ["0", "0", "-1", "0"],
