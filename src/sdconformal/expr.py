@@ -20,9 +20,10 @@ raises the walk's first error, the `jets.JetDomainError` of a jet
 operation at a singularity (`ExprDomainError` is another name for it).
 Nothing is kept between calls: `jets_at` compiles all the expressions it
 is given into one plan and runs it once.  `values_at` compiles
-expressions once over order-0 jets for a caller that evaluates them at
-one point after another (`ProjectiveSurface.integrate_geodesic` at every
-RK4 stage, `sampling.halton_points` at every candidate).
+expressions once over order-0 jets, and runs them on Python floats, for
+a caller that evaluates them at one point after another (at every RK4
+stage of `ProjectiveSurface.integrate_geodesic`, at every candidate of
+`sampling.halton_points`).
 """
 from __future__ import annotations
 
@@ -33,9 +34,9 @@ from typing import Mapping, NamedTuple, Union
 
 import numpy as np
 
-from .jets import JetDomainError, JetSpace, stack
+from .jets import CALLS, FLOAT_TWINS, Jet, JetDomainError, JetSpace, stack
 
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+FUNCTIONS = tuple(CALLS)
 
 
 class ExprError(ValueError):
@@ -413,7 +414,6 @@ def _diff(node: Node, var: str) -> Node:
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv}
-_CALLS = {fn: operator.methodcaller(fn) for fn in FUNCTIONS}
 
 
 class Plan(NamedTuple):
@@ -478,7 +478,7 @@ def compile(exprs, space: JetSpace) -> Plan:
             elif kind is Neg:
                 fn, a, b = operator.neg, emit(node.arg), -1
             elif kind is Call:
-                fn, a, b = _CALLS[node.fn], emit(node.arg), -1
+                fn, a, b = CALLS[node.fn], emit(node.arg), -1
             else:
                 raise TypeError(node)
             args = (registers[a],) if b < 0 else (registers[a], registers[b])
@@ -509,19 +509,19 @@ def _fold(fn, args):
 def values_at(exprs, names):
     """A function that evaluates the expressions at one point at a time:
     given the values of the variables `names`, in that order, it returns
-    the expressions' values there.  They are compiled once into a plan
-    over order-0 jets whose input jets are seeded once; each call writes
-    the values into those jets and runs the plan."""
-    space = JetSpace(names, 0)
-    plan = compile(exprs, space)
-    env = space.seed(dict.fromkeys(space.vars, 0.0))
-    inputs = plan.bind(env)
-    slots = [env[name].coeffs for name in space.vars]
+    their values there as floats.  They are compiled once over order-0
+    jets, and the plan runs with floats for its folded constant jets and
+    the float twins (`jets.FLOAT_TWINS`) of its tape functions."""
+    plan = compile(exprs, JetSpace(names, 0))
+    order = plan.bind({name: k for k, name in enumerate(names)})
+    plan = plan._replace(
+        registers=[float(r.coeffs[0]) if isinstance(r, Jet) else r
+                   for r in plan.registers],
+        tape=tuple((FLOAT_TWINS[fn], a, b, out)
+                   for fn, a, b, out in plan.tape))
 
     def at(values):
-        for slot, value in zip(slots, values):
-            slot[0] = value
-        return [jet.value for jet in plan.run(inputs)]
+        return plan.run([float(values[k]) for k in order])
     return at
 
 

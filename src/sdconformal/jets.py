@@ -12,6 +12,7 @@ arrays, so a constant jet combines with a batched one.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -176,16 +177,12 @@ def max_abs(*values):
     return float(np.max(np.abs(np.concatenate(flat + [np.zeros(1)]))))
 
 
-def _libm(fn, values):
-    """The math-module function `fn` at every point: the C library's
-    results, bit for bit the ones a single point gets."""
+def pointwise(fn, values):
+    """`fn` of one float at every point (a float twin of a math function,
+    see `FLOAT_TWINS`): the C library's results, bit for bit a point's."""
     values = np.asarray(values)
-    try:
-        out = [fn(v) for v in values.ravel().tolist()]
-    except ValueError:   # math's domain error, e.g. sin(inf)
-        raise JetDomainError(f"{fn.__name__} outside its domain at a "
-                             "sample point") from None
-    return np.array(out).reshape(values.shape)
+    return np.array([fn(v) for v in values.ravel().tolist()]).reshape(
+        values.shape)
 
 
 def _reciprocal_derivs(c, count):
@@ -292,17 +289,8 @@ class Jet:
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)):
             raise TypeError("jet exponents must be integers")
-        n = int(n)
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        result = self.space.constant(1.0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _squarings(self, int(n), operator.mul, self.space.constant(1.0),
+                          Jet.reciprocal)
 
     # -- analytic functions ----------------------------------------------
     def compose(self, derivs) -> "Jet":
@@ -327,25 +315,18 @@ class Jet:
         return self.compose(_reciprocal_derivs(c, self.space.order + 1))
 
     def exp(self) -> "Jet":
-        try:
-            e = _libm(math.exp, self.value)
-        except OverflowError:
-            raise JetDomainError("exp overflows at a sample point") from None
+        e = pointwise(_f_exp, self.value)
         return self.compose([e] * (self.space.order + 1))
 
     def log(self) -> "Jet":
         c = self.value
-        if np.any(c <= 0.0):
-            raise JetDomainError("log of a jet with nonpositive constant term")
         # d^k log / dt^k = d^(k-1) (1/t) / dt^(k-1)
-        return self.compose([_libm(math.log, c)]
+        return self.compose([pointwise(_f_log, c)]
                             + _reciprocal_derivs(c, self.space.order))
 
     def sqrt(self) -> "Jet":
         c = self.value
-        if np.any(c <= 0.0):
-            raise JetDomainError("sqrt of a jet with nonpositive constant term")
-        root = np.sqrt(c)   # correctly rounded, like math.sqrt
+        root = pointwise(_f_sqrt, c)
         derivs = [root]
         coef = 0.5
         s = root / c
@@ -362,10 +343,76 @@ class Jet:
         return self._sine_cycle(1)
 
     def _sine_cycle(self, shift):
-        # the derivatives of sin and cos both run through sin, cos, -sin, -cos
-        s, c = _libm(math.sin, self.value), _libm(math.cos, self.value)
+        # the derivatives of sin and cos both run through sin, cos, -sin,
+        # -cos; the one called goes first, so that a domain error names it
+        v = self.value
+        called = pointwise((_f_sin, _f_cos)[shift], v)
+        s, c = ((called, pointwise(_f_cos, v)) if shift == 0
+                else (pointwise(_f_sin, v), called))
         cycle, n = [s, c, -s, -c], self.space.order + 1
         return self.compose([cycle[(k + shift) % 4] for k in range(n)])
 
     def __repr__(self):
         return f"Jet({self.space.vars}, order={self.space.order}, value={self.value})"
+
+
+def _squarings(base, n, mul, one, reciprocal):
+    """base**n by repeated squaring from `one` with the product `mul`, of
+    the reciprocal of base if n < 0."""
+    if n < 0:
+        base, n = reciprocal(base), -n
+    while n:
+        if n & 1:
+            one = mul(one, base)
+        base = mul(base, base)
+        n >>= 1
+    return one
+
+
+# -- one point in Python floats ----------------------------------------------
+# Each function a plan's tape applies (`expr.compile`) has a twin on Python
+# floats that gives the order-0 jet operation's value to the last bit, and
+# its JetDomainError: a product is a*b + 0.0 (the product kernel's zero
+# start turns -0.0 into 0.0), a quotient a times 1/b, a power
+# `_squarings` from 1.0.  The jets' exp, log, sqrt, sin and cos values
+# come from the twins, point by point.
+
+def _f_mul(a, b):
+    return a * b + 0.0
+
+
+def _f_reciprocal(b):
+    if b == 0.0:
+        raise JetDomainError("division by a jet with zero constant term")
+    return 1.0 / b
+
+
+def _twin(fn, positive=False):
+    """The math function `fn` of one float, raising where the argument is
+    nonpositive (if `positive`), out of its domain or where fn overflows."""
+    def twin(v):
+        if positive and v <= 0.0:
+            raise JetDomainError(f"{fn.__name__} of a jet with nonpositive "
+                                 "constant term")
+        try:
+            return fn(v)
+        except (ValueError, OverflowError) as exc:   # sin(inf), exp(1000)
+            what = ("overflows" if type(exc) is OverflowError
+                    else "outside its domain")
+            raise JetDomainError(f"{fn.__name__} {what} at a sample point") \
+                from None
+    return twin
+
+
+_f_exp, _f_sin, _f_cos = _twin(math.exp), _twin(math.sin), _twin(math.cos)
+_f_log, _f_sqrt = _twin(math.log, True), _twin(math.sqrt, True)
+CALLS = {fn: operator.methodcaller(fn)   # a jet's analytic functions
+         for fn in ("sin", "cos", "exp", "log", "sqrt")}
+FLOAT_TWINS = {
+    operator.add: operator.add, operator.sub: operator.sub,
+    operator.neg: operator.neg, operator.mul: _f_mul,
+    operator.truediv: lambda a, b: a * _f_reciprocal(b) + 0.0,
+    operator.pow: lambda a, n: _squarings(a, n, _f_mul, 1.0, _f_reciprocal),
+    CALLS["exp"]: _f_exp, CALLS["log"]: _f_log, CALLS["sqrt"]: _f_sqrt,
+    CALLS["sin"]: _f_sin, CALLS["cos"]: _f_cos,
+}

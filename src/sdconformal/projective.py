@@ -17,15 +17,17 @@ slope bundle, with
 The module also provides the curvature of the representative connection
 (reduced to a 2x2 bilinear form r), geodesic integration in two slope
 charts (the one RK4 integrator, which also transports the line-bundle
-sections of `minitwistor.ward_transport`), and residuals for geodesic
-congruences lam = beta(x, y).
+sections of `minitwistor.ward_transport`, and steps lists of Python
+floats), and residuals for geodesic congruences lam = beta(x, y).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at, values_at
-from .jets import JetSpace, max_abs, stack, unstack
+from .jets import JetSpace, max_abs, pointwise, stack, unstack
 
 COORDS = ("x", "y")
 
@@ -148,7 +150,7 @@ class ProjectiveSurface:
         s' = -rho(gamma') s from s = 1, integrated in the same RK4 step.
 
         The spray coefficients and rho are compiled once per path
-        (`expr.values_at`) and evaluated at every RK4 stage.
+        (`expr.values_at`) and evaluated on Python floats at every RK4 stage.
         """
         if step <= 0:
             raise ValueError("step must be positive")
@@ -160,21 +162,22 @@ class ProjectiveSurface:
         def rhs1(state):
             lam = state[2]
             a = coeffs(state[:2])
-            out = [1.0, lam, a[0] + a[1]*lam + a[2]*lam**2 + a[3]*lam**3]
+            out = [1.0, lam, a[0] + a[1]*lam + a[2]*_power(lam, 2)
+                   + a[3]*_power(lam, 3)]
             if rho is not None:
                 out.append(-(a[4] + a[5]*lam) * state[3])
-            return np.array(out)
+            return out
 
         def rhs2(state):
             mu = state[2]
             a = coeffs(state[:2])
-            out = [mu, 1.0, -(a[0]*mu**3 + a[1]*mu**2 + a[2]*mu + a[3])]
+            out = [mu, 1.0, -(a[0]*_power(mu, 3) + a[1]*_power(mu, 2)
+                              + a[2]*mu + a[3])]
             if rho is not None:
                 out.append(-(a[4]*mu + a[5]) * state[3])
-            return np.array(out)
+            return out
 
-        state = np.array(tuple(start) + (() if rho is None else (1.0,)),
-                         dtype=float)
+        state = [float(v) for v in start] + ([] if rho is None else [1.0])
         path = [state]
         for h in _steps(length, step):
             if abs(state[2]) <= 1.0:
@@ -216,12 +219,20 @@ class ProjectiveSurface:
         return bv, a, bx, by
 
 
+def _power(v, n):
+    """v**n for a float, by the C library's pow as for a numpy scalar, and
+    like it inf where that overflows (a Python float raises there)."""
+    try:
+        return v ** n
+    except OverflowError:
+        return math.copysign(math.inf, v) if n & 1 else math.inf
+
+
 def _pow(values, n):
     """values**n at every point, with the C library's pow that a single
-    point's numpy scalar gets (numpy's array power differs in the last
-    bit on a few percent of arguments)."""
-    values = np.asarray(values)
-    return np.array([v ** n for v in values.ravel()]).reshape(values.shape)
+    point gets (numpy's array power differs in the last bit on a few
+    percent of arguments)."""
+    return pointwise(lambda v: _power(v, n), values)
 
 
 def _steps(length, step):
@@ -235,8 +246,10 @@ def _steps(length, step):
 
 
 def _rk4_step(rhs, state, h):
+    """One RK4 step of a list of floats, grouped as on numpy vectors."""
     k1 = rhs(state)
-    k2 = rhs(state + 0.5 * h * k1)
-    k3 = rhs(state + 0.5 * h * k2)
-    k4 = rhs(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs([s + 0.5 * h * k for s, k in zip(state, k1)])
+    k3 = rhs([s + 0.5 * h * k for s, k in zip(state, k2)])
+    k4 = rhs([s + h * k for s, k in zip(state, k3)])
+    return [s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]

@@ -460,6 +460,19 @@ def test_an_overflowing_ward_spray_fails_without_a_traceback(capsys,
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fn", ["sin", "cos"])
+def test_a_sine_domain_error_in_ward_names_the_function(capsys, tmp_path,
+                                                         fn):
+    # 1e300*1e300 folds to inf, so fn's argument leaves the domain once x
+    # moves off 0; cos used to be reported as sin
+    code, out, err = _run_edited(
+        capsys, tmp_path, "ward", "ward",
+        lambda scene: scene["ward"].update(rho=[f"{fn}(1e300*1e300*x)", "0"]))
+    assert code == 3 and out == ""
+    assert err == f"domain error: {fn} outside its domain at a sample point\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_metric_never_passes_killing(capsys, tmp_path):
     # 1e308*x*x overflows at some of the 4 points.  The command fails
     # today because the metric's numpy inverse raises; whatever inverse it

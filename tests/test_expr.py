@@ -545,6 +545,57 @@ class TestValuesAt:
         assert values([math.e, 5.0]) == [1.0]
         assert compiled == [JetSpace(XY, 0)]
 
+    @pytest.mark.parametrize("fn", ["sin", "cos"])
+    def test_a_sine_domain_error_names_the_function_called(self, fn):
+        values = values_at([parse(f"{fn}(x)", XY)], XY)
+        with pytest.raises(JetDomainError) as exc:
+            values([-math.inf, 0.0])
+        assert str(exc.value) == f"{fn} outside its domain at a sample point"
+
     def test_unassigned_variables_raise_at_once(self):
         with pytest.raises(UnknownIdentifierError, match=r"\['z'\]"):
             values_at([parse("x + z", ("x", "z"))], XY)
+
+
+# scene-language text: constant subtrees fold at compile time, 1e300 and
+# 1e-300 overflow and underflow, and every function meets its domain edge
+_ATOMS = st.sampled_from(["x", "y", "0", "1", "2.5", "0.1", "1e300",
+                          "1e-300", "3"])
+
+
+def _text(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children)
+            .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(children, st.integers(-4, 5))
+            .map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(st.sampled_from(FUNCTIONS), children)
+            .map(lambda t: f"{t[0]}({t[1]})"),
+        children.map(lambda t: f"-{t}"),
+    )
+
+
+_SOURCES = st.recursive(_ATOMS, _text, max_leaves=6)
+_VALUES = st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 1e300,
+                           -1e300, 1e-300, -1e-300, 0.5, -1.5, 2.0, 3.7])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(_SOURCES, min_size=1, max_size=4), _VALUES, _VALUES)
+def test_values_at_is_order0_jets_at(sources, x, y):
+    exprs = [parse(src, XY) for src in sources]
+    with np.errstate(all="ignore"):
+        try:
+            want = jets_at(exprs, JetSpace(XY, 0), {"x": x, "y": y}).value
+        except JetDomainError as exc:
+            want = exc
+        try:
+            got = values_at(exprs, XY)([x, y])
+        except JetDomainError as exc:
+            got = exc
+    if isinstance(want, JetDomainError):
+        assert type(got) is JetDomainError and type(want) is JetDomainError
+        assert str(got) == str(want)
+    else:
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == want.tobytes()

@@ -94,6 +94,15 @@ class TestAnalytic:
         with pytest.raises(JetDomainError):
             (x + 1.0).reciprocal()
 
+    @pytest.mark.parametrize("fn", ["sin", "cos"])
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_a_sine_domain_error_names_the_function_called(self, fn, order):
+        # cos used to evaluate sin first, and named it in the message
+        x = JetSpace(("x",), order).variable("x", [0.5, math.inf])
+        with pytest.raises(JetDomainError) as exc:
+            getattr(x, fn)()
+        assert str(exc.value) == f"{fn} outside its domain at a sample point"
+
     def test_sqrt_of_negative(self):
         space = JetSpace(("x",), 2)
         with pytest.raises(JetDomainError):
