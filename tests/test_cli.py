@@ -438,12 +438,13 @@ def test_ward_work_is_bounded(capsys, tmp_path, length):
                    f"{cli.WARD_MAX_STEPS}\n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowing_ward_spray_fails_without_a_traceback(capsys,
                                                             tmp_path):
     # a0 = 1e200 sends lam past every float within a few steps; lam^2 and
     # lam^3 must then read inf (so the state goes NaN), not raise the
-    # OverflowError a Python float's ** raises
+    # OverflowError a Python float's ** raises.  The RK4 runs on Python
+    # floats, so numpy has no overflow to warn about
     code, out, err = _run_edited(
         capsys, tmp_path, "ward", "ward",
         lambda scene: scene["projective"].update(
