@@ -545,6 +545,12 @@ class TestValuesAt:
         assert values([math.e, 5.0]) == [1.0]
         assert compiled == [JetSpace(XY, 0)]
 
+    @pytest.mark.parametrize("fn", ["log", "sqrt"])
+    def test_log_and_sqrt_of_zero_raise(self, fn):
+        values = values_at([parse(f"{fn}(x)", XY)], XY)
+        with pytest.raises(JetDomainError, match=f"^{fn} of a jet with"):
+            values([-0.0, 1.0])
+
     @pytest.mark.parametrize("fn", ["sin", "cos"])
     def test_a_sine_domain_error_names_the_function_called(self, fn):
         values = values_at([parse(f"{fn}(x)", XY)], XY)

@@ -94,6 +94,16 @@ class TestAnalytic:
         with pytest.raises(JetDomainError):
             (x + 1.0).reciprocal()
 
+    @pytest.mark.parametrize("fn", ["log", "sqrt"])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_log_and_sqrt_of_a_zero_constant_term_raise(self, fn, zero):
+        # math.sqrt(0.0) is 0.0, but the jets' derivatives divide by it
+        x = JetSpace(("x",), 0).variable("x", [2.0, zero])
+        with pytest.raises(JetDomainError) as exc:
+            getattr(x, fn)()
+        assert str(exc.value) == (f"{fn} of a jet with nonpositive "
+                                  "constant term")
+
     @pytest.mark.parametrize("fn", ["sin", "cos"])
     @pytest.mark.parametrize("order", [0, 2])
     def test_a_sine_domain_error_names_the_function_called(self, fn, order):
