@@ -476,7 +476,7 @@ def test_a_sine_domain_error_in_ward_names_the_function(capsys, tmp_path,
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_metric_never_passes_killing(capsys, tmp_path):
     # 1e308*x*x overflows at some of the 4 points.  The command fails
-    # today because the metric's numpy inverse raises; whatever inverse it
+    # because the metric's numpy inverse raises there; whatever inverse it
     # uses, it must not exit 0 or report a pass
     scene = json.loads((SCENES / "flat.json").read_text())
     scene["pair"]["alpha0"] = ["1e308*x*x", "0"]
