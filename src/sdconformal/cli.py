@@ -75,70 +75,164 @@ def _json_equal(a, b):
     return a == b
 
 
-def _extra_keys(inst, schema):
-    """The keys of `inst` that neither `properties` nor
-    `patternProperties` of `schema` covers."""
-    named = schema.get("properties", {})
-    patterns = schema.get("patternProperties", {})
-    return [k for k in inst
-            if k not in named and not any(re.search(p, k) for p in patterns)]
+def _never(v):
+    return False
 
 
-def _holds(types, check):
-    """A keyword check that holds vacuously on instances of other types."""
-    return lambda v, arg, schema, root: (not isinstance(v, types)
-                                         or check(v, arg, schema, root))
+def _all(checks):
+    """The check that runs `checks` in order and holds if each one does."""
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(v):
+        for c in checks:
+            if not c(v):
+                return False
+        return True
+    return check
+
+
+def _lazy(build):
+    """A check that calls `build()` for the real check on its first call,
+    so that a subschema is compiled only when an instance reaches it."""
+    check = None
+
+    def lazy(v):
+        nonlocal check
+        if check is None:
+            check = build()
+        return check(v)
+    return lazy
+
+
+def _sub(schema, root):
+    return _lazy(lambda: _compile(schema, root))
+
+
+def _type(a, s, r):
+    tests = [_TYPES[t] for t in ([a] if isinstance(a, str) else a)
+             if t in _TYPES]
+    if len(tests) == 1:
+        return tests[0]
+
+    def check(v):
+        for test in tests:
+            if test(v):
+                return True
+        return False
+    return check
+
+
+def _ref(a, s, r):
+    if not a.startswith(_DEFS):
+        return _never
+    return _lazy(lambda: _compile(r["$defs"][a[len(_DEFS):]], r))
+
+
+def _items(a, s, r):
+    check = _sub(a, r)
+    return lambda v: not isinstance(v, list) or all(map(check, v))
+
+
+def _properties(a, s, r):
+    checks = [(k, _sub(sub, r)) for k, sub in a.items()]
+
+    def check(v):
+        if isinstance(v, dict):
+            for k, c in checks:
+                if k in v and not c(v[k]):
+                    return False
+        return True
+    return check
+
+
+def _pattern_properties(a, s, r):
+    checks = [(p, _sub(sub, r)) for p, sub in a.items()]
+    return lambda v: not isinstance(v, dict) or all(
+        c(x) for p, c in checks for k, x in v.items() if re.search(p, k))
+
+
+def _additional_properties(a, s, r):
+    """The check of the values whose keys neither `properties` nor
+    `patternProperties` of `s` covers."""
+    check = _sub(a, r)
+    named = s.get("properties", {})
+    patterns = list(s.get("patternProperties", {}))
+    return lambda v: not isinstance(v, dict) or all(
+        check(x) for k, x in v.items() if k not in named
+        and not any(re.search(p, k) for p in patterns))
 
 
 _DEFS = "#/$defs/"
 
-# keyword -> check(instance, keyword argument, schema, root schema)
+# keyword -> compile(keyword argument, schema, root schema), which returns
+# the keyword's check of one instance, or None for a keyword that checks
+# nothing; a check of a keyword about one type holds on other types
 _KEYWORDS = {
-    "$schema": lambda *_: True,
-    "$defs": lambda *_: True,
-    "title": lambda *_: True,
-    "description": lambda *_: True,
-    "type": lambda v, a, s, r: any(
-        t in _TYPES and _TYPES[t](v) for t in ([a] if isinstance(a, str) else a)),
-    "enum": lambda v, a, s, r: any(_json_equal(v, e) for e in a),
-    "$ref": lambda v, a, s, r: (a.startswith(_DEFS) and _is_valid(
-        v, r["$defs"][a[len(_DEFS):]], r)),
-    "minimum": lambda v, a, s, r: not _TYPES["number"](v) or not v < a,
-    "pattern": _holds(str, lambda v, a, s, r: re.search(a, v) is not None),
-    "minItems": _holds(list, lambda v, a, s, r: len(v) >= a),
-    "maxItems": _holds(list, lambda v, a, s, r: len(v) <= a),
-    "items": _holds(list, lambda v, a, s, r: all(_is_valid(x, a, r)
-                                                 for x in v)),
-    "required": _holds(dict, lambda v, a, s, r: all(k in v for k in a)),
-    "properties": _holds(dict, lambda v, a, s, r: all(
-        _is_valid(v[k], sub, r) for k, sub in a.items() if k in v)),
-    "patternProperties": _holds(dict, lambda v, a, s, r: all(
-        _is_valid(x, sub, r) for p, sub in a.items()
-        for k, x in v.items() if re.search(p, k))),
-    "additionalProperties": _holds(dict, lambda v, a, s, r: all(
-        _is_valid(v[k], a, r) for k in _extra_keys(v, s))),
+    "$schema": lambda *_: None,
+    "$defs": lambda *_: None,
+    "title": lambda *_: None,
+    "description": lambda *_: None,
+    "type": _type,
+    "enum": lambda a, s, r: lambda v: any(_json_equal(v, e) for e in a),
+    "$ref": _ref,
+    "minimum": lambda a, s, r: lambda v: not _TYPES["number"](v) or not v < a,
+    "pattern": lambda a, s, r: lambda v: (not isinstance(v, str)
+                                          or re.search(a, v) is not None),
+    "minItems": lambda a, s, r: lambda v: (not isinstance(v, list)
+                                           or len(v) >= a),
+    "maxItems": lambda a, s, r: lambda v: (not isinstance(v, list)
+                                           or len(v) <= a),
+    "items": _items,
+    "required": lambda a, s, r: lambda v: (not isinstance(v, dict)
+                                           or all(k in v for k in a)),
+    "properties": _properties,
+    "patternProperties": _pattern_properties,
+    "additionalProperties": _additional_properties,
 }
 
 
-def _is_valid(inst, schema, root):
-    """Whether `inst` satisfies `schema`, a subschema of `root`.  Only the
-    keywords of the packaged schemas are known; any other keyword answers
-    False, which hands the instance to jsonschema.  So True is exact, and
-    False is confirmed or overruled by jsonschema."""
+def _compile(schema, root):
+    """`schema`, a subschema of `root`, as a check of one instance whose
+    keywords run in the schema's order.  Only the keywords of the packaged
+    schemas are known; any other keyword fails the check, which hands the
+    instance to jsonschema.  So True is exact, and False is confirmed or
+    overruled by jsonschema.  Subschemas are compiled on their first use."""
     if isinstance(schema, bool):
-        return schema
-    return all(key in _KEYWORDS and _KEYWORDS[key](inst, arg, schema, root)
-               for key, arg in schema.items())
+        return lambda v: schema
+    checks = []
+    for key, arg in schema.items():
+        if key not in _KEYWORDS:
+            checks.append(_never)
+            break
+        check = _KEYWORDS[key](arg, schema, root)
+        if check is not None:
+            checks.append(check)
+    return _all(checks)
+
+
+def _is_valid(inst, schema, root):
+    """Whether `inst` satisfies `schema`, a subschema of `root`, by the
+    check `_compile` makes of it (see there)."""
+    return _compile(schema, root)(inst)
+
+
+@functools.lru_cache(maxsize=None)
+def _validator(name):
+    """The compiled check of the packaged schema `name`, made once a
+    process; its subschemas compile on first use."""
+    schema = _schema(name)
+    return _compile(schema, schema)
 
 
 def _schema_error(instance, name):
     """The message of the error `jsonschema.validate` would raise against
     the packaged schema `name`, or None if `instance` is valid.  jsonschema
     is imported only to word the error of an invalid instance."""
-    schema = _schema(name)
-    if _is_valid(instance, schema, schema):
+    if _validator(name)(instance):
         return None
     import jsonschema
+    schema = _schema(name)
     cls = jsonschema.validators.validator_for(schema)
     error = jsonschema.exceptions.best_match(cls(schema).iter_errors(instance))
     return None if error is None else error.message
@@ -148,7 +242,7 @@ def load_scene(path):
     try:
         raw = Path(path).read_bytes()
         scene = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # also bad UTF, a NUL in the path
         raise SceneError(f"cannot read scene {path}: {exc}") from exc
     message = _schema_error(scene, "scene.schema.json")
     if message is not None:
@@ -500,7 +594,8 @@ def _cmd_ward(scene, ctx):
                          f" steps, more than {WARD_MAX_STEPS}")
     coarse = ward_transport(P, spec["rho"], start, length, step)
     fine = ward_transport(P, spec["rho"], start, length, step / 2.0)
-    delta = abs(coarse["transport"] - fine["transport"])
+    # on Python floats: inf - inf is NaN without a numpy RuntimeWarning
+    delta = abs(float(coarse["transport"]) - float(fine["transport"]))
     checks = [_check("transport_convergence", delta, ctx.tol["ward"])]
     fitted = {"transport": fine["transport"],
               "end": [float(v) for v in fine["end"]]}
@@ -620,7 +715,9 @@ def _int_at_least(low):
     return integer
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built once a process."""
     parser = argparse.ArgumentParser(
         prog="sdconformal",
         description="certify selfdual conformal structures built from "
@@ -635,7 +732,11 @@ def main(argv=None):
     parser.add_argument("--tol", action="append", type=_tolerance,
                         metavar="NAME=FLOAT",
                         help="override a named tolerance (repeatable)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         report = run_command(args.command, load_scene(args.scene), args)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Union
 
 import numpy as np
@@ -59,38 +58,86 @@ ExprDomainError = JetDomainError
 
 # -- AST ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Node:
+    """An immutable AST node, made from its fields (`__slots__`) in order.
+    It equals, and hashes like, a node of the same class with equal
+    fields."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):   # copy and pickle rebuild it from its fields
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
+class Const(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Node"
+class Var(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    lhs: "Node"
-    rhs: "Node"
+class Neg(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: "Node"):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
+class Call(_Node):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: "Node"):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+
+
+class BinOp(_Node):
+    __slots__ = ("op", "lhs", "rhs")   # op is one of + - * /
+
+    def __init__(self, op: str, lhs: "Node", rhs: "Node"):
+        _set(self, "op", op)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: "Node", exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
 Node = Union[Const, Var, Neg, Call, BinOp, Pow]

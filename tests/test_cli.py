@@ -835,3 +835,98 @@ def test_killing_fields_share_the_christoffels(capsys, monkeypatch,
     assert [(c["name"], c["verdict"]) for c in report["checks"]] == [
         ("conformal_killing[K]", True), ("conformal_killing[L]", False)]
     assert code == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_infinite_ward_transport_fails_without_a_warning(capsys, tmp_path):
+    # rho = (-1e5, 0) carries the section to inf at both step sizes, so
+    # their difference is inf - inf: NaN, formed on Python floats, where
+    # numpy's scalar subtract warned "invalid value" on stderr
+    code, out, err = _run_edited(
+        capsys, tmp_path, "ward", "ward",
+        lambda scene: scene["ward"].update(rho=["-1e5", "0"]))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    [check] = report["checks"]
+    assert check["name"] == "transport_convergence"
+    assert math.isnan(check["value"]) and check["verdict"] is False
+    assert report["fitted"]["transport"] == math.inf
+
+
+@pytest.mark.parametrize("content,path", [
+    (b"\xff\xfe\x00", "scene.json"),   # not UTF-8, -16 or -32
+    (b"{}", "scene\x00.json"),         # a NUL in the path
+])
+def test_an_unreadable_scene_is_a_scene_error(capsys, tmp_path, content,
+                                              path):
+    # both used to end in a traceback (UnicodeDecodeError, ValueError)
+    (tmp_path / "scene.json").write_bytes(content)
+    code = main(["verify-lax", str(tmp_path / path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("scene error: cannot read scene ")
+    assert err.count("\n") == 1
+
+
+class TestOneParserAndValidatorsPerProcess:
+    """The parser and the compiled schema checks are made once a process;
+    nothing a command reads or parses is kept for the next one."""
+
+    DIVISOR2 = str(SCENES / "divisor2_roots.json")
+
+    def test_a_tol_override_is_not_kept(self, capsys):
+        code, report = run(capsys, "divisor2", self.DIVISOR2,
+                           "--tol", "divisor2=1e-300")
+        assert code == 1
+        code, report = run(capsys, "divisor2", self.DIVISOR2)
+        assert code == 0
+        assert {c["tolerance"] for c in report["checks"]
+                if c["name"] == "weyl_connection_consistency"} == {
+            TOLERANCES["divisor2"]}
+
+    def test_an_argument_error_leaves_the_next_call_alone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["divisor2", self.DIVISOR2, "--samples", "0", "--seed", "5"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, report = run(capsys, "divisor2", self.DIVISOR2)
+        scene = json.loads(Path(self.DIVISOR2).read_text())
+        assert code == 0
+        assert report["samples"] == scene["sampling"]["count"]
+        assert report["seed"] == scene["sampling"]["seed"]
+
+    def test_a_scene_edited_to_be_invalid_is_read_again(self, capsys,
+                                                         tmp_path):
+        scene = json.loads(Path(self.DIVISOR2).read_text())
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        code, _ = run(capsys, "divisor2", str(path))
+        assert code == 0
+        scene["sampling"]["count"] = 0
+        path.write_text(json.dumps(scene))
+        code = main(["divisor2", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"scene error: scene {path} invalid: ")
+
+    def test_the_parser_and_each_schema_are_built_once(self, capsys,
+                                                       monkeypatch):
+        compiled = []
+        compile_ = cli._compile
+
+        def counting(schema, root):
+            compiled.append(schema)
+            return compile_(schema, root)
+        monkeypatch.setattr(cli, "_compile", counting)
+        cli._parser.cache_clear()
+        cli._validator.cache_clear()
+        run(capsys, "batch", str(SCENES / "batch.json"))
+        first = len(compiled)
+        for _ in range(2):
+            run(capsys, "batch", str(SCENES / "batch.json"))
+        assert cli._parser.cache_info().misses == 1
+        # the scene and the report schema, each compiled once; a batch
+        # validates its own scene and each sub-scene with the same check
+        assert cli._validator.cache_info().misses == 2
+        assert cli._validator.cache_info().hits == 3 * 7 - 2
+        assert first > 2 and len(compiled) == first

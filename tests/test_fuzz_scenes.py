@@ -16,6 +16,11 @@ container, shorten or lengthen a list, or swap a value anywhere in the
 scene, except the ward `length` and `step`, whose ratio sets the number
 of integration steps.  The double mutations edit a pair entry or the
 factor first, then a second one or anything anywhere.
+
+The batch mutations edit the job list of `batch.json`: a job's command
+or scene path, a nested `batch` job, a missing or extra key, a job that
+is no object, or the list itself.  Every sub-scene a batch loads goes
+through the same schema check as a scene given on the command line.
 """
 
 import contextlib
@@ -23,6 +28,7 @@ import copy
 import io
 import json
 import math
+import shutil
 import warnings
 from pathlib import Path
 
@@ -35,8 +41,8 @@ from test_golden_reports import NATURAL
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 SCENE_DATA = {name: json.loads((SCENES / f"{name}.json").read_text())
               for name, _ in NATURAL if name != "batch"}
-COMMANDS = {name: commands for name, commands in NATURAL
-            if name in SCENE_DATA}
+COMMANDS = dict(NATURAL)
+BATCH = json.loads((SCENES / "batch.json").read_text())
 PAIR_SCENES = sorted(name for name, scene in SCENE_DATA.items()
                      if "pair" in scene)
 PAIR_KEYS = ("phi0", "phi1", "alpha0", "alpha1")
@@ -174,3 +180,69 @@ def test_double_mutations_end_in_one_line(workdir, data):
     else:
         _mutate_anywhere(scene, data)
     _run_ends_in_one_line(workdir, data, name, scene)
+
+
+# a job's command: every command (batch among them), and names no
+# command has
+JOB_COMMANDS = sorted({command for commands in COMMANDS.values()
+                       for command in commands}) + [
+    "nope", "", "Verify-lax", "verify-lax ", 1, None]
+# a job's scene, relative to the batch file: every checked-in scene, the
+# batch file itself, missing files, directories and no path at all
+JOB_SCENES = sorted(f"{name}.json" for name in SCENE_DATA) + [
+    "mutated.json", "batch.json", "missing.json", "", ".", "..", "/",
+    "flat.json/", "scene\x00.json", 0, None, ["flat.json"]]
+
+
+def _mutate_batch(scene, data):
+    """One edit of the job list of a batch scene, in place."""
+    jobs = scene["batch"]
+    op = data.draw(st.sampled_from(["command", "scene", "nest", "drop_key",
+                                    "add_key", "drop_job", "copy_job",
+                                    "not_a_job", "list"]))
+    at = data.draw(st.integers(0, max(len(jobs) - 1, 0)))
+    if op == "nest":
+        jobs.insert(at, {"command": "batch", "scene": data.draw(
+            st.sampled_from(["mutated.json", "batch.json", "flat.json"]))})
+    elif op == "list":
+        scene["batch"] = data.draw(st.sampled_from([[], {}, None, "jobs"]))
+    elif not jobs:
+        jobs.append({"command": data.draw(st.sampled_from(JOB_COMMANDS)),
+                     "scene": data.draw(st.sampled_from(JOB_SCENES))})
+    elif op in ("command", "scene", "drop_key", "add_key"):
+        if not isinstance(jobs[at], dict):   # an earlier "not_a_job"
+            jobs[at] = {}
+        if op == "drop_key":
+            jobs[at].pop(data.draw(st.sampled_from(["command", "scene"])),
+                         None)
+        elif op == "add_key":
+            jobs[at]["samples"] = 2
+        else:
+            jobs[at][op] = data.draw(st.sampled_from(
+                JOB_COMMANDS if op == "command" else JOB_SCENES))
+    elif op == "drop_job":
+        jobs.pop(at)
+    elif op == "copy_job":
+        jobs.insert(at, copy.deepcopy(jobs[at]))
+    else:
+        jobs[at] = data.draw(st.sampled_from([[], "flat.json", None, 1]))
+
+
+@pytest.fixture(scope="module")
+def batchdir(tmp_path_factory):
+    """A directory holding a copy of every checked-in scene, where the
+    mutated batch is written and its relative scene paths resolve."""
+    where = tmp_path_factory.mktemp("batch")
+    for path in SCENES.glob("*.json"):
+        shutil.copy(path, where)
+    return where
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batch_mutations_end_in_one_line(batchdir, data):
+    scene = copy.deepcopy(BATCH)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if isinstance(scene.get("batch"), list):
+            _mutate_batch(scene, data)
+    _run_ends_in_one_line(batchdir, data, "batch", scene)
