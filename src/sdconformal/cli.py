@@ -330,7 +330,9 @@ def _check(name, value, tolerance):
 
 
 def _flag_check(name, ok):
-    return {"name": name, "value": 1.0 if ok else 0.0, "tolerance": 0.5,
+    """A yes/no check; an undecided one (`ok` None) reads NaN and fails."""
+    value = math.nan if ok is None else float(bool(ok))
+    return {"name": name, "value": value, "tolerance": 0.5,
             "verdict": bool(ok)}
 
 
@@ -363,7 +365,7 @@ def _cmd_certify_selfdual(scene, ctx):
     pts = ctx.points(("x", "y") + pair.fiber)
     lax = lax_residual(build_lax(P, pair), pts)
     g, orientation = builder.jets(pts)
-    worst, signature_ok = curvature_maxima(g, builder.coords, orientation)
+    worst, signature_ok = curvature_maxima(g, orientation)
     checks = [
         _check("lax_residual", lax["residual"], ctx.tol["lax"]),
         _check("weyl_minus", worst["weyl_minus"], ctx.tol["weyl_minus"]),
@@ -399,7 +401,7 @@ def _metric_builder(scene):
 def _cmd_curvature(scene, ctx):
     builder = _metric_builder(scene)
     g, orientation = builder.jets(ctx.points(tuple(builder.coords)))
-    worst, signature = curvature_maxima(g, builder.coords, orientation)
+    worst, signature = curvature_maxima(g, orientation)
     checks = [
         _check("star_defect", worst["star_defect"], ctx.tol["curvature"]),
         _flag_check("signature", signature)]
@@ -514,7 +516,7 @@ def _cmd_build_nullkahler(scene, ctx):
     built = build_null_kahler(spec["a"], spec["c"], spec["f"])
     pts = ctx.points(("x", "y", "t", "z"))
     g, orientation = built["metric"].jets(pts)
-    curv = curvature_report(g, built["metric"].coords, orientation)
+    curv = curvature_report(g, orientation)
     rep = built["check"](pts, g, curv["star"])
     checks = [
         _check("domega", rep["domega"], ctx.tol["domega"]),
@@ -538,16 +540,11 @@ def _cmd_gauge_report(scene, ctx):
     pair = _pair(scene)
     pts = ctx.points(("x", "y") + pair.fiber)
     flags, values = gauge_reduction_report(pair, pts, tol=ctx.tol["gauge"])
-    expected = scene.get("expected_flags")
-    checks = []
-    for name, val in sorted(flags.items()):
-        if expected is not None and name in expected:
-            checks.append(_flag_check(f"flag[{name}]",
-                                      bool(val) == bool(expected[name])))
-        else:
-            checks.append(_flag_check(f"flag[{name}]", True))
-    return checks, {"flags": {k: bool(v) for k, v in flags.items()},
-                    "values": values}
+    expected = scene.get("expected_flags") or {}
+    checks = [_flag_check(f"flag[{name}]", None if val is None else
+                          name not in expected or val == bool(expected[name]))
+              for name, val in sorted(flags.items())]
+    return checks, {"flags": flags, "values": values}
 
 
 def _cmd_divisor2(scene, ctx):
@@ -562,12 +559,11 @@ def _cmd_divisor2(scene, ctx):
     rep = divisor_two_report(P, congs[0], congs[1], pts, tol=tol)
     checks = [
         _check("weyl_connection_consistency", rep["dc_residual"], tol),
-        _flag_check("sym_equivalence",
-                    rep["r_symmetric"] == rep["sum_flat"]),
-        _flag_check("skew_equivalence", rep["r_skew"] == rep["diff_flat"]),
+        _flag_check("sym_equivalence", rep["sym_equivalence"]),
+        _flag_check("skew_equivalence", rep["skew_equivalence"]),
     ]
     fitted = {k: rep[k] for k in ("sym_r", "skew_r", "f_sum", "f_diff")}
-    fitted["verdicts"] = {k: bool(rep[k]) for k in
+    fitted["verdicts"] = {k: rep[k] for k in
                           ("r_symmetric", "sum_flat", "r_skew", "diff_flat")}
     return checks, fitted
 

@@ -186,16 +186,15 @@ _PAIR = np.zeros((4, 4), dtype=np.intp)
 _PAIR[_B10, _C10] = _PAIR[_C10, _B10] = np.arange(10)
 
 
-def christoffel_jets_4d(g, coords):
+def christoffel_jets_4d(g):
     """Order-(k-1) jets of the Levi-Civita Christoffels G^a_bc and of the
-    inverse metric, from order-k metric jets (k >= 1); returned as jets
-    whose last batch axes are the indices (a, b, c) and (a, b)."""
-    g = stack(g)
+    inverse metric, from order-k metric jets g (k >= 1, in g.space.vars);
+    returned as jets whose last batch axes are (a, b, c) and (a, b)."""
     low = g.truncate(g.space.order - 1)
     ginv = jet_matrix_inverse(low)
     # dg[..., i, j, k, :] = d_k g_ij
     # t[..., d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
-    dg = np.stack([g.derivative(c).coeffs for c in coords], axis=-2)
+    dg = np.stack([g.derivative(c).coeffs for c in g.space.vars], axis=-2)
     t = dg.swapaxes(-3, -2) + dg.swapaxes(-4, -3) - np.moveaxis(dg, -2, -4)
     # ginv_ad t_dbc at (a, d, pair), added in d order; computed for c >= b
     # and mirrored, as g need not be bitwise symmetric
@@ -204,23 +203,6 @@ def christoffel_jets_4d(g, coords):
     acc = (terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :]
            + terms[..., 3, :, :])
     return Jet(low.space, (acc * 0.5)[..., :, _PAIR, :]), ginv
-
-
-def riemann_values(g, coords):
-    """Pointwise Riemann tensor (first index up) from order-2 metric jets,
-    plus metric value arrays."""
-    gam, ginv = christoffel_jets_4d(g, coords)
-    gv = np.ascontiguousarray(stack(g).value)
-    giv = np.ascontiguousarray(ginv.value)
-    gamv = np.ascontiguousarray(gam.value)
-    # dgam[..., a, b, c, d] = d_d G^a_bc
-    dgam = np.ascontiguousarray(gam.gradient())
-    # R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb
-    R = (np.einsum("...adbc->...abcd", dgam)
-         - np.einsum("...acbd->...abcd", dgam)
-         + np.einsum("...ace,...edb->...abcd", gamv, gamv)
-         - np.einsum("...ade,...ecb->...abcd", gamv, gamv))
-    return R, gv, giv, gamv
 
 
 def hodge_star_operator(gv, giv, orientation=1.0):
@@ -250,7 +232,7 @@ def _maxabs(x, ndim):
     return np.abs(x).max(axis=tuple(range(-ndim, 0)))
 
 
-def curvature_report(g, coords, orientation=1.0):
+def curvature_report(g, orientation=1.0):
     """All curvature norms from order-2 metric jets, at each point.
 
     Returns a dict with max-abs component norms of: Riemann (all down),
@@ -258,7 +240,17 @@ def curvature_report(g, coords, orientation=1.0):
     conformally invariant arrangement), plus the star idempotency defect
     and the signature of the metric value, each of the batch shape of the
     jets; and the Hodge star operator ("star")."""
-    Rup, gv, giv, _ = riemann_values(g, coords)
+    gam, ginv = christoffel_jets_4d(g)
+    gv = np.ascontiguousarray(g.value)
+    giv = np.ascontiguousarray(ginv.value)
+    gamv = np.ascontiguousarray(gam.value)
+    # dgam[..., a, b, c, d] = d_d G^a_bc
+    dgam = np.ascontiguousarray(gam.gradient())
+    # R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb
+    Rup = (np.einsum("...adbc->...abcd", dgam)
+           - np.einsum("...acbd->...abcd", dgam)
+           + np.einsum("...ace,...edb->...abcd", gamv, gamv)
+           - np.einsum("...ade,...ecb->...abcd", gamv, gamv))
     Rdown = np.einsum("...ae,...ebcd->...abcd", gv, Rup)
     ric = np.einsum("...abad->...bd", Rup)
     scal = np.einsum("...bd,...bd->...", giv, ric)
@@ -305,11 +297,11 @@ CURVATURE_NORMS = ("riemann", "ricci", "ricci_tracefree", "scalar",
                    "weyl_plus", "weyl_minus", "star_defect")
 
 
-def curvature_maxima(g, coords, orientation):
+def curvature_maxima(g, orientation):
     """The largest value over the sample points of each norm in
     CURVATURE_NORMS, from order-2 metric jets, and whether the metric has
     signature (2, 2) at every point."""
-    rep = curvature_report(g, coords, orientation)
+    rep = curvature_report(g, orientation)
     worst = {k: max_abs(rep[k]) for k in CURVATURE_NORMS}
     return worst, bool(np.all(rep["signature_ok"]))
 
@@ -336,7 +328,7 @@ def killing_report(g, fields, points):
     gv = np.ascontiguousarray(g.value)
     giv = np.linalg.inv(gv)
     dg = np.ascontiguousarray(g.gradient())
-    gam, _ = christoffel_jets_4d(g, coords)
+    gam, _ = christoffel_jets_4d(g)
     gamv = np.ascontiguousarray(gam.value)
     reports = {}
     for name, K in fields.items():

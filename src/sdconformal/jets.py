@@ -158,17 +158,6 @@ def stack(jets, batch=()) -> "Jet":
     return Jet(space, coeffs.reshape(shape[:-1] + tuple(nest) + shape[-1:]))
 
 
-def unstack(jet, depth):
-    """The nested list of jets, `depth` levels deep, that `stack` makes
-    `jet` from: its last `depth` batch axes are the nesting.  The entries
-    are views of `jet`."""
-    if depth == 0:
-        return jet
-    rest = (slice(None),) * depth
-    return [unstack(Jet(jet.space, jet.coeffs[(..., i) + rest]), depth - 1)
-            for i in range(jet.coeffs.shape[-1 - depth])]
-
-
 def max_abs(*values):
     """The largest |v| over all entries of the given arrays (0.0 for
     none): a residual's worst case over sample points.  A NaN anywhere

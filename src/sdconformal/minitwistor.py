@@ -15,15 +15,17 @@ coordinate patch, so their connections are plain 1-forms and weighted
 objects are represented by bare components.  The weight-w action of the
 trace part of a connection is (w/3) * Gamma^E_{BE}, the forced extension
 of the algebraic bracket from the tangent bundle (where the trace is 3).
+Tensors are jets in `ProjectiveSurface`'s layout: point axes first,
+index axes last.
 """
 
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at
-from .jets import JetSpace, max_abs, unstack
+from .jets import Jet, JetSpace, max_abs
 from .projective import COORDS
 from .conformal import jet_gauss_solve
-from .pairs import DEFAULT_LAMBDAS, lstsq, ordered_bracket
+from .pairs import DEFAULT_LAMBDAS, below, lstsq, ordered_bracket
 
 
 class WeightedCongruence:
@@ -40,61 +42,64 @@ class WeightedCongruence:
 
 def _shifted_ricci(P, gam, point):
     """r + D gamma - gamma (x) gamma: the Ricci form of the representative
-    connection shifted by the 1-form gamma (a pair of order-1 jets), as
-    values r[..., A, B] at `point`."""
-    g = P.christoffel_jets(point, 0)
-    gv = np.stack(np.broadcast_arrays(gam[0].value, gam[1].value), axis=-1)
-    dgam = np.zeros(gv.shape + (2,))
-    for A in range(2):
-        for B in range(2):
-            dgam[..., A, B] = gam[B].derivative(COORDS[A]).value
-            for E in range(2):
-                dgam[..., A, B] -= g[E][A][B].value * gv[..., E]
+    connection shifted by the 1-form gamma (one order-1 jet, index axis B
+    last), as values r[..., A, B] at `point`."""
+    g = P.christoffel_jets(point, 0).value
+    gv = gam.value
+    # dgam[..., A, B] = d_A gamma_B - G^E_AB gamma_E, subtracted in E order
+    dgam = np.stack([gam.derivative(v).value for v in COORDS], axis=-2)
+    for E in range(2):
+        dgam = dgam - g[..., E, :, :] * gv[..., E, None, None]
     return P.ricci_values(point) + dgam - gv[..., :, None] * gv[..., None, :]
 
 
 def _weyl_gamma_jets(P, cong1, cong2, point):
     """Order-1 jets of the 1-form gamma shifting the representative
     connection to the Weyl connection of the conformal metric
-    c = phi1 . phi2, together with the order-1 jets of c and the full
-    six-equation consistency residual of (D + [gamma]) c = 0."""
-    order = 1
-    phi1, phi2, rho1, rho2 = unstack(jets_at(
-        [cong1.phi, cong2.phi, cong1.rho, cong2.rho],
-        JetSpace(COORDS, order + 1), point), 2)
-    low = [[-ph[1], ph[0]] for ph in (phi1, phi2)]
+    c = phi1 . phi2 (index axis B last), together with the order-1 jets of
+    c (index axes A, C last) and the full six-equation consistency
+    residual of (D + [gamma]) c = 0."""
+    space, low = JetSpace(COORDS, 2), JetSpace(COORDS, 1)
+    n, mul = len(low), low.product
+    # F[..., k, i, :]: component i of phi1, phi2, rho1, rho2 (k)
+    F = jets_at([cong1.phi, cong2.phi, cong1.rho, cong2.rho], space,
+                point).coeffs
+    # f[..., k, A, :]: the lowered field (-phi^1, phi^0) of phi1, phi2 (k)
+    f = np.stack([-F[..., :2, 1, :], F[..., :2, 0, :]], axis=-2)
     # weight-4 symmetric form c_{AC} = (phi1_A phi2_C + phi1_C phi2_A)/2
-    c = [[(low[0][A] * low[1][C] + low[0][C] * low[1][A]) * 0.5
-          for C in range(2)] for A in range(2)]
-    g = P.christoffel_jets(point, order)
-    tr = [g[0][B][0] + g[1][B][1] for B in range(2)]
-    rho = [rho1[B].truncate(order) + rho2[B].truncate(order)
-           for B in range(2)]
-    ct = [[c[A][C].truncate(order) for C in range(2)] for A in range(2)]
-    Dc = [[[None, None], [None, None]], [[None, None], [None, None]]]
-    for B in range(2):
-        for A in range(2):
-            for C in range(2):
-                val = c[A][C].derivative(COORDS[B])
-                for E in range(2):
-                    val = val - g[E][B][A] * ct[E][C] - g[E][B][C] * ct[A][E]
-                val = val + tr[B] * ct[A][C] * (4.0 / 3.0)
-                val = val + rho[B] * ct[A][C]
-                Dc[B][A][C] = val.truncate(order)
+    pc = space.product(f[..., 0, :, None, :], f[..., 1, None, :, :])
+    c = Jet(space, (pc + pc.swapaxes(-3, -2)) * 0.5)
+    ct = c.coeffs[..., :n]
+    g = P.christoffel_jets(point, 1).coeffs
+    tr = g[..., 0, :, 0, :] + g[..., 1, :, 1, :]
+    rho = F[..., 2, :, :n] + F[..., 3, :, :n]
+    # Dc[..., B, A, C, :] = d_B c_AC - G^E_BA c_EC - G^E_BC c_AE (E in
+    # order) + (4/3) tr_B c_AC + rho_B c_AC; p and q carry E first
+    p = mul(g[..., :, :, :, None, :], ct[..., :, None, None, :, :])
+    q = mul(g[..., :, :, None, :, :],
+            ct.swapaxes(-3, -2)[..., :, None, :, None, :])
+    Dc = np.stack([c.derivative(v).coeffs for v in COORDS], axis=-4)
+    for E in range(2):
+        Dc = Dc - p[..., E, :, :, :, :] - q[..., E, :, :, :, :]
+    cb = ct[..., None, :, :, :]   # c_AC at axes (B, A, C)
+    Dc = Dc + mul(tr[..., :, None, None, :], cb) * (4.0 / 3.0)
+    Dc = Dc + mul(rho[..., :, None, None, :], cb)
     # the bracket action on c is 2 gamma_B c_{AC} - gamma_A c_{BC}
     # - gamma_C c_{AB}; the (B;AC) = (0;11) and (1;00) equations give a
     # 2x2 system whose determinant is a multiple of det c.
-    A2 = [[2.0 * ct[1][1], (-2.0) * ct[0][1]],
-          [(-2.0) * ct[0][1], 2.0 * ct[0][0]]]
-    b2 = [[-Dc[0][1][1]], [-Dc[1][0][0]]]
-    gam = [row[0] for row in unstack(jet_gauss_solve(A2, b2), 2)]
-    consistency = max_abs(*(Dc[B][A][C].value
-                            + 2.0 * gam[B].value * ct[A][C].value
-                            - gam[A].value * ct[B][C].value
-                            - gam[C].value * ct[A][B].value
-                            for B in range(2) for A in range(2)
-                            for C in range(A, 2)))
-    return gam, ct, consistency
+    m = (-2.0) * ct[..., 0, 1, :]
+    A2 = np.stack([2.0 * ct[..., 1, 1, :], m, m, 2.0 * ct[..., 0, 0, :]],
+                  axis=-2).reshape(m.shape[:-1] + (2, 2, n))
+    b2 = np.stack([-Dc[..., 0, 1, 1, :], -Dc[..., 1, 0, 0, :]], axis=-2)
+    gam = Jet(low, jet_gauss_solve(Jet(low, A2), Jet(low, b2[..., None, :]))
+              .coeffs[..., 0, :])
+    # the six equations at axes (B, A, C), read where A <= C
+    gv, cv = gam.value, ct[..., 0]
+    res = (Dc[..., 0] + 2.0 * gv[..., :, None, None] * cv[..., None, :, :]
+           - gv[..., None, :, None] * cv[..., :, None, :]
+           - gv[..., None, None, :] * cv.swapaxes(-1, -2)[..., :, :, None])
+    A, C = np.triu_indices(2)
+    return gam, Jet(low, ct), max_abs(res[..., A, C])
 
 
 def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
@@ -109,7 +114,10 @@ def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
         r symmetric  <=>  F^1 + F^2 = 0
         r skew       <=>  F^1 - F^2 = 0
 
-    Returns all norms, the per-pair verdicts, and whether the pairs agree.
+    Returns all norms, the verdicts, whether each pair agrees
+    ("sym_equivalence", "skew_equivalence") and whether both do
+    ("consistent").  A verdict decided from a non-finite norm is None
+    (undecided), and so is an agreement or "consistent" that reads one.
     """
     gam, _, dc_res = _weyl_gamma_jets(P, cong1, cong2, points)
     r = _shifted_ricci(P, gam, points)
@@ -127,14 +135,21 @@ def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
         "skew_r": skew_norm,
         "f_sum": fsum,
         "f_diff": fdiff,
-        "r_symmetric": skew_norm < tol,
-        "sum_flat": fsum < tol,
-        "r_skew": sym_norm < tol,
-        "diff_flat": fdiff < tol,
+        "r_symmetric": below(tol, skew_norm),
+        "sum_flat": below(tol, fsum),
+        "r_skew": below(tol, sym_norm),
+        "diff_flat": below(tol, fdiff),
     }
-    report["consistent"] = (report["r_symmetric"] == report["sum_flat"]
-                            and report["r_skew"] == report["diff_flat"])
+    sym = _agree(report["r_symmetric"], report["sum_flat"])
+    skew = _agree(report["r_skew"], report["diff_flat"])
+    report["sym_equivalence"], report["skew_equivalence"] = sym, skew
+    report["consistent"] = None if None in (sym, skew) else sym and skew
     return report
+
+
+def _agree(a, b):
+    """Whether two verdicts agree; None (undecided) if either is."""
+    return None if a is None or b is None else a == b
 
 
 def ward_transport(P, rho, start, length, step):

@@ -18,6 +18,8 @@ two-fiber (t, z) family built by quadratures from a congruence.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.linalg import _umath_linalg
 
@@ -192,19 +194,13 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     where g0 = G^0_00 + G^1_01, g1 = G^0_10 + G^1_11 and the brackets are
     taken in the fiber variables only.
     """
-    base_space = JetSpace(BASE, 0)
-    nb = np.ndim(points["x"])   # the number of point axes
-
-    def base_values(exprs):
-        # indexed like `exprs`, each entry a column of per-point values
-        values = jets_at(exprs, base_space, points).value
-        return np.moveaxis(values, range(nb), range(-nb, 0))[..., None]
-
-    gv = base_values([[[P.christoffel(A, B, C) for C in range(2)]
-                       for B in range(2)] for A in range(2)])
-    g0 = gv[0][0][0] + gv[1][0][1]
-    g1 = gv[0][1][0] + gv[1][1][1]
-    c0, c1 = base_values(pair.c_gauge)
+    # gv[..., A, B, C, :] and cv[..., k, :]: a column of per-point values,
+    # broadcast over the components i below
+    gv = P.christoffel_jets(points, 0).value[..., None]
+    cv = jets_at(pair.c_gauge, JetSpace(BASE, 0), points).value[..., None]
+    g0 = gv[..., 0, 0, 0, :] + gv[..., 1, 0, 1, :]
+    g1 = gv[..., 0, 1, 0, :] + gv[..., 1, 1, 1, :]
+    c0, c1 = cv[..., 0, :], cv[..., 1, :]
     # order-1 coefficients [n, i, slot] of alpha0, alpha1, phi0, phi1:
     # slots 1, 2 are d_x, d_y, and the fiber coordinates follow x and y
     F = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 1), points).coeffs
@@ -212,16 +208,16 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     phi0v, phi1v = f0[..., 0], f1[..., 0]
     eq1 = (f0[..., 1] + ordered_bracket(a0, f0, 2)
            + (c0 - 2.0 / 3.0 * g0) * phi0v
-           + gv[0][0][0] * phi0v + gv[1][0][0] * phi1v)
+           + gv[..., 0, 0, 0, :] * phi0v + gv[..., 1, 0, 0, :] * phi1v)
     eq2 = (f1[..., 1] + ordered_bracket(a0, f1, 2)
            + (c0 - 2.0 / 3.0 * g0) * phi1v
-           + gv[0][0][1] * phi0v + gv[1][0][1] * phi1v
+           + gv[..., 0, 0, 1, :] * phi0v + gv[..., 1, 0, 1, :] * phi1v
            + f0[..., 2] + ordered_bracket(a1, f0, 2)
            + (c1 - 2.0 / 3.0 * g1) * phi0v
-           + gv[0][1][0] * phi0v + gv[1][1][0] * phi1v)
+           + gv[..., 0, 1, 0, :] * phi0v + gv[..., 1, 1, 0, :] * phi1v)
     eq3 = (f1[..., 2] + ordered_bracket(a1, f1, 2)
            + (c1 - 2.0 / 3.0 * g1) * phi1v
-           + gv[0][1][1] * phi0v + gv[1][1][1] * phi1v)
+           + gv[..., 0, 1, 1, :] * phi0v + gv[..., 1, 1, 1, :] * phi1v)
     return max_abs(eq1, eq2, eq3)
 
 
@@ -335,7 +331,8 @@ def _quadrature_residuals(H, G, E, F, points):
 def gauge_reduction_report(pair: ProjectivePair, points, tol=1e-10):
     """Classify the gauge algebra generated by the pair's vertical fields.
 
-    Flags (each decided by jet evaluation at the sample points):
+    Flags (each decided by jet evaluation at the sample points, and None,
+    undecided, if decided from a non-finite value):
       sdiff2          — every field is divergence-free for the flat fiber
                         area form dw1 ^ dw2;
       hdiff2          — divergences are fiber-independent (Hamiltonian up
@@ -360,17 +357,24 @@ def gauge_reduction_report(pair: ProjectivePair, points, tol=1e-10):
             dz.derivative(pair.fiber[-1]).value[..., :2, :]),
         "phi_z_dependence": max_abs(dz.value[..., 2:, :]),
     }
-    small = {k: v < tol for k, v in values.items()}
     flags = {
-        "sdiff2": small["div_max"],
-        "hdiff2": small["div_fiber_dependence"],
-        "phi_sdiff": small["phi_div_max"],
-        "o_times_diff1": small["t_dependence"],
-        "aff1_translational": (small["t_dependence"]
-                               and small["alpha_z_curvature"]
-                               and small["phi_z_dependence"]),
+        "sdiff2": below(tol, values["div_max"]),
+        "hdiff2": below(tol, values["div_fiber_dependence"]),
+        "phi_sdiff": below(tol, values["phi_div_max"]),
+        "o_times_diff1": below(tol, values["t_dependence"]),
+        "aff1_translational": below(tol, values["t_dependence"],
+                                    values["alpha_z_curvature"],
+                                    values["phi_z_dependence"]),
     }
     return flags, values
+
+
+def below(tol, *values):
+    """Whether every value is below `tol`; None (undecided) if any is not
+    finite, as NaN < tol is False and would decide a flag either way."""
+    if not all(math.isfinite(v) for v in values):
+        return None
+    return all(v < tol for v in values)
 
 
 def _fiber_divergence(fields, fiber):

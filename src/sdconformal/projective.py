@@ -18,7 +18,9 @@ The module also provides the curvature of the representative connection
 (reduced to a 2x2 bilinear form r), geodesic integration in two slope
 charts (the one RK4 integrator, which also transports the line-bundle
 sections of `minitwistor.ward_transport`, and steps lists of Python
-floats), and residuals for geodesic congruences lam = beta(x, y).
+floats), and residuals for geodesic congruences lam = beta(x, y).  A
+tensor at sample points, such as the Christoffels or r, is one jet with
+the point axes first and the index axes last.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import math
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at, values_at
-from .jets import JetSpace, max_abs, pointwise, stack, unstack
+from .jets import Jet, JetSpace, max_abs, pointwise
 
 COORDS = ("x", "y")
 
@@ -86,50 +88,51 @@ class ProjectiveSurface:
     # -- curvature -----------------------------------------------------------
 
     # `point` below maps x and y to numbers, or to equal-shaped arrays
-    # whose axes run over sample points (a sample set); the jets and arrays
-    # returned then carry those point axes in front.
+    # whose axes run over sample points (a sample set).  Each tensor is one
+    # jet (or array), those point axes first and its index axes last.
 
     def christoffel_jets(self, point, order):
-        """Nested list g[A][B][C] of jets of the Christoffels at `point`."""
-        g = jets_at([[[self.christoffel(A, B, C) for C in range(2)]
-                      for B in range(2)] for A in range(2)],
-                    JetSpace(COORDS, order), point)
-        return unstack(g, 3)
+        """Jets of the Christoffels at `point`, index axes (A, B, C) last."""
+        return jets_at([[[self.christoffel(A, B, C) for C in range(2)]
+                         for B in range(2)] for A in range(2)],
+                       JetSpace(COORDS, order), point)
 
     def curvature_endomorphism(self, point, order=2):
         """The dx^dy component of the curvature of the representative
-        connection, as a 2x2 array R[A][B] of jets of order `order`-1:
-        R^A_B = d_x G^A_1B - d_y G^A_0B + G^A_0E G^E_1B - G^A_1E G^E_0B."""
+        connection, as jets of order `order`-1 with index axes (A, B) last:
+        R^A_B = d_x G^A_1B - d_y G^A_0B + G^A_0E G^E_1B - G^A_1E G^E_0B,
+        the products truncated and added (val + p) - q in E order."""
         g = self.christoffel_jets(point, order)
-        R = [[None, None], [None, None]]
-        for A in range(2):
-            for B in range(2):
-                val = g[A][1][B].derivative("x") - g[A][0][B].derivative("y")
-                for E in range(2):
-                    val = val + (g[A][0][E] * g[E][1][B]).truncate(order - 1) \
-                              - (g[A][1][E] * g[E][0][B]).truncate(order - 1)
-                R[A][B] = val
-        return R
+        c, low = g.coeffs, JetSpace(COORDS, order - 1)
+        # p, q at [..., A, E, B, :]: G^A_kE G^E_lB for (k, l) = (0, 1), (1, 0)
+        p, q = (g.space.product(c[..., :, k, :, None, :],
+                                c[..., None, :, 1 - k, :, :])[..., :len(low)]
+                for k in (0, 1))
+        val = (g.derivative("x").coeffs[..., :, 1, :, :]
+               - g.derivative("y").coeffs[..., :, 0, :, :])
+        for E in range(2):
+            val = val + p[..., :, E, :, :] - q[..., :, E, :, :]
+        return Jet(low, val)
 
     def ricci(self, point, order=2):
         """The 2x2 bilinear form r determined by the curvature through
-        r(X,Z)Y - r(Y,Z)X + (r(X,Y) - r(Y,X))Z, as jets of order `order`-1.
+        r(X,Z)Y - r(Y,Z)X + (r(X,Y) - r(Y,X))Z, as jets of order `order`-1
+        with index axes (A, B) last.
 
         The solve of that 4x4 linear relation is closed-form:
             r_00 = R^1_0,  r_11 = -R^0_1,
             r_01 = (2 R^1_1 - R^0_0)/3,  r_10 = (R^1_1 - 2 R^0_0)/3.
         """
         R = self.curvature_endomorphism(point, order)
-        r = [[None, None], [None, None]]
-        r[0][0] = R[1][0]
-        r[1][1] = -R[0][1]
-        r[0][1] = (2 * R[1][1] - R[0][0]) * (1.0 / 3.0)
-        r[1][0] = (R[1][1] - 2 * R[0][0]) * (1.0 / 3.0)
-        return r
+        c, r, third = R.coeffs, np.empty(R.coeffs.shape), 1.0 / 3.0
+        r[..., 0, 0, :], r[..., 1, 1, :] = c[..., 1, 0, :], -c[..., 0, 1, :]
+        r[..., 0, 1, :] = (2.0 * c[..., 1, 1, :] - c[..., 0, 0, :]) * third
+        r[..., 1, 0, :] = (c[..., 1, 1, :] - 2.0 * c[..., 0, 0, :]) * third
+        return Jet(R.space, r)
 
     def ricci_values(self, point):
         """The values r[..., A, B] at `point`, point axes first."""
-        return np.ascontiguousarray(stack(self.ricci(point, order=2)).value)
+        return np.ascontiguousarray(self.ricci(point, order=2).value)
 
     # -- geodesics ------------------------------------------------------------
 

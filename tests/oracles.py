@@ -18,8 +18,7 @@ from sdconformal.conformal import (_EPS4, ORIENTATION_SIGMA, MetricBuilder,
 from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
                               Neg, Pow, UnknownIdentifierError, Var,
                               _print, as_expression, jets_at)
-from sdconformal.jets import (Jet, JetDomainError, JetSpace, max_abs,
-                              stack, unstack)
+from sdconformal.jets import Jet, JetDomainError, JetSpace, max_abs, stack
 from sdconformal.minitwistor import WeightedCongruence, _shifted_ricci
 from sdconformal.pairs import (LaxPair, ProjectivePair, _fiber_divergence,
                                build_lax, lax_residual)
@@ -107,6 +106,17 @@ def _walk(node, env, space):
 def eval_jet(e, space, point):
     """Evaluate with all space variables seeded at `point`."""
     return jets_at(e, space, point)
+
+
+def unstack(jet, depth):
+    """The nested list of jets, `depth` levels deep, that `jets.stack`
+    makes `jet` from: its last `depth` batch axes are the nesting.  The
+    entries are views of `jet`."""
+    if depth == 0:
+        return jet
+    rest = (slice(None),) * depth
+    return [unstack(Jet(jet.space, jet.coeffs[(..., i) + rest]), depth - 1)
+            for i in range(jet.coeffs.shape[-1 - depth])]
 
 
 def extract(jet, mu):
@@ -207,6 +217,34 @@ def projective_change(P, gamma0, gamma1):
     return out
 
 
+def reference_curvature_endomorphism(P, point, order=2):
+    """`ProjectiveSurface.curvature_endomorphism` as it was on nested
+    lists of jets: R[A][B], each entry summed in E order as
+    (val + p) - q.  Kept to check the stacked form against, bit for bit."""
+    g = unstack(P.christoffel_jets(point, order), 3)
+    R = [[None, None], [None, None]]
+    for A in range(2):
+        for B in range(2):
+            val = g[A][1][B].derivative("x") - g[A][0][B].derivative("y")
+            for E in range(2):
+                val = val + (g[A][0][E] * g[E][1][B]).truncate(order - 1) \
+                          - (g[A][1][E] * g[E][0][B]).truncate(order - 1)
+            R[A][B] = val
+    return R
+
+
+def reference_ricci(P, point, order=2):
+    """`ProjectiveSurface.ricci` as it was on nested lists of jets, r[A][B];
+    kept to check the stacked form against, bit for bit."""
+    R = reference_curvature_endomorphism(P, point, order)
+    r = [[None, None], [None, None]]
+    r[0][0] = R[1][0]
+    r[1][1] = -R[0][1]
+    r[0][1] = (2 * R[1][1] - R[0][0]) * (1.0 / 3.0)
+    r[1][0] = (R[1][1] - 2 * R[0][0]) * (1.0 / 3.0)
+    return r
+
+
 def reconstruct_curvature(r_values):
     """B(r)^A_B from a 2x2 array of r values (inverse of the solve in
     `ProjectiveSurface.ricci`)."""
@@ -224,8 +262,8 @@ def cotton(P, point):
     C_C = D_0 r_1C - D_1 r_0C with the connection acting on both slots.
     Projectively invariant; needs third derivatives of the metric data,
     i.e. order-3 jets of the Christoffels."""
-    g = P.christoffel_jets(point, 1)
-    r = P.ricci(point, order=3)  # order-2 jets
+    g = unstack(P.christoffel_jets(point, 1), 3)
+    r = unstack(P.ricci(point, order=3), 2)  # order-2 jets
 
     def Dr(B, A, C):
         out = r[A][C].derivative(COORDS[B]).value
@@ -245,7 +283,7 @@ def lifted_spray_velocity(P, state):
     x, y, p0, p1 = state
     if p0 == 0.0 and p1 == 0.0:
         raise ValueError("zero fiber vector")
-    g = P.christoffel_jets({"x": x, "y": y}, 0)
+    g = unstack(P.christoffel_jets({"x": x, "y": y}, 0), 3)
     gv = [[[g[A][B][C].value for C in range(2)] for B in range(2)]
           for A in range(2)]
     trace = [gv[0][B][0] + gv[1][B][1] for B in range(2)]
@@ -279,7 +317,7 @@ def certify_selfdual(P, pair, points, tol=1e-8, factor=None, lax_tol=1e-10):
     `conformal.certify_selfdual` returned."""
     lres = lax_residual(build_lax(P, pair), points)
     g, orientation = MetricBuilder(pair=pair, factor=factor).jets(points)
-    worst, signature_ok = curvature_maxima(g, pair.coords, orientation)
+    worst, signature_ok = curvature_maxima(g, orientation)
     return {
         "lax_residual": lres["residual"],
         "lax_cubic_max": lres["cubic_max"],
@@ -412,7 +450,7 @@ def null_kahler_check(check, builder, points):
     points, from its metric jets and the Hodge star of their curvature
     report, as `build-nullkahler` computes them."""
     g, orientation = builder.jets(points)
-    star = curvature_report(g, builder.coords, orientation)["star"]
+    star = curvature_report(g, orientation)["star"]
     return check(points, g, star)
 
 
@@ -486,7 +524,7 @@ def derivative_matrix_jets(P, phi, rho, point, order):
     ph, rh = unstack(jets_at([phi, rho], JetSpace(COORDS, order + 1), point),
                      2)
     rh = [r.truncate(order) for r in rh]
-    g = P.christoffel_jets(point, order)
+    g = unstack(P.christoffel_jets(point, order), 3)
     tr = [g[0][B][0] + g[1][B][1] for B in range(2)]
     low = [-ph[1].truncate(order), ph[0].truncate(order)]
     M = [[None, None], [None, None]]
@@ -561,8 +599,47 @@ def canonical_connection_from_congruence(P, phi, point):
     norm2 = (up[0] * up[0] + up[1] * up[1]).truncate(1)
     gam = [(-1.0 * m * up[B] * norm2.reciprocal()).truncate(1)
            for B in range(2)]
-    r = _shifted_ricci(P, gam, point)
+    r = _shifted_ricci(P, stack(gam), point)
     pv = np.array([up[0].value, up[1].value])
     return {"rho": np.array([rho[0].value, rho[1].value]),
             "residual": resid,
             "r_phi_phi": float(pv @ r @ pv)}
+
+
+def reference_weyl_gamma_jets(P, cong1, cong2, point):
+    """`minitwistor._weyl_gamma_jets` as it was on nested lists of jets:
+    gamma[B] and c[A][C] as lists, each Dc entry summed in E order as
+    (val - p) - q.  Kept to check the stacked form against, bit for bit."""
+    order = 1
+    phi1, phi2, rho1, rho2 = unstack(jets_at(
+        [cong1.phi, cong2.phi, cong1.rho, cong2.rho],
+        JetSpace(COORDS, order + 1), point), 2)
+    low = [[-ph[1], ph[0]] for ph in (phi1, phi2)]
+    c = [[(low[0][A] * low[1][C] + low[0][C] * low[1][A]) * 0.5
+          for C in range(2)] for A in range(2)]
+    g = unstack(P.christoffel_jets(point, order), 3)
+    tr = [g[0][B][0] + g[1][B][1] for B in range(2)]
+    rho = [rho1[B].truncate(order) + rho2[B].truncate(order)
+           for B in range(2)]
+    ct = [[c[A][C].truncate(order) for C in range(2)] for A in range(2)]
+    Dc = [[[None, None], [None, None]], [[None, None], [None, None]]]
+    for B in range(2):
+        for A in range(2):
+            for C in range(2):
+                val = c[A][C].derivative(COORDS[B])
+                for E in range(2):
+                    val = val - g[E][B][A] * ct[E][C] - g[E][B][C] * ct[A][E]
+                val = val + tr[B] * ct[A][C] * (4.0 / 3.0)
+                val = val + rho[B] * ct[A][C]
+                Dc[B][A][C] = val.truncate(order)
+    A2 = [[2.0 * ct[1][1], (-2.0) * ct[0][1]],
+          [(-2.0) * ct[0][1], 2.0 * ct[0][0]]]
+    b2 = [[-Dc[0][1][1]], [-Dc[1][0][0]]]
+    gam = [row[0] for row in unstack(jet_gauss_solve(A2, b2), 2)]
+    consistency = max_abs(*(Dc[B][A][C].value
+                            + 2.0 * gam[B].value * ct[A][C].value
+                            - gam[A].value * ct[B][C].value
+                            - gam[C].value * ct[A][B].value
+                            for B in range(2) for A in range(2)
+                            for C in range(A, 2)))
+    return gam, ct, consistency

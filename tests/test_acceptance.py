@@ -33,7 +33,8 @@ from sdconformal.cli import _pair as cli_pair, _surface as cli_surface
 from oracles import (area_connection_curvature, certify_selfdual,
                      congruence_from_slope, cotton, eval_jet, extract,
                      frame_values, null_kahler_check, point_rows,
-                     projective_change, sample_set, trivial_pair)
+                     projective_change, sample_set, trivial_pair,
+                     unstack)
 
 FLAT = ProjectiveSurface.flat()
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -116,7 +117,7 @@ class TestFlatBaseline:
         builder = MetricBuilder(pair=pair)
         for pt in point_rows(pts):
             g, orientation = builder.jets(pt)
-            rep = curvature_report(g, builder.coords, orientation)
+            rep = curvature_report(g, orientation)
             for key in ("riemann", "ricci", "weyl_plus", "weyl_minus",
                         "scalar", "star_defect"):
                 assert rep[key] < 1e-12
@@ -159,7 +160,7 @@ class TestCurvatureTransformation:
             gj = [evaluate(g0, env, space=space),
                   evaluate(g1, env, space=space)]
             gv = np.array([j.value for j in gj])
-            gam = P.christoffel_jets(pt, 0)
+            gam = unstack(P.christoffel_jets(pt, 0), 3)
             dgam = np.zeros((2, 2))
             for A in range(2):
                 for B in range(2):

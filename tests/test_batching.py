@@ -35,7 +35,7 @@ from test_acceptance import _frobenius_scene
 from oracles import (abelian_pair_residual, area_connection_curvature,
                      congruence_from_slope, cotton, evaluate, frame_values,
                      null_kahler_check, point_rows, point_slices,
-                     projective_change, sample_set, trivial_pair)
+                     projective_change, sample_set, trivial_pair, unstack)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 FLAT = ProjectiveSurface.flat()
@@ -105,11 +105,11 @@ def test_curvature_report_matches_single_points(name):
     builder = MetricBuilder(pair=pair, factor=factor)
     points = _points(name)
     g, orientation = builder.jets(points)
-    batched = curvature_report(g, builder.coords, orientation)
+    batched = curvature_report(g, orientation)
     singles = []
     for p in point_rows(points):
         g, orientation = builder.jets(p)
-        singles.append(curvature_report(g, builder.coords, orientation))
+        singles.append(curvature_report(g, orientation))
     for key, values in batched.items():
         want = [s[key] for s in singles]
         values = np.broadcast_to(values, np.shape(want))
@@ -490,14 +490,14 @@ def test_surface_curvature_accepts_point_arrays(P):
     r = P.ricci_values(points)
     assert r.shape == (len(rows), 2, 2)
     assert np.array_equal(r, [P.ricci_values(p) for p in rows])
-    g = P.christoffel_jets(points, 2)
-    R = P.curvature_endomorphism(points)
+    g = unstack(P.christoffel_jets(points, 2), 3)
+    R = unstack(P.curvature_endomorphism(points), 2)
     for n, p in enumerate(rows):
-        single = P.christoffel_jets(p, 2)
+        single = unstack(P.christoffel_jets(p, 2), 3)
         for A, B, C in np.ndindex(2, 2, 2):
             coeffs = np.broadcast_to(g[A][B][C].coeffs, (len(rows), 6))
             assert np.array_equal(coeffs[n], single[A][B][C].coeffs)
-        single = P.curvature_endomorphism(p)
+        single = unstack(P.curvature_endomorphism(p), 2)
         for A, B in np.ndindex(2, 2):
             coeffs = np.broadcast_to(R[A][B].coeffs, (len(rows), 3))
             assert np.array_equal(coeffs[n], single[A][B].coeffs)

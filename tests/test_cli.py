@@ -930,3 +930,49 @@ class TestOneParserAndValidatorsPerProcess:
         assert cli._validator.cache_info().misses == 2
         assert cli._validator.cache_info().hits == 3 * 7 - 2
         assert first > 2 and len(compiled) == first
+
+
+# (1e200*x)^2 overflows to inf, so this entry is inf - inf = NaN
+NAN_ENTRY = "(1e200*x)^2 - (1e200*x)^2"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["flat", "nullkahler_hk"])
+def test_a_gauge_flag_decided_from_nan_fails(capsys, tmp_path, name):
+    # NaN < tol is False, which used to decide each flag as if its value
+    # were large, and every flag check passed with no expected flags
+    def edit(scene):
+        scene["pair"]["alpha0"][0] = NAN_ENTRY
+        scene["sampling"]["count"] = 4
+    code, out, _ = _run_edited(capsys, tmp_path, "gauge-report", name, edit)
+    report = json.loads(out)
+    assert code == 1 and not report["pass"]
+    values, flags = report["fitted"]["values"], report["fitted"]["flags"]
+    for value in ("div_max", "div_fiber_dependence", "alpha_z_curvature"):
+        assert math.isnan(values[value])
+    checks = {c["name"]: c for c in report["checks"]}
+    for flag in ("sdiff2", "hdiff2", "aff1_translational"):
+        assert flags[flag] is None
+        check = checks[f"flag[{flag}]"]
+        assert math.isnan(check["value"]) and check["verdict"] is False
+    if name == "flat":
+        # phi's divergence is 0.0, so its flag is still decided
+        assert values["phi_div_max"] == 0.0 and flags["phi_sdiff"] is True
+        assert checks["flag[phi_sdiff]"]["verdict"] is True
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divisor2_equivalences_decided_from_nan_fail(capsys, tmp_path):
+    # both sides of each equivalence read NaN < tol = False, so they
+    # agreed, and the two equivalence checks passed
+    def edit(scene):
+        scene["divisor2"][0]["rho"] = [NAN_ENTRY, "0"]
+    code, out, _ = _run_edited(capsys, tmp_path, "divisor2",
+                               "divisor2_roots", edit)
+    assert code == 1
+    report = json.loads(out)
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("sym_equivalence", "skew_equivalence"):
+        assert math.isnan(checks[name]["value"])
+        assert checks[name]["verdict"] is False
+    assert set(report["fitted"]["verdicts"].values()) == {None}

@@ -7,7 +7,7 @@ import pytest
 
 from sdconformal import cli, conformal
 from sdconformal.expr import as_expression, jets_at
-from sdconformal.jets import Jet, JetSpace, stack, unstack
+from sdconformal.jets import Jet, JetSpace, stack
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.pairs import ProjectivePair, dw_quadrature_build
 from sdconformal.sampling import halton_points
@@ -19,7 +19,8 @@ from sdconformal.conformal import (MetricBuilder, curvature_report,
 from oracles import (builder_frame, certify_selfdual, christoffel_sum16,
                      dense_hodge_star, four_product_metric, frame_values,
                      full_solve_metric, null_kahler_check, point_rows,
-                     reference_gauss_solve, sample_set, trivial_pair)
+                     reference_gauss_solve, sample_set, trivial_pair,
+                     unstack)
 
 FLAT = ProjectiveSurface.flat()
 
@@ -133,7 +134,7 @@ class TestFlatMetric:
         builder = MetricBuilder(pair=trivial_pair())
         for pt in point_rows(_points4(("x", "y", "w1", "w2"), 4)):
             g, orientation = builder.jets(pt)
-            rep = curvature_report(g, builder.coords, orientation)
+            rep = curvature_report(g, orientation)
             assert rep["riemann"] < 1e-12
             assert rep["star_defect"] < 1e-12
             assert rep["signature_ok"]
@@ -380,10 +381,8 @@ class TestTruncationOrder:
 
     def test_christoffel_values(self, name):
         builder, pts = _scene_metric(name)
-        coords = builder.coords
-        gam2, ginv2 = christoffel_jets_4d(builder.jets(pts)[0], coords)
-        gam1, ginv1 = christoffel_jets_4d(builder.jets(pts, order=1)[0],
-                                          coords)
+        gam2, ginv2 = christoffel_jets_4d(builder.jets(pts)[0])
+        gam1, ginv1 = christoffel_jets_4d(builder.jets(pts, order=1)[0])
         assert gam2.space.order == 1 and gam1.space.order == 0
         assert _same_bits(gam1.coeffs, gam2.truncate(0).coeffs)
         assert _same_bits(ginv1.coeffs, ginv2.truncate(0).coeffs)
@@ -516,7 +515,7 @@ class TestKernelsMatchTheirReferences:
         rng = np.random.default_rng([len(batch), sum(batch), order])
         for _ in range(3):
             g = _symmetric_metric_jets(rng, batch, order)
-            gam, ginv = christoffel_jets_4d(g, COORDS4)
+            gam, ginv = christoffel_jets_4d(g)
             want_gam, want_ginv = christoffel_sum16(g, COORDS4)
             assert gam.coeffs.shape == batch + (4, 4, 4, len(gam.space))
             assert _same_bits(gam.coeffs, want_gam.coeffs)
@@ -528,7 +527,7 @@ class TestKernelsMatchTheirReferences:
         rng = np.random.default_rng([len(batch), sum(batch), 9])
         g = _symmetric_metric_jets(rng, batch, 2)
         g.coeffs[..., 0, 1, :] *= 1.0 + 1e-12
-        gam, _ = christoffel_jets_4d(g, COORDS4)
+        gam, _ = christoffel_jets_4d(g)
         assert _same_bits(gam.coeffs, christoffel_sum16(g, COORDS4)[0].coeffs)
 
     @pytest.mark.parametrize("orientation", [1.0, -1.0, "mixed"])
@@ -571,7 +570,7 @@ class TestSceneKernelsMatchTheirReferences:
         builder, pts = _scene_metric(name)
         for order in (1, 2):
             g, _ = builder.jets(pts, order=order)
-            gam, ginv = christoffel_jets_4d(g, builder.coords)
+            gam, ginv = christoffel_jets_4d(g)
             want_gam, want_ginv = christoffel_sum16(g, builder.coords)
             assert _same_bits(gam.coeffs, want_gam.coeffs)
             assert _same_bits(ginv.coeffs, want_ginv.coeffs)

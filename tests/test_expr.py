@@ -12,8 +12,8 @@ from sdconformal.expr import (FUNCTIONS, BinOp, Call, Const, Expression,
                               jets_at, values_at, ExprError, ExprSyntaxError,
                               ExprDomainError, UnknownIdentifierError)
 from sdconformal import expr as expr_module
-from sdconformal.jets import Jet, JetDomainError, JetSpace, stack, unstack
-from oracles import eval_jet, evaluate, reference_eval, to_source
+from sdconformal.jets import Jet, JetDomainError, JetSpace, stack
+from oracles import eval_jet, evaluate, reference_eval, to_source, unstack
 
 XY = ("x", "y")
 

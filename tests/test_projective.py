@@ -6,7 +6,8 @@ import pytest
 from sdconformal.expr import parse
 from sdconformal.projective import ProjectiveSurface, COORDS
 from oracles import (cotton, lifted_spray_velocity, projective_change,
-                     reconstruct_curvature, sample_set, spray_value)
+                     reconstruct_curvature, sample_set, spray_value,
+                     unstack)
 
 RNG = np.random.default_rng(20240811)
 
@@ -94,7 +95,7 @@ class TestCurvature:
         for pt in _points(rng, 4):
             r = P.ricci_values(pt)
             R = reconstruct_curvature(r)
-            direct = P.curvature_endomorphism(pt)
+            direct = unstack(P.curvature_endomorphism(pt), 2)
             got = np.array([[direct[A][B].value for B in range(2)]
                             for A in range(2)])
             assert np.allclose(R, got, atol=1e-12)
@@ -114,7 +115,7 @@ class TestCurvature:
             gj = [evaluate(g0, env, space=space),
                   evaluate(g1, env, space=space)]
             gv = np.array([j.value for j in gj])
-            gam = P.christoffel_jets(pt, 0)
+            gam = unstack(P.christoffel_jets(pt, 0), 3)
             dgam = np.zeros((2, 2))
             for A in range(2):
                 for B in range(2):
