@@ -15,7 +15,6 @@ path leaving the chart, ...).
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import numbers
@@ -23,6 +22,16 @@ import re
 import sys
 import time
 from pathlib import Path
+
+# The scene digest takes CPython's builtin SHA-256, as `random` takes its
+# SHA-512: hashlib would map OpenSSL's libcrypto for this one call.
+try:
+    from _sha2 import sha256              # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256        # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256        # a Python without builtin hashes
 
 import numpy as np
 
@@ -247,7 +256,7 @@ def load_scene(path):
     message = _schema_error(scene, "scene.schema.json")
     if message is not None:
         raise SceneError(f"scene {path} invalid: {message}")
-    scene["_digest"] = hashlib.sha256(raw).hexdigest()
+    scene["_digest"] = sha256(raw).hexdigest()
     scene["_path"] = str(path)
     return scene
 
@@ -300,10 +309,12 @@ class RunContext:
         self.box = samp.get("box", {})
         self._exclusions = samp.get("exclusions", [])
         given = scene.get("tolerances", {})
-        for name in given:
+        for name, value in given.items():
             if name not in TOLERANCES:
                 raise SceneError(f"unknown tolerance {name!r}; known: "
                                  f"{', '.join(TOLERANCES)}")
+            if math.isnan(value):
+                raise SceneError(f"tolerance {name} needs a number, not NaN")
         tolerances = {**TOLERANCES, **given, **dict(args.tol or [])}
         self.tol = {name: float(v) for name, v in tolerances.items()}
 
@@ -694,10 +705,13 @@ def _tolerance(text):
         raise argparse.ArgumentTypeError(
             f"unknown tolerance {name!r}; known: {', '.join(TOLERANCES)}")
     try:
-        return name, float(value)
+        number = float(value)
     except ValueError:
+        number = math.nan
+    if math.isnan(number):
         raise argparse.ArgumentTypeError(
-            f"tolerance {name} needs a number, not {value!r}") from None
+            f"tolerance {name} needs a number, not {value!r}")
+    return name, number
 
 
 def _int_at_least(low):

@@ -33,7 +33,7 @@ import itertools
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at
-from .jets import Jet, JetSpace, max_abs, stack
+from .jets import Jet, JetSpace, max_abs
 from .pairs import ProjectivePair, _dot, lie_bracket, lstsq
 
 # Which Weyl half the construction kills; calibrated on the null-Kaehler
@@ -60,15 +60,14 @@ _EPS_SIGN = _EPS4[_EPS_A, _EPS_B, _EPS_M, _EPS_N]
 
 def jet_gauss_solve(A, B):
     """Solve A X = B for matrices of jets by Gaussian elimination, pivoting
-    at each point on the magnitude of constant terms.  A is n x n, B is
-    n x m: lists of lists of Jets, or jets whose last two batch axes are
-    the matrix, as those of the returned X are."""
-    a, b = stack(A), stack(B)
-    space = a.space
-    batch = np.broadcast_shapes(a.coeffs.shape[:-3], b.coeffs.shape[:-3])
-    n, m, size = b.coeffs.shape[-3], b.coeffs.shape[-2], len(space)
-    M = np.concatenate([np.broadcast_to(a.coeffs, batch + (n, n, size)),
-                        np.broadcast_to(b.coeffs, batch + (n, m, size))],
+    at each point on the magnitude of constant terms.  A (n x n) and B
+    (n x m) are jets whose last two batch axes are the matrix, as those
+    of the returned X are."""
+    space = A.space
+    batch = np.broadcast_shapes(A.coeffs.shape[:-3], B.coeffs.shape[:-3])
+    n, m, size = B.coeffs.shape[-3], B.coeffs.shape[-2], len(space)
+    M = np.concatenate([np.broadcast_to(A.coeffs, batch + (n, n, size)),
+                        np.broadcast_to(B.coeffs, batch + (n, m, size))],
                        axis=-2).reshape(-1, n, n + m, size)
     X = _eliminate(M, space)[:, :, n:].reshape(batch + (n, m, size))
     return Jet(space, X)
@@ -107,8 +106,7 @@ def _eliminate(M, space, start=0):
 
 
 def jet_matrix_inverse(A):
-    a = stack(A)
-    return jet_gauss_solve(a, a.space.constant(np.eye(a.coeffs.shape[-2])))
+    return jet_gauss_solve(A, A.space.constant(np.eye(A.coeffs.shape[-2])))
 
 
 # -- metric assembly ----------------------------------------------------------

@@ -114,10 +114,10 @@ def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
         r symmetric  <=>  F^1 + F^2 = 0
         r skew       <=>  F^1 - F^2 = 0
 
-    Returns all norms, the verdicts, whether each pair agrees
-    ("sym_equivalence", "skew_equivalence") and whether both do
-    ("consistent").  A verdict decided from a non-finite norm is None
-    (undecided), and so is an agreement or "consistent" that reads one.
+    Returns all norms, the verdicts and whether each pair agrees
+    ("sym_equivalence", "skew_equivalence").  A verdict decided from a
+    non-finite norm is None (undecided), and so is an agreement that
+    reads one.
     """
     gam, _, dc_res = _weyl_gamma_jets(P, cong1, cong2, points)
     r = _shifted_ricci(P, gam, points)
@@ -143,7 +143,6 @@ def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
     sym = _agree(report["r_symmetric"], report["sum_flat"])
     skew = _agree(report["r_skew"], report["diff_flat"])
     report["sym_equivalence"], report["skew_equivalence"] = sym, skew
-    report["consistent"] = None if None in (sym, skew) else sym and skew
     return report
 
 

@@ -586,7 +586,7 @@ def canonical_connection_from_congruence(P, phi, point):
     rhs = [[sum((A[i][j] * b[i] for i in range(3)), p[0].space.constant(0.0))]
            for j in range(2)]
     rho = [row[0].truncate(1)
-           for row in unstack(jet_gauss_solve(N, rhs), 2)]
+           for row in unstack(jet_gauss_solve(stack(N), stack(rhs)), 2)]
     resid = max(abs((A[i][0] * rho[0] + A[i][1] * rho[1] - b[i]).value)
                 for i in range(3))
     # full derivative matrix with the solved rho; its skew part m
@@ -635,7 +635,8 @@ def reference_weyl_gamma_jets(P, cong1, cong2, point):
     A2 = [[2.0 * ct[1][1], (-2.0) * ct[0][1]],
           [(-2.0) * ct[0][1], 2.0 * ct[0][0]]]
     b2 = [[-Dc[0][1][1]], [-Dc[1][0][0]]]
-    gam = [row[0] for row in unstack(jet_gauss_solve(A2, b2), 2)]
+    gam = [row[0] for row in
+           unstack(jet_gauss_solve(stack(A2), stack(b2)), 2)]
     consistency = max_abs(*(Dc[B][A][C].value
                             + 2.0 * gam[B].value * ct[A][C].value
                             - gam[A].value * ct[B][C].value

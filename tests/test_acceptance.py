@@ -440,7 +440,7 @@ class TestDivisorDichotomy:
                     f"{rng.uniform(-0.2, 0.2):.4f}*x")
                 pts, expect_sym = neg_pts, True
             rep = divisor_two_report(P, c1, c2, pts, tol=1e-8)
-            assert rep["consistent"], (i, rep)
+            assert rep["sym_equivalence"] and rep["skew_equivalence"], (i, rep)
             assert rep["r_symmetric"] == rep["sum_flat"] == expect_sym
             assert rep["r_skew"] == rep["diff_flat"]
 

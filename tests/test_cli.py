@@ -1,5 +1,6 @@
 """Command line front end: exit codes, report shape, determinism."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -125,6 +126,25 @@ class TestReportShape:
         subs = report["fitted"]["reports"]
         assert len(subs) == 5
         assert all(r["pass"] for r in subs)
+
+
+class TestSceneDigest:
+    """`scene_digest` is the SHA-256 hex of the scene file's bytes."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENES.iterdir()))
+    def test_checked_in_scene(self, name):
+        path = SCENES / name
+        assert (cli.load_scene(path)["_digest"]
+                == hashlib.sha256(path.read_bytes()).hexdigest())
+
+    def test_non_ascii_bytes(self, tmp_path):
+        scene = json.loads((SCENES / "flat.json").read_text())
+        scene["name"] = "Selbstdual \u2013 \u03bb \u00e9t\u00e9 \U0001d53b"
+        path = tmp_path / "scene.json"
+        path.write_bytes(json.dumps(scene, ensure_ascii=False).encode())
+        assert not path.read_bytes().isascii()
+        assert (cli.load_scene(path)["_digest"]
+                == hashlib.sha256(path.read_bytes()).hexdigest())
 
 
 class TestDeterminismAndOverrides:
@@ -663,6 +683,32 @@ class TestToleranceOverrides:
         [check] = [c for c in report["checks"]
                    if c["name"] == "weyl_connection_consistency"]
         assert check["tolerance"] == 1e-300 and not check["verdict"]
+
+    @pytest.mark.parametrize("text", ["lax=nan", "lax=NaN", "lax=-nan"])
+    def test_a_nan_override_is_rejected(self, capsys, text):
+        # a NaN tolerance used to fail every check it set, with exit 1
+        code, err = self._exit(capsys, text)
+        assert code == 2
+        assert err.endswith("error: argument --tol: tolerance lax needs a "
+                            f"number, not {text[4:]!r}\n")
+
+    def test_a_nan_scene_tolerance_is_a_scene_error(self, capsys, tmp_path):
+        # json reads NaN and the schema's number admits it; verify-lax used
+        # to exit 1 with "tolerance": NaN in its report
+        code, out, err = _run_edited(
+            capsys, tmp_path, "verify-lax", "flat",
+            lambda scene: scene.setdefault("tolerances", {}).update(
+                lax=math.nan))
+        assert code == 2 and out == ""
+        assert err == "scene error: tolerance lax needs a number, not NaN\n"
+
+    @pytest.mark.parametrize("value,exit_code", [(math.inf, 0), (-1.0, 1)])
+    def test_infinite_and_negative_tolerances_still_run(
+            self, capsys, value, exit_code):
+        code, report = run(capsys, "verify-lax", str(SCENES / "flat.json"),
+                           "--samples", "4", "--tol", f"lax={value}")
+        assert code == exit_code
+        assert [c["tolerance"] for c in report["checks"]] == [value] * 2
 
     def test_unknown_scene_tolerance_is_a_scene_error(self, capsys, tmp_path):
         # a scene's unknown tolerance name used to be ignored: this scene

@@ -45,7 +45,7 @@ class TestJetLinearAlgebra:
              [y, one, zero, zero],
              [zero, zero, one, x * x],
              [x, zero, zero, one + y]]
-        Ainv = unstack(jet_matrix_inverse(A), 2)
+        Ainv = unstack(jet_matrix_inverse(stack(A)), 2)
         for i in range(4):
             for j in range(4):
                 prod = sum((A[i][k] * Ainv[k][j]).truncate(2)

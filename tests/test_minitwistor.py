@@ -103,7 +103,7 @@ class TestDivisorTwo:
         assert rep["sym_r"] < 1e-10 and rep["skew_r"] < 1e-10
         assert rep["f_sum"] < 1e-10 and rep["f_diff"] < 1e-10
         assert rep["r_symmetric"] and rep["r_skew"]
-        assert rep["consistent"]
+        assert rep["sym_equivalence"] and rep["skew_equivalence"]
 
     def test_quadratic_roots_split_the_dichotomy(self):
         cong1, cong2 = _quadratic_root_congruences()
@@ -114,7 +114,7 @@ class TestDivisorTwo:
         assert rep["sum_flat"] and rep["r_symmetric"]
         assert not rep["diff_flat"] and not rep["r_skew"]
         assert rep["f_diff"] > 0.1 and rep["sym_r"] > 0.1
-        assert rep["consistent"]
+        assert rep["sym_equivalence"] and rep["skew_equivalence"]
 
     def test_verdicts_survive_a_projective_change(self):
         Q = projective_change(FLAT, "0.1*y", "0.2*x")
@@ -123,7 +123,7 @@ class TestDivisorTwo:
         assert rep["dc_residual"] < 1e-9
         assert rep["r_symmetric"] and not rep["r_skew"]
         assert rep["sum_flat"] and not rep["diff_flat"]
-        assert rep["consistent"]
+        assert rep["sym_equivalence"] and rep["skew_equivalence"]
 
 
 class TestWardTransport:

@@ -3,8 +3,9 @@
 The CLI validates scenes and reports with a small validator that knows
 only the keywords the two packaged schemas use, and imports jsonschema
 only to word the error of an invalid instance.  These tests pin that it
-agrees with jsonschema, that every schema keyword is one it knows, and
-that the package runs without the repository around it.
+agrees with jsonschema, that every schema keyword is one it knows, that
+the package runs without the repository around it, and that a command
+loads no module it does not need.
 """
 
 import copy
@@ -86,6 +87,22 @@ def test_jsonschema_is_imported_only_for_an_invalid_scene(tmp_path, valid):
             "print(code, 'jsonschema' in sys.modules)")
     proc = _run(["-c", code], PACKAGE.parent, tmp_path)
     assert proc.stdout.split() == ["0" if valid else "2", str(not valid)]
+
+
+# Modules a command must not load: OpenSSL (the scene digest uses the
+# builtin SHA-256), jsonschema (wording invalid scenes only) and the
+# heavy test-side packages.  hypothesis loads _hashlib into the pytest
+# process, so only a fresh interpreter shows what the package imports.
+UNWANTED = ("_hashlib", "_ssl", "jsonschema", "scipy", "sympy")
+
+
+def test_a_command_loads_no_unwanted_module(tmp_path):
+    code = ("import sys\nfrom sdconformal.cli import main\n"
+            f"code = main(['curvature', {str(ROOT / 'scenes' / 'flat.json')!r}"
+            f", '--samples', '4', '--out', {str(tmp_path / 'r.json')!r}])\n"
+            f"print(code, *(m for m in {UNWANTED!r} if m in sys.modules))")
+    proc = _run(["-c", code], PACKAGE.parent, tmp_path)
+    assert proc.stdout.split() == ["0"], proc.stderr
 
 
 # -- the validator knows every keyword of the schemas -----------------------------
