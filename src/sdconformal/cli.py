@@ -101,23 +101,6 @@ def _all(checks):
     return check
 
 
-def _lazy(build):
-    """A check that calls `build()` for the real check on its first call,
-    so that a subschema is compiled only when an instance reaches it."""
-    check = None
-
-    def lazy(v):
-        nonlocal check
-        if check is None:
-            check = build()
-        return check(v)
-    return lazy
-
-
-def _sub(schema, root):
-    return _lazy(lambda: _compile(schema, root))
-
-
 def _type(a, s, r):
     tests = [_TYPES[t] for t in ([a] if isinstance(a, str) else a)
              if t in _TYPES]
@@ -135,16 +118,16 @@ def _type(a, s, r):
 def _ref(a, s, r):
     if not a.startswith(_DEFS):
         return _never
-    return _lazy(lambda: _compile(r["$defs"][a[len(_DEFS):]], r))
+    return _compile(r["$defs"][a[len(_DEFS):]], r)
 
 
 def _items(a, s, r):
-    check = _sub(a, r)
+    check = _compile(a, r)
     return lambda v: not isinstance(v, list) or all(map(check, v))
 
 
 def _properties(a, s, r):
-    checks = [(k, _sub(sub, r)) for k, sub in a.items()]
+    checks = [(k, _compile(sub, r)) for k, sub in a.items()]
 
     def check(v):
         if isinstance(v, dict):
@@ -156,7 +139,7 @@ def _properties(a, s, r):
 
 
 def _pattern_properties(a, s, r):
-    checks = [(p, _sub(sub, r)) for p, sub in a.items()]
+    checks = [(p, _compile(sub, r)) for p, sub in a.items()]
     return lambda v: not isinstance(v, dict) or all(
         c(x) for p, c in checks for k, x in v.items() if re.search(p, k))
 
@@ -164,7 +147,7 @@ def _pattern_properties(a, s, r):
 def _additional_properties(a, s, r):
     """The check of the values whose keys neither `properties` nor
     `patternProperties` of `s` covers."""
-    check = _sub(a, r)
+    check = _compile(a, r)
     named = s.get("properties", {})
     patterns = list(s.get("patternProperties", {}))
     return lambda v: not isinstance(v, dict) or all(
@@ -206,7 +189,8 @@ def _compile(schema, root):
     keywords run in the schema's order.  Only the keywords of the packaged
     schemas are known; any other keyword fails the check, which hands the
     instance to jsonschema.  So True is exact, and False is confirmed or
-    overruled by jsonschema.  Subschemas are compiled on their first use."""
+    overruled by jsonschema.  Its subschemas, `$ref` targets included,
+    compile with it at once: the packaged schemas have no recursive `$ref`."""
     if isinstance(schema, bool):
         return lambda v: schema
     checks = []
@@ -220,16 +204,10 @@ def _compile(schema, root):
     return _all(checks)
 
 
-def _is_valid(inst, schema, root):
-    """Whether `inst` satisfies `schema`, a subschema of `root`, by the
-    check `_compile` makes of it (see there)."""
-    return _compile(schema, root)(inst)
-
-
 @functools.lru_cache(maxsize=None)
 def _validator(name):
-    """The compiled check of the packaged schema `name`, made once a
-    process; its subschemas compile on first use."""
+    """The compiled check of the packaged schema `name`, made whole on
+    its first use and kept for the rest of the process."""
     schema = _schema(name)
     return _compile(schema, schema)
 
@@ -247,10 +225,22 @@ def _schema_error(instance, name):
     return None if error is None else error.message
 
 
+def _scene_int(text):
+    """A scene's integer literal, which must fit a float: the commands read
+    its numbers as floats."""
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"an integer of {len(text.lstrip('-'))} digits "
+                         "does not fit a float") from None
+    return value
+
+
 def load_scene(path):
     try:
         raw = Path(path).read_bytes()
-        scene = json.loads(raw)
+        scene = json.loads(raw, parse_int=_scene_int)
     except (OSError, ValueError) as exc:   # also bad UTF, a NUL in the path
         raise SceneError(f"cannot read scene {path}: {exc}") from exc
     message = _schema_error(scene, "scene.schema.json")
@@ -301,7 +291,6 @@ class RunContext:
     """Sampling, tolerances and flag state for one command run."""
 
     def __init__(self, scene, args):
-        self.scene = scene
         self.args = args
         samp = scene.get("sampling", {})
         self.count = args.samples if args.samples else samp.get("count", 32)
@@ -465,7 +454,7 @@ def _cmd_congruence(scene, ctx):
     P = _surface(scene)
     pts = ctx.points(("x", "y"))
     checks, fitted = [], {}
-    x0, y0 = scene.get("probe", (pts["x"][0], pts["y"][0]))
+    x0, y0 = scene.get("probe", (float(pts["x"][0]), float(pts["y"][0])))
     probe = {"x": x0, "y": y0}
     for name, beta in scene.get("congruences", {}).items():
         res = P.congruence_residual(beta, pts)
@@ -473,7 +462,7 @@ def _cmd_congruence(scene, ctx):
                              ctx.tol["congruence"]))
         fitted[name] = {
             "probe": [x0, y0],
-            "multiplier": [P.congruence_multiplier(beta, probe, lam)
+            "multiplier": [float(P.congruence_multiplier(beta, probe, lam))
                            for lam in (0.0, 1.0, 2.0)],
         }
     if not checks:
@@ -604,7 +593,7 @@ def _cmd_ward(scene, ctx):
     # on Python floats: inf - inf is NaN without a numpy RuntimeWarning
     delta = abs(float(coarse["transport"]) - float(fine["transport"]))
     checks = [_check("transport_convergence", delta, ctx.tol["ward"])]
-    fitted = {"transport": fine["transport"],
+    fitted = {"transport": float(fine["transport"]),
               "end": [float(v) for v in fine["end"]]}
     return checks, fitted
 
@@ -662,28 +651,11 @@ COMMANDS = {
 }
 
 
-def _clean(obj):
-    """JSON-safe copy: numpy scalars/arrays to plain Python."""
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    return obj
-
-
 def run_command(command, scene, args):
     ctx = RunContext(scene, args)
     t0 = time.perf_counter()
     checks, fitted = COMMANDS[command](scene, ctx)
-    report = {
+    return {
         "command": command,
         "scene": scene.get("name", Path(scene["_path"]).stem),
         "scene_digest": scene["_digest"],
@@ -695,7 +667,6 @@ def run_command(command, scene, args):
         "pass": all(c["verdict"] for c in checks),
         "wall_time": time.perf_counter() - t0,
     }
-    return _clean(report)
 
 
 def _tolerance(text):

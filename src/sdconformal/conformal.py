@@ -363,11 +363,11 @@ def killing_report(g, fields, points):
         acc = (np.einsum("...b,...ab->...a", Kv, dK)
                + np.einsum("...abc,...b,...c->...a", gamv, Kv, Kv))
         perp = acc - (_dot(acc, Kv) / norm2)[..., None] * Kv
-        reports[name] = {"exact_killing": max_abs(_maxabs(lie, 2)),
-                         "conformal_killing": max_abs(_maxabs(conf, 2)),
+        reports[name] = {"exact_killing": max_abs(lie),
+                         "conformal_killing": max_abs(conf),
                          "null_defect": max_abs(null),
                          "twist": twist.tolist(),
-                         "geodesic": max_abs(_maxabs(perp, 1)),
+                         "geodesic": max_abs(perp),
                          "twist_max": max_abs(twist)}
     return reports
 
@@ -441,10 +441,9 @@ def build_null_kahler(a, c, f):
         compat = np.einsum("...ca,...cb->...ab", J, gv) - omv
         gjj = np.einsum("...ca,...db,...cd->...ab", J, J, gv)
         starom = np.einsum("...abcd,...cd->...ab", star, omv)
-        norms = {"domega": _maxabs(d3, 3), "compat": _maxabs(compat, 2),
-                 "J_null": _maxabs(J @ J, 2), "g_JJ": _maxabs(gjj, 2),
-                 "killing": _maxabs(g.gradient()[..., 2], 2),
-                 "omega_antiselfdual": _maxabs(starom + omv, 2)}
+        norms = {"domega": d3, "compat": compat, "J_null": J @ J,
+                 "g_JJ": gjj, "killing": g.gradient()[..., 2],
+                 "omega_antiselfdual": starom + omv}
         return {k: max_abs(v) for k, v in norms.items()}
 
     return {"surface": P, "pair": pair, "metric": builder, "J": J_expr,

@@ -344,7 +344,8 @@ def gauge_reduction_report(pair: ProjectivePair, points, tol=1e-10):
                         in z, and phi is z-independent (translational).
     """
     # fields[n, k, i]: component i of alpha0, alpha1, phi0, phi1 (k)
-    fields = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 3), points)
+    # order 2: the deepest reads are div.gradient() and dz.derivative(...)
+    fields = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 2), points)
     div = _fiber_divergence(fields, pair.fiber)
     dz = fields.derivative(pair.fiber[-1])
     values = {

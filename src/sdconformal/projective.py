@@ -132,7 +132,7 @@ class ProjectiveSurface:
 
     def ricci_values(self, point):
         """The values r[..., A, B] at `point`, point axes first."""
-        return np.ascontiguousarray(self.ricci(point, order=2).value)
+        return np.ascontiguousarray(self.ricci(point, order=1).value)
 
     # -- geodesics ------------------------------------------------------------
 

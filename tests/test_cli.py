@@ -1,5 +1,6 @@
 """Command line front end: exit codes, report shape, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -8,11 +9,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sdconformal import cli, conformal
+from sdconformal import cli, conformal, pairs
 from sdconformal.cli import TOLERANCES, _check, main
 from sdconformal.expr import Expression, parse
 from sdconformal.jets import stack
 from sdconformal.pairs import LaxPair, lax_residual
+from sdconformal.projective import ProjectiveSurface
 from sdconformal.sampling import halton_points
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -126,6 +128,33 @@ class TestReportShape:
         subs = report["fitted"]["reports"]
         assert len(subs) == 5
         assert all(r["pass"] for r in subs)
+
+
+def _plain(value):
+    """Whether `value` is JSON data of the builtin types exactly: no numpy
+    scalar or array, no tuple, no subclass."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_plain, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENES.iterdir()))
+def test_reports_are_plain_json_data(name):
+    # run_command returns each report as its command built it, with no
+    # converter behind it: a numpy value in a report fails here
+    args = argparse.Namespace(samples=None, seed=None, tol=None)
+    accepted = []
+    for command in sorted(cli.COMMANDS):
+        try:
+            report = cli.run_command(command, cli.load_scene(SCENES / name),
+                                     args)
+        except cli.SceneError:
+            continue
+        assert _plain(report), command
+        accepted.append(command)
+    assert accepted
 
 
 class TestSceneDigest:
@@ -866,6 +895,35 @@ def test_each_4d_command_solves_at_the_orders_it_reads(
     assert field_evaluations == 1
 
 
+def test_gauge_report_evaluates_the_fields_at_order_two(capsys, monkeypatch):
+    # its deepest reads are the divergence's gradient and the value of the
+    # second z-derivative
+    orders, evaluate = [], pairs.jets_at
+
+    def spy(exprs, space, point):
+        orders.append(space.order)
+        return evaluate(exprs, space, point)
+    monkeypatch.setattr(pairs, "jets_at", spy)
+    code, _ = run(capsys, "gauge-report", str(SCENES / "nullkahler_hk.json"))
+    assert code == 0
+    assert orders == [2]
+
+
+def test_divisor2_solves_the_christoffels_at_the_orders_it_reads(
+        capsys, monkeypatch):
+    # the Weyl connection reads them to first order, the shifted Ricci form
+    # their values, and r only its value: [1, 0, 1], where r took order 2
+    orders, christoffel = [], ProjectiveSurface.christoffel_jets
+
+    def spy(self, point, order):
+        orders.append(order)
+        return christoffel(self, point, order)
+    monkeypatch.setattr(ProjectiveSurface, "christoffel_jets", spy)
+    code, _ = run(capsys, "divisor2", str(SCENES / "divisor2_roots.json"))
+    assert code == 0
+    assert orders == [1, 0, 1]
+
+
 def test_killing_fields_share_the_christoffels(capsys, monkeypatch,
                                                tmp_path):
     # a second field adds no solve: the Christoffels, and the order-0
@@ -912,6 +970,36 @@ def test_an_unreadable_scene_is_a_scene_error(capsys, tmp_path, content,
     assert code == 2 and out == ""
     assert err.startswith("scene error: cannot read scene ")
     assert err.count("\n") == 1
+
+
+# 401 digits: json reads an int, the schema's number admits it, and
+# float() of it raises OverflowError
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("command,name,edit", [
+    ("verify-lax", "flat",
+     lambda scene: scene["tolerances"].update(lax=HUGE)),
+    ("verify-lax", "flat",
+     lambda scene: scene["sampling"]["box"].update(x=[-HUGE, 1])),
+    ("ward", "ward", lambda scene: scene["ward"].update(length=HUGE)),
+    ("ward", "ward", lambda scene: scene["ward"].update(step=HUGE)),
+    ("congruence", "burgers",
+     lambda scene: scene["sampling"]["exclusions"][0].update(guard=HUGE)),
+    ("killing", "flat",
+     lambda scene: scene["fields"].update(K=[0, 0, HUGE, 0])),
+    ("verify-lax", "flat",
+     lambda scene: scene["sampling"].update(seed=HUGE)),
+], ids=["tolerance", "box", "ward-length", "ward-step", "guard",
+        "killing-field", "seed"])
+def test_an_integer_too_large_for_a_float_is_a_scene_error(
+        capsys, tmp_path, command, name, edit):
+    # the first six ended in an OverflowError traceback with exit 1; a seed
+    # of that size ran
+    code, out, err = _run_edited(capsys, tmp_path, command, name, edit)
+    assert code == 2 and out == ""
+    assert err == (f"scene error: cannot read scene {tmp_path / name}.json: "
+                   "an integer of 401 digits does not fit a float\n")
 
 
 class TestOneParserAndValidatorsPerProcess:

@@ -34,7 +34,7 @@ def _reference(schema):
 
 
 def _fast(instance, schema):
-    return cli._is_valid(instance, schema, schema)
+    return cli._compile(schema, schema)(instance)
 
 
 def _run(args, env_path, cwd):
