@@ -241,7 +241,8 @@ def load_scene(path):
     try:
         raw = Path(path).read_bytes()
         scene = json.loads(raw, parse_int=_scene_int)
-    except (OSError, ValueError) as exc:   # also bad UTF, a NUL in the path
+    # also bad UTF, a NUL in the path, JSON nested too deeply
+    except (OSError, ValueError, RecursionError) as exc:
         raise SceneError(f"cannot read scene {path}: {exc}") from exc
     message = _schema_error(scene, "scene.schema.json")
     if message is not None:
@@ -723,6 +724,10 @@ def main(argv=None):
         report = run_command(args.command, load_scene(args.scene), args)
     except (SceneError, SamplingError, ExprError) as exc:
         print(f"scene error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:   # parsing, compiling and diff recurse on nesting
+        print("scene error: an expression is nested too deeply",
+              file=sys.stderr)
         return 2
     except (JetDomainError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -9,7 +9,13 @@ Grammar (whitespace insignificant, function application requires parens):
     atom   := NUMBER | IDENT | FUNC '(' expr ')' | '(' expr ')'
 
 Precedence: ^ > unary- > * / > + -, with + - * / left associative.
-Exponents are integer literals only; general powers go through exp/log.
+Exponents are integer literals that fit a float; general powers go
+through exp/log.
+
+An expression is its tree: `Expression` is the base class of the six
+immutable node classes, which `parse`, the arithmetic operators and
+`diff` return.  Parsing, compiling and `diff` recurse on the nesting of
+the tree, so input nested too deeply raises RecursionError.
 
 Expressions are evaluated over jets (`jets_at`) by first compiling them
 (`compile`) into a `Plan`: a flat tape of the jet operations that
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -61,10 +67,25 @@ ExprDomainError = JetDomainError
 _set = object.__setattr__
 
 
-class _Node:
-    """An immutable AST node, made from its fields (`__slots__`) in order.
-    It equals, and hashes like, a node of the same class with equal
-    fields."""
+def _operator(op, reflected=False):
+    """The Expression method of the binary operator `op`.  A number is
+    lifted to a constant; any other operand gives NotImplemented, so
+    Python raises its TypeError."""
+    def method(self, other):
+        if isinstance(other, (int, float)):
+            other = Expression.const(other)
+        elif not isinstance(other, Expression):
+            return NotImplemented
+        return BinOp(op, other, self) if reflected else BinOp(op, self, other)
+    return method
+
+
+class Expression:
+    """An expression, which is the root node of its tree: an instance of
+    a node class below, made from its fields (`__slots__`) in order.  It
+    cannot be changed, and equals, and hashes like, a node of the same
+    class with equal fields.  Expressions support arithmetic, printing
+    and symbolic differentiation, and are evaluated over jets."""
 
     __slots__ = ()
 
@@ -93,59 +114,88 @@ class _Node:
                            for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
+    @property
+    def free_vars(self) -> frozenset:
+        return frozenset(_free_vars(self))
 
-class Const(_Node):
+    # construction helpers
+    @staticmethod
+    def const(value: float) -> "Expression":
+        return Const(float(value))
+
+    @staticmethod
+    def var(name: str) -> "Expression":
+        return Var(name)
+
+    __add__, __radd__ = _operator("+"), _operator("+", reflected=True)
+    __sub__, __rsub__ = _operator("-"), _operator("-", reflected=True)
+    __mul__, __rmul__ = _operator("*"), _operator("*", reflected=True)
+    __truediv__ = _operator("/")
+    __rtruediv__ = _operator("/", reflected=True)
+
+    def __neg__(self):
+        return Neg(self)
+
+    def __pow__(self, n: int):
+        return Pow(self, int(n))
+
+    def __str__(self):
+        return _print(self)
+
+    def diff(self, var: str) -> "Expression":
+        return _diff(self, var)
+
+
+class Const(Expression):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
         _set(self, "value", value)
 
 
-class Var(_Node):
+class Var(Expression):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         _set(self, "name", name)
 
 
-class Neg(_Node):
+class Neg(Expression):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: "Node"):
+    def __init__(self, arg: Expression):
         _set(self, "arg", arg)
 
 
-class Call(_Node):
+class Call(Expression):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: str, arg: "Node"):
+    def __init__(self, fn: str, arg: Expression):
         _set(self, "fn", fn)
         _set(self, "arg", arg)
 
 
-class BinOp(_Node):
+class BinOp(Expression):
     __slots__ = ("op", "lhs", "rhs")   # op is one of + - * /
 
-    def __init__(self, op: str, lhs: "Node", rhs: "Node"):
+    def __init__(self, op: str, lhs: Expression, rhs: Expression):
         _set(self, "op", op)
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
 
 
-class Pow(_Node):
+class Pow(Expression):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: "Node", exponent: int):
+    def __init__(self, base: Expression, exponent: int):
         _set(self, "base", base)
         _set(self, "exponent", exponent)
 
 
-Node = Union[Const, Var, Neg, Call, BinOp, Pow]
-
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-def _precedence(node: Node) -> int:
+def _precedence(node: Expression) -> int:
     if isinstance(node, BinOp):
         return _PREC_ADD if node.op in "+-" else _PREC_MUL
     if isinstance(node, Neg):
@@ -179,12 +229,8 @@ def _tokenize(source: str):
             raise ExprSyntaxError(
                 f"unexpected character {stripped[0]!r}", len(source) - len(stripped)
             )
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(source)))
     return tokens
@@ -194,7 +240,6 @@ def _tokenize(source: str):
 
 class _Parser:
     def __init__(self, source: str, allowed_vars):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.allowed = tuple(allowed_vars)
@@ -213,41 +258,34 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", off)
         return self.advance()
 
-    def parse(self) -> Node:
+    def parse(self) -> Expression:
         node = self.expr()
         kind, text, off = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {text!r}", off)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self, ops: str = "+-") -> Expression:
+        """Terms joined by + and - (an expr), or with ops="*/" unary
+        operands joined by * and / (a term), left associative.  One method
+        parses both, so a level of nesting costs no extra call."""
+        node = None
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
+            rhs = self.unary() if ops == "*/" else self.expr("*/")
+            node = rhs if node is None else BinOp(op, node, rhs)
+            kind, op, _ = self.peek()
+            if kind != "op" or op not in ops:
                 return node
+            self.advance()
 
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Node:
+    def unary(self) -> Expression:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
             return Neg(self.unary())
         return self.power()
 
-    def power(self) -> Node:
+    def power(self) -> Expression:
         base = self.atom()
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
@@ -260,11 +298,17 @@ class _Parser:
                 kind, text, off = self.peek()
             if kind != "num" or not re.fullmatch(r"\d+", text):
                 raise ExprSyntaxError("exponent must be an integer literal", off)
+            try:   # `_diff` takes it as a float
+                exponent = int(text)
+                float(exponent)
+            except (ValueError, OverflowError):   # also too many digits
+                raise ExprSyntaxError(f"an exponent of {len(text)} digits "
+                                      "does not fit a float", off) from None
             self.advance()
-            return Pow(base, sign * int(text))
+            return Pow(base, sign * exponent)
         return base
 
-    def atom(self) -> Node:
+    def atom(self) -> Expression:
         kind, text, off = self.advance()
         if kind == "num":
             return Const(float(text))
@@ -292,73 +336,7 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {text!r}", off)
 
 
-# -- expression value type -------------------------------------------------
-
-def _operator(op, reflected=False):
-    """The Expression method of the binary operator `op`.  A number is
-    lifted to a constant; any other operand gives NotImplemented, so
-    Python raises its TypeError."""
-    def method(self, other):
-        if isinstance(other, (int, float)):
-            other = Expression.const(other)
-        elif not isinstance(other, Expression):
-            return NotImplemented
-        lhs, rhs = (other, self) if reflected else (self, other)
-        return Expression(BinOp(op, lhs.node, rhs.node))
-    return method
-
-
-class Expression:
-    """Immutable parsed expression; supports arithmetic, printing, symbolic
-    differentiation and evaluation over jets."""
-
-    __slots__ = ("node",)
-
-    def __init__(self, node: Node):
-        self.node = node
-
-    @property
-    def free_vars(self) -> frozenset:
-        return frozenset(_free_vars(self.node))
-
-    # construction helpers
-    @staticmethod
-    def const(value: float) -> "Expression":
-        return Expression(Const(float(value)))
-
-    @staticmethod
-    def var(name: str) -> "Expression":
-        return Expression(Var(name))
-
-    def __eq__(self, other):
-        return isinstance(other, Expression) and self.node == other.node
-
-    def __hash__(self):
-        return hash(self.node)
-
-    __add__, __radd__ = _operator("+"), _operator("+", reflected=True)
-    __sub__, __rsub__ = _operator("-"), _operator("-", reflected=True)
-    __mul__, __rmul__ = _operator("*"), _operator("*", reflected=True)
-    __truediv__ = _operator("/")
-    __rtruediv__ = _operator("/", reflected=True)
-
-    def __neg__(self):
-        return Expression(Neg(self.node))
-
-    def __pow__(self, n: int):
-        return Expression(Pow(self.node, int(n)))
-
-    def __str__(self):
-        return _print(self.node)
-
-    def __repr__(self):
-        return f"Expression({_print(self.node)!r})"
-
-    def diff(self, var: str) -> "Expression":
-        return Expression(_diff(self.node, var))
-
-
-def _free_vars(node: Node):
+def _free_vars(node: Expression):
     if isinstance(node, Var):
         yield node.name
     elif isinstance(node, Neg):
@@ -374,7 +352,7 @@ def _free_vars(node: Node):
 
 def parse(source: str, allowed_vars) -> Expression:
     """Parse `source` into an Expression over the given variables."""
-    return Expression(_Parser(source, allowed_vars).parse())
+    return _Parser(source, allowed_vars).parse()
 
 
 def as_expression(value, allowed_vars) -> Expression:
@@ -389,7 +367,7 @@ def as_expression(value, allowed_vars) -> Expression:
 
 # -- printing ---------------------------------------------------------------
 
-def _print(node: Node) -> str:
+def _print(node: Expression) -> str:
     if isinstance(node, Const):
         return repr(node.value) if node.value >= 0 else f"-{repr(-node.value)}"
     if isinstance(node, Var):
@@ -421,7 +399,7 @@ def _print(node: Node) -> str:
 
 # -- symbolic differentiation ------------------------------------------------
 
-def _diff(node: Node, var: str) -> Node:
+def _diff(node: Expression, var: str) -> Expression:
     if isinstance(node, Const):
         return Const(0.0)
     if isinstance(node, Var):
@@ -536,7 +514,7 @@ def compile(exprs, space: JetSpace) -> Plan:
         out = memo[id(node)] = len(registers) - 1
         return out
 
-    outputs = [emit(e.node) for e in exprs]
+    outputs = [emit(e) for e in exprs]
     emit = None   # frees the recursive closure without waiting for the GC
     return Plan(tuple(names), tuple(names.values()), registers, tuple(tape),
                 outputs)

@@ -37,10 +37,10 @@ def halton_points(names, box, count, seed=0, exclusions=()):
     `expr.jets_at` take.  The points are drawn from the Halton sequence
     starting at index 1 + seed (seed >= 0) and scaled into the box.
 
-    `box` maps each name to (lo, hi); `exclusions` is a sequence of
-    (expression, guard) pairs and a candidate is rejected unless
-    |expression| > guard at the candidate.  A guard that hits a domain
-    error (log(0), 1/0, ...) at a candidate rejects it.
+    `box` maps each name to (lo, hi), finite with lo < hi; `exclusions`
+    is a sequence of (expression, guard) pairs and a candidate is
+    rejected unless |expression| > guard at the candidate.  A guard that
+    hits a domain error (log(0), 1/0, ...) at a candidate rejects it.
     """
     names = tuple(names)
     if len(names) > len(HALTON_BASES):
@@ -49,6 +49,9 @@ def halton_points(names, box, count, seed=0, exclusions=()):
     for nm, (lo, hi) in zip(names, bounds):
         if not lo < hi:
             raise SamplingError(f"empty box interval for {nm}")
+        if not np.isfinite(hi - lo):   # an infinite bound, or overflow
+            raise SamplingError(f"box interval for {nm} must have finite "
+                                 "bounds and width")
     if seed < 0:
         raise SamplingError(f"the seed must be at least 0, not {seed}")
     clear = _clearance(names, exclusions) if exclusions else None

@@ -54,7 +54,7 @@ def sample_set(points):
 # -- expressions and jets -------------------------------------------------------
 
 def to_source(e):
-    return _print(e.node)
+    return _print(e)
 
 
 def evaluate(e, env, space):
@@ -73,7 +73,7 @@ def reference_eval(e, env, space):
     if missing:
         raise UnknownIdentifierError(f"unassigned variables: {sorted(missing)}")
     try:
-        return _walk(e.node, env, space)
+        return _walk(e, env, space)
     except JetDomainError as exc:
         raise ExprDomainError(str(exc)) from exc
 

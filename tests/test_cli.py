@@ -1110,3 +1110,69 @@ def test_divisor2_equivalences_decided_from_nan_fail(capsys, tmp_path):
         assert math.isnan(checks[name]["value"])
         assert checks[name]["verdict"] is False
     assert set(report["fitted"]["verdicts"].values()) == {None}
+
+
+NINES = "9" * 400
+
+
+@pytest.mark.parametrize("command,name,edit,offset", [
+    ("build-twistfree", "twistfree",
+     lambda scene: scene["build"].update(beta="y^" + NINES), 2),
+    ("build-twistfree", "twistfree",
+     lambda scene: scene["build"].update(beta="y^-" + NINES), 3),
+    ("projective-field", "projective_field",
+     lambda scene: scene["surface_fields"].update(V=["x^" + NINES, "0"]), 2),
+], ids=["beta", "beta-negative", "surface-field"])
+def test_an_exponent_too_large_for_a_float_is_a_scene_error(
+        capsys, tmp_path, command, name, edit, offset):
+    # the positive ones ended in an OverflowError traceback with exit 1
+    code, out, err = _run_edited(capsys, tmp_path, command, name, edit)
+    assert code == 2 and out == ""
+    assert err == ("scene error: an exponent of 400 digits does not fit a "
+                   f"float (at offset {offset})\n")
+
+
+@pytest.mark.parametrize("entry", [
+    "(" * 400 + "x" + ")" * 400,
+    "sin(" * 400 + "x" + ")" * 400,
+    "+".join(["x"] * 1000),
+    "-" * 1000 + "x",
+], ids=["parentheses", "calls", "sum", "negations"])
+def test_an_expression_nested_too_deeply_is_a_scene_error(capsys, tmp_path,
+                                                          entry):
+    # each ended in a RecursionError traceback with exit 1
+    def edit(scene):
+        scene["pair"]["alpha0"][0] = entry
+    code, out, err = _run_edited(capsys, tmp_path, "verify-lax", "flat", edit)
+    assert code == 2 and out == ""
+    assert err == "scene error: an expression is nested too deeply\n"
+
+
+def test_a_scene_nested_too_deeply_is_a_scene_error(capsys, tmp_path):
+    # json.loads raised RecursionError, a traceback with exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code = main(["verify-lax", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"scene error: cannot read scene {path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["congruence", "verify-lax",
+                                     "curvature"])
+@pytest.mark.parametrize("box", ["[-1, 1e400]", "[-1e400, 1e400]",
+                                 "[-1e308, 1e308]"])
+def test_a_box_bound_must_be_finite(capsys, tmp_path, command, box):
+    # JSON reads 1e400 as inf: every run passed, on samples at inf or NaN
+    # (congruence wrote "probe": [Infinity, ...]); the width of the last
+    # box overflows
+    scene = json.loads((SCENES / "flat.json").read_text())
+    scene["sampling"]["box"]["x"] = "BOX"
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(scene).replace('"BOX"', box))
+    code = main([command, str(path), "--samples", "4"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("scene error: box interval for x must have finite bounds "
+                   "and width\n")

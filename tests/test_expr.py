@@ -48,6 +48,18 @@ class TestParsing:
         with pytest.raises(ExprError):
             parse("x^y", XY)
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_an_exponent_must_fit_a_float(self, sign):
+        # float(n) of it used to raise OverflowError in `diff`
+        assert parse(f"x^{sign}{'9' * 308}", XY).exponent == int(
+            f"{sign}{'9' * 308}")
+        with pytest.raises(ExprSyntaxError, match="^an exponent of 309 "
+                           r"digits does not fit a float \(at offset "
+                           f"{2 + len(sign)}\\)$"):
+            parse(f"x^{sign}{'9' * 309}", XY)
+        with pytest.raises(ExprSyntaxError, match="^an exponent of 5001 "):
+            parse(f"x^{sign}{'9' * 5001}", XY)   # beyond int()'s digit limit
+
     def test_chained_exponent_rejected(self):
         # exponents are integer literals, not expressions
         with pytest.raises(ExprError):
@@ -277,8 +289,7 @@ def _expr_strategy():
         unary = children.map(lambda e: -e)
         power = st.tuples(children, st.integers(2, 4)).map(lambda t: t[0] ** t[1])
         call = st.tuples(st.sampled_from(["sin", "cos", "exp"]), children).map(
-            lambda t: Expression(
-                type(parse(f"{t[0]}(x)", ("x",)).node)(t[0], t[1].node)))
+            lambda t: type(parse(f"{t[0]}(x)", ("x",)))(t[0], t[1]))
         binop = st.tuples(children, st.sampled_from("+-*/"), children).map(
             lambda t: {"+": t[0] + t[2], "-": t[0] - t[2],
                        "*": t[0] * t[2], "/": t[0] / t[2]}[t[1]])
@@ -370,7 +381,7 @@ class TestPlans:
 
     def test_no_state_is_kept(self):
         e = parse("x*y + 1", XY)
-        assert Expression.__slots__ == ("node",)
+        assert Expression.__slots__ == ()
         for name in ("_plans", "_CONSTANTS", "_constant", "_as_value"):
             assert not hasattr(e, name) and not hasattr(expr_module, name)
         assert e.free_vars == frozenset(XY)
@@ -434,7 +445,7 @@ def _extend(children):
     )
 
 
-_TREES = st.recursive(_LEAVES, _extend, max_leaves=10).map(Expression)
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=10)
 _COORD = st.one_of(st.sampled_from([0.0, 1.0, -0.5]),
                    st.floats(-2, 2, allow_nan=False))
 
@@ -481,8 +492,7 @@ _POISON = st.sampled_from(["1/(x - x)", "log(0 - 1)", "sqrt(y - y)",
        st.integers(0, 2), st.lists(_COORD, min_size=2, max_size=2))
 def test_plans_raise_the_first_error_of_the_walk(e, f, p, q, op, order,
                                                  coords):
-    g = Expression(BinOp(op, (e + parse(p, XY)).node,
-                         (f + parse(q, XY)).node))
+    g = BinOp(op, e + parse(p, XY), f + parse(q, XY))
     space = JetSpace(XY, order)
     env = space.seed({"x": coords[0], "y": coords[1]})
     with np.errstate(all="ignore"):

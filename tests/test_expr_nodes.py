@@ -10,9 +10,21 @@ import pickle
 
 import pytest
 
-from sdconformal.expr import BinOp, Call, Const, Neg, Pow, Var, parse
+from sdconformal.expr import (BinOp, Call, Const, Expression, Neg, Pow, Var,
+                              parse)
 
-TREE = parse("sin(x)*y^2 - -1/x", ("x", "y")).node
+XY = ("x", "y")
+TREE = parse("sin(x)*y^2 - -1/x", XY)
+
+
+def test_an_expression_is_its_tree():
+    for cls in (BinOp, Call, Const, Neg, Pow, Var):
+        assert issubclass(cls, Expression)
+    assert parse("x*y + 1", XY) == Var("x") * Var("y") + 1
+    assert type(TREE) is BinOp and type(TREE.diff("x")) is BinOp
+    assert Var("x").diff("x") == Const(1.0)
+    assert (Var("x") ** 2).diff("x") == BinOp(
+        "*", BinOp("*", Const(2.0), Pow(Var("x"), 1)), Const(1.0))
 
 
 def test_equal_fields_of_one_class_are_equal():

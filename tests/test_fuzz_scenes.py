@@ -48,10 +48,13 @@ PAIR_SCENES = sorted(name for name, scene in SCENE_DATA.items()
 PAIR_KEYS = ("phi0", "phi1", "alpha0", "alpha1")
 
 # expressions in one coordinate v: singular somewhere or at every point,
-# or overflowing to inf at some sample points
+# overflowing to inf at some sample points, or hostile to the parser (an
+# exponent too large for a float, nesting deeper than Python's recursion)
 EXPRESSIONS = ("0", "1/({v} - {v})", "1/{v}", "log({v})", "sqrt(-1 - {v}^2)",
                "1e300*1e300*{v}", "1e308*{v}*{v}*{v}", "1e200*{v}*1e200",
-               "exp(800*{v})", "(1e200*{v})^2 - (1e200*{v})^2 + 1")
+               "exp(800*{v})", "(1e200*{v})^2 - (1e200*{v})^2 + 1",
+               "{v}^" + "9" * 400, "(" * 400 + "{v}" + ")" * 400,
+               "+".join(["{v}"] * 1000))
 NUMBERS = (math.inf, -math.inf, math.nan, 1e300, -1e300, 0.0, -1.0)
 FROZEN = (("ward", "length"), ("ward", "step"))
 
