@@ -77,107 +77,149 @@ _TYPES = {
 
 
 def _json_equal(a, b):
-    """JSON equality of scalars, as jsonschema's `enum` sees it: True is
-    not 1, and 1.0 is 1.  Containers compare unequal (jsonschema decides)."""
-    if isinstance(a, (bool, list, dict)) or isinstance(b, (bool, list, dict)):
-        return a is b
-    return a == b
+    """JSON equality with a scalar (`_enum` admits no container), as
+    jsonschema's `enum` sees it: True is not 1, and 1.0 is 1."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
 
 
-def _never(v):
-    return False
+# A check takes one instance and returns its errors in jsonschema's order,
+# () when it is valid.  An error is (path, message): the keys and indices
+# from the instance to the offending value, and jsonschema 4.26's wording.
+
+def _error(message):
+    return (((), message),)
 
 
 def _all(checks):
-    """The check that runs `checks` in order and holds if each one does."""
+    """The check that runs `checks` in order and returns all their errors."""
     if len(checks) == 1:
         return checks[0]
 
     def check(v):
+        errors = ()
         for c in checks:
-            if not c(v):
-                return False
-        return True
+            errors += c(v)
+        return errors
+    return check
+
+
+def _descend(kind, keyed):
+    """The check that, on a `kind` instance `v`, returns the errors of
+    `v[k]` under `c` for each `(k, c)` of `keyed(v)`, put under `k`."""
+    def check(v):
+        errors = ()
+        if isinstance(v, kind):
+            for k, c in keyed(v):
+                found = c(v[k])
+                if found:
+                    errors += tuple(((k,) + path, m) for path, m in found)
+        return errors
     return check
 
 
 def _type(a, s, r):
-    tests = [_TYPES[t] for t in ([a] if isinstance(a, str) else a)
-             if t in _TYPES]
-    if len(tests) == 1:
-        return tests[0]
+    names = [a] if isinstance(a, str) else a
+    tests = [_TYPES[t] for t in names if t in _TYPES]
+    if len(tests) < len(names):
+        raise ValueError(f"unknown schema type in {a!r}")
+    wanted = ", ".join(map(repr, names))
+    test = functools.reduce(lambda f, g: lambda v: f(v) or g(v), tests)
+    return lambda v: (() if test(v)
+                      else _error(f"{v!r} is not of type {wanted}"))
 
-    def check(v):
-        for test in tests:
-            if test(v):
-                return True
-        return False
-    return check
+
+def _enum(a, s, r):
+    if any(isinstance(e, (list, dict)) for e in a):
+        raise ValueError(f"enum {a!r} lists a container")
+    return lambda v: (() if any(_json_equal(v, e) for e in a)
+                      else _error(f"{v!r} is not one of {a!r}"))
 
 
 def _ref(a, s, r):
-    if not a.startswith(_DEFS):
-        return _never
-    return _compile(r["$defs"][a[len(_DEFS):]], r)
+    name = a[len(_DEFS):] if a.startswith(_DEFS) else None
+    if name not in r.get("$defs", {}):
+        raise ValueError(f"cannot follow $ref {a!r}")
+    return _compile(r["$defs"][name], r)
 
 
 def _items(a, s, r):
     check = _compile(a, r)
-    return lambda v: not isinstance(v, list) or all(map(check, v))
+    return _descend(list, lambda v: zip(range(len(v)), [check] * len(v)))
 
 
 def _properties(a, s, r):
     checks = [(k, _compile(sub, r)) for k, sub in a.items()]
-
-    def check(v):
-        if isinstance(v, dict):
-            for k, c in checks:
-                if k in v and not c(v[k]):
-                    return False
-        return True
-    return check
+    return _descend(dict, lambda v: [(k, c) for k, c in checks if k in v])
 
 
 def _pattern_properties(a, s, r):
-    checks = [(p, _compile(sub, r)) for p, sub in a.items()]
-    return lambda v: not isinstance(v, dict) or all(
-        c(x) for p, c in checks for k, x in v.items() if re.search(p, k))
+    checks = [(re.compile(p).search, _compile(x, r)) for p, x in a.items()]
+    return _descend(dict, lambda v: [(k, c) for search, c in checks
+                                     for k in v if search(k)])
 
 
 def _additional_properties(a, s, r):
     """The check of the values whose keys neither `properties` nor
-    `patternProperties` of `s` covers."""
-    check = _compile(a, r)
+    `patternProperties` of `s` covers; `false` admits no such key."""
     named = s.get("properties", {})
-    patterns = list(s.get("patternProperties", {}))
-    return lambda v: not isinstance(v, dict) or all(
-        check(x) for k, x in v.items() if k not in named
-        and not any(re.search(p, k) for p in patterns))
+    patterns = "|".join(s.get("patternProperties", {}))  # as jsonschema
+
+    def extras(v):
+        keys = v.keys() - named
+        if patterns:
+            keys = [k for k in keys if not re.search(patterns, k)]
+        return sorted(keys)
+    if a is not False:
+        check = _compile(a, r)
+        return _descend(dict, lambda v: [(k, check) for k in extras(v)])
+    regexes = ", ".join(map(repr, sorted(s.get("patternProperties", ()))))
+
+    def check(v):
+        extra = extras(v) if isinstance(v, dict) else ()
+        if not extra:
+            return ()
+        keys, one = ", ".join(map(repr, extra)), len(extra) == 1
+        if "patternProperties" in s:
+            return _error(f"{keys} {'does' if one else 'do'} not match any "
+                          f"of the regexes: {regexes}")
+        return _error(f"Additional properties are not allowed ({keys} "
+                      f"{'was' if one else 'were'} unexpected)")
+    return check
+
+
+def _length(words, wrong):
+    """The check that words an array whose length `n` is `wrong(n)`."""
+    return lambda v: (_error(f"{v!r} {words}")
+                      if isinstance(v, list) and wrong(len(v)) else ())
 
 
 _DEFS = "#/$defs/"
 
 # keyword -> compile(keyword argument, schema, root schema), which returns
 # the keyword's check of one instance, or None for a keyword that checks
-# nothing; a check of a keyword about one type holds on other types
+# nothing; a check of a keyword about one type passes other types
 _KEYWORDS = {
     "$schema": lambda *_: None,
     "$defs": lambda *_: None,
     "title": lambda *_: None,
     "description": lambda *_: None,
     "type": _type,
-    "enum": lambda a, s, r: lambda v: any(_json_equal(v, e) for e in a),
+    "enum": _enum,
     "$ref": _ref,
-    "minimum": lambda a, s, r: lambda v: not _TYPES["number"](v) or not v < a,
-    "pattern": lambda a, s, r: lambda v: (not isinstance(v, str)
-                                          or re.search(a, v) is not None),
-    "minItems": lambda a, s, r: lambda v: (not isinstance(v, list)
-                                           or len(v) >= a),
-    "maxItems": lambda a, s, r: lambda v: (not isinstance(v, list)
-                                           or len(v) <= a),
+    "minimum": lambda a, s, r: lambda v: (
+        _error(f"{v!r} is less than the minimum of {a!r}")
+        if _TYPES["number"](v) and v < a else ()),
+    "pattern": lambda a, s, r: lambda v: (
+        _error(f"{v!r} does not match {a!r}")
+        if isinstance(v, str) and re.search(a, v) is None else ()),
+    "minItems": lambda a, s, r: _length(
+        "should be non-empty" if a == 1 else "is too short", a.__gt__),
+    "maxItems": lambda a, s, r: _length(
+        "is expected to be empty" if a == 0 else "is too long", a.__lt__),
     "items": _items,
-    "required": lambda a, s, r: lambda v: (not isinstance(v, dict)
-                                           or all(k in v for k in a)),
+    "required": lambda a, s, r: lambda v: tuple(
+        ((), f"{k!r} is a required property") for k in a
+        if isinstance(v, dict) and k not in v),
     "properties": _properties,
     "patternProperties": _pattern_properties,
     "additionalProperties": _additional_properties,
@@ -185,19 +227,17 @@ _KEYWORDS = {
 
 
 def _compile(schema, root):
-    """`schema`, a subschema of `root`, as a check of one instance whose
-    keywords run in the schema's order.  Only the keywords of the packaged
-    schemas are known; any other keyword fails the check, which hands the
-    instance to jsonschema.  So True is exact, and False is confirmed or
-    overruled by jsonschema.  Its subschemas, `$ref` targets included,
-    compile with it at once: the packaged schemas have no recursive `$ref`."""
+    """`schema`, a subschema of `root`, as a check that finds the errors
+    jsonschema 4.26 finds, keyword by keyword in the schema's order.  A
+    keyword the packaged schemas do not use, a `$ref` outside `root`'s
+    `$defs` and a false subschema (`{"not": {}}`) raise ValueError here.
+    Subschemas compile with it: the schemas have no recursive `$ref`."""
     if isinstance(schema, bool):
-        return lambda v: schema
+        schema = {} if schema else {"not": {}}
     checks = []
     for key, arg in schema.items():
         if key not in _KEYWORDS:
-            checks.append(_never)
-            break
+            raise ValueError(f"unknown schema keyword {key!r}")
         check = _KEYWORDS[key](arg, schema, root)
         if check is not None:
             checks.append(check)
@@ -213,16 +253,11 @@ def _validator(name):
 
 
 def _schema_error(instance, name):
-    """The message of the error `jsonschema.validate` would raise against
-    the packaged schema `name`, or None if `instance` is valid.  jsonschema
-    is imported only to word the error of an invalid instance."""
-    if _validator(name)(instance):
-        return None
-    import jsonschema
-    schema = _schema(name)
-    cls = jsonschema.validators.validator_for(schema)
-    error = jsonschema.exceptions.best_match(cls(schema).iter_errors(instance))
-    return None if error is None else error.message
+    """The message `jsonschema.validate` raises against the packaged schema
+    `name`, or None if `instance` is valid.  With no `anyOf` or `oneOf`,
+    `best_match` picks the shortest path, then the greatest, then the first."""
+    errors = _validator(name)(instance)
+    return max(errors, key=lambda e: (-len(e[0]), e[0]))[1] if errors else None
 
 
 def _scene_int(text):
@@ -312,6 +347,8 @@ class RunContext:
         """The Halton sample set over the named coordinates: a dict of
         1-D value arrays (`halton_points`), passed to residuals as it is."""
         names = tuple(names)
+        if len(set(names)) != len(names):
+            raise SceneError(f"coordinates {list(names)} repeat a name")
         for nm in names:
             if nm not in self.box:
                 raise SceneError(f"sampling box lacks {nm}")

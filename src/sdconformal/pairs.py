@@ -46,6 +46,9 @@ class ProjectivePair:
     def __init__(self, fiber, alpha0, alpha1, phi0, phi1, c0=0.0, c1=0.0):
         self.fiber = tuple(fiber)
         allowed = BASE + self.fiber
+        if len(set(allowed + ("lambda",))) != len(allowed) + 1:
+            raise ValueError(f"fiber {list(fiber)} repeats a name or uses "
+                             "x, y or lambda")
         def vert(v):
             comps = tuple(as_expression(c, allowed) for c in v)
             if len(comps) != len(self.fiber):

@@ -773,6 +773,46 @@ def test_a_one_dimensional_fiber_is_a_scene_error(capsys, tmp_path, command):
                    "not ['z']\n")
 
 
+_PAIR_COMMANDS = ("verify-lax", "verify-pair", "certify-selfdual",
+                  "gauge-report", "curvature")
+
+
+@pytest.mark.parametrize("fiber,command", [
+    *((fiber, command) for fiber in (["x", "y"], ["x", "w2"])
+      for command in _PAIR_COMMANDS),
+    *((fiber, command) for fiber in (["w1", "w1"], ["lambda", "w2"])
+      for command in ("verify-pair", "gauge-report", "curvature")),
+])
+def test_a_fiber_name_that_repeats_or_clashes_is_a_scene_error(
+        capsys, tmp_path, fiber, command):
+    # these used to exit 0 on jets that seeded one copy of the name
+    def edit(scene):
+        scene["pair"]["fiber"] = fiber
+        scene["sampling"]["box"]["lambda"] = [-1, 1]
+    code, out, err = _run_edited(capsys, tmp_path, command, "flat", edit)
+    assert code == 2 and out == ""
+    assert err == (f"scene error: bad pair data: fiber {fiber} repeats a "
+                   "name or uses x, y or lambda\n")
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("curvature", {"metric": {"components": [["0", "0", "1", "0"],
+                                             ["0", "0", "0", "1"],
+                                             ["1", "0", "0", "0"],
+                                             ["0", "1", "0", "0"]]}}),
+    ("frobenius", {}),   # flat.json's distributions
+])
+def test_repeated_coordinates_are_a_scene_error(capsys, tmp_path, command,
+                                                extra):
+    # these used to exit 0
+    code, out, err = _run_edited(
+        capsys, tmp_path, command, "flat",
+        lambda scene: scene.update(coords=["x", "x", "w1", "w2"], **extra))
+    assert code == 2 and out == ""
+    assert err == ("scene error: coordinates ['x', 'x', 'w1', 'w2'] repeat "
+                   "a name\n")
+
+
 @pytest.mark.parametrize("comps", [["0", "0", "1"],
                                    ["0", "0", "1", "0", "0"]])
 def test_a_killing_field_needs_one_component_per_coordinate(

@@ -1,11 +1,13 @@
 """The packaged JSON schemas and the CLI's own validator.
 
 The CLI validates scenes and reports with a small validator that knows
-only the keywords the two packaged schemas use, and imports jsonschema
-only to word the error of an invalid instance.  These tests pin that it
-agrees with jsonschema, that every schema keyword is one it knows, that
-the package runs without the repository around it, and that a command
-loads no module it does not need.
+only the keywords the two packaged schemas use and words its own errors
+as jsonschema does; jsonschema is a test dependency only.  These tests
+pin that it agrees with jsonschema on validity and on the message, that
+its wording holds for each keyword even if jsonschema's changes, that
+every schema keyword is one it knows, that the package runs without the
+repository around it, and that a command loads no module it does not
+need.
 """
 
 import copy
@@ -13,6 +15,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,9 +23,11 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from sdconformal import cli
+import test_fuzz_scenes as fuzz
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sdconformal"
@@ -34,7 +39,7 @@ def _reference(schema):
 
 
 def _fast(instance, schema):
-    return cli._compile(schema, schema)(instance)
+    return not cli._compile(schema, schema)(instance)
 
 
 def _run(args, env_path, cwd):
@@ -86,23 +91,31 @@ def test_jsonschema_is_imported_only_for_an_invalid_scene(tmp_path, valid):
             f"{str(tmp_path / 'report.json')!r}])\n"
             "print(code, 'jsonschema' in sys.modules)")
     proc = _run(["-c", code], PACKAGE.parent, tmp_path)
-    assert proc.stdout.split() == ["0" if valid else "2", str(not valid)]
+    assert proc.stdout.split() == ["0" if valid else "2", "False"]
 
 
 # Modules a command must not load: OpenSSL (the scene digest uses the
-# builtin SHA-256), jsonschema (wording invalid scenes only) and the
-# heavy test-side packages.  hypothesis loads _hashlib into the pytest
+# builtin SHA-256), jsonschema (the CLI words its own schema errors) and
+# the heavy test-side packages.  hypothesis loads _hashlib into the pytest
 # process, so only a fresh interpreter shows what the package imports.
 UNWANTED = ("_hashlib", "_ssl", "jsonschema", "scipy", "sympy")
 
 
 def test_a_command_loads_no_unwanted_module(tmp_path):
+    # an invalid scene (exit 2), then a valid one, in one fresh interpreter
+    scene = json.loads((ROOT / "scenes" / "flat.json").read_text())
+    scene["sampling"]["count"] = 0
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(scene))
     code = ("import sys\nfrom sdconformal.cli import main\n"
-            f"code = main(['curvature', {str(ROOT / 'scenes' / 'flat.json')!r}"
+            f"codes = main(['curvature', {str(invalid)!r}]), "
+            f"main(['curvature', {str(ROOT / 'scenes' / 'flat.json')!r}"
             f", '--samples', '4', '--out', {str(tmp_path / 'r.json')!r}])\n"
-            f"print(code, *(m for m in {UNWANTED!r} if m in sys.modules))")
+            f"print(*codes, *(m for m in {UNWANTED!r} if m in sys.modules))")
     proc = _run(["-c", code], PACKAGE.parent, tmp_path)
-    assert proc.stdout.split() == ["0"], proc.stderr
+    assert proc.stdout.split() == ["2", "0"], proc.stderr
+    assert proc.stderr == (f"scene error: scene {invalid} invalid: 0 is "
+                           "less than the minimum of 1\n")
 
 
 # -- the validator knows every keyword of the schemas -----------------------------
@@ -152,10 +165,28 @@ def test_an_unknown_keyword_is_found_and_never_ignored(keyword, arg):
     schema["properties"]["sampling"]["properties"]["count"][keyword] = arg
     assert _unknown_keywords(schema, schema) == [
         f"#/properties/sampling/properties/count/{keyword}"]
-    # at run time an unknown keyword answers "invalid", which hands the
-    # instance to jsonschema instead of passing it unchecked
-    scene = json.loads((ROOT / "scenes" / "burgers.json").read_text())
-    assert not _fast(scene, schema)
+    # compiling rejects an unknown keyword, so no instance passes it
+    # unchecked
+    with pytest.raises(ValueError, match=keyword):
+        cli._compile(schema, schema)
+
+
+@pytest.mark.parametrize("schema", [
+    {"$ref": "other.json#/$defs/expr"}, {"$ref": "#/$defs/missing"},
+    {"type": "decimal"}, {"enum": [[1]]}, {"items": False}])
+def test_what_the_validator_cannot_word_fails_to_compile(schema):
+    with pytest.raises(ValueError):
+        cli._compile(schema, schema)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return [re.match(r"[\w.-]+", r).group() for r in requirements]
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "jsonschema" in names(project["optional-dependencies"]["test"])
 
 
 # -- the benchmark's scenes ----------------------------------------------------------
@@ -266,6 +297,26 @@ def test_fast_validator_agrees_with_jsonschema(data):
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(inst, data)
     assert _fast(inst, cli._schema(name)) == REFERENCE[name].is_valid(inst)
+    error = best_match(REFERENCE[name].iter_errors(inst))
+    assert cli._schema_error(inst, name) == (
+        None if error is None else error.message)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzz_mutations_are_worded_as_jsonschema_words_them(data):
+    # the edits of tests/test_fuzz_scenes.py: non-finite numbers, junk
+    # values, emptied containers and singular pair entries
+    name = data.draw(st.sampled_from(sorted(fuzz.SCENE_DATA)))
+    scene = copy.deepcopy(fuzz.SCENE_DATA[name])
+    for _ in range(data.draw(st.integers(1, 2))):
+        if name in fuzz.PAIR_SCENES and data.draw(st.booleans()):
+            fuzz._mutate_pair(scene, data)
+        else:
+            fuzz._mutate_anywhere(scene, data)
+    error = best_match(REFERENCE["scene.schema.json"].iter_errors(scene))
+    assert cli._schema_error(scene, "scene.schema.json") == (
+        None if error is None else error.message)
 
 
 @pytest.mark.parametrize("name", SCHEMAS)
@@ -303,3 +354,70 @@ def test_checked_in_instances_are_valid(name):
 def test_fixed_cases_match_jsonschema(schema, instance, valid):
     assert _fast(instance, schema) is valid
     assert _reference(schema).is_valid(instance) is valid
+
+
+# -- the CLI's own wording, pinned whatever jsonschema's becomes --------------------
+
+_DROP = object()
+
+
+def _edited(instance, edits):
+    """A copy of `instance` with the value at each path of `edits` set,
+    or deleted where it is `_DROP`."""
+    instance = copy.deepcopy(instance)
+    for path, value in edits.items():
+        node = instance
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return instance
+
+
+@pytest.mark.parametrize("name,edits,message", [
+    ("scene.schema.json", {("factor",): [1]},
+     "[1] is not of type 'string', 'number'"),
+    ("scene.schema.json", {("sampling", "count"): 2.5},
+     "2.5 is not of type 'integer'"),
+    ("scene.schema.json", {("coords",): ["x", 1, "w1", "w2"]},
+     "1 is not of type 'string'"),
+    ("scene.schema.json", {("tolerances", "lax"): "x"},
+     "'x' is not of type 'number'"),
+    ("scene.schema.json", {("sampling",): _DROP},
+     "'sampling' is a required property"),
+    ("scene.schema.json", {("extra",): 1},
+     "Additional properties are not allowed ('extra' was unexpected)"),
+    ("scene.schema.json", {("b",): 1, ("a",): 2},
+     "Additional properties are not allowed ('a', 'b' were unexpected)"),
+    ("scene.schema.json", {("projective", "gamma"): {"2": "x"}},
+     "'2' does not match any of the regexes: '^[01]{3}$'"),
+    ("scene.schema.json", {("projective", "gamma"): {"2": "x", "0100": "y"}},
+     "'0100', '2' do not match any of the regexes: '^[01]{3}$'"),
+    ("scene.schema.json", {("distributions", "d"): []},
+     "[] should be non-empty"),
+    ("scene.schema.json", {("coords",): ["x"]}, "['x'] is too short"),
+    ("scene.schema.json", {("coords",): list("abcdef")},
+     "['a', 'b', 'c', 'd', 'e', 'f'] is too long"),
+    ("scene.schema.json",
+     {("metric",): {"components": [["1", "0", "0", "0"]] * 4,
+                    "orientation": 2}},
+     "2 is not one of [-1, 1]"),
+    ("scene.schema.json", {("sampling", "count"): 0},
+     "0 is less than the minimum of 1"),
+    ("report.schema.json", {("scene_digest",): _DIGEST.upper()},
+     f"{_DIGEST.upper()!r} does not match '^[0-9a-f]{{64}}$'"),
+    # the shortest path first, then the greatest, then the first found
+    ("scene.schema.json", {("extra",): 1, ("sampling", "count"): 0},
+     "Additional properties are not allowed ('extra' was unexpected)"),
+    ("scene.schema.json", {("pair", "fiber"): "w", ("sampling", "count"): 0},
+     "0 is less than the minimum of 1"),
+    ("scene.schema.json", {("coords",): _DROP, ("extra",): 1},
+     "'coords' is a required property"),
+])
+def test_schema_errors_are_worded_as_pinned(name, edits, message):
+    base = {"scene.schema.json": json.loads((ROOT / "scenes" / "flat.json")
+                                            .read_text()),
+            "report.schema.json": INSTANCES["report.schema.json"][0]}
+    assert cli._schema_error(_edited(base[name], edits), name) == message
