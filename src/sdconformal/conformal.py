@@ -33,7 +33,7 @@ import itertools
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at
-from .jets import Jet, JetSpace, max_abs
+from .jets import Jet, JetSpace
 from .pairs import ProjectivePair, _dot, lie_bracket, lstsq
 
 # Which Weyl half the construction kills; calibrated on the null-Kaehler
@@ -174,7 +174,7 @@ class MetricBuilder:
 # -- curvature pipeline -------------------------------------------------------
 #
 # Metric jets may carry leading point axes; every value array below then
-# has them in front of its tensor indices, and every norm is per point.
+# has them in front of its tensor indices, and no residual is reduced.
 # Value and gradient arrays are made contiguous before matmul and einsum,
 # so that these take the code path a single point's arrays take.
 
@@ -225,19 +225,14 @@ def hodge_star_operator(gv, giv, orientation=1.0):
     return star
 
 
-def _maxabs(x, ndim):
-    """Max-abs component norm over the last `ndim` (tensor) axes."""
-    return np.abs(x).max(axis=tuple(range(-ndim, 0)))
-
-
 def curvature_report(g, orientation=1.0):
-    """All curvature norms from order-2 metric jets, at each point.
-
-    Returns a dict with max-abs component norms of: Riemann (all down),
-    Ricci, trace-free Ricci, scalar, Weyl+ and Weyl- (first index up, the
-    conformally invariant arrangement), plus the star idempotency defect
-    and the signature of the metric value, each of the batch shape of the
-    jets; and the Hodge star operator ("star")."""
+    """The curvature tensors of order-2 metric jets, point axes first and
+    tensor indices last: Riemann all down ("riemann"), Ricci, trace-free
+    Ricci and scalar ("ricci", "ricci_tracefree", "scalar"), Weyl+ and
+    Weyl- first index up, the conformally invariant arrangement
+    ("weyl_plus", "weyl_minus"), and ** - id on 2-forms ("star_defect");
+    also the Hodge star ("star") and whether the metric value has
+    signature (2, 2) at each point ("signature_ok")."""
     gam, ginv = christoffel_jets_4d(g)
     gv = np.ascontiguousarray(g.value)
     giv = np.ascontiguousarray(ginv.value)
@@ -274,13 +269,13 @@ def curvature_report(g, orientation=1.0):
     finite = np.isfinite(gv).all(axis=(-2, -1))
     eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], gv, 0.0))
     return {
-        "riemann": _maxabs(Rdown, 4),
-        "ricci": _maxabs(ric, 2),
-        "ricci_tracefree": _maxabs(ric_tf, 2),
-        "scalar": np.abs(scal),
-        "weyl_plus": _maxabs(wplus_up, 4),
-        "weyl_minus": _maxabs(wminus_up, 4),
-        "star_defect": _maxabs(star_sq - _ANTISYM, 4),
+        "riemann": Rdown,
+        "ricci": ric,
+        "ricci_tracefree": ric_tf,
+        "scalar": scal,
+        "weyl_plus": wplus_up,
+        "weyl_minus": wminus_up,
+        "star_defect": star_sq - _ANTISYM,
         "signature_ok": ((eigs > 0).sum(axis=-1) == 2)
                         & ((eigs < 0).sum(axis=-1) == 2),
         "star": star,
@@ -291,28 +286,16 @@ _ANTISYM = 0.5 * (np.einsum("ac,bd->abcd", np.eye(4), np.eye(4))
                   - np.einsum("ad,bc->abcd", np.eye(4), np.eye(4)))
 
 
-CURVATURE_NORMS = ("riemann", "ricci", "ricci_tracefree", "scalar",
-                   "weyl_plus", "weyl_minus", "star_defect")
-
-
-def curvature_maxima(g, orientation):
-    """The largest value over the sample points of each norm in
-    CURVATURE_NORMS, from order-2 metric jets, and whether the metric has
-    signature (2, 2) at every point."""
-    rep = curvature_report(g, orientation)
-    worst = {k: max_abs(rep[k]) for k in CURVATURE_NORMS}
-    return worst, bool(np.all(rep["signature_ok"]))
-
-
 # -- Killing / twist / distributions ------------------------------------------
 
 
 def killing_report(g, fields, points):
-    """Residuals for each vector field of `fields` (a mapping of names to
-    components), from metric jets of order 1 (or more) at the sample
-    points: exact and conformal Killing defect, nullness g(K,K), twist
-    density, and the defect of K-geodesy.  Returns a mapping of the same
-    names to the residuals; the fields share the metric's inverse and
+    """Residual arrays, point axes first, for each vector field of `fields`
+    (a mapping of names to components), from metric jets of order 1 (or
+    more): L_K g and its trace-free part ("exact_killing",
+    "conformal_killing"), g(K, K) ("null_defect"), the twist density
+    ("twist") and the defect of K-geodesy ("geodesic").  Returns a mapping
+    of the same names to them; the fields share the metric's inverse and
     Christoffels.
 
     The twist is the permutation-symbol dual of alpha ^ d alpha with
@@ -363,18 +346,15 @@ def killing_report(g, fields, points):
         acc = (np.einsum("...b,...ab->...a", Kv, dK)
                + np.einsum("...abc,...b,...c->...a", gamv, Kv, Kv))
         perp = acc - (_dot(acc, Kv) / norm2)[..., None] * Kv
-        reports[name] = {"exact_killing": max_abs(lie),
-                         "conformal_killing": max_abs(conf),
-                         "null_defect": max_abs(null),
-                         "twist": twist.tolist(),
-                         "geodesic": max_abs(perp),
-                         "twist_max": max_abs(twist)}
+        reports[name] = {"exact_killing": lie, "conformal_killing": conf,
+                         "null_defect": null, "twist": twist,
+                         "geodesic": perp}
     return reports
 
 
 def frobenius_residual(fields, coords, points):
-    """Max over field pairs and points of the component of [V_i, V_j]
-    outside span{fields} (least squares)."""
+    """The component of [V_i, V_j] outside span{fields} (least squares),
+    point axes first, then the pairs i < j, then the component."""
     coords = tuple(coords)
     fields = [[as_expression(c, coords) for c in f] for f in fields]
     F = jets_at(fields, JetSpace(coords, 1), points).coeffs
@@ -386,7 +366,7 @@ def frobenius_residual(fields, coords, points):
     bracket = lie_bracket(F[..., i, :, :], F[..., j, :, :])
     span = vals.swapaxes(-1, -2)[..., None, :, :]
     coef = lstsq(span, bracket[..., None])
-    return max_abs(bracket - (span @ coef)[..., 0])
+    return bracket - (span @ coef)[..., 0]
 
 
 # -- null-Kaehler family ------------------------------------------------------
@@ -426,9 +406,9 @@ def build_null_kahler(a, c, f):
     omega[3][0] = -f
 
     def check(points, g, star):
-        """The structure identities at the points, given the metric jets
-        (order 1 or more) and the Hodge star that `curvature_report`
-        forms from them."""
+        """The defect arrays of the structure identities at the points,
+        given the metric jets (order 1 or more) and the Hodge star that
+        `curvature_report` forms from them."""
         space = JetSpace(coords, 1)
         J = np.ascontiguousarray(jets_at(J_expr, space, points).value)
         om = jets_at(omega, space, points)
@@ -441,10 +421,9 @@ def build_null_kahler(a, c, f):
         compat = np.einsum("...ca,...cb->...ab", J, gv) - omv
         gjj = np.einsum("...ca,...db,...cd->...ab", J, J, gv)
         starom = np.einsum("...abcd,...cd->...ab", star, omv)
-        norms = {"domega": d3, "compat": compat, "J_null": J @ J,
-                 "g_JJ": gjj, "killing": g.gradient()[..., 2],
-                 "omega_antiselfdual": starom + omv}
-        return {k: max_abs(v) for k, v in norms.items()}
+        return {"domega": d3, "compat": compat, "J_null": J @ J,
+                "g_JJ": gjj, "killing": g.gradient()[..., 2],
+                "omega_antiselfdual": starom + omv}
 
     return {"surface": P, "pair": pair, "metric": builder, "J": J_expr,
             "omega": omega, "check": check}

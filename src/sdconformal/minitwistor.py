@@ -57,8 +57,8 @@ def _weyl_gamma_jets(P, cong1, cong2, point):
     """Order-1 jets of the 1-form gamma shifting the representative
     connection to the Weyl connection of the conformal metric
     c = phi1 . phi2 (index axis B last), together with the order-1 jets of
-    c (index axes A, C last) and the full six-equation consistency
-    residual of (D + [gamma]) c = 0."""
+    c (index axes A, C last) and the residuals of the six equations of
+    (D + [gamma]) c = 0 (axes B and the pairs A <= C last)."""
     space, low = JetSpace(COORDS, 2), JetSpace(COORDS, 1)
     n, mul = len(low), low.product
     # F[..., k, i, :]: component i of phi1, phi2, rho1, rho2 (k)
@@ -99,7 +99,7 @@ def _weyl_gamma_jets(P, cong1, cong2, point):
            - gv[..., None, :, None] * cv[..., :, None, :]
            - gv[..., None, None, :] * cv.swapaxes(-1, -2)[..., :, :, None])
     A, C = np.triu_indices(2)
-    return gam, Jet(low, ct), max_abs(res[..., A, C])
+    return gam, Jet(low, ct), res[..., A, C]
 
 
 def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
@@ -114,7 +114,8 @@ def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
         r symmetric  <=>  F^1 + F^2 = 0
         r skew       <=>  F^1 - F^2 = 0
 
-    Returns all norms, the verdicts and whether each pair agrees
+    Returns the consistency residuals of `_weyl_gamma_jets`
+    ("dc_residual"), all norms, the verdicts and whether each pair agrees
     ("sym_equivalence", "skew_equivalence").  A verdict decided from a
     non-finite norm is None (undecided), and so is an agreement that
     reads one.
@@ -170,8 +171,8 @@ def projective_field_residual(P, V, points, lambdas=DEFAULT_LAMBDAS):
     lamdot = V^1_x + lam (V^1_y - V^0_x) - lam^2 V^0_y.  The lift
     preserves the geodesic foliation iff its bracket with the spray is
     proportional to the spray; the residual is the least-squares
-    component of the bracket orthogonal to the spray, maximized over
-    sample points and slopes.
+    component of the bracket orthogonal to the spray: an array with the
+    point axes first, then the slope lam and the component.
     """
     V = tuple(as_expression(c, COORDS) for c in V)
     vars3 = COORDS + ("lambda",)
@@ -190,4 +191,4 @@ def projective_field_residual(P, V, points, lambdas=DEFAULT_LAMBDAS):
     bracket = ordered_bracket(lj, sj)
     sval = sj[..., 0]
     coef = lstsq(sval[..., None], bracket[..., None])[..., 0]
-    return max_abs(bracket - coef * sval)
+    return bracket - coef * sval

@@ -157,8 +157,9 @@ def lax_residual(lax: LaxPair, points, lambdas=DEFAULT_LAMBDAS):
     pair (it plays the role of the obstruction c2).  All points and all
     lam are evaluated at once.
 
-    Returns a dict with the max orthogonal residual, the per-point
-    multiplier fits, and the largest cubic coefficient.
+    Returns arrays, point axes first: the orthogonal remainder's length
+    at each lam ("residual"), the multiplier fits ("b_coeffs") and the
+    cubic coefficient ("cubic").
     """
     lambdas = np.asarray(lambdas, dtype=float)
     vander = np.vander(lambdas, 4, increasing=True)
@@ -174,20 +175,19 @@ def lax_residual(lax: LaxPair, points, lambdas=DEFAULT_LAMBDAS):
         raise np.linalg.LinAlgError(f"degenerate L0 at {where}")
     c = _dot(bracket, l0) / norm2
     perp = bracket - c[..., None] * l0
-    worst = max_abs(np.sqrt(_dot(perp, perp)))
     # one multi-RHS fit; row-major like a stack of single-point fits
     fits = lstsq(vander, c.reshape(-1, len(lambdas)).T).T
     fits = np.ascontiguousarray(fits).reshape(c.shape[:-1] + (4,))
     return {
-        "residual": worst,
+        "residual": np.sqrt(_dot(perp, perp)),
         "b_coeffs": fits[..., :3],
-        "cubic_max": max_abs(fits[..., 3]),
+        "cubic": fits[..., 3],
     }
 
 
 def projective_pair_residual(P, pair: ProjectivePair, points):
-    """Max componentwise residual of the first-order system equivalent to
-    Lax integrability (with multiplier b(lam) = c(lam) - a'(lam)/3):
+    """The residuals of the first-order system equivalent to Lax
+    integrability (with multiplier b(lam) = c(lam) - a'(lam)/3):
 
       dx phi0 + [a0, phi0] + (c0 - 2/3 g0) phi0 + G^0_00 phi0 + G^1_00 phi1 = 0
       dx phi1 + [a0, phi1] + (c0 - 2/3 g0) phi1 + G^0_01 phi0 + G^1_01 phi1
@@ -195,7 +195,8 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
       dy phi1 + [a1, phi1] + (c1 - 2/3 g1) phi1 + G^0_11 phi0 + G^1_11 phi1 = 0
 
     where g0 = G^0_00 + G^1_01, g1 = G^0_10 + G^1_11 and the brackets are
-    taken in the fiber variables only.
+    taken in the fiber variables only; point axes first, then equation
+    and fiber component.
     """
     # gv[..., A, B, C, :] and cv[..., k, :]: a column of per-point values,
     # broadcast over the components i below
@@ -221,7 +222,7 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     eq3 = (f1[..., 2] + ordered_bracket(a1, f1, 2)
            + (c1 - 2.0 / 3.0 * g1) * phi1v
            + gv[..., 0, 1, 1, :] * phi0v + gv[..., 1, 1, 1, :] * phi1v)
-    return max_abs(eq1, eq2, eq3)
+    return np.stack([eq1, eq2, eq3], axis=-2)
 
 
 # -- constructive builders ----------------------------------------------------
@@ -241,7 +242,7 @@ def twist_free_normal_form(P, beta, points=None, tol=1e-8):
     """
     beta = as_expression(beta, BASE)
     pts = points if points is not None else {"x": 0.5, "y": 0.5}
-    res = P.congruence_residual(beta, pts)
+    res = max_abs(P.congruence_residual(beta, pts))
     if not res <= tol:
         raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
     a0, a1, a2, a3 = P.spray_coeffs()
@@ -297,7 +298,7 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8):
 
     pts = (points if points is not None
            else {"x": 0.5, "y": 0.5, "t": 0.0, "z": 0.3})
-    res = P.congruence_residual(gamma, pts)
+    res = max_abs(P.congruence_residual(gamma, pts))
     if not res <= tol:
         raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
     gz_res, tr_res = _quadrature_residuals(H, G, E, F, pts)

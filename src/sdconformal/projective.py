@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at, values_at
-from .jets import Jet, JetSpace, max_abs, pointwise
+from .jets import Jet, JetSpace, pointwise
 
 COORDS = ("x", "y")
 
@@ -196,13 +196,12 @@ class ProjectiveSurface:
     # -- congruences ------------------------------------------------------------
 
     def congruence_residual(self, beta, points):
-        """Max over the sample set `points` (only x and y are read) of
-        |beta_x + beta beta_y - a(beta)| for a slope section beta(x, y).
+        """beta_x + beta beta_y - a(beta) at each point of the sample set
+        `points` (only x and y are read) for a slope section beta(x, y).
         `beta` may be an Expression or source text."""
         bv, a, bx, by = self._slope_jets(beta, points)
-        res = bx + bv * by - (a[0] + a[1]*bv + a[2]*_pow(bv, 2)
-                              + a[3]*_pow(bv, 3))
-        return max_abs(res)
+        return bx + bv * by - (a[0] + a[1]*bv + a[2]*_pow(bv, 2)
+                               + a[3]*_pow(bv, 3))
 
     def congruence_multiplier(self, beta, point, lam):
         """b(lam) = beta_y - (a(lam) - a(beta))/(lam - beta), the divided

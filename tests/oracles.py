@@ -13,8 +13,8 @@ import numpy as np
 
 from sdconformal import expr as expr_module
 from sdconformal.conformal import (_EPS4, ORIENTATION_SIGMA, MetricBuilder,
-                                   curvature_maxima, curvature_report,
-                                   jet_gauss_solve, jet_matrix_inverse)
+                                   curvature_report, jet_gauss_solve,
+                                   jet_matrix_inverse)
 from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
                               Neg, Pow, UnknownIdentifierError, Var,
                               _print, as_expression, jets_at)
@@ -317,16 +317,20 @@ def certify_selfdual(P, pair, points, tol=1e-8, factor=None, lax_tol=1e-10):
     `conformal.certify_selfdual` returned."""
     lres = lax_residual(build_lax(P, pair), points)
     g, orientation = MetricBuilder(pair=pair, factor=factor).jets(points)
-    worst, signature_ok = curvature_maxima(g, orientation)
+    curv = curvature_report(g, orientation)
+    worst = {k: max_abs(curv[k]) for k in ("weyl_minus", "weyl_plus",
+                                           "ricci", "star_defect")}
+    signature_ok = bool(np.all(curv["signature_ok"]))
+    lax = max_abs(lres["residual"])
     return {
-        "lax_residual": lres["residual"],
-        "lax_cubic_max": lres["cubic_max"],
+        "lax_residual": lax,
+        "lax_cubic_max": max_abs(lres["cubic"]),
         "weyl_minus": worst["weyl_minus"],
         "weyl_plus": worst["weyl_plus"],
         "ricci": worst["ricci"],
         "star_defect": worst["star_defect"],
         "signature_ok": signature_ok,
-        "pass": (lres["residual"] < lax_tol and worst["weyl_minus"] < tol
+        "pass": (lax < lax_tol and worst["weyl_minus"] < tol
                  and signature_ok),
     }
 
@@ -446,9 +450,10 @@ def four_product_metric(builder, point, order=2):
 
 
 def null_kahler_check(check, builder, points):
-    """The structure identities of a `build_null_kahler` member at the
-    points, from its metric jets and the Hodge star of their curvature
-    report, as `build-nullkahler` computes them."""
+    """The defect arrays of the structure identities of a
+    `build_null_kahler` member at the points, from its metric jets and the
+    Hodge star of their curvature report, as `build-nullkahler` computes
+    them."""
     g, orientation = builder.jets(points)
     star = curvature_report(g, orientation)["star"]
     return check(points, g, star)
@@ -609,7 +614,9 @@ def canonical_connection_from_congruence(P, phi, point):
 def reference_weyl_gamma_jets(P, cong1, cong2, point):
     """`minitwistor._weyl_gamma_jets` as it was on nested lists of jets:
     gamma[B] and c[A][C] as lists, each Dc entry summed in E order as
-    (val - p) - q.  Kept to check the stacked form against, bit for bit."""
+    (val - p) - q, and the consistency residuals stacked from one array
+    per (B, A, C), A <= C.  Kept to check the stacked form against, bit
+    for bit."""
     order = 1
     phi1, phi2, rho1, rho2 = unstack(jets_at(
         [cong1.phi, cong2.phi, cong1.rho, cong2.rho],
@@ -637,10 +644,10 @@ def reference_weyl_gamma_jets(P, cong1, cong2, point):
     b2 = [[-Dc[0][1][1]], [-Dc[1][0][0]]]
     gam = [row[0] for row in
            unstack(jet_gauss_solve(stack(A2), stack(b2)), 2)]
-    consistency = max_abs(*(Dc[B][A][C].value
-                            + 2.0 * gam[B].value * ct[A][C].value
-                            - gam[A].value * ct[B][C].value
-                            - gam[C].value * ct[A][B].value
-                            for B in range(2) for A in range(2)
-                            for C in range(A, 2)))
+    consistency = np.stack([np.stack([Dc[B][A][C].value
+                                      + 2.0 * gam[B].value * ct[A][C].value
+                                      - gam[A].value * ct[B][C].value
+                                      - gam[C].value * ct[A][B].value
+                                      for A in range(2) for C in range(A, 2)],
+                                     axis=-1) for B in range(2)], axis=-2)
     return gam, ct, consistency

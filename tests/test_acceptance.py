@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from sdconformal.expr import parse
-from sdconformal.jets import JetSpace
+from sdconformal.jets import JetSpace, max_abs
 from sdconformal.projective import ProjectiveSurface, COORDS
 from sdconformal.pairs import (ProjectivePair, build_lax, lax_residual,
                                projective_pair_residual,
@@ -112,15 +112,15 @@ class TestFlatBaseline:
                             {"x": [-1, 1], "y": [-1, 1],
                              "w1": [-1, 1], "w2": [-1, 1]}, 32)
         res = lax_residual(build_lax(FLAT, pair), pts)
-        assert res["residual"] == 0.0
-        assert res["cubic_max"] == 0.0
+        assert max_abs(res["residual"]) == 0.0
+        assert max_abs(res["cubic"]) == 0.0
         builder = MetricBuilder(pair=pair)
         for pt in point_rows(pts):
             g, orientation = builder.jets(pt)
             rep = curvature_report(g, orientation)
             for key in ("riemann", "ricci", "weyl_plus", "weyl_minus",
                         "scalar", "star_defect"):
-                assert rep[key] < 1e-12
+                assert max_abs(rep[key]) < 1e-12
 
 
 # -- 2. spray invariance ------------------------------------------------------
@@ -242,11 +242,11 @@ class TestStructureFamily:
             f = f"1 + {r[4]:.4f}*x*z"
             nk = build_null_kahler(a, c, f)
             rep = null_kahler_check(nk["check"], nk["metric"], pts)
-            assert rep["domega"] < 1e-12
-            assert rep["J_null"] == 0.0
-            assert rep["compat"] < 1e-10
-            assert rep["g_JJ"] < 1e-10
-            assert rep["killing"] < 1e-12
+            assert max_abs(rep["domega"]) < 1e-12
+            assert max_abs(rep["J_null"]) == 0.0
+            assert max_abs(rep["compat"]) < 1e-10
+            assert max_abs(rep["g_JJ"]) < 1e-10
+            assert max_abs(rep["killing"]) < 1e-12
             out = certify_selfdual(nk["surface"], nk["pair"], pts, factor=f)
             assert out["weyl_minus"] < 1e-8
 
@@ -313,7 +313,7 @@ class TestTwistDichotomy:
             assert zdep > 1e-10  # twisting <=> z-dependent slope ratio
         else:
             assert np.abs(preds).max() < 1e-12
-            assert rep["twist_max"] < 1e-12
+            assert max_abs(rep["twist"]) < 1e-12
             assert zdep < 1e-12
 
 
@@ -336,18 +336,18 @@ class TestNullSymmetryGeometry:
         pts = _pts4(16)
         g, _ = MetricBuilder(pair=pair).jets(pts, order=1)
         rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
-        assert rep["null_defect"] < 1e-10
-        assert rep["geodesic"] < 1e-9
+        assert max_abs(rep["null_defect"]) < 1e-10
+        assert max_abs(rep["geodesic"]) < 1e-9
         coords = ("x", "y", "t", "z")
         vert = [["0", "0"] + [str(x) for x in pair.phi[0]],
                 ["0", "0"] + [str(x) for x in pair.phi[1]]]
-        assert frobenius_residual(vert, coords, pts) < 1e-9
+        assert max_abs(frobenius_residual(vert, coords, pts)) < 1e-9
         beta = f"({gamma}) + {c}*z"
         other = [["0", "0", "1", "0"],
                  ["1", beta,
                   f"({pair.alpha[0][0]}) + ({beta})*({pair.alpha[1][0]})",
                   f"({pair.alpha[0][1]}) + ({beta})*({pair.alpha[1][1]})"]]
-        assert frobenius_residual(other, coords, pts) < 1e-9
+        assert max_abs(frobenius_residual(other, coords, pts)) < 1e-9
 
 
 # -- 8. the two integrability residuals agree ----------------------------------
@@ -383,13 +383,14 @@ class TestMutualOracles:
         pts = _pts4(32)
         for P, gamma, c, H, G in _dw_family():
             pair = dw_quadrature_build(P, gamma, c, H, G)
-            lres = lax_residual(build_lax(P, pair), pts)["residual"]
-            pres = projective_pair_residual(P, pair, pts)
+            lres = max_abs(lax_residual(build_lax(P, pair), pts)["residual"])
+            pres = max_abs(projective_pair_residual(P, pair, pts))
             assert lres < 1e-10 and pres < 1e-10
 
             broken = _perturb(pair, 1e-3)
-            lneg = lax_residual(build_lax(P, broken), pts)["residual"]
-            pneg = projective_pair_residual(P, broken, pts)
+            lneg = max_abs(lax_residual(build_lax(P, broken),
+                                        pts)["residual"])
+            pneg = max_abs(projective_pair_residual(P, broken, pts))
             assert lneg > 1e-6 and pneg > 1e-6
             assert abs(math.log10(lneg / pneg)) < 2.0
 
@@ -716,3 +717,85 @@ def test_fibres_are_selfdual_null_surfaces(name):
     assert np.all(size > 0.0)
     assert np.all(np.abs(starF - F).max(axis=(-1, -2)) <= 1e-12 * size)
     assert np.all(np.abs(starF + F).max(axis=(-1, -2)) > size)
+
+
+# -- 14. selfdual, not conformally flat ---------------------------------------
+#
+# The null-Kaehler member a = 0, c = x^2 y^2, f = 1 of
+# scenes/nullkahler_ricciflat.json is Ricci-flat with W- = 0, but W+, the
+# whole curvature, is not zero: certifying it separates "selfdual" from
+# "conformally flat", which the conformally flat scenes cannot.  Bending
+# alpha0 by 0.05 z^2 breaks both the Lax pair and W- = 0.
+
+RICCIFLAT = SCENES / "nullkahler_ricciflat.json"
+
+
+class TestSelfdualNotConformallyFlat:
+    @pytest.mark.parametrize("command", ["certify-selfdual",
+                                         "build-nullkahler"])
+    def test_the_scene_certifies_with_weyl_plus(self, capsys, command):
+        code, report = _run_cli(capsys, command, str(RICCIFLAT))
+        assert code == 0
+        assert _check_value(report, "weyl_minus") == 0.0
+        assert _check_value(report, "ricci") == 0.0
+        if command == "certify-selfdual":
+            assert _check_value(report, "lax_residual") == 0.0
+        _, curvature = _run_cli(capsys, "curvature", str(RICCIFLAT))
+        assert report["fitted"]["weyl_plus"] == curvature["fitted"]["riemann"]
+        assert report["fitted"]["weyl_plus"] > 1.0
+
+    def test_the_bent_control_fails(self, capsys, tmp_path):
+        scene = json.loads(RICCIFLAT.read_text())
+        alpha0 = scene["pair"]["alpha0"]
+        alpha0[0] = f"{alpha0[0]} + 0.05*z^2"
+        code, report = _run_cli(capsys, "certify-selfdual",
+                                _write_scene(tmp_path, "bent", scene))
+        assert code == 1
+        assert _check_value(report, "lax_residual") > 0.1
+        assert _check_value(report, "weyl_minus") > 0.05
+
+    def test_weyl_plus_is_the_exact_riemann_tensor(self):
+        sp = pytest.importorskip("sympy")
+        X = sp.symbols("x y t z")
+        x, y = X[:2]
+        # g = f (dz.dy - (dt - a z dx - c dy).dx), "." the symmetric
+        # product without 1/2, at a = 0, c = x^2 y^2, f = 1
+        g = sp.zeros(4, 4)
+        g[1, 3] = g[3, 1] = 1
+        g[0, 2] = g[2, 0] = -1
+        g[0, 1] = g[1, 0] = x**2 * y**2
+        gi = g.inv()
+        gam = [[[sum(gi[a, d] * (g[d, c].diff(X[b]) + g[b, d].diff(X[c])
+                                 - g[b, c].diff(X[d])) for d in range(4)) / 2
+                 for c in range(4)] for b in range(4)] for a in range(4)]
+        # R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb
+        riemann = {}
+        for a, b, c, d in np.ndindex(4, 4, 4, 4):
+            entry = sp.expand(gam[a][d][b].diff(X[c]) - gam[a][c][b].diff(X[d])
+                              + sum(gam[a][c][e] * gam[e][d][b]
+                                    - gam[a][d][e] * gam[e][c][b]
+                                    for e in range(4)))
+            if entry != 0:
+                riemann[a, b, c, d] = entry
+        # R^t_yxy = R^z_xxy = -4xy, antisymmetric in the last two indices
+        assert riemann == {(2, 1, 0, 1): -4 * x * y, (2, 1, 1, 0): 4 * x * y,
+                           (3, 0, 0, 1): -4 * x * y, (3, 0, 1, 0): 4 * x * y}
+        scene = load_scene(RICCIFLAT)
+        builder = MetricBuilder(pair=cli_pair(scene))
+        args = argparse.Namespace(samples=None, seed=None, tol=None)
+        points = RunContext(scene, args).points(builder.coords)
+        g_jets, orientation = builder.jets(points)
+        values = [points[name] for name in builder.coords]
+        want_g = np.zeros((32, 4, 4))
+        for (i, j), entry in np.ndenumerate(np.array(g.tolist())):
+            want_g[:, i, j] = sp.lambdify(X, entry, "numpy")(*values)
+        assert np.allclose(g_jets.value, want_g, rtol=0.0, atol=1e-15)
+        want = np.zeros((32, 4, 4, 4, 4))
+        for index, entry in riemann.items():
+            want[(slice(None),) + index] = sp.lambdify(X, entry,
+                                                       "numpy")(*values)
+        # with Ricci = 0 and W- = 0, W+ (first index up) is all of Riemann
+        rep = curvature_report(g_jets, orientation)
+        assert np.array_equal(rep["weyl_plus"], want)
+        assert not rep["weyl_minus"].any()
+        assert not rep["ricci"].any()

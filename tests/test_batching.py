@@ -1,10 +1,11 @@
 """Batched evaluation over sample points agrees with single-point calls.
 
 The 4-D and surface pipelines evaluate every expression once per sweep on
-jets with a leading point axis.  Each value they report must be the one a
-loop of single-point calls gives: to 1e-14 relative (1e-15 absolute near
-zero) for the curvature, Killing and Lax reports, and bit for bit for the
-surface-side residuals and the jet kernel itself.
+jets with a leading point axis.  Each residual array they return must be
+the arrays of single-point calls stacked on that axis, bit for bit and
+with NaN at the same entries; so must the jet kernel's results.  A maximum
+that the library reduces itself (the divisor, gauge and quadrature
+deciders) must be the largest of the single-point ones.
 """
 
 import json
@@ -19,7 +20,7 @@ from sdconformal.conformal import (MetricBuilder, build_null_kahler,
                                    curvature_report, frobenius_residual,
                                    killing_report)
 from sdconformal.expr import parse
-from sdconformal.jets import Jet, JetSpace, stack
+from sdconformal.jets import Jet, JetSpace, max_abs, stack
 from sdconformal.minitwistor import (WeightedCongruence, _weyl_gamma_jets,
                                      divisor_two_report,
                                      projective_field_residual)
@@ -91,12 +92,27 @@ def _points(name, count=24):
     return halton_points(pair.coords, box, count, seed=3)
 
 
-def _assert_close(batched, single):
-    batched = np.asarray(batched, dtype=float)
-    single = np.asarray(single, dtype=float)
-    assert batched.shape == single.shape
-    bound = np.maximum(1e-14 * np.abs(single), 1e-15)
-    assert np.all(np.abs(batched - single) <= bound), (batched, single)
+def _assert_same(got, want):
+    """The same shape, NaN at the same entries and the same bits at the
+    others."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = _nan(want)
+    assert np.array_equal(_nan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _nan(a):
+    return np.isnan(a) if a.dtype.kind == "f" else np.zeros(a.shape, bool)
+
+
+def _assert_stacked(batched, singles):
+    """Each array of the dict `batched` is the same key's arrays of the
+    single-point dicts `singles` joined on the point axis (the one-point
+    sample sets of `point_slices`), entry by entry."""
+    assert batched.keys() == singles[0].keys()
+    for key, value in batched.items():
+        _assert_same(value, np.concatenate([s[key] for s in singles]))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -110,13 +126,9 @@ def test_curvature_report_matches_single_points(name):
     for p in point_rows(points):
         g, orientation = builder.jets(p)
         singles.append(curvature_report(g, orientation))
+    # a point of plain numbers has batch shape (): the singles stack
     for key, values in batched.items():
-        want = [s[key] for s in singles]
-        values = np.broadcast_to(values, np.shape(want))
-        if key == "signature_ok":
-            assert values.tolist() == want
-        else:
-            _assert_close(values, want)
+        _assert_same(values, np.stack([s[key] for s in singles]))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -129,10 +141,7 @@ def test_killing_report_matches_single_points(name):
                              points)["T"]
     singles = [killing_report(builder.jets(p, order=1)[0], fields, p)["T"]
                for p in point_slices(points)]
-    _assert_close(batched["twist"], [s["twist"][0] for s in singles])
-    for key in ("exact_killing", "conformal_killing", "null_defect",
-                "geodesic", "twist_max"):
-        _assert_close(batched[key], max(s[key] for s in singles))
+    _assert_stacked(batched, singles)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -141,10 +150,8 @@ def test_lax_residual_matches_single_points(name):
     lax = build_lax(P, pair)
     points = _points(name)
     batched = lax_residual(lax, points)
-    singles = [lax_residual(lax, p) for p in point_slices(points)]
-    _assert_close(batched["b_coeffs"], [s["b_coeffs"][0] for s in singles])
-    for key in ("residual", "cubic_max"):
-        _assert_close(batched[key], max(s[key] for s in singles))
+    _assert_stacked(batched, [lax_residual(lax, p)
+                              for p in point_slices(points)])
 
 
 @pytest.mark.parametrize("name", ["nullkahler_random", "nullkahler_seeded"])
@@ -153,10 +160,36 @@ def test_null_kahler_check_matches_single_points(name):
     builder = MetricBuilder(pair=pair, factor=factor)
     points = _points(name)
     batched = null_kahler_check(check, builder, points)
-    singles = [null_kahler_check(check, builder, p)
-               for p in point_slices(points)]
-    for key, value in batched.items():
-        _assert_close(value, max(s[key] for s in singles))
+    _assert_stacked(batched, [null_kahler_check(check, builder, p)
+                              for p in point_slices(points)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_entries_match_single_points():
+    # a factor that overflows at some sample points, and a field whose
+    # components do: NaN and infinities must sit at the single points'
+    # entries
+    nk = build_null_kahler("0.3*x", "0.2*y", "1 + 1e308*x*z*z*z")
+    points = _points("nullkahler_random")
+    g, orientation = nk["metric"].jets(points)
+    batched = curvature_report(g, orientation)
+    assert 0 < np.isnan(batched["riemann"]).sum() < batched["riemann"].size
+    _assert_stacked(batched, [curvature_report(*nk["metric"].jets(p))
+                              for p in point_slices(points)])
+    fields = {"T": ("0", "0", "1e200*x*x", "0")}
+    batched = killing_report(nk["metric"].jets(points, order=1)[0], fields,
+                             points)["T"]
+    assert np.isinf(batched["exact_killing"]).any()
+    _assert_stacked(batched, [
+        killing_report(nk["metric"].jets(p, order=1)[0], fields, p)["T"]
+        for p in point_slices(points)])
+    # the slope's cube overflows where |x| > 0.56, and the flat spray's
+    # zero coefficient times it is NaN there
+    points = _surface_points("curved")
+    res = FLAT.congruence_residual("1e103*x", points)
+    assert 0 < np.isnan(res).sum() < res.size
+    _assert_same(res, np.concatenate([FLAT.congruence_residual("1e103*x", p)
+                                      for p in point_slices(points)]))
 
 
 def test_pivot_row_changes_across_the_box():
@@ -171,9 +204,9 @@ def test_pivot_row_changes_across_the_box():
 
 # -- the surface side --------------------------------------------------------
 #
-# Every residual below is a max over points of per-point values computed
-# by the same elementwise operations, so batched and single-point results
-# agree bit for bit.
+# Every residual below is an array of per-point values computed by the
+# same elementwise operations, so batched and single-point results agree
+# bit for bit.
 
 
 def _scene(name):
@@ -285,6 +318,12 @@ def _max_of_singles(fn, points):
     return max(fn(p) for p in point_slices(points))
 
 
+def _joined(fn, points):
+    """The arrays `fn` returns on the one-point sample sets of `points`,
+    joined on the point axis."""
+    return np.concatenate([fn(p) for p in point_slices(points)])
+
+
 # Per-point references: the loops the batched code replaced, in numpy
 # scalars.  A single point runs the batched code too, so these are what
 # pin a kernel that rounds differently from the scalar one (numpy's
@@ -379,26 +418,31 @@ def _pair_reference(P, pair, pt):
 def test_congruence_residual_matches_single_points(name):
     P, beta, scene = CONGRUENCES[name]
     points = _surface_points(scene, 64)
-    singles = [P.congruence_residual(beta, p) for p in point_slices(points)]
+    singles = [max_abs(P.congruence_residual(beta, p))
+               for p in point_slices(points)]
     assert singles == [_congruence_reference(P, beta, p)
                        for p in point_rows(points)]
-    assert P.congruence_residual(beta, points) == max(singles)
+    _assert_same(P.congruence_residual(beta, points),
+                 _joined(lambda p: P.congruence_residual(beta, p), points))
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_projective_field_residual_matches_single_points(name):
     points = _surface_points(name, 64)
     for P, V in FIELDS[name]:
-        singles = [projective_field_residual(P, V, p)
+        singles = [max_abs(projective_field_residual(P, V, p))
                    for p in point_slices(points)]
         assert singles == [_field_reference(P, V, p)
                            for p in point_rows(points)]
-        assert projective_field_residual(P, V, points) == max(singles)
+        _assert_same(projective_field_residual(P, V, points),
+                     _joined(lambda p: projective_field_residual(P, V, p),
+                             points))
 
 
 def test_non_projective_field_residual_is_order_one():
     P, V = NON_PROJECTIVE
-    assert projective_field_residual(P, V, _surface_points("curved")) > 0.1
+    assert max_abs(projective_field_residual(
+        P, V, _surface_points("curved"))) > 0.1
 
 
 @pytest.mark.parametrize("name", sorted(DIVISORS))
@@ -407,7 +451,9 @@ def test_divisor_two_report_matches_single_points(name):
     points = _surface_points(scene)
     batched = divisor_two_report(P, c1, c2, points)
     singles = [divisor_two_report(P, c1, c2, p) for p in point_slices(points)]
-    for key in ("dc_residual", "sym_r", "skew_r", "f_sum", "f_diff"):
+    _assert_same(batched["dc_residual"],
+                 np.concatenate([s["dc_residual"] for s in singles]))
+    for key in ("sym_r", "skew_r", "f_sum", "f_diff"):
         assert batched[key] == max(s[key] for s in singles), key
 
 
@@ -417,7 +463,7 @@ def test_weyl_gamma_jets_match_single_points(name):
     points = _surface_points(scene)
     gam, ct, consistency = _weyl_gamma_jets(P, c1, c2, points)
     singles = [_weyl_gamma_jets(P, c1, c2, p) for p in point_rows(points)]
-    assert consistency == max(s[2] for s in singles)
+    _assert_same(consistency, np.stack([s[2] for s in singles]))
     for batched, single in ((gam, [s[0] for s in singles]),
                             (ct, [s[1] for s in singles])):
         want = np.array([stack(s).coeffs for s in single])
@@ -439,13 +485,14 @@ def test_abelian_pair_residual_matches_single_points(name):
 def test_projective_pair_residual_matches_single_points(name):
     P, pair, _ = SURFACE_PAIRS[name]
     points = _pair_points(name, 64)
-    singles = [projective_pair_residual(P, pair, p)
+    singles = [max_abs(projective_pair_residual(P, pair, p))
                for p in point_slices(points)]
     assert singles == [_pair_reference(P, pair, p) for p in point_rows(points)]
     batched = projective_pair_residual(P, pair, points)
-    assert batched == max(singles)
+    _assert_same(batched, _joined(
+        lambda p: projective_pair_residual(P, pair, p), points))
     if name == "curved":
-        assert batched > 0.1
+        assert max_abs(batched) > 0.1
 
 
 @pytest.mark.parametrize("name", sorted(SURFACE_PAIRS))
@@ -580,9 +627,11 @@ def test_frobenius_residual_matches_the_per_point_loop(name):
     fields, coords, box = DISTRIBUTIONS[name]
     points = halton_points(coords, box, 48, seed=3)
     res = frobenius_residual(fields, coords, points)
-    assert res == _frobenius_reference(fields, coords, points)
+    assert max_abs(res) == _frobenius_reference(fields, coords, points)
+    _assert_same(res, _joined(
+        lambda p: frobenius_residual(fields, coords, p), points))
     if name.startswith("random"):
-        assert res > 0.01
+        assert max_abs(res) > 0.01
 
 
 def test_frobenius_dependent_fields_at_a_later_point():
@@ -592,7 +641,8 @@ def test_frobenius_dependent_fields_at_a_later_point():
             {"x": 0.5, "y": 0.5, "t": 0.5, "z": 0.5},
             {"x": 0.75, "y": 0.0, "t": 0.0, "z": 0.0}]
     points = sample_set(rows)
-    assert frobenius_residual(fields, coords, sample_set(rows[:1])) == 0.0
+    assert max_abs(frobenius_residual(fields, coords,
+                                      sample_set(rows[:1]))) == 0.0
     for fn in (frobenius_residual, _frobenius_reference):
         with pytest.raises(np.linalg.LinAlgError, match="^dependent fields"):
             fn(fields, coords, points)
@@ -668,10 +718,10 @@ def test_lax_residual_takes_plain_numbers(name):
         got, want = lax_residual(lax, scalar), lax_residual(lax, one)
         assert got["b_coeffs"].shape == (3,)
         assert _bits(got["b_coeffs"]) == _bits(want["b_coeffs"][0])
-        for key in ("residual", "cubic_max"):
+        for key in ("residual", "cubic"):
             assert _bits(got[key]) == _bits(want[key])
     if name == "curved":
-        assert want["residual"] > 0.01
+        assert max_abs(want["residual"]) > 0.01
 
 
 @pytest.mark.parametrize("name", sorted(SURFACE_PAIRS))

@@ -32,6 +32,8 @@ NATURAL = (
               "killing", "frobenius", "congruence", "gauge-report")),
     ("nullkahler_hk", ("certify-selfdual", "curvature", "killing")),
     ("nullkahler_random", ("build-nullkahler",)),
+    ("nullkahler_ricciflat", ("certify-selfdual", "curvature",
+                              "build-nullkahler")),
     ("twistfree", ("build-twistfree",)),
     ("dw_twist", ("build-dw",)),
     ("burgers", ("congruence", "projective-field")),

@@ -1,9 +1,15 @@
-"""The package holds no code that only the tests use.
+"""The package holds no code that only the tests use, and reduces a
+residual in one place.
 
 Every top-level function, class and assignment of `src/sdconformal` must
 be read by name somewhere in the package, or be exported through an
 `__all__` list.  A name that only a test reads belongs in the tests
 (`tests/oracles.py` holds such helpers).
+
+A residual function returns its unreduced array, and the command line
+turns it into a report number with `jets.max_abs`.  Only `cli` and the
+library functions that decide a flag, a verdict or a build precondition
+from a maximum call that reducer.
 """
 
 import ast
@@ -56,3 +62,43 @@ def test_every_top_level_name_is_read_in_the_package():
     unread = [f"{module}:{name}" for module, tree in trees.items()
               for name in _defined(tree) if name not in read]
     assert unread == []
+
+
+# the library functions that reduce a maximum themselves, to decide with it
+DECIDERS = {
+    "minitwistor:divisor_two_report",     # the curvature dichotomy verdicts
+    "pairs:_quadrature_residuals",        # dw_quadrature_build's checks
+    "pairs:dw_quadrature_build",          # its congruence precondition
+    "pairs:gauge_reduction_report",       # the gauge flags
+    "pairs:twist_free_normal_form",       # its congruence precondition
+}
+
+
+def _reduces(node):
+    """Whether the subtree calls a max-abs reducer, whatever its spelling."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if "maxabs" in name.replace("_", "").lower():
+                return True
+    return False
+
+
+def _reducers(module, tree):
+    """`module:function` (`module:Class.method`) for each top-level
+    function or method that calls a reducer; `module:` for module code."""
+    found = set()
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            found |= {f"{module}:{top.name}.{fn.name}" for fn in top.body
+                      if _reduces(fn)}
+        elif _reduces(top):
+            found.add(f"{module}:{getattr(top, 'name', '')}")
+    return found
+
+
+def test_only_the_cli_and_the_deciders_reduce_residuals():
+    found = set().union(*(_reducers(path[:-3], tree)
+                          for path, tree in _trees().items()))
+    assert {f for f in found if not f.startswith("cli:")} == DECIDERS
