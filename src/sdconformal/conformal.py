@@ -33,7 +33,7 @@ import itertools
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at
-from .jets import Jet, JetSpace
+from .jets import Jet, JetSpace, stack
 from .pairs import ProjectivePair, _dot, lie_bracket, lstsq
 
 # Which Weyl half the construction kills; calibrated on the null-Kaehler
@@ -106,7 +106,7 @@ def _eliminate(M, space, start=0):
 
 
 def jet_matrix_inverse(A):
-    return jet_gauss_solve(A, A.space.constant(np.eye(A.coeffs.shape[-2])))
+    return jet_gauss_solve(A, A.space.constant(np.eye(A.value.shape[-1])))
 
 
 # -- metric assembly ----------------------------------------------------------
@@ -165,9 +165,7 @@ class MetricBuilder:
             Q[..., :, 0, :] = block[..., :, 3, :]
             g = Jet(space, P + P.swapaxes(-3, -2) - Q - Q.swapaxes(-3, -2))
         if self.factor is not None:
-            f = jets_at(self.factor, space, point)
-            g = Jet(space,
-                    space.product(g.coeffs, f.coeffs[..., None, None, :]))
+            g = g * jets_at(self.factor, space, point)[..., None, None]
         return g, orientation
 
 
@@ -190,17 +188,16 @@ def christoffel_jets_4d(g):
     returned as jets whose last batch axes are (a, b, c) and (a, b)."""
     low = g.truncate(g.space.order - 1)
     ginv = jet_matrix_inverse(low)
-    # dg[..., i, j, k, :] = d_k g_ij
+    # dg[..., i, j, k] = d_k g_ij
     # t[..., d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
-    dg = np.stack([g.derivative(c).coeffs for c in g.space.vars], axis=-2)
-    t = dg.swapaxes(-3, -2) + dg.swapaxes(-4, -3) - np.moveaxis(dg, -2, -4)
+    dg = stack([g.derivative(c) for c in g.space.vars])
+    t = dg.moveaxis(-1, -2) + dg.moveaxis(-2, -3) - dg.moveaxis(-1, -3)
     # ginv_ad t_dbc at (a, d, pair), added in d order; computed for c >= b
     # and mirrored, as g need not be bitwise symmetric
-    terms = low.space.product(ginv.coeffs[..., :, :, None, :],
-                              t[..., None, :, _B10, _C10, :])
-    acc = (terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :]
-           + terms[..., 3, :, :])
-    return Jet(low.space, (acc * 0.5)[..., :, _PAIR, :]), ginv
+    terms = ginv[..., :, :, None] * t[..., None, :, _B10, _C10]
+    acc = (terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]
+           + terms[..., 3, :])
+    return (acc * 0.5)[..., :, _PAIR], ginv
 
 
 def hodge_star_operator(gv, giv, orientation=1.0):
@@ -324,11 +321,10 @@ def killing_report(g, fields, points):
         conf = lie - 0.25 * trace[..., None, None] * gv
         null = ((Kv[..., None, :] @ gv) @ Kv[..., :, None])[..., 0, 0]
         # twist: alpha = g(K, .) as jets
-        terms = g.space.product(g.coeffs, Kj.coeffs[..., None, :, :])
-        alpha = terms[..., 0, :]
+        terms = g * Kj[..., None, :]
+        alpha = terms[..., 0]
         for b in range(1, 4):
-            alpha = alpha + terms[..., b, :]
-        alpha = Jet(g.space, alpha)
+            alpha = alpha + terms[..., b]
         av = np.ascontiguousarray(alpha.value)
         # da[..., a, b] = d_b alpha_a
         da = np.ascontiguousarray(alpha.gradient())
@@ -357,13 +353,13 @@ def frobenius_residual(fields, coords, points):
     point axes first, then the pairs i < j, then the component."""
     coords = tuple(coords)
     fields = [[as_expression(c, coords) for c in f] for f in fields]
-    F = jets_at(fields, JetSpace(coords, 1), points).coeffs
-    vals = np.ascontiguousarray(F[..., 0])   # vals[p, field, component]
+    F = jets_at(fields, JetSpace(coords, 1), points)
+    vals = np.ascontiguousarray(F.value)   # vals[p, field, component]
     if np.any(np.linalg.matrix_rank(vals) < len(fields)):
         raise np.linalg.LinAlgError("dependent fields at sample point")
     i, j = np.triu_indices(len(fields), 1)
     # axes (point, field pair, .) and (point, 1, component, field)
-    bracket = lie_bracket(F[..., i, :, :], F[..., j, :, :])
+    bracket = lie_bracket(F[..., i, :], F[..., j, :])
     span = vals.swapaxes(-1, -2)[..., None, :, :]
     coef = lstsq(span, bracket[..., None])
     return bracket - (span @ coef)[..., 0]

@@ -33,6 +33,7 @@ stage of `ProjectiveSurface.integrate_geodesic`, at every candidate of
 """
 from __future__ import annotations
 
+import math
 import operator
 import re
 from typing import Mapping, NamedTuple
@@ -311,7 +312,11 @@ class _Parser:
     def atom(self) -> Expression:
         kind, text, off = self.advance()
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if not math.isfinite(value):   # 1e400 reads as inf
+                raise ExprSyntaxError(f"a number literal of {len(text)} "
+                                      "characters does not fit a float", off)
+            return Const(value)
         if kind == "ident":
             nkind, ntext, _ = self.peek()
             if nkind == "op" and ntext == "(":
@@ -357,12 +362,15 @@ def parse(source: str, allowed_vars) -> Expression:
 
 def as_expression(value, allowed_vars) -> Expression:
     """An Expression as it is, source text parsed over the given
-    variables, or a number as a constant."""
+    variables, or a finite number as a constant."""
     if isinstance(value, Expression):
         return value
     if isinstance(value, str):
         return parse(value, allowed_vars)
-    return Expression.const(float(value))
+    value = float(value)
+    if not math.isfinite(value):   # JSON reads 1e400, NaN and Infinity
+        raise ExprError(f"the number {value} is not finite")
+    return Expression.const(value)
 
 
 # -- printing ---------------------------------------------------------------
@@ -540,7 +548,7 @@ def values_at(exprs, names):
     plan = compile(exprs, JetSpace(names, 0))
     order = plan.bind({name: k for k, name in enumerate(names)})
     plan = plan._replace(
-        registers=[float(r.coeffs[0]) if isinstance(r, Jet) else r
+        registers=[float(r.value) if isinstance(r, Jet) else r
                    for r in plan.registers],
         tape=tuple((FLOAT_TWINS[fn], a, b, out)
                    for fn, a, b, out in plan.tape))

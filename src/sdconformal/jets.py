@@ -220,6 +220,21 @@ class Jet:
         # the slots of a lower order are a prefix of the slots
         return Jet(lower, self.coeffs[..., :len(lower)])
 
+    def __getitem__(self, index) -> "Jet":
+        """The jet at `index` of the batch axes, indexed as numpy indexes an
+        array of the batch shape; too many indices raise IndexError."""
+        index = index if isinstance(index, tuple) else (index,)
+        tail = () if any(i is Ellipsis for i in index) else (Ellipsis,)
+        return Jet(self.space, self.coeffs[index + tail + (slice(None),)])
+
+    def moveaxis(self, src: int, dst: int) -> "Jet":
+        """Batch axis `src` moved to position `dst`; negative axes count
+        from the last batch axis."""
+        n = self.coeffs.ndim - 1
+        if not (-n <= src < n and -n <= dst < n):
+            raise IndexError(f"axis out of range for {n} batch axes")
+        return Jet(self.space, np.moveaxis(self.coeffs, src % n, dst % n))
+
     # -- ring operations -------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, Jet):

@@ -22,7 +22,7 @@ index axes last.
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at
-from .jets import Jet, JetSpace, max_abs
+from .jets import JetSpace, max_abs, stack
 from .projective import COORDS
 from .conformal import jet_gauss_solve
 from .pairs import DEFAULT_LAMBDAS, below, lstsq, ordered_bracket
@@ -59,47 +59,41 @@ def _weyl_gamma_jets(P, cong1, cong2, point):
     c = phi1 . phi2 (index axis B last), together with the order-1 jets of
     c (index axes A, C last) and the residuals of the six equations of
     (D + [gamma]) c = 0 (axes B and the pairs A <= C last)."""
-    space, low = JetSpace(COORDS, 2), JetSpace(COORDS, 1)
-    n, mul = len(low), low.product
-    # F[..., k, i, :]: component i of phi1, phi2, rho1, rho2 (k)
-    F = jets_at([cong1.phi, cong2.phi, cong1.rho, cong2.rho], space,
-                point).coeffs
-    # f[..., k, A, :]: the lowered field (-phi^1, phi^0) of phi1, phi2 (k)
-    f = np.stack([-F[..., :2, 1, :], F[..., :2, 0, :]], axis=-2)
+    # F[..., k, i]: component i of phi1, phi2, rho1, rho2 (k)
+    F = jets_at([cong1.phi, cong2.phi, cong1.rho, cong2.rho],
+                JetSpace(COORDS, 2), point)
+    # f[..., k, A]: the lowered field (-phi^1, phi^0) of phi1, phi2 (k)
+    f = stack([-F[..., :2, 1], F[..., :2, 0]])
     # weight-4 symmetric form c_{AC} = (phi1_A phi2_C + phi1_C phi2_A)/2
-    pc = space.product(f[..., 0, :, None, :], f[..., 1, None, :, :])
-    c = Jet(space, (pc + pc.swapaxes(-3, -2)) * 0.5)
-    ct = c.coeffs[..., :n]
-    g = P.christoffel_jets(point, 1).coeffs
-    tr = g[..., 0, :, 0, :] + g[..., 1, :, 1, :]
-    rho = F[..., 2, :, :n] + F[..., 3, :, :n]
-    # Dc[..., B, A, C, :] = d_B c_AC - G^E_BA c_EC - G^E_BC c_AE (E in
+    pc = f[..., 0, :, None] * f[..., 1, None, :]
+    c = (pc + pc.moveaxis(-2, -1)) * 0.5
+    ct, g = c.truncate(1), P.christoffel_jets(point, 1)
+    tr = g[..., 0, :, 0] + g[..., 1, :, 1]
+    rho = F[..., 2, :].truncate(1) + F[..., 3, :].truncate(1)
+    # Dc[..., B, A, C] = d_B c_AC - G^E_BA c_EC - G^E_BC c_AE (E in
     # order) + (4/3) tr_B c_AC + rho_B c_AC; p and q carry E first
-    p = mul(g[..., :, :, :, None, :], ct[..., :, None, None, :, :])
-    q = mul(g[..., :, :, None, :, :],
-            ct.swapaxes(-3, -2)[..., :, None, :, None, :])
-    Dc = np.stack([c.derivative(v).coeffs for v in COORDS], axis=-4)
+    p = g[..., :, :, :, None] * ct[..., :, None, None, :]
+    q = g[..., :, :, None, :] * ct.moveaxis(-2, -1)[..., :, None, :, None]
+    Dc = stack([c.derivative(v) for v in COORDS]).moveaxis(-1, -3)
     for E in range(2):
-        Dc = Dc - p[..., E, :, :, :, :] - q[..., E, :, :, :, :]
-    cb = ct[..., None, :, :, :]   # c_AC at axes (B, A, C)
-    Dc = Dc + mul(tr[..., :, None, None, :], cb) * (4.0 / 3.0)
-    Dc = Dc + mul(rho[..., :, None, None, :], cb)
+        Dc = Dc - p[..., E, :, :, :] - q[..., E, :, :, :]
+    cb = ct[..., None, :, :]   # c_AC at axes (B, A, C)
+    Dc = Dc + (tr[..., :, None, None] * cb) * (4.0 / 3.0)
+    Dc = Dc + rho[..., :, None, None] * cb
     # the bracket action on c is 2 gamma_B c_{AC} - gamma_A c_{BC}
     # - gamma_C c_{AB}; the (B;AC) = (0;11) and (1;00) equations give a
     # 2x2 system whose determinant is a multiple of det c.
-    m = (-2.0) * ct[..., 0, 1, :]
-    A2 = np.stack([2.0 * ct[..., 1, 1, :], m, m, 2.0 * ct[..., 0, 0, :]],
-                  axis=-2).reshape(m.shape[:-1] + (2, 2, n))
-    b2 = np.stack([-Dc[..., 0, 1, 1, :], -Dc[..., 1, 0, 0, :]], axis=-2)
-    gam = Jet(low, jet_gauss_solve(Jet(low, A2), Jet(low, b2[..., None, :]))
-              .coeffs[..., 0, :])
+    m = (-2.0) * ct[..., 0, 1]
+    A2 = stack([[2.0 * ct[..., 1, 1], m], [m, 2.0 * ct[..., 0, 0]]])
+    b2 = stack([[-Dc[..., 0, 1, 1]], [-Dc[..., 1, 0, 0]]])
+    gam = jet_gauss_solve(A2, b2)[..., 0]
     # the six equations at axes (B, A, C), read where A <= C
-    gv, cv = gam.value, ct[..., 0]
-    res = (Dc[..., 0] + 2.0 * gv[..., :, None, None] * cv[..., None, :, :]
+    gv, cv = gam.value, ct.value
+    res = (Dc.value + 2.0 * gv[..., :, None, None] * cv[..., None, :, :]
            - gv[..., None, :, None] * cv[..., :, None, :]
            - gv[..., None, None, :] * cv.swapaxes(-1, -2)[..., :, :, None])
     A, C = np.triu_indices(2)
-    return gam, Jet(low, ct), res[..., A, C]
+    return gam, ct, res[..., A, C]
 
 
 def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
@@ -181,14 +175,14 @@ def projective_field_residual(P, V, points, lambdas=DEFAULT_LAMBDAS):
               - lam * lam * V[0].diff("y"))
     lift = [V[0], V[1], lamdot]
     spray = [Expression.const(1.0), lam, P.spray_cubic()]
-    # axes (point, lam), as in pairs.lax_residual; then lift or spray,
-    # component, coefficient
+    # axes (point, lam), as in pairs.lax_residual; then lift or spray and
+    # the component
     jets = jets_at([lift, spray], JetSpace(vars3, 1), {
         "x": np.asarray(points["x"])[..., None],
         "y": np.asarray(points["y"])[..., None],
-        "lambda": np.asarray(lambdas, dtype=float)}).coeffs
-    lj, sj = jets[..., 0, :, :], jets[..., 1, :, :]
+        "lambda": np.asarray(lambdas, dtype=float)})
+    lj, sj = jets[..., 0, :], jets[..., 1, :]
     bracket = ordered_bracket(lj, sj)
-    sval = sj[..., 0]
+    sval = sj.value
     coef = lstsq(sval[..., None], bracket[..., None])[..., 0]
     return bracket - coef * sval

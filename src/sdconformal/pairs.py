@@ -24,7 +24,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .expr import Expression, as_expression, jets_at
-from .jets import Jet, JetSpace, max_abs
+from .jets import JetSpace, max_abs
 
 BASE = ("x", "y")
 DEFAULT_LAMBDAS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
@@ -76,38 +76,38 @@ class LaxPair:
         coordinates (incl. lambda), whose values may be arrays, as arrays
         whose last axis runs over the coordinates."""
         uv = jets_at([[L[c] for c in self.coords] for L in (self.L0, self.L1)],
-                     JetSpace(self.coords, 1), point).coeffs
-        u, v = uv[..., 0, :, :], uv[..., 1, :, :]
-        return lie_bracket(u, v), np.ascontiguousarray(u[..., 0])
+                     JetSpace(self.coords, 1), point)
+        u, v = uv[..., 0, :], uv[..., 1, :]
+        return lie_bracket(u, v), np.ascontiguousarray(u.value)
 
 
-# Two bracket kernels, grouped differently and so different in the last
-# bits: `lie_bracket` subtracts the matmul sums sum_j u^j d_j v^i and
-# sum_j v^j d_j u^i (lax_residual, frobenius_residual); `ordered_bracket`
-# adds the differences term by term in coordinate order (the pair and
-# projective-field residuals).  Each keeps its callers' single-point bits.
+# Two bracket kernels on order-1 jets of vector fields, grouped differently
+# and so different in the last bits: `lie_bracket` subtracts the matmul sums
+# sum_j u^j d_j v^i and sum_j v^j d_j u^i (lax_residual, frobenius_residual);
+# `ordered_bracket` adds the differences term by term in coordinate order
+# (the pair and projective-field residuals).  Each keeps its callers' bits.
 
 def lie_bracket(u, v):
     """Values of the bracket [U, V]^i = u^j d_j v^i - v^j d_j u^i, with
-    the coordinate index last, from the order-1 jet coefficients of the
-    components: u[..., i, 0] = u^i and u[..., i, 1 + j] = d_j u^i."""
-    ug = np.ascontiguousarray(u[..., 1:])
-    vg = np.ascontiguousarray(v[..., 1:])
-    uv = np.ascontiguousarray(u[..., 0])
-    vv = np.ascontiguousarray(v[..., 0])
+    the coordinate index last, from order-1 jets u and v whose last batch
+    axis runs over the components U^i and V^i."""
+    ug = np.ascontiguousarray(u.gradient())
+    vg = np.ascontiguousarray(v.gradient())
+    uv = np.ascontiguousarray(u.value)
+    vv = np.ascontiguousarray(v.value)
     return (vg @ uv[..., None])[..., 0] - (ug @ vv[..., None])[..., 0]
 
 
 def ordered_bracket(u, v, first=0):
     """Values of the bracket of U and V, given as for `lie_bracket`, with
-    d_k the derivative in coordinate `first` + k: the sum over k, in k
+    d_k the derivative in variable `first` + k: the sum over k, in k
     order from 0.0, of u^k d_k v^i - v^k d_k u^i, each term formed for
     all i at once."""
+    uv, ug, vv, vg = u.value, u.gradient(), v.value, v.gradient()
     out = 0.0
-    for k in range(u.shape[-2]):
-        d = 1 + first + k
-        out = out + (u[..., k, None, 0] * v[..., d]
-                     - v[..., k, None, 0] * u[..., d])
+    for k in range(uv.shape[-1]):
+        out = out + (uv[..., k, None] * vg[..., first + k]
+                     - vv[..., k, None] * ug[..., first + k])
     return out
 
 
@@ -205,21 +205,21 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     g0 = gv[..., 0, 0, 0, :] + gv[..., 1, 0, 1, :]
     g1 = gv[..., 0, 1, 0, :] + gv[..., 1, 1, 1, :]
     c0, c1 = cv[..., 0, :], cv[..., 1, :]
-    # order-1 coefficients [n, i, slot] of alpha0, alpha1, phi0, phi1:
-    # slots 1, 2 are d_x, d_y, and the fiber coordinates follow x and y
-    F = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 1), points).coeffs
-    a0, a1, f0, f1 = (F[..., k, :, :] for k in range(4))
-    phi0v, phi1v = f0[..., 0], f1[..., 0]
-    eq1 = (f0[..., 1] + ordered_bracket(a0, f0, 2)
+    # order-1 jets of alpha0, alpha1, phi0, phi1, component i last; the
+    # gradients run over x, y and then the fiber coordinates
+    F = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 1), points)
+    a0, a1, f0, f1 = (F[..., k, :] for k in range(4))
+    phi0v, phi1v = f0.value, f1.value
+    eq1 = (f0.gradient()[..., 0] + ordered_bracket(a0, f0, 2)
            + (c0 - 2.0 / 3.0 * g0) * phi0v
            + gv[..., 0, 0, 0, :] * phi0v + gv[..., 1, 0, 0, :] * phi1v)
-    eq2 = (f1[..., 1] + ordered_bracket(a0, f1, 2)
+    eq2 = (f1.gradient()[..., 0] + ordered_bracket(a0, f1, 2)
            + (c0 - 2.0 / 3.0 * g0) * phi1v
            + gv[..., 0, 0, 1, :] * phi0v + gv[..., 1, 0, 1, :] * phi1v
-           + f0[..., 2] + ordered_bracket(a1, f0, 2)
+           + f0.gradient()[..., 1] + ordered_bracket(a1, f0, 2)
            + (c1 - 2.0 / 3.0 * g1) * phi0v
            + gv[..., 0, 1, 0, :] * phi0v + gv[..., 1, 1, 0, :] * phi1v)
-    eq3 = (f1[..., 2] + ordered_bracket(a1, f1, 2)
+    eq3 = (f1.gradient()[..., 1] + ordered_bracket(a1, f1, 2)
            + (c1 - 2.0 / 3.0 * g1) * phi1v
            + gv[..., 0, 1, 1, :] * phi0v + gv[..., 1, 1, 1, :] * phi1v)
     return np.stack([eq1, eq2, eq3], axis=-2)
@@ -386,8 +386,7 @@ def _fiber_divergence(fields, fiber):
     """The jet, one order lower, of the fiber divergence sum_j d_wj V^j of
     each vertical field V: the last batch axis of `fields` runs over the
     components V^j, and the sum is taken in component order."""
-    d = [fields.derivative(w) for w in fiber]
-    out = d[0].coeffs[..., 0, :]
+    out = fields.derivative(fiber[0])[..., 0]
     for j in range(1, len(fiber)):
-        out = out + d[j].coeffs[..., j, :]
-    return Jet(d[0].space, out)
+        out = out + fields.derivative(fiber[j])[..., j]
+    return out

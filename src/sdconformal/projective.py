@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at, values_at
-from .jets import Jet, JetSpace, pointwise
+from .jets import JetSpace, pointwise, stack
 
 COORDS = ("x", "y")
 
@@ -79,9 +79,9 @@ class ProjectiveSurface:
         a3 = -g(0, 1, 1)
         return a0, a1, a2, a3
 
-    def spray_cubic(self, lam_name="lambda") -> Expression:
+    def spray_cubic(self) -> Expression:
         """a(lambda) as an Expression in (x, y, lambda)."""
-        lam = Expression.var(lam_name)
+        lam = Expression.var("lambda")
         a0, a1, a2, a3 = self.spray_coeffs()
         return a0 + a1 * lam + a2 * lam**2 + a3 * lam**3
 
@@ -103,16 +103,13 @@ class ProjectiveSurface:
         R^A_B = d_x G^A_1B - d_y G^A_0B + G^A_0E G^E_1B - G^A_1E G^E_0B,
         the products truncated and added (val + p) - q in E order."""
         g = self.christoffel_jets(point, order)
-        c, low = g.coeffs, JetSpace(COORDS, order - 1)
-        # p, q at [..., A, E, B, :]: G^A_kE G^E_lB for (k, l) = (0, 1), (1, 0)
-        p, q = (g.space.product(c[..., :, k, :, None, :],
-                                c[..., None, :, 1 - k, :, :])[..., :len(low)]
-                for k in (0, 1))
-        val = (g.derivative("x").coeffs[..., :, 1, :, :]
-               - g.derivative("y").coeffs[..., :, 0, :, :])
+        # p, q at [..., A, E, B]: G^A_kE G^E_lB for (k, l) = (0, 1), (1, 0)
+        p, q = ((g[..., :, k, :, None] * g[..., None, :, 1 - k, :])
+                .truncate(order - 1) for k in (0, 1))
+        val = g.derivative("x")[..., :, 1, :] - g.derivative("y")[..., :, 0, :]
         for E in range(2):
-            val = val + p[..., :, E, :, :] - q[..., :, E, :, :]
-        return Jet(low, val)
+            val = val + p[..., :, E, :] - q[..., :, E, :]
+        return val
 
     def ricci(self, point, order=2):
         """The 2x2 bilinear form r determined by the curvature through
@@ -123,12 +120,10 @@ class ProjectiveSurface:
             r_00 = R^1_0,  r_11 = -R^0_1,
             r_01 = (2 R^1_1 - R^0_0)/3,  r_10 = (R^1_1 - 2 R^0_0)/3.
         """
-        R = self.curvature_endomorphism(point, order)
-        c, r, third = R.coeffs, np.empty(R.coeffs.shape), 1.0 / 3.0
-        r[..., 0, 0, :], r[..., 1, 1, :] = c[..., 1, 0, :], -c[..., 0, 1, :]
-        r[..., 0, 1, :] = (2.0 * c[..., 1, 1, :] - c[..., 0, 0, :]) * third
-        r[..., 1, 0, :] = (c[..., 1, 1, :] - 2.0 * c[..., 0, 0, :]) * third
-        return Jet(R.space, r)
+        R, third = self.curvature_endomorphism(point, order), 1.0 / 3.0
+        return stack([
+            [R[..., 1, 0], (2.0 * R[..., 1, 1] - R[..., 0, 0]) * third],
+            [(R[..., 1, 1] - 2.0 * R[..., 0, 0]) * third, -R[..., 0, 1]]])
 
     def ricci_values(self, point):
         """The values r[..., A, B] at `point`, point axes first."""

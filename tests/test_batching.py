@@ -650,8 +650,9 @@ def test_frobenius_dependent_fields_at_a_later_point():
 
 def test_lie_bracket_of_coordinate_fields():
     # U = x d/dy, V = d/dx: [U, V] = -d/dy, from jet slots (value, d/dx, d/dy)
-    u = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0]])   # at x = 2
-    v = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    space = JetSpace(("x", "y"), 1)
+    u = Jet(space, np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0]]))   # at x = 2
+    v = Jet(space, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     assert np.array_equal(lie_bracket(u, v), [0.0, -1.0])
     assert np.array_equal(lie_bracket(v, u), [0.0, 1.0])
 

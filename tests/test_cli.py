@@ -1216,3 +1216,35 @@ def test_a_box_bound_must_be_finite(capsys, tmp_path, command, box):
     assert code == 2 and out == ""
     assert err == ("scene error: box interval for x must have finite bounds "
                    "and width\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("number", ["1e400", "-Infinity", "NaN"])
+def test_a_field_component_must_be_finite(capsys, tmp_path, number):
+    # JSON reads these as non-finite floats; with 1e400 killing printed
+    # three numpy "invalid value" warnings and exited 1
+    scene = json.loads((SCENES / "flat.json").read_text())
+    scene["fields"]["K"] = [0, 0, "N", 0]
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(scene).replace('"N"', number))
+    code = main(["killing", str(path), "--samples", "4"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"scene error: the number {float(number)} is not finite\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["verify-lax", "certify-selfdual"])
+def test_a_number_literal_too_large_for_a_float_is_a_scene_error(
+        capsys, tmp_path, command):
+    # the parser read 1e400 as inf: verify-lax printed two numpy "invalid
+    # value" warnings, certify-selfdual three, and both exited 1
+    scene = json.loads((SCENES / "flat.json").read_text())
+    scene["pair"]["alpha0"] = ["1e400*x", "0"]
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(scene))
+    code = main([command, str(path), "--samples", "4"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("scene error: bad pair data: a number literal of 5 "
+                   "characters does not fit a float (at offset 0)\n")

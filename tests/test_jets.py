@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from sdconformal.jets import Jet, JetSpace, JetDomainError
 from oracles import extract, product_sums
+from test_pairs import _coefficients
 
 
 def _poly(space, x, y):
@@ -275,3 +276,89 @@ def test_order0_product_is_the_scatter_matmul(nvars, shapes, data):
         want = _scatter_product(space, a, b)
     assert got.shape == want.shape
     assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestBatchAxes:
+    """`jet[index]` and `Jet.moveaxis` act on the batch axes as numpy acts
+    on an array of the batch shape, and never reach the coefficients."""
+
+    BATCHES = [(), (3,), (3, 4), (2, 3, 4)]
+    ORDERS = [0, 1, 2]
+    INDICES = [
+        (...,), (None,), (..., None), (None, ..., None), (0,), (-1,),
+        (slice(1, None),), (slice(None, None, -1), ...),
+        (np.array([2, 0, 2]),), (None, 1), (..., 1), (1, None, ...), (0, 2),
+        (..., 0, 2), (1, ..., 2), (slice(None), np.array([1, 0])),
+        (np.array([0, 1]), np.array([2, 2])),
+        (..., np.array([[0], [1]]), np.array([0, 2])), (0, 1, 2),
+        (None, slice(None, None, -1), ..., None),
+        (..., np.array([1, 1]), None),
+    ]
+
+    def _jet(self, batch, order, seed=0):
+        space = JetSpace(("x", "y"), order)
+        rng = np.random.default_rng([len(batch), order, seed])
+        return Jet(space, _coefficients(rng, batch + (len(space),)))
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_indexing_is_numpy_on_the_batch_shape(self, batch, order):
+        jet = self._jet(batch, order)
+        tried = 0
+        for index in self.INDICES:
+            try:
+                want_shape = np.empty(batch)[index].shape
+            except IndexError:
+                continue
+            tried += 1
+            tail = ((slice(None),) if any(i is Ellipsis for i in index)
+                    else (Ellipsis, slice(None)))
+            want = jet.coeffs[index + tail]
+            for got in [jet[index]] + ([jet[index[0]]] if len(index) == 1
+                                       else []):
+                assert got.space is jet.space
+                assert got.coeffs.shape == want_shape + (len(jet.space),)
+                assert np.array_equal(_bits(got.coeffs), _bits(want))
+        assert tried >= 3
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_too_many_indices_raise(self, batch, order):
+        jet = self._jet(batch, order)
+        for index in [(0,) * (len(batch) + 1),
+                      (...,) + (0,) * (len(batch) + 1),
+                      (0,) * len(batch) + (..., 0)]:
+            with pytest.raises(IndexError):
+                jet[index]
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_moveaxis_is_numpy_on_values_and_gradients(self, batch, order):
+        jet, n = self._jet(batch, order), len(batch)
+        for src in range(-n, n):
+            for dst in range(-n, n):
+                moved = jet.moveaxis(src, dst)
+                assert moved.space is jet.space
+                assert np.array_equal(_bits(moved.value),
+                                      _bits(np.moveaxis(jet.value, src, dst)))
+                if order:
+                    assert np.array_equal(
+                        _bits(moved.gradient()),
+                        _bits(np.moveaxis(jet.gradient(), src % n, dst % n)))
+        for src, dst in [(n, 0), (0, n), (-n - 1, 0), (0, -n - 1)]:
+            with pytest.raises(IndexError):
+                jet.moveaxis(src, dst)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_outer_products_are_the_kernel_on_the_sliced_arrays(self, batch,
+                                                               order):
+        a = self._jet(batch + (3,), order, 1)
+        b = self._jet(batch + (4,), order, 2)
+        for i in (slice(None), np.array([2, 0]), slice(1, None, 2)):
+            for j in (slice(None), np.array([3, 1, 1]), slice(None, 1)):
+                with np.errstate(all="ignore"):   # inf * 0
+                    got = a[..., i, None] * b[..., None, j]
+                    want = a.space.product(a.coeffs[..., i, None, :],
+                                           b.coeffs[..., None, j, :])
+                assert np.array_equal(_bits(got.coeffs), _bits(want))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdconformal.jets import max_abs
+from sdconformal.jets import MAX_VARS, Jet, JetSpace, max_abs
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.pairs import (ProjectivePair, BuildError, build_lax,
                                lax_residual, ordered_bracket,
@@ -269,6 +269,14 @@ def _operands(rng, n, first, batches):
     return tuple(_coefficients(rng, b + (n, slots)) for b in batches)
 
 
+def _jet(c):
+    """The order-1 jet whose slots `c` holds.  A jet has at most MAX_VARS
+    variables, so for first = 2 and three components the spare slot, which
+    the kernels never read, is left out."""
+    nvars = min(c.shape[-1] - 1, MAX_VARS)
+    return Jet(JetSpace(tuple("abcde"[:nvars]), 1), c[..., :nvars + 1])
+
+
 BATCHES = [((),), ((16,),), ((4, 3),), ((), ()), ((9,), (9,)),
            ((5, 1), (1, 3)), ((1,), (6,)), ((2, 3), (3,)), ((4,), ())]
 
@@ -291,7 +299,7 @@ def test_ordered_bracket_is_the_pair_residual_loop(n, batches):
         for _ in range(4):
             u, v = _operands(rng, n, first, batches)
             with np.errstate(all="ignore"):
-                got = ordered_bracket(u, v, first)
+                got = ordered_bracket(_jet(u), _jet(v), first)
                 want = fiber_bracket_loop(u, v, first)
             assert _same_bits(got, want)
 
@@ -303,6 +311,6 @@ def test_ordered_bracket_is_the_projective_field_loop(n, batches):
     for _ in range(4):
         u, v = _operands(rng, n, 0, batches)
         with np.errstate(all="ignore"):
-            got = ordered_bracket(u, v)
+            got = ordered_bracket(_jet(u), _jet(v))
             want = field_bracket_loop(u, v)
         assert _same_bits(got, want)

@@ -102,3 +102,55 @@ def test_only_the_cli_and_the_deciders_reduce_residuals():
     found = set().union(*(_reducers(path[:-3], tree)
                           for path, tree in _trees().items()))
     assert {f for f in found if not f.startswith("cli:")} == DECIDERS
+
+
+# Only `jets` knows the coefficient layout of a jet (slot 0 the value,
+# slots 1..n the gradient, a lower order a prefix).  Tensor code indexes
+# and moves batch axes on `Jet`s; outside `jets` only the elimination
+# kernel, which swaps rows in place per point, and the expression
+# compiler read coefficient arrays.
+LAYOUT_READERS = {
+    "coeffs": {"conformal:jet_gauss_solve", "conformal:_eliminate",
+               "conformal:MetricBuilder.jets", "expr:_fold",
+               "expr:jets_at"},
+    "Jet": {"conformal:jet_gauss_solve", "conformal:_eliminate",
+            "conformal:MetricBuilder.jets"},
+    "product": {"conformal:_eliminate"},
+}
+
+
+def _layout_uses(node):
+    """The layout names the subtree uses: `.coeffs` read or written,
+    `Jet(...)` constructed and `.product(...)` called."""
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and n.attr == "coeffs":
+            used.add("coeffs")
+        elif isinstance(n, ast.Call):
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if name in ("Jet", "product"):
+                used.add(name)
+    return used
+
+
+def _layout_users(module, tree):
+    """For each layout name, the `module:function` (`module:Class.method`,
+    `module:` for module code) that use it."""
+    found = {name: set() for name in LAYOUT_READERS}
+    for top in tree.body:
+        cls = isinstance(top, ast.ClassDef)
+        for node in top.body if cls else [top]:
+            where = (f"{top.name}." if cls else "") + getattr(node, "name", "")
+            for name in _layout_uses(node):
+                found[name].add(f"{module}:{where}")
+    return found
+
+
+def test_only_jets_and_the_elimination_kernel_read_the_coefficient_layout():
+    found = {name: set() for name in LAYOUT_READERS}
+    for path, tree in _trees().items():
+        if path != "jets.py":
+            for name, users in _layout_users(path[:-3], tree).items():
+                found[name] |= users
+    assert found == LAYOUT_READERS
