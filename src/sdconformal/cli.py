@@ -10,10 +10,11 @@ wall-time field.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 the scene did
 not parse or validate, 3 a runtime domain error (singular expression,
-path leaving the chart, ...).
+path leaving the chart, ...), 4 the report could not be written.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -37,9 +38,9 @@ except ImportError:
 import numpy as np
 
 from . import __version__
-from .expr import ExprError, as_expressions, parse
+from .expr import ExprError, as_expression, parse
 from .jets import JetDomainError, max_abs
-from .projective import ProjectiveSurface
+from .projective import COORDS as XY, ProjectiveSurface
 from .pairs import (ProjectivePair, BuildError, build_lax, lax_residual,
                     projective_pair_residual, twist_free_normal_form,
                     dw_quadrature_build, gauge_reduction_report)
@@ -288,17 +289,17 @@ def load_scene(path):
     return scene
 
 
+# A command reads each expression slot once, where it first needs it, by
+# `as_expression` with the slot's name, and passes the library Expressions.
 def _surface(scene):
     proj = scene.get("projective", {})
-    try:
-        if "spray" in proj:
-            return ProjectiveSurface.from_spray(*proj["spray"])
-        gamma = {}
-        for key, expr in proj.get("gamma", {}).items():
-            gamma[tuple(int(ch) for ch in key)] = expr
-        return ProjectiveSurface(gamma)
-    except ExprError as exc:
-        raise SceneError(f"bad projective data: {exc}") from exc
+    if "spray" in proj:
+        return ProjectiveSurface.from_spray(*as_expression(
+            proj["spray"], XY, "bad projective data: spray"))
+    return ProjectiveSurface({
+        tuple(int(ch) for ch in key):
+        as_expression(expr, XY, f"bad projective data: gamma {key}")
+        for key, expr in proj.get("gamma", {}).items()})
 
 
 def _pair(scene):
@@ -306,10 +307,12 @@ def _pair(scene):
     if spec is None:
         raise SceneError("scene has no pair section")
     try:
-        return ProjectivePair(spec["fiber"], spec["alpha0"], spec["alpha1"],
-                              spec["phi0"], spec["phi1"],
-                              c0=spec.get("c0", 0.0), c1=spec.get("c1", 0.0))
-    except (ExprError, ValueError, KeyError) as exc:
+        coords = XY + tuple(spec["fiber"])
+        fields = [as_expression(spec[k], coords, k)
+                  for k in ("alpha0", "alpha1", "phi0", "phi1")]
+        c = [as_expression(spec.get(k, 0.0), XY, k) for k in ("c0", "c1")]
+        return ProjectivePair(spec["fiber"], *fields, *c)
+    except ValueError as exc:   # ExprError too
         raise SceneError(f"bad pair data: {exc}") from exc
 
 
@@ -353,10 +356,14 @@ class RunContext:
         for nm in names:
             if nm not in self.box:
                 raise SceneError(f"sampling box lacks {nm}")
-        guards = [(parse(str(entry["expr"]), tuple(self.box)),
-                   float(entry["guard"])) for entry in self._exclusions]
-        # only apply guards whose variables are all being sampled
-        excl = [(e, guard) for e, guard in guards if e.free_vars <= set(names)]
+        excl = []   # the guards whose variables are all being sampled
+        for k, entry in enumerate(self._exclusions):
+            try:   # text, which the parser reads
+                e = parse(entry["expr"], tuple(self.box))
+            except ExprError as exc:
+                raise SceneError(f"sampling: exclusion {k}: {exc}") from exc
+            if e.free_vars <= set(names):
+                excl.append((e, float(entry["guard"])))
         return halton_points(names, self.box, self.count, seed=self.seed,
                              exclusions=excl)
 
@@ -424,18 +431,21 @@ def _pair_metric(scene, pair):
     if len(pair.fiber) != 2:
         raise SceneError("a 4-metric needs a 2-dimensional fiber, not "
                          f"{list(pair.fiber)}")
-    return MetricBuilder(pair=pair, factor=scene.get("factor"))
+    factor = scene.get("factor")
+    return MetricBuilder(pair=pair, factor=factor if factor is None else
+                         as_expression(factor, pair.coords, "factor"))
 
 
 def _metric_builder(scene):
     metric = scene.get("metric")
     if metric is not None:
-        if len(scene["coords"]) != 4:
-            raise SceneError("a 4-metric needs 4 coordinates, not "
-                             f"{scene['coords']}")
-        return MetricBuilder(components=metric["components"],
-                             coords=scene["coords"],
-                             orientation=metric.get("orientation", 1.0))
+        coords = scene["coords"]
+        if len(coords) != 4:
+            raise SceneError(f"a 4-metric needs 4 coordinates, not {coords}")
+        return MetricBuilder(
+            components=[as_expression(row, coords, f"metric row {i}")
+                        for i, row in enumerate(metric["components"])],
+            coords=coords, orientation=metric.get("orientation", 1.0))
     return _pair_metric(scene, _pair(scene))
 
 
@@ -461,8 +471,8 @@ def _cmd_killing(scene, ctx):
     fields = {}
     for name, comps in scene.get("fields", {}).items():
         _require_components(f"killing: field {name}", comps, builder.coords)
-        fields[name] = as_expressions(comps, builder.coords,
-                                      f"killing: field {name}")
+        fields[name] = as_expression(comps, builder.coords,
+                                     f"killing: field {name}")
     if not fields:
         raise SceneError("killing: scene declares no fields")
     # the residuals read the metric's value and first derivatives only
@@ -492,6 +502,8 @@ def _cmd_frobenius(scene, ctx):
     for name, fields in scene.get("distributions", {}).items():
         for field in fields:
             _require_components(f"frobenius: a field of {name}", field, coords)
+        fields = [as_expression(f, coords, f"frobenius: field {i} of {name}")
+                  for i, f in enumerate(fields)]
         res = frobenius_residual(fields, coords, pts)
         checks.append(_check(f"frobenius[{name}]", res, ctx.tol["frobenius"]))
     if not checks:
@@ -506,6 +518,7 @@ def _cmd_congruence(scene, ctx):
     x0, y0 = scene.get("probe", (float(pts["x"][0]), float(pts["y"][0])))
     probe = {"x": x0, "y": y0}
     for name, beta in scene.get("congruences", {}).items():
+        beta = as_expression(beta, XY, f"congruence: congruence {name}")
         res = P.congruence_residual(beta, pts)
         checks.append(_check(f"congruence[{name}]", res,
                              ctx.tol["congruence"]))
@@ -546,23 +559,30 @@ def _build_spec(scene, command, *keys):
 def _cmd_build_dw(scene, ctx):
     P = _surface(scene)
     spec = _build_spec(scene, "build-dw", "gamma", "H", "G")
-    pts = ctx.points(("x", "y", "t", "z"))
+    coords = ("x", "y", "t", "z")
+    pts = ctx.points(coords)
+    gamma, H, G, c = (
+        as_expression(spec.get(key, 0.0), names, f"build-dw: build {key}")
+        for key, names in (("gamma", XY), ("H", coords), ("G", coords),
+                           ("c", ())))
     return _verify_built(ctx, P, pts, lambda: dw_quadrature_build(
-        P, spec["gamma"], spec.get("c", 0.0), spec["H"], spec["G"],
-        points=pts, tol=ctx.tol["build"]))
+        P, gamma, c, H, G, points=pts, tol=ctx.tol["build"]))
 
 
 def _cmd_build_twistfree(scene, ctx):
     P = _surface(scene)
     spec = _build_spec(scene, "build-twistfree", "beta")
     pts = ctx.points(("x", "y", "z"))
+    beta = as_expression(spec["beta"], XY, "build-twistfree: build beta")
     return _verify_built(ctx, P, pts, lambda: twist_free_normal_form(
-        P, spec["beta"], points=pts, tol=ctx.tol["build"]))
+        P, beta, points=pts, tol=ctx.tol["build"]))
 
 
 def _cmd_build_nullkahler(scene, ctx):
     spec = _build_spec(scene, "build-nullkahler", "a", "c", "f")
-    built = build_null_kahler(spec["a"], spec["c"], spec["f"])
+    built = build_null_kahler(*(
+        as_expression(spec[key], names, f"build-nullkahler: build {key}")
+        for key, names in (("a", XY), ("c", XY), ("f", ("x", "y", "t", "z")))))
     pts = ctx.points(("x", "y", "t", "z"))
     g, orientation = built["metric"].jets(pts)
     curv = curvature_report(g, orientation)
@@ -599,8 +619,9 @@ def _cmd_divisor2(scene, ctx):
     entries = scene.get("divisor2")
     if not entries or len(entries) != 2:
         raise SceneError("divisor2: scene must declare exactly two entries")
-    congs = [WeightedCongruence(e["phi"], e.get("rho", ("0", "0")))
-             for e in entries]
+    congs = [WeightedCongruence(*(
+        as_expression(e[key], XY, f"divisor2: entry {i} {key}")
+        for key in ("phi", "rho") if key in e)) for i, e in enumerate(entries)]
     pts = ctx.points(("x", "y"))
     tol = ctx.tol["divisor2"]
     rep = divisor_two_report(P, congs[0], congs[1], pts, tol=tol)
@@ -635,8 +656,9 @@ def _cmd_ward(scene, ctx):
     if fine_steps > WARD_MAX_STEPS:
         raise SceneError(f"ward: the run at step/2 would take {fine_steps:.6g}"
                          f" steps, more than {WARD_MAX_STEPS}")
-    coarse = ward_transport(P, spec["rho"], start, length, step)
-    fine = ward_transport(P, spec["rho"], start, length, step / 2.0)
+    rho = as_expression(spec["rho"], XY, "ward: rho")
+    coarse = ward_transport(P, rho, start, length, step)
+    fine = ward_transport(P, rho, start, length, step / 2.0)
     # on Python floats: inf - inf is NaN without a numpy RuntimeWarning
     delta = abs(float(coarse["transport"]) - float(fine["transport"]))
     checks = [_check("transport_convergence", delta, ctx.tol["ward"])]
@@ -650,7 +672,8 @@ def _cmd_projective_field(scene, ctx):
     pts = ctx.points(("x", "y"))
     checks = []
     for name, comps in scene.get("surface_fields", {}).items():
-        res = projective_field_residual(P, comps, pts)
+        V = as_expression(comps, XY, f"projective-field: surface field {name}")
+        res = projective_field_residual(P, V, pts)
         checks.append(_check(f"projective_field[{name}]", res,
                              ctx.tol["projective_field"]))
     if not checks:
@@ -784,10 +807,14 @@ def main(argv=None):
         print(f"internal report error: {message}", file=sys.stderr)
         return 3
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    try:   # a missing directory, a full disk, a closed pipe
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            print(text, end="", flush=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
     return 0 if report["pass"] else 1
 
 
@@ -798,8 +825,9 @@ def entry():
     the interpreter's teardown, numpy's above all.  Argparse's usage
     errors and --help leave through SystemExit, as before."""
     code = main()
-    sys.stdout.flush()
-    sys.stderr.flush()
+    with contextlib.suppress(OSError):   # main reported a failed write
+        sys.stderr.flush()
+        sys.stdout.flush()
     os._exit(code)
 
 

@@ -130,8 +130,7 @@ class MetricBuilder:
             if coords is None:
                 raise ValueError("explicit components need coords")
             self.coords = tuple(coords)
-            self.components = [[as_expression(components[i][j], self.coords)
-                                for j in range(4)] for i in range(4)]
+            self.components = components
         else:
             raise ValueError("need a pair or explicit components")
         self.factor = (as_expression(factor, self.coords)

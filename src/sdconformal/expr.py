@@ -360,30 +360,27 @@ def parse(source: str, allowed_vars) -> Expression:
     return _Parser(source, allowed_vars).parse()
 
 
-def as_expression(value, allowed_vars) -> Expression:
-    """An Expression as it is, source text parsed over the given
-    variables, or a finite number as a constant."""
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, str):
-        return parse(value, allowed_vars)
-    value = float(value)
-    if not math.isfinite(value):   # JSON reads 1e400, NaN and Infinity
-        raise ExprError(f"the number {value} is not finite")
-    return Expression.const(value)
-
-
-def as_expressions(values, allowed_vars, what):
-    """`as_expression` of each component of the vector `values`; an
-    ExprError keeps its type and names `what` and the component."""
-    exprs = []
-    for k, value in enumerate(values):
-        try:
-            exprs.append(as_expression(value, allowed_vars))
-        except ExprError as exc:
-            exc.args = (f"{what} component {k}: {exc}",)
-            raise
-    return exprs
+def as_expression(value, allowed, what=None):
+    """An Expression as it is, text parsed over the `allowed` variables or
+    a finite number as a constant, or a list or tuple of them as a list.
+    Given `what`, a scene slot's name, an ExprError names it (and the
+    component) and keeps its type."""
+    if isinstance(value, (list, tuple)):
+        return [as_expression(v, allowed, what and f"{what} component {k}")
+                for k, v in enumerate(value)]
+    try:
+        if isinstance(value, Expression):
+            return value
+        if isinstance(value, str):
+            return parse(value, allowed)
+        value = float(value)
+        if not math.isfinite(value):   # JSON reads 1e400, NaN and Infinity
+            raise ExprError(f"the number {value} is not finite")
+        return Expression.const(value)
+    except ExprError as exc:
+        if what is not None:
+            exc.args = (f"{what}: {exc}",)
+        raise
 
 
 # -- printing ---------------------------------------------------------------

@@ -23,7 +23,7 @@ import math
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .expr import Expression, as_expression, as_expressions, jets_at
+from .expr import Expression, as_expression, jets_at
 from .jets import JetSpace, max_abs
 
 BASE = ("x", "y")
@@ -49,13 +49,13 @@ class ProjectivePair:
         if len(set(allowed + ("lambda",))) != len(allowed) + 1:
             raise ValueError(f"fiber {list(fiber)} repeats a name or uses "
                              "x, y or lambda")
-        def vert(name, v):
-            comps = tuple(as_expressions(v, allowed, name))
+        def vert(v):
+            comps = tuple(as_expression(v, allowed))
             if len(comps) != len(self.fiber):
                 raise ValueError("component count does not match fiber dimension")
             return comps
-        self.alpha = (vert("alpha0", alpha0), vert("alpha1", alpha1))
-        self.phi = (vert("phi0", phi0), vert("phi1", phi1))
+        self.alpha = (vert(alpha0), vert(alpha1))
+        self.phi = (vert(phi0), vert(phi1))
         self.c_gauge = (as_expression(c0, BASE), as_expression(c1, BASE))
 
     @property

@@ -4,6 +4,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -393,8 +396,10 @@ class TestTypedExits:
         assert err.startswith("scene error: empty box interval for x")
 
     @pytest.mark.parametrize("twist,code,start", [
-        ("1/(x - x)", 2, "scene error: variable 'x' not among allowed"),
-        ("x +", 2, "scene error: variable 'x' not among allowed"),
+        ("1/(x - x)", 2,
+         "scene error: build-dw: build c: variable 'x' not among allowed"),
+        ("x +", 2,
+         "scene error: build-dw: build c: variable 'x' not among allowed"),
         ("1/(1 - 1)", 3, "domain error: division by a jet"),
     ])
     def test_a_non_constant_dw_twist_ends_in_one_line(self, capsys, tmp_path,
@@ -1155,21 +1160,24 @@ def test_divisor2_equivalences_decided_from_nan_fail(capsys, tmp_path):
 NINES = "9" * 400
 
 
-@pytest.mark.parametrize("command,name,edit,offset", [
+@pytest.mark.parametrize("command,name,edit,slot,offset", [
     ("build-twistfree", "twistfree",
-     lambda scene: scene["build"].update(beta="y^" + NINES), 2),
+     lambda scene: scene["build"].update(beta="y^" + NINES),
+     "build-twistfree: build beta", 2),
     ("build-twistfree", "twistfree",
-     lambda scene: scene["build"].update(beta="y^-" + NINES), 3),
+     lambda scene: scene["build"].update(beta="y^-" + NINES),
+     "build-twistfree: build beta", 3),
     ("projective-field", "projective_field",
-     lambda scene: scene["surface_fields"].update(V=["x^" + NINES, "0"]), 2),
+     lambda scene: scene["surface_fields"].update(V=["x^" + NINES, "0"]),
+     "projective-field: surface field V component 0", 2),
 ], ids=["beta", "beta-negative", "surface-field"])
 def test_an_exponent_too_large_for_a_float_is_a_scene_error(
-        capsys, tmp_path, command, name, edit, offset):
+        capsys, tmp_path, command, name, edit, slot, offset):
     # the positive ones ended in an OverflowError traceback with exit 1
     code, out, err = _run_edited(capsys, tmp_path, command, name, edit)
     assert code == 2 and out == ""
-    assert err == ("scene error: an exponent of 400 digits does not fit a "
-                   f"float (at offset {offset})\n")
+    assert err == (f"scene error: {slot}: an exponent of 400 digits does not "
+                   f"fit a float (at offset {offset})\n")
 
 
 @pytest.mark.parametrize("entry", [
@@ -1284,3 +1292,43 @@ def test_a_killing_field_error_names_the_field_and_component(capsys,
     assert code == 2 and out == ""
     assert err == ("scene error: killing: field L component 3: the number "
                    "inf is not finite\n")
+
+
+# -- a report that cannot be written -------------------------------------------
+
+def _cli(tmp_path, *args, **streams):
+    """`python -m sdconformal.cli curvature flat.json --samples 4 *args` as a
+    child process, with stderr piped and the other `streams` given."""
+    env = {**os.environ, "PYTHONPATH": str(SCENES.parent / "src")}
+    return subprocess.Popen(
+        [sys.executable, "-m", "sdconformal.cli", "curvature",
+         str(SCENES / "flat.json"), "--samples", "4", *args],
+        cwd=tmp_path, env=env, stderr=subprocess.PIPE, text=True, **streams)
+
+
+def _ends_in_one_line(proc, message):
+    # each ended in a traceback with exit 1, the code of a failed check
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 4
+    assert err.startswith(f"output error: {message}") and err.count("\n") == 1
+
+
+def test_a_report_into_a_missing_directory_ends_in_one_line(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    proc = _cli(tmp_path, "--out", str(out), stdout=subprocess.DEVNULL)
+    _ends_in_one_line(proc, "[Errno 2] No such file or directory: ")
+    assert not out.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_report_onto_a_full_device_ends_in_one_line(tmp_path):
+    with open("/dev/full", "w") as full:
+        proc = _cli(tmp_path, stdout=full)
+        _ends_in_one_line(proc, "[Errno 28] No space left on device")
+
+
+def test_a_report_into_a_closed_pipe_ends_in_one_line(tmp_path):
+    # the reader is gone before the child has imported the package
+    proc = _cli(tmp_path, stdout=subprocess.PIPE)
+    proc.stdout.close()
+    _ends_in_one_line(proc, "[Errno 32] Broken pipe")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdconformal.expr import (FUNCTIONS, BinOp, Call, Const, Expression,
-                              Neg, Pow, Var, as_expressions, compile, parse,
+                              Neg, Pow, Var, as_expression, compile, parse,
                               jets_at, values_at, ExprError, ExprSyntaxError,
                               ExprDomainError, UnknownIdentifierError)
 from sdconformal import expr as expr_module
@@ -47,12 +47,12 @@ class TestParsing:
     def test_a_component_error_keeps_its_type_and_names_the_component(self):
         with pytest.raises(ExprSyntaxError, match=r"^phi1 component 1: "
                            r"unexpected .*\(at offset 4\)$") as err:
-            as_expressions(["x", "x + * y", "y"], XY, "phi1")
+            as_expression(["x", "x + * y", "y"], XY, "phi1")
         assert err.value.offset == 4
         with pytest.raises(UnknownIdentifierError,
                            match="^field K component 0: "):
-            as_expressions(["q"], XY, "field K")
-        assert [str(e) for e in as_expressions([1, "x*y"], XY, "V")] == [
+            as_expression(["q"], XY, "field K")
+        assert [str(e) for e in as_expression([1, "x*y"], XY, "V")] == [
             str(Expression.const(1.0)), str(parse("x*y", XY))]
 
     def test_non_integer_exponent_rejected(self):

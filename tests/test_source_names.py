@@ -1,5 +1,5 @@
-"""The package holds no code that only the tests use, and reduces a
-residual in one place.
+"""The package holds no code that only the tests use, reduces a
+residual in one place and reads scene expressions through one helper.
 
 Every top-level function, class and assignment of `src/sdconformal` must
 be read by name somewhere in the package, or be exported through an
@@ -13,6 +13,7 @@ from a maximum call that reducer.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sdconformal"
@@ -178,3 +179,54 @@ def test_only_the_process_entry_ends_the_interpreter():
     found = {where for path, tree in _trees().items()
              for where, node in _units(path[:-3], tree) if _exits(node)}
     assert found == {"cli:entry"}
+
+
+# One helper turns scene data into Expressions: `expr.as_expression`, which,
+# given a slot's name, names the slot (and the component) in its error.
+# Only `cli` reads scene slots, so only it passes that name, and every read
+# there passes one.  No module defines a second helper (`as_expressions`,
+# `_to_expr`) or re-wraps the error the helper raises.
+EXPR_ERROR_HANDLERS = {
+    "cli:RunContext.points",   # an exclusion, text read by `parse`
+    "cli:main",                # exit 2
+    "expr:as_expression",      # names the slot
+}
+
+
+def _names_expr_error(handler):
+    kind = handler.type
+    kinds = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+    return any(isinstance(k, ast.Name) and k.id == "ExprError" for k in kinds)
+
+
+def _coercions(node):
+    """The calls of `as_expression` in the subtree, by either spelling."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if name == "as_expression":
+                yield call
+
+
+def test_one_helper_reads_scene_expressions_and_only_the_cli_names_slots():
+    helpers, handlers, naming, unnamed = [], set(), set(), []
+    for path, tree in _trees().items():
+        module = path[:-3]
+        helpers += [f"{module}:{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and re.search(r"(as|to)_?expr", node.name)]
+        for where, node in _units(module, tree):
+            if any(isinstance(n, ast.ExceptHandler) and _names_expr_error(n)
+                   for n in ast.walk(node)):
+                handlers.add(where)
+            for call in _coercions(node):
+                if len(call.args) > 2 or any(k.arg == "what"
+                                             for k in call.keywords):
+                    naming.add(module)
+                elif module == "cli":
+                    unnamed.append(f"{where} line {call.lineno}")
+    assert helpers == ["expr:as_expression"]
+    assert handlers == EXPR_ERROR_HANDLERS
+    assert naming == {"cli", "expr"}   # expr: the helper's call per item
+    assert unnamed == []
