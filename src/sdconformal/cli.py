@@ -38,8 +38,8 @@ except ImportError:
 import numpy as np
 
 from . import __version__
-from .expr import ExprError, as_expression, parse
-from .jets import JetDomainError, max_abs
+from .expr import ExprError, as_expression, jets_at, parse
+from .jets import JetDomainError, JetSpace, max_abs
 from .projective import COORDS as XY, ProjectiveSurface
 from .pairs import (ProjectivePair, BuildError, build_lax, lax_residual,
                     projective_pair_residual, twist_free_normal_form,
@@ -332,10 +332,10 @@ class RunContext:
 
     def __init__(self, scene, args):
         self.args = args
-        samp = scene.get("sampling", {})
-        self.count = args.samples if args.samples else samp.get("count", 32)
+        samp = scene["sampling"]
+        self.count = args.samples if args.samples else samp["count"]
         self.seed = args.seed if args.seed is not None else samp.get("seed", 0)
-        self.box = samp.get("box", {})
+        self.box = samp["box"]
         self._exclusions = samp.get("exclusions", [])
         given = scene.get("tolerances", {})
         for name, value in given.items():
@@ -436,17 +436,23 @@ def _pair_metric(scene, pair):
                          as_expression(factor, pair.coords, "factor"))
 
 
-def _metric_builder(scene):
+def _metric(scene):
+    """The scene's 4-metric coordinates and jets function, as `MetricBuilder`
+    has them: of the explicit metric, in its orientation, else of the pair."""
     metric = scene.get("metric")
-    if metric is not None:
-        coords = scene["coords"]
-        if len(coords) != 4:
-            raise SceneError(f"a 4-metric needs 4 coordinates, not {coords}")
-        return MetricBuilder(
-            components=[as_expression(row, coords, f"metric row {i}")
-                        for i, row in enumerate(metric["components"])],
-            coords=coords, orientation=metric.get("orientation", 1.0))
-    return _pair_metric(scene, _pair(scene))
+    if metric is None:
+        builder = _pair_metric(scene, _pair(scene))
+        return builder.coords, builder.jets
+    coords = scene["coords"]
+    if len(coords) != 4:
+        raise SceneError(f"a 4-metric needs 4 coordinates, not {coords}")
+    rows = [as_expression(row, coords, f"metric row {i}")
+            for i, row in enumerate(metric["components"])]
+    coords, orientation = tuple(coords), float(metric.get("orientation", 1.0))
+
+    def jets(point, order=2):
+        return jets_at(rows, JetSpace(coords, order), point), orientation
+    return coords, jets
 
 
 # The `curvature_report` tensors whose largest entries `curvature` reports.
@@ -455,8 +461,8 @@ CURVATURE_NORMS = ("riemann", "ricci", "ricci_tracefree", "scalar",
 
 
 def _cmd_curvature(scene, ctx):
-    builder = _metric_builder(scene)
-    g, orientation = builder.jets(ctx.points(tuple(builder.coords)))
+    coords, metric_jets = _metric(scene)
+    g, orientation = metric_jets(ctx.points(coords))
     curv = curvature_report(g, orientation)
     worst = {k: max_abs(curv[k]) for k in CURVATURE_NORMS}
     checks = [
@@ -466,17 +472,16 @@ def _cmd_curvature(scene, ctx):
 
 
 def _cmd_killing(scene, ctx):
-    builder = _metric_builder(scene)
-    pts = ctx.points(tuple(builder.coords))
+    coords, metric_jets = _metric(scene)
+    pts = ctx.points(coords)
     fields = {}
     for name, comps in scene.get("fields", {}).items():
-        _require_components(f"killing: field {name}", comps, builder.coords)
-        fields[name] = as_expression(comps, builder.coords,
-                                     f"killing: field {name}")
+        _require_components(f"killing: field {name}", comps, coords)
+        fields[name] = as_expression(comps, coords, f"killing: field {name}")
     if not fields:
         raise SceneError("killing: scene declares no fields")
     # the residuals read the metric's value and first derivatives only
-    g, _ = builder.jets(pts, order=1)
+    g, _ = metric_jets(pts, order=1)
     checks, fitted = [], {}
     for name, rep in killing_report(g, fields, pts).items():
         checks.append(_check(f"conformal_killing[{name}]",
@@ -522,11 +527,8 @@ def _cmd_congruence(scene, ctx):
         res = P.congruence_residual(beta, pts)
         checks.append(_check(f"congruence[{name}]", res,
                              ctx.tol["congruence"]))
-        fitted[name] = {
-            "probe": [x0, y0],
-            "multiplier": [float(P.congruence_multiplier(beta, probe, lam))
-                           for lam in (0.0, 1.0, 2.0)],
-        }
+        b = P.congruence_multiplier(beta, probe, np.array([0.0, 1.0, 2.0]))
+        fitted[name] = {"probe": [x0, y0], "multiplier": b.tolist()}
     if not checks:
         raise SceneError("congruence: scene declares no congruences")
     return checks, fitted
@@ -617,7 +619,7 @@ def _cmd_gauge_report(scene, ctx):
 def _cmd_divisor2(scene, ctx):
     P = _surface(scene)
     entries = scene.get("divisor2")
-    if not entries or len(entries) != 2:
+    if not entries:
         raise SceneError("divisor2: scene must declare exactly two entries")
     congs = [WeightedCongruence(*(
         as_expression(e[key], XY, f"divisor2: entry {i} {key}")

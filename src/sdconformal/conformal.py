@@ -113,29 +113,16 @@ def jet_matrix_inverse(A):
 
 
 class MetricBuilder:
-    """Produces order-k jets of the 4x4 metric at sample points.
+    """Produces order-k jets of the 4x4 metric of a pair's frame (its alpha
+    and phi fields), optionally scaled by a conformal factor."""
 
-    Construct either from a pair (its alpha and phi fields, optionally
-    scaled by a conformal factor) or from explicit component Expressions."""
-
-    def __init__(self, pair=None, factor=None, components=None, coords=None,
-                 orientation=1.0):
+    def __init__(self, pair, factor=None):
+        if len(pair.fiber) != 2:
+            raise ValueError("a 4-metric needs a 2-dimensional fiber")
         self.pair = pair
-        if pair is not None:
-            if len(pair.fiber) != 2:
-                raise ValueError("a 4-metric needs a 2-dimensional fiber")
-            self.coords = pair.coords
-            self.components = None
-        elif components is not None:
-            if coords is None:
-                raise ValueError("explicit components need coords")
-            self.coords = tuple(coords)
-            self.components = components
-        else:
-            raise ValueError("need a pair or explicit components")
+        self.coords = pair.coords
         self.factor = (as_expression(factor, self.coords)
                        if factor is not None else None)
-        self.orient = float(orientation)
 
     def jets(self, point, order=2):
         """The metric jets at `point` (a mapping of the coordinates to
@@ -144,25 +131,21 @@ class MetricBuilder:
         the orientation the Hodge star must be taken in: the sign of the
         frame volume form against the coordinate one, at each point."""
         space = JetSpace(self.coords, order)
-        if self.components is not None:
-            g = jets_at(self.components, space, point)
-            orientation = self.orient
-        else:
-            # rows phi0, phi1, alpha0, alpha1 of the frame [[0, Phi], [I, A]]
-            # at w1, w2; its determinant is det Phi, and eliminating [A | 0]
-            # over [Phi | I] (in place) leaves theta^0, theta^1 right
-            F = jets_at(self.pair.phi + self.pair.alpha, space, point).coeffs
-            orientation = np.sign(np.linalg.det(F[..., :2, :, 0]))
-            block = np.zeros(F.shape[:-2] + (4, len(space)))
-            block[..., :2, :2, :] = F[..., 2:, :, :]
-            block[..., 2:, :2, :] = F[..., :2, :, :]
-            block[..., [2, 3], [2, 3], 0] = 1.0
-            _eliminate(block.reshape((-1,) + block.shape[-3:]), space, 2)
-            # g_ij = th0_i th3_j + th0_j th3_i - th1_i th2_j - th1_j th2_i
-            P, Q = np.zeros_like(block), np.zeros_like(block)
-            P[..., :, 1, :] = block[..., :, 2, :]
-            Q[..., :, 0, :] = block[..., :, 3, :]
-            g = Jet(space, P + P.swapaxes(-3, -2) - Q - Q.swapaxes(-3, -2))
+        # rows phi0, phi1, alpha0, alpha1 of the frame [[0, Phi], [I, A]] at
+        # w1, w2; its determinant is det Phi, and eliminating [A | 0] over
+        # [Phi | I] (in place) leaves theta^0, theta^1 right
+        F = jets_at(self.pair.phi + self.pair.alpha, space, point).coeffs
+        orientation = np.sign(np.linalg.det(F[..., :2, :, 0]))
+        block = np.zeros(F.shape[:-2] + (4, len(space)))
+        block[..., :2, :2, :] = F[..., 2:, :, :]
+        block[..., 2:, :2, :] = F[..., :2, :, :]
+        block[..., [2, 3], [2, 3], 0] = 1.0
+        _eliminate(block.reshape((-1,) + block.shape[-3:]), space, 2)
+        # g_ij = th0_i th3_j + th0_j th3_i - th1_i th2_j - th1_j th2_i
+        P, Q = np.zeros_like(block), np.zeros_like(block)
+        P[..., :, 1, :] = block[..., :, 2, :]
+        Q[..., :, 0, :] = block[..., :, 3, :]
+        g = Jet(space, P + P.swapaxes(-3, -2) - Q - Q.swapaxes(-3, -2))
         if self.factor is not None:
             g = g * jets_at(self.factor, space, point)[..., None, None]
         return g, orientation
@@ -199,7 +182,7 @@ def christoffel_jets_4d(g):
     return (acc * 0.5)[..., :, _PAIR], ginv
 
 
-def hodge_star_operator(gv, giv, orientation=1.0):
+def hodge_star_operator(gv, giv, orientation):
     """The star on 2-forms: (*F)_ab = 1/2 eps_ab^{cd} F_cd with
     eps_abcd = sigma * orientation * sqrt|det g| [abcd], where
     `orientation` is the sign of the frame volume form in the chart.
@@ -221,7 +204,7 @@ def hodge_star_operator(gv, giv, orientation=1.0):
     return star
 
 
-def curvature_report(g, orientation=1.0):
+def curvature_report(g, orientation):
     """The curvature tensors of order-2 metric jets, point axes first and
     tensor indices last: Riemann all down ("riemann"), Ricci, trace-free
     Ricci and scalar ("ricci", "ricci_tracefree", "scalar"), Weyl+ and
@@ -372,9 +355,8 @@ def build_null_kahler(a, c, f):
     L1 = dx + a z dt + lam (dy + c dt) + a dlam over the spray with
     a0 = a(x, y), conformal factor f(x, z).
 
-    Returns the surface, the pair, the metric builder, the endomorphism
-    J = dz (x) dt + dx (x) dy and the 2-form w = f dx ^ dz, plus a
-    checker for the structure identities."""
+    Returns the surface, the pair, the metric builder and a checker of the
+    structure identities of J = dz (x) dt + dx (x) dy and w = f dx ^ dz."""
     from .projective import ProjectiveSurface
 
     a = as_expression(a, ("x", "y"))
@@ -420,5 +402,4 @@ def build_null_kahler(a, c, f):
                 "g_JJ": gjj, "killing": g.gradient()[..., 2],
                 "omega_antiselfdual": starom + omv}
 
-    return {"surface": P, "pair": pair, "metric": builder, "J": J_expr,
-            "omega": omega, "check": check}
+    return {"surface": P, "pair": pair, "metric": builder, "check": check}

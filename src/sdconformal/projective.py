@@ -48,10 +48,6 @@ class ProjectiveSurface:
             self.gamma[key] = as_expression(gamma.get(key, 0.0), COORDS)
 
     @classmethod
-    def flat(cls):
-        return cls({})
-
-    @classmethod
     def from_spray(cls, a0, a1, a2, a3):
         """The representative with G^1_00 = a0, G^0_00 = -a1, G^1_11 = a2,
         G^0_11 = -a3 and vanishing mixed symbols."""
@@ -201,7 +197,8 @@ class ProjectiveSurface:
     def congruence_multiplier(self, beta, point, lam):
         """b(lam) = beta_y - (a(lam) - a(beta))/(lam - beta), the divided
         difference expanded exactly as a polynomial (no cancellation at
-        lam = beta):  b = beta_y - a1 - a2(lam+beta) - a3(lam^2+lam beta+beta^2)."""
+        lam = beta):  b = beta_y - a1 - a2(lam+beta) - a3(lam^2+lam beta+beta^2).
+        `lam` may be an array of slopes, which gives b at each of them."""
         bv, a, _, by = self._slope_jets(beta, point)
         return by - a[1] - a[2] * (lam + bv) - a[3] * (lam**2 + lam*bv + bv**2)
 

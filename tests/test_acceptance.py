@@ -36,7 +36,7 @@ from oracles import (area_connection_curvature, certify_selfdual,
                      projective_change, sample_set, trivial_pair,
                      unstack)
 
-FLAT = ProjectiveSurface.flat()
+FLAT = ProjectiveSurface({})
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 BOX4 = {"x": [0.5, 1.5], "y": [1.1, 2.9], "t": [0.0, 1.0], "z": [0.4, 1.4]}

@@ -39,7 +39,7 @@ from oracles import (abelian_pair_residual, area_connection_curvature,
                      projective_change, sample_set, trivial_pair, unstack)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
-FLAT = ProjectiveSurface.flat()
+FLAT = ProjectiveSurface({})
 T_TRANSLATION = ("0", "0", "1", "0")
 
 
@@ -529,7 +529,7 @@ def test_quadrature_residuals_match_single_points(H, G):
     assert batched == tuple(max(s[k] for s in singles) for k in range(2))
 
 
-@pytest.mark.parametrize("P", [ProjectiveSurface.flat(), CURVED],
+@pytest.mark.parametrize("P", [ProjectiveSurface({}), CURVED],
                          ids=["flat", "curved"])
 def test_surface_curvature_accepts_point_arrays(P):
     points = _surface_points("curved")
@@ -564,7 +564,7 @@ def test_single_point_calls_still_work():
     assert CURVED.ricci_values(p).shape == (2, 2)
     assert cotton(CURVED, p).shape == (2,)
     cong = congruence_from_slope("y/x")
-    assert abelian_pair_residual(ProjectiveSurface.flat(), cong.phi,
+    assert abelian_pair_residual(ProjectiveSurface({}), cong.phi,
                                  cong.rho, {"x": 0.8, "y": 1.3}) < 1e-13
 
 

@@ -22,7 +22,7 @@ from oracles import (builder_frame, certify_selfdual, christoffel_sum16,
                      reference_gauss_solve, sample_set, trivial_pair,
                      unstack)
 
-FLAT = ProjectiveSurface.flat()
+FLAT = ProjectiveSurface({})
 
 
 def _points4(names=("x", "y", "t", "z"), n=6, seed=5):
@@ -348,7 +348,7 @@ def _scene_metric(name):
         spec = scene["build"]
         builder = build_null_kahler(spec["a"], spec["c"], spec["f"])["metric"]
     else:
-        builder = cli._metric_builder(scene)
+        builder = cli._pair_metric(scene, cli._pair(scene))
     box = scene["sampling"]["box"]
     return builder, halton_points(builder.coords, box, 32)
 

@@ -18,7 +18,7 @@ from oracles import (abelian_pair_residual,
                      congruence_from_slope, projective_change,
                      reference_eval, sample_set)
 
-FLAT = ProjectiveSurface.flat()
+FLAT = ProjectiveSurface({})
 XY = ("x", "y")
 
 PTS = sample_set([(0.8, 1.3), (1.2, 2.9), (0.6, -0.4), (1.5, 0.9)])

@@ -14,7 +14,7 @@ from oracles import (add_multiple_of_l0, area_connection_curvature,
                      field_bracket_loop, fiber_bracket_loop, point_rows,
                      sample_set, trivial_pair)
 
-FLAT = ProjectiveSurface.flat()
+FLAT = ProjectiveSurface({})
 
 
 def _grid(fiber_values, xs=(0.8, 1.2), ys=(1.3, 2.9)):

@@ -40,7 +40,7 @@ def _points(rng, n=6):
 
 class TestSpray:
     def test_flat_spray_vanishes(self):
-        P = ProjectiveSurface.flat()
+        P = ProjectiveSurface({})
         for lam in (0.0, 0.5, -2.0):
             assert spray_value(P, 0.3, -0.7, lam) == 0.0
 
@@ -87,7 +87,7 @@ def _is_zero(expr, pt):
 
 class TestCurvature:
     def test_flat_ricci_vanishes(self):
-        P = ProjectiveSurface.flat()
+        P = ProjectiveSurface({})
         assert np.abs(P.ricci_values({"x": 0.2, "y": 0.4})).max() == 0.0
 
     def test_curvature_reconstruction_roundtrip(self):
@@ -141,7 +141,7 @@ class TestCurvature:
 
 class TestGeodesics:
     def test_flat_geodesics_are_lines(self):
-        P = ProjectiveSurface.flat()
+        P = ProjectiveSurface({})
         path = P.integrate_geodesic((0.0, 0.0, 0.5), 1.0, 0.05)
         x, y, lam = path[-1]
         assert (x, y, lam) == pytest.approx((1.0, 0.5, 0.5), abs=1e-13)
@@ -161,7 +161,7 @@ class TestGeodesics:
 
     def test_chart_switch_preserves_the_geodesic(self):
         # run through lam > 1 territory and back; flat lines stay lines
-        P = ProjectiveSurface.flat()
+        P = ProjectiveSurface({})
         path = P.integrate_geodesic((0.0, 0.0, 2.0), 0.5, 0.01)
         x, y, lam = path[-1]
         assert lam == pytest.approx(2.0, abs=1e-12)
@@ -180,18 +180,18 @@ class TestGeodesics:
 
 class TestCongruences:
     def test_burgers_slope_is_a_congruence(self):
-        P = ProjectiveSurface.flat()
+        P = ProjectiveSurface({})
         pts = sample_set([(x, y) for x in (0.5, 1.0, 1.5) for y in (1.0, 2.0)])
         assert max_abs(P.congruence_residual("y/x", pts)) < 1e-14
 
     def test_multiplier_matches_slope_derivative(self):
         # flat case: b(lam) = d(beta)/dy, independent of lam
-        P = ProjectiveSurface.flat()
+        P = ProjectiveSurface({})
         for lam in (0.0, 1.0, -2.0):
             b = P.congruence_multiplier("y/x", {"x": 1.0, "y": 2.0}, lam)
             assert b == pytest.approx(1.0, rel=1e-12)
 
     def test_non_congruence_is_detected(self):
-        P = ProjectiveSurface.flat()
+        P = ProjectiveSurface({})
         assert P.congruence_residual("y", sample_set([(0.3, 0.8)])) == \
             pytest.approx(0.8)

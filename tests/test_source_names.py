@@ -3,8 +3,10 @@ residual in one place and reads scene expressions through one helper.
 
 Every top-level function, class and assignment of `src/sdconformal` must
 be read by name somewhere in the package, or be exported through an
-`__all__` list.  A name that only a test reads belongs in the tests
-(`tests/oracles.py` holds such helpers).
+`__all__` list, and every method of its classes must be read as an
+attribute, or named in a string (a jet's analytic functions are called
+through `operator.methodcaller`).  A name that only a test reads belongs
+in the tests (`tests/oracles.py` holds such helpers).
 
 A residual function returns its unreduced array, and the command line
 turns it into a report number with `jets.max_abs`.  Only `cli` and the
@@ -62,6 +64,37 @@ def test_every_top_level_name_is_read_in_the_package():
                        *map(_exported, trees.values()))
     unread = [f"{module}:{name}" for module, tree in trees.items()
               for name in _defined(tree) if name not in read]
+    assert unread == []
+
+
+def _methods(tree):
+    """`Class.method` for each method of a module's top-level classes,
+    dunders aside."""
+    return [f"{node.name}.{fn.name}" for node in tree.body
+            if isinstance(node, ast.ClassDef) for fn in node.body
+            if isinstance(fn, ast.FunctionDef)
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+
+
+def _attributes_and_strings(tree):
+    """The attributes a module reads and the strings it holds: a method
+    is reached only through an attribute (a local variable may share its
+    name) or by its name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_method_is_read_in_the_package():
+    trees = _trees()
+    read = set().union(*map(_attributes_and_strings, trees.values()))
+    unread = [f"{module}:{method}" for module, tree in trees.items()
+              for method in _methods(tree)
+              if method.split(".")[1] not in read]
     assert unread == []
 
 
