@@ -800,7 +800,7 @@ def main(argv=None):
         print("scene error: an expression is nested too deeply",
               file=sys.stderr)
         return 2
-    except (JetDomainError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
+    except (JetDomainError, np.linalg.LinAlgError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
 

@@ -33,7 +33,7 @@ import itertools
 import numpy as np
 
 from .expr import Expression, as_expression, jets_at
-from .jets import Jet, JetSpace, stack
+from .jets import Jet, JetDomainError, JetSpace, stack
 from .pairs import ProjectivePair, _dot, lie_bracket, lstsq
 
 # Which Weyl half the construction kills; calibrated on the null-Kaehler
@@ -318,7 +318,7 @@ def killing_report(g, fields, points):
         w = np.einsum("dabc,...abc->...d", _EPS4, T) / 6.0
         norm2 = _dot(Kv, Kv)
         if np.any(norm2 == 0.0):
-            raise ZeroDivisionError("the field vanishes at a sample point")
+            raise JetDomainError("the field vanishes at a sample point")
         twist = _dot(w, Kv) / norm2
         # geodesic residual
         acc = (np.einsum("...b,...ab->...a", Kv, dK)

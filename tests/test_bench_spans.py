@@ -5,19 +5,7 @@ gone, so a refactor that renames a traced function would silently read 0
 in that span.  The set of targets it cannot bind is pinned here; the
 tracer is loaded by path and nothing is patched.
 """
-import importlib.util
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _bench_tracing():
-    """The benchmark's span tracer, `bench/tracing.py`, as a module."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracing", ROOT / "bench" / "tracing.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from test_golden_reports import bench_module
 
 
 def _unbound(tracing):
@@ -40,7 +28,7 @@ def test_only_the_known_spans_are_unbound():
     # any other target, such as the surface spans on
     # projective.ProjectiveSurface.christoffel_jets and ricci_values or
     # minitwistor.jet_gauss_solve, is bound
-    assert _unbound(_bench_tracing()) == {
+    assert _unbound(bench_module("tracing")) == {
         ("expr.parse", "conformal", "parse"),
         ("expr.parse", "pairs", "parse"),
         ("expr.parse", "projective", "parse"),

@@ -1,32 +1,149 @@
-"""Byte-identity of the reports of the checked-in scenes.
+"""Byte-identity of what the command line does, run by run.
 
-`golden/reports.json` holds, for the natural commands of every scene in
-`scenes/` (plus `batch`) at three sample settings, the exit code and the
-report with every `wall_time` removed.  Each run must reproduce its
-entry exactly: refactors of the jet pipeline may not move a single bit.
+`record` runs `cli.main` in this interpreter as a process of its own
+would, and returns the exit code (or the exception that left `main`),
+the stderr, and the report (from stdout or the `--out` file) less every
+`wall_time`.  In stderr the work directory and the checkout's path
+become placeholders and a warning's line number is dropped, so a source
+line that only moved is no difference.  Each of four tables of runs has
+a golden file in `golden/`:
 
-The bits are specific to the numpy build and the C library's libm they
-were recorded with; on another machine regenerate the file first, from a
-commit known to be good:
+* `reports.json`: the natural commands of every checked-in scene at
+  three sample settings (`NATURAL` x `SETTINGS`);
+* `certify4d_seed0.json`: the 20 jobs of the benchmark's `certify4d`
+  workload at seed 0, whose negative controls have residuals that are
+  not near 0, so a moved low bit of a nonzero residual shows;
+* `overflow_flat.json`: the 4-D commands on `flat.json` with a pair
+  entry that overflows to inf at some sample points (`MUTATIONS`);
+* `runs.jsonl`: every checked-in scene and every scene of `EDITS` under
+  every command at 3 and 17 samples, the explicit `METRICS` in both
+  orientations under the 4-D metric commands, and the benchmark jobs of
+  seeds 0-3 of every workload; one record a line, keyed by its argv, so
+  adding a run renumbers none, and stderr pinned too.
+
+Each run must reproduce its entry exactly.  A change that should move no
+report leaves `golden/` untouched; one that should move some regenerates
+the files, and `git diff tests/golden` shows what moved.  The bits are
+those of the numpy build and libm they were recorded with; on another
+machine regenerate first, from a commit known to be good:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
 import contextlib
+import copy
+import importlib.util
 import io
 import json
+import math
+import os
+import re
+import subprocess
 import sys
+import tempfile
+import warnings
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-from sdconformal.cli import main
+from sdconformal import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENES = ROOT / "scenes"
-GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# The natural commands of the checked-in scenes (as in bench/scenes.py).
+
+def bench_module(name):
+    """`bench/<name>.py` as a module, imported without writing bytecode
+    into `bench/`."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+BENCH_SCENES = bench_module("scenes")
+
+
+def _without_wall_time(report):
+    if isinstance(report, dict):
+        return {k: _without_wall_time(v) for k, v in report.items()
+                if k != "wall_time"}
+    if isinstance(report, list):
+        return [_without_wall_time(v) for v in report]
+    return report
+
+
+def _normalise(text, work):
+    return text.replace(str(work), "<work>").replace(str(ROOT), "<tree>")
+
+
+def normalise_stderr(text, work):
+    return re.sub(r"(\.py):\d+: (\w+Warning)", r"\1:<line>: \2",
+                  _normalise(text, work))
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # as a plain interpreter shows a warning; pytest records them instead
+    sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                            lineno, line))
+
+
+def record(argv, work):
+    """Run `argv` through `cli.main` and return the run's record: its
+    normalised argv, exit code, stderr and report less `wall_time`."""
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # a fresh warnings registry a run: each warning shows once a run, as
+    # it does in a process of its own
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:   # a traceback is an outcome too
+            code = f"raised {exc!r}"
+    text = stdout.getvalue()
+    if out is not None and out.exists():
+        text = out.read_text()
+        out.unlink()
+    return {
+        "argv": [_normalise(a, work) for a in argv],
+        "exit": code,
+        "stderr": normalise_stderr(stderr.getvalue(), work),
+        "report": _without_wall_time(json.loads(text)) if text else None,
+    }
+
+
+def _same(a, b):
+    # text comparison: exact for every float, and NaN equals NaN
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _write_edited(work, name, scene, slot, value, indent=None):
+    """Write `scene` with the entry at the key path `slot` set to `value`
+    as `work/name.json`.  The report's digest hashes these bytes."""
+    data = json.loads((SCENES / f"{scene}.json").read_text())
+    *parents, last = slot
+    entry = data
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+    path = Path(work) / f"{name}.json"
+    path.write_text(json.dumps(data, indent=indent))
+    return str(path)
+
+
+# The natural commands of the checked-in scenes: `CHECKED_IN` of
+# bench/scenes.py, with nullkahler_ricciflat and batch.
 NATURAL = (
     ("flat", ("verify-lax", "verify-pair", "certify-selfdual", "curvature",
               "killing", "frobenius", "congruence", "gauge-report")),
@@ -49,63 +166,211 @@ SETTINGS = {
     "samples64": ["--samples", "64"],
 }
 
+METRIC_COMMANDS = ("certify-selfdual", "curvature", "killing")
+# (pair entry, component, expression)
+MUTATIONS = (
+    ("alpha0", 0, "1e300*1e300*x"),
+    ("alpha1", 0, "1e200*x*y*w1*w2*1e200"),
+    ("phi0", 1, "1e300*1e300*w1"),
+)
 
-def _strip_wall_time(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_wall_time(v) for k, v in obj.items()
-                if k != "wall_time"}
-    if isinstance(obj, list):
-        return [_strip_wall_time(v) for v in obj]
-    return obj
+SAMPLES = (3, 17)
+# The explicit metrics, over flat.json's coordinates (x, y, w1, w2): the
+# split-signature dx.dw2 - dy.dw1, two Walker metrics and one whose first
+# entry overflows to inf at every sample point with |x| > 1e-154.
+METRICS = {
+    "flat": [["0", "0", "0", "1"], ["0", "0", "-1", "0"],
+             ["0", "-1", "0", "0"], ["1", "0", "0", "0"]],
+    "curved": [["y*w2", "0", "0", "1"], ["0", "x*w1", "-1", "0"],
+               ["0", "-1", "0", "0"], ["1", "0", "0", "0"]],
+    "transcendental": [["sin(x*w2)", "0", "0", "exp(y)"],
+                       ["0", "cos(w1)", "-1", "0"],
+                       ["0", "-1", "0", "0"], ["exp(y)", "0", "0", "0"]],
+    "overflow": [["1e308*x*x", "0", "0", "1"], ["0", "0", "-1", "0"],
+                 ["0", "-1", "0", "0"], ["1", "0", "0", "0"]],
+}
+# Edits of the checked-in scenes that reach code no other run reaches:
+# the geodesic's |lambda| > 1 chart, a last RK4 step shorter than the
+# others, and `Jet.log`.
+EDITS = {
+    "ward-chart2": ("ward", ("ward", "start"), [0.0, 0.0, 2.0]),
+    "ward-remainder": ("ward", ("ward", "length"), 1.005),
+    "flat-log": ("flat", ("pair", "alpha0"), ["log(2 + x)", "0"]),
+}
 
 
-def run_entry(scene, command, setting):
-    """The exit code and the report without wall times of one run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main([command, str(SCENES / f"{scene}.json")]
-                    + SETTINGS[setting])
-    text = out.getvalue()
-    report = _strip_wall_time(json.loads(text)) if text.strip() else None
-    return {"exit": code, "report": report}
+def natural_runs(work):
+    return {f"{scene}:{command}:{setting}":
+            [command, str(SCENES / f"{scene}.json"), *SETTINGS[setting]]
+            for scene, commands in NATURAL for command in commands
+            for setting in SETTINGS}
 
 
-def _key(scene, command, setting):
-    return f"{scene}:{command}:{setting}"
+def certify4d_runs(work):
+    jobs = BENCH_SCENES.jobs_for("certify4d", 0, work, SCENES)
+    return {f"{Path(job.scene).stem}:{job.command}":
+            [job.command, job.scene, "--samples", str(job.samples),
+             "--seed", str(job.seed)] for job in jobs}
 
 
-def _entries():
-    return [(scene, command, setting) for scene, commands in NATURAL
-            for command in commands for setting in SETTINGS]
+def overflow_runs(work):
+    return {f"{key}[{index}]:{command}":
+            [command, _write_edited(work, f"{key}_{index}", "flat",
+                                    ("pair", key, index), expression),
+             "--samples", "4"]
+            for key, index, expression in MUTATIONS
+            for command in METRIC_COMMANDS}
 
 
-def _canonical(obj):
-    # text comparison: exact for every float, and NaN equals NaN
-    return json.dumps(obj, sort_keys=True)
+def differential_runs(work):
+    scenes = work / "scenes"
+    scenes.mkdir()
+    for path in SCENES.glob("*.json"):
+        (scenes / path.name).write_bytes(path.read_bytes())
+    for name, edit in EDITS.items():
+        _write_edited(scenes, name, *edit)
+    runs = [[command, str(path), "--samples", str(n)]
+            for path in sorted(scenes.iterdir()) for command in cli.COMMANDS
+            for n in SAMPLES]
+    for label, components in METRICS.items():
+        for suffix, extra in (("", {}), ("-reversed", {"orientation": -1})):
+            metric = {**extra, "components": components}
+            path = _write_edited(work, f"metric-{label}{suffix}", "flat",
+                                 ("metric",), metric, indent=1)
+            runs += [[command, path, "--samples", str(n)]
+                     for command in METRIC_COMMANDS for n in SAMPLES]
+    for workload in BENCH_SCENES.WORKLOADS:
+        for seed in range(4):
+            outdir = work / "bench" / f"{workload}-{seed}"
+            jobs = BENCH_SCENES.jobs_for(workload, seed, outdir / "scenes",
+                                         SCENES)
+            runs += [job.argv(outdir / "report.json") for job in jobs]
+    return {" ".join(_normalise(a, work) for a in argv): argv
+            for argv in runs}
+
+
+# golden file: (the runs by key, the record fields the file pins)
+TABLES = {
+    "reports.json": (natural_runs, ("exit", "report")),
+    "certify4d_seed0.json": (certify4d_runs, ("exit", "report")),
+    "overflow_flat.json": (overflow_runs, ("exit", "report")),
+    "runs.jsonl": (differential_runs, ("argv", "exit", "report", "stderr")),
+}
+
+
+def record_table(table, work):
+    """{key: pinned record} of every run of `table`, its scenes written
+    into the directory `work`."""
+    runs, fields = TABLES[table]
+    recorded = {}
+    for key, argv in runs(work).items():
+        run = record(argv, work)
+        recorded[key] = {field: run[field] for field in fields}
+    return recorded
+
+
+def read_golden(table):
+    path = GOLDEN / table
+    if not path.exists():   # the regenerate entry runs before it exists
+        return {}
+    if table.endswith(".jsonl"):
+        records = map(json.loads, path.read_text().splitlines())
+        return {" ".join(r["argv"]): r for r in records}
+    return json.loads(path.read_text())
+
+
+def write_golden(table, recorded):
+    if table.endswith(".jsonl"):
+        text = "".join(json.dumps(recorded[key], sort_keys=True) + "\n"
+                       for key in sorted(recorded))
+    else:
+        text = json.dumps(recorded, sort_keys=True,
+                          separators=(",", ":")) + "\n"
+    (GOLDEN / table).write_text(text)
+
+
+GOLDEN_DATA = {table: read_golden(table) for table in TABLES}
 
 
 @pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
+def recorded(tmp_path_factory):
+    return cache(lambda table: record_table(
+        table, tmp_path_factory.mktemp(Path(table).stem)))
 
 
-def test_every_checked_in_scene_is_covered(golden):
+@pytest.mark.parametrize("table,key", [
+    (table, key) for table, golden in GOLDEN_DATA.items()
+    for key in sorted(golden)], ids=lambda v: v)
+def test_run_is_byte_identical(recorded, table, key):
+    assert _same(recorded(table)[key], GOLDEN_DATA[table][key])
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_every_run_is_pinned(recorded, table):
+    assert set(recorded(table)) == set(GOLDEN_DATA[table])
+
+
+def test_every_checked_in_scene_is_covered():
     scenes = {p.stem for p in SCENES.glob("*.json")}
     assert scenes == {scene for scene, _ in NATURAL}
-    assert set(golden) == {_key(*e) for e in _entries()}
 
 
-@pytest.mark.parametrize("scene,command,setting", _entries(),
-                         ids=[_key(*e) for e in _entries()])
-def test_report_is_byte_identical(golden, scene, command, setting):
-    got = run_entry(scene, command, setting)
-    assert _canonical(got) == _canonical(golden[_key(scene, command,
-                                                     setting)])
+def test_the_certify4d_workload_is_covered():
+    golden = GOLDEN_DATA["certify4d_seed0.json"]
+    assert len(golden) == 20
+    # the negative controls have residuals that are not near 0
+    assert {entry["exit"] for entry in golden.values()} == {0, 1}
+
+
+def test_the_recorder_matches_a_fresh_interpreter(tmp_path):
+    # the overflowing metric warns; a plain interpreter prints the warning
+    path = _write_edited(tmp_path, "metric-overflow", "flat", ("metric",),
+                         {"components": METRICS["overflow"]}, indent=1)
+    argv = ["killing", path, "--samples", "17"]
+    in_process = record(argv, tmp_path)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "sdconformal.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, stdin=subprocess.DEVNULL)
+    assert "RuntimeWarning" in in_process["stderr"]
+    assert in_process["exit"] == fresh.returncode
+    assert in_process["stderr"] == normalise_stderr(fresh.stderr, tmp_path)
+    assert _same(in_process["report"],
+                 _without_wall_time(json.loads(fresh.stdout)))
+
+
+def test_one_ulp_in_one_report_float_differs_at_that_run_only():
+    old = GOLDEN_DATA["runs.jsonl"]
+    new = copy.deepcopy(old)
+    key = "ward <work>/scenes/ward.json --samples 3"
+    check = new[key]["report"]["checks"][0]
+    check["value"] = math.nextafter(check["value"], math.inf)
+    assert [k for k in old if not _same(old[k], new[k])] == [key]
+
+
+def test_a_warning_that_only_moved_is_no_difference():
+    text = ("{}/src/sdconformal/jets.py:{}: RuntimeWarning: overflow "
+            "encountered in multiply\n  out = a * b\n")
+    assert (normalise_stderr(text.format(ROOT, 198), "/a")
+            == normalise_stderr(text.format(ROOT, 194), "/b"))
+
+
+@pytest.mark.parametrize("slot,value,message", [
+    (("pair", "phi0"), ["0", "0"], "singular jet matrix"),
+    (("fields",), {"Z": ["0", "0", "0", "0"]},
+     "the field vanishes at a sample point"),
+], ids=["singular-phi-block", "vanishing-killing-field"])
+def test_a_domain_error_is_one_line(tmp_path, slot, value, message):
+    path = _write_edited(tmp_path, "edited", "flat", slot, value)
+    run = record(["killing", path, "--samples", "4"], tmp_path)
+    assert (run["exit"], run["stderr"], run["report"]) == (
+        3, f"domain error: {message}\n", None)
 
 
 if __name__ == "__main__":
-    data = {_key(*e): run_entry(*e) for e in _entries()}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(data, sort_keys=True, separators=(",", ":"))
-                      + "\n")
-    sys.stderr.write(f"wrote {len(data)} entries to {GOLDEN}\n")
+    GOLDEN.mkdir(exist_ok=True)
+    for table in TABLES:
+        with tempfile.TemporaryDirectory() as work:
+            recorded = record_table(table, Path(work))
+        write_golden(table, recorded)
+        sys.stderr.write(f"wrote {len(recorded)} runs to {GOLDEN / table}\n")

@@ -12,7 +12,6 @@ need.
 
 import ast
 import copy
-import importlib.util
 import json
 import math
 import os
@@ -29,6 +28,7 @@ from jsonschema.validators import validator_for
 
 from sdconformal import cli
 import test_fuzz_scenes as fuzz
+from test_golden_reports import BENCH_SCENES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sdconformal"
@@ -288,18 +288,6 @@ def test_numpy_is_the_only_runtime_dependency():
 
 
 # -- the benchmark's scenes ----------------------------------------------------------
-
-def _bench_scenes():
-    """The benchmark's scene generator, `bench/scenes.py`, as a module."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_scenes", ROOT / "bench" / "scenes.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-BENCH_SCENES = _bench_scenes()
-
 
 @pytest.mark.parametrize("workload", BENCH_SCENES.WORKLOADS)
 @pytest.mark.parametrize("seed", range(4))
