@@ -344,8 +344,10 @@ class RunContext:
                                  f"{', '.join(TOLERANCES)}")
             if math.isnan(value):
                 raise SceneError(f"tolerance {name} needs a number, not NaN")
-        tolerances = {**TOLERANCES, **given, **dict(args.tol or [])}
+        overrides = dict(args.tol or [])
+        tolerances = {**TOLERANCES, **given, **overrides}
         self.tol = {name: float(v) for name, v in tolerances.items()}
+        self.tol_set = given.keys() | overrides.keys()   # not defaulted
 
     def points(self, names):
         """The Halton sample set over the named coordinates: a dict of
@@ -420,7 +422,7 @@ def _cmd_certify_selfdual(scene, ctx):
         _check("weyl_minus", curv["weyl_minus"], ctx.tol["weyl_minus"]),
         _flag_check("signature", np.all(curv["signature_ok"])),
     ]
-    if "ricci" in scene.get("tolerances", {}):
+    if "ricci" in ctx.tol_set:
         checks.append(_check("ricci", fitted["ricci"], ctx.tol["ricci"]))
     fitted["lax_cubic_max"] = max_abs(lax["cubic"])
     return checks, fitted
@@ -600,7 +602,7 @@ def _cmd_build_nullkahler(scene, ctx):
         _check("weyl_minus", curv["weyl_minus"], ctx.tol["weyl_minus"]),
     ]
     fitted = {k: max_abs(curv[k]) for k in ("weyl_plus", "ricci")}
-    if "ricci" in scene.get("tolerances", {}):
+    if "ricci" in ctx.tol_set:
         checks.append(_check("ricci", fitted["ricci"], ctx.tol["ricci"]))
     return checks, fitted
 

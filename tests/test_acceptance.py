@@ -35,6 +35,7 @@ from oracles import (area_connection_curvature, certify_selfdual,
                      frame_values, null_kahler_check, point_rows,
                      projective_change, sample_set, trivial_pair,
                      unstack)
+from test_cli import run
 
 FLAT = ProjectiveSurface({})
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -49,12 +50,6 @@ def _pts4(count=32, seed=0):
 def _surface_pts(count=32, seed=0, box=None):
     box = box or {"x": [0.5, 1.5], "y": [1.1, 2.9]}
     return halton_points(("x", "y"), box, count, seed=seed)
-
-
-def _run_cli(capsys, *argv):
-    code = cli_main(list(argv))
-    out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
 
 
 def _check_value(report, name):
@@ -202,7 +197,7 @@ class TestCongruencePipelines:
                          "count": 32, "seed": 0, "exclusions": excl},
         }
         path = _write_scene(tmp_path, "normal_form", scene)
-        code, report = _run_cli(capsys, "build-twistfree", path)
+        code, report = run(capsys, "build-twistfree", path)
         assert code == 0
         assert _check_value(report, "lax_residual") < 1e-10
         assert report["fitted"]["b_coeffs"] == pytest.approx(want_b,
@@ -222,7 +217,7 @@ class TestCongruencePipelines:
                          "exclusions": excl},
         }
         path = _write_scene(tmp_path, "quad_metric", scene)
-        code, report = _run_cli(capsys, "certify-selfdual", path)
+        code, report = run(capsys, "certify-selfdual", path)
         assert code == 0
         assert _check_value(report, "lax_residual") < 1e-10
         assert _check_value(report, "weyl_minus") < 1e-8
@@ -617,7 +612,7 @@ class TestNegativeControls:
         for eps in (1e-3, 1e-4, 1e-5):
             scene, check_name = factory(eps)
             path = _write_scene(tmp_path, f"{command}-{eps}", scene)
-            code, report = _run_cli(capsys, command, path)
+            code, report = run(capsys, command, path)
             assert code == 1, (command, eps)
             values.append(_check_value(report, check_name))
         for big, small in zip(values, values[1:]):
@@ -734,13 +729,13 @@ class TestSelfdualNotConformallyFlat:
     @pytest.mark.parametrize("command", ["certify-selfdual",
                                          "build-nullkahler"])
     def test_the_scene_certifies_with_weyl_plus(self, capsys, command):
-        code, report = _run_cli(capsys, command, str(RICCIFLAT))
+        code, report = run(capsys, command, str(RICCIFLAT))
         assert code == 0
         assert _check_value(report, "weyl_minus") == 0.0
         assert _check_value(report, "ricci") == 0.0
         if command == "certify-selfdual":
             assert _check_value(report, "lax_residual") == 0.0
-        _, curvature = _run_cli(capsys, "curvature", str(RICCIFLAT))
+        _, curvature = run(capsys, "curvature", str(RICCIFLAT))
         assert report["fitted"]["weyl_plus"] == curvature["fitted"]["riemann"]
         assert report["fitted"]["weyl_plus"] > 1.0
 
@@ -748,8 +743,8 @@ class TestSelfdualNotConformallyFlat:
         scene = json.loads(RICCIFLAT.read_text())
         alpha0 = scene["pair"]["alpha0"]
         alpha0[0] = f"{alpha0[0]} + 0.05*z^2"
-        code, report = _run_cli(capsys, "certify-selfdual",
-                                _write_scene(tmp_path, "bent", scene))
+        code, report = run(capsys, "certify-selfdual",
+                           _write_scene(tmp_path, "bent", scene))
         assert code == 1
         assert _check_value(report, "lax_residual") > 0.1
         assert _check_value(report, "weyl_minus") > 0.05

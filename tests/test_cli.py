@@ -30,6 +30,18 @@ def run(capsys, *argv):
     return code, report
 
 
+def _run_edited(capsys, tmp_path, command, name, edit, *argv):
+    """Run `command` on the scene `name` as `edit` leaves it, written into
+    `tmp_path`; the exit code, stdout and stderr."""
+    scene = json.loads((SCENES / f"{name}.json").read_text())
+    edit(scene)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(scene))
+    code = main([command, str(path), *argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("command,scene", [
         ("verify-lax", "flat.json"),
@@ -347,28 +359,22 @@ class TestTypedExits:
     """Failures other than a failed tolerance exit 2 or 3, not 1, with a
     one-line message."""
 
-    def _run(self, capsys, tmp_path, command, name, edit):
-        scene = json.loads((SCENES / f"{name}.json").read_text())
-        edit(scene)
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(scene))
-        code = main([command, str(path)])
-        out, err = capsys.readouterr()
-        assert not out
-        return code, err
-
     def test_degenerate_lax_l0_is_a_domain_error(self, capsys, tmp_path):
         def edit(scene):
             scene["pair"]["phi0"] = ["0", "0"]
             scene["pair"]["phi1"] = ["0", "0"]
-        code, err = self._run(capsys, tmp_path, "verify-lax", "flat", edit)
+        code, out, err = _run_edited(capsys, tmp_path,
+                                     "verify-lax", "flat", edit)
+        assert not out
         assert code == 3
         assert err.startswith("domain error: degenerate L0")
 
     def test_exclusion_budget_is_a_scene_error(self, capsys, tmp_path):
         def edit(scene):
             scene["sampling"]["exclusions"] = [{"expr": "1", "guard": 10}]
-        code, err = self._run(capsys, tmp_path, "congruence", "burgers", edit)
+        code, out, err = _run_edited(capsys, tmp_path,
+                                     "congruence", "burgers", edit)
+        assert not out
         assert code == 2
         assert err.startswith("scene error: exclusion guards reject")
 
@@ -391,7 +397,9 @@ class TestTypedExits:
     def test_empty_box_interval_is_a_scene_error(self, capsys, tmp_path):
         def edit(scene):
             scene["sampling"]["box"]["x"] = [1.0, 1.0]
-        code, err = self._run(capsys, tmp_path, "congruence", "burgers", edit)
+        code, out, err = _run_edited(capsys, tmp_path,
+                                     "congruence", "burgers", edit)
+        assert not out
         assert code == 2
         assert err.startswith("scene error: empty box interval for x")
 
@@ -408,7 +416,9 @@ class TestTypedExits:
         # float(), so text that is no number ended in a ValueError
         def edit(scene):
             scene["build"]["c"] = twist
-        got, err = self._run(capsys, tmp_path, "build-dw", "dw_twist", edit)
+        got, out, err = _run_edited(capsys, tmp_path,
+                                    "build-dw", "dw_twist", edit)
+        assert not out
         assert got == code
         assert err.startswith(start) and len(err.splitlines()) == 1
 
@@ -416,7 +426,9 @@ class TestTypedExits:
         def edit(scene):
             field = ["0", "0", "1", "0"]
             scene["distributions"] = {"doubled": [field, field]}
-        code, err = self._run(capsys, tmp_path, "frobenius", "flat", edit)
+        code, out, err = _run_edited(capsys, tmp_path,
+                                     "frobenius", "flat", edit)
+        assert not out
         assert code == 3
         assert err.startswith("domain error: dependent fields")
 
@@ -638,16 +650,6 @@ EXPRESSION_SITES = {
 }
 
 
-def _run_edited(capsys, tmp_path, command, name, edit):
-    scene = json.loads((SCENES / f"{name}.json").read_text())
-    edit(scene)
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(scene))
-    code = main([command, str(path)])
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 @pytest.mark.parametrize("job,message", [
     ({"command": "nope", "scene": "flat.json"}, "unknown command 'nope'"),
     ({"command": "batch", "scene": "batch.json"}, "batches do not nest"),
@@ -743,6 +745,21 @@ class TestToleranceOverrides:
                            "--samples", "4", "--tol", f"lax={value}")
         assert code == exit_code
         assert [c["tolerance"] for c in report["checks"]] == [value] * 2
+
+    @pytest.mark.parametrize("command,name,value,exit_code", [
+        ("build-nullkahler", "nullkahler_random", 1e-30, 1),
+        ("certify-selfdual", "flat", 1.0, 0),
+    ])
+    def test_a_ricci_override_adds_the_ricci_check(
+            self, capsys, command, name, value, exit_code):
+        # the ricci check used to be added only when the scene set its
+        # tolerance, so this override changed nothing and exited 0
+        code, report = run(capsys, command, str(SCENES / f"{name}.json"),
+                           "--samples", "4", "--tol", f"ricci={value}")
+        assert code == exit_code
+        [check] = [c for c in report["checks"] if c["name"] == "ricci"]
+        assert check["tolerance"] == value
+        assert check["verdict"] is (exit_code == 0)
 
     def test_unknown_scene_tolerance_is_a_scene_error(self, capsys, tmp_path):
         # a scene's unknown tolerance name used to be ignored: this scene
@@ -1138,6 +1155,29 @@ def test_a_gauge_flag_decided_from_nan_fails(capsys, tmp_path, name):
         # phi's divergence is 0.0, so its flag is still decided
         assert values["phi_div_max"] == 0.0 and flags["phi_sdiff"] is True
         assert checks["flag[phi_sdiff]"]["verdict"] is True
+
+
+def test_a_misspelled_expected_flag_is_a_scene_error(capsys, tmp_path):
+    # no flag is named sdiff or o_times_diff_1, so none was compared and
+    # the run passed, though flat's sdiff2 is true
+    code, out, err = _run_edited(
+        capsys, tmp_path, "gauge-report", "flat",
+        lambda scene: scene.update(expected_flags={
+            "sdiff": False, "o_times_diff_1": True}), "--samples", "4")
+    assert code == 2 and out == ""
+    assert err == (f"scene error: scene {tmp_path / 'flat.json'} invalid: "
+                   "Additional properties are not allowed ('o_times_diff_1', "
+                   "'sdiff' were unexpected)\n")
+
+
+def test_the_scene_schema_names_every_gauge_flag():
+    scene = cli.load_scene(SCENES / "flat.json")
+    pair = cli._pair(scene)
+    points = halton_points(("x", "y") + pair.fiber,
+                           scene["sampling"]["box"], 4)
+    flags, _ = pairs.gauge_reduction_report(pair, points)
+    expected = cli._schema("scene.schema.json")["properties"]["expected_flags"]
+    assert set(expected["properties"]) == set(flags)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

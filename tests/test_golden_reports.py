@@ -5,27 +5,26 @@ would, and returns the exit code (or the exception that left `main`),
 the stderr, and the report (from stdout or the `--out` file) less every
 `wall_time`.  In stderr the work directory and the checkout's path
 become placeholders and a warning's line number is dropped, so a source
-line that only moved is no difference.  Each of four tables of runs has
-a golden file in `golden/`:
+line that only moved is no difference.  `runs` lists every pinned run,
+and `golden/runs.jsonl` holds one record of each a line, keyed by its
+normalised argv, so adding a run renumbers none:
 
-* `reports.json`: the natural commands of every checked-in scene at
-  three sample settings (`NATURAL` x `SETTINGS`);
-* `certify4d_seed0.json`: the 20 jobs of the benchmark's `certify4d`
-  workload at seed 0, whose negative controls have residuals that are
-  not near 0, so a moved low bit of a nonzero residual shows;
-* `overflow_flat.json`: the 4-D commands on `flat.json` with a pair
-  entry that overflows to inf at some sample points (`MUTATIONS`);
-* `runs.jsonl`: every checked-in scene and every scene of `EDITS` under
-  every command at 3 and 17 samples, the explicit `METRICS` in both
-  orientations under the 4-D metric commands, and the benchmark jobs of
-  seeds 0-3 of every workload; one record a line, keyed by its argv, so
-  adding a run renumbers none, and stderr pinned too.
+* the natural commands of every checked-in scene, read where it is
+  checked in, at three sample settings (`NATURAL` x `SETTINGS`);
+* the 4-D metric commands on `flat.json` with a pair entry that
+  overflows to inf at some sample points (`MUTATIONS`);
+* every checked-in scene and every scene of `EDITS` under every command
+  at 3 and 17 samples, and the explicit `METRICS` in both orientations
+  under the 4-D metric commands;
+* the benchmark jobs of seeds 0-3 of every workload; the negative
+  controls of `certify4d` have residuals that are not near 0, so a moved
+  low bit of a nonzero residual shows.
 
-Each run must reproduce its entry exactly.  A change that should move no
-report leaves `golden/` untouched; one that should move some regenerates
-the files, and `git diff tests/golden` shows what moved.  The bits are
-those of the numpy build and libm they were recorded with; on another
-machine regenerate first, from a commit known to be good:
+Each run must reproduce its record exactly.  A change that should move
+no report leaves `golden/` untouched; one that should move some
+regenerates the file, and `git diff tests/golden` shows what moved.  The
+bits are those of the numpy build and libm they were recorded with; on
+another machine regenerate first, from a commit known to be good:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -42,7 +41,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from functools import cache
 from pathlib import Path
 
 import pytest
@@ -51,7 +49,7 @@ from sdconformal import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENES = ROOT / "scenes"
-GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "runs.jsonl"
 
 
 def bench_module(name):
@@ -160,11 +158,7 @@ NATURAL = (
     ("ward", ("ward",)),
     ("batch", ("batch",)),
 )
-SETTINGS = {
-    "defaults": [],
-    "samples40-seed3": ["--samples", "40", "--seed", "3"],
-    "samples64": ["--samples", "64"],
-}
+SETTINGS = ([], ["--samples", "40", "--seed", "3"], ["--samples", "64"])
 
 METRIC_COMMANDS = ("certify-selfdual", "curvature", "killing")
 # (pair entry, component, expression)
@@ -199,39 +193,26 @@ EDITS = {
 }
 
 
-def natural_runs(work):
-    return {f"{scene}:{command}:{setting}":
-            [command, str(SCENES / f"{scene}.json"), *SETTINGS[setting]]
+def runs(work):
+    """{normalised argv: argv} of every pinned run; the scenes it copies
+    or edits are written into the directory `work`."""
+    runs = [[command, str(SCENES / f"{scene}.json"), *setting]
             for scene, commands in NATURAL for command in commands
-            for setting in SETTINGS}
-
-
-def certify4d_runs(work):
-    jobs = BENCH_SCENES.jobs_for("certify4d", 0, work, SCENES)
-    return {f"{Path(job.scene).stem}:{job.command}":
-            [job.command, job.scene, "--samples", str(job.samples),
-             "--seed", str(job.seed)] for job in jobs}
-
-
-def overflow_runs(work):
-    return {f"{key}[{index}]:{command}":
-            [command, _write_edited(work, f"{key}_{index}", "flat",
-                                    ("pair", key, index), expression),
-             "--samples", "4"]
-            for key, index, expression in MUTATIONS
-            for command in METRIC_COMMANDS}
-
-
-def differential_runs(work):
+            for setting in SETTINGS]
+    runs += [[command, _write_edited(work, f"{key}_{index}", "flat",
+                                     ("pair", key, index), expression),
+              "--samples", "4"]
+             for key, index, expression in MUTATIONS
+             for command in METRIC_COMMANDS]
     scenes = work / "scenes"
     scenes.mkdir()
     for path in SCENES.glob("*.json"):
         (scenes / path.name).write_bytes(path.read_bytes())
     for name, edit in EDITS.items():
         _write_edited(scenes, name, *edit)
-    runs = [[command, str(path), "--samples", str(n)]
-            for path in sorted(scenes.iterdir()) for command in cli.COMMANDS
-            for n in SAMPLES]
+    runs += [[command, str(path), "--samples", str(n)]
+             for path in sorted(scenes.iterdir()) for command in cli.COMMANDS
+             for n in SAMPLES]
     for label, components in METRICS.items():
         for suffix, extra in (("", {}), ("-reversed", {"orientation": -1})):
             metric = {**extra, "components": components}
@@ -249,65 +230,34 @@ def differential_runs(work):
             for argv in runs}
 
 
-# golden file: (the runs by key, the record fields the file pins)
-TABLES = {
-    "reports.json": (natural_runs, ("exit", "report")),
-    "certify4d_seed0.json": (certify4d_runs, ("exit", "report")),
-    "overflow_flat.json": (overflow_runs, ("exit", "report")),
-    "runs.jsonl": (differential_runs, ("argv", "exit", "report", "stderr")),
-}
+def record_runs(work):
+    """{key: record} of every run, its scenes written into `work`."""
+    return {key: record(argv, work) for key, argv in runs(work).items()}
 
 
-def record_table(table, work):
-    """{key: pinned record} of every run of `table`, its scenes written
-    into the directory `work`."""
-    runs, fields = TABLES[table]
-    recorded = {}
-    for key, argv in runs(work).items():
-        run = record(argv, work)
-        recorded[key] = {field: run[field] for field in fields}
-    return recorded
-
-
-def read_golden(table):
-    path = GOLDEN / table
-    if not path.exists():   # the regenerate entry runs before it exists
-        return {}
-    if table.endswith(".jsonl"):
-        records = map(json.loads, path.read_text().splitlines())
-        return {" ".join(r["argv"]): r for r in records}
-    return json.loads(path.read_text())
-
-
-def write_golden(table, recorded):
-    if table.endswith(".jsonl"):
-        text = "".join(json.dumps(recorded[key], sort_keys=True) + "\n"
-                       for key in sorted(recorded))
-    else:
-        text = json.dumps(recorded, sort_keys=True,
-                          separators=(",", ":")) + "\n"
-    (GOLDEN / table).write_text(text)
-
-
-GOLDEN_DATA = {table: read_golden(table) for table in TABLES}
+# {key: record}; empty before the regenerate entry first writes the file
+GOLDEN_DATA = ({" ".join(r["argv"]): r
+                for r in map(json.loads, GOLDEN.read_text().splitlines())}
+               if GOLDEN.exists() else {})
 
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
-    return cache(lambda table: record_table(
-        table, tmp_path_factory.mktemp(Path(table).stem)))
+    return record_runs(tmp_path_factory.mktemp("runs"))
 
 
-@pytest.mark.parametrize("table,key", [
-    (table, key) for table, golden in GOLDEN_DATA.items()
-    for key in sorted(golden)], ids=lambda v: v)
-def test_run_is_byte_identical(recorded, table, key):
-    assert _same(recorded(table)[key], GOLDEN_DATA[table][key])
+@pytest.mark.parametrize("key", sorted(GOLDEN_DATA))
+def test_run_is_byte_identical(recorded, key):
+    assert _same(recorded[key], GOLDEN_DATA[key])
 
 
-@pytest.mark.parametrize("table", TABLES)
-def test_every_run_is_pinned(recorded, table):
-    assert set(recorded(table)) == set(GOLDEN_DATA[table])
+def test_every_run_is_pinned(recorded):
+    assert set(recorded) == set(GOLDEN_DATA)
+
+
+def test_the_golden_file_is_the_only_one():
+    # a stale golden file that no test reads would pin nothing
+    assert list(GOLDEN.parent.iterdir()) == [GOLDEN]
 
 
 def test_every_checked_in_scene_is_covered():
@@ -316,10 +266,11 @@ def test_every_checked_in_scene_is_covered():
 
 
 def test_the_certify4d_workload_is_covered():
-    golden = GOLDEN_DATA["certify4d_seed0.json"]
-    assert len(golden) == 20
+    seed0 = [r for key, r in GOLDEN_DATA.items()
+             if "<work>/bench/certify4d-0/scenes/" in key]
+    assert len(seed0) == 20
     # the negative controls have residuals that are not near 0
-    assert {entry["exit"] for entry in golden.values()} == {0, 1}
+    assert {r["exit"] for r in seed0} == {0, 1}
 
 
 def test_the_recorder_matches_a_fresh_interpreter(tmp_path):
@@ -340,7 +291,7 @@ def test_the_recorder_matches_a_fresh_interpreter(tmp_path):
 
 
 def test_one_ulp_in_one_report_float_differs_at_that_run_only():
-    old = GOLDEN_DATA["runs.jsonl"]
+    old = GOLDEN_DATA
     new = copy.deepcopy(old)
     key = "ward <work>/scenes/ward.json --samples 3"
     check = new[key]["report"]["checks"][0]
@@ -368,9 +319,9 @@ def test_a_domain_error_is_one_line(tmp_path, slot, value, message):
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for table in TABLES:
-        with tempfile.TemporaryDirectory() as work:
-            recorded = record_table(table, Path(work))
-        write_golden(table, recorded)
-        sys.stderr.write(f"wrote {len(recorded)} runs to {GOLDEN / table}\n")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
+        recorded = record_runs(Path(work))
+    GOLDEN.write_text("".join(json.dumps(recorded[key], sort_keys=True) + "\n"
+                              for key in sorted(recorded)))
+    sys.stderr.write(f"wrote {len(recorded)} runs to {GOLDEN}\n")

@@ -28,7 +28,7 @@ from jsonschema.validators import validator_for
 
 from sdconformal import cli
 import test_fuzz_scenes as fuzz
-from test_golden_reports import BENCH_SCENES
+from test_golden_reports import BENCH_SCENES, GOLDEN_DATA
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sdconformal"
@@ -304,15 +304,15 @@ def test_every_bench_scene_validates(tmp_path, workload, seed):
 # -- agreement with jsonschema ------------------------------------------------------
 
 def _instances():
-    """The checked-in scenes, and the golden reports with a wall time."""
-    golden = json.loads((ROOT / "tests" / "golden" / "reports.json")
-                        .read_text())
+    """The checked-in scenes, and the golden reports of the runs that read
+    them where they are checked in, with a wall time."""
     return {
         "scene.schema.json": [json.loads(path.read_text()) for path in
                               sorted((ROOT / "scenes").glob("*.json"))],
-        "report.schema.json": [{**golden[key]["report"], "wall_time": 0.01}
-                               for key in sorted(golden)
-                               if golden[key]["report"] is not None],
+        "report.schema.json": [{**run["report"], "wall_time": 0.01}
+                               for key, run in sorted(GOLDEN_DATA.items())
+                               if " <tree>/scenes/" in key
+                               and run["report"] is not None],
     }
 
 
