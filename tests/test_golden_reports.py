@@ -42,6 +42,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -67,6 +68,9 @@ def bench_module(name):
 
 
 BENCH_SCENES = bench_module("scenes")
+# check.py imports `scenes`, which bench/worker.py puts on the path
+with mock.patch.dict(sys.modules, {"scenes": BENCH_SCENES}):
+    BENCH_CHECK = bench_module("check")
 
 
 def _without_wall_time(report):
@@ -271,6 +275,35 @@ def test_the_certify4d_workload_is_covered():
     assert len(seed0) == 20
     # the negative controls have residuals that are not near 0
     assert {r["exit"] for r in seed0} == {0, 1}
+
+
+CERTIFY4D_SEED0 = sorted(key for key in GOLDEN_DATA
+                         if "<work>/bench/certify4d-0/scenes/" in key)
+
+
+@pytest.fixture(scope="module")
+def certify4d_problems(recorded, tmp_path_factory):
+    """{key: the bench checker's problems} of each seed-0 `certify4d` job,
+    judged in job order, so each negative control meets its partner."""
+    work = tmp_path_factory.mktemp("certify4d")
+    outdir = work / "bench" / "certify4d-0"
+    checker = BENCH_CHECK.Checker()
+    problems = {}
+    for job in BENCH_SCENES.jobs_for("certify4d", 0, outdir / "scenes",
+                                     SCENES):
+        key = " ".join(_normalise(a, work)
+                       for a in job.argv(outdir / "report.json"))
+        run = recorded[key]
+        problems[key] = checker.problems(job, run["exit"], run["report"])
+    return problems
+
+
+@pytest.mark.parametrize("key", CERTIFY4D_SEED0)
+def test_a_certify4d_job_shows_what_its_scene_was_built_to_show(
+        certify4d_problems, key):
+    # Weyl- and the Lax residual vanish on the pair metrics, and each
+    # negative control fails its checks with a residual linear in eps
+    assert certify4d_problems[key] == []
 
 
 def test_the_recorder_matches_a_fresh_interpreter(tmp_path):
