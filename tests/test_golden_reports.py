@@ -13,6 +13,9 @@ normalised argv, so adding a run renumbers none:
   checked in, at three sample settings (`NATURAL` x `SETTINGS`);
 * the 4-D metric commands on `flat.json` with a pair entry that
   overflows to inf at some sample points (`MUTATIONS`);
+* `divisor2` on `divisor2_roots.json` with a Christoffel or rho entry
+  whose derivatives overflow at some sample points while its values stay
+  finite (`DIVISOR2_MUTATIONS`), at 3 and 17 samples;
 * every checked-in scene and every scene of `EDITS` under every command
   at 3 and 17 samples, and the explicit `METRICS` in both orientations
   under the 4-D metric commands;
@@ -172,6 +175,15 @@ MUTATIONS = (
     ("phi0", 1, "1e300*1e300*w1"),
 )
 
+# (name, key path into divisor2_roots.json, expression): a Christoffel
+# whose first derivative overflows, a rho component whose first
+# derivative overflows, and one whose second derivative does.
+DIVISOR2_MUTATIONS = (
+    ("divisor2-christoffel", ("projective", "spray", 0), "1e299*sin(1e10*y)"),
+    ("divisor2-rho", ("divisor2", 0, "rho", 1), "1e299*sin(1e10*x)"),
+    ("divisor2-rho-second", ("divisor2", 0, "rho", 1), "1e299*sin(1e5*x)"),
+)
+
 SAMPLES = (3, 17)
 # The explicit metrics, over flat.json's coordinates (x, y, w1, w2): the
 # split-signature dx.dw2 - dy.dw1, two Walker metrics and one whose first
@@ -208,6 +220,10 @@ def runs(work):
               "--samples", "4"]
              for key, index, expression in MUTATIONS
              for command in METRIC_COMMANDS]
+    runs += [["divisor2", _write_edited(work, name, "divisor2_roots", slot,
+                                        expression), "--samples", str(n)]
+             for name, slot, expression in DIVISOR2_MUTATIONS
+             for n in SAMPLES]
     scenes = work / "scenes"
     scenes.mkdir()
     for path in SCENES.glob("*.json"):
