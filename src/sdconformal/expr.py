@@ -19,11 +19,13 @@ the tree, so input nested too deeply raises RecursionError.
 
 Expressions are evaluated over jets (`jets_at`) by first compiling them
 (`compile`) into a `Plan`: a flat tape of the jet operations that
-walking their trees would perform, in the walk's order, with each node
-object run once and each subtree without free variables folded into a
-read-only jet.  A plan gives the walk's results to the last bit and
-raises the walk's first error, the `jets.JetDomainError` of a jet
-operation at a singularity (`ExprDomainError` is another name for it).
+walking their trees would perform, in the walk's order, with each
+operation on equal operands run once (whether one node object is reached
+twice or an equal subtree is written twice) and each subtree without
+free variables folded into a read-only jet.  A plan gives the walk's
+results to the last bit and raises the walk's first error, the
+`jets.JetDomainError` of a jet operation at a singularity
+(`ExprDomainError` is another name for it).
 Nothing is kept between calls: `jets_at` compiles all the expressions it
 is given into one plan and runs it once.  `values_at` compiles
 expressions once over order-0 jets, and runs them on Python floats, for
@@ -491,13 +493,22 @@ def compile(exprs, space: JetSpace) -> Plan:
 
     The trees are walked once.  The plan's tape holds the jet operations
     that walking them at every evaluation would perform, in the same
-    order, less two kinds: a node object reached again (``diff`` shares
-    subtrees by reference) reuses its first result, and a subtree without
-    free variables is evaluated here, once, into a read-only jet that
-    only this plan holds.  A subtree whose folding raises stays on the
-    tape, so it raises where the walk would.  Results are the walk's to
-    the last bit."""
+    order, less two kinds: an operation on equal operands reuses its
+    first result, whether one node object is reached again (``diff``
+    shares subtrees by reference) or an equal subtree is written again,
+    and a subtree without free variables is evaluated here, once, into a
+    read-only jet that only this plan holds.  Operations are numbered by
+    value: equal if their functions and operands are, an operand being
+    its register, a constant its value and the sign of its zero, and a
+    power's exponent part of the key.  A subtree whose folding raises
+    stays on the tape, so it raises where the walk would.  Results are
+    the walk's to the last bit."""
     registers, tape, memo, names = [], [], {}, {}
+    # numbers: (function, operand keys) -> the register of its result;
+    # keys: the key of a constant's register, its value and sign (so 0.0
+    # and -0.0 differ), and of an exponent's, the exponent; any other
+    # register is its own key
+    numbers, keys = {}, {}
     put = registers.append
 
     def emit(node):
@@ -507,6 +518,8 @@ def compile(exprs, space: JetSpace) -> Plan:
         kind = type(node)
         if kind is Const:
             put(_fold(space.constant, (node.value,)))
+            keys[len(registers) - 1] = (node.value,
+                                        math.copysign(1.0, node.value))
         elif kind is Var:
             if node.name in names:
                 return names[node.name]
@@ -518,17 +531,24 @@ def compile(exprs, space: JetSpace) -> Plan:
             elif kind is Pow:
                 fn, a, b = operator.pow, emit(node.base), len(registers)
                 put(node.exponent)
+                keys[b] = node.exponent
             elif kind is Neg:
                 fn, a, b = operator.neg, emit(node.arg), -1
             elif kind is Call:
                 fn, a, b = CALLS[node.fn], emit(node.arg), -1
             else:
                 raise TypeError(node)
+            key = (fn, keys.get(a, a), keys.get(b, b))
+            out = numbers.get(key)
+            if out is not None:   # an equal operation ran already
+                memo[id(node)] = out
+                return out
             args = (registers[a],) if b < 0 else (registers[a], registers[b])
             value = None if None in args else _fold(fn, args)
             put(value)
             if value is None:
                 tape.append((fn, a, b, len(registers) - 1))
+            numbers[key] = len(registers) - 1
         out = memo[id(node)] = len(registers) - 1
         return out
 
@@ -573,8 +593,8 @@ def jets_at(exprs, space: JetSpace, point):
     `point`: a mapping of the space variables to numbers or to
     equal-shaped arrays of values, such as a `halton_points` sample set.
 
-    All the expressions are compiled into one plan and run once, so a
-    node they share runs once.  An Expression gives its jet as evaluated
+    All the expressions are compiled into one plan and run once, so an
+    operation they share runs once.  An Expression gives its jet as evaluated
     (constant over the points if it is).  A nested list gives one jet
     whose batch axes are the point axes, which constant entries are
     broadcast to, followed by the nesting axes, as `jets.stack` lays

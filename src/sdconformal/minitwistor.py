@@ -40,34 +40,33 @@ class WeightedCongruence:
         self.rho = tuple(as_expression(c, COORDS) for c in rho)
 
 
-def _shifted_ricci(P, gam, point):
+def _shifted_ricci(P, g, gam):
     """r + D gamma - gamma (x) gamma: the Ricci form of the representative
     connection shifted by the 1-form gamma (one order-1 jet, index axis B
-    last), as values r[..., A, B] at `point`."""
-    g = P.christoffel_jets(point, 0).value
-    gv = gam.value
+    last), as values r[..., A, B], from the order-1 Christoffel jets `g`
+    at the points of gamma."""
+    gv, values = gam.value, g.value
     # dgam[..., A, B] = d_A gamma_B - G^E_AB gamma_E, subtracted in E order
     dgam = np.stack([gam.derivative(v).value for v in COORDS], axis=-2)
     for E in range(2):
-        dgam = dgam - g[..., E, :, :] * gv[..., E, None, None]
-    return P.ricci_values(point) + dgam - gv[..., :, None] * gv[..., None, :]
+        dgam = dgam - values[..., E, :, :] * gv[..., E, None, None]
+    return P.ricci_values(g) + dgam - gv[..., :, None] * gv[..., None, :]
 
 
-def _weyl_gamma_jets(P, cong1, cong2, point):
+def _weyl_gamma_jets(g, F):
     """Order-1 jets of the 1-form gamma shifting the representative
     connection to the Weyl connection of the conformal metric
     c = phi1 . phi2 (index axis B last), together with the order-1 jets of
     c (index axes A, C last) and the residuals of the six equations of
-    (D + [gamma]) c = 0 (axes B and the pairs A <= C last)."""
-    # F[..., k, i]: component i of phi1, phi2, rho1, rho2 (k)
-    F = jets_at([cong1.phi, cong2.phi, cong1.rho, cong2.rho],
-                JetSpace(COORDS, 2), point)
+    (D + [gamma]) c = 0 (axes B and the pairs A <= C last), from the
+    order-1 Christoffel jets `g` and the order-2 jets F[..., k, i] of
+    component i of phi1, phi2, rho1 and rho2 (k) at the same points."""
     # f[..., k, A]: the lowered field (-phi^1, phi^0) of phi1, phi2 (k)
     f = stack([-F[..., :2, 1], F[..., :2, 0]])
     # weight-4 symmetric form c_{AC} = (phi1_A phi2_C + phi1_C phi2_A)/2
     pc = f[..., 0, :, None] * f[..., 1, None, :]
     c = (pc + pc.moveaxis(-2, -1)) * 0.5
-    ct, g = c.truncate(1), P.christoffel_jets(point, 1)
+    ct = c.truncate(1)
     tr = g[..., 0, :, 0] + g[..., 1, :, 1]
     rho = F[..., 2, :].truncate(1) + F[..., 3, :].truncate(1)
     # Dc[..., B, A, C] = d_B c_AC - G^E_BA c_EC - G^E_BC c_AE (E in
@@ -114,13 +113,18 @@ def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
     non-finite norm is None (undecided), and so is an agreement that
     reads one.
     """
-    gam, _, dc_res = _weyl_gamma_jets(P, cong1, cong2, points)
-    r = _shifted_ricci(P, gam, points)
+    # congs[..., k, i]: component i of phi1, phi2, rho1, rho2 (k); these
+    # and the Christoffels are evaluated once, at the orders read
+    congs = jets_at([cong1.phi, cong2.phi, cong1.rho, cong2.rho],
+                    JetSpace(COORDS, 2), points)
+    g = P.christoffel_jets(points, 1)
+    gam, _, dc_res = _weyl_gamma_jets(g, congs)
+    r = _shifted_ricci(P, g, gam)
     rt = r.swapaxes(-1, -2)
     sym_norm = max_abs(r + rt) * 0.5
     skew_norm = max_abs(r - rt) * 0.5
     # F[..., i] = d rho_i, the curvature of the i-th line bundle
-    rho = jets_at([cong1.rho, cong2.rho], JetSpace(COORDS, 1), points)
+    rho = congs[..., 2:, :].truncate(1)
     F = rho.derivative("x").value[..., 1] - rho.derivative("y").value[..., 0]
     fsum = max_abs(F[..., 0] + F[..., 1])
     fdiff = max_abs(F[..., 0] - F[..., 1])

@@ -93,12 +93,13 @@ class ProjectiveSurface:
                          for B in range(2)] for A in range(2)],
                        JetSpace(COORDS, order), point)
 
-    def curvature_endomorphism(self, point, order=2):
+    def curvature_endomorphism(self, g):
         """The dx^dy component of the curvature of the representative
-        connection, as jets of order `order`-1 with index axes (A, B) last:
+        connection, from its Christoffel jets `g` (`christoffel_jets`) of
+        some order k >= 1, as jets of order k-1 with index axes (A, B) last:
         R^A_B = d_x G^A_1B - d_y G^A_0B + G^A_0E G^E_1B - G^A_1E G^E_0B,
         the products truncated and added (val + p) - q in E order."""
-        g = self.christoffel_jets(point, order)
+        order = g.space.order
         # p, q at [..., A, E, B]: G^A_kE G^E_lB for (k, l) = (0, 1), (1, 0)
         p, q = ((g[..., :, k, :, None] * g[..., None, :, 1 - k, :])
                 .truncate(order - 1) for k in (0, 1))
@@ -107,23 +108,25 @@ class ProjectiveSurface:
             val = val + p[..., :, E, :] - q[..., :, E, :]
         return val
 
-    def ricci(self, point, order=2):
+    def ricci(self, g):
         """The 2x2 bilinear form r determined by the curvature through
-        r(X,Z)Y - r(Y,Z)X + (r(X,Y) - r(Y,X))Z, as jets of order `order`-1
-        with index axes (A, B) last.
+        r(X,Z)Y - r(Y,Z)X + (r(X,Y) - r(Y,X))Z, from the Christoffel jets
+        `g` of some order k >= 1, as jets of order k-1 with index axes
+        (A, B) last.
 
         The solve of that 4x4 linear relation is closed-form:
             r_00 = R^1_0,  r_11 = -R^0_1,
             r_01 = (2 R^1_1 - R^0_0)/3,  r_10 = (R^1_1 - 2 R^0_0)/3.
         """
-        R, third = self.curvature_endomorphism(point, order), 1.0 / 3.0
+        R, third = self.curvature_endomorphism(g), 1.0 / 3.0
         return stack([
             [R[..., 1, 0], (2.0 * R[..., 1, 1] - R[..., 0, 0]) * third],
             [(R[..., 1, 1] - 2.0 * R[..., 0, 0]) * third, -R[..., 0, 1]]])
 
-    def ricci_values(self, point):
-        """The values r[..., A, B] at `point`, point axes first."""
-        return np.ascontiguousarray(self.ricci(point, order=1).value)
+    def ricci_values(self, g):
+        """The values r[..., A, B], point axes first, from the Christoffel
+        jets `g` (of order >= 1) at the points."""
+        return np.ascontiguousarray(self.ricci(g).value)
 
     # -- geodesics ------------------------------------------------------------
 

@@ -19,7 +19,8 @@ from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
                               Neg, Pow, UnknownIdentifierError, Var,
                               _print, as_expression, jets_at)
 from sdconformal.jets import Jet, JetDomainError, JetSpace, max_abs, stack
-from sdconformal.minitwistor import WeightedCongruence, _shifted_ricci
+from sdconformal.minitwistor import (WeightedCongruence, _shifted_ricci,
+                                     _weyl_gamma_jets)
 from sdconformal.pairs import (LaxPair, ProjectivePair, _fiber_divergence,
                                build_lax, lax_residual)
 from sdconformal.projective import COORDS, ProjectiveSurface
@@ -245,6 +246,22 @@ def reference_ricci(P, point, order=2):
     return r
 
 
+def ricci_values_at(P, point):
+    """The values r[..., A, B] of `P`'s Ricci form at `point`, from its
+    order-1 Christoffel jets there."""
+    return P.ricci_values(P.christoffel_jets(point, 1))
+
+
+def weyl_gamma_jets_at(P, cong1, cong2, point):
+    """`minitwistor._weyl_gamma_jets` of `P`'s order-1 Christoffel jets and
+    the congruences' order-2 jets at `point`, as `divisor_two_report`
+    evaluates them."""
+    return _weyl_gamma_jets(
+        P.christoffel_jets(point, 1),
+        jets_at([cong1.phi, cong2.phi, cong1.rho, cong2.rho],
+                JetSpace(COORDS, 2), point))
+
+
 def reconstruct_curvature(r_values):
     """B(r)^A_B from a 2x2 array of r values (inverse of the solve in
     `ProjectiveSurface.ricci`)."""
@@ -263,7 +280,7 @@ def cotton(P, point):
     Projectively invariant; needs third derivatives of the metric data,
     i.e. order-3 jets of the Christoffels."""
     g = unstack(P.christoffel_jets(point, 1), 3)
-    r = unstack(P.ricci(point, order=3), 2)  # order-2 jets
+    r = unstack(P.ricci(P.christoffel_jets(point, 3)), 2)  # order-2 jets
 
     def Dr(B, A, C):
         out = r[A][C].derivative(COORDS[B]).value
@@ -604,7 +621,7 @@ def canonical_connection_from_congruence(P, phi, point):
     norm2 = (up[0] * up[0] + up[1] * up[1]).truncate(1)
     gam = [(-1.0 * m * up[B] * norm2.reciprocal()).truncate(1)
            for B in range(2)]
-    r = _shifted_ricci(P, stack(gam), point)
+    r = _shifted_ricci(P, P.christoffel_jets(point, 1), stack(gam))
     pv = np.array([up[0].value, up[1].value])
     return {"rho": np.array([rho[0].value, rho[1].value]),
             "residual": resid,

@@ -33,8 +33,8 @@ from sdconformal.cli import _pair as cli_pair, _surface as cli_surface
 from oracles import (area_connection_curvature, certify_selfdual,
                      congruence_from_slope, cotton, eval_jet, extract,
                      frame_values, null_kahler_check, point_rows,
-                     projective_change, sample_set, trivial_pair,
-                     unstack)
+                     projective_change, ricci_values_at, sample_set,
+                     trivial_pair, unstack)
 from test_cli import run
 
 FLAT = ProjectiveSurface({})
@@ -162,8 +162,8 @@ class TestCurvatureTransformation:
                     dgam[A][B] = gj[B].derivative(COORDS[A]).value
                     for E in range(2):
                         dgam[A][B] -= gam[E][A][B].value * gv[E]
-            want = P.ricci_values(pt) + dgam - np.outer(gv, gv)
-            got = Q.ricci_values(pt)
+            want = ricci_values_at(P, pt) + dgam - np.outer(gv, gv)
+            got = ricci_values_at(Q, pt)
             scale = 1.0 + np.abs(want).max()
             assert np.abs(got - want).max() / scale < 1e-10
             ca, cb = cotton(P, pt), cotton(Q, pt)

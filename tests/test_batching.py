@@ -21,8 +21,7 @@ from sdconformal.conformal import (MetricBuilder, build_null_kahler,
                                    killing_report)
 from sdconformal.expr import parse
 from sdconformal.jets import Jet, JetSpace, max_abs, stack
-from sdconformal.minitwistor import (WeightedCongruence, _weyl_gamma_jets,
-                                     divisor_two_report,
+from sdconformal.minitwistor import (WeightedCongruence, divisor_two_report,
                                      projective_field_residual)
 from sdconformal.pairs import (ProjectivePair, _quadrature_residuals,
                                build_lax,
@@ -36,7 +35,8 @@ from test_acceptance import _frobenius_scene
 from oracles import (abelian_pair_residual, area_connection_curvature,
                      congruence_from_slope, cotton, evaluate, frame_values,
                      null_kahler_check, point_rows, point_slices,
-                     projective_change, sample_set, trivial_pair, unstack)
+                     projective_change, ricci_values_at, sample_set,
+                     trivial_pair, unstack, weyl_gamma_jets_at)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 FLAT = ProjectiveSurface({})
@@ -461,8 +461,8 @@ def test_divisor_two_report_matches_single_points(name):
 def test_weyl_gamma_jets_match_single_points(name):
     P, (c1, c2), scene = DIVISORS[name]
     points = _surface_points(scene)
-    gam, ct, consistency = _weyl_gamma_jets(P, c1, c2, points)
-    singles = [_weyl_gamma_jets(P, c1, c2, p) for p in point_rows(points)]
+    gam, ct, consistency = weyl_gamma_jets_at(P, c1, c2, points)
+    singles = [weyl_gamma_jets_at(P, c1, c2, p) for p in point_rows(points)]
     _assert_same(consistency, np.stack([s[2] for s in singles]))
     for batched, single in ((gam, [s[0] for s in singles]),
                             (ct, [s[1] for s in singles])):
@@ -534,17 +534,18 @@ def test_quadrature_residuals_match_single_points(H, G):
 def test_surface_curvature_accepts_point_arrays(P):
     points = _surface_points("curved")
     rows = point_rows(points)
-    r = P.ricci_values(points)
+    r = ricci_values_at(P, points)
     assert r.shape == (len(rows), 2, 2)
-    assert np.array_equal(r, [P.ricci_values(p) for p in rows])
+    assert np.array_equal(r, [ricci_values_at(P, p) for p in rows])
     g = unstack(P.christoffel_jets(points, 2), 3)
-    R = unstack(P.curvature_endomorphism(points), 2)
+    R = unstack(P.curvature_endomorphism(P.christoffel_jets(points, 2)), 2)
     for n, p in enumerate(rows):
         single = unstack(P.christoffel_jets(p, 2), 3)
         for A, B, C in np.ndindex(2, 2, 2):
             coeffs = np.broadcast_to(g[A][B][C].coeffs, (len(rows), 6))
             assert np.array_equal(coeffs[n], single[A][B][C].coeffs)
-        single = unstack(P.curvature_endomorphism(p), 2)
+        single = unstack(P.curvature_endomorphism(
+            P.christoffel_jets(p, 2)), 2)
         for A, B in np.ndindex(2, 2):
             coeffs = np.broadcast_to(R[A][B].coeffs, (len(rows), 3))
             assert np.array_equal(coeffs[n], single[A][B].coeffs)
@@ -561,7 +562,7 @@ def test_pow_is_the_numpy_scalar_power():
 
 def test_single_point_calls_still_work():
     p = point_rows(_surface_points("curved"))[0]
-    assert CURVED.ricci_values(p).shape == (2, 2)
+    assert ricci_values_at(CURVED, p).shape == (2, 2)
     assert cotton(CURVED, p).shape == (2,)
     cong = congruence_from_slope("y/x")
     assert abelian_pair_residual(ProjectiveSurface({}), cong.phi,

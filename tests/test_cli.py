@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sdconformal import cli, conformal, pairs
+from sdconformal import cli, conformal, minitwistor, pairs, projective
 from sdconformal.cli import TOLERANCES, _check, main
 from sdconformal.expr import Expression, parse
 from sdconformal.jets import stack
@@ -973,8 +973,8 @@ def test_gauge_report_evaluates_the_fields_at_order_two(capsys, monkeypatch):
 
 def test_divisor2_solves_the_christoffels_at_the_orders_it_reads(
         capsys, monkeypatch):
-    # the Weyl connection reads them to first order, the shifted Ricci form
-    # their values, and r only its value: [1, 0, 1], where r took order 2
+    # the Weyl connection reads them to first order, and the shifted Ricci
+    # form and r read the values of those jets
     orders, christoffel = [], ProjectiveSurface.christoffel_jets
 
     def spy(self, point, order):
@@ -983,7 +983,32 @@ def test_divisor2_solves_the_christoffels_at_the_orders_it_reads(
     monkeypatch.setattr(ProjectiveSurface, "christoffel_jets", spy)
     code, _ = run(capsys, "divisor2", str(SCENES / "divisor2_roots.json"))
     assert code == 0
-    assert orders == [1, 0, 1]
+    assert orders == [1]
+
+
+def test_divisor2_evaluates_each_rho_once(capsys, monkeypatch):
+    # the line-bundle curvatures d rho read the order-2 jets the Weyl
+    # connection is solved from
+    path = SCENES / "divisor2_roots.json"
+    entries = json.loads(path.read_text())["divisor2"]
+    rho = {parse(c, ("x", "y")) for e in entries for c in e["rho"]
+           if c != "0"}
+    reached = []
+
+    def leaves(item):
+        if isinstance(item, Expression):
+            return [item]
+        return [leaf for entry in item for leaf in leaves(entry)]
+
+    for module in (minitwistor, projective):
+        def spy(exprs, space, point, evaluate=module.jets_at):
+            reached.append(rho & set(leaves(exprs)))
+            return evaluate(exprs, space, point)
+        monkeypatch.setattr(module, "jets_at", spy)
+    code, _ = run(capsys, "divisor2", str(path))
+    assert code == 0
+    assert len(rho) == 2
+    assert [found for found in reached if found] == [rho]
 
 
 def test_killing_fields_share_the_christoffels(capsys, monkeypatch,

@@ -1,7 +1,10 @@
 """Expression language: parsing, printing, differentiation, evaluation."""
 
+import copy
+import json
 import math
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +15,11 @@ from sdconformal.expr import (FUNCTIONS, BinOp, Call, Const, Expression,
                               jets_at, values_at, ExprError, ExprSyntaxError,
                               ExprDomainError, UnknownIdentifierError)
 from sdconformal import expr as expr_module
-from sdconformal.jets import Jet, JetDomainError, JetSpace, stack
+from sdconformal.jets import CALLS, Jet, JetDomainError, JetSpace, stack
 from oracles import eval_jet, evaluate, reference_eval, to_source, unstack
 
 XY = ("x", "y")
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 class TestParsing:
@@ -325,6 +329,33 @@ class TestPlans:
         assert len(plan.tape) == 3   # x*y, sin, the product; no repeats
         assert plan.names == ("x", "y")
 
+    def test_an_equal_subtree_written_twice_runs_once(self):
+        e, f = parse("sin(x*y)", XY), parse("sin(x*y)", XY)
+        assert e == f and e is not f
+        plan = compile([e * f, f], JetSpace(XY, 1))
+        assert len(plan.tape) == 3   # x*y, sin, the product; no repeats
+
+    def test_signed_zeros_and_exponents_keep_operations_apart(self):
+        x, space = Var("x"), JetSpace(XY, 0)
+        plan = compile([x + Const(0.0), x + Const(-0.0)], space)
+        assert len(plan.tape) == 2
+        plus, minus = plan.run([space.variable("x", -0.0)])
+        assert not np.signbit(plus.value) and np.signbit(minus.value)
+        assert len(compile([Const(0.0) * x, Const(-0.0) * x], space).tape) == 2
+        assert len(compile([x**2, x**3], space).tape) == 2
+        assert len(compile([x**2, x**2, 2.0 * x, 2.0 * x], space).tape) == 2
+
+    def test_the_divisor2_roots_plan_runs_each_operation_once(self):
+        # the scene writes sqrt(y^2 - 4*x) and 2*x four times each: the
+        # walk runs 30 operations, 4 of them square roots, 14 distinct
+        entries = json.loads(
+            (SCENES / "divisor2_roots.json").read_text())["divisor2"]
+        exprs = [parse(c, XY) for key in ("phi", "rho") for e in entries
+                 for c in e[key]]
+        plan = compile(exprs, JetSpace(XY, 2))
+        assert len(plan.tape) == 14
+        assert [fn for fn, *_ in plan.tape].count(CALLS["sqrt"]) == 1
+
     def test_constant_subtrees_are_folded_read_only(self):
         space = JetSpace(XY, 2)
         plan = compile([parse("2*3 - exp(0.5)^2 + x", XY)], space)
@@ -474,8 +505,10 @@ def _outcome(fn):
 @given(_TREES, st.integers(0, 2), st.booleans(),
        st.lists(_COORD, min_size=6, max_size=6))
 def test_plans_match_the_tree_walk_bit_for_bit(e, order, batched, coords):
-    # e*e reaches one node twice; the derivatives share e's subtrees
-    exprs = [e, e.diff("x"), e * e, e.diff("x").diff("y")]
+    # e*e reaches one node twice; the derivatives share e's subtrees; the
+    # copy and the reparse of e are equal subtrees that are other objects
+    exprs = [e, e.diff("x"), e * e, e.diff("x").diff("y"),
+             copy.deepcopy(e) - parse(to_source(e), XY) * e]
     space = JetSpace(XY, order)
     if batched:
         point = {"x": np.array(coords[:3]), "y": np.array(coords[3:])}
@@ -504,12 +537,15 @@ _POISON = st.sampled_from(["1/(x - x)", "log(0 - 1)", "sqrt(y - y)",
 def test_plans_raise_the_first_error_of_the_walk(e, f, p, q, op, order,
                                                  coords):
     g = BinOp(op, e + parse(p, XY), f + parse(q, XY))
+    # the poison p written twice: equal subtrees that are other objects
+    h = BinOp(op, parse(p, XY) * f, e - parse(p, XY))
     space = JetSpace(XY, order)
     env = space.seed({"x": coords[0], "y": coords[1]})
     with np.errstate(all="ignore"):
-        got = _outcome(lambda: evaluate(g, env, space))
-        assert got[0] == "raised"
-        assert got == _outcome(lambda: reference_eval(g, env, space))
+        for k in (g, h):
+            got = _outcome(lambda: evaluate(k, env, space))
+            assert got[0] == "raised"
+            assert got == _outcome(lambda: reference_eval(k, env, space))
 
 
 # -- one domain error -------------------------------------------------------

@@ -11,10 +11,10 @@ import pytest
 
 from sdconformal.expr import parse
 from sdconformal.jets import Jet, JetSpace
-from sdconformal.minitwistor import WeightedCongruence, _weyl_gamma_jets
+from sdconformal.minitwistor import WeightedCongruence
 from sdconformal.projective import COORDS, ProjectiveSurface
 from oracles import (reference_curvature_endomorphism, reference_ricci,
-                     reference_weyl_gamma_jets, unstack)
+                     reference_weyl_gamma_jets, unstack, weyl_gamma_jets_at)
 
 BATCHES = [(), (5,), (2, 3)]
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -101,8 +101,8 @@ def test_curvature_and_ricci_match_the_nested_forms(batch, order, source):
     for _ in range(4):
         P = _surface(rng, source, batch)
         points = _points(rng, batch)
-        R = P.curvature_endomorphism(points, order)
-        r = P.ricci(points, order)
+        g = P.christoffel_jets(points, order)
+        R, r = P.curvature_endomorphism(g), P.ricci(g)
         assert R.space is r.space is JetSpace(COORDS, order - 1)
         want_R = reference_curvature_endomorphism(P, points, order)
         want_r = reference_ricci(P, points, order)
@@ -123,7 +123,7 @@ def test_weyl_gamma_jets_match_the_nested_form(batch, source):
                                     [_polynomial(rng) for _ in range(2)])
                  for _ in range(2)]
         points = _points(rng, batch)
-        gam, ct, consistency = _weyl_gamma_jets(P, *congs, points)
+        gam, ct, consistency = weyl_gamma_jets_at(P, *congs, points)
         want_gam, want_ct, want_consistency = reference_weyl_gamma_jets(
             P, *congs, points)
         assert gam.space is ct.space is JetSpace(COORDS, 1)
