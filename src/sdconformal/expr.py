@@ -504,10 +504,8 @@ def compile(exprs, space: JetSpace) -> Plan:
     stays on the tape, so it raises where the walk would.  Results are
     the walk's to the last bit."""
     registers, tape, memo, names = [], [], {}, {}
-    # numbers: (function, operand keys) -> the register of its result;
-    # keys: the key of a constant's register, its value and sign (so 0.0
-    # and -0.0 differ), and of an exponent's, the exponent; any other
-    # register is its own key
+    # numbers: an operation's key -> its result's register; keys: the key
+    # of a constant's or an exponent's register (any other is its own)
     numbers, keys = {}, {}
     put = registers.append
 
