@@ -445,6 +445,9 @@ def _metric(scene):
     if metric is None:
         builder = _pair_metric(scene, _pair(scene))
         return builder.coords, builder.jets
+    if "factor" in scene:
+        raise SceneError("factor scales a pair's metric; an explicit metric "
+                         "takes none")
     coords = scene["coords"]
     if len(coords) != 4:
         raise SceneError(f"a 4-metric needs 4 coordinates, not {coords}")

@@ -21,10 +21,10 @@ antiselfdual halves by the Hodge star acting on its second index pair.
 The Killing residuals need metric jets of order 1 only (the metric
 inverted at order 0).
 
-The orientation sign ORIENTATION_SIGMA fixes which half is which: it is
-calibrated once so that the antiselfdual half is the one that vanishes
-on the (curved, non-conformally-flat) null-Kaehler family, and pinned by
-a test.
+The Hodge star is taken in the orientation of the frame volume form,
+eps_abcd = orientation * sqrt|det g| [abcd] with [0123] = +1: in that
+convention the antiselfdual half is the one that vanishes on the
+(curved, non-conformally-flat) null-Kaehler family, which a test pins.
 """
 from __future__ import annotations
 
@@ -35,10 +35,6 @@ import numpy as np
 from .expr import Expression, as_expression, jets_at
 from .jets import Jet, JetDomainError, JetSpace, stack
 from .pairs import ProjectivePair, _dot, lie_bracket, lstsq
-
-# Which Weyl half the construction kills; calibrated on the null-Kaehler
-# family (see tests), stored once, never branched on.
-ORIENTATION_SIGMA = 1.0
 
 _EPS4 = np.zeros((4, 4, 4, 4))
 for _perm in itertools.permutations(range(4)):
@@ -114,11 +110,10 @@ def jet_matrix_inverse(A):
 
 class MetricBuilder:
     """Produces order-k jets of the 4x4 metric of a pair's frame (its alpha
-    and phi fields), optionally scaled by a conformal factor."""
+    and phi fields, on a 2-dimensional fiber), scaled by a conformal
+    factor unless that is None."""
 
-    def __init__(self, pair, factor=None):
-        if len(pair.fiber) != 2:
-            raise ValueError("a 4-metric needs a 2-dimensional fiber")
+    def __init__(self, pair, factor):
         self.pair = pair
         self.coords = pair.coords
         self.factor = (as_expression(factor, self.coords)
@@ -184,7 +179,7 @@ def christoffel_jets_4d(g):
 
 def hodge_star_operator(gv, giv, orientation):
     """The star on 2-forms: (*F)_ab = 1/2 eps_ab^{cd} F_cd with
-    eps_abcd = sigma * orientation * sqrt|det g| [abcd], where
+    eps_abcd = orientation * sqrt|det g| [abcd], where
     `orientation` is the sign of the frame volume form in the chart.
 
     Only the 24 nonzero entries (a, b, m, n) of [abmn] are summed: each
@@ -195,7 +190,7 @@ def hodge_star_operator(gv, giv, orientation):
     a zero entry may differ.  On non-finite g it differs more: the dense
     sum has 0 * inf = NaN terms that this one never forms."""
     det = np.linalg.det(gv)
-    scale = ORIENTATION_SIGMA * orientation * np.sqrt(np.abs(det))
+    scale = orientation * np.sqrt(np.abs(det))
     e = np.asarray(scale)[..., None, None, None] * _EPS_SIGN[:, None, None]
     terms = (e * giv[..., _EPS_M, :, None]) * giv[..., _EPS_N, None, :]
     star = np.zeros(terms.shape[:-3] + (4, 4, 4, 4))
@@ -369,28 +364,25 @@ def build_null_kahler(a, c, f):
                           alpha0=[a * z, 0.0], alpha1=[c, 0.0],
                           phi0=[0.0, 1.0], phi1=[1.0, 0.0])
     builder = MetricBuilder(pair=pair, factor=f)
-    # J sends d_z to d_t and d_x to d_y + c d_t; the c-term is what makes
-    # g(J., .) skew when c is nonzero (it drops out for c = 0).  Stored as
-    # J^a_b with a the component index, coords (x, y, t, z).
-    zero = Expression.const(0.0)
-    one = Expression.const(1.0)
-    J_expr = [[zero] * 4 for _ in range(4)]
-    J_expr[2][3] = one
-    J_expr[1][0] = one
-    J_expr[2][0] = c
-    omega = [[zero] * 4 for _ in range(4)]
-    omega[0][3] = f
-    omega[3][0] = -f
 
     def check(points, g, star):
         """The defect arrays of the structure identities at the points,
         given the metric jets (order 1 or more) and the Hodge star that
         `curvature_report` forms from them."""
-        space = JetSpace(coords, 1)
-        J = np.ascontiguousarray(jets_at(J_expr, space, points).value)
-        om = jets_at(omega, space, points)
-        omv = np.ascontiguousarray(om.value)
-        dom = om.gradient()   # dom[..., i, j, k] = d_k omega_ij
+        cf = jets_at([c, f], JetSpace(coords, 1), points)
+        batch = cf.value.shape[:-1]
+        # J sends d_z to d_t and d_x to d_y + c d_t; the c-term is what
+        # makes g(J., .) skew when c is nonzero (it drops out for c = 0).
+        # Stored as J^a_b with a the component index, coords (x, y, t, z).
+        J = np.zeros(batch + (4, 4))
+        J[..., 2, 3] = J[..., 1, 0] = 1.0
+        J[..., 2, 0] = cf.value[..., 0]
+        # omega = f dx ^ dz; dom[..., i, j, k] = d_k omega_ij
+        omv = np.zeros(batch + (4, 4))
+        dom = np.zeros(batch + (4, 4, 4))
+        fv, df = cf.value[..., 1], cf.gradient()[..., 1, :]
+        omv[..., 0, 3], omv[..., 3, 0] = fv, -fv
+        dom[..., 0, 3, :], dom[..., 3, 0, :] = df, -df
         d3 = (np.einsum("...jki->...ijk", dom)
               + np.einsum("...kij->...ijk", dom) + dom)
         gv = np.ascontiguousarray(g.value)

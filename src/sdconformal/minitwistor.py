@@ -95,14 +95,15 @@ def _weyl_gamma_jets(g, F):
     return gam, ct, res[..., A, C]
 
 
-def divisor_two_report(P, cong1, cong2, points, tol=1e-8):
+def divisor_two_report(P, cong1, cong2, points, tol):
     """Certify the curvature dichotomy for a pair of weighted congruences.
 
     Builds the conformal metric c = phi1 . phi2 (which has both phi's as
     null directions), solves for its Weyl connection within the projective
     class, and computes the Ricci-type curvature r of that connection
     together with the curvatures F^i = d rho_i of the two line-bundle
-    connections.  The two verdict pairs certified are
+    connections.  The two verdict pairs certified, each side holding when
+    its norm over the sample set `points` is below `tol`, are
 
         r symmetric  <=>  F^1 + F^2 = 0
         r skew       <=>  F^1 - F^2 = 0

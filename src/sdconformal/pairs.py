@@ -202,33 +202,29 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     # broadcast over the components i below
     gv = P.christoffel_jets(points, 0).value[..., None]
     cv = jets_at(pair.c_gauge, JetSpace(BASE, 0), points).value[..., None]
-    g0 = gv[..., 0, 0, 0, :] + gv[..., 1, 0, 1, :]
-    g1 = gv[..., 0, 1, 0, :] + gv[..., 1, 1, 1, :]
-    c0, c1 = cv[..., 0, :], cv[..., 1, :]
     # order-1 jets of alpha0, alpha1, phi0, phi1, component i last; the
     # gradients run over x, y and then the fiber coordinates
     F = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 1), points)
-    a0, a1, f0, f1 = (F[..., k, :] for k in range(4))
-    phi0v, phi1v = f0.value, f1.value
-    eq1 = (f0.gradient()[..., 0] + ordered_bracket(a0, f0, 2)
-           + (c0 - 2.0 / 3.0 * g0) * phi0v
-           + gv[..., 0, 0, 0, :] * phi0v + gv[..., 1, 0, 0, :] * phi1v)
-    eq2 = (f1.gradient()[..., 0] + ordered_bracket(a0, f1, 2)
-           + (c0 - 2.0 / 3.0 * g0) * phi1v
-           + gv[..., 0, 0, 1, :] * phi0v + gv[..., 1, 0, 1, :] * phi1v
-           + f0.gradient()[..., 1] + ordered_bracket(a1, f0, 2)
-           + (c1 - 2.0 / 3.0 * g1) * phi0v
-           + gv[..., 0, 1, 0, :] * phi0v + gv[..., 1, 1, 0, :] * phi1v)
-    eq3 = (f1.gradient()[..., 1] + ordered_bracket(a1, f1, 2)
-           + (c1 - 2.0 / 3.0 * g1) * phi1v
-           + gv[..., 0, 1, 1, :] * phi0v + gv[..., 1, 1, 1, :] * phi1v)
-    return np.stack([eq1, eq2, eq3], axis=-2)
+    alpha, phi = (F[..., 0, :], F[..., 1, :]), (F[..., 2, :], F[..., 3, :])
+    phiv = (phi[0].value, phi[1].value)
+
+    def terms(k, l):
+        """The terms d_k phi_l, [a_k, phi_l], (c_k - 2/3 g_k) phi_l,
+        G^0_kl phi0 and G^1_kl phi1, with g_k = G^0_k0 + G^1_k1."""
+        g = gv[..., 0, k, 0, :] + gv[..., 1, k, 1, :]
+        return [phi[l].gradient()[..., k],
+                ordered_bracket(alpha[k], phi[l], 2),
+                (cv[..., k, :] - 2.0 / 3.0 * g) * phiv[l],
+                gv[..., 0, k, l, :] * phiv[0], gv[..., 1, k, l, :] * phiv[1]]
+    # each equation's terms added left to right
+    return np.stack([sum(eq[1:], eq[0]) for eq in (
+        terms(0, 0), terms(0, 1) + terms(1, 0), terms(1, 1))], axis=-2)
 
 
 # -- constructive builders ----------------------------------------------------
 
 
-def twist_free_normal_form(P, beta, points=None, tol=1e-8):
+def twist_free_normal_form(P, beta, points, tol):
     """The z-linear pair attached to a geodesic congruence lam = beta(x, y):
 
         L0 = (lam - beta) dz,
@@ -239,10 +235,11 @@ def twist_free_normal_form(P, beta, points=None, tol=1e-8):
     shows the beta_y term must enter with this sign for the multiplier to
     be z-independent; with the opposite sign the fitted b comes out as
     2 beta_y - a'(lam)/3, which is not a function of lam alone.)
+
+    The congruence equation must hold to `tol` at the sample set `points`.
     """
     beta = as_expression(beta, BASE)
-    pts = points if points is not None else {"x": 0.5, "y": 0.5}
-    res = max_abs(P.congruence_residual(beta, pts))
+    res = max_abs(P.congruence_residual(beta, points))
     if not res <= tol:
         raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
     a0, a1, a2, a3 = P.spray_coeffs()
@@ -256,7 +253,7 @@ def twist_free_normal_form(P, beta, points=None, tol=1e-8):
     return ProjectivePair(("z",), [q0], [q1], [-beta], [1.0])
 
 
-def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8):
+def dw_quadrature_build(P, gamma, c_twist, H, G, points, tol):
     """Two-fiber (t, z) pair built from a congruence by quadratures.
 
     Inputs: gamma(x, y) a geodesic congruence of P, a constant c (the
@@ -272,11 +269,12 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8):
 
         H_x + E H_z = 0   and   H_y + F H_z = 0
 
-    checked at sample points.  (Expanding the bracket gives the
-    multiplier b(lam) = -a3 lam (lam - beta) exactly, and then the
-    lam-affine t-component of the bracket forces both transport
-    equations; their lam = beta combination H_x + beta H_y +
-    (E + beta F) H_z = 0 alone does not suffice.)
+    checked to `tol` at the sample set `points`, as is the congruence
+    equation of gamma.  (Expanding the bracket gives the multiplier
+    b(lam) = -a3 lam (lam - beta) exactly, and then the lam-affine
+    t-component of the bracket forces both transport equations; their
+    lam = beta combination H_x + beta H_y + (E + beta F) H_z = 0 alone
+    does not suffice.)
 
     The residual trivialization functions are c(lam) = b + a'(lam)/3 =
     a1/3 + (2 a2/3 + a3 gamma) lam; they are recorded on the pair so the
@@ -296,12 +294,10 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points=None, tol=1e-8):
     F = a3 * z * beta + (a2 + gamma * a3) * z
     D = -a3 * G
 
-    pts = (points if points is not None
-           else {"x": 0.5, "y": 0.5, "t": 0.0, "z": 0.3})
-    res = max_abs(P.congruence_residual(gamma, pts))
+    res = max_abs(P.congruence_residual(gamma, points))
     if not res <= tol:
         raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
-    gz_res, tr_res = _quadrature_residuals(H, G, E, F, pts)
+    gz_res, tr_res = _quadrature_residuals(H, G, E, F, points)
     if not gz_res <= tol:
         raise BuildError(f"G_z - H residual {gz_res:.3e} exceeds {tol:.1e}")
     if not tr_res <= tol:
@@ -332,7 +328,7 @@ def _quadrature_residuals(H, G, E, F, points):
 # -- gauge diagnostics --------------------------------------------------------
 
 
-def gauge_reduction_report(pair: ProjectivePair, points, tol=1e-10):
+def gauge_reduction_report(pair: ProjectivePair, points, tol):
     """Classify the gauge algebra generated by the pair's vertical fields.
 
     Flags (each decided by jet evaluation at the sample points, and None,

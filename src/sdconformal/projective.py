@@ -130,51 +130,44 @@ class ProjectiveSurface:
 
     # -- geodesics ------------------------------------------------------------
 
-    def integrate_geodesic(self, start, length, step, rho=None):
-        """RK4 integral curve of the spray from (x, y, lam).
+    def integrate_geodesic(self, start, length, step, rho):
+        """RK4 integral curve of the spray from (x, y, lam), which carries
+        the line-bundle section s of the 1-form `rho` = (rho_0, rho_1),
+        transported by s' = -rho(gamma') s from s = 1 in the same RK4 step.
 
         Chart 1 (|lam| <= 1) advances x; chart 2 uses mu = 1/lam and
-        advances y.  Returns the path as an array of (x, y, lam) states.
-        The steps have size `step` and add up to `length`: if `length` is
-        not a whole number of steps (to a relative 1e-9), one last shorter
-        step ends the path there.  `length` is the accumulated chart
-        parameter, so a path that crosses |lam| = 1 switches charts after
-        a step-dependent stretch: halving the step then changes the end
-        point at O(h), not O(h^4).
-
-        With a 1-form `rho` = (rho_0, rho_1) the states carry a fourth
-        component s, the line-bundle section transported by
-        s' = -rho(gamma') s from s = 1, integrated in the same RK4 step.
+        advances y.  Returns the path as an array of (x, y, lam, s) states,
+        whose first three columns do not depend on rho.  The steps have
+        size `step` and add up to `length`: if `length` is not a whole
+        number of steps (to a relative 1e-9), one last shorter step ends
+        the path there.  `length` is the accumulated chart parameter, so a
+        path that crosses |lam| = 1 switches charts after a step-dependent
+        stretch: halving the step then changes the end point at O(h), not
+        O(h^4).
 
         The spray coefficients and rho are compiled once per path
         (`expr.values_at`) and evaluated on Python floats at every RK4 stage.
         """
         if step <= 0:
             raise ValueError("step must be positive")
-        exprs = self.spray_coeffs()
-        if rho is not None:
-            exprs += tuple(as_expression(c, COORDS) for c in rho)
-        coeffs = values_at(exprs, COORDS)
+        coeffs = values_at(self.spray_coeffs() + tuple(
+            as_expression(c, COORDS) for c in rho), COORDS)
 
         def rhs1(state):
             lam = state[2]
             a = coeffs(state[:2])
-            out = [1.0, lam, a[0] + a[1]*lam + a[2]*_power(lam, 2)
-                   + a[3]*_power(lam, 3)]
-            if rho is not None:
-                out.append(-(a[4] + a[5]*lam) * state[3])
-            return out
+            return [1.0, lam, a[0] + a[1]*lam + a[2]*_power(lam, 2)
+                    + a[3]*_power(lam, 3),
+                    -(a[4] + a[5]*lam) * state[3]]
 
         def rhs2(state):
             mu = state[2]
             a = coeffs(state[:2])
-            out = [mu, 1.0, -(a[0]*_power(mu, 3) + a[1]*_power(mu, 2)
-                              + a[2]*mu + a[3])]
-            if rho is not None:
-                out.append(-(a[4]*mu + a[5]) * state[3])
-            return out
+            return [mu, 1.0, -(a[0]*_power(mu, 3) + a[1]*_power(mu, 2)
+                               + a[2]*mu + a[3]),
+                    -(a[4]*mu + a[5]) * state[3]]
 
-        state = [float(v) for v in start] + ([] if rho is None else [1.0])
+        state = [float(v) for v in start] + [1.0]
         path = [state]
         for h in _steps(length, step):
             if abs(state[2]) <= 1.0:

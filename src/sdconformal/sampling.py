@@ -31,7 +31,7 @@ def radical_inverse(index, base):
     return out
 
 
-def halton_points(names, box, count, seed=0, exclusions=()):
+def halton_points(names, box, count, seed, exclusions):
     """A sample set of `count` points over `names`: each name mapped to a
     1-D array of its values, the one point form every residual and
     `expr.jets_at` take.  The points are drawn from the Halton sequence

@@ -12,9 +12,8 @@ import math
 import numpy as np
 
 from sdconformal import expr as expr_module
-from sdconformal.conformal import (_EPS4, ORIENTATION_SIGMA, MetricBuilder,
-                                   curvature_report, jet_gauss_solve,
-                                   jet_matrix_inverse)
+from sdconformal.conformal import (_EPS4, MetricBuilder, curvature_report,
+                                   jet_gauss_solve, jet_matrix_inverse)
 from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
                               Neg, Pow, UnknownIdentifierError, Var,
                               _print, as_expression, jets_at)
@@ -27,6 +26,12 @@ from sdconformal.projective import COORDS, ProjectiveSurface
 
 
 # -- sample sets -----------------------------------------------------------------
+
+# The one point at which a test that builds a pair for its own sake has the
+# builder check its preconditions (the congruence and quadrature equations).
+TWISTFREE_POINT = {"x": 0.5, "y": 0.5}
+DW_POINT = {"x": 0.5, "y": 0.5, "t": 0.0, "z": 0.3}
+
 
 def point_rows(points):
     """A sample set (a dict of coordinate arrays) as the list of its
@@ -522,7 +527,7 @@ def dense_hodge_star(gv, giv, orientation=1.0):
     (m, n) of eps_abmn, which it was before it summed only the 24 nonzero
     entries; kept to check it against."""
     det = np.linalg.det(gv)
-    scale = ORIENTATION_SIGMA * orientation * np.sqrt(np.abs(det))
+    scale = orientation * np.sqrt(np.abs(det))
     eps = np.asarray(scale)[..., None, None, None, None] * _EPS4
     return 0.5 * np.einsum("...abmn,...mc,...nd->...abcd", eps, giv, giv)
 

@@ -28,13 +28,14 @@ from sdconformal.conformal import (MetricBuilder, curvature_report,
                                    frobenius_residual, build_null_kahler)
 from sdconformal.minitwistor import WeightedCongruence, divisor_two_report
 from sdconformal.sampling import halton_points
-from sdconformal.cli import RunContext, load_scene, main as cli_main
+from sdconformal.cli import (TOLERANCES, RunContext, load_scene,
+                             main as cli_main)
 from sdconformal.cli import _pair as cli_pair, _surface as cli_surface
-from oracles import (area_connection_curvature, certify_selfdual,
-                     congruence_from_slope, cotton, eval_jet, extract,
-                     frame_values, null_kahler_check, point_rows,
-                     projective_change, ricci_values_at, sample_set,
-                     trivial_pair, unstack)
+from oracles import (DW_POINT, TWISTFREE_POINT, area_connection_curvature,
+                     certify_selfdual, congruence_from_slope, cotton,
+                     eval_jet, extract, frame_values, null_kahler_check,
+                     point_rows, projective_change, ricci_values_at,
+                     sample_set, trivial_pair, unstack)
 from test_cli import run
 
 FLAT = ProjectiveSurface({})
@@ -44,12 +45,14 @@ BOX4 = {"x": [0.5, 1.5], "y": [1.1, 2.9], "t": [0.0, 1.0], "z": [0.4, 1.4]}
 
 
 def _pts4(count=32, seed=0):
-    return halton_points(("x", "y", "t", "z"), BOX4, count, seed=seed)
+    return halton_points(("x", "y", "t", "z"), BOX4, count, seed=seed,
+                         exclusions=())
 
 
 def _surface_pts(count=32, seed=0, box=None):
     box = box or {"x": [0.5, 1.5], "y": [1.1, 2.9]}
-    return halton_points(("x", "y"), box, count, seed=seed)
+    return halton_points(("x", "y"), box, count, seed=seed,
+                         exclusions=())
 
 
 def _check_value(report, name):
@@ -105,11 +108,12 @@ class TestFlatBaseline:
         pair = trivial_pair()
         pts = halton_points(("x", "y", "w1", "w2"),
                             {"x": [-1, 1], "y": [-1, 1],
-                             "w1": [-1, 1], "w2": [-1, 1]}, 32)
+                             "w1": [-1, 1], "w2": [-1, 1]}, 32,
+                            seed=0, exclusions=())
         res = lax_residual(build_lax(FLAT, pair), pts)
         assert max_abs(res["residual"]) == 0.0
         assert max_abs(res["cubic"]) == 0.0
-        builder = MetricBuilder(pair=pair)
+        builder = MetricBuilder(pair=pair, factor=None)
         for pt in point_rows(pts):
             g, orientation = builder.jets(pt)
             rep = curvature_report(g, orientation)
@@ -207,7 +211,8 @@ class TestCongruencePipelines:
     def test_quadrature_metric_is_selfdual(self, capsys, tmp_path, spray,
                                            beta, excl, want_b):
         P = ProjectiveSurface.from_spray(*spray)
-        pair = dw_quadrature_build(P, beta, 0.0, "1", "z")
+        pair = dw_quadrature_build(P, beta, 0.0, "1", "z",
+                                   points=DW_POINT, tol=TOLERANCES["build"])
         scene = {
             "name": "quadrature-metric",
             "coords": ["x", "y", "t", "z"],
@@ -295,9 +300,10 @@ class TestTwistDichotomy:
     def test_twist_is_proportional_to_the_vertical_wronskian(
             self, spray, gamma, c, H, G):
         P = ProjectiveSurface.from_spray(*spray)
-        pair = dw_quadrature_build(P, gamma, c, H, G)
+        pair = dw_quadrature_build(P, gamma, c, H, G,
+                                   points=DW_POINT, tol=TOLERANCES["build"])
         pts = _pts4(16)
-        g, _ = MetricBuilder(pair=pair).jets(pts, order=1)
+        g, _ = MetricBuilder(pair=pair, factor=None).jets(pts, order=1)
         rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
         rows = point_rows(pts)
         preds = np.array([_twist_prediction(pair, pt) for pt in rows])
@@ -327,9 +333,10 @@ class TestNullSymmetryGeometry:
     def test_symmetry_is_null_geodesic_with_integrable_planes(
             self, spray, gamma, c):
         P = ProjectiveSurface.from_spray(*spray)
-        pair = dw_quadrature_build(P, gamma, c, "1", "z")
+        pair = dw_quadrature_build(P, gamma, c, "1", "z",
+                                   points=DW_POINT, tol=TOLERANCES["build"])
         pts = _pts4(16)
-        g, _ = MetricBuilder(pair=pair).jets(pts, order=1)
+        g, _ = MetricBuilder(pair=pair, factor=None).jets(pts, order=1)
         rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
         assert max_abs(rep["null_defect"]) < 1e-10
         assert max_abs(rep["geodesic"]) < 1e-9
@@ -377,7 +384,8 @@ class TestMutualOracles:
     def test_residuals_vanish_together_on_twenty_scenes(self):
         pts = _pts4(32)
         for P, gamma, c, H, G in _dw_family():
-            pair = dw_quadrature_build(P, gamma, c, H, G)
+            pair = dw_quadrature_build(P, gamma, c, H, G, points=DW_POINT,
+                                       tol=TOLERANCES["build"])
             lres = max_abs(lax_residual(build_lax(P, pair), pts)["residual"])
             pres = max_abs(projective_pair_residual(P, pair, pts))
             assert lres < 1e-10 and pres < 1e-10
@@ -461,15 +469,19 @@ class TestGaugeClassification:
                                 ["w1", "0"], ["0", "1"]),
          {"w1": 0.3, "w2": -0.4},
          {"sdiff2": False, "hdiff2": True, "phi_sdiff": False}),
-        (lambda: twist_free_normal_form(FLAT, "y/x"), {"z": 0.7},
+        (lambda: twist_free_normal_form(FLAT, "y/x", points=TWISTFREE_POINT,
+                                        tol=TOLERANCES["build"]),
+         {"z": 0.7},
          {"sdiff2": False, "hdiff2": True, "phi_sdiff": True,
           "o_times_diff1": True, "aff1_translational": True}),
         (lambda: dw_quadrature_build(
             ProjectiveSurface.from_spray("0", "0", "0", "0.5"),
-            "0", 0.7, "1", "z"), {"t": 0.2, "z": 0.7},
+            "0", 0.7, "1", "z", points=DW_POINT, tol=TOLERANCES["build"]),
+         {"t": 0.2, "z": 0.7},
          {"phi_sdiff": False, "o_times_diff1": True,
           "aff1_translational": False}),
-        (lambda: dw_quadrature_build(FLAT, "y/x", 0.0, "x*z", "x*z^2/2"),
+        (lambda: dw_quadrature_build(FLAT, "y/x", 0.0, "x*z", "x*z^2/2",
+                                     points=DW_POINT, tol=TOLERANCES["build"]),
          {"t": 0.2, "z": 0.7},
          {"sdiff2": False, "hdiff2": True, "phi_sdiff": True,
           "o_times_diff1": True, "aff1_translational": False}),
@@ -489,7 +501,7 @@ class TestGaugeClassification:
         pair = factory()
         pts = sample_set([dict({"x": x, "y": y}, **fibers)
                           for x in (0.8, 1.2) for y in (1.3, 2.9)])
-        flags, _ = gauge_reduction_report(pair, pts)
+        flags, _ = gauge_reduction_report(pair, pts, TOLERANCES["gauge"])
         for name, want in expected.items():
             assert flags[name] == want, name
 
@@ -499,13 +511,13 @@ class TestGaugeClassification:
         # divergence-free fields: flag set and the connection is flat
         good = ProjectivePair(("w1", "w2"), ["w2^2", "0"], ["0", "w1^2"],
                               ["1", "0"], ["0", "1"])
-        flags, _ = gauge_reduction_report(good, pts)
+        flags, _ = gauge_reduction_report(good, pts, TOLERANCES["gauge"])
         assert flags["sdiff2"]
         assert area_connection_curvature(good, pts) < 1e-12
         # non-closed divergences: flag clear and the connection curves
         bad = ProjectivePair(("w1", "w2"), ["x*w1", "0"], ["0", "x*w2"],
                              ["1", "0"], ["0", "1"])
-        flags, _ = gauge_reduction_report(bad, pts)
+        flags, _ = gauge_reduction_report(bad, pts, TOLERANCES["gauge"])
         assert not flags["sdiff2"]
         assert area_connection_curvature(bad, pts) > 0.5
 
@@ -637,9 +649,11 @@ class TestInfrastructure:
     def test_geodesic_integrator_is_fourth_order(self):
         P = ProjectiveSurface({(1, 0, 0): "y", (0, 1, 1): "x*y"})
         start, L = (0.1, 0.2, 0.4), 0.8
-        ref = P.integrate_geodesic(start, L, 0.00125)[-1]
-        e1 = np.abs(P.integrate_geodesic(start, L, 0.02)[-1] - ref).max()
-        e2 = np.abs(P.integrate_geodesic(start, L, 0.01)[-1] - ref).max()
+        def end(step):
+            return P.integrate_geodesic(start, L, step, ("0", "0"))[-1, :3]
+        ref = end(0.00125)
+        e1 = np.abs(end(0.02) - ref).max()
+        e2 = np.abs(end(0.01) - ref).max()
         assert 12.0 < e1 / e2 < 20.0
 
     def test_reports_are_deterministic(self, capsys, tmp_path):
@@ -663,7 +677,8 @@ class TestInfrastructure:
 # surfaces: the fibres {x, y const}, spanned by X_00' = phi0 and
 # X_01' = phi1.  So g(X_0a', X_0b') = 0, and the lowered bivector
 # X_00' ^ X_01' is a +1 eigenvector of the Hodge star in the builder's
-# orientation; this pins ORIENTATION_SIGMA to the geometry.
+# orientation; this pins the orientation convention (the Hodge star taken
+# in the orientation of the frame volume form) to the geometry.
 
 
 def _foliation_cases():
@@ -682,8 +697,9 @@ def _foliation_cases():
     scene = load_scene(SCENES / "dw_twist.json")
     spec = scene["build"]
     pair = dw_quadrature_build(cli_surface(scene), spec["gamma"], spec["c"],
-                               spec["H"], spec["G"])
-    out["build-dw"] = (scene, MetricBuilder(pair=pair))
+                               spec["H"], spec["G"],
+                               points=DW_POINT, tol=TOLERANCES["build"])
+    out["build-dw"] = (scene, MetricBuilder(pair=pair, factor=None))
     return out
 
 
@@ -776,7 +792,7 @@ class TestSelfdualNotConformallyFlat:
         assert riemann == {(2, 1, 0, 1): -4 * x * y, (2, 1, 1, 0): 4 * x * y,
                            (3, 0, 0, 1): -4 * x * y, (3, 0, 1, 0): 4 * x * y}
         scene = load_scene(RICCIFLAT)
-        builder = MetricBuilder(pair=cli_pair(scene))
+        builder = MetricBuilder(pair=cli_pair(scene), factor=None)
         args = argparse.Namespace(samples=None, seed=None, tol=None)
         points = RunContext(scene, args).points(builder.coords)
         g_jets, orientation = builder.jets(points)

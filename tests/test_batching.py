@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdconformal.cli import TOLERANCES
 from sdconformal.conformal import (MetricBuilder, build_null_kahler,
                                    curvature_report, frobenius_residual,
                                    killing_report)
@@ -32,11 +33,11 @@ from sdconformal.pairs import (ProjectivePair, _quadrature_residuals,
 from sdconformal.projective import COORDS, ProjectiveSurface, _pow
 from sdconformal.sampling import halton_points
 from test_acceptance import _frobenius_scene
-from oracles import (abelian_pair_residual, area_connection_curvature,
-                     congruence_from_slope, cotton, evaluate, frame_values,
-                     null_kahler_check, point_rows, point_slices,
-                     projective_change, ricci_values_at, sample_set,
-                     trivial_pair, unstack, weyl_gamma_jets_at)
+from oracles import (DW_POINT, TWISTFREE_POINT, abelian_pair_residual,
+                     area_connection_curvature, congruence_from_slope, cotton,
+                     evaluate, frame_values, null_kahler_check, point_rows,
+                     point_slices, projective_change, ricci_values_at,
+                     sample_set, trivial_pair, unstack, weyl_gamma_jets_at)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 FLAT = ProjectiveSurface({})
@@ -75,7 +76,9 @@ def _cases():
         "nullkahler_random": _null_kahler("0.3*x + 0.1*y", "0.2*x - 0.4*y",
                                           "1 + 0.25*x*z",
                                           _box("nullkahler_random")),
-        "dw_twist": (FLAT, dw_quadrature_build(FLAT, "y/x", 0.7, "1", "z"),
+        "dw_twist": (FLAT, dw_quadrature_build(FLAT, "y/x", 0.7, "1", "z",
+                                               points=DW_POINT,
+                                               tol=TOLERANCES["build"]),
                      None, _box("dw_twist"), None),
         "nullkahler_seeded": _seeded_null_kahler(),
         "pivot_change": (FLAT, pivot_pair, "1 + 0.1*x*w2",
@@ -89,7 +92,7 @@ CASES = _cases()
 
 def _points(name, count=24):
     _, pair, _, box, _ = CASES[name]
-    return halton_points(pair.coords, box, count, seed=3)
+    return halton_points(pair.coords, box, count, seed=3, exclusions=())
 
 
 def _assert_same(got, want):
@@ -194,7 +197,7 @@ def test_non_finite_entries_match_single_points():
 
 def test_pivot_row_changes_across_the_box():
     _, pair, _, _, _ = CASES["pivot_change"]
-    builder = MetricBuilder(pair=pair)
+    builder = MetricBuilder(pair=pair, factor=None)
     frames = [frame_values(builder, p)
               for p in point_rows(_points("pivot_change"))]
     # rows 0 and 1 are phi0 and phi1; column 2 is their w1 component
@@ -239,7 +242,7 @@ def _surface_points(scene, count=24):
     "curved"."""
     box = ({"x": [-1, 1], "y": [-1, 1]} if scene == "curved"
            else _scene(scene)["sampling"]["box"])
-    return halton_points(COORDS, box, count, seed=3)
+    return halton_points(COORDS, box, count, seed=3, exclusions=())
 
 
 # name -> (surface, slope, scene whose box the points fill)
@@ -292,10 +295,13 @@ def _surface_pairs():
                                 flat["phi0"], flat["phi1"]), "flat"),
         "twistfree": (_scene_surface("twistfree"),
                       twist_free_normal_form(_scene_surface("twistfree"),
-                                             twistfree["build"]["beta"]),
+                                             twistfree["build"]["beta"],
+                                             points=TWISTFREE_POINT,
+                                             tol=TOLERANCES["build"]),
                       "twistfree"),
         "dw_twist": (P, dw_quadrature_build(P, dw["gamma"], dw["c"], dw["H"],
-                                            dw["G"]),
+                                            dw["G"], points=DW_POINT,
+                                            tol=TOLERANCES["build"]),
                      "dw_twist"),
         # a pair that is not integrable over a curved surface
         "curved": (CURVED, ProjectivePair(("t", "z"),
@@ -311,7 +317,7 @@ SURFACE_PAIRS = _surface_pairs()
 def _pair_points(name, count=24):
     _, pair, scene = SURFACE_PAIRS[name]
     return halton_points(pair.coords, _scene(scene)["sampling"]["box"],
-                         count, seed=3)
+                         count, seed=3, exclusions=())
 
 
 def _max_of_singles(fn, points):
@@ -449,8 +455,10 @@ def test_non_projective_field_residual_is_order_one():
 def test_divisor_two_report_matches_single_points(name):
     P, (c1, c2), scene = DIVISORS[name]
     points = _surface_points(scene)
-    batched = divisor_two_report(P, c1, c2, points)
-    singles = [divisor_two_report(P, c1, c2, p) for p in point_slices(points)]
+    tol = TOLERANCES["divisor2"]
+    batched = divisor_two_report(P, c1, c2, points, tol)
+    singles = [divisor_two_report(P, c1, c2, p, tol)
+               for p in point_slices(points)]
     _assert_same(batched["dc_residual"],
                  np.concatenate([s["dc_residual"] for s in singles]))
     for key in ("sym_r", "skew_r", "f_sum", "f_diff"):
@@ -499,8 +507,10 @@ def test_projective_pair_residual_matches_single_points(name):
 def test_gauge_reduction_report_matches_single_points(name):
     _, pair, _ = SURFACE_PAIRS[name]
     points = _pair_points(name)
-    flags, values = gauge_reduction_report(pair, points)
-    singles = [gauge_reduction_report(pair, p) for p in point_slices(points)]
+    tol = TOLERANCES["gauge"]
+    flags, values = gauge_reduction_report(pair, points, tol)
+    singles = [gauge_reduction_report(pair, p, tol)
+               for p in point_slices(points)]
     for key, value in values.items():
         assert value == max(s[1][key] for s in singles), key
     for key, flag in flags.items():
@@ -626,7 +636,7 @@ DISTRIBUTIONS = _distributions()
 @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
 def test_frobenius_residual_matches_the_per_point_loop(name):
     fields, coords, box = DISTRIBUTIONS[name]
-    points = halton_points(coords, box, 48, seed=3)
+    points = halton_points(coords, box, 48, seed=3, exclusions=())
     res = frobenius_residual(fields, coords, points)
     assert max_abs(res) == _frobenius_reference(fields, coords, points)
     _assert_same(res, _joined(
@@ -735,8 +745,8 @@ def test_pair_residuals_take_plain_numbers(name):
         assert (_bits(projective_pair_residual(P, pair, scalar))
                 == _bits(projective_pair_residual(P, pair, one)))
         (flags, values), (want_flags, want) = (
-            gauge_reduction_report(pair, scalar),
-            gauge_reduction_report(pair, one))
+            gauge_reduction_report(pair, scalar, TOLERANCES["gauge"]),
+            gauge_reduction_report(pair, one, TOLERANCES["gauge"]))
         assert flags == want_flags
         assert {k: _bits(v) for k, v in values.items()} == {
             k: _bits(v) for k, v in want.items()}
@@ -745,7 +755,7 @@ def test_pair_residuals_take_plain_numbers(name):
 @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
 def test_frobenius_residual_takes_plain_numbers(name):
     fields, coords, box = DISTRIBUTIONS[name]
-    points = halton_points(coords, box, 4, seed=3)
+    points = halton_points(coords, box, 4, seed=3, exclusions=())
     for n in range(4):
         scalar, one = _scalar_and_slice(points, n)
         assert (_bits(frobenius_residual(fields, coords, scalar))

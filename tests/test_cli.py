@@ -389,8 +389,9 @@ class TestTypedExits:
         code, report = run(capsys, "congruence", str(path))
         assert code == 0
         assert report["samples"] == 32
+        guard = (parse("log(x)", ("x", "y")), 0.1)
         points = halton_points(("x", "y"), scene["sampling"]["box"], 32,
-                               exclusions=[(parse("log(x)", ("x", "y")), 0.1)])
+                               seed=0, exclusions=[guard])
         assert len(points["x"]) == 32
         assert all(x > 0 and abs(math.log(x)) > 0.1 for x in points["x"])
 
@@ -608,6 +609,20 @@ def test_an_explicit_metric_needs_four_coordinates(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == ("scene error: a 4-metric needs 4 coordinates, not "
                    "['x', 'y', 'w1']\n")
+
+
+@pytest.mark.parametrize("command", ["curvature", "killing"])
+def test_an_explicit_metric_takes_no_factor(capsys, tmp_path, command):
+    # the factor scales a pair's metric; beside an explicit metric it was
+    # dropped unread, so that curvature read ricci 0 for a factor
+    # exp(5xy) of the flat metric and exited 0
+    def edit(scene):
+        _metric(scene, "0")
+        scene["factor"] = "exp(5*x*y)"
+    code, out, err = _run_edited(capsys, tmp_path, command, "flat", edit)
+    assert code == 2 and out == ""
+    assert err == ("scene error: factor scales a pair's metric; an explicit "
+                   "metric takes none\n")
 
 
 def _put(*keys):
@@ -1198,9 +1213,9 @@ def test_a_misspelled_expected_flag_is_a_scene_error(capsys, tmp_path):
 def test_the_scene_schema_names_every_gauge_flag():
     scene = cli.load_scene(SCENES / "flat.json")
     pair = cli._pair(scene)
-    points = halton_points(("x", "y") + pair.fiber,
-                           scene["sampling"]["box"], 4)
-    flags, _ = pairs.gauge_reduction_report(pair, points)
+    points = halton_points(("x", "y") + pair.fiber, scene["sampling"]["box"],
+                           4, seed=0, exclusions=())
+    flags, _ = pairs.gauge_reduction_report(pair, points, TOLERANCES["gauge"])
     expected = cli._schema("scene.schema.json")["properties"]["expected_flags"]
     assert set(expected["properties"]) == set(flags)
 

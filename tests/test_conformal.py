@@ -16,8 +16,9 @@ from sdconformal.conformal import (MetricBuilder, curvature_report,
                                    frobenius_residual, build_null_kahler,
                                    hodge_star_operator, jet_gauss_solve,
                                    jet_matrix_inverse, lstsq)
-from oracles import (builder_frame, certify_selfdual, christoffel_sum16,
-                     dense_hodge_star, four_product_metric, frame_values,
+from oracles import (DW_POINT, builder_frame, certify_selfdual,
+                     christoffel_sum16, dense_hodge_star, four_product_metric,
+                     frame_values,
                      full_solve_metric, null_kahler_check, point_rows,
                      reference_gauss_solve, sample_set, trivial_pair,
                      unstack)
@@ -131,7 +132,7 @@ class TestGaussSolveMatchesReference:
 
 class TestFlatMetric:
     def test_trivial_pair_gives_flat_split_metric(self):
-        builder = MetricBuilder(pair=trivial_pair())
+        builder = MetricBuilder(pair=trivial_pair(), factor=None)
         for pt in point_rows(_points4(("x", "y", "w1", "w2"), 4)):
             g, orientation = builder.jets(pt)
             rep = curvature_report(g, orientation)
@@ -209,12 +210,14 @@ class TestOrientation:
         nk = build_null_kahler("0.3*x", "0.2*y", "1")
         pt = {"x": 1.0, "y": 1.1, "t": 0.9, "z": 1.2}
         assert nk["metric"].jets(pt, order=0)[1] == -1.0
-        dw = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z")
-        assert MetricBuilder(pair=dw).jets(pt, order=0)[1] == 1.0
+        dw = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
+                                 points=DW_POINT, tol=cli.TOLERANCES["build"])
+        assert MetricBuilder(pair=dw, factor=None).jets(pt, order=0)[1] == 1.0
 
     def test_frame_values_shape(self):
-        dw = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z")
-        M = frame_values(MetricBuilder(pair=dw),
+        dw = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
+                                 points=DW_POINT, tol=cli.TOLERANCES["build"])
+        M = frame_values(MetricBuilder(pair=dw, factor=None),
                          {"x": 1.0, "y": 1.3, "t": 0.2, "z": 0.7})
         assert M.shape == (4, 4)
         assert abs(np.linalg.det(M)) > 1e-6
@@ -223,8 +226,9 @@ class TestOrientation:
 class TestKillingField:
     def test_vertical_translation_is_null_killing(self):
         P = ProjectiveSurface.from_spray("0", "0", "0", "0.5")
-        pair = dw_quadrature_build(P, "0", 0.7, "1", "z")
-        builder = MetricBuilder(pair=pair)
+        pair = dw_quadrature_build(P, "0", 0.7, "1", "z", points=DW_POINT,
+                                   tol=cli.TOLERANCES["build"])
+        builder = MetricBuilder(pair=pair, factor=None)
         pts = _points4(n=5)
         g, _ = builder.jets(pts, order=1)
         rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
@@ -235,8 +239,9 @@ class TestKillingField:
     def test_twist_tracks_the_twisting_parameter(self):
         P = ProjectiveSurface.from_spray("0", "0", "0", "0.5")
         pts = _points4(n=5)
-        twisted = dw_quadrature_build(P, "0", 0.7, "1", "z")
-        g, _ = MetricBuilder(pair=twisted).jets(pts, order=1)
+        twisted = dw_quadrature_build(P, "0", 0.7, "1", "z", points=DW_POINT,
+                                      tol=cli.TOLERANCES["build"])
+        g, _ = MetricBuilder(pair=twisted, factor=None).jets(pts, order=1)
         rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
         assert max_abs(rep["twist"]) > 1e-3
         # the density is point-to-point proportional to a constant here
@@ -244,9 +249,10 @@ class TestKillingField:
         assert np.abs(ratios - ratios[0]).max() < 1e-8
 
     def test_twist_vanishes_without_twisting(self):
-        straight = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z")
+        straight = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z", DW_POINT,
+                                       cli.TOLERANCES["build"])
         pts = _points4(n=5)
-        g, _ = MetricBuilder(pair=straight).jets(pts, order=1)
+        g, _ = MetricBuilder(pair=straight, factor=None).jets(pts, order=1)
         rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
         assert max_abs(rep["twist"]) < 1e-12
 
@@ -255,7 +261,8 @@ class TestFrobenius:
     COORDS = ("x", "y", "t", "z")
 
     def test_null_planes_of_a_certified_pair_are_integrable(self):
-        pair = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z")
+        pair = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z", DW_POINT,
+                                   cli.TOLERANCES["build"])
         pts = _points4(n=4)
         # the two lam = 0 Lax fields in coordinates (x, y, t, z)
         phi0 = ["0", "0"] + [str(c) for c in pair.phi[0]]
@@ -350,7 +357,8 @@ def _scene_metric(name):
     else:
         builder = cli._pair_metric(scene, cli._pair(scene))
     box = scene["sampling"]["box"]
-    return builder, halton_points(builder.coords, box, 32)
+    return builder, halton_points(builder.coords, box, 32, seed=0,
+                                   exclusions=())
 
 
 def _same_bits(a, b):

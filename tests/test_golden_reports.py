@@ -86,7 +86,11 @@ def _without_wall_time(report):
 
 
 def _normalise(text, work):
-    return text.replace(str(work), "<work>").replace(str(ROOT), "<tree>")
+    # the longer path first, as either may hold the other
+    for path, name in sorted([(str(work), "<work>"), (str(ROOT), "<tree>")],
+                             key=lambda pair: len(pair[0]), reverse=True):
+        text = text.replace(path, name)
+    return text
 
 
 def normalise_stderr(text, work):

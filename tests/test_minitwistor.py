@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sdconformal import expr
+from sdconformal.cli import TOLERANCES
 from sdconformal.expr import parse
 from sdconformal.jets import Jet, JetSpace, max_abs
 from sdconformal.projective import ProjectiveSurface
@@ -98,7 +99,8 @@ class TestDivisorTwo:
     def test_two_affine_pencils_are_fully_flat(self):
         cong1 = congruence_from_slope("y/x")
         cong2 = congruence_from_slope("y/(x - 3)")
-        rep = divisor_two_report(FLAT, cong1, cong2, PTS)
+        rep = divisor_two_report(FLAT, cong1, cong2, PTS,
+                                 TOLERANCES["divisor2"])
         assert max_abs(rep["dc_residual"]) < 1e-10
         assert rep["sym_r"] < 1e-10 and rep["skew_r"] < 1e-10
         assert rep["f_sum"] < 1e-10 and rep["f_diff"] < 1e-10
@@ -107,7 +109,8 @@ class TestDivisorTwo:
 
     def test_quadratic_roots_split_the_dichotomy(self):
         cong1, cong2 = _quadratic_root_congruences()
-        rep = divisor_two_report(FLAT, cong1, cong2, ROOT_PTS)
+        rep = divisor_two_report(FLAT, cong1, cong2, ROOT_PTS,
+                                 TOLERANCES["divisor2"])
         assert max_abs(rep["dc_residual"]) < 1e-10
         # F1 + F2 = 0 exactly (the connection sum is d(y/x)-exact in y),
         # F1 - F2 is genuinely nonzero: symmetric-but-not-skew case
@@ -119,7 +122,8 @@ class TestDivisorTwo:
     def test_verdicts_survive_a_projective_change(self):
         Q = projective_change(FLAT, "0.1*y", "0.2*x")
         cong1, cong2 = _quadratic_root_congruences()
-        rep = divisor_two_report(Q, cong1, cong2, ROOT_PTS)
+        rep = divisor_two_report(Q, cong1, cong2, ROOT_PTS,
+                                 TOLERANCES["divisor2"])
         assert max_abs(rep["dc_residual"]) < 1e-9
         assert rep["r_symmetric"] and not rep["r_skew"]
         assert rep["sum_flat"] and not rep["diff_flat"]
@@ -153,8 +157,9 @@ class TestWardTransport:
             assert len(path) == states
             assert path[-1, 0] == pytest.approx(0.555, abs=1e-15)
             assert path[-1, 3] == pytest.approx(math.exp(-0.555), abs=1e-9)
-        assert len(FLAT.integrate_geodesic((0.0, 0.0, 0.5), 0.004, 0.01)) == 2
-        assert len(FLAT.integrate_geodesic((0.0, 0.0, 0.5), -0.5, 0.01)) == 1
+        for length, states in ((0.004, 2), (-0.5, 1)):
+            assert len(FLAT.integrate_geodesic((0.0, 0.0, 0.5), length, 0.01,
+                                               rho=("0", "0"))) == states
 
     def test_step_halving_converges(self):
         rho = ("y", "x")
@@ -261,7 +266,8 @@ class TestOneIntegrator:
     @pytest.mark.parametrize("start,length", CASES)
     @pytest.mark.parametrize("step", [0.01, 0.005])
     def test_geodesic_matches_the_replaced_loop(self, start, length, step):
-        path = CURVED.integrate_geodesic(start, length, step)
+        path = CURVED.integrate_geodesic(start, length, step, ("0", "0"))
+        path = path[:, :3]
         assert np.array_equal(
             path, _reference_geodesic(CURVED, start, length, step))
         lam = np.abs(path[:, 2])
@@ -284,7 +290,8 @@ class TestOneIntegrator:
     @pytest.mark.parametrize("step", [0.01, 0.005])
     def test_wild_spray_matches_the_replaced_loops(self, rho, start, length,
                                                    step):
-        path = WILD.integrate_geodesic(start, length, step)
+        path = WILD.integrate_geodesic(start, length, step, ("0", "0"))
+        path = path[:, :3]
         assert np.array_equal(path,
                               _reference_geodesic(WILD, start, length, step))
         lam = np.abs(path[:, 2])
@@ -300,8 +307,8 @@ class TestOneIntegrator:
     def test_transport_leaves_the_geodesic_unchanged(self, start, length):
         path = CURVED.integrate_geodesic(start, length, 0.01, rho=CURVED_RHO)
         assert path.shape[1] == 4 and path[0, 3] == 1.0
-        assert np.array_equal(path[:, :3],
-                              CURVED.integrate_geodesic(start, length, 0.01))
+        assert np.array_equal(path[:, :3], CURVED.integrate_geodesic(
+            start, length, 0.01, rho=("0", "0"))[:, :3])
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="step must be positive"):
@@ -339,9 +346,9 @@ class TestOneIntegrator:
 
         monkeypatch.setattr(expr, "compile", counting)
         start, length = self.CASES[1]
-        CURVED.integrate_geodesic(start, length, 0.01)
+        CURVED.integrate_geodesic(start, length, 0.01, rho=("0", "0"))
         ward_transport(CURVED, CURVED_RHO, start, length, 0.01)
-        assert compiled == [(4, JetSpace(XY, 0)), (6, JetSpace(XY, 0))]
+        assert compiled == [(6, JetSpace(XY, 0))] * 2
 
 
 class TestProjectiveFields:

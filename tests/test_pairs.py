@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sdconformal.cli import TOLERANCES
 from sdconformal.jets import MAX_VARS, Jet, JetSpace, max_abs
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.pairs import (ProjectivePair, BuildError, build_lax,
@@ -10,9 +11,9 @@ from sdconformal.pairs import (ProjectivePair, BuildError, build_lax,
                                projective_pair_residual,
                                twist_free_normal_form, dw_quadrature_build,
                                gauge_reduction_report)
-from oracles import (add_multiple_of_l0, area_connection_curvature,
-                     field_bracket_loop, fiber_bracket_loop, point_rows,
-                     sample_set, trivial_pair)
+from oracles import (DW_POINT, TWISTFREE_POINT, add_multiple_of_l0,
+                     area_connection_curvature, field_bracket_loop,
+                     fiber_bracket_loop, point_rows, sample_set, trivial_pair)
 
 FLAT = ProjectiveSurface({})
 
@@ -42,7 +43,8 @@ class TestTwistFree:
     def test_flat_congruence_certifies(self):
         pair = twist_free_normal_form(FLAT, "y/x",
                                       points=sample_set([(0.8, 1.3),
-                                                         (1.2, 2.9)]))
+                                                         (1.2, 2.9)]),
+                                      tol=TOLERANCES["build"])
         lax = build_lax(FLAT, pair)
         out = lax_residual(lax, _grid({"z": 0.7}))
         assert max_abs(out["residual"]) < 1e-13
@@ -61,7 +63,8 @@ class TestTwistFree:
     def test_multiplier_is_minus_third_spray_derivative(self, spray, want_b):
         P = ProjectiveSurface.from_spray(*spray)
         # beta = 0 solves the congruence equation whenever a0 = 0
-        pair = twist_free_normal_form(P, "0", points=sample_set([(0.8, 1.3)]))
+        pair = twist_free_normal_form(P, "0", points=sample_set([(0.8, 1.3)]),
+                                      tol=TOLERANCES["build"])
         pts = _grid({"z": 0.7})
         # lam = 0 sits on the congruence (L0 degenerates there); sample off it
         out = lax_residual(build_lax(P, pair), pts,
@@ -74,7 +77,8 @@ class TestTwistFree:
 
     def test_rejects_non_congruence(self):
         with pytest.raises(BuildError):
-            twist_free_normal_form(FLAT, "y", points=sample_set([(0.3, 0.8)]))
+            twist_free_normal_form(FLAT, "y", points=sample_set([(0.3, 0.8)]),
+                                   tol=TOLERANCES["build"])
 
 
 class TestQuadratureBuild:
@@ -90,19 +94,20 @@ class TestQuadratureBuild:
 
     def test_twist_free_two_fiber(self):
         pair = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
-                                   points=self.PTS)
+                                   points=self.PTS, tol=TOLERANCES["build"])
         self._certify(FLAT, pair)
 
     def test_nonconstant_quadrature_data(self):
         # H = x z solves both transport equations for gamma = y/x on the
         # flat surface; G = x z^2 / 2 integrates it
         pair = dw_quadrature_build(FLAT, "y/x", 0.0, "x*z", "x*z^2/2",
-                                   points=self.PTS)
+                                   points=self.PTS, tol=TOLERANCES["build"])
         self._certify(FLAT, pair)
 
     def test_twisting_pair(self):
         P = ProjectiveSurface.from_spray("0", "0", "0", "0.5")
-        pair = dw_quadrature_build(P, "0", 0.7, "1", "z", points=self.PTS)
+        pair = dw_quadrature_build(P, "0", 0.7, "1", "z", points=self.PTS,
+                                   tol=TOLERANCES["build"])
         # the twisting + cubic-spray case needs a z-dependent residual
         # trivialization that the base-valued gauge frame cannot record,
         # so only the bracket test certifies here
@@ -114,24 +119,24 @@ class TestQuadratureBuild:
 
     def test_curved_base(self):
         P = ProjectiveSurface.from_spray("0", "x", "0", "0")
-        pair = dw_quadrature_build(P, "0", 0.0, "1", "z", points=self.PTS)
+        pair = dw_quadrature_build(P, "0", 0.0, "1", "z", points=self.PTS,
+                                   tol=TOLERANCES["build"])
         self._certify(P, pair)
 
     def test_rejects_broken_quadrature(self):
-        with pytest.raises(BuildError):
-            dw_quadrature_build(FLAT, "y/x", 0.0, "1", "2*z",
-                                points=self.PTS)  # G_z != H
-        with pytest.raises(BuildError):
-            dw_quadrature_build(FLAT, "y/x", 0.0, "x", "x*z",
-                                points=self.PTS)  # transport fails
-        with pytest.raises(BuildError):
-            dw_quadrature_build(FLAT, "y", 0.0, "1", "z",
-                                points=self.PTS)  # not a congruence
+        tol = TOLERANCES["build"]
+        with pytest.raises(BuildError):   # G_z != H
+            dw_quadrature_build(FLAT, "y/x", 0.0, "1", "2*z", self.PTS, tol)
+        with pytest.raises(BuildError):   # transport fails
+            dw_quadrature_build(FLAT, "y/x", 0.0, "x", "x*z", self.PTS, tol)
+        with pytest.raises(BuildError):   # not a congruence
+            dw_quadrature_build(FLAT, "y", 0.0, "1", "z", self.PTS, tol)
 
 
 class TestGaugeFreedom:
     def test_adding_multiple_of_l0_is_invisible(self):
-        pair = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z")
+        pair = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
+                                   points=DW_POINT, tol=TOLERANCES["build"])
         lax = build_lax(FLAT, pair)
         pts = _grid({"t": 0.2, "z": 0.7})
         before = lax_residual(lax, pts)
@@ -143,7 +148,8 @@ class TestGaugeFreedom:
 
 class TestPerturbationDetection:
     def test_both_residuals_flag_a_broken_pair(self):
-        base = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z")
+        base = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
+                                   points=DW_POINT, tol=TOLERANCES["build"])
         eps = 1e-3
         from sdconformal.expr import parse
         bump = eps * parse("t", ("x", "y", "t", "z"))
@@ -164,7 +170,7 @@ class TestGaugeClassification:
     PTS2 = _grid({"w1": 0.3, "w2": -0.4})
 
     def _flags(self, pair, pts):
-        flags, _ = gauge_reduction_report(pair, pts)
+        flags, _ = gauge_reduction_report(pair, pts, TOLERANCES["gauge"])
         return flags
 
     def test_trivial_pair_is_maximally_reduced(self):
@@ -195,7 +201,8 @@ class TestGaugeClassification:
         assert flags["hdiff2"]
 
     def test_twist_free_single_fiber(self):
-        pair = twist_free_normal_form(FLAT, "y/x")
+        pair = twist_free_normal_form(FLAT, "y/x", points=TWISTFREE_POINT,
+                                      tol=TOLERANCES["build"])
         flags = self._flags(pair, _grid({"z": 0.7}))
         assert not flags["sdiff2"]          # div alpha0 = -1/x
         assert flags["hdiff2"]
@@ -205,14 +212,16 @@ class TestGaugeClassification:
 
     def test_twisting_pair_loses_translational_reduction(self):
         P = ProjectiveSurface.from_spray("0", "0", "0", "0.5")
-        pair = dw_quadrature_build(P, "0", 0.7, "1", "z")
+        pair = dw_quadrature_build(P, "0", 0.7, "1", "z", points=DW_POINT,
+                                   tol=TOLERANCES["build"])
         flags = self._flags(pair, _grid({"t": 0.2, "z": 0.7}))
         assert flags["o_times_diff1"]
         assert not flags["aff1_translational"]   # phi0 depends on z
         assert not flags["phi_sdiff"]            # div phi0 = -0.7
 
     def test_untwisted_quadrature_pair(self):
-        pair = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z")
+        pair = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
+                                   points=DW_POINT, tol=TOLERANCES["build"])
         flags = self._flags(pair, _grid({"t": 0.2, "z": 0.7}))
         assert flags["hdiff2"]
         assert flags["phi_sdiff"]

@@ -143,8 +143,8 @@ class TestCurvature:
 class TestGeodesics:
     def test_flat_geodesics_are_lines(self):
         P = ProjectiveSurface({})
-        path = P.integrate_geodesic((0.0, 0.0, 0.5), 1.0, 0.05)
-        x, y, lam = path[-1]
+        path = P.integrate_geodesic((0.0, 0.0, 0.5), 1.0, 0.05, ("0", "0"))
+        x, y, lam = path[-1, :3]
         assert (x, y, lam) == pytest.approx((1.0, 0.5, 0.5), abs=1e-13)
 
     def test_rk4_richardson_factor(self):
@@ -153,7 +153,7 @@ class TestGeodesics:
         start, L = (0.1, 0.2, 0.4), 0.8
 
         def end(h):
-            return P.integrate_geodesic(start, L, h)[-1]
+            return P.integrate_geodesic(start, L, h, ("0", "0"))[-1, :3]
 
         ref = end(0.00125)
         e1 = np.abs(end(0.02) - ref).max()
@@ -163,8 +163,8 @@ class TestGeodesics:
     def test_chart_switch_preserves_the_geodesic(self):
         # run through lam > 1 territory and back; flat lines stay lines
         P = ProjectiveSurface({})
-        path = P.integrate_geodesic((0.0, 0.0, 2.0), 0.5, 0.01)
-        x, y, lam = path[-1]
+        path = P.integrate_geodesic((0.0, 0.0, 2.0), 0.5, 0.01, ("0", "0"))
+        x, y, lam = path[-1, :3]
         assert lam == pytest.approx(2.0, abs=1e-12)
         assert y == pytest.approx(2.0 * x, abs=1e-12)
 

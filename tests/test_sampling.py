@@ -67,7 +67,7 @@ def test_guards_are_compiled_once_per_call(monkeypatch):
         return compile(exprs, space)
 
     monkeypatch.setattr(expr, "compile", counting)
-    halton_points(XY, BOX, 40, exclusions=_exclusions())
+    halton_points(XY, BOX, 40, seed=0, exclusions=_exclusions())
     halton_points(XY, BOX, 8, seed=3, exclusions=_exclusions())
     assert compiled == [len(GUARDS), len(GUARDS)]
 
@@ -78,13 +78,13 @@ def test_no_guards_seeds_nothing(monkeypatch):
 
     monkeypatch.setattr(expr, "compile", forbidden)
     monkeypatch.setattr(JetSpace, "seed", forbidden)
-    got = halton_points(XY, BOX, 16, seed=2)
+    got = halton_points(XY, BOX, 16, seed=2, exclusions=())
     assert point_rows(got) == _reference(XY, BOX, 16, 2, [])
 
 
 def test_a_guard_over_an_unsampled_variable_is_unassigned():
     with pytest.raises(UnknownIdentifierError, match=r"\['z'\]"):
-        halton_points(XY, BOX, 4,
+        halton_points(XY, BOX, 4, seed=0,
                       exclusions=[(parse("z", XY + ("z",)), 0.1)])
 
 
@@ -94,7 +94,7 @@ def test_a_negative_seed_is_a_sampling_error(seed):
     # points would all sit on the box's lower corner
     with pytest.raises(SamplingError, match=f"^the seed must be at least "
                                             f"0, not {seed}$"):
-        halton_points(XY, BOX, 3, seed=seed)
+        halton_points(XY, BOX, 3, seed=seed, exclusions=())
 
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"

@@ -6,7 +6,8 @@ be read by name somewhere in the package, or be exported through an
 `__all__` list, and every method of its classes must be read as an
 attribute, or named in a string (a jet's analytic functions are called
 through `operator.methodcaller`).  A name that only a test reads belongs
-in the tests (`tests/oracles.py` holds such helpers).
+in the tests (`tests/oracles.py` holds such helpers).  Likewise every
+parameter default must be one that some call in the package takes.
 
 A residual function returns its unreduced array, and the command line
 turns it into a report number with `jets.max_abs`.  Only `cli` and the
@@ -263,3 +264,71 @@ def test_one_helper_reads_scene_expressions_and_only_the_cli_names_slots():
     assert handlers == EXPR_ERROR_HANDLERS
     assert naming == {"cli", "expr"}   # expr: the helper's call per item
     assert unnamed == []
+
+
+# A parameter default is a second home for a value: it must be one that
+# some call in the package takes.  A default every call overrides (a
+# tolerance that `cli.TOLERANCES` already holds, a fallback sample point)
+# is a value no command reads.  Calls are matched to definitions by name,
+# a class's name to its `__init__`, and a call takes the default of each
+# parameter that it passes neither by name nor by position before its
+# first starred argument.
+
+
+def _defaulted(tree, module):
+    """(name, `module:qualname`, parameters, defaulted) for every function
+    and method with a default: the parameters as a call passes them (a
+    method's first one dropped), and the defaulted ones among them."""
+    found = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, ast.FunctionDef):
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args]
+                if in_class and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in child.decorator_list):
+                    params = params[1:]
+                defaulted = params[len(params) - len(a.defaults):] + [
+                    p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None]
+                if defaulted:
+                    name = (prefix.rstrip(".").rsplit(".", 1)[-1]
+                            if child.name == "__init__" else child.name)
+                    found.append((name, f"{module}:{prefix}{child.name}",
+                                  params + [p.arg for p in a.kwonlyargs],
+                                  defaulted))
+                visit(child, f"{prefix}{child.name}.", False)
+            else:
+                visit(child, prefix, in_class)
+    visit(tree, "", False)
+    return found
+
+
+def _omitted(call, params):
+    """The parameters a call may leave to their defaults."""
+    given = min((i for i, arg in enumerate(call.args)
+                 if isinstance(arg, ast.Starred)), default=len(call.args))
+    return set(params[given:]) - {k.arg for k in call.keywords}
+
+
+def test_every_parameter_default_is_taken_by_some_call_in_the_package():
+    trees = _trees()
+    calls = {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                f = call.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                calls.setdefault(name, []).append(call)
+    never = []
+    for path, tree in trees.items():
+        for name, where, params, defaulted in _defaulted(tree, path[:-3]):
+            taken = set().union(*(_omitted(call, params)
+                                  for call in calls.get(name, [])))
+            never += [f"{where}({p})" for p in defaulted if p not in taken]
+    assert never == []
