@@ -32,9 +32,10 @@ import itertools
 
 import numpy as np
 
-from .expr import Expression, as_expression, jets_at
+from .expr import ONE, ZERO, Expression, jets_at
 from .jets import Jet, JetDomainError, JetSpace, stack
 from .pairs import ProjectivePair, _dot, lie_bracket, lstsq
+from .projective import ProjectiveSurface
 
 _EPS4 = np.zeros((4, 4, 4, 4))
 for _perm in itertools.permutations(range(4)):
@@ -116,8 +117,7 @@ class MetricBuilder:
     def __init__(self, pair, factor):
         self.pair = pair
         self.coords = pair.coords
-        self.factor = (as_expression(factor, self.coords)
-                       if factor is not None else None)
+        self.factor = factor
 
     def jets(self, point, order=2):
         """The metric jets at `point` (a mapping of the coordinates to
@@ -279,7 +279,6 @@ def killing_report(g, fields, points):
     proportional to K, measured with the Euclidean inner product since K
     is typically null.
     """
-    coords = g.space.vars
     gv = np.ascontiguousarray(g.value)
     giv = np.linalg.inv(gv)
     dg = np.ascontiguousarray(g.gradient())
@@ -287,7 +286,6 @@ def killing_report(g, fields, points):
     gamv = np.ascontiguousarray(gam.value)
     reports = {}
     for name, K in fields.items():
-        K = [as_expression(c, coords) for c in K]
         Kj = jets_at(K, g.space, points)
         Kv = np.ascontiguousarray(Kj.value)
         dK = np.ascontiguousarray(Kj.gradient())  # dK[..., a, b] = d_b K^a
@@ -328,8 +326,6 @@ def killing_report(g, fields, points):
 def frobenius_residual(fields, coords, points):
     """The component of [V_i, V_j] outside span{fields} (least squares),
     point axes first, then the pairs i < j, then the component."""
-    coords = tuple(coords)
-    fields = [[as_expression(c, coords) for c in f] for f in fields]
     F = jets_at(fields, JetSpace(coords, 1), points)
     vals = np.ascontiguousarray(F.value)   # vals[p, field, component]
     if np.any(np.linalg.matrix_rank(vals) < len(fields)):
@@ -352,24 +348,18 @@ def build_null_kahler(a, c, f):
 
     Returns the surface, the pair, the metric builder and a checker of the
     structure identities of J = dz (x) dt + dx (x) dy and w = f dx ^ dz."""
-    from .projective import ProjectiveSurface
-
-    a = as_expression(a, ("x", "y"))
-    c = as_expression(c, ("x", "y"))
-    coords = ("x", "y", "t", "z")
-    f = as_expression(f, coords)
     P = ProjectiveSurface({(1, 0, 0): a})
     z = Expression.var("z")
     pair = ProjectivePair(("t", "z"),
-                          alpha0=[a * z, 0.0], alpha1=[c, 0.0],
-                          phi0=[0.0, 1.0], phi1=[1.0, 0.0])
+                          alpha0=[a * z, ZERO], alpha1=[c, ZERO],
+                          phi0=[ZERO, ONE], phi1=[ONE, ZERO])
     builder = MetricBuilder(pair=pair, factor=f)
 
     def check(points, g, star):
         """The defect arrays of the structure identities at the points,
         given the metric jets (order 1 or more) and the Hodge star that
         `curvature_report` forms from them."""
-        cf = jets_at([c, f], JetSpace(coords, 1), points)
+        cf = jets_at([c, f], JetSpace(pair.coords, 1), points)
         batch = cf.value.shape[:-1]
         # J sends d_z to d_t and d_x to d_y + c d_t; the c-term is what
         # makes g(J., .) skew when c is nonzero (it drops out for c = 0).

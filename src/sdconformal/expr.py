@@ -195,6 +195,10 @@ class Pow(Expression):
         _set(self, "exponent", exponent)
 
 
+# The constants the library's own fields and builders hold.
+ZERO, ONE = Const(0.0), Const(1.0)
+
+
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
@@ -362,17 +366,15 @@ def parse(source: str, allowed_vars) -> Expression:
     return _Parser(source, allowed_vars).parse()
 
 
-def as_expression(value, allowed, what=None):
-    """An Expression as it is, text parsed over the `allowed` variables or
-    a finite number as a constant, or a list or tuple of them as a list.
-    Given `what`, a scene slot's name, an ExprError names it (and the
-    component) and keeps its type."""
-    if isinstance(value, (list, tuple)):
-        return [as_expression(v, allowed, what and f"{what} component {k}")
+def as_expression(value, allowed, what):
+    """A scene slot's JSON value as Expressions: text parsed over the
+    `allowed` variables, a finite number as a constant, or a list of them
+    as a list.  An ExprError names the slot `what` (and the component)
+    and keeps its type."""
+    if isinstance(value, list):
+        return [as_expression(v, allowed, f"{what} component {k}")
                 for k, v in enumerate(value)]
     try:
-        if isinstance(value, Expression):
-            return value
         if isinstance(value, str):
             return parse(value, allowed)
         value = float(value)
@@ -380,8 +382,7 @@ def as_expression(value, allowed, what=None):
             raise ExprError(f"the number {value} is not finite")
         return Expression.const(value)
     except ExprError as exc:
-        if what is not None:
-            exc.args = (f"{what}: {exc}",)
+        exc.args = (f"{what}: {exc}",)
         raise
 
 

@@ -21,7 +21,7 @@ index axes last.
 
 import numpy as np
 
-from .expr import Expression, as_expression, jets_at
+from .expr import ONE, ZERO, Expression, jets_at
 from .jets import JetSpace, max_abs, stack
 from .projective import COORDS
 from .conformal import jet_gauss_solve
@@ -35,9 +35,8 @@ class WeightedCongruence:
     the certified equation is sym(D phi + rho phi) = 0 after lowering an
     index with the area form."""
 
-    def __init__(self, phi, rho=("0", "0")):
-        self.phi = tuple(as_expression(c, COORDS) for c in phi)
-        self.rho = tuple(as_expression(c, COORDS) for c in rho)
+    def __init__(self, phi, rho=(ZERO, ZERO)):
+        self.phi, self.rho = tuple(phi), tuple(rho)
 
 
 def _shifted_ricci(P, g, gam):
@@ -163,7 +162,7 @@ def ward_transport(P, rho, start, length, step):
     return {"transport": last[3], "end": last[:3]}
 
 
-def projective_field_residual(P, V, points, lambdas=DEFAULT_LAMBDAS):
+def projective_field_residual(P, V, points):
     """How far the flow of the vector field V is from permuting geodesics.
 
     V = (V^0, V^1) lifts to the projectivized tangent bundle with
@@ -171,21 +170,21 @@ def projective_field_residual(P, V, points, lambdas=DEFAULT_LAMBDAS):
     preserves the geodesic foliation iff its bracket with the spray is
     proportional to the spray; the residual is the least-squares
     component of the bracket orthogonal to the spray: an array with the
-    point axes first, then the slope lam and the component.
+    point axes first, then the slope lam (`pairs.DEFAULT_LAMBDAS`) and
+    the component.
     """
-    V = tuple(as_expression(c, COORDS) for c in V)
     vars3 = COORDS + ("lambda",)
     lam = Expression.var("lambda")
     lamdot = (V[1].diff("x") + lam * (V[1].diff("y") - V[0].diff("x"))
               - lam * lam * V[0].diff("y"))
     lift = [V[0], V[1], lamdot]
-    spray = [Expression.const(1.0), lam, P.spray_cubic()]
+    spray = [ONE, lam, P.spray_cubic()]
     # axes (point, lam), as in pairs.lax_residual; then lift or spray and
     # the component
     jets = jets_at([lift, spray], JetSpace(vars3, 1), {
         "x": np.asarray(points["x"])[..., None],
         "y": np.asarray(points["y"])[..., None],
-        "lambda": np.asarray(lambdas, dtype=float)})
+        "lambda": np.asarray(DEFAULT_LAMBDAS, dtype=float)})
     lj, sj = jets[..., 0, :], jets[..., 1, :]
     bracket = ordered_bracket(lj, sj)
     sval = sj.value

@@ -23,10 +23,10 @@ import math
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .expr import Expression, as_expression, jets_at
+from .expr import ONE, ZERO, Expression, jets_at
 from .jets import JetSpace, max_abs
+from .projective import COORDS
 
-BASE = ("x", "y")
 DEFAULT_LAMBDAS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 
 
@@ -43,24 +43,23 @@ class BuildError(ValueError):
 class ProjectivePair:
     """Gauge data (alpha0, alpha1, phi0, phi1, c0, c1) over (x, y)."""
 
-    def __init__(self, fiber, alpha0, alpha1, phi0, phi1, c0=0.0, c1=0.0):
+    def __init__(self, fiber, alpha0, alpha1, phi0, phi1, c0=ZERO, c1=ZERO):
         self.fiber = tuple(fiber)
-        allowed = BASE + self.fiber
-        if len(set(allowed + ("lambda",))) != len(allowed) + 1:
+        if len(set(self.coords + ("lambda",))) != len(self.coords) + 1:
             raise ValueError(f"fiber {list(fiber)} repeats a name or uses "
                              "x, y or lambda")
         def vert(v):
-            comps = tuple(as_expression(v, allowed))
+            comps = tuple(v)
             if len(comps) != len(self.fiber):
                 raise ValueError("component count does not match fiber dimension")
             return comps
         self.alpha = (vert(alpha0), vert(alpha1))
         self.phi = (vert(phi0), vert(phi1))
-        self.c_gauge = (as_expression(c0, BASE), as_expression(c1, BASE))
+        self.c_gauge = (c0, c1)
 
     @property
     def coords(self):
-        return BASE + self.fiber
+        return COORDS + self.fiber
 
 
 class LaxPair:
@@ -68,8 +67,8 @@ class LaxPair:
 
     def __init__(self, coords, L0, L1):
         self.coords = tuple(coords)  # includes "lambda" last
-        self.L0 = {c: L0.get(c, Expression.const(0.0)) for c in self.coords}
-        self.L1 = {c: L1.get(c, Expression.const(0.0)) for c in self.coords}
+        self.L0 = {c: L0.get(c, ZERO) for c in self.coords}
+        self.L1 = {c: L1.get(c, ZERO) for c in self.coords}
 
     def bracket_at(self, point):
         """Values of [L0, L1] and of L0 at a point dict over the
@@ -139,7 +138,7 @@ def build_lax(P, pair: ProjectivePair) -> LaxPair:
     lam = Expression.var("lambda")
     coords = pair.coords + ("lambda",)
     L0 = {}
-    L1 = {"x": Expression.const(1.0), "y": lam, "lambda": P.spray_cubic()}
+    L1 = {"x": ONE, "y": lam, "lambda": P.spray_cubic()}
     for i, w in enumerate(pair.fiber):
         L0[w] = pair.phi[0][i] + lam * pair.phi[1][i]
         L1[w] = pair.alpha[0][i] + lam * pair.alpha[1][i]
@@ -201,7 +200,7 @@ def projective_pair_residual(P, pair: ProjectivePair, points):
     # gv[..., A, B, C, :] and cv[..., k, :]: a column of per-point values,
     # broadcast over the components i below
     gv = P.christoffel_jets(points, 0).value[..., None]
-    cv = jets_at(pair.c_gauge, JetSpace(BASE, 0), points).value[..., None]
+    cv = jets_at(pair.c_gauge, JetSpace(COORDS, 0), points).value[..., None]
     # order-1 jets of alpha0, alpha1, phi0, phi1, component i last; the
     # gradients run over x, y and then the fiber coordinates
     F = jets_at(pair.alpha + pair.phi, JetSpace(pair.coords, 1), points)
@@ -238,7 +237,6 @@ def twist_free_normal_form(P, beta, points, tol):
 
     The congruence equation must hold to `tol` at the sample set `points`.
     """
-    beta = as_expression(beta, BASE)
     res = max_abs(P.congruence_residual(beta, points))
     if not res <= tol:
         raise BuildError(f"congruence residual {res:.3e} exceeds {tol:.1e}")
@@ -250,7 +248,7 @@ def twist_free_normal_form(P, beta, points, tol):
     # Q(lam) = Q0 + lam Q1 splits into the two gauge-field slots
     q0 = (-by + (2.0 / 3.0) * da - (1.0 / 6.0) * beta * dda) * z
     q1 = ((1.0 / 6.0) * dda) * z
-    return ProjectivePair(("z",), [q0], [q1], [-beta], [1.0])
+    return ProjectivePair(("z",), [q0], [q1], [-beta], [ONE])
 
 
 def dw_quadrature_build(P, gamma, c_twist, H, G, points, tol):
@@ -283,12 +281,8 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points, tol):
     falls outside the (x, y)-valued gauge frame; such pairs still certify
     under the bracket test.
     """
-    allowed = BASE + ("t", "z")
-    gamma = as_expression(gamma, BASE)
-    H = as_expression(H, allowed)
-    G = as_expression(G, allowed)
     z = Expression.var("z")
-    beta = gamma + as_expression(c_twist, ()) * z
+    beta = gamma + c_twist * z
     a0, a1, a2, a3 = P.spray_coeffs()
     E = (a1 + gamma * a2 + gamma**2 * a3 - gamma.diff("y")) * z
     F = a3 * z * beta + (a2 + gamma * a3) * z
@@ -303,13 +297,12 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points, tol):
     if not tr_res <= tol:
         raise BuildError(f"H transport residual {tr_res:.3e} exceeds {tol:.1e}")
 
-    zero = Expression.const(0.0)
     return ProjectivePair(
         ("t", "z"),
-        alpha0=[zero, E],
+        alpha0=[ZERO, E],
         alpha1=[D, F],
         phi0=[H, -beta],
-        phi1=[zero, Expression.const(1.0)],
+        phi1=[ZERO, ONE],
         c0=(1.0 / 3.0) * a1,
         c1=(2.0 / 3.0) * a2 + a3 * gamma,
     )
@@ -318,7 +311,7 @@ def dw_quadrature_build(P, gamma, c_twist, H, G, points, tol):
 def _quadrature_residuals(H, G, E, F, points):
     """Max over the sample set `points` (over x, y, t, z) of |G_z - H|, and of
     the transport residuals |H_x + E H_z| and |H_y + F H_z|."""
-    jets = jets_at([H, G, E, F], JetSpace(BASE + ("t", "z"), 1), points)
+    jets = jets_at([H, G, E, F], JetSpace(COORDS + ("t", "z"), 1), points)
     hv, _, ev, fv = np.moveaxis(jets.value, -1, 0)
     hx, hy, _, hz = np.moveaxis(jets.gradient()[..., 0, :], -1, 0)
     return (max_abs(jets.gradient()[..., 1, 3] - hv),
@@ -350,7 +343,7 @@ def gauge_reduction_report(pair: ProjectivePair, points, tol):
     dz = fields.derivative(pair.fiber[-1])
     values = {
         "div_max": max_abs(div.value),
-        "div_fiber_dependence": max_abs(div.gradient()[..., len(BASE):]),
+        "div_fiber_dependence": max_abs(div.gradient()[..., len(COORDS):]),
         "phi_div_max": max_abs(div.value[..., 2:]),
         "t_dependence": (max_abs(fields.derivative(pair.fiber[0]).value)
                          if len(pair.fiber) == 2 else 0.0),

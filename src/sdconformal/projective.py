@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .expr import Expression, as_expression, jets_at, values_at
+from .expr import ZERO, Expression, jets_at, values_at
 from .jets import JetSpace, pointwise, stack
 
 COORDS = ("x", "y")
@@ -41,17 +41,14 @@ class ProjectiveSurface:
     """A surface with a representative connection, given by Christoffels."""
 
     def __init__(self, gamma):
-        """`gamma` maps (A, B, C) -> Expression/str/number for B <= C;
-        missing entries default to zero."""
-        self.gamma = {}
-        for key in _SYM_KEYS:
-            self.gamma[key] = as_expression(gamma.get(key, 0.0), COORDS)
+        """`gamma` maps (A, B, C) -> Expression for B <= C; missing
+        entries are zero."""
+        self.gamma = {key: gamma.get(key, ZERO) for key in _SYM_KEYS}
 
     @classmethod
     def from_spray(cls, a0, a1, a2, a3):
         """The representative with G^1_00 = a0, G^0_00 = -a1, G^1_11 = a2,
         G^0_11 = -a3 and vanishing mixed symbols."""
-        a0, a1, a2, a3 = (as_expression(a, COORDS) for a in (a0, a1, a2, a3))
         return cls({
             (1, 0, 0): a0,
             (0, 0, 0): -a1,
@@ -150,8 +147,7 @@ class ProjectiveSurface:
         """
         if step <= 0:
             raise ValueError("step must be positive")
-        coeffs = values_at(self.spray_coeffs() + tuple(
-            as_expression(c, COORDS) for c in rho), COORDS)
+        coeffs = values_at(self.spray_coeffs() + tuple(rho), COORDS)
 
         def rhs1(state):
             lam = state[2]
@@ -184,8 +180,8 @@ class ProjectiveSurface:
 
     def congruence_residual(self, beta, points):
         """beta_x + beta beta_y - a(beta) at each point of the sample set
-        `points` (only x and y are read) for a slope section beta(x, y).
-        `beta` may be an Expression or source text."""
+        `points` (only x and y are read) for a slope section beta(x, y),
+        an Expression."""
         bv, a, bx, by = self._slope_jets(beta, points)
         return bx + bv * by - (a[0] + a[1]*bv + a[2]*_pow(bv, 2)
                                + a[3]*_pow(bv, 3))
@@ -202,7 +198,7 @@ class ProjectiveSurface:
         """The value of the slope section `beta` at `point`, the list of
         spray coefficients a0..a3 there and the two first derivatives of
         `beta`, each an array over the point axes."""
-        jets = jets_at([as_expression(beta, COORDS), *self.spray_coeffs()],
+        jets = jets_at([beta, *self.spray_coeffs()],
                        JetSpace(COORDS, 1), point)
         bv, *a = np.moveaxis(jets.value, -1, 0)
         bx, by = np.moveaxis(jets.gradient()[..., 0, :], -1, 0)

@@ -14,9 +14,9 @@ import numpy as np
 from sdconformal import expr as expr_module
 from sdconformal.conformal import (_EPS4, MetricBuilder, curvature_report,
                                    jet_gauss_solve, jet_matrix_inverse)
-from sdconformal.expr import (BinOp, Call, Const, ExprDomainError, Expression,
-                              Neg, Pow, UnknownIdentifierError, Var,
-                              _print, as_expression, jets_at)
+from sdconformal.expr import (ONE, ZERO, BinOp, Call, Const, ExprDomainError,
+                              Neg, Pow, UnknownIdentifierError, Var, _print,
+                              jets_at)
 from sdconformal.jets import Jet, JetDomainError, JetSpace, max_abs, stack
 from sdconformal.minitwistor import (WeightedCongruence, _shifted_ricci,
                                      _weyl_gamma_jets)
@@ -209,10 +209,10 @@ def spray_value(P, x, y, lam):
 def projective_change(P, gamma0, gamma1):
     """Shift the representative of P by the 1-form (gamma0, gamma1):
     G^A_BC -> G^A_BC + gamma_B delta^A_C + gamma_C delta^A_B."""
-    gam = (as_expression(gamma0, COORDS), as_expression(gamma1, COORDS))
+    gam = (gamma0, gamma1)
     shifted = {}
     for (A, B, C), expr in P.gamma.items():
-        delta = Expression.const(0.0)
+        delta = ZERO
         if A == C:
             delta = delta + gam[B]
         if A == B:
@@ -326,9 +326,9 @@ def lifted_spray_velocity(P, state):
 def trivial_pair(fiber=("w1", "w2")):
     """phi = coordinate fields, alpha = 0."""
     n = len(fiber)
-    zero = [0.0] * n
-    phi0 = [1.0 if i == 0 else 0.0 for i in range(n)]
-    phi1 = [1.0 if i == min(1, n - 1) else 0.0 for i in range(n)]
+    zero = [ZERO] * n
+    phi0 = [ONE if i == 0 else ZERO for i in range(n)]
+    phi1 = [ONE if i == min(1, n - 1) else ZERO for i in range(n)]
     return ProjectivePair(fiber, zero, zero, phi0, phi1)
 
 
@@ -387,7 +387,6 @@ def field_bracket_loop(lj, sj):
 
 def add_multiple_of_l0(lax, q):
     """The residual trivialization freedom L1 -> L1 + q(x, y) L0."""
-    q = as_expression(q, lax.coords)
     L1 = {c: lax.L1[c] + q * lax.L0[c] for c in lax.coords}
     return LaxPair(lax.coords, dict(lax.L0), L1)
 
@@ -427,10 +426,8 @@ def frame_from_pair(pair):
     order (x, y, w1, w2): [phi0, phi1, dx + alpha0, dy + alpha1].
     `MetricBuilder` reads only the phi and alpha entries; this is the
     whole frame M = [[0, Phi], [I, A]], kept to check it against."""
-    zero = Expression.const(0.0)
-    one = Expression.const(1.0)
-    return [[zero, zero, *pair.phi[0]], [zero, zero, *pair.phi[1]],
-            [one, zero, *pair.alpha[0]], [zero, one, *pair.alpha[1]]]
+    return [[ZERO, ZERO, *pair.phi[0]], [ZERO, ZERO, *pair.phi[1]],
+            [ONE, ZERO, *pair.alpha[0]], [ZERO, ONE, *pair.alpha[1]]]
 
 
 def builder_frame(builder):
@@ -537,9 +534,7 @@ def dense_hodge_star(gv, giv, orientation=1.0):
 def congruence_from_slope(beta):
     """The congruence of slope-beta geodesics, phi = (1, beta), with
     the canonical connection rho = (d beta/dy, 0) of the flat chart."""
-    beta = as_expression(beta, COORDS)
-    return WeightedCongruence((Expression.const(1.0), beta),
-                              (beta.diff("y"), Expression.const(0.0)))
+    return WeightedCongruence((ONE, beta), (beta.diff("y"), ZERO))
 
 
 def derivative_matrix_jets(P, phi, rho, point, order):
@@ -574,8 +569,6 @@ def abelian_pair_residual(P, phi, rho, points):
     """Max norm over sample points of the symmetrized coupled derivative
     of the congruence field; zero iff (phi, rho) is a genuine weighted
     congruence of the projective structure."""
-    phi = tuple(as_expression(c, COORDS) for c in phi)
-    rho = tuple(as_expression(c, COORDS) for c in rho)
     M, _ = derivative_matrix_jets(P, phi, rho, points, 0)
     # the symmetric part (S_00, S_01, S_11)
     sym = (M[0][0], (M[0][1] + M[1][0]) * 0.5, M[1][1])
@@ -596,9 +589,7 @@ def canonical_connection_from_congruence(P, phi, point):
     curvature term, so its r(phi, phi) must vanish whenever the residual
     does.
     """
-    phi = tuple(as_expression(c, COORDS) for c in phi)
-    zero = (Expression.const(0.0), Expression.const(0.0))
-    M0, low = derivative_matrix_jets(P, phi, zero, point, 1)
+    M0, low = derivative_matrix_jets(P, phi, (ZERO, ZERO), point, 1)
     p = low  # lowered components as order-1 jets
     if p[0].value == 0.0 and p[1].value == 0.0:
         raise np.linalg.LinAlgError("congruence field vanishes at the point")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdconformal.expr import parse
+from sdconformal.expr import as_expression, parse
 from sdconformal.jets import JetSpace, max_abs
 from sdconformal.projective import ProjectiveSurface, COORDS
 from sdconformal.pairs import (ProjectivePair, build_lax, lax_residual,
@@ -30,7 +30,8 @@ from sdconformal.minitwistor import WeightedCongruence, divisor_two_report
 from sdconformal.sampling import halton_points
 from sdconformal.cli import (TOLERANCES, RunContext, load_scene,
                              main as cli_main)
-from sdconformal.cli import _pair as cli_pair, _surface as cli_surface
+from sdconformal.cli import (_pair as cli_pair, _pair_metric as cli_metric,
+                             _surface as cli_surface)
 from oracles import (DW_POINT, TWISTFREE_POINT, area_connection_curvature,
                      certify_selfdual, congruence_from_slope, cotton,
                      eval_jet, extract, frame_values, null_kahler_check,
@@ -39,6 +40,12 @@ from oracles import (DW_POINT, TWISTFREE_POINT, area_connection_curvature,
 from test_cli import run
 
 FLAT = ProjectiveSurface({})
+
+
+def ex(value):
+    """Test data (text, a number or a list of them) as Expressions."""
+    return as_expression(value, ("x", "y", "t", "z", "w1", "w2"), "test data")
+
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 BOX4 = {"x": [0.5, 1.5], "y": [1.1, 2.9], "t": [0.0, 1.0], "z": [0.4, 1.4]}
@@ -210,8 +217,8 @@ class TestCongruencePipelines:
     @pytest.mark.parametrize("spray,beta,excl,want_b", CASES)
     def test_quadrature_metric_is_selfdual(self, capsys, tmp_path, spray,
                                            beta, excl, want_b):
-        P = ProjectiveSurface.from_spray(*spray)
-        pair = dw_quadrature_build(P, beta, 0.0, "1", "z",
+        P = ProjectiveSurface.from_spray(*ex(spray))
+        pair = dw_quadrature_build(P, *ex([beta, 0.0, "1", "z"]),
                                    points=DW_POINT, tol=TOLERANCES["build"])
         scene = {
             "name": "quadrature-metric",
@@ -240,14 +247,15 @@ class TestStructureFamily:
             a = f"{r[0]:.4f}*x + {r[1]:.4f}*y"
             c = f"{r[2]:.4f}*x + {r[3]:.4f}*y"
             f = f"1 + {r[4]:.4f}*x*z"
-            nk = build_null_kahler(a, c, f)
+            nk = build_null_kahler(*ex([a, c, f]))
             rep = null_kahler_check(nk["check"], nk["metric"], pts)
             assert max_abs(rep["domega"]) < 1e-12
             assert max_abs(rep["J_null"]) == 0.0
             assert max_abs(rep["compat"]) < 1e-10
             assert max_abs(rep["g_JJ"]) < 1e-10
             assert max_abs(rep["killing"]) < 1e-12
-            out = certify_selfdual(nk["surface"], nk["pair"], pts, factor=f)
+            out = certify_selfdual(nk["surface"], nk["pair"], pts,
+                                   factor=ex(f))
             assert out["weyl_minus"] < 1e-8
 
     @pytest.mark.parametrize("a,c,f", [
@@ -255,9 +263,9 @@ class TestStructureFamily:
         ("0.4*x", "0", "1/z^2"),
     ])
     def test_ricci_flat_members(self, a, c, f):
-        nk = build_null_kahler(a, c, f)
+        nk = build_null_kahler(*ex([a, c, f]))
         out = certify_selfdual(nk["surface"], nk["pair"], _pts4(32),
-                               factor=f)
+                               factor=ex(f))
         assert out["weyl_minus"] < 1e-8
         assert out["ricci"] < 1e-9
 
@@ -299,12 +307,12 @@ class TestTwistDichotomy:
     @pytest.mark.parametrize("spray,gamma,c,H,G", FAMILY)
     def test_twist_is_proportional_to_the_vertical_wronskian(
             self, spray, gamma, c, H, G):
-        P = ProjectiveSurface.from_spray(*spray)
-        pair = dw_quadrature_build(P, gamma, c, H, G,
+        P = ProjectiveSurface.from_spray(*ex(spray))
+        pair = dw_quadrature_build(P, *ex([gamma, c, H, G]),
                                    points=DW_POINT, tol=TOLERANCES["build"])
         pts = _pts4(16)
         g, _ = MetricBuilder(pair=pair, factor=None).jets(pts, order=1)
-        rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
+        rep = killing_report(g, {"K": ex(["0", "0", "1", "0"])}, pts)["K"]
         rows = point_rows(pts)
         preds = np.array([_twist_prediction(pair, pt) for pt in rows])
         zdep = max(_slope_ratio_z_dependence(pair, pt) for pt in rows)
@@ -332,31 +340,32 @@ class TestNullSymmetryGeometry:
     @pytest.mark.parametrize("spray,gamma,c", CASES)
     def test_symmetry_is_null_geodesic_with_integrable_planes(
             self, spray, gamma, c):
-        P = ProjectiveSurface.from_spray(*spray)
-        pair = dw_quadrature_build(P, gamma, c, "1", "z",
+        P = ProjectiveSurface.from_spray(*ex(spray))
+        pair = dw_quadrature_build(P, *ex([gamma, c, "1", "z"]),
                                    points=DW_POINT, tol=TOLERANCES["build"])
         pts = _pts4(16)
         g, _ = MetricBuilder(pair=pair, factor=None).jets(pts, order=1)
-        rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
+        rep = killing_report(g, {"K": ex(["0", "0", "1", "0"])}, pts)["K"]
         assert max_abs(rep["null_defect"]) < 1e-10
         assert max_abs(rep["geodesic"]) < 1e-9
         coords = ("x", "y", "t", "z")
         vert = [["0", "0"] + [str(x) for x in pair.phi[0]],
                 ["0", "0"] + [str(x) for x in pair.phi[1]]]
-        assert max_abs(frobenius_residual(vert, coords, pts)) < 1e-9
+        assert max_abs(frobenius_residual(ex(vert), coords, pts)) < 1e-9
         beta = f"({gamma}) + {c}*z"
         other = [["0", "0", "1", "0"],
                  ["1", beta,
                   f"({pair.alpha[0][0]}) + ({beta})*({pair.alpha[1][0]})",
                   f"({pair.alpha[0][1]}) + ({beta})*({pair.alpha[1][1]})"]]
-        assert max_abs(frobenius_residual(other, coords, pts)) < 1e-9
+        assert max_abs(frobenius_residual(ex(other), coords, pts)) < 1e-9
 
 
 # -- 8. the two integrability residuals agree ----------------------------------
 
 
 def _dw_family():
-    mk = ProjectiveSurface.from_spray
+    def mk(*spray):
+        return ProjectiveSurface.from_spray(*ex(list(spray)))
     return [
         (FLAT, "y/x", 0.0, "1", "z"),
         (FLAT, "y/(x - 3)", 0.0, "1", "z"),
@@ -384,7 +393,8 @@ class TestMutualOracles:
     def test_residuals_vanish_together_on_twenty_scenes(self):
         pts = _pts4(32)
         for P, gamma, c, H, G in _dw_family():
-            pair = dw_quadrature_build(P, gamma, c, H, G, points=DW_POINT,
+            pair = dw_quadrature_build(P, *ex([gamma, c, H, G]),
+                                       points=DW_POINT,
                                        tol=TOLERANCES["build"])
             lres = max_abs(lax_residual(build_lax(P, pair), pts)["residual"])
             pres = max_abs(projective_pair_residual(P, pair, pts))
@@ -426,8 +436,8 @@ class TestDivisorDichotomy:
             kind = i % 4
             if kind == 0:
                 a1, a2 = rng.uniform(2.5, 4.0, size=2)
-                c1 = congruence_from_slope(f"y/(x - {a1:.4f})")
-                c2 = congruence_from_slope(f"y/(x - {a2:.4f})")
+                c1 = congruence_from_slope(ex(f"y/(x - {a1:.4f})"))
+                c2 = congruence_from_slope(ex(f"y/(x - {a2:.4f})"))
                 P, pts, expect_sym = FLAT, pos_pts, True
             elif kind == 1:
                 c1, c2 = _root_congruences(rng.uniform(0.6, 1.8))
@@ -440,8 +450,8 @@ class TestDivisorDichotomy:
                 c1, c2 = _root_congruences(rng.uniform(0.6, 1.8))
                 P = projective_change(
                     FLAT,
-                    f"{rng.uniform(-0.2, 0.2):.4f}*y",
-                    f"{rng.uniform(-0.2, 0.2):.4f}*x")
+                    ex(f"{rng.uniform(-0.2, 0.2):.4f}*y"),
+                    ex(f"{rng.uniform(-0.2, 0.2):.4f}*x"))
                 pts, expect_sym = neg_pts, True
             rep = divisor_two_report(P, c1, c2, pts, tol=1e-8)
             assert rep["sym_equivalence"] and rep["skew_equivalence"], (i, rep)
@@ -453,7 +463,7 @@ class TestDivisorDichotomy:
 
 
 def _nk_pair():
-    return build_null_kahler("0.4*x", "0.2*y", "1")["pair"]
+    return build_null_kahler(*ex(["0.4*x", "0.2*y", "1"]))["pair"]
 
 
 class TestGaugeClassification:
@@ -465,32 +475,34 @@ class TestGaugeClassification:
         (_nk_pair, {"t": 0.2, "z": 0.7},
          {"sdiff2": True, "hdiff2": True, "phi_sdiff": True,
           "o_times_diff1": True, "aff1_translational": True}),
-        (lambda: ProjectivePair(("w1", "w2"), ["0", "0"], ["0", "0"],
-                                ["w1", "0"], ["0", "1"]),
+        (lambda: ProjectivePair(("w1", "w2"), *ex([
+            ["0", "0"], ["0", "0"], ["w1", "0"], ["0", "1"]])),
          {"w1": 0.3, "w2": -0.4},
          {"sdiff2": False, "hdiff2": True, "phi_sdiff": False}),
-        (lambda: twist_free_normal_form(FLAT, "y/x", points=TWISTFREE_POINT,
+        (lambda: twist_free_normal_form(FLAT, ex("y/x"),
+                                        points=TWISTFREE_POINT,
                                         tol=TOLERANCES["build"]),
          {"z": 0.7},
          {"sdiff2": False, "hdiff2": True, "phi_sdiff": True,
           "o_times_diff1": True, "aff1_translational": True}),
         (lambda: dw_quadrature_build(
-            ProjectiveSurface.from_spray("0", "0", "0", "0.5"),
-            "0", 0.7, "1", "z", points=DW_POINT, tol=TOLERANCES["build"]),
+            ProjectiveSurface.from_spray(*ex(["0", "0", "0", "0.5"])),
+            *ex(["0", 0.7, "1", "z"]), points=DW_POINT,
+            tol=TOLERANCES["build"]),
          {"t": 0.2, "z": 0.7},
          {"phi_sdiff": False, "o_times_diff1": True,
           "aff1_translational": False}),
-        (lambda: dw_quadrature_build(FLAT, "y/x", 0.0, "x*z", "x*z^2/2",
+        (lambda: dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "x*z", "x*z^2/2"]),
                                      points=DW_POINT, tol=TOLERANCES["build"]),
          {"t": 0.2, "z": 0.7},
          {"sdiff2": False, "hdiff2": True, "phi_sdiff": True,
           "o_times_diff1": True, "aff1_translational": False}),
-        (lambda: ProjectivePair(("w1", "w2"), ["w1*w2", "0"], ["0", "0"],
-                                ["1", "0"], ["0", "1"]),
+        (lambda: ProjectivePair(("w1", "w2"), *ex([
+            ["w1*w2", "0"], ["0", "0"], ["1", "0"], ["0", "1"]])),
          {"w1": 0.3, "w2": -0.4},
          {"sdiff2": False, "hdiff2": False}),
-        (lambda: ProjectivePair(("w1", "w2"), ["w2^2", "0"], ["0", "w1^2"],
-                                ["1", "0"], ["0", "1"]),
+        (lambda: ProjectivePair(("w1", "w2"), *ex([
+            ["w2^2", "0"], ["0", "w1^2"], ["1", "0"], ["0", "1"]])),
          {"w1": 0.3, "w2": -0.4},
          {"sdiff2": True, "hdiff2": True, "phi_sdiff": True,
           "o_times_diff1": False, "aff1_translational": False}),
@@ -509,14 +521,14 @@ class TestGaugeClassification:
         pts = sample_set([dict({"x": x, "y": y}, w1=0.3, w2=-0.4)
                           for x in (0.8, 1.2) for y in (1.3, 2.9)])
         # divergence-free fields: flag set and the connection is flat
-        good = ProjectivePair(("w1", "w2"), ["w2^2", "0"], ["0", "w1^2"],
-                              ["1", "0"], ["0", "1"])
+        good = ProjectivePair(("w1", "w2"), *ex([
+            ["w2^2", "0"], ["0", "w1^2"], ["1", "0"], ["0", "1"]]))
         flags, _ = gauge_reduction_report(good, pts, TOLERANCES["gauge"])
         assert flags["sdiff2"]
         assert area_connection_curvature(good, pts) < 1e-12
         # non-closed divergences: flag clear and the connection curves
-        bad = ProjectivePair(("w1", "w2"), ["x*w1", "0"], ["0", "x*w2"],
-                             ["1", "0"], ["0", "1"])
+        bad = ProjectivePair(("w1", "w2"), *ex([
+            ["x*w1", "0"], ["0", "x*w2"], ["1", "0"], ["0", "1"]]))
         flags, _ = gauge_reduction_report(bad, pts, TOLERANCES["gauge"])
         assert not flags["sdiff2"]
         assert area_connection_curvature(bad, pts) > 0.5
@@ -647,10 +659,10 @@ class TestInfrastructure:
         assert abs(extract(jet, (1, 0)) - fd) < 1e-6
 
     def test_geodesic_integrator_is_fourth_order(self):
-        P = ProjectiveSurface({(1, 0, 0): "y", (0, 1, 1): "x*y"})
+        P = ProjectiveSurface({(1, 0, 0): ex("y"), (0, 1, 1): ex("x*y")})
         start, L = (0.1, 0.2, 0.4), 0.8
         def end(step):
-            return P.integrate_geodesic(start, L, step, ("0", "0"))[-1, :3]
+            return P.integrate_geodesic(start, L, step, ex(["0", "0"]))[-1, :3]
         ref = end(0.00125)
         e1 = np.abs(end(0.02) - ref).max()
         e2 = np.abs(end(0.01) - ref).max()
@@ -688,17 +700,16 @@ def _foliation_cases():
     for path in sorted(SCENES.glob("*.json")):
         scene = load_scene(path)
         if len(scene.get("pair", {}).get("fiber", ())) == 2:
-            out[path.stem] = (scene, MetricBuilder(pair=cli_pair(scene),
-                                                   factor=scene.get("factor")))
+            out[path.stem] = (scene, cli_metric(scene, cli_pair(scene)))
     scene = load_scene(SCENES / "nullkahler_random.json")
     spec = scene["build"]
     out["build-nullkahler"] = (scene, build_null_kahler(
-        spec["a"], spec["c"], spec["f"])["metric"])
+        *ex([spec["a"], spec["c"], spec["f"]]))["metric"])
     scene = load_scene(SCENES / "dw_twist.json")
     spec = scene["build"]
-    pair = dw_quadrature_build(cli_surface(scene), spec["gamma"], spec["c"],
-                               spec["H"], spec["G"],
-                               points=DW_POINT, tol=TOLERANCES["build"])
+    pair = dw_quadrature_build(
+        cli_surface(scene), *ex([spec[k] for k in ("gamma", "c", "H", "G")]),
+        points=DW_POINT, tol=TOLERANCES["build"])
     out["build-dw"] = (scene, MetricBuilder(pair=pair, factor=None))
     return out
 

@@ -20,7 +20,7 @@ from sdconformal.cli import TOLERANCES
 from sdconformal.conformal import (MetricBuilder, build_null_kahler,
                                    curvature_report, frobenius_residual,
                                    killing_report)
-from sdconformal.expr import parse
+from sdconformal.expr import as_expression, parse
 from sdconformal.jets import Jet, JetSpace, max_abs, stack
 from sdconformal.minitwistor import (WeightedCongruence, divisor_two_report,
                                      projective_field_residual)
@@ -41,7 +41,14 @@ from oracles import (DW_POINT, TWISTFREE_POINT, abelian_pair_residual,
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 FLAT = ProjectiveSurface({})
-T_TRANSLATION = ("0", "0", "1", "0")
+
+
+def ex(value):
+    """Test data (text, a number or a list of them) as Expressions."""
+    return as_expression(value, ("x", "y", "t", "z", "w1", "w2"), "test data")
+
+
+T_TRANSLATION = ex(["0", "0", "1", "0"])
 
 
 def _box(scene):
@@ -49,6 +56,7 @@ def _box(scene):
 
 
 def _null_kahler(a, c, f, box):
+    a, c, f = ex([a, c, f])
     nk = build_null_kahler(a, c, f)
     return nk["surface"], nk["pair"], f, box, nk["check"]
 
@@ -62,26 +70,25 @@ def _seeded_null_kahler(seed=11):
 
 def _cases():
     """name -> (surface, pair, conformal factor, sampling box, structure check)."""
-    hk_pair = ProjectivePair(("t", "z"), alpha0=["0.4*x*z", "0"],
-                             alpha1=["0", "0"], phi0=["0", "1"],
-                             phi1=["1", "0"])
+    hk_pair = ProjectivePair(("t", "z"), *ex([["0.4*x*z", "0"], ["0", "0"],
+                                              ["0", "1"], ["1", "0"]]))
     # the w1-column pivot of the frame solve is phi1 for |y| > 1, phi0 below
-    pivot_pair = ProjectivePair(("w1", "w2"), alpha0=["0.3*w2", "0"],
-                                alpha1=["0", "0.2*w1"], phi0=["1", "0.3"],
-                                phi1=["y", "1"])
+    pivot_pair = ProjectivePair(("w1", "w2"), *ex([
+        ["0.3*w2", "0"], ["0", "0.2*w1"], ["1", "0.3"], ["y", "1"]]))
     return {
         "flat": (FLAT, trivial_pair(), None, _box("flat"), None),
-        "nullkahler_hk": (ProjectiveSurface({(1, 0, 0): "0.4*x"}), hk_pair,
-                          "1/z^2", _box("nullkahler_hk"), None),
+        "nullkahler_hk": (ProjectiveSurface({(1, 0, 0): ex("0.4*x")}),
+                          hk_pair, ex("1/z^2"), _box("nullkahler_hk"), None),
         "nullkahler_random": _null_kahler("0.3*x + 0.1*y", "0.2*x - 0.4*y",
                                           "1 + 0.25*x*z",
                                           _box("nullkahler_random")),
-        "dw_twist": (FLAT, dw_quadrature_build(FLAT, "y/x", 0.7, "1", "z",
+        "dw_twist": (FLAT, dw_quadrature_build(FLAT,
+                                               *ex(["y/x", 0.7, "1", "z"]),
                                                points=DW_POINT,
                                                tol=TOLERANCES["build"]),
                      None, _box("dw_twist"), None),
         "nullkahler_seeded": _seeded_null_kahler(),
-        "pivot_change": (FLAT, pivot_pair, "1 + 0.1*x*w2",
+        "pivot_change": (FLAT, pivot_pair, ex("1 + 0.1*x*w2"),
                          {"x": [-1, 1], "y": [0.2, 2.0], "w1": [-1, 1],
                           "w2": [-1, 1]}, None),
     }
@@ -172,14 +179,14 @@ def test_non_finite_entries_match_single_points():
     # a factor that overflows at some sample points, and a field whose
     # components do: NaN and infinities must sit at the single points'
     # entries
-    nk = build_null_kahler("0.3*x", "0.2*y", "1 + 1e308*x*z*z*z")
+    nk = build_null_kahler(*ex(["0.3*x", "0.2*y", "1 + 1e308*x*z*z*z"]))
     points = _points("nullkahler_random")
     g, orientation = nk["metric"].jets(points)
     batched = curvature_report(g, orientation)
     assert 0 < np.isnan(batched["riemann"]).sum() < batched["riemann"].size
     _assert_stacked(batched, [curvature_report(*nk["metric"].jets(p))
                               for p in point_slices(points)])
-    fields = {"T": ("0", "0", "1e200*x*x", "0")}
+    fields = {"T": ex(["0", "0", "1e200*x*x", "0"])}
     batched = killing_report(nk["metric"].jets(points, order=1)[0], fields,
                              points)["T"]
     assert np.isinf(batched["exact_killing"]).any()
@@ -189,9 +196,10 @@ def test_non_finite_entries_match_single_points():
     # the slope's cube overflows where |x| > 0.56, and the flat spray's
     # zero coefficient times it is NaN there
     points = _surface_points("curved")
-    res = FLAT.congruence_residual("1e103*x", points)
+    beta = ex("1e103*x")
+    res = FLAT.congruence_residual(beta, points)
     assert 0 < np.isnan(res).sum() < res.size
-    _assert_same(res, np.concatenate([FLAT.congruence_residual("1e103*x", p)
+    _assert_same(res, np.concatenate([FLAT.congruence_residual(beta, p)
                                       for p in point_slices(points)]))
 
 
@@ -217,7 +225,8 @@ def _scene(name):
 
 
 def _scene_surface(name):
-    return ProjectiveSurface.from_spray(*_scene(name)["projective"]["spray"])
+    spray = _scene(name)["projective"]["spray"]
+    return ProjectiveSurface.from_spray(*ex(spray))
 
 
 def _random_surface(seed):
@@ -227,14 +236,14 @@ def _random_surface(seed):
     for key in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1),
                 (1, 1, 1)):
         c = [f"{rng.uniform(-1, 1):.5f}" for _ in range(4)]
-        gamma[key] = f"{c[0]} + {c[1]}*x + {c[2]}*y + {c[3]}*x*y"
+        gamma[key] = ex(f"{c[0]} + {c[1]}*x + {c[2]}*y + {c[3]}*x*y")
     return ProjectiveSurface(gamma)
 
 
 CURVED = _random_surface(5)
 # a quadratic field on a curved surface: its flow permutes no geodesics
 # and the residual is O(1), where a reordered sum would show
-NON_PROJECTIVE = (CURVED, ("0.7*x^2 - 0.3*y", "x*y + 0.4*y^2"))
+NON_PROJECTIVE = (CURVED, ex(["0.7*x^2 - 0.3*y", "x*y + 0.4*y^2"]))
 
 
 def _surface_points(scene, count=24):
@@ -247,22 +256,22 @@ def _surface_points(scene, count=24):
 
 # name -> (surface, slope, scene whose box the points fill)
 CONGRUENCES = {
-    "flat": (_scene_surface("flat"), "0", "flat"),
-    "burgers": (_scene_surface("burgers"), "y/x", "burgers"),
-    "twistfree": (_scene_surface("twistfree"), "y/x", "twistfree"),
-    "dw_twist": (_scene_surface("dw_twist"), "y/x", "dw_twist"),
-    "curved": (CURVED, "0.3*x - 0.2*y^2", "curved"),
+    "flat": (_scene_surface("flat"), ex("0"), "flat"),
+    "burgers": (_scene_surface("burgers"), ex("y/x"), "burgers"),
+    "twistfree": (_scene_surface("twistfree"), ex("y/x"), "twistfree"),
+    "dw_twist": (_scene_surface("dw_twist"), ex("y/x"), "dw_twist"),
+    "curved": (CURVED, ex("0.3*x - 0.2*y^2"), "curved"),
     # a(lam) = lam^3 on lines through the origin: the residual is the
     # cube of the slope, whose rounding shows
-    "cubic": (ProjectiveSurface.from_spray("0", "0", "0", "1"), "y/x",
-              "burgers"),
+    "cubic": (ProjectiveSurface.from_spray(*ex(["0", "0", "0", "1"])),
+              ex("y/x"), "burgers"),
 }
 
 FIELDS = {
-    "projective_field": [(_scene_surface("projective_field"), tuple(v))
+    "projective_field": [(_scene_surface("projective_field"), ex(v))
                          for v in _scene("projective_field")
                          ["surface_fields"].values()],
-    "burgers": [(_scene_surface("burgers"), ("x", "y"))],
+    "burgers": [(_scene_surface("burgers"), ex(["x", "y"]))],
     "curved": [NON_PROJECTIVE],
 }
 
@@ -272,11 +281,13 @@ def _divisors():
     for name in ("divisor2_roots", "divisor2_trivial"):
         entries = _scene(name)["divisor2"]
         out[name] = (_scene_surface(name),
-                     [WeightedCongruence(e["phi"], e["rho"]) for e in entries],
+                     [WeightedCongruence(*ex([e["phi"], e["rho"]]))
+                      for e in entries],
                      name)
     # the root congruences on a projectively changed structure
     out["divisor2_shifted"] = (
-        projective_change(_scene_surface("divisor2_roots"), "0.1*y", "0.2*x"),
+        projective_change(_scene_surface("divisor2_roots"),
+                          *ex(["0.1*y", "0.2*x"])),
         out["divisor2_roots"][1], "divisor2_roots")
     return out
 
@@ -291,23 +302,24 @@ def _surface_pairs():
     P = _scene_surface("dw_twist")
     return {
         "flat": (_scene_surface("flat"),
-                 ProjectivePair(flat["fiber"], flat["alpha0"], flat["alpha1"],
-                                flat["phi0"], flat["phi1"]), "flat"),
+                 ProjectivePair(flat["fiber"], *ex([
+                     flat[k] for k in ("alpha0", "alpha1", "phi0", "phi1")])),
+                 "flat"),
         "twistfree": (_scene_surface("twistfree"),
                       twist_free_normal_form(_scene_surface("twistfree"),
-                                             twistfree["build"]["beta"],
+                                             ex(twistfree["build"]["beta"]),
                                              points=TWISTFREE_POINT,
                                              tol=TOLERANCES["build"]),
                       "twistfree"),
-        "dw_twist": (P, dw_quadrature_build(P, dw["gamma"], dw["c"], dw["H"],
-                                            dw["G"], points=DW_POINT,
+        "dw_twist": (P, dw_quadrature_build(P, *ex([dw[k] for k in (
+                                            "gamma", "c", "H", "G")]),
+                                            points=DW_POINT,
                                             tol=TOLERANCES["build"]),
                      "dw_twist"),
         # a pair that is not integrable over a curved surface
-        "curved": (CURVED, ProjectivePair(("t", "z"),
-                                          ["0.2*x*z", "z^2"], ["t", "0.1*y"],
-                                          ["1", "0.3*x*t"], ["0.2*z", "1"],
-                                          c0="0.1*x", c1="y"), "dw_twist"),
+        "curved": (CURVED, ProjectivePair(("t", "z"), *ex([
+            ["0.2*x*z", "z^2"], ["t", "0.1*y"], ["1", "0.3*x*t"],
+            ["0.2*z", "1"], "0.1*x", "y"])), "dw_twist"),
     }
 
 
@@ -339,7 +351,7 @@ def _joined(fn, points):
 def _congruence_reference(P, beta, pt):
     space = JetSpace(COORDS, 1)
     env = space.seed(pt)
-    b = evaluate(parse(beta, COORDS), env, space=space)
+    b = evaluate(beta, env, space=space)
     a = [evaluate(c, env, space=space).value for c in P.spray_coeffs()]
     bx, by = b.gradient()
     bv = b.value
@@ -349,7 +361,6 @@ def _congruence_reference(P, beta, pt):
 def _field_reference(P, V, pt, lambdas=(0.0, 0.5, -0.5, 1.0, -1.0, 2.0,
                                         -2.0)):
     vars3 = COORDS + ("lambda",)
-    V = [parse(c, COORDS) for c in V]
     lam = parse("lambda", vars3)
     lamdot = (V[1].diff("x") + lam * (V[1].diff("y") - V[0].diff("x"))
               - lam * lam * V[0].diff("y"))
@@ -574,7 +585,7 @@ def test_single_point_calls_still_work():
     p = point_rows(_surface_points("curved"))[0]
     assert ricci_values_at(CURVED, p).shape == (2, 2)
     assert cotton(CURVED, p).shape == (2,)
-    cong = congruence_from_slope("y/x")
+    cong = congruence_from_slope(ex("y/x"))
     assert abelian_pair_residual(ProjectiveSurface({}), cong.phi,
                                  cong.rho, {"x": 0.8, "y": 1.3}) < 1e-13
 
@@ -584,7 +595,6 @@ def test_single_point_calls_still_work():
 
 def _frobenius_reference(fields, coords, points):
     """The per-point loop `frobenius_residual` replaced."""
-    fields = [[parse(c, coords) for c in f] for f in fields]
     space = JetSpace(coords, 1)
     worst = 0.0
     for pt in point_rows(points):
@@ -612,15 +622,15 @@ def _random_distribution(seed, count):
         c = [f"{rng.uniform(-1, 1):.5f}" for _ in range(4)]
         return f"{c[0]} + {c[1]}*x*t + {c[2]}*y^2 + {c[3]}*z"
 
-    return [[component() for _ in range(4)] for _ in range(count)]
+    return ex([[component() for _ in range(4)] for _ in range(count)])
 
 
 def _distributions():
     flat = _scene("flat")
     tilted = _frobenius_scene(1e-3)[0]
-    out = {"flat": (flat["distributions"]["beta_planes"], flat["coords"],
+    out = {"flat": (ex(flat["distributions"]["beta_planes"]), flat["coords"],
                     flat["sampling"]["box"]),
-           "tilted": (tilted["distributions"]["tilted"], tilted["coords"],
+           "tilted": (ex(tilted["distributions"]["tilted"]), tilted["coords"],
                       tilted["sampling"]["box"])}
     for seed in range(3):
         for count in (2, 3):
@@ -647,7 +657,7 @@ def test_frobenius_residual_matches_the_per_point_loop(name):
 
 def test_frobenius_dependent_fields_at_a_later_point():
     coords = ("x", "y", "t", "z")
-    fields = [["1", "0", "0", "0"], ["0", "x - 0.5", "0", "0"]]
+    fields = ex([["1", "0", "0", "0"], ["0", "x - 0.5", "0", "0"]])
     rows = [{"x": 0.25, "y": 0.0, "t": 0.0, "z": 0.0},
             {"x": 0.5, "y": 0.5, "t": 0.5, "z": 0.5},
             {"x": 0.75, "y": 0.0, "t": 0.0, "z": 0.0}]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdconformal import cli, conformal
-from sdconformal.expr import as_expression, jets_at
+from sdconformal.expr import ONE, ZERO, as_expression, jets_at
 from sdconformal.jets import Jet, JetSpace, max_abs, stack
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.pairs import ProjectivePair, dw_quadrature_build
@@ -24,6 +24,11 @@ from oracles import (DW_POINT, builder_frame, certify_selfdual,
                      unstack)
 
 FLAT = ProjectiveSurface({})
+
+
+def ex(value):
+    """Test data (text, a number or a list of them) as Expressions."""
+    return as_expression(value, ("x", "y", "t", "z", "w1", "w2"), "test data")
 
 
 def _points4(names=("x", "y", "t", "z"), n=6, seed=5):
@@ -156,7 +161,7 @@ class TestNullKahlerFamily:
 
     @pytest.mark.parametrize("a,c,f", CASES)
     def test_structure_identities(self, a, c, f):
-        nk = build_null_kahler(a, c, f)
+        nk = build_null_kahler(*ex([a, c, f]))
         pts = _points4(n=5)
         rep = null_kahler_check(nk["check"], nk["metric"], pts)
         assert max_abs(rep["J_null"]) == 0.0
@@ -168,9 +173,9 @@ class TestNullKahlerFamily:
 
     @pytest.mark.parametrize("a,c,f", CASES)
     def test_antiselfdual_weyl_vanishes(self, a, c, f):
-        nk = build_null_kahler(a, c, f)
+        nk = build_null_kahler(*ex([a, c, f]))
         out = certify_selfdual(nk["surface"], nk["pair"], _points4(n=5),
-                               factor=f)
+                               factor=ex(f))
         assert out["pass"]
         assert out["weyl_minus"] < 1e-8
 
@@ -179,43 +184,44 @@ class TestNullKahlerFamily:
         ("0.4*x", "0", "1/z^2"),
     ])
     def test_ricci_flat_subfamilies(self, a, c, f):
-        nk = build_null_kahler(a, c, f)
+        nk = build_null_kahler(*ex([a, c, f]))
         out = certify_selfdual(nk["surface"], nk["pair"], _points4(n=5),
-                               factor=f)
+                               factor=ex(f))
         assert out["pass"]
         assert out["ricci"] < 1e-9
 
     def test_generic_factor_breaks_ricci_flatness(self):
-        nk = build_null_kahler("0.3*x + 0.1*y", "0.2*x - 0.4*y",
-                               "1 + 0.25*x*z")
+        a, c, f = ex(["0.3*x + 0.1*y", "0.2*x - 0.4*y", "1 + 0.25*x*z"])
+        nk = build_null_kahler(a, c, f)
         out = certify_selfdual(nk["surface"], nk["pair"], _points4(n=5),
-                               factor="1 + 0.25*x*z")
+                               factor=f)
         assert out["pass"]
         assert out["ricci"] > 1e-3
 
 
 class TestConformalInvariance:
     def test_rescaling_preserves_the_verdict(self):
-        nk = build_null_kahler("0.3*x + 0.1*y", "0.2*x - 0.4*y", "1")
+        nk = build_null_kahler(*ex(["0.3*x + 0.1*y", "0.2*x - 0.4*y", "1"]))
         pts = _points4(n=4)
-        plain = certify_selfdual(nk["surface"], nk["pair"], pts, factor="1")
+        plain = certify_selfdual(nk["surface"], nk["pair"], pts,
+                                 factor=ex("1"))
         scaled = certify_selfdual(nk["surface"], nk["pair"], pts,
-                                  factor="exp(x/4)*(1 + y^2/8)")
+                                  factor=ex("exp(x/4)*(1 + y^2/8)"))
         assert plain["pass"] and scaled["pass"]
         assert scaled["weyl_minus"] < 1e-8
 
 
 class TestOrientation:
     def test_frame_orientation_signs(self):
-        nk = build_null_kahler("0.3*x", "0.2*y", "1")
+        nk = build_null_kahler(*ex(["0.3*x", "0.2*y", "1"]))
         pt = {"x": 1.0, "y": 1.1, "t": 0.9, "z": 1.2}
         assert nk["metric"].jets(pt, order=0)[1] == -1.0
-        dw = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
+        dw = dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "1", "z"]),
                                  points=DW_POINT, tol=cli.TOLERANCES["build"])
         assert MetricBuilder(pair=dw, factor=None).jets(pt, order=0)[1] == 1.0
 
     def test_frame_values_shape(self):
-        dw = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
+        dw = dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "1", "z"]),
                                  points=DW_POINT, tol=cli.TOLERANCES["build"])
         M = frame_values(MetricBuilder(pair=dw, factor=None),
                          {"x": 1.0, "y": 1.3, "t": 0.2, "z": 0.7})
@@ -225,35 +231,37 @@ class TestOrientation:
 
 class TestKillingField:
     def test_vertical_translation_is_null_killing(self):
-        P = ProjectiveSurface.from_spray("0", "0", "0", "0.5")
-        pair = dw_quadrature_build(P, "0", 0.7, "1", "z", points=DW_POINT,
+        P = ProjectiveSurface.from_spray(*ex(["0", "0", "0", "0.5"]))
+        pair = dw_quadrature_build(P, *ex(["0", 0.7, "1", "z"]),
+                                   points=DW_POINT,
                                    tol=cli.TOLERANCES["build"])
         builder = MetricBuilder(pair=pair, factor=None)
         pts = _points4(n=5)
         g, _ = builder.jets(pts, order=1)
-        rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
+        rep = killing_report(g, {"K": ex(["0", "0", "1", "0"])}, pts)["K"]
         assert max_abs(rep["exact_killing"]) < 1e-12
         assert max_abs(rep["null_defect"]) < 1e-12
         assert max_abs(rep["geodesic"]) < 1e-10
 
     def test_twist_tracks_the_twisting_parameter(self):
-        P = ProjectiveSurface.from_spray("0", "0", "0", "0.5")
+        P = ProjectiveSurface.from_spray(*ex(["0", "0", "0", "0.5"]))
         pts = _points4(n=5)
-        twisted = dw_quadrature_build(P, "0", 0.7, "1", "z", points=DW_POINT,
+        twisted = dw_quadrature_build(P, *ex(["0", 0.7, "1", "z"]),
+                                      points=DW_POINT,
                                       tol=cli.TOLERANCES["build"])
         g, _ = MetricBuilder(pair=twisted, factor=None).jets(pts, order=1)
-        rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
+        rep = killing_report(g, {"K": ex(["0", "0", "1", "0"])}, pts)["K"]
         assert max_abs(rep["twist"]) > 1e-3
         # the density is point-to-point proportional to a constant here
         ratios = np.array(rep["twist"])
         assert np.abs(ratios - ratios[0]).max() < 1e-8
 
     def test_twist_vanishes_without_twisting(self):
-        straight = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z", DW_POINT,
-                                       cli.TOLERANCES["build"])
+        straight = dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "1", "z"]),
+                                       DW_POINT, cli.TOLERANCES["build"])
         pts = _points4(n=5)
         g, _ = MetricBuilder(pair=straight, factor=None).jets(pts, order=1)
-        rep = killing_report(g, {"K": ("0", "0", "1", "0")}, pts)["K"]
+        rep = killing_report(g, {"K": ex(["0", "0", "1", "0"])}, pts)["K"]
         assert max_abs(rep["twist"]) < 1e-12
 
 
@@ -261,21 +269,21 @@ class TestFrobenius:
     COORDS = ("x", "y", "t", "z")
 
     def test_null_planes_of_a_certified_pair_are_integrable(self):
-        pair = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z", DW_POINT,
+        pair = dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "1", "z"]), DW_POINT,
                                    cli.TOLERANCES["build"])
         pts = _points4(n=4)
         # the two lam = 0 Lax fields in coordinates (x, y, t, z)
-        phi0 = ["0", "0"] + [str(c) for c in pair.phi[0]]
-        l1 = ["1", "0"] + [str(c) for c in pair.alpha[0]]
+        phi0 = [ZERO, ZERO, *pair.phi[0]]
+        l1 = [ONE, ZERO, *pair.alpha[0]]
         res = frobenius_residual([phi0, l1], self.COORDS, pts)
         assert max_abs(res) < 1e-12
         # the vertical plane
-        phi1 = ["0", "0"] + [str(c) for c in pair.phi[1]]
+        phi1 = [ZERO, ZERO, *pair.phi[1]]
         res = frobenius_residual([phi0, phi1], self.COORDS, pts)
         assert max_abs(res) < 1e-12
 
     def test_non_integrable_plane_is_flagged(self):
-        fields = [["1", "0", "0", "0"], ["0", "1", "x", "0"]]
+        fields = ex([["1", "0", "0", "0"], ["0", "1", "x", "0"]])
         res = frobenius_residual(fields, self.COORDS, _points4(n=4))
         assert max_abs(res) > 0.1
 
@@ -353,7 +361,8 @@ def _scene_metric(name):
     scene = cli.load_scene(SCENES / f"{name}.json")
     if "build" in scene:
         spec = scene["build"]
-        builder = build_null_kahler(spec["a"], spec["c"], spec["f"])["metric"]
+        builder = build_null_kahler(
+            *ex([spec["a"], spec["c"], spec["f"]]))["metric"]
     else:
         builder = cli._pair_metric(scene, cli._pair(scene))
     box = scene["sampling"]["box"]
@@ -433,7 +442,7 @@ def _poly(rng, const, size):
     with coefficients in [-size, size]."""
     terms = [f"{c:.3f}*{m}" for c, m in zip(
         rng.uniform(-size, size, 4), ("x", "y*w1", "w2*w2", "x*w1*y"))]
-    return " + ".join([f"{const:.3f}"] + terms)
+    return ex(" + ".join([f"{const:.3f}"] + terms))
 
 
 def _random_builder(rng, kind, factor):
@@ -450,11 +459,10 @@ def _random_builder(rng, kind, factor):
         alpha1=[_poly(rng, rng.uniform(-1, 1), 0.2) for _ in "ab"],
         phi0=[_poly(rng, diag, size), _poly(rng, 0.0, size)],
         phi1=[_poly(rng, 0.0, size), _poly(rng, diag, size)])
-    builder = MetricBuilder(pair=pair, factor=factor)
+    builder = MetricBuilder(pair=pair, factor=factor and ex(factor))
     if kind == "dense":
-        builder.frame = [[as_expression(_poly(rng, (i == j) + 0.1, 0.03),
-                                        builder.coords)
-                          for j in range(4)] for i in range(4)]
+        builder.frame = [[_poly(rng, (i == j) + 0.1, 0.03) for j in range(4)]
+                         for i in range(4)]
     return builder
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from sdconformal import expr
 from sdconformal.cli import TOLERANCES
-from sdconformal.expr import parse
+from sdconformal.expr import as_expression, parse
 from sdconformal.jets import Jet, JetSpace, max_abs
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.minitwistor import (WeightedCongruence,
@@ -22,58 +22,65 @@ from oracles import (abelian_pair_residual,
 FLAT = ProjectiveSurface({})
 XY = ("x", "y")
 
+
+def ex(value):
+    """Test data (text, a number or a list of them) as Expressions."""
+    return as_expression(value, XY, "test data")
+
+
 PTS = sample_set([(0.8, 1.3), (1.2, 2.9), (0.6, -0.4), (1.5, 0.9)])
 
 
 class TestWeightedCongruences:
     def test_constant_field_needs_no_connection(self):
-        assert abelian_pair_residual(FLAT, ("1", "0"), ("0", "0"), PTS) == 0.0
+        assert abelian_pair_residual(FLAT, ex(["1", "0"]), ex(["0", "0"]),
+                                     PTS) == 0.0
 
     def test_slope_congruence_with_canonical_connection(self):
-        cong = congruence_from_slope("y/x")
+        cong = congruence_from_slope(ex("y/x"))
         assert abelian_pair_residual(FLAT, cong.phi, cong.rho, PTS) < 1e-13
 
     def test_rescaling_shifts_the_connection_by_an_exact_form(self):
         # phi -> e^x phi is compensated exactly by rho -> rho - dx
         beta = parse("y/x", XY)
-        ex = parse("exp(x)", XY)
-        phi = (ex, ex * beta)
+        e = parse("exp(x)", XY)
+        phi = (e, e * beta)
         rho = (beta.diff("y") - 1.0, parse("0", XY))
         assert abelian_pair_residual(FLAT, phi, rho, PTS) < 1e-12
 
     def test_non_congruence_field_is_rejected(self):
-        res = abelian_pair_residual(FLAT, ("1", "x"), ("0", "0"), PTS)
+        res = abelian_pair_residual(FLAT, ex(["1", "x"]), ex(["0", "0"]), PTS)
         assert res > 0.1
 
     def test_equation_is_projectively_invariant(self):
-        Q = projective_change(FLAT, "0.1*y", "0.2*x")
-        cong = congruence_from_slope("y/x")
+        Q = projective_change(FLAT, *ex(["0.1*y", "0.2*x"]))
+        cong = congruence_from_slope(ex("y/x"))
         assert abelian_pair_residual(Q, cong.phi, cong.rho, PTS) < 1e-12
 
 
 class TestCanonicalConnection:
     def test_recovers_the_slope_connection(self):
-        out = canonical_connection_from_congruence(FLAT, ("1", "y/x"),
+        out = canonical_connection_from_congruence(FLAT, ex(["1", "y/x"]),
                                                    {"x": 1.0, "y": 2.0})
         assert out["residual"] < 1e-13
         assert out["rho"] == pytest.approx((1.0, 0.0), abs=1e-12)
         assert abs(out["r_phi_phi"]) < 1e-12
 
     def test_constant_field_has_zero_connection(self):
-        out = canonical_connection_from_congruence(FLAT, ("1", "0.5"),
+        out = canonical_connection_from_congruence(FLAT, ex(["1", "0.5"]),
                                                    {"x": 0.8, "y": 1.3})
         assert out["residual"] < 1e-14
         assert np.abs(out["rho"]).max() < 1e-14
 
     def test_curved_surface_congruence(self):
-        Q = projective_change(FLAT, "0.1*y", "0.2*x")
-        out = canonical_connection_from_congruence(Q, ("1", "y/x"),
+        Q = projective_change(FLAT, *ex(["0.1*y", "0.2*x"]))
+        out = canonical_connection_from_congruence(Q, ex(["1", "y/x"]),
                                                    {"x": 1.0, "y": 2.0})
         assert out["residual"] < 1e-12
         assert abs(out["r_phi_phi"]) < 1e-12
 
     def test_non_congruence_leaves_a_residual(self):
-        out = canonical_connection_from_congruence(FLAT, ("1", "x"),
+        out = canonical_connection_from_congruence(FLAT, ex(["1", "x"]),
                                                    {"x": 1.0, "y": 2.0})
         assert out["residual"] > 0.1
 
@@ -97,8 +104,8 @@ def _quadratic_root_congruences():
 
 class TestDivisorTwo:
     def test_two_affine_pencils_are_fully_flat(self):
-        cong1 = congruence_from_slope("y/x")
-        cong2 = congruence_from_slope("y/(x - 3)")
+        cong1 = congruence_from_slope(ex("y/x"))
+        cong2 = congruence_from_slope(ex("y/(x - 3)"))
         rep = divisor_two_report(FLAT, cong1, cong2, PTS,
                                  TOLERANCES["divisor2"])
         assert max_abs(rep["dc_residual"]) < 1e-10
@@ -120,7 +127,7 @@ class TestDivisorTwo:
         assert rep["sym_equivalence"] and rep["skew_equivalence"]
 
     def test_verdicts_survive_a_projective_change(self):
-        Q = projective_change(FLAT, "0.1*y", "0.2*x")
+        Q = projective_change(FLAT, *ex(["0.1*y", "0.2*x"]))
         cong1, cong2 = _quadratic_root_congruences()
         rep = divisor_two_report(Q, cong1, cong2, ROOT_PTS,
                                  TOLERANCES["divisor2"])
@@ -132,17 +139,17 @@ class TestDivisorTwo:
 
 class TestWardTransport:
     def test_zero_connection_transports_trivially(self):
-        out = ward_transport(FLAT, ("0", "0"), (0.0, 0.0, 0.5), 1.0, 0.01)
+        out = ward_transport(FLAT, ex(["0", "0"]), (0.0, 0.0, 0.5), 1.0, 0.01)
         assert out["transport"] == 1.0
 
     def test_exact_form_transport_is_a_boundary_term(self):
         # rho = dx: transport over unit x-advance is exp(-1)
-        out = ward_transport(FLAT, ("1", "0"), (0.0, 0.0, 0.5), 1.0, 0.01)
+        out = ward_transport(FLAT, ex(["1", "0"]), (0.0, 0.0, 0.5), 1.0, 0.01)
         assert out["transport"] == pytest.approx(math.exp(-1.0), abs=1e-9)
         assert out["end"] == pytest.approx((1.0, 0.5, 0.5), abs=1e-12)
 
     def test_transport_is_multiplicative_along_the_curve(self):
-        rho = ("y", "x")
+        rho = ex(["y", "x"])
         first = ward_transport(FLAT, rho, (0.0, 0.0, 0.5), 0.5, 0.01)
         second = ward_transport(FLAT, rho, tuple(first["end"]), 0.5, 0.01)
         whole = ward_transport(FLAT, rho, (0.0, 0.0, 0.5), 1.0, 0.01)
@@ -153,16 +160,16 @@ class TestWardTransport:
         # rho = dx on the flat structure: s = exp(-x advance) exactly
         for step, states in ((0.01, 57), (0.005, 112)):
             path = FLAT.integrate_geodesic((0.0, 0.0, 0.5), 0.555, step,
-                                           rho=("1", "0"))
+                                           rho=ex(["1", "0"]))
             assert len(path) == states
             assert path[-1, 0] == pytest.approx(0.555, abs=1e-15)
             assert path[-1, 3] == pytest.approx(math.exp(-0.555), abs=1e-9)
         for length, states in ((0.004, 2), (-0.5, 1)):
             assert len(FLAT.integrate_geodesic((0.0, 0.0, 0.5), length, 0.01,
-                                               rho=("0", "0"))) == states
+                                               rho=ex(["0", "0"]))) == states
 
     def test_step_halving_converges(self):
-        rho = ("y", "x")
+        rho = ex(["y", "x"])
         coarse = ward_transport(FLAT, rho, (0.0, 0.0, 0.5), 1.0, 0.02)
         fine = ward_transport(FLAT, rho, (0.0, 0.0, 0.5), 1.0, 0.01)
         assert abs(coarse["transport"] - fine["transport"]) < 1e-8
@@ -217,7 +224,6 @@ def _reference_geodesic(P, start, length, step):
 
 def _reference_ward(P, rho, start, length, step):
     a_exprs = P.spray_coeffs()
-    rho = [parse(c, XY) for c in rho]
 
     def rhs1(state):
         x, y, lam, s = state
@@ -248,14 +254,14 @@ def _reference_ward(P, rho, start, length, step):
     return s, np.array([x, y, lam])
 
 
-CURVED = ProjectiveSurface.from_spray("0.6 + 0.3*x*y", "0.2*y - 0.1*x",
-                                      "0.4 + 0.1*x", "0.25*y - 0.3")
-CURVED_RHO = ("0.3*y + x^2", "x*y - 0.2")
+CURVED = ProjectiveSurface.from_spray(*ex(["0.6 + 0.3*x*y", "0.2*y - 0.1*x",
+                                           "0.4 + 0.1*x", "0.25*y - 0.3"]))
+CURVED_RHO = ex(["0.3*y + x^2", "x*y - 0.2"])
 # every coefficient has free variables; between them they divide, take
 # negative powers, exp and sin
-WILD = ProjectiveSurface.from_spray(
+WILD = ProjectiveSurface.from_spray(*ex([
     "0.5*exp(0.2*x)/(2 + y^2) + 0.3", "0.3*sin(x - y) + (1.5 + x*x)^-2",
-    "0.2*y/(1 + x^2) + 0.1*exp(-y)", "0.1*sin(y)^2 - 0.3*(2 + x)^-2")
+    "0.2*y/(1 + x^2) + 0.1*exp(-y)", "0.1*sin(y)^2 - 0.3*(2 + x)^-2"]))
 
 
 class TestOneIntegrator:
@@ -266,7 +272,7 @@ class TestOneIntegrator:
     @pytest.mark.parametrize("start,length", CASES)
     @pytest.mark.parametrize("step", [0.01, 0.005])
     def test_geodesic_matches_the_replaced_loop(self, start, length, step):
-        path = CURVED.integrate_geodesic(start, length, step, ("0", "0"))
+        path = CURVED.integrate_geodesic(start, length, step, ex(["0", "0"]))
         path = path[:, :3]
         assert np.array_equal(
             path, _reference_geodesic(CURVED, start, length, step))
@@ -285,12 +291,12 @@ class TestOneIntegrator:
         assert s != 1.0
 
     # with rho = (y, x) the compiled plan returns its own input jets
-    @pytest.mark.parametrize("rho", [CURVED_RHO, ("y", "x")])
+    @pytest.mark.parametrize("rho", [CURVED_RHO, ex(["y", "x"])])
     @pytest.mark.parametrize("start,length", CASES)
     @pytest.mark.parametrize("step", [0.01, 0.005])
     def test_wild_spray_matches_the_replaced_loops(self, rho, start, length,
                                                    step):
-        path = WILD.integrate_geodesic(start, length, step, ("0", "0"))
+        path = WILD.integrate_geodesic(start, length, step, ex(["0", "0"]))
         path = path[:, :3]
         assert np.array_equal(path,
                               _reference_geodesic(WILD, start, length, step))
@@ -308,11 +314,11 @@ class TestOneIntegrator:
         path = CURVED.integrate_geodesic(start, length, 0.01, rho=CURVED_RHO)
         assert path.shape[1] == 4 and path[0, 3] == 1.0
         assert np.array_equal(path[:, :3], CURVED.integrate_geodesic(
-            start, length, 0.01, rho=("0", "0"))[:, :3])
+            start, length, 0.01, rho=ex(["0", "0"]))[:, :3])
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="step must be positive"):
-            ward_transport(FLAT, ("0", "0"), (0.0, 0.0, 0.5), 1.0, 0.0)
+            ward_transport(FLAT, ex(["0", "0"]), (0.0, 0.0, 0.5), 1.0, 0.0)
 
     def test_nothing_writes_into_the_folded_constants(self, monkeypatch):
         compiled = expr.compile
@@ -326,8 +332,8 @@ class TestOneIntegrator:
 
         monkeypatch.setattr(expr, "compile", spy)
         # the whole spray and "2*0.3" fold; the rest reads x and y
-        P = ProjectiveSurface.from_spray("0.1*2", "0.3", "0", "0.5 - 1")
-        out = ward_transport(P, ("0.3*y + x*(2*0.3)", "0.3*x"),
+        P = ProjectiveSurface.from_spray(*ex(["0.1*2", "0.3", "0", "0.5 - 1"]))
+        out = ward_transport(P, ex(["0.3*y + x*(2*0.3)", "0.3*x"]),
                              (0.0, 0.1, 0.7), 0.5, 0.01)
         assert out["transport"] != 1.0
         assert len(folded) >= 5
@@ -346,22 +352,23 @@ class TestOneIntegrator:
 
         monkeypatch.setattr(expr, "compile", counting)
         start, length = self.CASES[1]
-        CURVED.integrate_geodesic(start, length, 0.01, rho=("0", "0"))
+        CURVED.integrate_geodesic(start, length, 0.01, rho=ex(["0", "0"]))
         ward_transport(CURVED, CURVED_RHO, start, length, 0.01)
         assert compiled == [(6, JetSpace(XY, 0))] * 2
 
 
 class TestProjectiveFields:
     def test_affine_fields_permute_lines(self):
-        for V in (("1", "0"), ("x", "y"), ("0 - y", "x"), ("x", "2*y + x")):
-            assert max_abs(projective_field_residual(FLAT, V, PTS)) < 1e-12
+        for V in (["1", "0"], ["x", "y"], ["0 - y", "x"], ["x", "2*y + x"]):
+            assert max_abs(projective_field_residual(FLAT, ex(V), PTS)) < 1e-12
 
     def test_quadratic_field_does_not(self):
-        res = projective_field_residual(FLAT, ("y^2", "0"), PTS)
+        res = projective_field_residual(FLAT, ex(["y^2", "0"]), PTS)
         assert max_abs(res) > 1.0
 
     def test_translation_respects_translation_invariant_structure(self):
         # spray coefficients independent of x: d/dx permutes geodesics
-        P = ProjectiveSurface.from_spray("0", "y", "0", "0")
-        assert max_abs(projective_field_residual(P, ("1", "0"), PTS)) < 1e-12
-        assert max_abs(projective_field_residual(P, ("0", "1"), PTS)) > 0.1
+        P = ProjectiveSurface.from_spray(*ex(["0", "y", "0", "0"]))
+        dx, dy = ex(["1", "0"]), ex(["0", "1"])
+        assert max_abs(projective_field_residual(P, dx, PTS)) < 1e-12
+        assert max_abs(projective_field_residual(P, dy, PTS)) > 0.1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdconformal.cli import TOLERANCES
+from sdconformal.expr import as_expression
 from sdconformal.jets import MAX_VARS, Jet, JetSpace, max_abs
 from sdconformal.projective import ProjectiveSurface
 from sdconformal.pairs import (ProjectivePair, BuildError, build_lax,
@@ -16,6 +17,11 @@ from oracles import (DW_POINT, TWISTFREE_POINT, add_multiple_of_l0,
                      fiber_bracket_loop, point_rows, sample_set, trivial_pair)
 
 FLAT = ProjectiveSurface({})
+
+
+def ex(value):
+    """Test data (text, a number or a list of them) as Expressions."""
+    return as_expression(value, ("x", "y", "t", "z", "w1", "w2"), "test data")
 
 
 def _grid(fiber_values, xs=(0.8, 1.2), ys=(1.3, 2.9)):
@@ -41,7 +47,7 @@ class TestTrivialPair:
 
 class TestTwistFree:
     def test_flat_congruence_certifies(self):
-        pair = twist_free_normal_form(FLAT, "y/x",
+        pair = twist_free_normal_form(FLAT, ex("y/x"),
                                       points=sample_set([(0.8, 1.3),
                                                          (1.2, 2.9)]),
                                       tol=TOLERANCES["build"])
@@ -61,9 +67,10 @@ class TestTwistFree:
         (("0", "x", "y", "0"), lambda x, y: (-x / 3.0, -2.0 * y / 3.0, 0.0)),
     ])
     def test_multiplier_is_minus_third_spray_derivative(self, spray, want_b):
-        P = ProjectiveSurface.from_spray(*spray)
+        P = ProjectiveSurface.from_spray(*ex(list(spray)))
         # beta = 0 solves the congruence equation whenever a0 = 0
-        pair = twist_free_normal_form(P, "0", points=sample_set([(0.8, 1.3)]),
+        pair = twist_free_normal_form(P, ex("0"),
+                                      points=sample_set([(0.8, 1.3)]),
                                       tol=TOLERANCES["build"])
         pts = _grid({"z": 0.7})
         # lam = 0 sits on the congruence (L0 degenerates there); sample off it
@@ -77,7 +84,8 @@ class TestTwistFree:
 
     def test_rejects_non_congruence(self):
         with pytest.raises(BuildError):
-            twist_free_normal_form(FLAT, "y", points=sample_set([(0.3, 0.8)]),
+            twist_free_normal_form(FLAT, ex("y"),
+                                   points=sample_set([(0.3, 0.8)]),
                                    tol=TOLERANCES["build"])
 
 
@@ -93,21 +101,21 @@ class TestQuadratureBuild:
         return out
 
     def test_twist_free_two_fiber(self):
-        pair = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
+        pair = dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "1", "z"]),
                                    points=self.PTS, tol=TOLERANCES["build"])
         self._certify(FLAT, pair)
 
     def test_nonconstant_quadrature_data(self):
         # H = x z solves both transport equations for gamma = y/x on the
         # flat surface; G = x z^2 / 2 integrates it
-        pair = dw_quadrature_build(FLAT, "y/x", 0.0, "x*z", "x*z^2/2",
+        pair = dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "x*z", "x*z^2/2"]),
                                    points=self.PTS, tol=TOLERANCES["build"])
         self._certify(FLAT, pair)
 
     def test_twisting_pair(self):
-        P = ProjectiveSurface.from_spray("0", "0", "0", "0.5")
-        pair = dw_quadrature_build(P, "0", 0.7, "1", "z", points=self.PTS,
-                                   tol=TOLERANCES["build"])
+        P = ProjectiveSurface.from_spray(*ex(["0", "0", "0", "0.5"]))
+        pair = dw_quadrature_build(P, *ex(["0", 0.7, "1", "z"]),
+                                   points=self.PTS, tol=TOLERANCES["build"])
         # the twisting + cubic-spray case needs a z-dependent residual
         # trivialization that the base-valued gauge frame cannot record,
         # so only the bracket test certifies here
@@ -118,29 +126,31 @@ class TestQuadratureBuild:
             assert fit == pytest.approx((0.0, 0.5 * beta, -0.5), abs=1e-11)
 
     def test_curved_base(self):
-        P = ProjectiveSurface.from_spray("0", "x", "0", "0")
-        pair = dw_quadrature_build(P, "0", 0.0, "1", "z", points=self.PTS,
-                                   tol=TOLERANCES["build"])
+        P = ProjectiveSurface.from_spray(*ex(["0", "x", "0", "0"]))
+        pair = dw_quadrature_build(P, *ex(["0", 0.0, "1", "z"]),
+                                   points=self.PTS, tol=TOLERANCES["build"])
         self._certify(P, pair)
 
     def test_rejects_broken_quadrature(self):
         tol = TOLERANCES["build"]
         with pytest.raises(BuildError):   # G_z != H
-            dw_quadrature_build(FLAT, "y/x", 0.0, "1", "2*z", self.PTS, tol)
+            dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "1", "2*z"]), self.PTS,
+                                tol)
         with pytest.raises(BuildError):   # transport fails
-            dw_quadrature_build(FLAT, "y/x", 0.0, "x", "x*z", self.PTS, tol)
+            dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "x", "x*z"]), self.PTS,
+                                tol)
         with pytest.raises(BuildError):   # not a congruence
-            dw_quadrature_build(FLAT, "y", 0.0, "1", "z", self.PTS, tol)
+            dw_quadrature_build(FLAT, *ex(["y", 0.0, "1", "z"]), self.PTS, tol)
 
 
 class TestGaugeFreedom:
     def test_adding_multiple_of_l0_is_invisible(self):
-        pair = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
+        pair = dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "1", "z"]),
                                    points=DW_POINT, tol=TOLERANCES["build"])
         lax = build_lax(FLAT, pair)
         pts = _grid({"t": 0.2, "z": 0.7})
         before = lax_residual(lax, pts)
-        after = lax_residual(add_multiple_of_l0(lax, "x - 2*y"), pts)
+        after = lax_residual(add_multiple_of_l0(lax, ex("x - 2*y")), pts)
         assert max_abs(after["residual"]) < 1e-12
         assert max_abs(after["cubic"]) < 1e-12
         assert np.allclose(after["b_coeffs"], before["b_coeffs"], atol=1e-12)
@@ -148,7 +158,7 @@ class TestGaugeFreedom:
 
 class TestPerturbationDetection:
     def test_both_residuals_flag_a_broken_pair(self):
-        base = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
+        base = dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "1", "z"]),
                                    points=DW_POINT, tol=TOLERANCES["build"])
         eps = 1e-3
         from sdconformal.expr import parse
@@ -178,30 +188,30 @@ class TestGaugeClassification:
         assert all(flags.values())
 
     def test_area_preserving_fields(self):
-        pair = ProjectivePair(("w1", "w2"),
+        pair = ProjectivePair(("w1", "w2"), *ex([
                               ["w2^2", "0"], ["0", "w1*w2 - w1*w2"],
-                              ["1", "0"], ["0", "1"])
+                              ["1", "0"], ["0", "1"]]))
         flags = self._flags(pair, self.PTS2)
         assert flags["sdiff2"] and flags["hdiff2"] and flags["phi_sdiff"]
 
     def test_fiber_dependent_divergence(self):
-        pair = ProjectivePair(("w1", "w2"),
+        pair = ProjectivePair(("w1", "w2"), *ex([
                               ["w1*w2", "0"], ["0", "0"],
-                              ["1", "0"], ["0", "1"])
+                              ["1", "0"], ["0", "1"]]))
         flags = self._flags(pair, self.PTS2)
         assert not flags["sdiff2"]
         assert not flags["hdiff2"]
 
     def test_constant_divergence_is_hamiltonian_up_to_center(self):
-        pair = ProjectivePair(("w1", "w2"),
+        pair = ProjectivePair(("w1", "w2"), *ex([
                               ["x*w1", "0"], ["0", "0"],
-                              ["1", "0"], ["0", "1"])
+                              ["1", "0"], ["0", "1"]]))
         flags = self._flags(pair, self.PTS2)
         assert not flags["sdiff2"]
         assert flags["hdiff2"]
 
     def test_twist_free_single_fiber(self):
-        pair = twist_free_normal_form(FLAT, "y/x", points=TWISTFREE_POINT,
+        pair = twist_free_normal_form(FLAT, ex("y/x"), points=TWISTFREE_POINT,
                                       tol=TOLERANCES["build"])
         flags = self._flags(pair, _grid({"z": 0.7}))
         assert not flags["sdiff2"]          # div alpha0 = -1/x
@@ -211,16 +221,16 @@ class TestGaugeClassification:
         assert flags["aff1_translational"]  # alpha affine, phi z-free
 
     def test_twisting_pair_loses_translational_reduction(self):
-        P = ProjectiveSurface.from_spray("0", "0", "0", "0.5")
-        pair = dw_quadrature_build(P, "0", 0.7, "1", "z", points=DW_POINT,
-                                   tol=TOLERANCES["build"])
+        P = ProjectiveSurface.from_spray(*ex(["0", "0", "0", "0.5"]))
+        pair = dw_quadrature_build(P, *ex(["0", 0.7, "1", "z"]),
+                                   points=DW_POINT, tol=TOLERANCES["build"])
         flags = self._flags(pair, _grid({"t": 0.2, "z": 0.7}))
         assert flags["o_times_diff1"]
         assert not flags["aff1_translational"]   # phi0 depends on z
         assert not flags["phi_sdiff"]            # div phi0 = -0.7
 
     def test_untwisted_quadrature_pair(self):
-        pair = dw_quadrature_build(FLAT, "y/x", 0.0, "1", "z",
+        pair = dw_quadrature_build(FLAT, *ex(["y/x", 0.0, "1", "z"]),
                                    points=DW_POINT, tol=TOLERANCES["build"])
         flags = self._flags(pair, _grid({"t": 0.2, "z": 0.7}))
         assert flags["hdiff2"]
@@ -236,18 +246,18 @@ class TestAreaConnection:
 
     def test_non_closed_divergences_curve(self):
         # rho(X) = x, rho(Y) = x: curl component d_x(x) - d_y(x) = 1
-        pair = ProjectivePair(("w1", "w2"),
+        pair = ProjectivePair(("w1", "w2"), *ex([
                               ["x*w1", "0"], ["0", "x*w2"],
-                              ["1", "0"], ["0", "1"])
+                              ["1", "0"], ["0", "1"]]))
         pts = _grid({"w1": 0.3, "w2": -0.4})
         assert area_connection_curvature(pair, pts) == pytest.approx(1.0)
 
     def test_closed_divergence_pair_is_flat(self):
         # rho(X) = y, rho(Y) = x is fiber-independent with zero curl, so
         # the divergence is removable by a base rescaling of the area form
-        pair = ProjectivePair(("w1", "w2"),
+        pair = ProjectivePair(("w1", "w2"), *ex([
                               ["y*w1", "0"], ["0", "x*w2"],
-                              ["1", "0"], ["0", "1"])
+                              ["1", "0"], ["0", "1"]]))
         pts = _grid({"w1": 0.3, "w2": -0.4})
         assert area_connection_curvature(pair, pts) < 1e-14
 

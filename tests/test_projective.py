@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdconformal.expr import parse
+from sdconformal.expr import ZERO, parse
 from sdconformal.jets import max_abs
 from sdconformal.projective import ProjectiveSurface, COORDS
 from oracles import (cotton, lifted_spray_velocity, projective_change,
@@ -11,6 +11,11 @@ from oracles import (cotton, lifted_spray_velocity, projective_change,
                      spray_value, unstack)
 
 RNG = np.random.default_rng(20240811)
+
+
+def ex(source):
+    """`source` parsed over the surface coordinates."""
+    return parse(source, COORDS)
 
 
 def _random_polynomial(rng, degree=3):
@@ -21,7 +26,7 @@ def _random_polynomial(rng, degree=3):
             c = rng.uniform(-1, 1)
             terms.append(f"{c:+.6f}*x^{i}*y^{j}".replace("x^0*", "")
                          .replace("*y^0", ""))
-    return parse("".join(terms).lstrip("+"), COORDS)
+    return ex("".join(terms).lstrip("+"))
 
 
 def _random_surface(rng):
@@ -46,7 +51,7 @@ class TestSpray:
 
     def test_spray_dictionary(self):
         # a0 reads off the (1,0,0) Christoffel directly
-        P = ProjectiveSurface({(1, 0, 0): "x*y"})
+        P = ProjectiveSurface({(1, 0, 0): ex("x*y")})
         a = P.spray_coeffs()
         pt = {"x": 0.5, "y": 2.0}
         assert _value(a[0], pt) == pytest.approx(0.5 * 2.0)
@@ -54,12 +59,12 @@ class TestSpray:
 
     def test_from_spray_roundtrip(self):
         coeffs = ("x", "y^2", "1 + x*y", "-2*y")
-        P = ProjectiveSurface.from_spray(*coeffs)
+        P = ProjectiveSurface.from_spray(*map(ex, coeffs))
         got = P.spray_coeffs()
         for pt in _points(RNG, 4):
             for want, have in zip(coeffs, got):
                 assert _value(have, pt) == pytest.approx(
-                    _value(parse(want, COORDS), pt), rel=1e-13)
+                    _value(ex(want), pt), rel=1e-13)
 
     def test_projective_invariance_of_spray(self):
         # acceptance: 20 random (surface, shift) pairs
@@ -143,17 +148,17 @@ class TestCurvature:
 class TestGeodesics:
     def test_flat_geodesics_are_lines(self):
         P = ProjectiveSurface({})
-        path = P.integrate_geodesic((0.0, 0.0, 0.5), 1.0, 0.05, ("0", "0"))
+        path = P.integrate_geodesic((0.0, 0.0, 0.5), 1.0, 0.05, (ZERO, ZERO))
         x, y, lam = path[-1, :3]
         assert (x, y, lam) == pytest.approx((1.0, 0.5, 0.5), abs=1e-13)
 
     def test_rk4_richardson_factor(self):
         # quartic convergence: error ratio between steps h and h/2 is ~16
-        P = ProjectiveSurface({(1, 0, 0): "y", (0, 1, 1): "x*y"})
+        P = ProjectiveSurface({(1, 0, 0): ex("y"), (0, 1, 1): ex("x*y")})
         start, L = (0.1, 0.2, 0.4), 0.8
 
         def end(h):
-            return P.integrate_geodesic(start, L, h, ("0", "0"))[-1, :3]
+            return P.integrate_geodesic(start, L, h, (ZERO, ZERO))[-1, :3]
 
         ref = end(0.00125)
         e1 = np.abs(end(0.02) - ref).max()
@@ -163,13 +168,13 @@ class TestGeodesics:
     def test_chart_switch_preserves_the_geodesic(self):
         # run through lam > 1 territory and back; flat lines stay lines
         P = ProjectiveSurface({})
-        path = P.integrate_geodesic((0.0, 0.0, 2.0), 0.5, 0.01, ("0", "0"))
+        path = P.integrate_geodesic((0.0, 0.0, 2.0), 0.5, 0.01, (ZERO, ZERO))
         x, y, lam = path[-1, :3]
         assert lam == pytest.approx(2.0, abs=1e-12)
         assert y == pytest.approx(2.0 * x, abs=1e-12)
 
     def test_lifted_spray_projects_to_spray(self):
-        P = ProjectiveSurface({(1, 0, 0): "x + y"})
+        P = ProjectiveSurface({(1, 0, 0): ex("x + y")})
         state = np.array([0.3, -0.2, 1.0, 0.7])
         vel = lifted_spray_velocity(P, state)
         # d(lam)/ds = (pidot1 - lam pidot0)/pi0 must equal pi0 * a(lam)
@@ -183,16 +188,16 @@ class TestCongruences:
     def test_burgers_slope_is_a_congruence(self):
         P = ProjectiveSurface({})
         pts = sample_set([(x, y) for x in (0.5, 1.0, 1.5) for y in (1.0, 2.0)])
-        assert max_abs(P.congruence_residual("y/x", pts)) < 1e-14
+        assert max_abs(P.congruence_residual(ex("y/x"), pts)) < 1e-14
 
     def test_multiplier_matches_slope_derivative(self):
         # flat case: b(lam) = d(beta)/dy, independent of lam
         P = ProjectiveSurface({})
         for lam in (0.0, 1.0, -2.0):
-            b = P.congruence_multiplier("y/x", {"x": 1.0, "y": 2.0}, lam)
+            b = P.congruence_multiplier(ex("y/x"), {"x": 1.0, "y": 2.0}, lam)
             assert b == pytest.approx(1.0, rel=1e-12)
 
     def test_non_congruence_is_detected(self):
         P = ProjectiveSurface({})
-        assert P.congruence_residual("y", sample_set([(0.3, 0.8)])) == \
+        assert P.congruence_residual(ex("y"), sample_set([(0.3, 0.8)])) == \
             pytest.approx(0.8)

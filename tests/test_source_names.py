@@ -215,11 +215,12 @@ def test_only_the_process_entry_ends_the_interpreter():
     assert found == {"cli:entry"}
 
 
-# One helper turns scene data into Expressions: `expr.as_expression`, which,
-# given a slot's name, names the slot (and the component) in its error.
-# Only `cli` reads scene slots, so only it passes that name, and every read
-# there passes one.  No module defines a second helper (`as_expressions`,
-# `_to_expr`) or re-wraps the error the helper raises.
+# One helper turns scene data into Expressions: `expr.as_expression`, which
+# names the slot (and the component) in its error.  Only `cli` reads scene
+# slots, so only it imports the helper and calls it, always with the
+# slot's name; the library takes Expressions.  No module defines a second
+# helper (`as_expressions`, `_to_expr`) or re-wraps the error the helper
+# raises.
 EXPR_ERROR_HANDLERS = {
     "cli:RunContext.points",   # an exclusion, text read by `parse`
     "cli:main",                # exit 2
@@ -244,24 +245,32 @@ def _coercions(node):
 
 
 def test_one_helper_reads_scene_expressions_and_only_the_cli_names_slots():
-    helpers, handlers, naming, unnamed = [], set(), set(), []
+    helpers, handlers, importers, naming = [], set(), [], set()
+    library, unnamed = [], []
     for path, tree in _trees().items():
         module = path[:-3]
         helpers += [f"{module}:{node.name}" for node in ast.walk(tree)
                     if isinstance(node, ast.FunctionDef)
                     and re.search(r"(as|to)_?expr", node.name)]
+        importers += [module for node in ast.walk(tree)
+                      if isinstance(node, ast.alias)
+                      and node.name == "as_expression"]
         for where, node in _units(module, tree):
             if any(isinstance(n, ast.ExceptHandler) and _names_expr_error(n)
                    for n in ast.walk(node)):
                 handlers.add(where)
             for call in _coercions(node):
-                if len(call.args) > 2 or any(k.arg == "what"
-                                             for k in call.keywords):
+                if module not in ("cli", "expr"):
+                    library.append(f"{where} line {call.lineno}")
+                elif len(call.args) > 2 or any(k.arg == "what"
+                                               for k in call.keywords):
                     naming.add(module)
-                elif module == "cli":
+                else:
                     unnamed.append(f"{where} line {call.lineno}")
     assert helpers == ["expr:as_expression"]
     assert handlers == EXPR_ERROR_HANDLERS
+    assert library == []
+    assert importers == ["cli"]
     assert naming == {"cli", "expr"}   # expr: the helper's call per item
     assert unnamed == []
 
